@@ -624,60 +624,6 @@ void BM_KernelSelectTopN(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSelectTopN);
 
-// --- Cross-request batching: four admitted async operations finished
-// one by one vs in one FinishAsyncBatch group (one merged Recommend).
-// The delta is the per-call reconstruction overhead batching amortizes;
-// the results are bit-identical (serve_test pins that).
-void RunServeAsyncGroupBench(benchmark::State& state, bool batched) {
-  ArtifactFixture& f = SharedArtifactFixture();
-  serve::ManualClock clock;
-  serve::ServeRuntimeOptions options;
-  options.swap.spec.mechanism = "Cluster";
-  options.swap.spec.epsilon = 0.1;
-  options.clock = &clock;
-  options.admission.max_concurrency = 8;
-  serve::ServeRuntime runtime(options);
-  Status activated = runtime.Activate(f.path);
-  PRIVREC_CHECK_MSG(activated.ok(), "serve activate failed");
-
-  constexpr int kGroup = 4;
-  std::vector<serve::ServeRequest> requests(kGroup);
-  for (int r = 0; r < kGroup; ++r) {
-    for (graph::NodeId u = 0; u < 8; ++u) {
-      requests[static_cast<size_t>(r)].users.push_back(r * 8 + u);
-    }
-    requests[static_cast<size_t>(r)].top_n = 20;
-    requests[static_cast<size_t>(r)].deadline_ms = 1000000;
-  }
-  for (auto _ : state) {
-    std::vector<serve::AsyncServe> ops;
-    ops.reserve(kGroup);
-    for (const serve::ServeRequest& request : requests) {
-      ops.push_back(runtime.BeginAsync(request, clock.NowMs()));
-    }
-    if (batched) {
-      std::vector<serve::AsyncServe*> group;
-      group.reserve(kGroup);
-      for (serve::AsyncServe& op : ops) group.push_back(&op);
-      runtime.FinishAsyncBatch(group);
-    } else {
-      for (serve::AsyncServe& op : ops) (void)runtime.FinishAsync(op);
-    }
-    benchmark::DoNotOptimize(ops.back().response.batch.lists.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kGroup * 8);
-}
-
-void BM_ServeFinishAsyncSingle(benchmark::State& state) {
-  RunServeAsyncGroupBench(state, /*batched=*/false);
-}
-BENCHMARK(BM_ServeFinishAsyncSingle);
-
-void BM_ServeFinishAsyncBatched(benchmark::State& state) {
-  RunServeAsyncGroupBench(state, /*batched=*/true);
-}
-BENCHMARK(BM_ServeFinishAsyncBatched);
-
 void BM_ExactRecommendPerUser(benchmark::State& state) {
   RecommenderFixture& f = SharedFixture();
   core::ExactRecommender rec(f.context);

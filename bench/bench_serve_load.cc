@@ -182,13 +182,6 @@ int main(int argc, char** argv) {
   options.admission.queue_depth = serve_settings.queue_depth;
   options.breaker.failure_threshold = serve_settings.breaker_failures;
   options.breaker.cooldown_ms = serve_settings.breaker_cooldown_ms;
-  // The threaded window batcher is a wall-mode tool: in virtual time the
-  // single-threaded async path batches via FinishAsyncBatch instead.
-  if (load_settings.wall) {
-    options.batch.window_ms = serve_settings.batch_window_ms;
-    options.batch.max_requests = serve_settings.batch_max_requests;
-    options.batch.max_users = serve_settings.batch_max_users;
-  }
   if (!load_settings.wall) options.clock = &virtual_clock;
   serve::ServeRuntime runtime(options);
   Status activated = runtime.Activate(good_a);

@@ -96,9 +96,6 @@ int main(int argc, char** argv) {
   serve_options.admission.max_concurrency = serve_settings.max_concurrency;
   serve_options.breaker.failure_threshold = serve_settings.breaker_failures;
   serve_options.breaker.cooldown_ms = serve_settings.breaker_cooldown_ms;
-  serve_options.batch.window_ms = serve_settings.batch_window_ms;
-  serve_options.batch.max_requests = serve_settings.batch_max_requests;
-  serve_options.batch.max_users = serve_settings.batch_max_users;
   serve_options.telemetry = &telemetry;
   serve::ServeRuntime runtime(serve_options);
   // Dumps the live statusz page: to --statusz-out (overwritten each time,

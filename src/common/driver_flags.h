@@ -70,10 +70,6 @@ struct ServeFlagSettings {
   int64_t breaker_failures = 3;     // --serve-breaker-failures
   int64_t breaker_cooldown_ms = 1000;  // --serve-breaker-cooldown-ms
   int64_t reload_period = 0;        // --serve-reload-period (0 = off)
-  // Cross-request batching (serve/batcher.h); 0 window = disabled.
-  int64_t batch_window_ms = 0;      // --serve-batch-window-ms
-  int64_t batch_max_requests = 8;   // --serve-batch-max-requests
-  int64_t batch_max_users = 256;    // --serve-batch-max-users
 };
 
 ServeFlagSettings ApplyServeFlags(FlagParser& flags);

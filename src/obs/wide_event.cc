@@ -71,17 +71,10 @@ std::string RequestTelemetryToJson(const RequestTelemetry& event) {
   out += std::string(", \"admission\": \"") +
          AdmissionOutcomeName(event.admission) + "\"";
   out += ", \"queue_ms\": " + std::to_string(event.queue_wait_ms);
-  out += ", \"route_ms\": " + JsonNumber(event.route_ms);
   out += ", \"reconstruct_ms\": " + JsonNumber(event.reconstruct_ms);
   out += ", \"epoch\": " + std::to_string(event.epoch);
   out += ", \"artifact_seed\": " + std::to_string(event.artifact_seed);
   out += ", \"shard_count\": " + std::to_string(event.shard_count);
-  out += ", \"shards\": [";
-  for (size_t i = 0; i < event.shards_touched.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(event.shards_touched[i]);
-  }
-  out += "]";
   out += ", \"users\": " + std::to_string(event.users);
   out += ", \"top_n\": " + std::to_string(event.top_n);
   out += ", \"deadline_ms\": " + std::to_string(event.deadline_ms);
@@ -89,8 +82,6 @@ std::string RequestTelemetryToJson(const RequestTelemetry& event) {
          (event.degraded ? "true" : "false");
   out += ", \"users_degraded\": " + std::to_string(event.users_degraded);
   out += ", \"retry_after_ms\": " + std::to_string(event.retry_after_ms);
-  out += ", \"batch_requests\": " + std::to_string(event.batch_requests);
-  out += ", \"batch_users\": " + std::to_string(event.batch_users);
   out += "}";
   return out;
 }

@@ -194,7 +194,7 @@ void AdmissionController::ReleaseSlot(int64_t admit_ms) {
   slot_free_.notify_all();
 }
 
-PendingAdmit AdmissionController::ResolveEntry(int64_t deadline_ms) {
+PendingAdmit AdmissionController::AdmitAsync(int64_t deadline_ms) {
   std::lock_guard<std::mutex> lock(mu_);
   const int64_t now = clock_->NowMs();
   PurgeExpiredLocked(now);
@@ -218,48 +218,34 @@ PendingAdmit AdmissionController::ResolveEntry(int64_t deadline_ms) {
   return PendingAdmit(std::move(rep));
 }
 
-PendingAdmit AdmissionController::AdmitAsync(int64_t deadline_ms) {
-  return ResolveEntry(deadline_ms);
-}
-
-Result<AdmissionTicket> AdmissionController::Admit(int64_t deadline_ms) {
-  PendingAdmit pending = ResolveEntry(deadline_ms);
-  std::shared_ptr<PendingAdmit::Rep> rep = pending.rep_;
-
-  std::unique_lock<std::mutex> lock(mu_);
+void PendingAdmit::Wait() {
+  AdmissionController& c = *rep_->controller;
+  std::unique_lock<std::mutex> lock(c.mu_);
   // Queued: wait in short real-time slices, re-checking the injected
   // clock each wakeup so a ManualClock advanced by another thread is
   // observed promptly; with the default SteadyClock the slice is just a
   // coarse timed wait. A grant races a concurrent expiry in our favor:
   // once ReleaseSlot marked this waiter admitted, it keeps the slot.
-  while (rep->state == PendingAdmit::State::kQueued) {
-    if (clock_->NowMs() >= rep->deadline_ms) {
-      rep->state = PendingAdmit::State::kExpired;
-      --waiting_;
-      queue_.erase(std::remove(queue_.begin(), queue_.end(), rep),
-                   queue_.end());
+  while (rep_->state == State::kQueued) {
+    if (c.clock_->NowMs() >= rep_->deadline_ms) {
+      rep_->state = State::kExpired;
+      --c.waiting_;
+      c.queue_.erase(std::remove(c.queue_.begin(), c.queue_.end(), rep_),
+                     c.queue_.end());
       ExpiredCounter().Increment();
       break;
     }
-    slot_free_.wait_for(lock, std::chrono::milliseconds(1));
+    c.slot_free_.wait_for(lock, std::chrono::milliseconds(1));
   }
+}
 
-  switch (rep->state) {
-    case PendingAdmit::State::kAdmitted:
-      rep->ticket_taken = true;
-      return AdmissionTicket(this, rep->admit_ms);
-    case PendingAdmit::State::kShed:
-      return Status::ResourceExhausted(
-          "serving queue full (" + std::to_string(waiting_) +
-          " waiting); retry in " + std::to_string(rep->retry_after_ms) +
-          "ms");
-    case PendingAdmit::State::kExpired:
-      return Status::DeadlineExceeded(
-          "deadline expired before or while queued for admission");
-    case PendingAdmit::State::kQueued:
-      break;
+Result<AdmissionTicket> AdmissionController::Admit(int64_t deadline_ms) {
+  PendingAdmit pending = AdmitAsync(deadline_ms);
+  pending.Wait();
+  if (pending.state() != PendingAdmit::State::kAdmitted) {
+    return pending.status();
   }
-  return Status::Internal("unreachable admission state");
+  return pending.TakeTicket();
 }
 
 }  // namespace privrec::serve

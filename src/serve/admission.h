@@ -25,17 +25,13 @@
 // average fallback (core/degradation kLoadShed) without touching the
 // contended serve path.
 //
-// Two admission styles share the same queue and policy:
-//
-//   Admit()       blocks the calling thread until a slot, shed, or expiry
-//                 (classic thread-per-request serving);
-//   AdmitAsync()  never blocks: returns a PendingAdmit handle that is
-//                 resolved either immediately or later, when a release
-//                 grants it the freed slot (or a purge expires it). This
-//                 is what the open-loop load harness (src/loadgen) drives
-//                 in virtual time — queue occupancy is real, but no
-//                 thread ever parks, so a single-threaded discrete-event
-//                 loop reproduces admission decisions bit-for-bit.
+// Every admission is a PendingAdmit handle from AdmitAsync(), resolved
+// either immediately or later, when a release grants it the freed slot
+// (or a purge expires it). The open-loop load harness (src/loadgen)
+// polls handles in virtual time — queue occupancy is real, but no
+// thread ever parks, so a single-threaded discrete-event loop
+// reproduces admission decisions bit-for-bit. Thread-per-request callers
+// block in PendingAdmit::Wait() instead; Admit() is AdmitAsync() + Wait().
 
 #ifndef PRIVREC_SERVE_ADMISSION_H_
 #define PRIVREC_SERVE_ADMISSION_H_
@@ -108,7 +104,7 @@ class AdmissionTicket {
 // AdmitAsync() time (immediate slot, shed, or already-expired deadline)
 // or later, inside a ReleaseSlot/PurgeExpired on some other request's
 // path. The caller polls state() after advancing the clock or releasing
-// capacity; no callback, no thread.
+// capacity, or parks in Wait(); no callback, no helper thread.
 class PendingAdmit {
  public:
   enum class State {
@@ -128,6 +124,11 @@ class PendingAdmit {
   // Retry-after hint captured when the request was shed; 0 otherwise.
   int64_t retry_after_ms() const;
 
+  // Blocks the calling thread while the handle is queued: until a release
+  // grants it a slot, a purge expires it, or its own deadline passes on
+  // the injected clock.
+  void Wait();
+
   // Moves the granted slot out; valid exactly once, iff kAdmitted.
   AdmissionTicket TakeTicket();
 
@@ -145,9 +146,9 @@ class AdmissionController {
                                const Clock* clock = nullptr);
 
   // Tries to take a serving slot before `deadline_ms` (absolute, on the
-  // injected clock), blocking while queued. Errors: kResourceExhausted
-  // (shed — queue full), kDeadlineExceeded (deadline hit while queued or
-  // already expired).
+  // injected clock), blocking while queued. Errors: the resolved
+  // handle's status — kResourceExhausted (shed — queue full) or
+  // kDeadlineExceeded (deadline hit while queued or already expired).
   Result<AdmissionTicket> Admit(int64_t deadline_ms);
 
   // Non-blocking admission: immediately resolved or queued (see
@@ -183,7 +184,6 @@ class AdmissionController {
   void ReleaseSlot(int64_t admit_ms);
   int64_t PurgeExpiredLocked(int64_t now_ms);
   int64_t RetryAfterHintLocked() const;
-  PendingAdmit ResolveEntry(int64_t deadline_ms);
 
   const AdmissionOptions options_;
   const Clock* clock_;

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <mutex>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
@@ -30,6 +31,23 @@ obs::Histogram& RequestLatency() {
   return h;
 }
 
+// Rejects a malformed request (bad top_n or user id); Ok otherwise.
+Status Validate(const ServeRequest& request, const EpochSnapshot& epoch) {
+  if (request.top_n <= 0) {
+    return Status::InvalidArgument("top_n must be positive, got " +
+                                   std::to_string(request.top_n));
+  }
+  const int64_t num_users = epoch.engine.num_users();
+  for (graph::NodeId u : request.users) {
+    if (u < 0 || u >= num_users) {
+      return Status::InvalidArgument(
+          "user id " + std::to_string(u) + " out of range [0, " +
+          std::to_string(num_users) + ")");
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 ServeRuntime::ServeRuntime(ServeRuntimeOptions options)
@@ -38,11 +56,7 @@ ServeRuntime::ServeRuntime(ServeRuntimeOptions options)
                                       : SteadyClock::Instance()),
       swapper_(options.swap),
       admission_(options.admission, clock_),
-      reload_breaker_("artifact_reload", options.breaker, clock_) {
-  if (options_.batch.window_ms > 0) {
-    batcher_ = std::make_unique<RequestBatcher>(options_.batch, clock_);
-  }
-}
+      reload_breaker_("artifact_reload", options.breaker, clock_) {}
 
 Status ServeRuntime::Activate(const std::string& path) {
   return reload_breaker_.Run([&] { return swapper_.Activate(path); });
@@ -73,125 +87,25 @@ ServeResponse ServeRuntime::Fallback(
   return response;
 }
 
-void ServeRuntime::ServeFromEpoch(
-    const std::shared_ptr<EpochSnapshot>& epoch, const ServeRequest& request,
-    ServeResponse* response, obs::RequestTelemetry* event,
-    bool use_batcher) {
-  if (epoch->recommender->ConcurrentSafe()) {
-    if (use_batcher && batcher_ != nullptr) {
-      // Per-user independence makes the merged call bit-identical to the
-      // per-request calls it replaces; only amortization changes.
-      RequestBatcher::Slice slice = batcher_->Submit(
-          epoch, request.users, request.top_n,
-          [](EpochSnapshot& e, const std::vector<graph::NodeId>& all,
-             int64_t top_n) { return e.recommender->Recommend(all, top_n); });
-      response->batch = std::move(slice.batch);
-      if (event != nullptr) {
-        event->batch_requests = slice.batch_requests;
-        event->batch_users = slice.batch_users;
-      }
-      return;
-    }
-    response->batch =
-        epoch->recommender->Recommend(request.users, request.top_n);
-  } else {
-    // Fresh-noise mechanisms consume their RNG stream per invocation and
-    // must see exactly one call per request — never batched, serialized.
-    std::lock_guard<std::mutex> lock(epoch->serve_mu);
-    response->batch =
-        epoch->recommender->Recommend(request.users, request.top_n);
-  }
-  if (event != nullptr) {
-    event->batch_requests = 1;
-    event->batch_users = static_cast<int64_t>(request.users.size());
-  }
-}
-
-void ServeRuntime::EmitTelemetry(obs::RequestTelemetry& event,
-                                 const ServeResponse& response) {
+void ServeRuntime::Complete(AsyncServe& op) {
+  op.done = true;
   if (options_.telemetry == nullptr) return;
-  FinalizeRequestTelemetry(event, response, clock_->NowMs());
-  options_.telemetry->Record(event);
-}
-
-void ServeRuntime::EmitAsyncTelemetry(AsyncServe& op) {
-  if (options_.telemetry == nullptr || op.telemetry_emitted) return;
-  op.telemetry_emitted = true;
   FinalizeRequestTelemetry(op.telemetry, op.response, clock_->NowMs());
   options_.telemetry->Record(op.telemetry);
 }
 
 ServeResponse ServeRuntime::Handle(const ServeRequest& request) {
   obs::SpanScope span("serve.request");
-  RequestCounter().Increment();
-  const int64_t start_ms = clock_->NowMs();
-  const uint64_t request_id = ResolveRequestId(request);
-  span.Arg("request_id", std::to_string(request_id));
-
-  obs::RequestTelemetry event;
-  event.request_id = request_id;
-  event.arrival_ms = start_ms;
-  event.users = static_cast<int64_t>(request.users.size());
-  event.top_n = request.top_n;
-  event.deadline_ms = request.deadline_ms;
-
-  // Pin the epoch for the whole request: a concurrent swap cannot change
-  // what this batch is served from, and the snapshot outlives the swap.
-  std::shared_ptr<EpochSnapshot> epoch = swapper_.AcquireMutable();
-  if (epoch == nullptr) {
-    ServeResponse response;
-    response.status =
-        Status::FailedPrecondition("no artifact activated yet");
-    response.request_id = request_id;
-    EmitTelemetry(event, response);
-    return response;
+  AsyncServe op = BeginAsync(request, clock_->NowMs());
+  span.Arg("request_id", std::to_string(op.response.request_id));
+  if (op.epoch != nullptr) {
+    span.Arg("epoch", std::to_string(op.epoch->epoch));
   }
-
-  ServeResponse response;
-  response.request_id = request_id;
-  response.epoch = epoch->epoch;
-  response.artifact_seed = epoch->artifact_seed;
-  span.Arg("epoch", std::to_string(epoch->epoch));
-  event.shard_count = epoch->engine.shard_count();
-
-  if (request.top_n <= 0) {
-    response.status =
-        Status::InvalidArgument("top_n must be positive, got " +
-                                std::to_string(request.top_n));
-    EmitTelemetry(event, response);
-    return response;
+  if (!op.done && !op.admitted) {
+    op.pending->Wait();
+    PollAsync(op);
   }
-  if (request.users.empty()) {
-    // Nothing to rank; answer OK without consuming a serving slot.
-    EmitTelemetry(event, response);
-    return response;
-  }
-
-  const int64_t deadline = start_ms + request.deadline_ms;
-  Result<AdmissionTicket> ticket = admission_.Admit(deadline);
-  const int64_t admitted_ms = clock_->NowMs();
-  event.queue_wait_ms = admitted_ms - start_ms;
-  if (!ticket.ok()) {
-    const int64_t retry_after =
-        ticket.status().code() == StatusCode::kResourceExhausted
-            ? admission_.RetryAfterHintMs()
-            : 0;
-    ServeResponse fallback =
-        Fallback(ticket.status(), epoch, request, retry_after);
-    fallback.request_id = request_id;
-    EmitTelemetry(event, fallback);
-    return fallback;
-  }
-
-  ServeFromEpoch(epoch, request, &response, &event,
-                 /*use_batcher=*/true);
-  ticket->Release();
-
-  const int64_t end_ms = clock_->NowMs();
-  event.reconstruct_ms = static_cast<double>(end_ms - admitted_ms);
-  RequestLatency().Observe(static_cast<double>(end_ms - start_ms));
-  EmitTelemetry(event, response);
-  return response;
+  return FinishAsync(op);
 }
 
 AsyncServe ServeRuntime::BeginAsync(const ServeRequest& request,
@@ -209,29 +123,23 @@ AsyncServe ServeRuntime::BeginAsync(const ServeRequest& request,
   op.telemetry.top_n = request.top_n;
   op.telemetry.deadline_ms = request.deadline_ms;
 
+  // Pin the epoch for the whole request: a concurrent swap cannot change
+  // what this batch is served from, and the snapshot outlives the swap.
   op.epoch = swapper_.AcquireMutable();
   if (op.epoch == nullptr) {
     op.response.status =
         Status::FailedPrecondition("no artifact activated yet");
-    op.done = true;
-    EmitAsyncTelemetry(op);
+    Complete(op);
     return op;
   }
   op.response.epoch = op.epoch->epoch;
   op.response.artifact_seed = op.epoch->artifact_seed;
   op.telemetry.shard_count = op.epoch->engine.shard_count();
 
-  if (request.top_n <= 0) {
-    op.response.status =
-        Status::InvalidArgument("top_n must be positive, got " +
-                                std::to_string(request.top_n));
-    op.done = true;
-    EmitAsyncTelemetry(op);
-    return op;
-  }
-  if (request.users.empty()) {
-    op.done = true;  // OK, empty batch
-    EmitAsyncTelemetry(op);
+  op.response.status = Validate(request, *op.epoch);
+  if (!op.response.status.ok() || request.users.empty()) {
+    // Malformed, or nothing to rank: answered without a serving slot.
+    Complete(op);
     return op;
   }
 
@@ -251,32 +159,18 @@ bool ServeRuntime::PollAsync(AsyncServe& op) {
     state = op.pending->state();
     if (state == PendingAdmit::State::kQueued) return false;
   }
-  switch (state) {
-    case PendingAdmit::State::kAdmitted:
-      op.ticket = op.pending->TakeTicket();
-      op.admitted = true;
-      op.telemetry.queue_wait_ms = clock_->NowMs() - op.arrival_ms;
-      return true;
-    case PendingAdmit::State::kShed:
-      op.response = Fallback(op.pending->status(), op.epoch, op.request,
-                             op.pending->retry_after_ms());
-      op.response.request_id = op.telemetry.request_id;
-      op.telemetry.queue_wait_ms = clock_->NowMs() - op.arrival_ms;
-      op.done = true;
-      EmitAsyncTelemetry(op);
-      return true;
-    case PendingAdmit::State::kExpired:
-      op.response =
-          Fallback(op.pending->status(), op.epoch, op.request, 0);
-      op.response.request_id = op.telemetry.request_id;
-      op.telemetry.queue_wait_ms = clock_->NowMs() - op.arrival_ms;
-      op.done = true;
-      EmitAsyncTelemetry(op);
-      return true;
-    case PendingAdmit::State::kQueued:
-      break;
+  op.telemetry.queue_wait_ms = clock_->NowMs() - op.arrival_ms;
+  if (state == PendingAdmit::State::kAdmitted) {
+    op.ticket = op.pending->TakeTicket();
+    op.admitted = true;
+    return true;
   }
-  return false;
+  // Shed (with the hint captured at rejection) or expired.
+  op.response = Fallback(op.pending->status(), op.epoch, op.request,
+                         op.pending->retry_after_ms());
+  op.response.request_id = op.telemetry.request_id;
+  Complete(op);
+  return true;
 }
 
 ServeResponse ServeRuntime::FinishAsync(AsyncServe& op) {
@@ -284,98 +178,24 @@ ServeResponse ServeRuntime::FinishAsync(AsyncServe& op) {
   PRIVREC_CHECK_MSG(op.admitted,
                     "FinishAsync on an operation that is still queued");
   const int64_t serve_start_ms = clock_->NowMs();
-  ServeFromEpoch(op.epoch, op.request, &op.response, &op.telemetry,
-                 /*use_batcher=*/false);
+  EpochSnapshot& epoch = *op.epoch;
+  if (epoch.recommender->ConcurrentSafe()) {
+    op.response.batch =
+        epoch.recommender->Recommend(op.request.users, op.request.top_n);
+  } else {
+    // Fresh-noise mechanisms consume their RNG stream per invocation and
+    // must see exactly one call per request, serialized.
+    std::lock_guard<std::mutex> lock(epoch.serve_mu);
+    op.response.batch =
+        epoch.recommender->Recommend(op.request.users, op.request.top_n);
+  }
   op.ticket.Release();
   const int64_t end_ms = clock_->NowMs();
   op.telemetry.reconstruct_ms =
       static_cast<double>(end_ms - serve_start_ms);
   RequestLatency().Observe(static_cast<double>(end_ms - op.arrival_ms));
-  op.done = true;
-  EmitAsyncTelemetry(op);
+  Complete(op);
   return op.response;
-}
-
-void ServeRuntime::FinishAsyncBatch(const std::vector<AsyncServe*>& ops) {
-  // Partition: already-done operations are skipped, fresh-noise
-  // (non-ConcurrentSafe) operations finish on the serialized
-  // one-invocation-per-request path, the rest are batchable.
-  std::vector<AsyncServe*> batchable;
-  batchable.reserve(ops.size());
-  for (AsyncServe* op : ops) {
-    if (op == nullptr || op->done) continue;
-    PRIVREC_CHECK_MSG(
-        op->admitted,
-        "FinishAsyncBatch on an operation that is still queued");
-    if (op->epoch->recommender->ConcurrentSafe()) {
-      batchable.push_back(op);
-    } else {
-      FinishAsync(*op);
-    }
-  }
-
-  std::vector<bool> used(batchable.size(), false);
-  for (size_t i = 0; i < batchable.size(); ++i) {
-    if (used[i]) continue;
-    // Group operations that pinned the same epoch and want the same
-    // top_n; arrival order within the vector is preserved.
-    std::vector<AsyncServe*> group{batchable[i]};
-    used[i] = true;
-    for (size_t j = i + 1; j < batchable.size(); ++j) {
-      if (!used[j] &&
-          batchable[j]->epoch.get() == batchable[i]->epoch.get() &&
-          batchable[j]->request.top_n == batchable[i]->request.top_n) {
-        group.push_back(batchable[j]);
-        used[j] = true;
-      }
-    }
-
-    const int64_t serve_start_ms = clock_->NowMs();
-    std::vector<graph::NodeId> all;
-    for (const AsyncServe* op : group) {
-      all.insert(all.end(), op->request.users.begin(),
-                 op->request.users.end());
-    }
-    core::RecommendedBatch merged =
-        group.front()->epoch->recommender->Recommend(
-            all, group.front()->request.top_n);
-    PRIVREC_CHECK_MSG(
-        merged.lists.size() == all.size() &&
-            merged.degradation.size() == all.size(),
-        "batched recommender returned a malformed merged batch");
-    const int64_t end_ms = clock_->NowMs();
-    async_batches_.fetch_add(1, std::memory_order_relaxed);
-    async_batched_requests_.fetch_add(static_cast<int64_t>(group.size()),
-                                      std::memory_order_relaxed);
-
-    // Scatter: each operation takes its contiguous slice of the merged
-    // result. Per-user independence of ConcurrentSafe recommenders makes
-    // the slices bit-identical to per-operation FinishAsync calls.
-    size_t offset = 0;
-    for (AsyncServe* op : group) {
-      const size_t n = op->request.users.size();
-      op->response.batch.report = merged.report;
-      op->response.batch.report.users_degraded = 0;
-      op->response.batch.lists.resize(n);
-      op->response.batch.degradation.resize(n);
-      for (size_t k = 0; k < n; ++k) {
-        op->response.batch.lists[k] = std::move(merged.lists[offset + k]);
-        op->response.batch.degradation[k] = merged.degradation[offset + k];
-        if (op->response.batch.degradation[k].degraded()) {
-          ++op->response.batch.report.users_degraded;
-        }
-      }
-      offset += n;
-      op->ticket.Release();
-      op->telemetry.reconstruct_ms =
-          static_cast<double>(end_ms - serve_start_ms);
-      op->telemetry.batch_requests = static_cast<int64_t>(group.size());
-      op->telemetry.batch_users = static_cast<int64_t>(all.size());
-      RequestLatency().Observe(static_cast<double>(end_ms - op->arrival_ms));
-      op->done = true;
-      EmitAsyncTelemetry(*op);
-    }
-  }
 }
 
 }  // namespace privrec::serve

@@ -16,6 +16,10 @@
 // pinned epoch — the caller gets both the typed rejection AND a usable
 // degraded answer, mirroring the degradation contract of the offline
 // recommenders.
+//
+// There is one request path: the BeginAsync/PollAsync/FinishAsync state
+// machine. Handle() is its blocking driver, so validation, the fallback
+// tier and wide-event emission exist once for both entry points.
 
 #ifndef PRIVREC_SERVE_RUNTIME_H_
 #define PRIVREC_SERVE_RUNTIME_H_
@@ -31,7 +35,6 @@
 #include "graph/ids.h"
 #include "obs/wide_event.h"
 #include "serve/admission.h"
-#include "serve/batcher.h"
 #include "serve/circuit_breaker.h"
 #include "serve/clock.h"
 #include "serve/swapper.h"
@@ -48,12 +51,6 @@ struct ServeRuntimeOptions {
   // Answer shed/expired requests from the global-average fallback tier of
   // the pinned epoch instead of returning the bare rejection.
   bool degraded_fallback = true;
-  // Cross-request coalescing (serve/batcher.h). window_ms = 0 (the
-  // default) keeps the historical one-request-one-Recommend path; > 0
-  // merges concurrent Handle() calls that pinned the same epoch into one
-  // reconstruction. Only ConcurrentSafe recommenders are ever batched, so
-  // the merge is bit-identical to serving each request alone.
-  BatchOptions batch;
   // Null = SteadyClock; tests inject a ManualClock shared with the
   // admission controller and the breaker.
   const Clock* clock = nullptr;
@@ -79,7 +76,8 @@ struct ServeResponse {
   // kOk: `batch` is the personalized answer. kResourceExhausted /
   // kDeadlineExceeded: the request was shed or expired — `batch` holds
   // the kLoadShed fallback ranking iff degraded_fallback was on.
-  // kFailedPrecondition: no artifact has been activated yet.
+  // kInvalidArgument: malformed request (top_n <= 0 or a user id outside
+  // the artifact). kFailedPrecondition: no artifact activated yet.
   Status status = Status::Ok();
   core::RecommendedBatch batch;
   // Generation identity of the epoch that (fully) served this response.
@@ -94,10 +92,9 @@ struct ServeResponse {
   uint64_t request_id = 0;
 };
 
-// One in-flight request on the non-blocking serve path (see
-// ServeRuntime::BeginAsync). The epoch is pinned at Begin time, exactly
-// like Handle(): a swap that lands while this request is queued does not
-// change what it is served from.
+// One in-flight request (see ServeRuntime::BeginAsync). The epoch is
+// pinned at Begin time: a swap that lands while this request is queued
+// does not change what it is served from.
 struct AsyncServe {
   ServeRequest request;
   // When the request entered the runtime (injected clock); the latency
@@ -116,7 +113,6 @@ struct AsyncServe {
   // Wide event under construction; emitted to the runtime's telemetry
   // sink exactly once, at whichever point `done` becomes true.
   obs::RequestTelemetry telemetry;
-  bool telemetry_emitted = false;
 };
 
 class ServeRuntime {
@@ -129,23 +125,26 @@ class ServeRuntime {
   // backing store.
   Status Activate(const std::string& path);
 
-  // Serves one request against the currently pinned epoch. Thread-safe;
-  // concurrent calls during an Activate() finish on whichever epoch they
-  // pinned at entry.
-  //
-  // Validation: an empty `users` list is answered OK with an empty batch
-  // (carrying the pinned epoch's identity) without taking a serving slot;
-  // `top_n <= 0` is kInvalidArgument (no fallback — the request is
-  // malformed, not overload); `deadline_ms <= 0` expires at admission and
-  // follows the normal kDeadlineExceeded path.
+  // Serves one request against the currently pinned epoch, blocking the
+  // calling thread while it is queued for admission: BeginAsync at the
+  // clock's now, PendingAdmit::Wait if queued, PollAsync, FinishAsync.
+  // Thread-safe; concurrent calls during an Activate() finish on
+  // whichever epoch they pinned at entry.
   ServeResponse Handle(const ServeRequest& request);
 
-  // Non-blocking counterpart of Handle() for single-threaded drivers
-  // (the open-loop load harness): BeginAsync pins the epoch, validates,
-  // and enters admission without ever parking a thread. The returned
+  // The non-blocking request path, for single-threaded drivers (the
+  // open-loop load harness): BeginAsync pins the epoch, validates, and
+  // enters admission without ever parking a thread. The returned
   // operation is either already done (rejection, validation error,
   // empty-users fast path), admitted (serve it with FinishAsync), or
   // queued (poll after advancing the clock / releasing capacity).
+  //
+  // Validation: `top_n <= 0` and a user id outside [0, num_users) are
+  // kInvalidArgument (no slot, no fallback — the request is malformed,
+  // not overload); an empty `users` list is answered OK with an empty
+  // batch (carrying the pinned epoch's identity) without taking a
+  // serving slot; `deadline_ms <= 0` expires at admission and follows the
+  // normal kDeadlineExceeded path.
   AsyncServe BeginAsync(const ServeRequest& request, int64_t arrival_ms);
 
   // Advances a queued operation: purges expired waiters, takes the ticket
@@ -158,79 +157,39 @@ class ServeRuntime {
   // slot. For an already-done operation this just returns the response.
   ServeResponse FinishAsync(AsyncServe& op);
 
-  // Serves a group of admitted operations together: operations that
-  // pinned the same epoch, ask for the same top_n, and carry a
-  // ConcurrentSafe recommender are concatenated into one Recommend call
-  // and the merged result is sliced back per operation (bit-identical to
-  // finishing each alone). Everything else falls through to FinishAsync.
-  // The single-threaded counterpart of the threaded Handle() batcher —
-  // the open-loop harness collects due operations per tick and amortizes
-  // reconstruction across them without parking threads.
-  void FinishAsyncBatch(const std::vector<AsyncServe*>& ops);
-
   const ArtifactSwapper& swapper() const { return swapper_; }
   const CircuitBreaker& reload_breaker() const { return reload_breaker_; }
   const AdmissionController& admission() const { return admission_; }
 
-  // Mutable admission access for clock-advancing drivers that need
-  // PurgeExpired() between arrivals.
-  AdmissionController& admission_mutable() { return admission_; }
-
   const Clock* clock() const { return clock_; }
   const ServeTelemetry* telemetry() const { return options_.telemetry; }
-
-  // Null when batching is disabled (batch.window_ms == 0).
-  const RequestBatcher* batcher() const { return batcher_.get(); }
-
-  // Async-path batching counters (FinishAsyncBatch groups).
-  int64_t async_batches() const {
-    return async_batches_.load(std::memory_order_relaxed);
-  }
-  int64_t async_batched_requests() const {
-    return async_batched_requests_.load(std::memory_order_relaxed);
-  }
 
   // Live status snapshot (serve/statusz.h renders it as text or JSON):
   // pinned epoch identity, shard map, breaker/admission state, ε gauges,
   // telemetry windows. `now_ms` < 0 reads the runtime's clock.
   RuntimeIntrospection Introspect(int64_t now_ms = -1) const;
 
-  // Resolves the wide-event id for a request: the request's own id when
-  // nonzero, else the next value of the runtime's sequence. Public so
-  // composing runtimes (sharded routing) share one id space.
+ private:
+  // The wide-event id for a request: the request's own id when nonzero,
+  // else the next value of the runtime's sequence.
   uint64_t ResolveRequestId(const ServeRequest& request) {
     if (request.request_id != 0) return request.request_id;
     return next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
-
- private:
   ServeResponse Fallback(Status status,
                          const std::shared_ptr<EpochSnapshot>& epoch,
                          const ServeRequest& request,
                          int64_t retry_after_ms);
-  // `use_batcher` routes ConcurrentSafe requests through the window
-  // batcher when one is configured. Only the threaded Handle() path opts
-  // in: a single-threaded async driver parked in the batcher would wait
-  // out every window alone, so FinishAsync serves directly and cross-
-  // request amortization on that path comes from FinishAsyncBatch.
-  void ServeFromEpoch(const std::shared_ptr<EpochSnapshot>& epoch,
-                      const ServeRequest& request, ServeResponse* response,
-                      obs::RequestTelemetry* event, bool use_batcher);
-  // Finalizes and hands the wide event to the telemetry sink (no-op when
-  // no sink is configured).
-  void EmitTelemetry(obs::RequestTelemetry& event,
-                     const ServeResponse& response);
-  void EmitAsyncTelemetry(AsyncServe& op);
+  // Marks `op` done and hands its wide event to the telemetry sink
+  // (no-op without a sink).
+  void Complete(AsyncServe& op);
 
   ServeRuntimeOptions options_;
   const Clock* clock_;
   ArtifactSwapper swapper_;
   AdmissionController admission_;
   CircuitBreaker reload_breaker_;
-  std::unique_ptr<RequestBatcher> batcher_;
   std::atomic<uint64_t> next_request_id_{0};
-  std::atomic<int64_t> async_batches_{0};
-  std::atomic<int64_t> async_batched_requests_{0};
 };
 
 }  // namespace privrec::serve

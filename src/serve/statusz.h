@@ -7,9 +7,9 @@
 // the model/shard shape, swap and breaker state, admission occupancy, the
 // ε gauges from the metrics registry, and (when a telemetry sink is
 // attached) the live window quantiles, the burn rate and recent alerts.
-// It is produced on demand by ServeRuntime::Introspect /
-// ShardedServeRuntime::Introspect, periodically by dynamic_service
-// --statusz-every, and at end of run by bench_serve_load --statusz-out.
+// It is produced on demand by ServeRuntime::Introspect, periodically by
+// dynamic_service --statusz-every, and at end of run by bench_serve_load
+// --statusz-out.
 //
 // Reading the snapshot takes the same short locks as any other request
 // (epoch pin, admission counters, telemetry mutex) — it never stops the
@@ -70,18 +70,9 @@ struct RuntimeIntrospection {
   std::vector<obs::GaugeSample> epsilon_gauges;
   std::vector<obs::CounterSample> serve_counters;
 
-  // ---- Shard routing (sharded runtime only; -1 = not sharded-routed).
-  int64_t sharded_requests = -1;
-
   // ---- Reconstruction kernels: active SIMD dispatch level ("scalar" /
-  // "avx2", see kernels/dispatch.h) and cross-request batching occupancy.
-  // batches_formed counts merged reconstruction calls (threaded window
-  // batcher + async groups); batched_requests counts the member requests
-  // they carried — their ratio is the mean batch occupancy. Both stay 0
-  // with batching disabled.
+  // "avx2", see kernels/dispatch.h).
   std::string kernel_dispatch;
-  int64_t batches_formed = 0;
-  int64_t batched_requests = 0;
 
   // ---- Telemetry (has_telemetry == false when no sink is attached).
   bool has_telemetry = false;

@@ -1,7 +1,7 @@
 // ServeTelemetry: the per-request telemetry sink of the serving runtime.
 //
-// The runtimes (serve/runtime.h, serve/sharded_runtime.h) fill one
-// obs::RequestTelemetry wide event per request and hand it here. The sink
+// The runtime (serve/runtime.h) fills one obs::RequestTelemetry wide
+// event per request and hands it here. The sink
 //
 //   - folds every event into a ring of rolling windows
 //     (obs/rolling_window.h) on the runtime's injected clock, feeding the
@@ -109,8 +109,7 @@ class ServeTelemetry {
 
 // Completes a wide event from a finished response — outcome/admission
 // classification, epoch identity, degradation tier, latency — at
-// `resolve_ms` on the caller's clock. Shared by ServeRuntime and
-// ShardedServeRuntime so both emit identical records.
+// `resolve_ms` on the caller's clock.
 void FinalizeRequestTelemetry(obs::RequestTelemetry& event,
                               const ServeResponse& response,
                               int64_t resolve_ms);

@@ -44,7 +44,6 @@
 #include "core/recommendation.h"
 #include "data/synthetic.h"
 #include "serve/runtime.h"
-#include "serve/sharded_runtime.h"
 #include "similarity/common_neighbors.h"
 
 namespace privrec {
@@ -289,8 +288,8 @@ TEST(ServeChaosSoak, HotSwapsUnderFaultsAndConcurrentRequests) {
   fs::remove_all(dir);
 }
 
-// The same storm over SHARDED artifacts served zero-copy through the
-// shard-routing runtime: each corrupt candidate damages exactly one shard
+// The same storm over SHARDED artifacts served zero-copy by the same
+// runtime: each corrupt candidate damages exactly one shard
 // of its set (a payload bit flip, a deleted shard file), plus armed
 // shard-read faults. Invariants are unchanged — a batch is bit-identical
 // to exactly one good generation (no torn reads across a swap, no batch
@@ -388,7 +387,7 @@ TEST(ServeChaosSoak, ShardedHotSwapsWithCorruptShards) {
   options.breaker.failure_threshold = 3;
   options.breaker.cooldown_ms = 1;
   options.breaker.probe_retry.max_attempts = 1;
-  serve::ShardedServeRuntime runtime(options);
+  serve::ServeRuntime runtime(options);
   ASSERT_TRUE(runtime.Activate(good_a).ok());
 
   std::atomic<bool> stop{false};
@@ -491,12 +490,11 @@ TEST(ServeChaosSoak, ShardedHotSwapsWithCorruptShards) {
 
   EXPECT_EQ(failures.load(), 0) << first_failure;
   EXPECT_GT(served_ok.load(), 0);
-  EXPECT_GT(runtime.sharded_requests(), 0);
   EXPECT_GE(rejected_corrupt, iterations / 3);
-  EXPECT_GE(runtime.runtime().swapper().rollbacks(), rejected_corrupt);
-  EXPECT_GT(runtime.runtime().swapper().swaps(), 0);
-  EXPECT_FALSE(runtime.runtime().swapper().last_error().empty());
-  const auto live = runtime.runtime().swapper().Acquire();
+  EXPECT_GE(runtime.swapper().rollbacks(), rejected_corrupt);
+  EXPECT_GT(runtime.swapper().swaps(), 0);
+  EXPECT_FALSE(runtime.swapper().last_error().empty());
+  const auto live = runtime.swapper().Acquire();
   ASSERT_NE(live, nullptr);
   EXPECT_TRUE(live->artifact_seed == 101 || live->artifact_seed == 202);
 

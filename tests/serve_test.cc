@@ -21,12 +21,16 @@
 #error "serve headers must not include the private graph containers"
 #endif
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -400,10 +404,11 @@ TEST(AdmissionTest, AsyncAndBlockingShareOneFifoQueue) {
 class ServeSwapTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("privrec_serve_" + std::string(::testing::UnitTest::GetInstance()
-                                               ->current_test_info()
-                                               ->name()));
+    // Parameterized test names carry a "/<param>" suffix.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = fs::temp_directory_path() / ("privrec_serve_" + name);
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     dataset_ = data::MakeTinyDataset(/*num_users=*/60, /*num_items=*/40,
@@ -895,11 +900,8 @@ TEST(ServeFlagsTest, ValuesParsedAndTyposSuggested) {
                         "--serve-max-concurrency=2",
                         "--serve-breaker-failures=5",
                         "--serve-breaker-cooldown-ms=750",
-                        "--serve-reload-period=4",
-                        "--serve-batch-window-ms=5",
-                        "--serve-batch-max-requests=3",
-                        "--serve-batch-max-users=64"};
-  FlagParser flags(10, const_cast<char**>(argv));
+                        "--serve-reload-period=4"};
+  FlagParser flags(7, const_cast<char**>(argv));
   ServeFlagSettings settings = ApplyServeFlags(flags);
   EXPECT_TRUE(flags.Validate());
   EXPECT_EQ(settings.deadline_ms, 250);
@@ -908,9 +910,6 @@ TEST(ServeFlagsTest, ValuesParsedAndTyposSuggested) {
   EXPECT_EQ(settings.breaker_failures, 5);
   EXPECT_EQ(settings.breaker_cooldown_ms, 750);
   EXPECT_EQ(settings.reload_period, 4);
-  EXPECT_EQ(settings.batch_window_ms, 5);
-  EXPECT_EQ(settings.batch_max_requests, 3);
-  EXPECT_EQ(settings.batch_max_users, 64);
 
   const char* typo_argv[] = {"driver", "--serve-quue-depth=9"};
   FlagParser typo(2, const_cast<char**>(typo_argv));
@@ -920,92 +919,305 @@ TEST(ServeFlagsTest, ValuesParsedAndTyposSuggested) {
   EXPECT_EQ(typo.SuggestionFor("serve-deadlin-ms"), "serve-deadline-ms");
   EXPECT_EQ(typo.SuggestionFor("serve-max-concurency"),
             "serve-max-concurrency");
-  EXPECT_EQ(typo.SuggestionFor("serve-batch-windw-ms"),
-            "serve-batch-window-ms");
 }
 
-// ------------------------------------------- telemetry wide events
+// ------------------------------------- one request path, two entry points
 
-TEST_F(ServeSwapTest, TelemetryRecordsWideEventsPerOutcomeClass) {
+// Handle() is the blocking driver of the BeginAsync/PollAsync/FinishAsync
+// state machine, so every outcome class must come out of both entry
+// points as the same response and the same wide event.
+enum class EntryPoint { kHandle, kAsync };
+
+class ServeEntryPointTest
+    : public ServeSwapTest,
+      public ::testing::WithParamInterface<EntryPoint> {
+ protected:
+  struct Served {
+    ServeResponse response;
+    obs::RequestTelemetry event;
+  };
+
+  // Serves `request`, which must not queue, through `entry`.
+  static ServeResponse Serve(EntryPoint entry, ServeRuntime& runtime,
+                             const ServeRequest& request) {
+    if (entry == EntryPoint::kHandle) return runtime.Handle(request);
+    AsyncServe op = runtime.BeginAsync(request, runtime.clock()->NowMs());
+    EXPECT_TRUE(runtime.PollAsync(op));
+    return runtime.FinishAsync(op);
+  }
+
+  // The one wide event of `request_id`; a missing or duplicate event fails.
+  static obs::RequestTelemetry EventOf(const serve::ServeTelemetry& telemetry,
+                                       uint64_t request_id) {
+    obs::RequestTelemetry found;
+    int matches = 0;
+    for (const obs::RequestTelemetry& event : telemetry.sampled_events()) {
+      if (event.request_id == request_id) {
+        found = event;
+        ++matches;
+      }
+    }
+    EXPECT_EQ(matches, 1) << "wide events for request " << request_id;
+    return found;
+  }
+
+  // Runs one request of every outcome class through `entry` on a fresh
+  // runtime with one serving slot and a one-deep queue, keyed by class.
+  std::map<std::string, Served> ServeEveryOutcome(const std::string& path,
+                                                  EntryPoint entry) {
+    ManualClock clock;
+    clock.Set(100);
+    serve::ServeTelemetryOptions tel_options;
+    tel_options.sample_every = 1;  // keep every event
+    serve::ServeTelemetry telemetry(tel_options);
+    ServeRuntimeOptions options;
+    options.swap = ClusterPolicy(kEps);
+    options.clock = &clock;
+    options.telemetry = &telemetry;
+    options.admission.max_concurrency = 1;
+    options.admission.queue_depth = 1;
+    options.admission.retry_after_ms = 40;
+    ServeRuntime runtime(options);
+
+    std::map<std::string, Served> served;
+    // Every request emits exactly one wide event, by the time it returns.
+    int64_t emitted = 0;
+    auto record = [&](const std::string& name, ServeResponse response) {
+      EXPECT_EQ(telemetry.recorded(), ++emitted) << name;
+      served[name] = {response, EventOf(telemetry, response.request_id)};
+    };
+    const ServeRequest request{users_, 10, 1000};
+    record("no_epoch", Serve(entry, runtime, request));
+    EXPECT_TRUE(runtime.Activate(path).ok());
+
+    record("ok", Serve(entry, runtime, request));
+    ServeRequest tagged = request;
+    tagged.request_id = 777;
+    record("tagged", Serve(entry, runtime, tagged));
+    record("empty_users", Serve(entry, runtime, {{}, 10, 1000}));
+    record("top_n", Serve(entry, runtime, {users_, 0, 1000}));
+    const graph::NodeId past_end = dataset_.social.num_nodes();
+    record("bad_user",
+           Serve(entry, runtime, {{users_[0], past_end}, 10, 1000}));
+    record("deadline", Serve(entry, runtime, {users_, 10, 0}));
+
+    // Fill the slot and the queue: the next arrival is shed.
+    AsyncServe holder = runtime.BeginAsync(request, clock.NowMs());
+    AsyncServe filler = runtime.BeginAsync(request, clock.NowMs());
+    EXPECT_TRUE(holder.admitted);
+    EXPECT_FALSE(runtime.PollAsync(filler));
+    record("shed", Serve(entry, runtime, request));
+
+    // Free the queue (the filler takes the slot), then queue a request
+    // whose deadline passes while it waits.
+    EXPECT_TRUE(runtime.FinishAsync(holder).status.ok());
+    EXPECT_EQ(telemetry.recorded(), ++emitted);
+    EXPECT_TRUE(runtime.PollAsync(filler));
+    const ServeRequest short_deadline{users_, 10, 50};
+    if (entry == EntryPoint::kHandle) {
+      ServeResponse expired;
+      std::thread waiter([&] { expired = runtime.Handle(short_deadline); });
+      while (runtime.admission().waiting() == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      clock.Advance(100);
+      waiter.join();
+      record("queued_expired", expired);
+    } else {
+      AsyncServe op = runtime.BeginAsync(short_deadline, clock.NowMs());
+      EXPECT_FALSE(runtime.PollAsync(op));
+      clock.Advance(100);
+      EXPECT_TRUE(runtime.PollAsync(op));
+      record("queued_expired", runtime.FinishAsync(op));
+    }
+    EXPECT_TRUE(runtime.FinishAsync(filler).status.ok());
+    EXPECT_EQ(runtime.admission().in_flight(), 0);
+    // Nine recorded requests plus the holder and the filler.
+    EXPECT_EQ(telemetry.recorded(), ++emitted);
+    EXPECT_EQ(telemetry.recorded(), 11);
+
+    // Every event landed in the JSONL stream (sample_every=1).
+    EXPECT_EQ(telemetry.sampled(), telemetry.recorded());
+    const std::string jsonl = telemetry.EventsJsonl();
+    EXPECT_NE(jsonl.find("\"outcome\": \"no_epoch\""), std::string::npos);
+    EXPECT_NE(jsonl.find("\"outcome\": \"invalid\""), std::string::npos);
+    EXPECT_NE(jsonl.find("\"id\": 777"), std::string::npos);
+    return served;
+  }
+};
+
+TEST_P(ServeEntryPointTest, TelemetryRecordsWideEventsPerOutcomeClass) {
   const std::string path = BuildArtifact("a.pvra", 21, kEps);
-  ManualClock clock;
-  clock.Set(100);
-  serve::ServeTelemetryOptions tel_options;
-  tel_options.sample_every = 1;  // keep every event
-  serve::ServeTelemetry telemetry(tel_options);
-  ServeRuntimeOptions options;
-  options.swap = ClusterPolicy(kEps);
-  options.clock = &clock;
-  options.telemetry = &telemetry;
-  ServeRuntime runtime(options);
+  const std::map<std::string, Served> served =
+      ServeEveryOutcome(path, GetParam());
+  const int64_t num_users = static_cast<int64_t>(users_.size());
 
-  // Before activation: the rejection still emits a no-epoch wide event
-  // with an auto-assigned 1-based request id echoed on the response.
-  ServeRequest request{users_, 10, 1000};
-  ServeResponse no_epoch = runtime.Handle(request);
-  EXPECT_EQ(no_epoch.status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(no_epoch.request_id, 1u);
-  ASSERT_EQ(telemetry.recorded(), 1);
-  std::vector<obs::RequestTelemetry> events = telemetry.sampled_events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].outcome, obs::RequestOutcome::kNoEpoch);
-  EXPECT_EQ(events[0].request_id, 1u);
-  EXPECT_EQ(events[0].arrival_ms, 100);
-
-  ASSERT_TRUE(runtime.Activate(path).ok());
+  // Before activation: a no-epoch wide event with an auto-assigned
+  // 1-based request id echoed on the response.
+  const Served& no_epoch = served.at("no_epoch");
+  EXPECT_EQ(no_epoch.response.status.code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(no_epoch.response.request_id, 1u);
+  EXPECT_EQ(no_epoch.event.outcome, obs::RequestOutcome::kNoEpoch);
+  EXPECT_EQ(no_epoch.event.arrival_ms, 100);
 
   // Served OK with a free slot: immediate admission, epoch identity and
   // request shape attached.
-  ServeResponse ok = runtime.Handle(request);
-  ASSERT_TRUE(ok.status.ok());
-  EXPECT_EQ(ok.request_id, 2u);
-  events = telemetry.sampled_events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[1].outcome, obs::RequestOutcome::kOk);
-  EXPECT_EQ(events[1].admission, obs::AdmissionOutcome::kImmediate);
-  EXPECT_EQ(events[1].epoch, 1);
-  EXPECT_EQ(events[1].artifact_seed, 21u);
-  EXPECT_EQ(events[1].users, static_cast<int64_t>(users_.size()));
-  EXPECT_EQ(events[1].top_n, 10);
-  EXPECT_FALSE(events[1].degraded);
+  const Served& ok = served.at("ok");
+  ASSERT_TRUE(ok.response.status.ok());
+  EXPECT_EQ(ok.response.request_id, 2u);
+  EXPECT_EQ(ok.response.batch.lists.size(), users_.size());
+  EXPECT_EQ(ok.event.outcome, obs::RequestOutcome::kOk);
+  EXPECT_EQ(ok.event.admission, obs::AdmissionOutcome::kImmediate);
+  EXPECT_EQ(ok.event.epoch, 1);
+  EXPECT_EQ(ok.event.artifact_seed, 21u);
+  EXPECT_EQ(ok.event.users, num_users);
+  EXPECT_EQ(ok.event.top_n, 10);
+  EXPECT_FALSE(ok.event.degraded);
 
   // A caller-supplied id is honored verbatim (idempotency keys,
   // cross-system correlation).
-  ServeRequest tagged = request;
-  tagged.request_id = 777;
-  EXPECT_EQ(runtime.Handle(tagged).request_id, 777u);
-  events = telemetry.sampled_events();
-  EXPECT_EQ(events.back().request_id, 777u);
+  EXPECT_EQ(served.at("tagged").response.request_id, 777u);
+  EXPECT_EQ(served.at("tagged").event.request_id, 777u);
 
   // The empty-users fast path is OK without touching admission.
-  ServeRequest empty{{}, 10, 1000};
-  ASSERT_TRUE(runtime.Handle(empty).status.ok());
-  events = telemetry.sampled_events();
-  EXPECT_EQ(events.back().outcome, obs::RequestOutcome::kOk);
-  EXPECT_EQ(events.back().admission, obs::AdmissionOutcome::kNone);
+  const Served& empty = served.at("empty_users");
+  EXPECT_TRUE(empty.response.status.ok());
+  EXPECT_EQ(empty.event.outcome, obs::RequestOutcome::kOk);
+  EXPECT_EQ(empty.event.admission, obs::AdmissionOutcome::kNone);
 
-  // Caller bugs and expiries classify as their own outcome classes.
-  ServeRequest bad = request;
-  bad.top_n = 0;
-  (void)runtime.Handle(bad);
-  events = telemetry.sampled_events();
-  EXPECT_EQ(events.back().outcome, obs::RequestOutcome::kInvalid);
+  // Caller bugs classify as invalid, with no fallback.
+  for (const char* name : {"top_n", "bad_user"}) {
+    const Served& bad = served.at(name);
+    EXPECT_EQ(bad.response.status.code(), StatusCode::kInvalidArgument)
+        << name;
+    EXPECT_FALSE(bad.response.degraded_fallback) << name;
+    EXPECT_EQ(bad.event.outcome, obs::RequestOutcome::kInvalid) << name;
+    EXPECT_EQ(bad.event.admission, obs::AdmissionOutcome::kNone) << name;
+  }
 
-  ServeRequest late = request;
-  late.deadline_ms = 0;
-  (void)runtime.Handle(late);
-  events = telemetry.sampled_events();
-  EXPECT_EQ(events.back().outcome, obs::RequestOutcome::kExpired);
-  EXPECT_EQ(events.back().admission, obs::AdmissionOutcome::kExpired);
-  EXPECT_TRUE(events.back().degraded);
+  const Served& late = served.at("deadline");
+  EXPECT_EQ(late.response.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(late.event.outcome, obs::RequestOutcome::kExpired);
+  EXPECT_EQ(late.event.admission, obs::AdmissionOutcome::kExpired);
+  EXPECT_TRUE(late.event.degraded);
 
-  // Every event landed in the JSONL stream (sample_every=1).
-  EXPECT_EQ(telemetry.sampled(), telemetry.recorded());
-  const std::string jsonl = telemetry.EventsJsonl();
-  EXPECT_NE(jsonl.find("\"outcome\": \"no_epoch\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"outcome\": \"invalid\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"id\": 777"), std::string::npos);
+  // Shed off the full queue with the hint captured at rejection.
+  const Served& shed = served.at("shed");
+  EXPECT_EQ(shed.response.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(shed.response.status.message(),
+            "serving queue full; retry in 40ms");
+  EXPECT_EQ(shed.response.retry_after_ms, 40);
+  EXPECT_TRUE(shed.response.degraded_fallback);
+  EXPECT_EQ(shed.event.outcome, obs::RequestOutcome::kShed);
+  EXPECT_EQ(shed.event.admission, obs::AdmissionOutcome::kShed);
+  EXPECT_EQ(shed.event.retry_after_ms, 40);
+  EXPECT_EQ(shed.event.users_degraded, num_users);
+
+  // Queued, then expired while waiting: the whole wait is charged.
+  const Served& queued = served.at("queued_expired");
+  EXPECT_EQ(queued.response.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(queued.response.retry_after_ms, 0);
+  EXPECT_TRUE(queued.response.degraded_fallback);
+  EXPECT_EQ(queued.event.outcome, obs::RequestOutcome::kExpired);
+  EXPECT_EQ(queued.event.admission, obs::AdmissionOutcome::kExpired);
+  EXPECT_EQ(queued.event.queue_wait_ms, 100);
+
+  // The other entry point returns the same responses and emits the same
+  // wide events, apart from timestamps.
+  const EntryPoint other = GetParam() == EntryPoint::kHandle
+                               ? EntryPoint::kAsync
+                               : EntryPoint::kHandle;
+  const std::map<std::string, Served> twin = ServeEveryOutcome(path, other);
+  ASSERT_EQ(twin.size(), served.size());
+  for (const auto& [name, mine] : served) {
+    const Served& theirs = twin.at(name);
+    const ServeResponse& a = mine.response;
+    const ServeResponse& b = theirs.response;
+    EXPECT_EQ(a.status.code(), b.status.code()) << name;
+    EXPECT_EQ(a.status.message(), b.status.message()) << name;
+    EXPECT_EQ(a.batch.lists, b.batch.lists) << name;
+    EXPECT_EQ(a.epoch, b.epoch) << name;
+    EXPECT_EQ(a.artifact_seed, b.artifact_seed) << name;
+    EXPECT_EQ(a.retry_after_ms, b.retry_after_ms) << name;
+    EXPECT_EQ(a.degraded_fallback, b.degraded_fallback) << name;
+    EXPECT_EQ(a.request_id, b.request_id) << name;
+    obs::RequestTelemetry event_a = mine.event;
+    obs::RequestTelemetry event_b = theirs.event;
+    for (obs::RequestTelemetry* e : {&event_a, &event_b}) {
+      e->arrival_ms = e->resolve_ms = 0;
+      e->latency_ms = 0.0;
+    }
+    EXPECT_EQ(obs::RequestTelemetryToJson(event_a),
+              obs::RequestTelemetryToJson(event_b))
+        << name;
+  }
 }
+
+// An out-of-range user id is a caller bug caught at validation: it must
+// never reach reconstruction (where it would index past the artifact),
+// take an admission slot, or get a fallback list.
+TEST_P(ServeEntryPointTest, OutOfRangeUserIsInvalidArgument) {
+  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const graph::NodeId num_users = dataset_.social.num_nodes();
+  const std::vector<std::pair<std::vector<graph::NodeId>, graph::NodeId>>
+      cases = {{{-1}, -1},
+               {{num_users}, num_users},
+               {{100000}, 100000},
+               {{users_[0], users_[1], num_users + 5, -1, users_[2]},
+                num_users + 5}};
+  // With free slots a bad id would reach reconstruction; with none, any
+  // request that enters admission is shed.
+  for (int64_t slots : {int64_t{4}, int64_t{0}}) {
+    ManualClock clock;
+    serve::ServeTelemetryOptions tel_options;
+    tel_options.sample_every = 1;
+    serve::ServeTelemetry telemetry(tel_options);
+    ServeRuntimeOptions options;
+    options.swap = ClusterPolicy(kEps);
+    options.clock = &clock;
+    options.telemetry = &telemetry;
+    options.admission.max_concurrency = slots;
+    options.admission.queue_depth = 0;
+    ServeRuntime runtime(options);
+    ASSERT_TRUE(runtime.Activate(path).ok());
+
+    for (const auto& [users, bad] : cases) {
+      ServeResponse response = Serve(GetParam(), runtime, {users, 10, 1000});
+      EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+          << bad;
+      EXPECT_EQ(response.status.message(),
+                "user id " + std::to_string(bad) + " out of range [0, " +
+                    std::to_string(num_users) + ")");
+      EXPECT_FALSE(response.degraded_fallback);
+      EXPECT_TRUE(response.batch.lists.empty());
+      EXPECT_EQ(response.epoch, 1);
+      const obs::RequestTelemetry event =
+          EventOf(telemetry, response.request_id);
+      EXPECT_EQ(event.outcome, obs::RequestOutcome::kInvalid);
+      EXPECT_EQ(event.admission, obs::AdmissionOutcome::kNone);
+    }
+
+    // The good ids alone are served, or shed when there is no slot.
+    ServeResponse good =
+        Serve(GetParam(), runtime, {{users_[0], users_[1], users_[2]}, 10,
+                                    1000});
+    EXPECT_EQ(good.status.code(), slots > 0 ? StatusCode::kOk
+                                            : StatusCode::kResourceExhausted);
+    EXPECT_EQ(good.batch.lists.size(), 3u);
+    EXPECT_EQ(runtime.admission().in_flight(), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EntryPoints, ServeEntryPointTest,
+    ::testing::Values(EntryPoint::kHandle, EntryPoint::kAsync),
+    [](const ::testing::TestParamInfo<EntryPoint>& info) {
+      return info.param == EntryPoint::kHandle ? std::string("Handle")
+                                               : std::string("Async");
+    });
+
+// ------------------------------------------- telemetry wide events
 
 TEST_F(ServeSwapTest, TelemetryClassifiesShedWithRetryHint) {
   const std::string path = BuildArtifact("a.pvra", 21, kEps);
@@ -1149,7 +1361,7 @@ TEST_F(ServeSwapTest, StatuszSurfacesRuntimeAndTelemetryState) {
   EXPECT_EQ(status.admission_max_concurrency, 4);
   EXPECT_EQ(status.admission_queue_depth, 8);
   EXPECT_EQ(status.admission_in_flight, 0);
-  EXPECT_EQ(status.sharded_requests, -1);  // unsharded runtime
+  EXPECT_FALSE(status.kernel_dispatch.empty());
   ASSERT_TRUE(status.has_telemetry);
   EXPECT_EQ(status.telemetry_recorded, 1);
   EXPECT_TRUE(status.has_last_window);
@@ -1159,6 +1371,8 @@ TEST_F(ServeSwapTest, StatuszSurfacesRuntimeAndTelemetryState) {
   EXPECT_NE(text.find("epoch:      1"), std::string::npos);
   EXPECT_NE(text.find("breaker:    closed"), std::string::npos);
   EXPECT_NE(text.find("telemetry:  1 recorded"), std::string::npos);
+  EXPECT_NE(text.find("kernels:    dispatch " + status.kernel_dispatch),
+            std::string::npos);
 
   const std::string json = serve::StatuszJson(status);
   EXPECT_NE(json.find("\"artifact_seed\": 21"), std::string::npos);
@@ -1261,171 +1475,6 @@ TEST(LoadFlagsTest, ValuesParsedAndTyposSuggested) {
   EXPECT_EQ(typo.SuggestionFor("load-swap-strom"), "load-swap-storm");
   EXPECT_EQ(typo.SuggestionFor("load-slo-p9-ms"), "load-slo-p99-ms");
   EXPECT_EQ(typo.SuggestionFor("load-durration-ms"), "load-duration-ms");
-}
-
-// ------------------------------------------- cross-request batching
-
-// Tentpole: concurrent Handle() calls coalesced by the window batcher
-// must be bit-identical to serving every request alone — batching may
-// only change amortization, never a single ranked list.
-TEST_F(ServeSwapTest, BatchedHandleBitIdenticalToUnbatchedAcrossThreads) {
-  const std::string path = BuildArtifact("a.pvra", 31, kEps);
-
-  // Reference: unbatched runtime on the same artifact, one Recommend per
-  // request.
-  ServeRuntimeOptions ref_options;
-  ref_options.swap = ClusterPolicy(kEps);
-  ServeRuntime reference(ref_options);
-  ASSERT_TRUE(reference.Activate(path).ok());
-
-  std::vector<std::vector<graph::NodeId>> slices(4);
-  for (size_t i = 0; i < users_.size(); ++i) {
-    slices[i % 4].push_back(users_[i]);
-  }
-  std::vector<core::RecommendedBatch> expected;
-  for (const auto& slice : slices) {
-    ServeResponse resp = reference.Handle({slice, 10, 1000});
-    ASSERT_TRUE(resp.status.ok());
-    expected.push_back(resp.batch);
-  }
-
-  ServeRuntimeOptions options;
-  options.swap = ClusterPolicy(kEps);
-  options.admission.max_concurrency = 4;
-  options.batch.window_ms = 25;
-  options.batch.max_requests = 4;
-  ServeRuntime runtime(options);
-  ASSERT_TRUE(runtime.Activate(path).ok());
-  ASSERT_NE(runtime.batcher(), nullptr);
-
-  std::vector<ServeResponse> responses(4);
-  std::vector<std::thread> threads;
-  threads.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      responses[static_cast<size_t>(t)] =
-          runtime.Handle({slices[static_cast<size_t>(t)], 10, 1000});
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  for (size_t t = 0; t < 4; ++t) {
-    ASSERT_TRUE(responses[t].status.ok());
-    EXPECT_EQ(responses[t].batch.lists, expected[t].lists) << "slice " << t;
-    EXPECT_EQ(responses[t].batch.report.users_degraded,
-              expected[t].report.users_degraded);
-  }
-
-  // Every request went through the batcher; how they coalesced depends
-  // on thread timing, but the occupancy accounting must balance.
-  EXPECT_EQ(runtime.batcher()->requests_batched(), 4);
-  EXPECT_GE(runtime.batcher()->batches_formed(), 1);
-  EXPECT_LE(runtime.batcher()->batches_formed(), 4);
-
-  serve::RuntimeIntrospection status = runtime.Introspect();
-  EXPECT_EQ(status.batched_requests, 4);
-  EXPECT_EQ(status.batches_formed, runtime.batcher()->batches_formed());
-  EXPECT_FALSE(status.kernel_dispatch.empty());
-  const std::string text = serve::StatuszText(status);
-  EXPECT_NE(text.find("kernels:    dispatch " + status.kernel_dispatch),
-            std::string::npos);
-  const std::string json = serve::StatuszJson(status);
-  EXPECT_NE(json.find("\"batched_requests\": 4"), std::string::npos);
-}
-
-// A full batch (max_requests reached) closes before the window expires,
-// so the window is a bound, not a floor.
-TEST_F(ServeSwapTest, FullBatchClosesBeforeWindowExpires) {
-  const std::string path = BuildArtifact("a.pvra", 32, kEps);
-  ServeRuntimeOptions options;
-  options.swap = ClusterPolicy(kEps);
-  options.admission.max_concurrency = 2;
-  // A window far longer than the test budget: if early close were
-  // broken, the 120 s ctest timeout would trip long before this window.
-  options.batch.window_ms = 300000;
-  options.batch.max_requests = 2;
-  ServeRuntime runtime(options);
-  ASSERT_TRUE(runtime.Activate(path).ok());
-
-  std::vector<graph::NodeId> left(users_.begin(),
-                                  users_.begin() + users_.size() / 2);
-  std::vector<graph::NodeId> right(users_.begin() + users_.size() / 2,
-                                   users_.end());
-  ServeResponse r1, r2;
-  std::thread t1([&] { r1 = runtime.Handle({left, 10, 1000000}); });
-  std::thread t2([&] { r2 = runtime.Handle({right, 10, 1000000}); });
-  t1.join();
-  t2.join();
-  ASSERT_TRUE(r1.status.ok());
-  ASSERT_TRUE(r2.status.ok());
-  EXPECT_EQ(runtime.batcher()->requests_batched(), 2);
-}
-
-// The async counterpart: FinishAsyncBatch groups admitted operations by
-// (epoch, top_n), serves each group in one Recommend, and the slices are
-// bit-identical to finishing the operations one by one.
-TEST_F(ServeSwapTest, FinishAsyncBatchMatchesIndividualFinishes) {
-  const std::string path = BuildArtifact("a.pvra", 33, kEps);
-  ManualClock clock;
-  clock.Set(10);
-  serve::ServeTelemetryOptions tel_options;
-  tel_options.sample_every = 1;
-  serve::ServeTelemetry telemetry(tel_options);
-  ServeRuntimeOptions options;
-  options.swap = ClusterPolicy(kEps);
-  options.clock = &clock;
-  options.telemetry = &telemetry;
-  options.admission.max_concurrency = 4;
-  ServeRuntime runtime(options);
-  ASSERT_TRUE(runtime.Activate(path).ok());
-
-  ServeRuntimeOptions ref_options;
-  ref_options.swap = ClusterPolicy(kEps);
-  ServeRuntime reference(ref_options);
-  ASSERT_TRUE(reference.Activate(path).ok());
-
-  std::vector<std::vector<graph::NodeId>> slices(3);
-  for (size_t i = 0; i < users_.size(); ++i) {
-    slices[i % 3].push_back(users_[i]);
-  }
-
-  AsyncServe op0 = runtime.BeginAsync({slices[0], 10, 1000}, clock.NowMs());
-  AsyncServe op1 = runtime.BeginAsync({slices[1], 10, 1000}, clock.NowMs());
-  // Different top_n: must land in its own group, never merged with the
-  // top-10 pair.
-  AsyncServe op2 = runtime.BeginAsync({slices[2], 7, 1000}, clock.NowMs());
-  ASSERT_TRUE(op0.admitted && op1.admitted && op2.admitted);
-
-  runtime.FinishAsyncBatch({&op0, &op1, &op2});
-  ASSERT_TRUE(op0.done && op1.done && op2.done);
-  ASSERT_TRUE(op0.response.status.ok());
-  ASSERT_TRUE(op1.response.status.ok());
-  ASSERT_TRUE(op2.response.status.ok());
-
-  EXPECT_EQ(op0.response.batch.lists,
-            reference.Handle({slices[0], 10, 1000}).batch.lists);
-  EXPECT_EQ(op1.response.batch.lists,
-            reference.Handle({slices[1], 10, 1000}).batch.lists);
-  EXPECT_EQ(op2.response.batch.lists,
-            reference.Handle({slices[2], 7, 1000}).batch.lists);
-
-  // Two groups: {op0, op1} merged, {op2} alone.
-  EXPECT_EQ(runtime.async_batches(), 2);
-  EXPECT_EQ(runtime.async_batched_requests(), 3);
-  EXPECT_EQ(op0.telemetry.batch_requests, 2);
-  EXPECT_EQ(op1.telemetry.batch_requests, 2);
-  EXPECT_EQ(op0.telemetry.batch_users,
-            static_cast<int64_t>(slices[0].size() + slices[1].size()));
-  EXPECT_EQ(op2.telemetry.batch_requests, 1);
-  EXPECT_EQ(op2.telemetry.batch_users,
-            static_cast<int64_t>(slices[2].size()));
-
-  // All slots released: the runtime can immediately admit again.
-  EXPECT_EQ(runtime.admission().in_flight(), 0);
-
-  serve::RuntimeIntrospection status = runtime.Introspect();
-  EXPECT_EQ(status.batches_formed, 2);
-  EXPECT_EQ(status.batched_requests, 3);
 }
 
 // ------------------------------------------- lazy global-average row

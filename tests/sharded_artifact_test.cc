@@ -10,8 +10,8 @@
 //     closed with their own status code, never a crash or a partial load;
 //   - the untrusted-header overflow regression (vector sizing must be
 //     validated by division, not a wrappable product);
-//   - shard-aware request routing (ShardedServeRuntime) matching the
-//     unrouted runtime bit for bit.
+//   - the serve runtime answering from a sharded release exactly as from
+//     the monolithic one.
 
 // Isolation guarantee, checked at the include level exactly like
 // artifact_test: the serving-side headers come FIRST and must not pull in
@@ -22,7 +22,6 @@
 #include "artifact/serving.h"
 #include "artifact/shard_layout.h"
 #include "serve/runtime.h"
-#include "serve/sharded_runtime.h"
 #include "serve/statusz.h"
 #include "serve/telemetry.h"
 
@@ -635,29 +634,35 @@ TEST_F(ShardedArtifactTest, OversizedSectionTableEntryIsParseError) {
   }
 }
 
-// ------------------------------------------------- shard-aware routing
+// ------------------------------------------------- serving the shards
 
-// ShardedServeRuntime splits a batch by owning shard and must reproduce
-// the unrouted ServeRuntime::Handle response bit for bit.
-TEST_F(ShardedArtifactTest, ShardedRuntimeMatchesDelegateBitForBit) {
+// ServeRuntime::Handle over the K=3 .pvram serves the lists it serves
+// over the monolithic .pvra, and its wide event and statusz page report
+// the three shards and who owns which users.
+TEST_F(ShardedArtifactTest, RuntimeServesShardedLikeMonolithic) {
   serving::ArtifactModel model = BuildFullModel();
+  const std::string monolithic = Path("route.pvra");
   const std::string manifest = Path("route.pvram");
+  ASSERT_TRUE(serving::SaveArtifact(model, monolithic).ok());
   ASSERT_TRUE(
       serving::SaveShardedArtifact(model, manifest, {.shards = 3}).ok());
 
   serve::ServeRuntimeOptions options;
   options.swap.spec.mechanism = "Cluster";
   options.swap.spec.epsilon = kEps;
-
   serve::ServeRuntime plain(options);
-  serve::ShardedServeRuntime sharded(options);
-  ASSERT_TRUE(plain.Activate(manifest).ok());
+  ASSERT_TRUE(plain.Activate(monolithic).ok());
+
+  serve::ServeTelemetryOptions tel_options;
+  tel_options.sample_every = 1;
+  serve::ServeTelemetry telemetry(tel_options);
+  options.telemetry = &telemetry;
+  serve::ServeRuntime sharded(options);
   ASSERT_TRUE(sharded.Activate(manifest).ok());
 
   serve::ServeRequest request;
   request.users = users_;
   request.top_n = kTopN;
-
   serve::ServeResponse want = plain.Handle(request);
   serve::ServeResponse got = sharded.Handle(request);
   ASSERT_TRUE(want.status.ok()) << want.status.ToString();
@@ -667,73 +672,31 @@ TEST_F(ShardedArtifactTest, ShardedRuntimeMatchesDelegateBitForBit) {
             want.batch.report.users_degraded);
   EXPECT_EQ(got.epoch, want.epoch);
   EXPECT_EQ(got.artifact_seed, want.artifact_seed);
-  EXPECT_EQ(sharded.sharded_requests(), 1);
-
-  // Single-user batches delegate (no routing win to be had).
-  request.users = {users_[0]};
-  serve::ServeResponse single = sharded.Handle(request);
-  ASSERT_TRUE(single.status.ok());
-  EXPECT_EQ(single.batch.lists[0], want.batch.lists[0]);
-  EXPECT_EQ(sharded.sharded_requests(), 1);
-}
-
-// The routed path attributes its wide events: which shards a batch
-// touched, route/reconstruct split, and the sharded request count on the
-// statusz surface.
-TEST_F(ShardedArtifactTest, ShardedTelemetryAttributesShardsTouched) {
-  serving::ArtifactModel model = BuildFullModel();
-  const std::string manifest = Path("route.pvram");
-  ASSERT_TRUE(
-      serving::SaveShardedArtifact(model, manifest, {.shards = 3}).ok());
-
-  serve::ServeTelemetryOptions tel_options;
-  tel_options.sample_every = 1;
-  serve::ServeTelemetry telemetry(tel_options);
-  serve::ServeRuntimeOptions options;
-  options.swap.spec.mechanism = "Cluster";
-  options.swap.spec.epsilon = kEps;
-  options.telemetry = &telemetry;
-  serve::ShardedServeRuntime sharded(options);
-  ASSERT_TRUE(sharded.Activate(manifest).ok());
-
-  // All 120 users: every shard owns a slice, so the event lists all
-  // three shards in ascending order.
-  serve::ServeRequest request;
-  request.users = users_;
-  request.top_n = kTopN;
-  serve::ServeResponse response = sharded.Handle(request);
-  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
 
   std::vector<obs::RequestTelemetry> events = telemetry.sampled_events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].outcome, obs::RequestOutcome::kOk);
   EXPECT_EQ(events[0].shard_count, 3);
-  EXPECT_EQ(events[0].shards_touched, (std::vector<int64_t>{0, 1, 2}));
-  EXPECT_GE(events[0].route_ms, 0.0);
-  EXPECT_GE(events[0].reconstruct_ms, 0.0);
-  const std::string jsonl = telemetry.EventsJsonl();
-  EXPECT_NE(jsonl.find("\"shards\": [0, 1, 2]"), std::string::npos);
-
-  // A single-user batch delegates to the unsharded runtime; its event
-  // carries the one owning shard the delegate resolved against.
-  request.users = {users_[0]};
-  ASSERT_TRUE(sharded.Handle(request).status.ok());
-  events = telemetry.sampled_events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[1].shard_count, 3);
+  EXPECT_NE(telemetry.EventsJsonl().find("\"shard_count\": 3"),
+            std::string::npos);
 
   serve::RuntimeIntrospection status = sharded.Introspect();
-  EXPECT_EQ(status.sharded_requests, 1);
   EXPECT_EQ(status.shard_count, 3);
   ASSERT_EQ(status.shard_users.size(), 3u);
   int64_t owned = 0;
-  for (int64_t n : status.shard_users) owned += n;
+  for (int64_t n : status.shard_users) {
+    EXPECT_GT(n, 0);  // all 120 users: every shard owns a slice
+    owned += n;
+  }
   EXPECT_EQ(owned, status.num_users);
   ASSERT_TRUE(status.has_telemetry);
-  EXPECT_EQ(status.telemetry_recorded, 2);
-  EXPECT_NE(serve::StatuszText(status).find("routing:    1 shard-routed"),
+  EXPECT_EQ(status.telemetry_recorded, 1);
+  const std::string text = serve::StatuszText(status);
+  EXPECT_NE(text.find("3 shard(s)"), std::string::npos);
+  EXPECT_NE(text.find("shard map:  s0=" +
+                      std::to_string(status.shard_users[0]) + " s1="),
             std::string::npos);
-  EXPECT_NE(serve::StatuszJson(status).find("\"sharded_requests\": 1"),
+  EXPECT_NE(serve::StatuszJson(status).find("\"shard_count\": 3"),
             std::string::npos);
 }
 
