@@ -24,12 +24,13 @@ PRIVREC_NO_SIMD=1 ctest --preset asan-ubsan -j"$(nproc)" "$@"
 echo "forced-scalar pass: full suite green with PRIVREC_NO_SIMD=1"
 
 # ThreadSanitizer pass: the tests that drive the deterministic parallel
-# layer (common/parallel.h) and the lock-free metrics/tracing fast paths
-# (src/obs) through their concurrent paths.
-TSAN_TESTS="parallel_test|core_test|similarity_test|obs_test"
+# layer (common/parallel.h), the lock-free metrics/tracing fast paths
+# (src/obs) and the tiled reconstruction's per-thread group scratch
+# (artifact/reconstruct.h) through their concurrent paths.
+TSAN_TESTS="parallel_test|core_test|similarity_test|obs_test|reconstruct_test"
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
-  --target parallel_test core_test similarity_test obs_test
+  --target parallel_test core_test similarity_test obs_test reconstruct_test
 ctest --preset tsan -j"$(nproc)" -R "^(${TSAN_TESTS})\$" "$@"
 
 # Chaos pass: the serving-runtime soak — >= 500 hot-swap iterations mixing

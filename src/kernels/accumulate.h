@@ -28,9 +28,12 @@
 
 namespace privrec::kernels {
 
-// Items per cache block: 2048 doubles = 16 KiB, so an out[] block plus
-// one row block stay L1/L2-resident while every row streams through.
-inline constexpr int64_t kAccumulateBlockItems = 2048;
+// Items per cache block: 512 doubles = 4 KiB, so the out[] block and the
+// four row blocks of one fused pass (20 KiB) fit in L1 while every row
+// streams through. The tiled reconstruction (artifact/reconstruct.h)
+// walks items in the same blocks; the size comes from its sweep at the
+// Flixster shape (DESIGN.md §5i).
+inline constexpr int64_t kAccumulateBlockItems = 512;
 
 // out[i] += scales[k] * rows[k][i], dispatched (ActiveDispatchLevel).
 // `out` must hold num_items finite doubles (callers zero-fill first);

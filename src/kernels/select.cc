@@ -10,33 +10,36 @@ void SelectTopNIndicesDense(const double* values, int64_t num_values,
   const int64_t keep = std::min<int64_t>(n, num_values);
   if (keep <= 0) return;
 
-  // Worker-local scratch: one index per item, rebuilt (iota) per call so
-  // results never depend on what this worker selected before.
-  thread_local std::vector<int64_t> scratch;
-  scratch.resize(static_cast<size_t>(num_values));
-  std::iota(scratch.begin(), scratch.end(), int64_t{0});
-
+  // Same crossover as SelectTopNInPlace (see kHeapSelectRatio): the
+  // reconstruction shape takes the one-pass dense heap, a near-full
+  // selection keeps the linear partition.
+  if (keep * kHeapSelectRatio <= num_values) {
+    struct IndexedValue {
+      int64_t item;
+      double utility;
+    };
+    std::vector<IndexedValue> heap;
+    heap.reserve(static_cast<size_t>(keep));
+    DenseTopNOffer(values, 0, num_values, keep, &heap);
+    DenseTopNFinish(&heap);
+    out->reserve(static_cast<size_t>(keep));
+    for (const IndexedValue& e : heap) out->push_back(e.item);
+    return;
+  }
   // Index comparison under (value desc, index asc) — the same total
   // order as RankOrderBetter on materialized pairs, since the dense
-  // item id IS the index.
+  // item id IS the index. `out` doubles as the index array.
   auto better = [values](int64_t a, int64_t b) {
     if (values[a] != values[b]) return values[a] > values[b];
     return a < b;
   };
-  // Same crossover as SelectTopNInPlace (see kHeapSelectRatio): the
-  // reconstruction shape keeps the bounded heap, a near-full selection
-  // keeps the linear partition.
-  if (keep * kHeapSelectRatio <= num_values) {
-    std::partial_sort(scratch.begin(), scratch.begin() + keep,
-                      scratch.end(), better);
-  } else {
-    if (keep < num_values) {
-      std::nth_element(scratch.begin(), scratch.begin() + keep,
-                       scratch.end(), better);
-    }
-    std::sort(scratch.begin(), scratch.begin() + keep, better);
+  out->resize(static_cast<size_t>(num_values));
+  std::iota(out->begin(), out->end(), int64_t{0});
+  if (keep < num_values) {
+    std::nth_element(out->begin(), out->begin() + keep, out->end(), better);
   }
-  out->assign(scratch.begin(), scratch.begin() + keep);
+  std::sort(out->begin(), out->begin() + keep, better);
+  out->resize(static_cast<size_t>(keep));
 }
 
 }  // namespace privrec::kernels

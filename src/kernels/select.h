@@ -3,16 +3,24 @@
 // full `std::partial_sort` blocks that were duplicated across
 // core::TopNFromDense / TopNFromSparse.
 //
-// Both entry points pick their algorithm by the keep/size ratio: the
-// usual reconstruction shape (n in the tens, items in the thousands) is
-// served by partial_sort's bounded-heap scan — one predictable
-// comparison per element, heap updates only on the rare element that
-// beats the current top-n — while a `keep` that is a large fraction of
-// `size` (where the heap would churn) switches to nth_element + sort of
-// the prefix. Because the comparator is a strict total order (the item
-// id breaks every utility tie), the top-`keep` set and its sorted order
-// are unique, so both algorithms produce element-for-element identical
-// output; BM_KernelSelectTopN* pins the crossover choice.
+// Two shapes of input, two selectors:
+//  - A materialized list (`SelectTopNInPlace`) picks its algorithm by the
+//    keep/size ratio: partial_sort's bounded heap while keep is a small
+//    fraction of size, nth_element + sort of the prefix once the heap
+//    would churn.
+//  - A dense scan (`DenseTopNOffer` / `DenseTopNFinish`) is the one dense
+//    selector: a bounded worst-on-top heap fed values whose item ids only
+//    increase, so an arriving item loses every utility tie to the items
+//    already kept and is admitted by a single `value > worst` compare. It
+//    needs no index array and no materialized pairs, and it can be fed
+//    block by block while each block is still in L1 (the tiled
+//    reconstruction in artifact/reconstruct.h does exactly that).
+//    `SelectTopNIndicesDense` runs it as one pass over a whole vector,
+//    keeping nth_element only for near-full selections.
+// Because the comparator is a strict total order (the item id breaks
+// every utility tie), the top-`keep` set and its sorted order are unique,
+// so every algorithm produces element-for-element identical output;
+// BM_KernelSelectTopN* pins the crossover choice.
 
 #ifndef PRIVREC_KERNELS_SELECT_H_
 #define PRIVREC_KERNELS_SELECT_H_
@@ -64,11 +72,71 @@ void SelectTopNInPlace(List& list, int64_t n) {
   list.resize(static_cast<typename List::size_type>(keep));
 }
 
-// Dense variant: selects the top min(n, num_values) indices of `values`
-// under the same order (value desc, index asc) without materializing a
-// (item, utility) pair per item — the index scratch is thread-local and
-// reused across calls, which matters in the per-user reconstruction
-// loop. Output indices land in `out` in rank order.
+// The dense selector. `heap` holds the running top-n of a scan, worst
+// entry on top (`RankOrderBetter` as the heap's "less"); entries are
+// anything with `.item` and `.utility` members. Each call offers
+// values[0, count) as items first_item .. first_item + count - 1, and
+// across calls on one heap the item ids must strictly increase. An
+// offered item therefore loses every utility tie to each kept entry, so
+// once the heap is full it is admitted iff `value > worst` — one compare
+// per element, exact under (utility desc, item asc). n <= 0 keeps
+// nothing. Values must not be NaN.
+template <typename Entry>
+void DenseTopNOffer(const double* values, int64_t first_item, int64_t count,
+                    int64_t n, std::vector<Entry>* heap) {
+  if (n <= 0) return;
+  // RankOrderBetter as the heap's "less" puts the worst entry on top.
+  const RankOrderBetter better;
+  int64_t i = 0;
+  for (; i < count && static_cast<int64_t>(heap->size()) < n; ++i) {
+    heap->push_back(Entry{first_item + i, values[i]});
+    std::push_heap(heap->begin(), heap->end(), better);
+  }
+  if (i == count) return;
+  Entry* top = heap->data();
+  const size_t size = heap->size();
+  double worst = top[0].utility;
+  auto offer = [&](int64_t j) {
+    if (!(values[j] > worst)) return;
+    // Replace the worst entry and sift the newcomer down below every
+    // child it beats: one root-to-leaf pass instead of pop + push.
+    const Entry entry{first_item + j, values[j]};
+    size_t hole = 0;
+    for (size_t child = 1; child < size; child = 2 * hole + 1) {
+      if (child + 1 < size && better(top[child], top[child + 1])) {
+        ++child;  // the worse of the two children
+      }
+      if (better(top[child], entry)) break;  // worse than both: stay
+      top[hole] = top[child];
+      hole = child;
+    }
+    top[hole] = entry;
+    worst = top[0].utility;
+  };
+  // Four values per branch: when none of them beats the worst kept
+  // value (the common case once the heap has warmed up), one compare of
+  // their maximum skips all four.
+  for (; i + 4 <= count; i += 4) {
+    const double m = std::max(std::max(values[i], values[i + 1]),
+                              std::max(values[i + 2], values[i + 3]));
+    if (m > worst) {
+      for (int64_t j = i; j < i + 4; ++j) offer(j);
+    }
+  }
+  for (; i < count; ++i) offer(i);
+}
+
+// Ends a DenseTopNOffer scan: `heap` becomes the ranked list, best first.
+template <typename Entry>
+void DenseTopNFinish(std::vector<Entry>* heap) {
+  std::sort_heap(heap->begin(), heap->end(), RankOrderBetter{});
+}
+
+// Selects the top min(n, num_values) indices of `values` under the same
+// order (value desc, index asc) into `out`, in rank order. The usual
+// reconstruction shape (n in the tens, values in the thousands) is one
+// DenseTopNOffer pass; a near-full selection (past kHeapSelectRatio)
+// partitions an index array with nth_element instead.
 void SelectTopNIndicesDense(const double* values, int64_t num_values,
                             int64_t n, std::vector<int64_t>* out);
 

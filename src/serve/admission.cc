@@ -239,13 +239,4 @@ void PendingAdmit::Wait() {
   }
 }
 
-Result<AdmissionTicket> AdmissionController::Admit(int64_t deadline_ms) {
-  PendingAdmit pending = AdmitAsync(deadline_ms);
-  pending.Wait();
-  if (pending.state() != PendingAdmit::State::kAdmitted) {
-    return pending.status();
-  }
-  return pending.TakeTicket();
-}
-
 }  // namespace privrec::serve

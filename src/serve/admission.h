@@ -31,7 +31,7 @@
 // polls handles in virtual time — queue occupancy is real, but no
 // thread ever parks, so a single-threaded discrete-event loop
 // reproduces admission decisions bit-for-bit. Thread-per-request callers
-// block in PendingAdmit::Wait() instead; Admit() is AdmitAsync() + Wait().
+// block in PendingAdmit::Wait() instead.
 
 #ifndef PRIVREC_SERVE_ADMISSION_H_
 #define PRIVREC_SERVE_ADMISSION_H_
@@ -145,15 +145,10 @@ class AdmissionController {
   explicit AdmissionController(AdmissionOptions options,
                                const Clock* clock = nullptr);
 
-  // Tries to take a serving slot before `deadline_ms` (absolute, on the
-  // injected clock), blocking while queued. Errors: the resolved
-  // handle's status — kResourceExhausted (shed — queue full) or
-  // kDeadlineExceeded (deadline hit while queued or already expired).
-  Result<AdmissionTicket> Admit(int64_t deadline_ms);
-
-  // Non-blocking admission: immediately resolved or queued (see
-  // PendingAdmit). The queue position is real — a queued handle counts
-  // against queue_depth until granted or purged.
+  // Asks for a serving slot before `deadline_ms` (absolute, on the
+  // injected clock): immediately resolved or queued (see PendingAdmit).
+  // The queue position is real — a queued handle counts against
+  // queue_depth until granted or purged.
   PendingAdmit AdmitAsync(int64_t deadline_ms);
 
   // Purges queued waiters whose deadline has passed; they resolve to

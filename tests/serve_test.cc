@@ -175,28 +175,35 @@ TEST(AdmissionTest, ShedsImmediatelyWhenQueueFull) {
   options.retry_after_ms = 25;
   AdmissionController admission(options, &clock);
 
-  Result<AdmissionTicket> first = admission.Admit(1000);
-  ASSERT_TRUE(first.ok());
+  serve::PendingAdmit first = admission.AdmitAsync(1000);
+  first.Wait();
+  ASSERT_EQ(first.state(), serve::PendingAdmit::State::kAdmitted);
+  AdmissionTicket ticket = first.TakeTicket();
   EXPECT_EQ(admission.in_flight(), 1);
 
-  Result<AdmissionTicket> second = admission.Admit(1000);
-  ASSERT_FALSE(second.ok());
+  serve::PendingAdmit second = admission.AdmitAsync(1000);
+  second.Wait();
+  ASSERT_NE(second.state(), serve::PendingAdmit::State::kAdmitted);
   EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(second.status().ToString().find("retry in 25ms"),
             std::string::npos);
 
   // Releasing the slot makes the next admit succeed.
-  first->Release();
+  ticket.Release();
   EXPECT_EQ(admission.in_flight(), 0);
-  EXPECT_TRUE(admission.Admit(1000).ok());
+  serve::PendingAdmit third = admission.AdmitAsync(1000);
+  third.Wait();
+  EXPECT_EQ(third.state(), serve::PendingAdmit::State::kAdmitted);
+  third.TakeTicket().Release();
 }
 
 TEST(AdmissionTest, ExpiredDeadlineIsTyped) {
   ManualClock clock;
   clock.Set(500);
   AdmissionController admission({}, &clock);
-  Result<AdmissionTicket> late = admission.Admit(500);
-  ASSERT_FALSE(late.ok());
+  serve::PendingAdmit late = admission.AdmitAsync(500);
+  late.Wait();
+  ASSERT_NE(late.state(), serve::PendingAdmit::State::kAdmitted);
   EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -206,12 +213,14 @@ TEST(AdmissionTest, QueuedRequestTimesOutOnInjectedClock) {
   options.max_concurrency = 1;
   options.queue_depth = 4;
   AdmissionController admission(options, &clock);
-  Result<AdmissionTicket> holder = admission.Admit(10'000);
-  ASSERT_TRUE(holder.ok());
+  serve::PendingAdmit holder = admission.AdmitAsync(10'000);
+  ASSERT_EQ(holder.state(), serve::PendingAdmit::State::kAdmitted);
+  AdmissionTicket ticket = holder.TakeTicket();
 
   std::atomic<int> code{-1};
   std::thread waiter([&] {
-    Result<AdmissionTicket> queued = admission.Admit(100);
+    serve::PendingAdmit queued = admission.AdmitAsync(100);
+    queued.Wait();
     code.store(static_cast<int>(queued.status().code()));
   });
   // Let the waiter queue up, then advance the injected clock past its
@@ -231,18 +240,23 @@ TEST(AdmissionTest, QueuedRequestGetsSlotWhenReleased) {
   options.max_concurrency = 1;
   options.queue_depth = 4;
   AdmissionController admission(options, &clock);
-  Result<AdmissionTicket> holder = admission.Admit(10'000);
-  ASSERT_TRUE(holder.ok());
+  serve::PendingAdmit holder = admission.AdmitAsync(10'000);
+  ASSERT_EQ(holder.state(), serve::PendingAdmit::State::kAdmitted);
+  AdmissionTicket ticket = holder.TakeTicket();
 
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    Result<AdmissionTicket> queued = admission.Admit(10'000);
-    admitted.store(queued.ok());
+    serve::PendingAdmit queued = admission.AdmitAsync(10'000);
+    queued.Wait();
+    const bool granted =
+        queued.state() == serve::PendingAdmit::State::kAdmitted;
+    if (granted) queued.TakeTicket().Release();
+    admitted.store(granted);
   });
   while (admission.waiting() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  holder->Release();
+  ticket.Release();
   waiter.join();
   EXPECT_TRUE(admitted.load());
   EXPECT_EQ(admission.in_flight(), 0);  // waiter's ticket already destroyed
@@ -254,11 +268,13 @@ TEST(AdmissionTest, TicketIsMoveOnlyRaii) {
   options.max_concurrency = 1;
   AdmissionController admission(options, &clock);
   {
-    Result<AdmissionTicket> ticket = admission.Admit(1000);
-    ASSERT_TRUE(ticket.ok());
-    AdmissionTicket moved = std::move(*ticket);
+    serve::PendingAdmit pending = admission.AdmitAsync(1000);
+    pending.Wait();
+    ASSERT_EQ(pending.state(), serve::PendingAdmit::State::kAdmitted);
+    AdmissionTicket ticket = pending.TakeTicket();
+    AdmissionTicket moved = std::move(ticket);
     EXPECT_TRUE(moved.holds_slot());
-    EXPECT_FALSE(ticket->holds_slot());
+    EXPECT_FALSE(ticket.holds_slot());
     EXPECT_EQ(admission.in_flight(), 1);
   }
   // Scope exit released exactly once despite the move.
@@ -384,8 +400,12 @@ TEST(AdmissionTest, AsyncAndBlockingShareOneFifoQueue) {
 
   std::atomic<bool> blocking_admitted{false};
   std::thread blocking([&] {
-    Result<AdmissionTicket> queued = admission.Admit(10'000);
-    blocking_admitted.store(queued.ok());
+    serve::PendingAdmit queued = admission.AdmitAsync(10'000);
+    queued.Wait();
+    const bool granted =
+        queued.state() == serve::PendingAdmit::State::kAdmitted;
+    if (granted) queued.TakeTicket().Release();
+    blocking_admitted.store(granted);
   });
   while (admission.waiting() < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
