@@ -1,28 +1,26 @@
-// Table-1-scale artifact bench: monolithic deserialize vs sharded
-// zero-copy serving, the measurement behind BENCH_artifact.json.
+// Table-1-scale artifact bench: save and open of a sharded .pvram
+// artifact at the paper's scale.
 //
 // The driver generates the synthetic Flixster substitute at the paper's
 // REAL Table-1 scale (137,372 users, ~1.27M social edges, ~7.5M
-// preference edges), builds one full artifact, then saves it both ways
-// and times every load route:
+// preference edges), builds one full artifact, saves it as a manifest
+// plus K shard files, and times both open routes:
 //
-//   monolithic .pvra   ->  ServingEngine::Load  (per-element deserialize)
-//   sharded .pvram     ->  MappedArtifact::Open (mmap)  + FromMapped
-//   sharded .pvram     ->  MappedArtifact::Open (read fallback)
+//   MappedArtifact::Open (mmap)          + FromMapped
+//   MappedArtifact::Open (read fallback) + FromMapped
 //
 // plus the RSS delta of each route and of a SECOND engine over the same
-// files — the mmap route shares the page cache, the monolithic route
-// pays the full copy again. A probe batch is served from every engine
-// and compared byte-for-byte against the monolithic route.
+// files — the mmap route shares the page cache, the read route pays the
+// full copy again. A probe batch is served from every engine and
+// compared byte-for-byte across the routes.
 //
 //   ./bench_artifact_shard [--users=137372] [--items=48756] [--shards=6]
 //                          [--epsilon=0.5] [--top_n=10]
 //                          [--scratch-dir=artifact-shard-scratch]
 //                          [--report=BENCH_artifact.json]
 //
-// Exit status: 0 when the mapped load is >= 10x faster than the
-// monolithic deserialize AND every probe is bit-identical; 2 otherwise;
-// 1 on setup errors.
+// Exit status: 0 when every probe is bit-identical; 2 otherwise; 1 on
+// setup errors.
 
 #include <cstdint>
 #include <cstdio>
@@ -33,7 +31,6 @@
 
 #include "artifact/builder.h"
 #include "artifact/mapped.h"
-#include "artifact/model_io.h"
 #include "artifact/serving.h"
 #include "artifact/shard_layout.h"
 #include "common/driver_flags.h"
@@ -61,12 +58,6 @@ int64_t CurrentRssKb() {
     }
   }
   return 0;
-}
-
-uint64_t FileBytes(const std::string& path) {
-  std::error_code ec;
-  const auto size = fs::file_size(path, ec);
-  return ec ? 0 : static_cast<uint64_t>(size);
 }
 
 struct LoadSample {
@@ -142,28 +133,19 @@ int main(int argc, char** argv) {
   serving::ArtifactModel model = std::move(*built);
   const double build_ms = timer.ElapsedMillis();
 
-  const std::string mono = (fs::path(scratch) / "table1.pvra").string();
   const std::string manifest =
       (fs::path(scratch) / "table1.pvram").string();
   timer.Reset();
-  Status saved = serving::SaveArtifact(model, mono);
-  const double save_mono_ms = timer.ElapsedMillis();
-  timer.Reset();
-  Status saved_sharded =
+  Status saved =
       serving::SaveShardedArtifact(model, manifest, {.shards = shards});
-  const double save_sharded_ms = timer.ElapsedMillis();
-  if (!saved.ok() || !saved_sharded.ok()) {
-    std::fprintf(stderr, "save failed: %s %s\n", saved.ToString().c_str(),
-                 saved_sharded.ToString().c_str());
+  const double save_ms = timer.ElapsedMillis();
+  if (!saved.ok()) {
+    std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
     return 1;
-  }
-  uint64_t sharded_bytes = FileBytes(manifest);
-  for (int64_t s = 0; s < shards; ++s) {
-    sharded_bytes += FileBytes(manifest + ".shard" + std::to_string(s));
   }
   model = serving::ArtifactModel{};  // drop the copy before RSS baselines
 
-  // ---- Online: every load route, timed cold-ish (files are in page
+  // ---- Online: both open routes, timed cold-ish (files are in page
   // cache after the save — both routes see the same warm cache, which is
   // the steady state a reloading server lives in anyway).
   serving::ServeSpec spec;
@@ -192,25 +174,7 @@ int main(int argc, char** argv) {
     }
   };
 
-  LoadSample mono_sample;
-  {
-    const int64_t rss0 = CurrentRssKb();
-    timer.Reset();
-    auto engine = serving::ServingEngine::Load(mono);
-    mono_sample.total_ms = timer.ElapsedMillis();
-    mono_sample.rss_delta_kb = CurrentRssKb() - rss0;
-    if (!engine.ok()) {
-      std::fprintf(stderr, "monolithic load failed: %s\n",
-                   engine.status().ToString().c_str());
-      return 1;
-    }
-    probe(&*engine);
-    const int64_t rss1 = CurrentRssKb();
-    auto second = serving::ServingEngine::Load(mono);
-    mono_sample.second_rss_delta_kb = CurrentRssKb() - rss1;
-    if (!second.ok()) return 1;
-  }
-
+  uint64_t artifact_bytes = 0;  // manifest + every shard the table names
   auto mapped_route = [&](bool use_mmap, LoadSample* sample) -> int {
     const int64_t rss0 = CurrentRssKb();
     timer.Reset();
@@ -223,6 +187,7 @@ int main(int argc, char** argv) {
                    mapped.status().ToString().c_str());
       return 1;
     }
+    artifact_bytes = (*mapped)->total_bytes();
     auto engine = serving::ServingEngine::FromMapped(*mapped);
     sample->total_ms = timer.ElapsedMillis();
     std::fprintf(stderr, "  mapped(use_mmap=%d): open %.1f ms, engine %.1f ms\n",
@@ -247,10 +212,7 @@ int main(int argc, char** argv) {
   if (mapped_route(true, &mmap_sample) != 0) return 1;
   if (mapped_route(false, &read_sample) != 0) return 1;
 
-  const double speedup =
-      mmap_sample.total_ms > 0 ? mono_sample.total_ms / mmap_sample.total_ms
-                               : 0;
-  const bool pass = speedup >= 10.0 && bit_identical;
+  const bool pass = bit_identical;
 
   char buffer[2560];
   std::snprintf(
@@ -262,37 +224,28 @@ int main(int argc, char** argv) {
       "\"epsilon\": %.3f, \"social_edges\": %lld, \"pref_edges\": %lld, "
       "\"clusters\": %lld},\n"
       "  \"offline_ms\": {\"dataset\": %.1f, \"workload\": %.1f, "
-      "\"louvain\": %.1f, \"build\": %.1f, \"save_monolithic\": %.1f, "
-      "\"save_sharded\": %.1f},\n"
-      "  \"artifact_bytes\": {\"monolithic\": %llu, \"sharded_total\": "
-      "%llu},\n"
+      "\"louvain\": %.1f, \"build\": %.1f, \"save\": %.1f},\n"
+      "  \"artifact_bytes\": %llu,\n"
       "  \"load\": {\n"
-      "    \"monolithic\": {\"total_ms\": %.2f, \"rss_delta_kb\": %lld, "
-      "\"second_engine_rss_delta_kb\": %lld},\n"
       "    \"mapped_mmap\": {\"total_ms\": %.2f, \"rss_delta_kb\": %lld, "
       "\"second_engine_rss_delta_kb\": %lld},\n"
       "    \"mapped_read\": {\"total_ms\": %.2f, \"rss_delta_kb\": %lld, "
       "\"second_engine_rss_delta_kb\": %lld}\n"
       "  },\n"
-      "  \"results\": {\"mmap_speedup_vs_monolithic\": %.2f, "
-      "\"bit_identical_probes\": %s, \"pass\": %s}\n"
+      "  \"results\": {\"bit_identical_probes\": %s, \"pass\": %s}\n"
       "}\n",
       static_cast<long long>(users), static_cast<long long>(items),
       static_cast<long long>(shards), epsilon,
       static_cast<long long>(dataset.social.num_edges()),
       static_cast<long long>(dataset.preferences.num_edges()),
       static_cast<long long>(louvain.partition.num_clusters()), dataset_ms,
-      workload_ms, louvain_ms, build_ms, save_mono_ms, save_sharded_ms,
-      static_cast<unsigned long long>(FileBytes(mono)),
-      static_cast<unsigned long long>(sharded_bytes), mono_sample.total_ms,
-      static_cast<long long>(mono_sample.rss_delta_kb),
-      static_cast<long long>(mono_sample.second_rss_delta_kb),
-      mmap_sample.total_ms,
+      workload_ms, louvain_ms, build_ms, save_ms,
+      static_cast<unsigned long long>(artifact_bytes), mmap_sample.total_ms,
       static_cast<long long>(mmap_sample.rss_delta_kb),
       static_cast<long long>(mmap_sample.second_rss_delta_kb),
       read_sample.total_ms,
       static_cast<long long>(read_sample.rss_delta_kb),
-      static_cast<long long>(read_sample.second_rss_delta_kb), speedup,
+      static_cast<long long>(read_sample.second_rss_delta_kb),
       bit_identical ? "true" : "false", pass ? "true" : "false");
 
   if (!report.empty()) {
@@ -303,11 +256,10 @@ int main(int argc, char** argv) {
     }
   }
   std::fprintf(stderr,
-               "bench_artifact_shard: monolithic %.1f ms, mmap %.1f ms, "
-               "read %.1f ms, speedup %.1fx, bit_identical=%d -> %s\n",
-               mono_sample.total_ms, mmap_sample.total_ms,
-               read_sample.total_ms, speedup, bit_identical ? 1 : 0,
-               pass ? "PASS" : "FAIL");
+               "bench_artifact_shard: mmap %.1f ms, read %.1f ms, "
+               "bit_identical=%d -> %s\n",
+               mmap_sample.total_ms, read_sample.total_ms,
+               bit_identical ? 1 : 0, pass ? "PASS" : "FAIL");
   fs::remove_all(scratch);
   return pass ? 0 : 2;
 }

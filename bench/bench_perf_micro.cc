@@ -15,9 +15,10 @@
 // The BM_Artifact* group times the two-phase pipeline's hot paths (save,
 // load, serve-side reconstruction); capture them with
 // --benchmark_filter=Artifact --benchmark_out=BENCH_artifact.json
-// --benchmark_out_format=json. The context block carries the artifact's
-// on-disk byte size (artifact_bytes) next to git_revision, so size and
-// latency regressions are visible in the same record.
+// --benchmark_out_format=json. The artifact is a K = 1 .pvram (manifest
+// plus one shard file); the context block carries its on-disk byte size
+// (artifact_bytes, both files) next to git_revision, so size and latency
+// regressions are visible in the same record.
 
 #include <benchmark/benchmark.h>
 
@@ -30,7 +31,7 @@
 #include <vector>
 
 #include "artifact/builder.h"
-#include "artifact/model_io.h"
+#include "artifact/mapped.h"
 #include "artifact/serving.h"
 #include "common/macros.h"
 #include "common/parallel.h"
@@ -352,11 +353,13 @@ struct ArtifactFixture {
     PRIVREC_CHECK_MSG(built.ok(), "artifact build failed");
     model = std::move(*built);
     path = (std::filesystem::temp_directory_path() /
-            "privrec_bench_model.pvra")
+            "privrec_bench_model.pvram")
                .string();
-    Status saved = serving::SaveArtifact(model, path);
+    Status saved = serving::SaveShardedArtifact(model, path);
     PRIVREC_CHECK_MSG(saved.ok(), "artifact save failed");
-    bytes = static_cast<int64_t>(std::filesystem::file_size(path));
+    auto mapped = serving::MappedArtifact::Open(path, {});
+    PRIVREC_CHECK_MSG(mapped.ok(), "artifact open failed");
+    bytes = static_cast<int64_t>((*mapped)->total_bytes());
   }
 
   serving::ArtifactModel model;
@@ -371,10 +374,16 @@ ArtifactFixture& SharedArtifactFixture() {
 
 void BM_ArtifactSave(benchmark::State& state) {
   ArtifactFixture& f = SharedArtifactFixture();
-  const std::string path = f.path + ".save_bench";
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "privrec_bench_model_save.pvram").string();
   for (auto _ : state) {
-    Status saved = serving::SaveArtifact(f.model, path);
+    Status saved = serving::SaveShardedArtifact(f.model, path);
     benchmark::DoNotOptimize(saved.ok());
+  }
+  if (auto mapped = serving::MappedArtifact::Open(path, {}); mapped.ok()) {
+    for (const serving::ShardTableEntry& e : (*mapped)->shard_table()) {
+      std::filesystem::remove(dir / e.file);
+    }
   }
   std::filesystem::remove(path);
   state.SetBytesProcessed(state.iterations() * f.bytes);

@@ -3,10 +3,10 @@
 // enforcement. This is the driver behind BENCH_serve.json and
 // ci/serve_slo.sh.
 //
-// The driver builds a tiny synthetic release (two good artifact
-// generations; under --load-swap-storm also a bit-flipped and a truncated
-// copy), boots a ServeRuntime, and drives it with a deterministic
-// open-loop schedule:
+// The driver builds a tiny synthetic release (two good .pvram artifact
+// generations of K shards each; under --load-swap-storm also a bit-flipped
+// and a truncated manifest copy), boots a ServeRuntime, and drives it with
+// a deterministic open-loop schedule:
 //
 //   ./bench_serve_load --load-rps=2000 --load-duration-ms=2000
 //                      --load-seed=1 --load-zipf-s=1.1
@@ -20,8 +20,8 @@
 //                      [--load-wall --load-threads=4]
 //                      [--serve-max-concurrency=4 --serve-queue-depth=8 ...]
 //                      [--scratch-dir=serve-load-scratch]
-//                      [--load-shards=K]   # serve sharded .pvram artifacts
-//                                          # through the mmap zero-copy path
+//                      [--load-shards=K]   # shard files per artifact
+//                                          # (default 1)
 //                      [--telemetry-jsonl=PATH      # wide-event stream
 //                       --telemetry-sample-every=16 --telemetry-slow-ms=100
 //                       --telemetry-window-ms=250
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "artifact/builder.h"
-#include "artifact/model_io.h"
 #include "artifact/shard_layout.h"
 #include "common/driver_flags.h"
 #include "common/flags.h"
@@ -90,7 +89,7 @@ int main(int argc, char** argv) {
   const TelemetryFlagSettings tel_settings = ApplyTelemetryFlags(flags);
   const std::string scratch =
       flags.GetString("scratch-dir", "serve-load-scratch");
-  const int64_t load_shards = flags.GetInt("load-shards", 0);
+  const int64_t load_shards = flags.GetInt("load-shards", 1);
   if (!flags.Validate()) return 1;
 
   // ---- Offline side: build the artifact generations the run swaps over.
@@ -117,17 +116,9 @@ int main(int argc, char** argv) {
                    model.status().ToString().c_str());
       return "";
     }
-    // With --load-shards the generations are sharded .pvram sets and the
-    // runtime serves them through the mmap zero-copy path; the rest of
-    // the harness is identical (Activate and the oracle both sniff).
-    const std::string path =
-        (fs::path(scratch) / (name + (load_shards > 0 ? ".pvram" : ".pvra")))
-            .string();
+    const std::string path = (fs::path(scratch) / (name + ".pvram")).string();
     Status saved =
-        load_shards > 0
-            ? serving::SaveShardedArtifact(*model, path,
-                                           {.shards = load_shards})
-            : serving::SaveArtifact(*model, path);
+        serving::SaveShardedArtifact(*model, path, {.shards = load_shards});
     if (!saved.ok()) {
       std::fprintf(stderr, "artifact save failed: %s\n",
                    saved.ToString().c_str());
@@ -146,15 +137,34 @@ int main(int argc, char** argv) {
   }
   storm.good = {good_a, good_b};
   if (load_settings.swap_storm) {
+    // Manifest copies beside the originals, so they name the same shard
+    // files: one with a bit flipped inside the cluster_of payload (located
+    // through the section table, never in padding or a reserved field),
+    // one cut in half.
     const std::string bitflip =
-        (fs::path(scratch) / "bitflip.pvra").string();
-    const std::string trunc = (fs::path(scratch) / "trunc.pvra").string();
+        (fs::path(scratch) / "bitflip.pvram").string();
+    const std::string trunc = (fs::path(scratch) / "trunc.pvram").string();
     std::string bytes = ReadAllBytes(good_a);
-    if (bytes.size() < 400) {
-      std::fprintf(stderr, "artifact unexpectedly small\n");
+    auto view = serving::ParseAlignedContainer(
+        bytes.data(), bytes.size(), serving::kManifestMagic,
+        serving::kShardFormatVersion, "artifact manifest");
+    if (!view.ok()) {
+      std::fprintf(stderr, "%s\n", view.status().ToString().c_str());
       return 1;
     }
-    bytes[300] = static_cast<char>(bytes[300] ^ 0x20);
+    uint64_t flip_at = 0;  // payloads start past the frame, never at 0
+    for (const serving::AlignedSectionView& s : view->sections) {
+      if (s.id == static_cast<uint32_t>(
+                      serving::ManifestSectionId::kClusterOf) &&
+          s.size > 0) {
+        flip_at = s.offset + s.size / 2;
+      }
+    }
+    if (flip_at == 0) {
+      std::fprintf(stderr, "artifact manifest has no cluster_of payload\n");
+      return 1;
+    }
+    bytes[flip_at] ^= 0x20;
     WriteAllBytes(bitflip, bytes);
     std::string half = ReadAllBytes(good_b);
     half.resize(half.size() / 2);

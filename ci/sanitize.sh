@@ -81,11 +81,13 @@ fi
 echo "no-obs symbol check: clean (metrics registry and tracer compiled out)"
 
 # Two-phase pipeline determinism pass: build→save→load→serve must be
-# byte-stable — the same inputs produce the same .pvra bytes on every run
-# and at every thread count, and recommendations served from a freshly
-# built engine equal those served from a saved-then-loaded artifact.
-# (The asan-ubsan tree is already built above; running under ASan also
-# shakes the save/load paths for memory bugs.)
+# byte-stable. At K = 1 and K = 3 the manifest and every shard file its
+# table names must be byte-identical across runs and thread counts, and
+# serving the saved artifact — mapped, or via the PRIVREC_NO_MMAP read
+# fallback, at a third thread count — must reproduce the recommendations
+# of an in-memory run (no --artifact-out) bit for bit. (The asan-ubsan
+# tree is already built above; running under ASan also shakes the
+# save/open paths for memory bugs.)
 SCRATCH=artifact-scratch
 rm -rf "$SCRATCH"
 mkdir -p "$SCRATCH"
@@ -97,49 +99,48 @@ run_pipeline() {  # run_pipeline <tag> <threads> <extra args...>
     --epsilon=0.5 --top_n=10 --threads="$threads" \
     --out="$SCRATCH/recs_$tag.tsv" "$@" > "$SCRATCH/log_$tag.txt"
 }
-run_pipeline t1a 1 --artifact-out="$SCRATCH/model_t1a.pvra"
-run_pipeline t1b 1 --artifact-out="$SCRATCH/model_t1b.pvra"
-run_pipeline t2  2 --artifact-out="$SCRATCH/model_t2.pvra"
-cmp "$SCRATCH/model_t1a.pvra" "$SCRATCH/model_t1b.pvra"
-cmp "$SCRATCH/model_t1a.pvra" "$SCRATCH/model_t2.pvra"
-# Serve a prior build (no rebuild, no ε re-spend) at a third thread
-# count: the recommendations must still be byte-identical.
-run_pipeline replay 4 --artifact-in="$SCRATCH/model_t1a.pvra"
-cmp "$SCRATCH/recs_t1a.tsv" "$SCRATCH/recs_t1b.tsv"
-cmp "$SCRATCH/recs_t1a.tsv" "$SCRATCH/recs_t2.tsv"
-cmp "$SCRATCH/recs_t1a.tsv" "$SCRATCH/recs_replay.tsv"
-rm -rf "$SCRATCH"
-echo "artifact determinism: .pvra bytes and served output stable across" \
-     "runs, thread counts, and save/load"
-
-# Sharded determinism pass: the same guarantees for the sharded .pvram
-# layout and the mmap zero-copy serve path. The manifest and every shard
-# file must be byte-stable across runs and thread counts, and serving a
-# sharded artifact — mapped or via the PRIVREC_NO_MMAP read fallback —
-# must reproduce the monolithic build's recommendations bit for bit.
-SCRATCH=artifact-shard-scratch-ci
-rm -rf "$SCRATCH"
-mkdir -p "$SCRATCH"/s1a "$SCRATCH"/s1b "$SCRATCH"/s2
-# The manifest's shard table references its shard files by relative
-# name, so byte-comparison needs the same artifact name — one
-# subdirectory per run.
-run_pipeline s1a 1 --artifact-out="$SCRATCH/s1a/model.pvram" --shards=3
-run_pipeline s1b 1 --artifact-out="$SCRATCH/s1b/model.pvram" --shards=3
-run_pipeline s2  2 --artifact-out="$SCRATCH/s2/model.pvram" --shards=3
-for part in "" .shard0 .shard1 .shard2; do
-  cmp "$SCRATCH/s1a/model.pvram$part" "$SCRATCH/s1b/model.pvram$part"
-  cmp "$SCRATCH/s1a/model.pvram$part" "$SCRATCH/s2/model.pvram$part"
+# The shard files a run's saved manifest names, as file_pipeline prints
+# its shard table after the save.
+shard_files() {  # shard_files <tag>
+  sed -n 's/^  shard file: \([^ ]*\) .*/\1/p' "$SCRATCH/log_$1.txt"
+}
+run_pipeline mem 1
+for k in 1 3; do
+  # The shard table names shard files relative to the manifest, so
+  # byte-comparison needs the same artifact name: one subdirectory per run.
+  for run in a b t2; do mkdir -p "$SCRATCH/k$k$run"; done
+  run_pipeline "k${k}a" 1 --artifact-out="$SCRATCH/k${k}a/model.pvram" \
+    --shards="$k"
+  run_pipeline "k${k}b" 1 --artifact-out="$SCRATCH/k${k}b/model.pvram" \
+    --shards="$k"
+  run_pipeline "k${k}t2" 2 --artifact-out="$SCRATCH/k${k}t2/model.pvram" \
+    --shards="$k"
+  shards=$(shard_files "k${k}a")
+  if [ "$(printf '%s\n' "$shards" | grep -c .)" -ne "$k" ]; then
+    echo "FAIL: K=$k manifest names $(printf '%s\n' "$shards" | grep -c .)" \
+         "shard files" >&2
+    exit 1
+  fi
+  for run in "k${k}b" "k${k}t2"; do
+    if [ "$(shard_files "$run")" != "$shards" ]; then
+      echo "FAIL: K=$k shard tables differ between k${k}a and $run" >&2
+      exit 1
+    fi
+    for part in model.pvram $shards; do
+      cmp "$SCRATCH/k${k}a/$part" "$SCRATCH/$run/$part"
+    done
+  done
+  run_pipeline "k${k}replay" 4 --artifact-in="$SCRATCH/k${k}a/model.pvram"
+  (export PRIVREC_NO_MMAP=1
+   run_pipeline "k${k}read" 4 --artifact-in="$SCRATCH/k${k}a/model.pvram")
+  for run in a b t2 replay read; do
+    cmp "$SCRATCH/recs_mem.tsv" "$SCRATCH/recs_k$k$run.tsv"
+  done
 done
-run_pipeline mono 1 --artifact-out="$SCRATCH/model_mono.pvra"
-run_pipeline sreplay 4 --artifact-in="$SCRATCH/s1a/model.pvram"
-(export PRIVREC_NO_MMAP=1
- run_pipeline sread 4 --artifact-in="$SCRATCH/s1a/model.pvram")
-cmp "$SCRATCH/recs_s1a.tsv" "$SCRATCH/recs_mono.tsv"
-cmp "$SCRATCH/recs_s1a.tsv" "$SCRATCH/recs_sreplay.tsv"
-cmp "$SCRATCH/recs_s1a.tsv" "$SCRATCH/recs_sread.tsv"
 rm -rf "$SCRATCH"
-echo "sharded determinism: .pvram manifest+shards byte-stable, mapped and" \
-     "read-fallback serving match the monolithic recommendations"
+echo "artifact determinism: manifest and named shards byte-stable across" \
+     "runs and thread counts at K=1 and K=3; mapped and read-fallback" \
+     "serving match the in-memory recommendations"
 
 # Privacy isolation: the serving library must stay free of preference-
 # and social-graph code — the CMake allowlist enforces the link layer,

@@ -6,7 +6,8 @@
 # correctness violation (a kOk response differing from the pinned
 # epoch's offline answer).
 #
-# Four gates:
+# Gates 1-4 serve K = 1 .pvram artifacts (bench_serve_load's default),
+# gate 5 serves K = 3:
 #   1. Determinism — the same seed must produce a bit-identical report
 #      (virtual-time mode; only the wall-clock swap pauses are exempt).
 #   2. SLO pass — the rated load meets its budgets (exit 0).
@@ -14,6 +15,8 @@
 #      a crash and not a silent pass).
 #   4. TSan wall mode — the same schedule on 4 real request threads plus
 #      a live swap-storm thread, under ThreadSanitizer.
+#   5. Sharded — the rated load over K = 3 artifacts, within budgets and
+#      deterministic.
 #
 # Usage: ci/serve_slo.sh
 set -euo pipefail
@@ -98,11 +101,11 @@ build-tsan/bench/bench_serve_load --scratch-dir="$SCRATCH/work_tsan" \
 grep -q '"pass": true' "$SCRATCH/report_tsan.json"
 echo "serve wall mode: 4 threads + swap storm clean under TSan"
 
-# Gate 5: the same rated load served from sharded .pvram artifacts over
-# the mmap zero-copy path (--load-shards routes every generation — good,
-# bit-flipped and truncated — through the manifest+shards layout). The
-# swap storm now exercises sharded admission, corrupt-manifest rejection
-# and epoch rollback; determinism and budgets are the monolithic gate's.
+# Gate 5: the same rated load served from K = 3 artifacts
+# (--load-shards=3: every good generation is a manifest plus three shard
+# files, and the corrupt ones are damaged manifest copies naming them).
+# The swap storm exercises multi-shard admission, corrupt-manifest
+# rejection and epoch rollback; determinism and budgets are gate 2's.
 run_rated shards --load-shards=3 \
   --load-slo-p50-ms=12 --load-slo-p99-ms=30 --load-slo-p999-ms=40 \
   --load-slo-shed-rate=0.30 --load-slo-rollback-rate=0.60

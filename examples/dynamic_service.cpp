@@ -22,10 +22,10 @@
 //                     [--artifact-dir=/tmp/quarter_artifacts]
 //
 // --artifact-dir routes every weekly release through the two-phase
-// pipeline: each snapshot is built into <dir>/snapshot_<t>.pvra and served
-// from the saved artifact (bit-identical to the in-process path). The
-// .pvra files are the quarter's audit trail — each records its ε_t, seed,
-// and ledger id in its provenance section.
+// pipeline: each snapshot is built into <dir>/snapshot_<t>.pvram and
+// served from the saved artifact (bit-identical to the in-process path).
+// The .pvram manifests are the quarter's audit trail — each records its
+// ε_t, seed, and ledger id in its provenance.
 //
 // With --artifact-dir the example also runs the resilient serving runtime
 // (serve::ServeRuntime): every saved snapshot is HOT-RELOADED into a live
@@ -215,8 +215,7 @@ int main(int argc, char** argv) {
     if (!artifact_dir.empty() &&
         release->snapshot_index % reload_every == 0) {
       const std::string snapshot_path =
-          artifact_dir + "/snapshot_" +
-          std::to_string(release->snapshot_index) + ".pvra";
+          core::SnapshotArtifactPath(artifact_dir, release->snapshot_index);
       Status swapped = runtime.Activate(snapshot_path);
       if (!swapped.ok()) {
         std::printf("       hot swap rolled back: %s (still serving epoch "

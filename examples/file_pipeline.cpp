@@ -10,27 +10,27 @@
 //
 //   ./file_pipeline [--social=social.tsv] [--prefs=prefs.tsv]
 //                   [--out=recommendations.tsv] [--epsilon=0.5] [--top_n=10]
-//                   [--artifact-out=model.pvra]   # persist the build phase
-//                   [--artifact-in=model.pvra]    # serve a prior build
+//                   [--artifact-out=model.pvram]  # persist the build phase
+//                   [--artifact-in=model.pvram]   # serve a prior build
 //                                                 # (no ε re-spend)
-//                   [--shards=K]                  # write a sharded .pvram
-//                                                 # manifest + K shard files
-//                   [--no-mmap]                   # serve sharded artifacts
-//                                                 # via the read fallback
+//                   [--shards=K]                  # shard files per artifact
+//                                                 # (default 1)
+//                   [--no-mmap]                   # serve the artifact via
+//                                                 # the read fallback
 //
 // --artifact-in replays a previous publication: the build phase is skipped
 // entirely and the compatibility gates verify the artifact matches the
-// inputs (graph fingerprint) and the requested ε (provenance). It accepts
-// either a monolithic .pvra or a sharded .pvram manifest — the loader
-// sniffs the magic. With --shards=K the build phase writes the sharded
-// layout (cluster-range partitioned, mmap-served in place on load).
+// inputs (graph fingerprint) and the requested ε (provenance).
+// --artifact-out writes a .pvram manifest plus K shard files
+// (cluster-range partitioned, mmap-served in place on load) and prints
+// the shard files the manifest names.
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
 #include "artifact/builder.h"
-#include "artifact/model_io.h"
+#include "artifact/mapped.h"
 #include "artifact/serving.h"
 #include "artifact/shard_layout.h"
 #include "common/driver_flags.h"
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   const int64_t top_n = flags.GetInt("top_n", 10);
   const std::string artifact_out = flags.GetString("artifact-out", "");
   const std::string artifact_in = flags.GetString("artifact-in", "");
-  const int64_t shards = flags.GetInt("shards", 0);
+  const int64_t shards = flags.GetInt("shards", 1);
   const bool no_mmap = flags.GetBool("no-mmap", false);
   const bool table_f32 = flags.GetBool("table-f32", false);
   if (!flags.Validate()) return 1;
@@ -104,18 +104,24 @@ int main(int argc, char** argv) {
     auto model = builder.Build(build_options);
     if (!model.ok()) return Result<serving::ServingEngine>(model.status());
     if (!artifact_out.empty()) {
-      Status saved =
-          shards > 0
-              ? serving::SaveShardedArtifact(*model, artifact_out,
-                                             {.shards = shards})
-              : serving::SaveArtifact(*model, artifact_out);
+      Status saved = serving::SaveShardedArtifact(*model, artifact_out,
+                                                  {.shards = shards});
       if (!saved.ok()) return Result<serving::ServingEngine>(saved);
-      std::printf("saved model artifact to %s%s (epsilon=%.2f frozen in "
+      std::printf("saved model artifact to %s (epsilon=%.2f frozen in "
                   "its provenance)\n",
-                  artifact_out.c_str(),
-                  shards > 0 ? " [sharded]" : "", epsilon);
+                  artifact_out.c_str(), epsilon);
       // Serve what was written, proving the round trip.
-      return serving::ServingEngine::Load(artifact_out);
+      auto mapped = serving::MappedArtifact::Open(
+          artifact_out, serving::MapOptionsFromEnv());
+      if (!mapped.ok()) return Result<serving::ServingEngine>(mapped.status());
+      for (const serving::ShardTableEntry& e : (*mapped)->shard_table()) {
+        std::printf("  shard file: %s (%llu bytes, clusters [%lld, %lld))\n",
+                    e.file.c_str(),
+                    static_cast<unsigned long long>(e.file_size),
+                    static_cast<long long>(e.cluster_begin),
+                    static_cast<long long>(e.cluster_end));
+      }
+      return serving::ServingEngine::FromMapped(*mapped);
     }
     return serving::ServingEngine::FromModel(std::move(*model));
   }();

@@ -13,8 +13,8 @@
 #include <cstdio>
 
 #include "artifact/builder.h"
-#include "artifact/model_io.h"
 #include "artifact/serving.h"
+#include "artifact/shard_layout.h"
 #include "common/driver_flags.h"
 #include "common/experiment_inputs.h"
 #include "common/flags.h"
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
               inputs->louvain.modularity);
 
   // 2. BUILD: run Algorithm 1's publication step (the only ε-spending
-  //    moment) and freeze it into a .pvra model artifact.
+  //    moment) and freeze it into a .pvram model artifact.
   artifact::ModelArtifactBuilder builder(&inputs->dataset.social,
                                          &inputs->dataset.preferences);
   builder.SetPartition(&inputs->louvain.partition);
@@ -70,8 +70,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
     return 1;
   }
-  const std::string artifact_path = "/tmp/privrec_quickstart.pvra";
-  Status saved = serving::SaveArtifact(*model, artifact_path);
+  const std::string artifact_path = "/tmp/privrec_quickstart.pvram";
+  Status saved = serving::SaveShardedArtifact(*model, artifact_path);
   if (!saved.ok()) {
     std::fprintf(stderr, "%s\n", saved.ToString().c_str());
     return 1;

@@ -3,7 +3,7 @@
 // Runs the Fit() phase of every mechanism — createClusters on the public
 // social graph, similarity-workload materialization, the ε-DP A_w
 // publication, and optionally the LRM factorization — and assembles the
-// result into a serving::ArtifactModel ready for SaveArtifact.
+// result into a serving::ArtifactModel ready for SaveShardedArtifact.
 //
 // This is the ONLY place in the two-phase pipeline that touches the
 // private PreferenceGraph; everything downstream of the returned model is

@@ -3,42 +3,13 @@
 #include <bit>
 #include <string>
 
-#include "artifact/model.h"
-#include "common/crc32.h"
-
 namespace privrec::serving {
-
-const char* SectionName(SectionId id) {
-  switch (id) {
-    case SectionId::kGraphMeta:
-      return "graph_meta";
-    case SectionId::kPartition:
-      return "partition";
-    case SectionId::kWorkload:
-      return "workload";
-    case SectionId::kNoisyTable:
-      return "noisy_table";
-    case SectionId::kProvenance:
-      return "provenance";
-    case SectionId::kPreferences:
-      return "preferences";
-    case SectionId::kLowRank:
-      return "low_rank";
-    case SectionId::kNoisyTableF32:
-      return "noisy_table_f32";
-  }
-  return "unknown";
-}
 
 void ByteWriter::F64(double v) { PutLe(std::bit_cast<uint64_t>(v)); }
 
 void ByteWriter::Str(const std::string& s) {
   U32(static_cast<uint32_t>(s.size()));
   buf_.append(s);
-}
-
-void ByteWriter::Bytes(const void* data, size_t size) {
-  buf_.append(static_cast<const char*>(data), size);
 }
 
 bool ByteReader::U8(uint8_t* out) { return GetLe(out); }
@@ -71,76 +42,6 @@ bool ByteReader::Str(std::string* out) {
 Status ByteReader::Truncated() const {
   return Status::ParseError("artifact section '" + context_ +
                             "' truncated or corrupt");
-}
-
-std::string EncodeContainer(uint32_t version,
-                            const std::vector<RawSection>& sections) {
-  ByteWriter w;
-  w.U32(kArtifactMagic);
-  w.U32(version);
-  w.U32(static_cast<uint32_t>(sections.size()));
-  for (const RawSection& s : sections) {
-    w.U32(s.id);
-    w.U64(s.payload.size());
-    w.U32(Crc32(s.payload.data(), s.payload.size()));
-    w.Bytes(s.payload.data(), s.payload.size());
-  }
-  return w.Take();
-}
-
-Result<std::vector<RawSection>> DecodeContainer(std::string_view bytes,
-                                                uint32_t expected_version) {
-  ByteReader r(bytes, "header");
-  uint32_t magic, version, count;
-  if (!r.U32(&magic) || !r.U32(&version) || !r.U32(&count)) {
-    return Status::ParseError("artifact header truncated: not a .pvra file");
-  }
-  if (magic != kArtifactMagic) {
-    return Status::ParseError("bad artifact magic: not a .pvra file");
-  }
-  if (version != expected_version) {
-    return Status::VersionMismatch(
-        "artifact format version " + std::to_string(version) +
-        " != supported version " + std::to_string(expected_version));
-  }
-  // A sane artifact has single-digit section counts; anything large is a
-  // corrupt header, and trusting it would mean a runaway loop below.
-  if (count > 1024) {
-    return Status::ParseError(
-        "artifact header corrupt: implausible section count " +
-        std::to_string(count));
-  }
-  std::vector<RawSection> sections;
-  sections.reserve(count);
-  for (uint32_t k = 0; k < count; ++k) {
-    uint32_t id, crc;
-    uint64_t size;
-    if (!r.U32(&id) || !r.U64(&size) || !r.U32(&crc)) {
-      return Status::ParseError(
-          "artifact section table truncated at section " + std::to_string(k));
-    }
-    const std::string name = SectionName(static_cast<SectionId>(id));
-    if (size > r.remaining()) {
-      return Status::ParseError(
-          "artifact section '" + name + "' truncated: payload of " +
-          std::to_string(size) + " bytes exceeds the " +
-          std::to_string(r.remaining()) + " bytes remaining");
-    }
-    RawSection s;
-    s.id = id;
-    s.payload.assign(r.pos(), static_cast<size_t>(size));
-    (void)r.Skip(static_cast<size_t>(size));
-    if (Crc32(s.payload.data(), s.payload.size()) != crc) {
-      return Status::ParseError("artifact section '" + name +
-                                "' failed its CRC32 check");
-    }
-    sections.push_back(std::move(s));
-  }
-  if (!r.AtEnd()) {
-    return Status::ParseError("artifact has " + std::to_string(r.remaining()) +
-                              " trailing bytes after the last section");
-  }
-  return sections;
 }
 
 }  // namespace privrec::serving

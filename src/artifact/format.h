@@ -1,9 +1,8 @@
-// Low-level .pvra container framing: little-endian fixed-width primitives
-// and the sectioned envelope (magic, version, per-section id + size +
-// CRC32). Section *payloads* are encoded/decoded in model_io.cc; this layer
-// only guarantees that what comes back out is byte-for-byte what went in,
-// and that anything else — truncation, bit flips, foreign files — turns
-// into a Status naming the damaged part instead of a crash or a silent
+// Little-endian fixed-width primitives for the metadata blobs of the
+// sharded artifact (manifest meta, shard table, shard header; see
+// artifact/shard_layout.h). The writer is byte-deterministic; the reader
+// bounds-checks every read, so a truncated or bit-flipped blob turns into
+// a Status naming the damaged section instead of a crash or a silent
 // mis-load.
 
 #ifndef PRIVREC_ARTIFACT_FORMAT_H_
@@ -12,7 +11,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 
@@ -20,7 +18,7 @@ namespace privrec::serving {
 
 // Appends little-endian fixed-width values to a byte buffer. Doubles are
 // stored as their IEEE-754 bit pattern, so encode(decode(x)) is exact and
-// the container is byte-deterministic.
+// the blob is byte-deterministic.
 class ByteWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
@@ -30,7 +28,6 @@ class ByteWriter {
   void F64(double v);
   // u32 length prefix + raw bytes.
   void Str(const std::string& s);
-  void Bytes(const void* data, size_t size);
 
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }
@@ -67,14 +64,6 @@ class ByteReader {
   size_t remaining() const { return static_cast<size_t>(end_ - p_); }
   bool AtEnd() const { return p_ == end_; }
 
-  // Current read position and raw skip, for zero-copy payload slicing.
-  const char* pos() const { return p_; }
-  bool Skip(size_t n) {
-    if (remaining() < n) return false;
-    p_ += n;
-    return true;
-  }
-
   // True iff `count` elements of `elem_size` bytes could still fit in the
   // remaining input (the decode-side sanity gate for counts).
   bool FitsCount(uint64_t count, size_t elem_size) const {
@@ -101,24 +90,6 @@ class ByteReader {
   const char* end_;
   std::string context_;
 };
-
-// One framed section: a format id plus an opaque payload.
-struct RawSection {
-  uint32_t id = 0;
-  std::string payload;
-};
-
-// Container layout:
-//   u32 magic "PVRA" | u32 version | u32 section_count
-//   then per section: u32 id | u64 payload_size | u32 crc32(payload) | payload
-std::string EncodeContainer(uint32_t version,
-                            const std::vector<RawSection>& sections);
-
-// Parses and CRC-verifies the envelope. Errors: kParseError for a foreign
-// or damaged file (message names the first bad section), kVersionMismatch
-// when the magic matches but the version is not `expected_version`.
-Result<std::vector<RawSection>> DecodeContainer(std::string_view bytes,
-                                                uint32_t expected_version);
 
 }  // namespace privrec::serving
 

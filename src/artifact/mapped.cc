@@ -258,13 +258,11 @@ Result<std::shared_ptr<const MappedArtifact>> MappedArtifact::Open(
                                 ManifestSectionName(required) + "'");
     }
   }
-  if (options.verify_crc) {
-    for (const AlignedSectionView& s : parsed->sections) {
-      Status crc = VerifySectionCrc(
-          artifact->manifest_.data(), s, what,
-          ManifestSectionName(static_cast<ManifestSectionId>(s.id)));
-      if (!crc.ok()) return crc;
-    }
+  for (const AlignedSectionView& s : parsed->sections) {
+    Status crc = VerifySectionCrc(
+        artifact->manifest_.data(), s, what,
+        ManifestSectionName(static_cast<ManifestSectionId>(s.id)));
+    if (!crc.ok()) return crc;
   }
 
   // Decode the two blob sections.
@@ -467,13 +465,11 @@ Result<std::shared_ptr<const MappedArtifact>> MappedArtifact::Open(
       return Status::DataLoss(shard_what +
                               " frame failed its CRC check (bit corruption)");
     }
-    if (options.verify_crc) {
-      for (const AlignedSectionView& sec : shard_view->sections) {
-        Status crc = VerifySectionCrc(
-            file.data(), sec, shard_what,
-            ShardSectionName(static_cast<ShardSectionId>(sec.id)));
-        if (!crc.ok()) return crc;
-      }
+    for (const AlignedSectionView& sec : shard_view->sections) {
+      Status crc = VerifySectionCrc(
+          file.data(), sec, shard_what,
+          ShardSectionName(static_cast<ShardSectionId>(sec.id)));
+      if (!crc.ok()) return crc;
     }
 
     // Byte ranges must exactly back the counts (same rule as the

@@ -1,5 +1,5 @@
-// Zero-copy access to a sharded .pvra artifact (.pvram manifest + shard
-// files, see artifact/shard_layout.h).
+// Zero-copy access to a saved artifact (.pvram manifest + shard files, see
+// artifact/shard_layout.h).
 //
 // MappedFile maps a file read-only with mmap(2) and falls back to a plain
 // read-into-buffer when mapping is unavailable or disabled
@@ -41,10 +41,6 @@ struct MapOptions {
   // portable fallback — same bytes, same semantics, RSS equal to file
   // size).
   bool use_mmap = true;
-  // Verify every payload CRC at open. Leaving this on is the default —
-  // with the slicing-by-8 CRC the full pass is still an order of
-  // magnitude cheaper than a monolithic deserialize.
-  bool verify_crc = true;
 };
 
 // use_mmap = false iff PRIVREC_NO_MMAP is set to a nonempty value other

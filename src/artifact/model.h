@@ -1,12 +1,13 @@
-// The in-memory form of a .pvra model artifact: everything the serve phase
-// is allowed to know. Produced by artifact::ModelArtifactBuilder, persisted
-// by SaveArtifact/LoadArtifact (model_io), consumed by ServingEngine.
+// The in-memory form of a model artifact: everything the serve phase is
+// allowed to know. Produced by artifact::ModelArtifactBuilder, persisted
+// by SaveShardedArtifact (artifact/shard_layout.h), consumed by
+// ServingEngine.
 //
 // Deliberately NOT here: the social graph and the private PreferenceGraph.
 // The cluster path (the paper's main mechanism) serves from the sanitized
 // sections alone. The preference CSR section is optional and exists only so
 // the four reference baselines (Exact/NOU/NOE/GS) can be served through the
-// same container for apples-to-apples accuracy comparisons; a
+// same artifact for apples-to-apples accuracy comparisons; a
 // production-shaped artifact simply omits it.
 
 #ifndef PRIVREC_ARTIFACT_MODEL_H_
@@ -17,25 +18,6 @@
 #include <vector>
 
 namespace privrec::serving {
-
-// On-disk container constants (see DESIGN.md for the field-level layout).
-inline constexpr uint32_t kArtifactMagic = 0x41525650;  // "PVRA" little-endian
-inline constexpr uint32_t kArtifactVersion = 1;
-
-// Section ids. Values are part of the on-disk format; never renumber.
-enum class SectionId : uint32_t {
-  kGraphMeta = 1,
-  kPartition = 2,
-  kWorkload = 3,
-  kNoisyTable = 4,
-  kProvenance = 5,
-  kPreferences = 6,  // optional (reference baselines only)
-  kLowRank = 7,      // optional (LRM baseline only)
-  kNoisyTableF32 = 8,  // optional (f32-quantized mirror of kNoisyTable)
-};
-
-// Stable human-readable section name for error messages.
-const char* SectionName(SectionId id);
 
 // One similarity-workload record: sim(u, v) = score for neighbor v.
 // Mirrors similarity::SimilarityEntry without depending on the similarity
@@ -48,7 +30,7 @@ struct WorkloadEntry {
   friend bool operator==(const WorkloadEntry&, const WorkloadEntry&) = default;
 };
 
-// Section 1: dataset identity and the dimensions every serve path needs.
+// graph_meta: dataset identity and the dimensions every serve path needs.
 struct GraphMetaSection {
   uint64_t graph_hash = 0;  // graph::DatasetFingerprint of (G_s, G_p)
   int64_t num_users = 0;    // |U| = social nodes = preference users
@@ -59,13 +41,13 @@ struct GraphMetaSection {
   std::string measure_name;  // similarity measure the workload was built with
 };
 
-// Section 2: createClusters output (public data only).
+// partition: createClusters output (public data only).
 struct PartitionSection {
   std::vector<int64_t> cluster_of;  // per user node
   std::vector<int64_t> sizes;       // per cluster
 };
 
-// Section 3: the similarity workload CSR (public data only).
+// workload: the similarity workload CSR (public data only).
 struct WorkloadSection {
   std::vector<uint64_t> offsets;  // num_users + 1 entries
   std::vector<WorkloadEntry> entries;
@@ -73,7 +55,7 @@ struct WorkloadSection {
   double max_entry = 0.0;
 };
 
-// Section 4: the A_w release — the only artifact content derived from the
+// noisy_table: the A_w release — the only artifact content derived from the
 // private preference graph, already ε-DP sanitized.
 struct NoisyTableSection {
   int64_t num_clusters = 0;
@@ -84,7 +66,7 @@ struct NoisyTableSection {
   int64_t nonfinite_sanitized = 0;
 };
 
-// Section 5: DP provenance — which budget bought this release.
+// provenance: DP provenance — which budget bought this release.
 struct ProvenanceSection {
   double epsilon = 0.0;
   double sensitivity = 0.0;  // per-edge bound the noise was calibrated to
@@ -92,7 +74,7 @@ struct ProvenanceSection {
   std::string ledger_id;     // BudgetLedger entry id ("" if unledgered)
 };
 
-// Section 6 (optional): raw preference CSR, user-major. Present only when
+// preferences (optional): raw preference CSR, user-major. Present only when
 // the builder is asked for reference baselines; its presence is what the
 // ServingEngine checks before constructing Exact/NOU/NOE/GS servers.
 struct PreferenceSection {
@@ -101,18 +83,19 @@ struct PreferenceSection {
   std::vector<double> weights;
 };
 
-// Section 8 (optional): the same A_w release quantized to f32, written by
-// the builder's table_f32 option. Pure post-processing of the released
-// table (no additional privacy cost); `source_crc32` is the CRC-32 of the
-// f64 value bytes it was quantized from, so a serve path can prove the
-// two widths describe the same release. The f64 section stays required —
-// global-average fallback and provenance always read full width.
+// noisy_table_f32 (optional): the same A_w release quantized to f32,
+// written by the builder's table_f32 option. Pure post-processing of the
+// released table (no additional privacy cost); `source_crc32` is the
+// CRC-32 of the f64 value bytes it was quantized from, so a serve path can
+// prove the two widths describe the same release. The f64 section stays
+// required — global-average fallback and provenance always read full
+// width.
 struct NoisyTableF32Section {
   std::vector<float> values;   // row-major [cluster][item]
   uint32_t source_crc32 = 0;   // Crc32 of the f64 values it mirrors
 };
 
-// Section 7 (optional): LRM factors W ≈ B L (row-major, dense).
+// low_rank (optional): LRM factors W ≈ B L (row-major, dense).
 struct LowRankSection {
   int64_t rank = 0;
   std::vector<double> b;  // num_users x rank

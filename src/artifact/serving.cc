@@ -6,7 +6,6 @@
 #include <numeric>
 #include <utility>
 
-#include "artifact/model_io.h"
 #include "artifact/shard_layout.h"
 #include "common/crc32.h"
 #include "common/fault_injection.h"
@@ -21,49 +20,48 @@ namespace {
 
 // ---- Engine validation ----
 
-Status Invalid(const SectionId id, const std::string& what) {
-  return Status::ParseError("artifact section '" +
-                            std::string(SectionName(id)) + "' invalid: " +
-                            what);
+Status Invalid(const char* section, const std::string& what) {
+  return Status::ParseError("artifact section '" + std::string(section) +
+                            "' invalid: " + what);
 }
 
 Status ValidateModel(const ArtifactModel& m) {
   const int64_t num_users = m.meta.num_users;
   const int64_t num_items = m.meta.num_items;
   if (num_users < 0 || num_items < 0) {
-    return Invalid(SectionId::kGraphMeta, "negative dimensions");
+    return Invalid("graph_meta", "negative dimensions");
   }
   const size_t nu = static_cast<size_t>(num_users);
 
   if (m.partition.cluster_of.size() != nu) {
-    return Invalid(SectionId::kPartition, "cluster_of size != num_users");
+    return Invalid("partition", "cluster_of size != num_users");
   }
   const int64_t num_clusters =
       static_cast<int64_t>(m.partition.sizes.size());
   for (int64_t c : m.partition.cluster_of) {
     if (c < 0 || c >= num_clusters) {
-      return Invalid(SectionId::kPartition, "cluster id out of range");
+      return Invalid("partition", "cluster id out of range");
     }
   }
 
   const auto& w = m.workload;
   if (w.offsets.size() != nu + 1 || w.offsets.front() != 0 ||
       w.offsets.back() != w.entries.size()) {
-    return Invalid(SectionId::kWorkload, "offsets do not index the entries");
+    return Invalid("workload", "offsets do not index the entries");
   }
   for (size_t k = 0; k + 1 < w.offsets.size(); ++k) {
     if (w.offsets[k] > w.offsets[k + 1]) {
-      return Invalid(SectionId::kWorkload, "offsets not monotone");
+      return Invalid("workload", "offsets not monotone");
     }
   }
   for (const WorkloadEntry& e : w.entries) {
     if (e.user < 0 || e.user >= num_users) {
-      return Invalid(SectionId::kWorkload, "entry user out of range");
+      return Invalid("workload", "entry user out of range");
     }
   }
 
   if (m.noisy.num_clusters != num_clusters) {
-    return Invalid(SectionId::kNoisyTable,
+    return Invalid("noisy_table",
                    "cluster count disagrees with the partition");
   }
   // Checked by division, not by comparing against nc * ni: the counts come
@@ -77,16 +75,16 @@ Status ValidateModel(const ArtifactModel& m) {
                     m.noisy.values.size() / ni ==
                         static_cast<size_t>(num_clusters);
   if (!noisy_sized) {
-    return Invalid(SectionId::kNoisyTable,
+    return Invalid("noisy_table",
                    "value table is not num_clusters x num_items");
   }
   if (m.noisy.sanitized.size() != static_cast<size_t>(num_clusters)) {
-    return Invalid(SectionId::kNoisyTable, "sanitized flags size mismatch");
+    return Invalid("noisy_table", "sanitized flags size mismatch");
   }
 
   if (m.has_noisy_f32) {
     if (m.noisy_f32.values.size() != m.noisy.values.size()) {
-      return Invalid(SectionId::kNoisyTableF32,
+      return Invalid("noisy_table_f32",
                      "f32 table size disagrees with the f64 table");
     }
     // The mirror must bind to THIS release: a stale f32 section quantized
@@ -94,7 +92,7 @@ Status ValidateModel(const ArtifactModel& m) {
     const uint32_t source = Crc32(m.noisy.values.data(),
                                   m.noisy.values.size() * sizeof(double));
     if (m.noisy_f32.source_crc32 != source) {
-      return Invalid(SectionId::kNoisyTableF32,
+      return Invalid("noisy_table_f32",
                      "source_crc32 does not match the f64 table it mirrors");
     }
   }
@@ -104,17 +102,17 @@ Status ValidateModel(const ArtifactModel& m) {
     if (p.offsets.size() != nu + 1 || p.offsets.front() != 0 ||
         p.offsets.back() != p.items.size() ||
         p.items.size() != p.weights.size()) {
-      return Invalid(SectionId::kPreferences,
+      return Invalid("preferences",
                      "offsets do not index the edges");
     }
     for (size_t k = 0; k + 1 < p.offsets.size(); ++k) {
       if (p.offsets[k] > p.offsets[k + 1]) {
-        return Invalid(SectionId::kPreferences, "offsets not monotone");
+        return Invalid("preferences", "offsets not monotone");
       }
     }
     for (int64_t i : p.items) {
       if (i < 0 || i >= num_items) {
-        return Invalid(SectionId::kPreferences, "item id out of range");
+        return Invalid("preferences", "item id out of range");
       }
     }
   }
@@ -131,7 +129,7 @@ Status ValidateModel(const ArtifactModel& m) {
                                    : lr.l.size() % rank == 0 &&
                                          lr.l.size() / rank == nu;
     if (lr.rank < 0 || !b_sized || !l_sized) {
-      return Invalid(SectionId::kLowRank, "factor dimensions inconsistent");
+      return Invalid("low_rank", "factor dimensions inconsistent");
     }
   }
   return Status::Ok();
@@ -632,7 +630,7 @@ Status ServingEngine::InitFromMapped() {
   const int64_t num_users = model_.meta.num_users;
   const int64_t num_items = model_.meta.num_items;
   if (num_users < 0 || num_items < 0) {
-    return Invalid(SectionId::kGraphMeta, "negative dimensions");
+    return Invalid("graph_meta", "negative dimensions");
   }
   const size_t nu = static_cast<size_t>(num_users);
   const size_t ni = static_cast<size_t>(num_items);
@@ -654,7 +652,7 @@ Status ServingEngine::InitFromMapped() {
   for (size_t u = 0; u < nu; ++u) {
     const int64_t c = cluster_of_[u];
     if (c < 0 || c >= num_clusters_) {
-      return Invalid(SectionId::kPartition, "cluster id out of range");
+      return Invalid("partition", "cluster id out of range");
     }
   }
   const std::vector<ShardTableEntry>& table = mapped_->shard_table();
@@ -669,21 +667,21 @@ Status ServingEngine::InitFromMapped() {
     total_pref += table[s].pref_edges;
   }
   if (workload_offsets_[0] != 0 || workload_offsets_[nu] != total_workload) {
-    return Invalid(SectionId::kWorkload, "offsets do not index the entries");
+    return Invalid("workload", "offsets do not index the entries");
   }
   for (size_t u = 0; u < nu; ++u) {
     if (workload_offsets_[u] > workload_offsets_[u + 1]) {
-      return Invalid(SectionId::kWorkload, "offsets not monotone");
+      return Invalid("workload", "offsets not monotone");
     }
   }
   if (model_.has_preferences) {
     if (pref_offsets_[0] != 0 || pref_offsets_[nu] != total_pref) {
-      return Invalid(SectionId::kPreferences,
+      return Invalid("preferences",
                      "offsets do not index the edges");
     }
     for (size_t u = 0; u < nu; ++u) {
       if (pref_offsets_[u] > pref_offsets_[u + 1]) {
-        return Invalid(SectionId::kPreferences, "offsets not monotone");
+        return Invalid("preferences", "offsets not monotone");
       }
     }
   }
@@ -692,14 +690,14 @@ Status ServingEngine::InitFromMapped() {
     for (uint64_t k = 0; k < table[s].workload_entries; ++k) {
       const int64_t v = sh.workload_entries[k].user;
       if (v < 0 || v >= num_users) {
-        return Invalid(SectionId::kWorkload, "entry user out of range");
+        return Invalid("workload", "entry user out of range");
       }
     }
     if (model_.has_preferences) {
       for (uint64_t k = 0; k < table[s].pref_edges; ++k) {
         const int64_t i = sh.pref_items[k];
         if (i < 0 || i >= num_items) {
-          return Invalid(SectionId::kPreferences, "item id out of range");
+          return Invalid("preferences", "item id out of range");
         }
       }
     }
@@ -747,12 +745,12 @@ Status ServingEngine::InitFromMapped() {
   }
   for (size_t s = 0; s < table.size(); ++s) {
     if (wcursor[s] != table[s].workload_entries) {
-      return Invalid(SectionId::kWorkload,
+      return Invalid("workload",
                      "shard workload rows disagree with the manifest totals");
     }
     if (model_.has_preferences && pcursor[s] != table[s].pref_edges) {
       return Invalid(
-          SectionId::kPreferences,
+          "preferences",
           "shard preference rows disagree with the manifest totals");
     }
   }
@@ -850,27 +848,22 @@ Result<ServingEngine> ServingEngine::FromMapped(
 }
 
 Result<ServingEngine> ServingEngine::Load(const std::string& path) {
-  // Sniff the container family from the magic so one entry point serves
-  // both layouts (and gives a useful error for a shard file).
+  // A shard file is an aligned container too, just not a manifest: name
+  // the mistake instead of reporting a foreign magic.
   uint32_t magic = 0;
   {
     std::ifstream in(path, std::ios::binary);
     if (in) in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  }
-  if (magic == kManifestMagic) {
-    Result<std::shared_ptr<const MappedArtifact>> mapped =
-        MappedArtifact::Open(path, MapOptionsFromEnv());
-    if (!mapped.ok()) return mapped.status();
-    return FromMapped(std::move(*mapped));
   }
   if (magic == kShardMagic) {
     return Status::InvalidArgument(
         "'" + path +
         "' is a shard file; load its .pvram manifest instead");
   }
-  Result<ArtifactModel> model = LoadArtifact(path);
-  if (!model.ok()) return model.status();
-  return FromModel(std::move(*model));
+  Result<std::shared_ptr<const MappedArtifact>> mapped =
+      MappedArtifact::Open(path, MapOptionsFromEnv());
+  if (!mapped.ok()) return mapped.status();
+  return FromMapped(std::move(*mapped));
 }
 
 Status ServingEngine::CheckGraph(uint64_t expected_hash) const {

@@ -1,9 +1,9 @@
 // ServingEngine: the online half of the build/serve split.
 //
 // An engine wraps one immutable artifact — either an owned ArtifactModel
-// (loaded from a monolithic .pvra file or handed over in memory) or a
-// zero-copy MappedArtifact view of a sharded .pvram manifest — and
-// constructs serve-side recommenders that read ONLY artifact sections.
+// handed over in memory or a zero-copy MappedArtifact view of a saved
+// .pvram manifest and its shards — and constructs serve-side recommenders
+// that read ONLY artifact sections.
 // The private PreferenceGraph type is not merely unused here — it is
 // unlinkable: the privrec_serving library must not depend on
 // privrec_graph, which CMake asserts and artifact_test verifies at the
@@ -40,16 +40,15 @@ namespace privrec::serving {
 
 class ServingEngine {
  public:
-  // Load + validate from a .pvra file or a sharded .pvram manifest — the
-  // first four bytes decide which loader runs (errors: kNotFound,
-  // kIoError, kParseError with the damaged section's name,
-  // kVersionMismatch, and for sharded sets kDataLoss / kGraphMismatch /
-  // kProvenanceMismatch / kFailedPrecondition per artifact/mapped.h).
+  // Open + validate a .pvram manifest and its shards, mapped or read per
+  // PRIVREC_NO_MMAP (errors: kNotFound, kIoError, kParseError with the
+  // damaged section's name, kVersionMismatch, kDataLoss, kGraphMismatch,
+  // kProvenanceMismatch, kFailedPrecondition per artifact/mapped.h).
   // Passing a shard file directly is kInvalidArgument: load the manifest.
   static Result<ServingEngine> Load(const std::string& path);
 
   // Adopt an in-memory model (the no-I/O serve path used by the benches).
-  // Validates internal consistency exactly like Load.
+  // Validates internal consistency before anything is served.
   static Result<ServingEngine> FromModel(ArtifactModel model);
 
   // Adopt a validated mapped artifact and serve its arrays in place. The
@@ -87,7 +86,7 @@ class ServingEngine {
   int64_t num_items() const { return model_.meta.num_items; }
   int64_t num_clusters() const { return num_clusters_; }
 
-  // Sharding topology (1 shard for monolithic/owned artifacts): the shard
+  // Sharding topology (1 shard for in-memory artifacts): the shard
   // owning each user's cluster, as reported on the statusz shard map.
   uint32_t shard_count() const { return shard_count_; }
   int32_t ShardOfUser(graph::NodeId u) const {

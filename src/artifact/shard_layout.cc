@@ -5,12 +5,18 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <string_view>
+#include <utility>
 
 #include "artifact/format.h"
 #include "common/crc32.h"
 #include "common/fault_injection.h"
 #include "common/macros.h"
+#include "common/timer.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace privrec::serving {
 
@@ -18,7 +24,7 @@ namespace privrec::serving {
 // defined as little-endian IEEE-754, which is what every supported target
 // is. A big-endian port would need byte-swapping read/write shims here.
 static_assert(std::endian::native == std::endian::little,
-              "sharded .pvra layout requires a little-endian target");
+              "the artifact layout requires a little-endian target");
 static_assert(sizeof(WorkloadEntry) == 16 &&
                   offsetof(WorkloadEntry, user) == 0 &&
                   offsetof(WorkloadEntry, score) == 8,
@@ -50,8 +56,9 @@ void PutU64(std::string* out, uint64_t v) {
   }
 }
 
-// Atomic publication, same discipline (and same fault points) as
-// SaveArtifact: temp file in the destination directory, flush, rename.
+// Atomic publication of one file: temp file in the destination
+// directory, flush, rename. A failure before the rename removes the temp
+// file and leaves `path` as it was.
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   if (fault::Hit("artifact.open") == fault::FaultKind::kIoError) {
     return Status::IoError("injected open failure for '" + path + "'");
@@ -86,6 +93,55 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
 
 std::string RawBytes(const void* data, size_t size) {
   return std::string(static_cast<const char*>(data), size);
+}
+
+// Splits a manifest path into its directory (with trailing '/', or empty)
+// and its file name.
+std::pair<std::string, std::string> SplitManifestPath(
+    const std::string& manifest_path) {
+  const size_t slash = manifest_path.rfind('/');
+  if (slash == std::string::npos) return {std::string(), manifest_path};
+  return {manifest_path.substr(0, slash + 1),
+          manifest_path.substr(slash + 1)};
+}
+
+// Whether `name` is a shard file, or a shard temp file, that a save of the
+// manifest named `base` may have written: `<base>.shard<k>`, optionally
+// followed by `.<8 hex digits>`, optionally followed by `.tmp`.
+bool IsShardFileOf(const std::string& base, std::string_view name) {
+  const std::string prefix = base + ".shard";
+  if (!name.starts_with(prefix)) return false;
+  name.remove_prefix(prefix.size());
+  const size_t digits =
+      std::min(name.find_first_not_of("0123456789"), name.size());
+  if (digits == 0) return false;
+  name.remove_prefix(digits);
+  if (name.size() >= 9 && name[0] == '.' &&
+      name.substr(1, 8).find_first_not_of("0123456789abcdef") ==
+          std::string_view::npos) {
+    name.remove_prefix(9);
+  }
+  return name.empty() || name == ".tmp";
+}
+
+// Removes the manifest's temp file and each shard file of the same base
+// whose name satisfies `doomed`.
+template <typename Predicate>
+void RemoveShardFiles(const std::string& manifest_path, Predicate doomed) {
+  const auto [dir, base] = SplitManifestPath(manifest_path);
+  std::error_code ec;
+  std::filesystem::remove(manifest_path + ".tmp", ec);
+  std::vector<std::filesystem::path> paths;
+  // The error_code overloads throughout: cleanup runs after the commit,
+  // so a failure here must not turn a committed save into an exception.
+  for (std::filesystem::directory_iterator it(dir.empty() ? "." : dir, ec);
+       !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (IsShardFileOf(base, name) && doomed(name)) {
+      paths.push_back(it->path());
+    }
+  }
+  for (const auto& path : paths) std::filesystem::remove(path, ec);
 }
 
 }  // namespace
@@ -395,6 +451,11 @@ std::vector<int64_t> ShardClusterBounds(const ArtifactModel& model,
 Status SaveShardedArtifact(const ArtifactModel& model,
                            const std::string& manifest_path,
                            const ShardingOptions& options) {
+  PRIVREC_SPAN("artifact.save");
+  static obs::Histogram& save_ms = obs::GetHistogram(
+      "privrec.artifact.save_ms", obs::ExponentialBuckets(0.1, 4.0, 10));
+  ScopedTimer timer(&save_ms);
+
   const std::vector<int64_t> bounds = ShardClusterBounds(model, options.shards);
   const auto shard_count = static_cast<uint32_t>(bounds.size() - 1);
   const uint64_t token = ArtifactToken(model);
@@ -410,13 +471,10 @@ Status SaveShardedArtifact(const ArtifactModel& model,
     }
   }
 
-  const std::string dir_sep = manifest_path.find('/') != std::string::npos
-                                  ? manifest_path.substr(
-                                        0, manifest_path.rfind('/') + 1)
-                                  : std::string();
-  const std::string base_name = manifest_path.substr(dir_sep.size());
+  const auto [dir, base_name] = SplitManifestPath(manifest_path);
 
   std::vector<ShardTableEntry> table(shard_count);
+  uint64_t total_bytes = 0;
   for (uint32_t s = 0; s < shard_count; ++s) {
     const int64_t cb = bounds[s], ce = bounds[s + 1];
 
@@ -487,18 +545,20 @@ Status SaveShardedArtifact(const ArtifactModel& model,
 
     const std::string bytes =
         EncodeAlignedContainer(kShardMagic, kShardFormatVersion, sections);
-    const std::string shard_file = base_name + ".shard" + std::to_string(s);
-    Status written = WriteFileAtomic(dir_sep + shard_file, bytes);
-    if (!written.ok()) return written;
-
+    const uint64_t frame =
+        kFrameHeaderBytes + kTableEntryBytes * sections.size();
     ShardTableEntry& e = table[s];
-    e.file = shard_file;
+    e.frame_crc32 = Crc32(bytes.data(), frame);
+    char suffix[16];
+    std::snprintf(suffix, sizeof(suffix), ".%08x", e.frame_crc32);
+    e.file = base_name + ".shard" + std::to_string(s) + suffix;
+    Status written = WriteFileAtomic(dir + e.file, bytes);
+    if (!written.ok()) return written;
+    total_bytes += bytes.size();
+
     e.cluster_begin = cb;
     e.cluster_end = ce;
     e.file_size = bytes.size();
-    const uint64_t frame =
-        kFrameHeaderBytes + kTableEntryBytes * sections.size();
-    e.frame_crc32 = Crc32(bytes.data(), frame);
     e.noisy_values = static_cast<uint64_t>(ce - cb) * num_items;
     e.workload_entries = entry_count;
     e.pref_edges = pref_count;
@@ -560,9 +620,25 @@ Status SaveShardedArtifact(const ArtifactModel& model,
                   model.lowrank.l.size() * sizeof(double))});
   }
 
-  return WriteFileAtomic(
-      manifest_path,
-      EncodeAlignedContainer(kManifestMagic, kShardFormatVersion, sections));
+  const std::string bytes =
+      EncodeAlignedContainer(kManifestMagic, kShardFormatVersion, sections);
+  Status committed = WriteFileAtomic(manifest_path, bytes);
+  if (!committed.ok()) return committed;
+  RemoveShardFiles(manifest_path, [&](const std::string& name) {
+    return std::none_of(
+        table.begin(), table.end(),
+        [&](const ShardTableEntry& e) { return e.file == name; });
+  });
+
+  static obs::Gauge& bytes_gauge = obs::GetGauge("privrec.artifact.bytes");
+  bytes_gauge.Set(static_cast<double>(total_bytes + bytes.size()));
+  return Status::Ok();
+}
+
+void RemoveSaveDebris(const std::string& manifest_path) {
+  RemoveShardFiles(manifest_path, [](const std::string& name) {
+    return name.ends_with(".tmp");
+  });
 }
 
 }  // namespace privrec::serving

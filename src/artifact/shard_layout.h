@@ -1,4 +1,4 @@
-// The sharded .pvra layout: one .pvram manifest plus K shard files, all
+// The artifact layout: one .pvram manifest plus K >= 1 shard files, all
 // framed as "aligned containers" — a fixed header, an up-front section
 // table, and section payloads placed at 64-byte-aligned file offsets with
 // zero padding between them. The alignment is the point: the noisy-table
@@ -40,8 +40,8 @@
 
 namespace privrec::serving {
 
-// "PVRM" / "PVRS" little-endian. Distinct from kArtifactMagic ("PVRA") so
-// ServingEngine::Load can sniff which loader a path needs.
+// "PVRM" / "PVRS" little-endian: a manifest and a shard file are told apart
+// by their first four bytes.
 inline constexpr uint32_t kManifestMagic = 0x4D525650;
 inline constexpr uint32_t kShardMagic = 0x53525650;
 inline constexpr uint32_t kShardFormatVersion = 1;
@@ -117,8 +117,9 @@ Result<AlignedContainerView> ParseAlignedContainer(const char* data,
 
 // ---- Manifest / shard metadata blobs ----
 
-// Everything global and scalar-sized: the monolithic sections 1/5 plus the
-// scalars of 3/4 and 7 whose arrays moved into shards or raw sections.
+// Everything global and scalar-sized: graph meta and provenance whole,
+// plus the scalars of the workload, noisy table and low-rank sections
+// whose arrays live in shards or raw manifest sections.
 struct ManifestMeta {
   GraphMetaSection meta;
   ProvenanceSection provenance;
@@ -148,7 +149,9 @@ struct ManifestMeta {
 };
 
 struct ShardTableEntry {
-  std::string file;  // relative to the manifest's directory
+  // Relative to the manifest's directory. The only record of the name: a
+  // save derives it from the shard's content (see SaveShardedArtifact).
+  std::string file;
   int64_t cluster_begin = 0;
   int64_t cluster_end = 0;
   uint64_t file_size = 0;
@@ -196,14 +199,28 @@ struct ShardingOptions {
 std::vector<int64_t> ShardClusterBounds(const ArtifactModel& model,
                                         int64_t shards);
 
-// Writes `manifest_path` plus sibling `<manifest_path>.shard<k>` files.
-// Every file is published atomically (same-directory temp + rename) and
-// the manifest is written LAST, so a crash mid-save never leaves a
-// manifest naming a missing or torn shard. Shares the artifact.open /
-// artifact.write / artifact.rename fault points with SaveArtifact.
+// Writes `manifest_path` plus one shard file per cluster range in the same
+// directory, named by content: `<manifest name>.shard<k>.<frame crc32>`
+// (8 lowercase hex digits; the frame CRC covers every payload CRC). Each
+// file is written to a sibling `.tmp` and renamed into place, and the
+// manifest's rename is the one commit point. A save therefore never
+// renames over a shard the live manifest names unless the bytes are the
+// same, so a failure at any step leaves the previous artifact loadable
+// as it was. After the commit, the shard and temp files of the same
+// manifest name that the new table does not name are removed.
+//
+// Instrumented (span artifact.save, histogram privrec.artifact.save_ms,
+// gauge privrec.artifact.bytes = manifest + shard bytes) and faultable:
+// artifact.open / artifact.write / artifact.rename are hit once per file,
+// shards first, so the manifest is hit K + 1.
 Status SaveShardedArtifact(const ArtifactModel& model,
                            const std::string& manifest_path,
-                           const ShardingOptions& options);
+                           const ShardingOptions& options = {});
+
+// Removes what a save of `manifest_path` that died mid-write leaves
+// behind: the manifest's and every shard's `.tmp` file. Committed files
+// are never touched.
+void RemoveSaveDebris(const std::string& manifest_path);
 
 }  // namespace privrec::serving
 

@@ -47,7 +47,7 @@ struct ClusterRecommenderOptions {
 
 // The full A_w output: the noisy table plus the sanitation diagnostics the
 // reconstruction step needs. This is exactly what the artifact builder
-// persists into the noisy-table section of a .pvra model — serving needs
+// persists into the noisy rows of a .pvram artifact — serving needs
 // nothing else from the private phase.
 struct ClusterRelease {
   std::vector<double> values;  // row-major [cluster][item]

@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "artifact/builder.h"
-#include "artifact/model_io.h"
 #include "artifact/serving.h"
+#include "artifact/shard_layout.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
 #include "core/cluster_recommender.h"
@@ -16,6 +16,10 @@
 #include "obs/trace.h"
 
 namespace privrec::core {
+
+std::string SnapshotArtifactPath(const std::string& artifact_dir, int64_t t) {
+  return artifact_dir + "/snapshot_" + std::to_string(t) + ".pvram";
+}
 
 DynamicRecommenderSession::DynamicRecommenderSession(
     const DynamicRecommenderOptions& options)
@@ -158,11 +162,10 @@ Result<SnapshotRelease> DynamicRecommenderSession::ProcessSnapshot(
       return Status::IoError("cannot create artifact dir '" +
                              options_.artifact_dir + "': " + ec.message());
     }
-    const std::string path = options_.artifact_dir + "/snapshot_" +
-                             std::to_string(t) + ".pvra";
-    // A crash mid-save leaves a temp file next to the destination; it is
+    const std::string path = SnapshotArtifactPath(options_.artifact_dir, t);
+    // A crash mid-save leaves temp files next to the destination; they are
     // garbage from a torn write, never a resumable artifact.
-    std::filesystem::remove(path + ".tmp", ec);
+    serving::RemoveSaveDebris(path);
 
     artifact::ModelArtifactBuilder builder(context.social,
                                            context.preferences);
@@ -200,7 +203,7 @@ Result<SnapshotRelease> DynamicRecommenderSession::ProcessSnapshot(
               : options_.ledger_path + "#" + std::to_string(t);
       Result<serving::ArtifactModel> model = builder.Build(build_options);
       if (!model.ok()) return model.status();
-      Status saved = serving::SaveArtifact(*model, path);
+      Status saved = serving::SaveShardedArtifact(*model, path);
       if (!saved.ok()) return saved;
       Result<serving::ServingEngine> loaded =
           serving::ServingEngine::Load(path);

@@ -70,12 +70,16 @@ struct DynamicRecommenderOptions {
   // kStaleReplay) instead of failing with RESOURCE_EXHAUSTED.
   bool serve_stale_on_exhaustion = false;
   // Non-empty: route each snapshot through the two-phase pipeline — build
-  // a model artifact, save it as <artifact_dir>/snapshot_<t>.pvra, load it
-  // back, and serve the release from the artifact (bit-identical to the
-  // in-process path). The saved artifacts are the session's audit trail:
-  // each records its ε_t, seed, and ledger id in its provenance section.
+  // a model artifact, save it as SnapshotArtifactPath(artifact_dir, t),
+  // load it back, and serve the release from the artifact (bit-identical
+  // to the in-process path). The saved artifacts are the session's audit
+  // trail: each records its ε_t, seed, and ledger id in its provenance.
   std::string artifact_dir;
 };
+
+// Where a session with `artifact_dir` saves snapshot t's artifact:
+// <artifact_dir>/snapshot_<t>.pvram.
+std::string SnapshotArtifactPath(const std::string& artifact_dir, int64_t t);
 
 struct SnapshotRelease {
   std::vector<RecommendationList> lists;

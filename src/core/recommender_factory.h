@@ -6,7 +6,7 @@
 // Two construction paths behind the same Recommender interface:
 //   - legacy in-memory (MakeRecommender over a RecommenderContext), and
 //   - artifact-backed (spec.engine set, or MakeArtifactRecommender),
-//     which adapts a serving::ServeRecommender over a loaded .pvra model
+//     which adapts a serving::ServeRecommender over a loaded model
 //     so callers cannot tell the two apart.
 
 #ifndef PRIVREC_CORE_RECOMMENDER_FACTORY_H_

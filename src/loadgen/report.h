@@ -126,16 +126,15 @@ struct TelemetryReport {
 
 // Renders the full BENCH_serve.json document. `mode` is "virtual" or
 // "wall"; `threads` the request-thread count (1 for virtual);
-// swap_period_ms <= 0 means the storm was off. `shards` is the
-// artifact layout the run served: 0 for monolithic .pvra, K > 0 for a
-// K-shard .pvram set over the mmap zero-copy path. `telemetry`, when
+// swap_period_ms <= 0 means the storm was off. `shards` is the shard
+// count K of the .pvram artifacts the run served. `telemetry`, when
 // non-null, adds the per-window SLO trajectory and alert list.
 std::string LoadReportJson(const LoadSpec& spec, int64_t swap_period_ms,
                            const LoadSummary& summary,
                            const SloBudget& budget,
                            const SloVerdict& verdict,
                            const std::string& mode, int64_t threads,
-                           int64_t shards = 0,
+                           int64_t shards = 1,
                            const TelemetryReport* telemetry = nullptr);
 
 }  // namespace privrec::loadgen

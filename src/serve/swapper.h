@@ -5,7 +5,7 @@
 // release (the published (cluster, item) table plus its public sections),
 // so swapping generations is pointer publication, not state migration:
 //
-//   1. LoadArtifact + ServingEngine validation run OFF the request path,
+//   1. ServingEngine::Load + validation run OFF the request path,
 //      on the caller's (reload) thread;
 //   2. the PR-4 compatibility gates run against the swap policy — graph
 //      fingerprint pinned to the current epoch by default, ε/provenance

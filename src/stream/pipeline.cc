@@ -128,9 +128,8 @@ Result<PublishOutcome> StreamPipeline::Republish(
   ++publishes_;
 
   if (!options_.session.artifact_dir.empty()) {
-    outcome.artifact_path = options_.session.artifact_dir + "/snapshot_" +
-                            std::to_string(outcome.release.snapshot_index) +
-                            ".pvra";
+    outcome.artifact_path = core::SnapshotArtifactPath(
+        options_.session.artifact_dir, outcome.release.snapshot_index);
     if (runtime_ != nullptr) {
       outcome.swap_status = runtime_->Activate(outcome.artifact_path);
       outcome.swapped = outcome.swap_status.ok();

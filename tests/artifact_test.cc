@@ -1,8 +1,9 @@
-// Tests for the two-phase build/serve split: .pvra round-trip bit-identity
-// for every mechanism at every thread count, byte-determinism of the saved
-// container, the compatibility gates (version / graph / ε-provenance, each
-// with its own status code), corruption robustness, and the privacy
-// isolation of the serving layer.
+// Tests for the two-phase build/serve split: build→save→load→serve
+// round-trip bit-identity against the in-memory core path for every
+// mechanism at every thread count, the compatibility gates (graph /
+// ε-provenance / missing sections, each with its own status code), and the
+// privacy isolation of the serving layer. File-level robustness of the
+// saved .pvram artifact lives in sharded_artifact_test.
 
 // The isolation guarantee, checked at the include level: the serving
 // headers are included FIRST, and must not (transitively) pull in the
@@ -10,9 +11,9 @@
 // privrec_serving from linking privrec_graph.
 #include "artifact/format.h"
 #include "artifact/model.h"
-#include "artifact/model_io.h"
 #include "artifact/reconstruct.h"
 #include "artifact/serving.h"
+#include "artifact/shard_layout.h"
 
 #if defined(PRIVREC_GRAPH_PREFERENCE_GRAPH_H_) || \
     defined(PRIVREC_GRAPH_SOCIAL_GRAPH_H_)
@@ -21,14 +22,12 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "artifact/builder.h"
-#include "common/fault_injection.h"
 #include "common/parallel.h"
 #include "community/louvain.h"
 #include "core/dynamic_recommender.h"
@@ -42,19 +41,6 @@ namespace {
 namespace fs = std::filesystem;
 
 using core::RecommendationList;
-
-std::string ReadAllBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteAllBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
 
 class ArtifactTest : public ::testing::Test {
  protected:
@@ -101,7 +87,7 @@ class ArtifactTest : public ::testing::Test {
     auto model = builder.Build(build_options);
     EXPECT_TRUE(model.ok()) << model.status().ToString();
     const std::string path = Path(name);
-    Status saved = serving::SaveArtifact(*model, path);
+    Status saved = serving::SaveShardedArtifact(*model, path);
     EXPECT_TRUE(saved.ok()) << saved.ToString();
     auto engine = serving::ServingEngine::Load(path);
     EXPECT_TRUE(engine.ok()) << engine.status().ToString();
@@ -154,10 +140,10 @@ TEST_F(ArtifactTest, ClusterRoundTripBitIdentityAcrossThreadCounts) {
     artifact::BuildOptions build_options;
     build_options.epsilon = kEps;
     build_options.seed = kSeed;
-    EXPECT_EQ(BuildSaveLoadServe(builder, build_options, spec, "c0.pvra"),
+    EXPECT_EQ(BuildSaveLoadServe(builder, build_options, spec, "c0.pvram"),
               reference[0])
         << threads;
-    EXPECT_EQ(BuildSaveLoadServe(builder, build_options, spec, "c1.pvra"),
+    EXPECT_EQ(BuildSaveLoadServe(builder, build_options, spec, "c1.pvram"),
               reference[1])
         << threads;
   }
@@ -177,8 +163,8 @@ TEST_F(ArtifactTest, BaselinesRoundTripBitIdentityAcrossThreadCounts) {
   build_options.lrm_seed = kSeed;
   auto model = builder.Build(build_options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
-  const std::string path = Path("full.pvra");
-  ASSERT_TRUE(serving::SaveArtifact(*model, path).ok());
+  const std::string path = Path("full.pvram");
+  ASSERT_TRUE(serving::SaveShardedArtifact(*model, path).ok());
 
   for (const char* mechanism : {"Exact", "NOU", "NOE", "GS", "LRM"}) {
     // Reference: two successive calls at one thread.
@@ -215,54 +201,7 @@ TEST_F(ArtifactTest, BaselinesRoundTripBitIdentityAcrossThreadCounts) {
   }
 }
 
-// Two independent builders with identical options must emit identical
-// bytes, even at different thread counts — .pvra files are reproducible
-// build products (no timestamps, deterministic noise).
-TEST_F(ArtifactTest, SavedBytesAreDeterministicAcrossThreadCounts) {
-  artifact::BuildOptions build_options;
-  build_options.epsilon = kEps;
-  build_options.seed = kSeed;
-  build_options.include_lowrank = true;
-  build_options.lrm_target_rank = 8;
-
-  std::string first;
-  for (int64_t threads : {int64_t{1}, int64_t{2}, HardwareThreads()}) {
-    ScopedThreadCount scoped(threads);
-    artifact::ModelArtifactBuilder builder = MakeBuilder();
-    auto model = builder.Build(build_options);
-    ASSERT_TRUE(model.ok()) << model.status().ToString();
-    const std::string path = Path("det_" + std::to_string(threads) + ".pvra");
-    ASSERT_TRUE(serving::SaveArtifact(*model, path).ok());
-    std::string bytes = ReadAllBytes(path);
-    ASSERT_FALSE(bytes.empty());
-    if (first.empty()) {
-      first = bytes;
-    } else {
-      EXPECT_EQ(bytes, first) << "threads=" << threads;
-    }
-  }
-}
-
 // ------------------------------------------------------------------ gates
-
-TEST_F(ArtifactTest, VersionGateRefusesFutureFormat) {
-  artifact::ModelArtifactBuilder builder = MakeBuilder();
-  auto model = builder.Build({.epsilon = kEps, .seed = kSeed});
-  ASSERT_TRUE(model.ok());
-  const std::string path = Path("v.pvra");
-  ASSERT_TRUE(serving::SaveArtifact(*model, path).ok());
-
-  // The version field is the u32 after the magic; bump it.
-  std::string bytes = ReadAllBytes(path);
-  ASSERT_GT(bytes.size(), 8u);
-  bytes[4] = static_cast<char>(bytes[4] + 1);
-  WriteAllBytes(path, bytes);
-
-  auto engine = serving::ServingEngine::Load(path);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kVersionMismatch)
-      << engine.status().ToString();
-}
 
 TEST_F(ArtifactTest, GraphGateRefusesMismatchedFingerprint) {
   artifact::ModelArtifactBuilder builder = MakeBuilder();
@@ -334,112 +273,6 @@ TEST_F(ArtifactTest, MissingSectionsAreFailedPreconditions) {
             StatusCode::kInvalidArgument);
 }
 
-// ------------------------------------------------------------- corruption
-
-TEST_F(ArtifactTest, TruncatedFileIsAParseErrorNotACrash) {
-  artifact::ModelArtifactBuilder builder = MakeBuilder();
-  auto model = builder.Build({.epsilon = kEps, .seed = kSeed});
-  ASSERT_TRUE(model.ok());
-  const std::string path = Path("t.pvra");
-  ASSERT_TRUE(serving::SaveArtifact(*model, path).ok());
-  const std::string bytes = ReadAllBytes(path);
-
-  // Every truncation point must fail cleanly with a section-naming parse
-  // error (or version/magic error for header cuts), never crash or load.
-  for (double frac : {0.02, 0.3, 0.6, 0.95}) {
-    const std::string cut =
-        bytes.substr(0, static_cast<size_t>(bytes.size() * frac));
-    WriteAllBytes(path, cut);
-    auto engine = serving::ServingEngine::Load(path);
-    ASSERT_FALSE(engine.ok()) << "frac=" << frac;
-    EXPECT_EQ(engine.status().code(), StatusCode::kParseError)
-        << engine.status().ToString();
-    EXPECT_NE(engine.status().message().find("artifact"), std::string::npos)
-        << engine.status().ToString();
-  }
-}
-
-TEST_F(ArtifactTest, BitFlipFailsTheSectionCrc) {
-  artifact::ModelArtifactBuilder builder = MakeBuilder();
-  auto model = builder.Build({.epsilon = kEps, .seed = kSeed});
-  ASSERT_TRUE(model.ok());
-  const std::string path = Path("b.pvra");
-  ASSERT_TRUE(serving::SaveArtifact(*model, path).ok());
-  const std::string bytes = ReadAllBytes(path);
-
-  for (double frac : {0.2, 0.5, 0.9}) {
-    std::string flipped = bytes;
-    flipped[static_cast<size_t>(flipped.size() * frac)] ^= 0x10;
-    WriteAllBytes(path, flipped);
-    auto engine = serving::ServingEngine::Load(path);
-    // A flip may land in a section-size field (truncation error) or a
-    // payload (CRC error); silently loading damaged data is the only
-    // unacceptable outcome.
-    ASSERT_FALSE(engine.ok()) << "frac=" << frac;
-    EXPECT_EQ(engine.status().code(), StatusCode::kParseError)
-        << engine.status().ToString();
-    EXPECT_NE(engine.status().message().find("artifact section"),
-              std::string::npos)
-        << engine.status().ToString();
-  }
-}
-
-TEST_F(ArtifactTest, InjectedIoFaultsSurfaceAsStatusErrors) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
-  artifact::ModelArtifactBuilder builder = MakeBuilder();
-  auto model = builder.Build({.epsilon = kEps, .seed = kSeed});
-  ASSERT_TRUE(model.ok());
-  const std::string path = Path("f.pvra");
-
-  {
-    fault::ScopedFaultInjection scope(
-        "artifact.open", fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-    EXPECT_EQ(serving::SaveArtifact(*model, path).code(),
-              StatusCode::kIoError);
-  }
-  {
-    fault::ScopedFaultInjection scope(
-        "artifact.write",
-        fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-    EXPECT_EQ(serving::SaveArtifact(*model, path).code(),
-              StatusCode::kIoError);
-  }
-  ASSERT_TRUE(serving::SaveArtifact(*model, path).ok());
-  {
-    fault::ScopedFaultInjection scope(
-        "artifact.open", fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-    EXPECT_EQ(serving::ServingEngine::Load(path).status().code(),
-              StatusCode::kIoError);
-  }
-  {
-    fault::ScopedFaultInjection scope(
-        "artifact.read", fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-    EXPECT_EQ(serving::ServingEngine::Load(path).status().code(),
-              StatusCode::kIoError);
-  }
-  {
-    // A short read behaves exactly like a truncated file on disk.
-    fault::ScopedFaultInjection scope(
-        "artifact.read",
-        fault::FaultSpec{.kind = fault::FaultKind::kShortRead});
-    auto engine = serving::ServingEngine::Load(path);
-    ASSERT_FALSE(engine.ok());
-    EXPECT_EQ(engine.status().code(), StatusCode::kParseError)
-        << engine.status().ToString();
-  }
-  EXPECT_TRUE(serving::ServingEngine::Load(path).ok());
-}
-
-TEST_F(ArtifactTest, NotAnArtifactFileIsRejectedByMagic) {
-  const std::string path = Path("noise.pvra");
-  WriteAllBytes(path, "definitely not a model artifact");
-  auto engine = serving::ServingEngine::Load(path);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kParseError);
-  EXPECT_EQ(serving::ServingEngine::Load(Path("missing.pvra")).status().code(),
-            StatusCode::kNotFound);
-}
-
 // ---------------------------------------------------------------- factory
 
 TEST_F(ArtifactTest, FactoryServesFromAnEngineBehindTheSameInterface) {
@@ -498,8 +331,8 @@ TEST_F(ArtifactTest, DynamicSessionArtifactRouteMatchesInMemory) {
     EXPECT_EQ(a->lists, b->lists) << "snapshot " << t;
     EXPECT_EQ(a->epsilon_spent, b->epsilon_spent);
     // The snapshot's audit artifact landed on disk.
-    EXPECT_TRUE(fs::exists(Path("snapshots/snapshot_" + std::to_string(t) +
-                                ".pvra")));
+    EXPECT_TRUE(fs::exists(
+        core::SnapshotArtifactPath(Path("snapshots"), t)));
   }
 }
 

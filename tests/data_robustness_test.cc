@@ -2,14 +2,17 @@
 // per-defect-class LoadReport accounting, truncated/empty/BOM/CRLF inputs,
 // injected I/O faults and bounded retry.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "artifact/builder.h"
-#include "artifact/model_io.h"
+#include "artifact/serving.h"
+#include "artifact/shard_layout.h"
 #include "common/fault_injection.h"
 #include "community/louvain.h"
 #include "community/partition_io.h"
@@ -472,10 +475,11 @@ TEST_F(LastFmRobustnessTest, TransientReadFaultIsRetriedAway) {
 
 // ------------------------------------------------- atomic artifact saves
 
-// SaveArtifact publishes via write-temp-then-rename: a crash (simulated by
-// a fault between the temp write and the rename) must leave the previous
-// artifact byte-intact and no temp debris a reloader could mistake for a
-// release.
+// SaveShardedArtifact publishes every file via write-temp-then-rename and
+// commits with the manifest's rename, the last of K + 1. A crash
+// (simulated by a fault at the manifest's hit, after every new shard is
+// already in place) must leave the previous artifact loadable as it was,
+// and no temp debris a reloader could mistake for a release.
 class ArtifactSaveRobustnessTest : public DataRobustnessTest {
  protected:
   serving::ArtifactModel BuildModel(uint64_t seed) {
@@ -490,6 +494,42 @@ class ArtifactSaveRobustnessTest : public DataRobustnessTest {
     return std::move(*model);
   }
 
+  std::string Manifest() const { return (dir_ / "model.pvram").string(); }
+
+  Status Save(uint64_t seed) {
+    return serving::SaveShardedArtifact(BuildModel(seed), Manifest(),
+                                        {.shards = kShards});
+  }
+
+  // The seed of the artifact on disk, or the load error.
+  Result<uint64_t> LoadedSeed() const {
+    auto engine = serving::ServingEngine::Load(Manifest());
+    if (!engine.ok()) return engine.status();
+    return engine->model().provenance.seed;
+  }
+
+  // Every file in the directory besides the manifest is a shard the
+  // manifest names: no stale generation, no temp file.
+  void ExpectOnlyNamedFiles() const {
+    auto mapped = serving::MappedArtifact::Open(Manifest(), {});
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    std::vector<std::string> expected = {"model.pvram"};
+    for (const serving::ShardTableEntry& e : (*mapped)->shard_table()) {
+      expected.push_back(e.file);
+    }
+    std::vector<std::string> found;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      found.push_back(entry.path().filename().string());
+    }
+    std::sort(expected.begin(), expected.end());
+    std::sort(found.begin(), found.end());
+    EXPECT_EQ(found, expected);
+  }
+
+  // Two clusters, so two shards: the manifest is file K + 1 = 3.
+  static constexpr int64_t kShards = 2;
+  static constexpr int64_t kManifestHit = kShards + 1;
+
   graph::SocialGraph social_ =
       graph::SocialGraph::FromEdges(5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
   graph::PreferenceGraph prefs_ = graph::PreferenceGraph::FromEdges(
@@ -501,47 +541,50 @@ class ArtifactSaveRobustnessTest : public DataRobustnessTest {
 };
 
 TEST_F(ArtifactSaveRobustnessTest, SuccessfulSaveLeavesNoTempFile) {
-  const std::string path = (dir_ / "model.pvra").string();
-  serving::ArtifactModel model = BuildModel(5);
-  ASSERT_TRUE(serving::SaveArtifact(model, path).ok());
-  EXPECT_TRUE(fs::exists(path));
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  EXPECT_TRUE(serving::LoadArtifact(path).ok());
+  ASSERT_TRUE(Save(5).ok());
+  EXPECT_EQ(LoadedSeed().value(), 5u);
+  ExpectOnlyNamedFiles();
+
+  // An overwrite replaces every shard of the old generation.
+  ASSERT_TRUE(Save(6).ok());
+  EXPECT_EQ(LoadedSeed().value(), 6u);
+  ExpectOnlyNamedFiles();
 }
 
 TEST_F(ArtifactSaveRobustnessTest, CrashBeforeRenameKeepsOldArtifact) {
   if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
-  const std::string path = (dir_ / "model.pvra").string();
-  ASSERT_TRUE(serving::SaveArtifact(BuildModel(5), path).ok());
+  ASSERT_TRUE(Save(5).ok());
 
-  // The overwrite "crashes" after fully writing the temp file, before the
-  // rename: the published artifact must still be generation 5.
+  // The overwrite "crashes" after the new shards are in place and the
+  // manifest's temp file is fully written, before its rename: the
+  // published artifact must still be generation 5.
   fault::ScopedFaultInjection scope(
       "artifact.rename",
-      fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-  Status failed = serving::SaveArtifact(BuildModel(6), path);
+      fault::FaultSpec{.kind = fault::FaultKind::kIoError,
+                       .first_hit = kManifestHit});
+  Status failed = Save(6);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.code(), StatusCode::kIoError);
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  EXPECT_FALSE(fs::exists(Manifest() + ".tmp"));
 
-  auto survivor = serving::LoadArtifact(path);
+  Result<uint64_t> survivor = LoadedSeed();
   ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
-  EXPECT_EQ(survivor->provenance.seed, 5u);
+  EXPECT_EQ(*survivor, 5u);
 }
 
 TEST_F(ArtifactSaveRobustnessTest, WriteFaultNeverTouchesDestination) {
   if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
-  const std::string path = (dir_ / "model.pvra").string();
-  ASSERT_TRUE(serving::SaveArtifact(BuildModel(5), path).ok());
+  ASSERT_TRUE(Save(5).ok());
 
   fault::ScopedFaultInjection scope(
       "artifact.write",
-      fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-  ASSERT_FALSE(serving::SaveArtifact(BuildModel(6), path).ok());
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  auto survivor = serving::LoadArtifact(path);
-  ASSERT_TRUE(survivor.ok());
-  EXPECT_EQ(survivor->provenance.seed, 5u);
+      fault::FaultSpec{.kind = fault::FaultKind::kIoError,
+                       .first_hit = kManifestHit});
+  ASSERT_FALSE(Save(6).ok());
+  EXPECT_FALSE(fs::exists(Manifest() + ".tmp"));
+  Result<uint64_t> survivor = LoadedSeed();
+  ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
+  EXPECT_EQ(*survivor, 5u);
 }
 
 }  // namespace

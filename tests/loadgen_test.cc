@@ -13,15 +13,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "artifact_files.h"
 #include "artifact/builder.h"
-#include "artifact/model_io.h"
+#include "artifact/shard_layout.h"
 #include "common/parallel.h"
 #include "community/louvain.h"
 #include "data/synthetic.h"
@@ -272,21 +272,15 @@ class LoadHarnessTest : public ::testing::Test {
     auto model = builder.Build(build_options);
     EXPECT_TRUE(model.ok()) << model.status().ToString();
     const std::string path = (dir_ / name).string();
-    Status saved = serving::SaveArtifact(*model, path);
+    Status saved = serving::SaveShardedArtifact(*model, path);
     EXPECT_TRUE(saved.ok()) << saved.ToString();
     return path;
   }
 
   std::string CorruptCopy(const std::string& source,
                           const std::string& name) {
-    std::ifstream in(source, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    EXPECT_GT(bytes.size(), 400u);
-    bytes[300] = static_cast<char>(bytes[300] ^ 0x20);
     const std::string path = (dir_ / name).string();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    test_artifacts::CorruptManifestCopy(source, path);
     return path;
   }
 
@@ -319,7 +313,7 @@ class LoadHarnessTest : public ::testing::Test {
 };
 
 TEST_F(LoadHarnessTest, RunVirtualIsDeterministicAcrossFreshRuntimes) {
-  const std::string path = BuildArtifact("a.pvra", 101);
+  const std::string path = BuildArtifact("a.pvram", 101);
 
   auto run_once = [&]() -> LoadSummary {
     serve::ManualClock clock;
@@ -355,7 +349,7 @@ TEST_F(LoadHarnessTest, RunVirtualIsDeterministicAcrossFreshRuntimes) {
 // worker thread counts (the sink never reads a clock or RNG; time enters
 // only through the events).
 TEST_F(LoadHarnessTest, TelemetryStreamIsByteIdenticalAcrossRunsAndThreads) {
-  const std::string path = BuildArtifact("a.pvra", 101);
+  const std::string path = BuildArtifact("a.pvram", 101);
 
   struct Capture {
     std::string jsonl;
@@ -403,7 +397,7 @@ TEST_F(LoadHarnessTest, TelemetryStreamIsByteIdenticalAcrossRunsAndThreads) {
 }
 
 TEST_F(LoadHarnessTest, OverloadedRunShedsWithLoadAwareHints) {
-  const std::string path = BuildArtifact("a.pvra", 101);
+  const std::string path = BuildArtifact("a.pvram", 101);
   serve::ManualClock clock;
   serve::ServeRuntimeOptions options = RuntimeOptions(&clock);
   options.admission.max_concurrency = 1;  // choke point
@@ -426,9 +420,9 @@ TEST_F(LoadHarnessTest, OverloadedRunShedsWithLoadAwareHints) {
 }
 
 TEST_F(LoadHarnessTest, SwapStormRunStaysCorrectAndRollsBack) {
-  const std::string good_a = BuildArtifact("good_a.pvra", 101);
-  const std::string good_b = BuildArtifact("good_b.pvra", 202);
-  const std::string corrupt = CorruptCopy(good_a, "bitflip.pvra");
+  const std::string good_a = BuildArtifact("good_a.pvram", 101);
+  const std::string good_b = BuildArtifact("good_b.pvram", 202);
+  const std::string corrupt = CorruptCopy(good_a, "bitflip.pvram");
 
   serve::ManualClock clock;
   serve::ServeRuntime runtime(RuntimeOptions(&clock));
@@ -464,7 +458,7 @@ TEST_F(LoadHarnessTest, SwapStormRunStaysCorrectAndRollsBack) {
 // ------------------------------------------------------------ oracle
 
 TEST_F(LoadHarnessTest, OracleFlagsTamperedAndForeignResponses) {
-  const std::string path = BuildArtifact("a.pvra", 101);
+  const std::string path = BuildArtifact("a.pvram", 101);
   serving::ServeSpec spec;
   spec.mechanism = "Cluster";
   spec.epsilon = kEps;
@@ -496,7 +490,7 @@ TEST_F(LoadHarnessTest, OracleFlagsTamperedAndForeignResponses) {
 }
 
 TEST_F(LoadHarnessTest, OracleRejectsStatefulMechanisms) {
-  const std::string path = BuildArtifact("a.pvra", 101);
+  const std::string path = BuildArtifact("a.pvram", 101);
   serving::ServeSpec fresh;
   fresh.mechanism = "ClusterFresh";
   fresh.epsilon = kEps;

@@ -35,8 +35,8 @@
 
 #include <gtest/gtest.h>
 
+#include "artifact_files.h"
 #include "artifact/builder.h"
-#include "artifact/model_io.h"
 #include "artifact/serving.h"
 #include "artifact/shard_layout.h"
 #include "common/fault_injection.h"
@@ -102,11 +102,11 @@ TEST(ServeChaosSoak, HotSwapsUnderFaultsAndConcurrentRequests) {
     auto model = builder.Build(build_options);
     EXPECT_TRUE(model.ok()) << model.status().ToString();
     const std::string path = (dir / name).string();
-    EXPECT_TRUE(serving::SaveArtifact(*model, path).ok());
+    EXPECT_TRUE(serving::SaveShardedArtifact(*model, path).ok());
     return path;
   };
-  const std::string good_a = build("good_a.pvra", 101);
-  const std::string good_b = build("good_b.pvra", 202);
+  const std::string good_a = build("good_a.pvram", 101);
+  const std::string good_b = build("good_b.pvram", 202);
 
   // The oracle: per-generation expected output, precomputed once. Cluster
   // serving is stateless post-processing of the frozen release, so EVERY
@@ -127,14 +127,12 @@ TEST(ServeChaosSoak, HotSwapsUnderFaultsAndConcurrentRequests) {
   }
   ASSERT_EQ(expected.size(), 2u);
 
-  // Corruptions: a payload bit flip (CRC failure) and a truncation.
-  const std::string bitflip = (dir / "bitflip.pvra").string();
-  const std::string trunc = (dir / "trunc.pvra").string();
+  // Corruptions, as manifest copies that name the good shard files: a
+  // payload bit flip (CRC failure) and a truncation.
+  const std::string bitflip = (dir / "bitflip.pvram").string();
+  const std::string trunc = (dir / "trunc.pvram").string();
+  test_artifacts::CorruptManifestCopy(good_a, bitflip);
   {
-    std::string bytes = ReadAllBytes(good_a);
-    ASSERT_GT(bytes.size(), 400u);
-    bytes[300] = static_cast<char>(bytes[300] ^ 0x20);
-    WriteAllBytes(bitflip, bytes);
     std::string half = ReadAllBytes(good_b);
     half.resize(half.size() / 2);
     WriteAllBytes(trunc, half);
@@ -357,26 +355,11 @@ TEST(ServeChaosSoak, ShardedHotSwapsWithCorruptShards) {
   // payload (located through the section table so it never lands in
   // alignment padding), and shard 2 deleted outright.
   const std::string bitflip = build("bitflip", 101);
-  {
-    const std::string shard = bitflip + ".shard1";
-    std::string bytes = ReadAllBytes(shard);
-    auto view = serving::ParseAlignedContainer(
-        bytes.data(), bytes.size(), serving::kShardMagic,
-        serving::kShardFormatVersion, "chaos shard");
-    ASSERT_TRUE(view.ok()) << view.status().ToString();
-    bool flipped = false;
-    for (const serving::AlignedSectionView& s : view->sections) {
-      if (s.id ==
-          static_cast<uint32_t>(serving::ShardSectionId::kNoisyRows)) {
-        bytes[s.offset + s.size / 2] ^= 0x20;
-        flipped = true;
-      }
-    }
-    ASSERT_TRUE(flipped);
-    WriteAllBytes(shard, bytes);
-  }
+  test_artifacts::FlipPayloadBit(
+      test_artifacts::ShardPaths(bitflip)[1], serving::kShardMagic,
+      static_cast<uint32_t>(serving::ShardSectionId::kNoisyRows));
   const std::string missing = build("missing", 202);
-  fs::remove(missing + ".shard2");
+  fs::remove(test_artifacts::ShardPaths(missing)[2]);
 
   serve::ServeRuntimeOptions options;
   options.swap.spec.mechanism = "Cluster";

@@ -36,7 +36,7 @@
 #include <gtest/gtest.h>
 
 #include "artifact/builder.h"
-#include "artifact/model_io.h"
+#include "artifact/shard_layout.h"
 #include "common/driver_flags.h"
 #include "common/flags.h"
 #include "community/louvain.h"
@@ -460,7 +460,7 @@ class ServeSwapTest : public ::testing::Test {
     auto model = builder.Build(build_options);
     EXPECT_TRUE(model.ok()) << model.status().ToString();
     const std::string path = Path(name);
-    Status saved = serving::SaveArtifact(*model, path);
+    Status saved = serving::SaveShardedArtifact(*model, path);
     EXPECT_TRUE(saved.ok()) << saved.ToString();
     return path;
   }
@@ -482,7 +482,7 @@ class ServeSwapTest : public ::testing::Test {
 };
 
 TEST_F(ServeSwapTest, ActivatePublishesEpochAndServes) {
-  const std::string path = BuildArtifact("a.pvra", 11, kEps);
+  const std::string path = BuildArtifact("a.pvram", 11, kEps);
   ArtifactSwapper swapper(ClusterPolicy(kEps));
   EXPECT_EQ(swapper.Acquire(), nullptr);
 
@@ -509,8 +509,8 @@ TEST_F(ServeSwapTest, ActivatePublishesEpochAndServes) {
 }
 
 TEST_F(ServeSwapTest, CorruptArtifactRollsBackAndKeepsServing) {
-  const std::string good = BuildArtifact("good.pvra", 11, kEps);
-  const std::string bad = BuildArtifact("bad.pvra", 12, kEps);
+  const std::string good = BuildArtifact("good.pvram", 11, kEps);
+  const std::string bad = BuildArtifact("bad.pvram", 12, kEps);
   {
     // Flip one payload bit: CRC must reject the section.
     std::fstream f(bad, std::ios::binary | std::ios::in | std::ios::out);
@@ -561,8 +561,8 @@ TEST_F(ServeSwapTest, CorruptArtifactRollsBackAndKeepsServing) {
 }
 
 TEST_F(ServeSwapTest, ProvenanceGateRollsBack) {
-  const std::string good = BuildArtifact("good.pvra", 11, kEps);
-  const std::string other = BuildArtifact("other.pvra", 11, kEps / 2);
+  const std::string good = BuildArtifact("good.pvram", 11, kEps);
+  const std::string other = BuildArtifact("other.pvram", 11, kEps / 2);
   ArtifactSwapper swapper(ClusterPolicy(kEps));
   ASSERT_TRUE(swapper.Activate(good).ok());
   Status swapped = swapper.Activate(other);
@@ -572,7 +572,7 @@ TEST_F(ServeSwapTest, ProvenanceGateRollsBack) {
 }
 
 TEST_F(ServeSwapTest, PinnedGraphHashRejectsForeignDataset) {
-  const std::string good = BuildArtifact("good.pvra", 11, kEps);
+  const std::string good = BuildArtifact("good.pvram", 11, kEps);
 
   // Same shape, different dataset: a different fingerprint.
   data::Dataset foreign = data::MakeTinyDataset(60, 40, /*seed=*/8);
@@ -589,8 +589,8 @@ TEST_F(ServeSwapTest, PinnedGraphHashRejectsForeignDataset) {
   build_options.seed = 11;
   auto model = builder.Build(build_options);
   ASSERT_TRUE(model.ok());
-  const std::string foreign_path = Path("foreign.pvra");
-  ASSERT_TRUE(serving::SaveArtifact(*model, foreign_path).ok());
+  const std::string foreign_path = Path("foreign.pvram");
+  ASSERT_TRUE(serving::SaveShardedArtifact(*model, foreign_path).ok());
 
   ArtifactSwapper swapper(ClusterPolicy(kEps));
   ASSERT_TRUE(swapper.Activate(good).ok());
@@ -600,8 +600,8 @@ TEST_F(ServeSwapTest, PinnedGraphHashRejectsForeignDataset) {
 }
 
 TEST_F(ServeSwapTest, InFlightEpochSurvivesSwap) {
-  const std::string a = BuildArtifact("a.pvra", 11, kEps);
-  const std::string b = BuildArtifact("b.pvra", 12, kEps);
+  const std::string a = BuildArtifact("a.pvram", 11, kEps);
+  const std::string b = BuildArtifact("b.pvram", 12, kEps);
   ArtifactSwapper swapper(ClusterPolicy(kEps));
   ASSERT_TRUE(swapper.Activate(a).ok());
 
@@ -621,7 +621,7 @@ TEST_F(ServeSwapTest, InFlightEpochSurvivesSwap) {
 // ------------------------------------------------------------ runtime
 
 TEST_F(ServeSwapTest, RuntimeServesAndRecordsEpochIdentity) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -648,7 +648,7 @@ TEST_F(ServeSwapTest, RuntimeServesAndRecordsEpochIdentity) {
 }
 
 TEST_F(ServeSwapTest, ShedRequestGetsGlobalFallbackTier) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -680,7 +680,7 @@ TEST_F(ServeSwapTest, ShedRequestGetsGlobalFallbackTier) {
 }
 
 TEST_F(ServeSwapTest, ExpiredDeadlineFallsBackWithTypedStatus) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   clock.Set(100);
   ServeRuntimeOptions options;
@@ -705,7 +705,7 @@ TEST_F(ServeSwapTest, ExpiredDeadlineFallsBackWithTypedStatus) {
 }
 
 TEST_F(ServeSwapTest, ReloadBreakerOpensOnRepeatedBadArtifacts) {
-  const std::string good = BuildArtifact("good.pvra", 21, kEps);
+  const std::string good = BuildArtifact("good.pvram", 21, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -716,7 +716,7 @@ TEST_F(ServeSwapTest, ReloadBreakerOpensOnRepeatedBadArtifacts) {
   ServeRuntime runtime(options);
   ASSERT_TRUE(runtime.Activate(good).ok());
 
-  const std::string missing = Path("missing.pvra");
+  const std::string missing = Path("missing.pvram");
   EXPECT_EQ(runtime.Activate(missing).code(), StatusCode::kNotFound);
   EXPECT_EQ(runtime.Activate(missing).code(), StatusCode::kNotFound);
   EXPECT_EQ(runtime.reload_breaker().state(), BreakerState::kOpen);
@@ -736,7 +736,7 @@ TEST_F(ServeSwapTest, ReloadBreakerOpensOnRepeatedBadArtifacts) {
 // Satellite hardening: an empty user list is a valid no-op request — it
 // succeeds with epoch identity attached and consumes no admission slot.
 TEST_F(ServeSwapTest, EmptyUserListServedWithoutSlot) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -758,7 +758,7 @@ TEST_F(ServeSwapTest, EmptyUserListServedWithoutSlot) {
 // Satellite hardening: non-positive top_n is a caller bug, not a load
 // condition — typed kInvalidArgument, no fallback tier.
 TEST_F(ServeSwapTest, NonPositiveTopNIsInvalidArgument) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -780,7 +780,7 @@ TEST_F(ServeSwapTest, NonPositiveTopNIsInvalidArgument) {
 // Satellite hardening: a negative deadline is already expired on arrival
 // and takes the same typed degrade path as deadline_ms=0.
 TEST_F(ServeSwapTest, NegativeDeadlineExpiresWithTypedStatus) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   clock.Set(100);
   ServeRuntimeOptions options;
@@ -801,8 +801,8 @@ TEST_F(ServeSwapTest, NegativeDeadlineExpiresWithTypedStatus) {
 // FinishAsync must not change what it serves — including a request that
 // was still QUEUED for admission when the swap landed.
 TEST_F(ServeSwapTest, AsyncServeMatchesBlockingHandleAcrossSwap) {
-  const std::string a = BuildArtifact("a.pvra", 21, kEps);
-  const std::string b = BuildArtifact("b.pvra", 22, kEps);
+  const std::string a = BuildArtifact("a.pvram", 21, kEps);
+  const std::string b = BuildArtifact("b.pvram", 22, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -875,11 +875,11 @@ TEST(ServeIsolatedUserTest, FallbackRankingStableAcrossHotSwap) {
     auto model = builder.Build(build_options);
     EXPECT_TRUE(model.ok()) << model.status().ToString();
     const std::string path = (dir / name).string();
-    EXPECT_TRUE(serving::SaveArtifact(*model, path).ok());
+    EXPECT_TRUE(serving::SaveShardedArtifact(*model, path).ok());
     return path;
   };
-  const std::string a = build("a.pvra");
-  const std::string b = build("b.pvra");
+  const std::string a = build("a.pvram");
+  const std::string b = build("b.pvram");
 
   ServeRuntimeOptions options;
   options.swap.spec.mechanism = "Cluster";
@@ -1067,7 +1067,7 @@ class ServeEntryPointTest
 };
 
 TEST_P(ServeEntryPointTest, TelemetryRecordsWideEventsPerOutcomeClass) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   const std::map<std::string, Served> served =
       ServeEveryOutcome(path, GetParam());
   const int64_t num_users = static_cast<int64_t>(users_.size());
@@ -1178,7 +1178,7 @@ TEST_P(ServeEntryPointTest, TelemetryRecordsWideEventsPerOutcomeClass) {
 // never reach reconstruction (where it would index past the artifact),
 // take an admission slot, or get a fallback list.
 TEST_P(ServeEntryPointTest, OutOfRangeUserIsInvalidArgument) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   const graph::NodeId num_users = dataset_.social.num_nodes();
   const std::vector<std::pair<std::vector<graph::NodeId>, graph::NodeId>>
       cases = {{{-1}, -1},
@@ -1240,7 +1240,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------- telemetry wide events
 
 TEST_F(ServeSwapTest, TelemetryClassifiesShedWithRetryHint) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   serve::ServeTelemetryOptions tel_options;
   tel_options.sample_every = 64;  // shed events bypass the sampler
@@ -1342,7 +1342,7 @@ TEST(ServeTelemetryTest, EventCapDropsAreCountedNeverSilent) {
 // --------------------------------------------------------- statusz
 
 TEST_F(ServeSwapTest, StatuszSurfacesRuntimeAndTelemetryState) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   clock.Set(50);
   serve::ServeTelemetryOptions tel_options;
@@ -1504,8 +1504,8 @@ TEST(LoadFlagsTest, ValuesParsedAndTyposSuggested) {
 // first fallback-tier request computes the row once per epoch (traced as
 // artifact.global_average) and every later request reuses it.
 TEST_F(ServeSwapTest, SwapSkipsGlobalAverageUntilFallbackNeedsIt) {
-  const std::string a = BuildArtifact("a.pvra", 41, kEps);
-  const std::string b = BuildArtifact("b.pvra", 42, kEps);
+  const std::string a = BuildArtifact("a.pvram", 41, kEps);
+  const std::string b = BuildArtifact("b.pvram", 42, kEps);
 
   SwapPolicy policy = ClusterPolicy(kEps);
   policy.probe_users = 0;  // probes may touch isolated users; isolate the

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -33,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include "artifact_files.h"
 #include "artifact/serving.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
@@ -53,17 +53,6 @@ int64_t ChaosIterations() {
     return std::max<int64_t>(1, std::atoll(env));
   }
   return 500;
-}
-
-std::string ReadAllBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteAllBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 constexpr graph::NodeId kUsers = 40;
@@ -422,30 +411,27 @@ TEST(StreamSoak, ChurnCrashRepublishSwapUnderConcurrentRequests) {
       }
     }
 
-    // Rollback drill: push a corrupt artifact at the runtime; the live
-    // epoch must not move.
-    if (iter % 61 == 60 && !last_artifact.empty()) {
+    // Rollback drill: push a corrupt copy of the newest manifest at the
+    // runtime; the live epoch must not move.
+    if (iter % 61 == 60 && !last_artifact.empty() &&
+        fs::exists(last_artifact)) {
       ++rollback_drills;
       const int64_t epoch_before = runtime.swapper().current_epoch();
-      std::string bytes = ReadAllBytes(last_artifact);
-      if (bytes.size() > 400) {
-        bytes[bytes.size() / 2] =
-            static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
-        const std::string corrupt = (dir / "corrupt.pvra").string();
-        WriteAllBytes(corrupt, bytes);
-        Status status = runtime.Activate(corrupt);
-        if (status.ok()) {
-          fail("corrupt artifact activated");
-        } else if (runtime.swapper().current_epoch() != epoch_before) {
-          fail("rollback drill moved the live epoch");
-        }
+      const std::string corrupt =
+          options.session.artifact_dir + "/corrupt.pvram";
+      test_artifacts::CorruptManifestCopy(last_artifact, corrupt);
+      Status status = runtime.Activate(corrupt);
+      if (status.ok()) {
+        fail("corrupt artifact activated");
+      } else if (runtime.swapper().current_epoch() != epoch_before) {
+        fail("rollback drill moved the live epoch");
       }
     }
     // Track the newest on-disk artifact for the drill.
     const int64_t snapshot = pipeline->session().snapshots_processed();
     if (snapshot > 0) {
-      last_artifact = options.session.artifact_dir + "/snapshot_" +
-                      std::to_string(snapshot - 1) + ".pvra";
+      last_artifact = core::SnapshotArtifactPath(options.session.artifact_dir,
+                                                 snapshot - 1);
     }
   }
 
