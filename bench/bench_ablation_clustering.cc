@@ -25,7 +25,6 @@
 #include "community/louvain.h"
 #include "community/modularity.h"
 #include "community/simple_clusterings.h"
-#include "core/cluster_recommender.h"
 #include "data/synthetic.h"
 #include "eval/exact_reference.h"
 #include "eval/table.h"
@@ -98,12 +97,11 @@ int Main(int argc, char** argv) {
         FormatDouble(community::Modularity(dataset.social, s.partition),
                      3)};
     for (double eps : {dp::kEpsilonInfinity, 0.1}) {
-      core::ClusterRecommender rec(context, s.partition,
-                                   {.epsilon = eps, .seed = 64});
+      auto rec = bench::MakeCluster(context, s.partition, eps, 64);
       RunningStats stats;
       int reps = eps == dp::kEpsilonInfinity ? 1 : trials;
       for (int t = 0; t < reps; ++t) {
-        stats.Add(reference.MeanNdcg(rec.Recommend(users, 50)));
+        stats.Add(reference.MeanNdcg(rec->Recommend(users, 50)));
       }
       row.push_back(FormatDouble(stats.mean(), 3));
     }

@@ -27,7 +27,6 @@
 #include "common/flags.h"
 #include "common/stats.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "core/exact_recommender.h"
 #include "data/synthetic.h"
 #include "eval/exact_reference.h"
@@ -104,12 +103,11 @@ int Main(int argc, char** argv) {
     std::vector<std::string> row = {FormatDouble(homophily, 2),
                                     FormatDouble(personalization, 3)};
     for (double eps : {dp::kEpsilonInfinity, 0.1}) {
-      core::ClusterRecommender rec(context, louvain.partition,
-                                   {.epsilon = eps, .seed = 82});
+      auto rec = bench::MakeCluster(context, louvain.partition, eps, 82);
       RunningStats stats;
       int reps = eps == dp::kEpsilonInfinity ? 1 : trials;
       for (int t = 0; t < reps; ++t) {
-        stats.Add(reference.MeanNdcg(rec.Recommend(users, 50)));
+        stats.Add(reference.MeanNdcg(rec->Recommend(users, 50)));
       }
       row.push_back(FormatDouble(stats.mean(), 3));
     }
@@ -156,12 +154,11 @@ int Main(int argc, char** argv) {
         std::to_string(groups),
         std::to_string(louvain.partition.num_clusters())};
     for (double eps : {dp::kEpsilonInfinity, 0.1}) {
-      core::ClusterRecommender rec(context, louvain.partition,
-                                   {.epsilon = eps, .seed = 84});
+      auto rec = bench::MakeCluster(context, louvain.partition, eps, 84);
       RunningStats stats;
       int reps = eps == dp::kEpsilonInfinity ? 1 : trials;
       for (int t = 0; t < reps; ++t) {
-        stats.Add(reference.MeanNdcg(rec.Recommend(users, 50)));
+        stats.Add(reference.MeanNdcg(rec->Recommend(users, 50)));
       }
       row.push_back(FormatDouble(stats.mean(), 3));
     }

@@ -16,7 +16,6 @@
 #include "common/flags.h"
 #include "common/stats.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "data/synthetic.h"
 #include "eval/exact_reference.h"
 #include "eval/table.h"
@@ -73,12 +72,11 @@ int Main(int argc, char** argv) {
         v.name, FormatDouble(workload.AverageRowSize(), 0),
         FormatDouble(workload.MaxColumnSum(), 1)};
     for (double eps : {dp::kEpsilonInfinity, 0.1}) {
-      core::ClusterRecommender rec(context, louvain.partition,
-                                   {.epsilon = eps, .seed = 72});
+      auto rec = bench::MakeCluster(context, louvain.partition, eps, 72);
       RunningStats stats;
       int reps = eps == dp::kEpsilonInfinity ? 1 : trials;
       for (int t = 0; t < reps; ++t) {
-        stats.Add(reference.MeanNdcg(rec.Recommend(users, 50)));
+        stats.Add(reference.MeanNdcg(rec->Recommend(users, 50)));
       }
       row.push_back(FormatDouble(stats.mean(), 3));
     }

@@ -22,7 +22,6 @@
 #include "common/flags.h"
 #include "common/stats.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "data/synthetic.h"
 #include "eval/exact_reference.h"
 #include "eval/table.h"
@@ -92,12 +91,11 @@ int Main(int argc, char** argv) {
     std::vector<std::string> row = {scheme,
                                     FormatDouble(prefs.max_weight(), 1)};
     for (double eps : {dp::kEpsilonInfinity, 1.0, 0.1}) {
-      core::ClusterRecommender rec(context, louvain.partition,
-                                   {.epsilon = eps, .seed = 94});
+      auto rec = bench::MakeCluster(context, louvain.partition, eps, 94);
       RunningStats stats;
       int reps = eps == dp::kEpsilonInfinity ? 1 : trials;
       for (int t = 0; t < reps; ++t) {
-        stats.Add(reference.MeanNdcg(rec.Recommend(users, 50)));
+        stats.Add(reference.MeanNdcg(rec->Recommend(users, 50)));
       }
       row.push_back(FormatDouble(stats.mean(), 3));
     }

@@ -91,26 +91,29 @@ inline std::vector<graph::NodeId> SampleUsers(graph::NodeId n,
   return users;
 }
 
-// Cluster-mechanism factory for the NDCG sweeps, routed through the
-// two-phase pipeline by default: every (ε, trial) cell re-runs the A_w
-// publication via a shared ModelArtifactBuilder and serves from the
-// resulting in-memory artifact. This is bit-identical to constructing
-// core::ClusterRecommender directly — artifact_test pins the equivalence
-// — so benches expose --in-memory only as a way to time the legacy
-// single-process path, not to change results.
+// The Cluster mechanism through core::MakeRecommender: every Recommend
+// call publishes a fresh release at (epsilon, seed) and serves it.
+inline std::unique_ptr<core::Recommender> MakeCluster(
+    const core::RecommenderContext& context,
+    const community::Partition& partition, double epsilon, uint64_t seed) {
+  core::RecommenderSpec spec;
+  spec.mechanism = "Cluster";
+  spec.epsilon = epsilon;
+  spec.seed = seed;
+  spec.partition = &partition;
+  auto rec = core::MakeRecommender(context, spec);
+  PRIVREC_CHECK_MSG(rec.ok(), rec.status().message().c_str());
+  return std::move(*rec);
+}
+
+// Cluster-mechanism factory for the NDCG sweeps: every (ε, trial) cell
+// re-runs the A_w publication via one shared ModelArtifactBuilder (so the
+// partition, workload and dataset fingerprint are prepared once) and
+// serves from the resulting in-memory artifact. `table_f32` adds the
+// quantized mirror of the release, which the serve path then reads.
 inline eval::RecommenderFactory ClusterFactory(
-    bool in_memory, const core::RecommenderContext& context,
+    const core::RecommenderContext& context,
     const community::Partition& partition, bool table_f32 = false) {
-  if (in_memory) {
-    PRIVREC_CHECK_MSG(!table_f32,
-                      "--table-f32 is an artifact section; the in-memory "
-                      "path has no quantized table");
-    return [&context, &partition](double eps, uint64_t seed) {
-      return std::make_unique<core::ClusterRecommender>(
-          context, partition,
-          core::ClusterRecommenderOptions{.epsilon = eps, .seed = seed});
-    };
-  }
   auto builder = std::make_shared<artifact::ModelArtifactBuilder>(
       context.social, context.preferences);
   builder->SetPartition(&partition);

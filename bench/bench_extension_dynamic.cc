@@ -21,7 +21,6 @@
 #include "bench/bench_common.h"
 #include "common/flags.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "core/dynamic_recommender.h"
 #include "data/synthetic.h"
 #include "eval/exact_reference.h"
@@ -86,10 +85,8 @@ int Main(int argc, char** argv) {
     PRIVREC_CHECK(geometric_release.ok());
 
     // The invalid strawman: full budget every time.
-    core::ClusterRecommender fresh(
-        context, louvain.partition,
-        {.epsilon = total_epsilon,
-         .seed = 73 + static_cast<uint64_t>(t)});
+    auto fresh = bench::MakeCluster(context, louvain.partition, total_epsilon,
+                                    73 + static_cast<uint64_t>(t));
 
     table.AddRow(
         {std::to_string(t), std::to_string(prefs.num_edges()),
@@ -97,7 +94,7 @@ int Main(int argc, char** argv) {
          FormatDouble(reference.MeanNdcg(uniform_release->lists), 3),
          FormatDouble(geometric_release->epsilon_spent, 3),
          FormatDouble(reference.MeanNdcg(geometric_release->lists), 3),
-         FormatDouble(reference.MeanNdcg(fresh.Recommend(users, 50)), 3)});
+         FormatDouble(reference.MeanNdcg(fresh->Recommend(users, 50)), 3)});
     std::cout << "  snapshot " << t << " done\n";
   }
   std::cout << "\n";

@@ -18,7 +18,6 @@
 #include "bench/bench_common.h"
 #include "common/flags.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "data/synthetic.h"
 #include "eval/exact_reference.h"
 #include "eval/experiment.h"
@@ -75,11 +74,8 @@ int Main(int argc, char** argv) {
                                      &workload};
     eval::ExactReference reference =
         eval::ExactReference::Compute(context, users, 50);
-    eval::RecommenderFactory factory = [&](double eps, uint64_t seed) {
-      return std::make_unique<core::ClusterRecommender>(
-          context, louvain.partition,
-          core::ClusterRecommenderOptions{.epsilon = eps, .seed = seed});
-    };
+    eval::RecommenderFactory factory =
+        bench::ClusterFactory(context, louvain.partition);
     eval::SweepOptions sweep;
     sweep.epsilons = bench::PaperEpsilons();
     sweep.ns = {50};

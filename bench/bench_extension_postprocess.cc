@@ -19,7 +19,6 @@
 #include "common/stats.h"
 #include "community/louvain.h"
 #include "community/postprocess.h"
-#include "core/cluster_recommender.h"
 #include "data/synthetic.h"
 #include "eval/exact_reference.h"
 #include "eval/table.h"
@@ -79,13 +78,12 @@ int Main(int argc, char** argv) {
                                     std::to_string(smallest)};
     double affected_ndcg_at_005 = 0.0;
     for (double eps : {dp::kEpsilonInfinity, 0.1, 0.05, 0.01}) {
-      core::ClusterRecommender rec(context, merged,
-                                   {.epsilon = eps, .seed = 58});
+      auto rec = bench::MakeCluster(context, merged, eps, 58);
       RunningStats stats;
       RunningStats affected_stats;
       int reps = eps == dp::kEpsilonInfinity ? 1 : trials;
       for (int t = 0; t < reps; ++t) {
-        auto lists = rec.Recommend(users, 50);
+        auto lists = rec->Recommend(users, 50);
         stats.Add(reference.MeanNdcg(lists));
         for (size_t k : affected) {
           affected_stats.Add(reference.Ndcg(users[k], lists[k]));
@@ -97,11 +95,11 @@ int Main(int argc, char** argv) {
     // Baseline for the affected users: the unmerged clustering at 0.05.
     double affected_before = 0.0;
     if (!affected.empty()) {
-      core::ClusterRecommender base_rec(context, louvain.partition,
-                                        {.epsilon = 0.05, .seed = 58});
+      auto base_rec =
+          bench::MakeCluster(context, louvain.partition, 0.05, 58);
       RunningStats before;
       for (int t = 0; t < trials; ++t) {
-        auto lists = base_rec.Recommend(users, 50);
+        auto lists = base_rec->Recommend(users, 50);
         for (size_t k : affected) {
           before.Add(reference.Ndcg(users[k], lists[k]));
         }

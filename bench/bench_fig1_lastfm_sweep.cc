@@ -16,7 +16,6 @@
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "data/synthetic.h"
 #include "eval/exact_reference.h"
 #include "eval/experiment.h"
@@ -33,7 +32,6 @@ int Main(int argc, char** argv) {
   // (pass --trials=10 --eval_users=1892 for the full configuration).
   const int trials = static_cast<int>(flags.GetInt("trials", 5));
   const int64_t eval_count = flags.GetInt("eval_users", 1000);
-  const bool in_memory = flags.GetBool("in-memory", false);
   if (!flags.Validate()) return 1;
 
   std::cout << "=== Figure 1: NDCG@N vs epsilon on Last.fm (cluster "
@@ -64,7 +62,7 @@ int Main(int argc, char** argv) {
         eval::ExactReference::Compute(context, users, 100);
 
     eval::RecommenderFactory factory =
-        bench::ClusterFactory(in_memory, context, louvain.partition);
+        bench::ClusterFactory(context, louvain.partition);
     eval::SweepOptions sweep;
     sweep.epsilons = bench::PaperEpsilons();
     sweep.ns = ns;

@@ -28,7 +28,6 @@
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "data/synthetic.h"
 #include "eval/exact_reference.h"
 #include "eval/experiment.h"
@@ -44,7 +43,6 @@ int Main(int argc, char** argv) {
   const int64_t num_users = flags.GetInt("users", 12000);
   const int64_t num_items = flags.GetInt("items", 8000);
   const int64_t eval_count = flags.GetInt("eval_users", 1500);
-  const bool in_memory = flags.GetBool("in-memory", false);
   const bool table_f32 = flags.GetBool("table-f32", false);
   if (!flags.Validate()) return 1;
 
@@ -79,7 +77,7 @@ int Main(int argc, char** argv) {
         eval::ExactReference::Compute(context, users, 100);
 
     eval::RecommenderFactory factory =
-        bench::ClusterFactory(in_memory, context, louvain.partition);
+        bench::ClusterFactory(context, louvain.partition);
     eval::SweepOptions sweep;
     sweep.epsilons = bench::PaperEpsilons();
     sweep.ns = ns;
@@ -132,10 +130,10 @@ int Main(int argc, char** argv) {
     sweep.trials = trials;
     sweep.seed = 2000;
     std::vector<eval::SweepCell> f64_cells = eval::RunNdcgSweep(
-        bench::ClusterFactory(false, context, louvain.partition), reference,
+        bench::ClusterFactory(context, louvain.partition), reference,
         sweep);
     std::vector<eval::SweepCell> f32_cells = eval::RunNdcgSweep(
-        bench::ClusterFactory(false, context, louvain.partition,
+        bench::ClusterFactory(context, louvain.partition,
                               /*table_f32=*/true),
         reference, sweep);
     constexpr double kMaxNdcgDelta = 0.001;

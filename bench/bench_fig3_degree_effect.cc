@@ -17,7 +17,6 @@
 #include "common/flags.h"
 #include "common/stats.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "data/synthetic.h"
 #include "eval/exact_reference.h"
 #include "eval/table.h"
@@ -43,7 +42,7 @@ void WriteScatter(const std::string& path,
 }
 
 void RunDataset(const std::string& label, const data::Dataset& dataset,
-                const std::vector<graph::NodeId>& users, bool in_memory) {
+                const std::vector<graph::NodeId>& users) {
   community::LouvainResult louvain =
       community::RunLouvain(dataset.social, {.restarts = 10, .seed = 77});
   auto measure = bench::MakeMeasure("CN");
@@ -58,7 +57,7 @@ void RunDataset(const std::string& label, const data::Dataset& dataset,
   // artifact's noisy-averages table degenerates to the exact cluster
   // averages, isolating approximation error as in the paper.
   std::unique_ptr<core::Recommender> rec = bench::ClusterFactory(
-      in_memory, context, louvain.partition)(dp::kEpsilonInfinity, 5);
+      context, louvain.partition)(dp::kEpsilonInfinity, 5);
   auto lists = rec->Recommend(users, 50);
   WriteScatter("/tmp/privrec_fig3_" + dataset.name + ".tsv", dataset,
                users, reference, lists);
@@ -114,14 +113,13 @@ int Main(int argc, char** argv) {
   privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
   const int64_t flixster_users = flags.GetInt("flixster_users", 12000);
   const int64_t flixster_eval = flags.GetInt("flixster_eval", 2000);
-  const bool in_memory = flags.GetBool("in-memory", false);
   if (!flags.Validate()) return 1;
 
   std::cout << "=== Figure 3: user degree vs NDCG@50 under approximation "
                "error alone ===\n\n";
   data::Dataset lastfm = data::MakeSyntheticLastFm();
   RunDataset("lastfm-synth (Fig. 3a)", lastfm,
-             bench::AllUsers(lastfm.social.num_nodes()), in_memory);
+             bench::AllUsers(lastfm.social.num_nodes()));
 
   data::SyntheticFlixsterOptions opt;
   opt.num_users = flixster_users;
@@ -129,8 +127,7 @@ int Main(int argc, char** argv) {
   data::Dataset flixster = data::MakeSyntheticFlixster(opt);
   RunDataset("flixster-synth (Fig. 3b)", flixster,
              bench::SampleUsers(flixster.social.num_nodes(), flixster_eval,
-                                31),
-             in_memory);
+                                31));
   return 0;
 }
 

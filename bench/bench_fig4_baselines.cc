@@ -13,9 +13,9 @@
 // random-guessing level and NOE collapsing from eps = 1.0 to 0.1.
 //
 //   ./bench_fig4_baselines [--trials=3] [--lrm_rank=200] [--skip_lrm]
-//                          [--in-memory]  # legacy single-process path
 
 #include <algorithm>
+#include <array>
 #include <iostream>
 #include <memory>
 
@@ -25,11 +25,6 @@
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
-#include "core/group_smooth_recommender.h"
-#include "core/low_rank_recommender.h"
-#include "core/noe_recommender.h"
-#include "core/nou_recommender.h"
 #include "data/synthetic.h"
 #include "eval/exact_reference.h"
 #include "eval/significance.h"
@@ -39,6 +34,11 @@ namespace privrec {
 namespace {
 
 constexpr int64_t kTopN = 50;
+
+// The GS group-size sweep for the best-NDCG selection. Deliberately
+// excludes m on the order of |U| (a single group is a degenerate global
+// ranking, no longer a smoothing of personalized answers).
+constexpr std::array<int64_t, 4> kGroupSizeCandidates = {8, 32, 128, 512};
 
 std::vector<double> NdcgTrials(core::Recommender* rec,
                                const eval::ExactReference& reference,
@@ -71,7 +71,6 @@ int Main(int argc, char** argv) {
   const int64_t lrm_rank = flags.GetInt("lrm_rank", 150);
   const bool skip_lrm = flags.GetBool("skip_lrm", false);
   const int64_t eval_count = flags.GetInt("eval_users", 500);
-  const bool in_memory = flags.GetBool("in-memory", false);
   if (!flags.Validate()) return 1;
 
   std::cout << "=== Figure 4: baseline comparison on Last.fm, NDCG@50, "
@@ -102,32 +101,27 @@ int Main(int argc, char** argv) {
       // Extra trials for the two leaders so the Welch test has power.
       const int lead_trials = std::max(trials, 4);
 
-      // Two-phase route (default): the reference baselines draw their
-      // per-call noise at serve time, so they all share ONE artifact that
-      // carries the raw preference sections. The cluster mechanism instead
-      // redraws its publication noise every trial, so each trial rebuilds
-      // the sanitized artifact — the builder's publisher advances exactly
-      // as the in-memory recommender's invocation counter would, keeping
-      // both routes bit-identical. --in-memory times the legacy path.
-      std::shared_ptr<const serving::ServingEngine> baseline_engine;
-      if (!in_memory) {
-        artifact::ModelArtifactBuilder builder(&dataset.social,
-                                               &dataset.preferences);
-        builder.SetPartition(&louvain.partition);
-        builder.SetWorkload(&workload);
-        artifact::BuildOptions build_options;
-        build_options.epsilon = eps;
-        build_options.seed = 49;  // its own noisy table is never served
-        build_options.include_lowrank = !skip_lrm;
-        build_options.lrm_target_rank = lrm_rank;
-        build_options.lrm_seed = 53;
-        auto model = builder.Build(build_options);
-        PRIVREC_CHECK_MSG(model.ok(), "baseline artifact build failed");
-        auto engine = serving::ServingEngine::FromModel(std::move(*model));
-        PRIVREC_CHECK_MSG(engine.ok(), "baseline artifact rejected");
-        baseline_engine = std::make_shared<const serving::ServingEngine>(
-            std::move(*engine));
-      }
+      // The reference baselines draw their per-call noise at serve time,
+      // so they all share ONE in-memory artifact that carries the raw
+      // preference sections. The cluster mechanism instead redraws its
+      // publication every trial: each Recommend of MakeRecommender's
+      // "Cluster" builds and serves the next release.
+      artifact::ModelArtifactBuilder builder(&dataset.social,
+                                             &dataset.preferences);
+      builder.SetPartition(&louvain.partition);
+      builder.SetWorkload(&workload);
+      artifact::BuildOptions build_options;
+      build_options.epsilon = eps;
+      build_options.seed = 49;  // its own noisy table is never served
+      build_options.include_lowrank = !skip_lrm;
+      build_options.lrm_target_rank = lrm_rank;
+      build_options.lrm_seed = 53;
+      auto model = builder.Build(build_options);
+      PRIVREC_CHECK_MSG(model.ok(), "baseline artifact build failed");
+      auto engine = serving::ServingEngine::FromModel(std::move(*model));
+      PRIVREC_CHECK_MSG(engine.ok(), "baseline artifact rejected");
+      auto baseline_engine = std::make_shared<const serving::ServingEngine>(
+          std::move(*engine));
       auto make = [&](const std::string& mechanism, uint64_t seed,
                       int64_t gs_m) {
         core::RecommenderSpec spec;
@@ -135,47 +129,14 @@ int Main(int argc, char** argv) {
         spec.epsilon = eps;
         spec.seed = seed;
         spec.gs_group_size = gs_m;
-        spec.lrm_target_rank = lrm_rank;
-        spec.engine = baseline_engine.get();  // null => legacy in-memory
-        auto rec = core::MakeRecommender(context, spec);
+        auto rec = core::MakeArtifactRecommender(baseline_engine, spec);
         PRIVREC_CHECK_MSG(rec.ok(), "recommender construction failed");
         return std::move(*rec);
       };
 
-      std::vector<double> cluster_trials;
-      if (in_memory) {
-        core::ClusterRecommender cluster(
-            context, louvain.partition, {.epsilon = eps, .seed = 50});
-        cluster_trials =
-            NdcgTrials(&cluster, reference, users, lead_trials);
-      } else {
-        artifact::ModelArtifactBuilder cluster_builder(
-            &dataset.social, &dataset.preferences);
-        cluster_builder.SetPartition(&louvain.partition);
-        cluster_builder.SetWorkload(&workload);
-        for (int t = 0; t < lead_trials; ++t) {
-          artifact::BuildOptions build_options;
-          build_options.epsilon = eps;
-          build_options.seed = 50;
-          build_options.include_reference_sections = false;
-          auto model = cluster_builder.Build(build_options);
-          PRIVREC_CHECK_MSG(model.ok(), "cluster artifact build failed");
-          auto engine =
-              serving::ServingEngine::FromModel(std::move(*model));
-          PRIVREC_CHECK_MSG(engine.ok(), "cluster artifact rejected");
-          core::RecommenderSpec spec;
-          spec.mechanism = "Cluster";
-          spec.epsilon = eps;
-          spec.seed = 50;
-          auto rec = core::MakeArtifactRecommender(
-              std::make_shared<const serving::ServingEngine>(
-                  std::move(*engine)),
-              spec);
-          PRIVREC_CHECK_MSG(rec.ok(), "cluster serve rejected");
-          cluster_trials.push_back(
-              reference.MeanNdcg((*rec)->Recommend(users, kTopN)));
-        }
-      }
+      std::vector<double> cluster_trials = NdcgTrials(
+          bench::MakeCluster(context, louvain.partition, eps, 50).get(),
+          reference, users, lead_trials);
       double cluster_ndcg = Mean(cluster_trials);
 
       auto noe = make("NOE", 51, 0);
@@ -188,7 +149,7 @@ int Main(int argc, char** argv) {
       // GS: sweep m, keep the best NDCG (the paper's concession to GS).
       double gs_ndcg = 0.0;
       int64_t best_m = 0;
-      for (int64_t m : core::kGroupSizeCandidates) {
+      for (int64_t m : kGroupSizeCandidates) {
         auto gs = make("GS", 52, m);
         double ndcg =
             MeanNdcgOverTrials(gs.get(), reference, users, trials);

@@ -33,6 +33,7 @@
 #include "artifact/builder.h"
 #include "artifact/mapped.h"
 #include "artifact/serving.h"
+#include "bench/bench_common.h"
 #include "common/macros.h"
 #include "common/parallel.h"
 #include "common/random.h"
@@ -40,7 +41,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
+#include "core/cluster_publisher.h"
 #include "core/exact_recommender.h"
 #include "data/synthetic.h"
 #include "graph/generators/planted_partition.h"
@@ -193,10 +194,10 @@ RecommenderFixture& SharedFixture() {
 
 void BM_NoisyClusterAverages(benchmark::State& state) {
   RecommenderFixture& f = SharedFixture();
-  core::ClusterRecommender rec(f.context, f.louvain.partition,
-                               {.epsilon = 0.1, .seed = 7});
+  core::ClusterPublisher publisher(f.context, f.louvain.partition,
+                                   {.epsilon = 0.1, .seed = 7});
   for (auto _ : state) {
-    auto averages = rec.ComputeNoisyClusterAverages();
+    auto averages = publisher.ComputeNoisyClusterAverages();
     benchmark::DoNotOptimize(averages.data());
   }
 }
@@ -204,11 +205,11 @@ BENCHMARK(BM_NoisyClusterAverages);
 
 void BM_NoisyClusterAveragesThreads(benchmark::State& state) {
   RecommenderFixture& f = SharedFixture();
-  core::ClusterRecommender rec(f.context, f.louvain.partition,
-                               {.epsilon = 0.1, .seed = 7});
+  core::ClusterPublisher publisher(f.context, f.louvain.partition,
+                                   {.epsilon = 0.1, .seed = 7});
   ScopedThreadCount scoped(state.range(0));
   for (auto _ : state) {
-    auto averages = rec.ComputeNoisyClusterAverages();
+    auto averages = publisher.ComputeNoisyClusterAverages();
     benchmark::DoNotOptimize(averages.data());
   }
 }
@@ -221,12 +222,11 @@ BENCHMARK(BM_NoisyClusterAveragesThreads)
 
 void BM_ClusterRecommendPerUser(benchmark::State& state) {
   RecommenderFixture& f = SharedFixture();
-  core::ClusterRecommender rec(f.context, f.louvain.partition,
-                               {.epsilon = 0.1, .seed = 8});
+  auto rec = bench::MakeCluster(f.context, f.louvain.partition, 0.1, 8);
   std::vector<graph::NodeId> users;
   for (graph::NodeId u = 0; u < 200; ++u) users.push_back(u);
   for (auto _ : state) {
-    auto lists = rec.Recommend(users, 50);
+    auto lists = rec->Recommend(users, 50);
     benchmark::DoNotOptimize(lists.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -236,13 +236,12 @@ BENCHMARK(BM_ClusterRecommendPerUser);
 
 void BM_ClusterRecommendThreads(benchmark::State& state) {
   RecommenderFixture& f = SharedFixture();
-  core::ClusterRecommender rec(f.context, f.louvain.partition,
-                               {.epsilon = 0.1, .seed = 8});
+  auto rec = bench::MakeCluster(f.context, f.louvain.partition, 0.1, 8);
   std::vector<graph::NodeId> users;
   for (graph::NodeId u = 0; u < 200; ++u) users.push_back(u);
   ScopedThreadCount scoped(state.range(0));
   for (auto _ : state) {
-    auto lists = rec.Recommend(users, 50);
+    auto lists = rec->Recommend(users, 50);
     benchmark::DoNotOptimize(lists.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -276,9 +275,8 @@ void BM_NdcgEvaluation(benchmark::State& state) {
   for (graph::NodeId u = 0; u < 200; ++u) users.push_back(u);
   eval::ExactReference ref =
       eval::ExactReference::Compute(f.context, users, 50);
-  core::ClusterRecommender rec(f.context, f.louvain.partition,
-                               {.epsilon = 0.5, .seed = 10});
-  auto lists = rec.Recommend(users, 50);
+  auto lists = bench::MakeCluster(f.context, f.louvain.partition, 0.5, 10)
+                   ->Recommend(users, 50);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ref.MeanNdcg(lists));
   }
@@ -293,9 +291,8 @@ void BM_NdcgEvaluationThreads(benchmark::State& state) {
   for (graph::NodeId u = 0; u < 200; ++u) users.push_back(u);
   eval::ExactReference ref =
       eval::ExactReference::Compute(f.context, users, 50);
-  core::ClusterRecommender rec(f.context, f.louvain.partition,
-                               {.epsilon = 0.5, .seed = 10});
-  auto lists = rec.Recommend(users, 50);
+  auto lists = bench::MakeCluster(f.context, f.louvain.partition, 0.5, 10)
+                   ->Recommend(users, 50);
   ScopedThreadCount scoped(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(ref.MeanNdcg(lists));
@@ -400,9 +397,9 @@ void BM_ArtifactLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_ArtifactLoad);
 
-// Top-N reconstruction from the loaded artifact — the serve-side answer
-// to BM_ClusterRecommendPerUser (same users, same N; the two paths are
-// bit-identical, so any delta here is pure dispatch overhead).
+// Top-N reconstruction from the loaded artifact — the serve half of
+// BM_ClusterRecommendPerUser (same users, same N), which also builds a
+// fresh release on every call.
 void BM_ArtifactClusterServe(benchmark::State& state) {
   ArtifactFixture& f = SharedArtifactFixture();
   auto engine = serving::ServingEngine::Load(f.path);
@@ -696,7 +693,7 @@ int main(int argc, char** argv) {
   // against.
   if (privrec::obs::kCompiledIn) {
     privrec::RecommenderFixture& f = privrec::SharedFixture();
-    privrec::core::ClusterRecommender warm(
+    privrec::core::ClusterPublisher warm(
         f.context, f.louvain.partition, {.epsilon = 0.1, .seed = 7});
     auto averages = warm.ComputeNoisyClusterAverages();
     benchmark::DoNotOptimize(averages.data());

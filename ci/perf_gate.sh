@@ -14,6 +14,15 @@
 #      replaced (KERNEL_SELECT_MIN_RATIO, default 1.0).
 #   3. PRIVREC_NO_SIMD=1 must pin dispatch to scalar (checked via the
 #      benchmark context) and kernels_test must stay green under it.
+#   4. The hot reconstruction templates stay pinned: in bench_perf_micro,
+#      kernels::DenseTopNOffer<core::Recommendation> and ClusterServe's
+#      ReconstructTopN chunk body (its _M_invoke; .cold clones aside)
+#      start at an address that is 0 mod 64, and no library under
+#      build/src other than libprivrec_serving.a defines that
+#      DenseTopNOffer instantiation. serving.cc compiles with
+#      -falign-functions=64, but the linker keeps the copy from whichever
+#      object it links first, so a second instantiation site could hand
+#      it an unaligned one. Runs right after the build.
 #
 # Methodology matches ci/obs_overhead.sh gate 2: both sides of every
 # ratio live in the same binary, run in one process with randomly
@@ -32,6 +41,54 @@ SELECT_MIN="${KERNEL_SELECT_MIN_RATIO:-1.0}"
 
 cmake --preset default >/dev/null
 cmake --build --preset default -j"$(nproc)" --target bench_perf_micro kernels_test
+
+# Gate 4 (first: it needs no timing): the alignment pin.
+python3 - build/bench/bench_perf_micro build/src <<'EOF'
+import glob, os, re, subprocess, sys
+binary, lib_root = sys.argv[1], sys.argv[2]
+OFFER = "privrec::kernels::DenseTopNOffer<privrec::core::Recommendation>("
+LINE = re.compile(r"^([0-9a-f]+) (\S) (.*)$")
+
+def symbols(path, *flags):
+    out = subprocess.run(["nm", "-C", *flags, path], check=True,
+                         capture_output=True, text=True).stdout
+    for line in out.splitlines():
+        m = LINE.match(line)
+        if m and not m.group(3).endswith("[clone .cold]"):
+            yield int(m.group(1), 16), m.group(3)
+
+def label_of(name):
+    if OFFER in name:
+        return "DenseTopNOffer<Recommendation>"
+    if ("ClusterServe" in name and "ReconstructTopN" in name
+            and "::_M_invoke(" in name):
+        return "ClusterServe chunk body"
+    return None
+
+fail = False
+found = set()
+for addr, name in symbols(binary):
+    label = label_of(name)
+    if label is None:
+        continue
+    found.add(label)
+    ok = addr % 64 == 0
+    print(f"[align] {label} at {addr:#x} (mod 64 = {addr % 64}) "
+          f"{'OK' if ok else 'FAIL'}")
+    fail |= not ok
+for label in ("DenseTopNOffer<Recommendation>", "ClusterServe chunk body"):
+    if label not in found:
+        print(f"FAIL: {label} not found in {binary}")
+        fail = True
+for lib in sorted(glob.glob(os.path.join(lib_root, "**", "lib*.a"),
+                            recursive=True)):
+    if os.path.basename(lib) == "libprivrec_serving.a":
+        continue
+    if any(OFFER in name for _, name in symbols(lib, "--defined-only")):
+        print(f"FAIL: {lib} also instantiates {OFFER.rstrip('(')}")
+        fail = True
+sys.exit(1 if fail else 0)
+EOF
 
 run_kernels() {  # run_kernels  (env decides dispatch)  -> JSON on stdout
   build/bench/bench_perf_micro --threads=1 \
@@ -102,4 +159,4 @@ PRIVREC_NO_SIMD=1 build/tests/kernels_test > "$SCRATCH/kernels_test.log" 2>&1 \
 echo "PRIVREC_NO_SIMD=1: kernels_test green on the forced-scalar path"
 
 rm -rf "$SCRATCH"
-echo "kernel perf gate: dispatch verified, SIMD floors met"
+echo "kernel perf gate: alignment pinned, dispatch verified, SIMD floors met"

@@ -18,7 +18,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
+#include "core/recommender_factory.h"
 #include "data/synthetic.h"
 #include "dp/budget.h"
 #include "eval/exact_reference.h"
@@ -99,9 +99,17 @@ int main(int argc, char** argv) {
                                      &workload};
     eval::ExactReference reference =
         eval::ExactReference::Compute(context, eval_users, 50);
-    core::ClusterRecommender rec(context, louvain.partition,
-                                 {.epsilon = epsilon, .seed = 11});
-    auto lists = rec.Recommend(eval_users, 50);
+    core::RecommenderSpec spec;
+    spec.mechanism = "Cluster";
+    spec.epsilon = epsilon;
+    spec.seed = 11;
+    spec.partition = &louvain.partition;
+    auto rec = core::MakeRecommender(context, spec);
+    if (!rec.ok()) {
+      std::fprintf(stderr, "%s\n", rec.status().ToString().c_str());
+      return 1;
+    }
+    auto lists = (*rec)->Recommend(eval_users, 50);
     double ndcg50 = reference.MeanNdcg(lists);
     for (auto& list : lists) {
       if (list.size() > 10) list.resize(10);

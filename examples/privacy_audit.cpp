@@ -19,7 +19,7 @@
 #include "common/flags.h"
 #include "common/parallel.h"
 #include "community/partition.h"
-#include "core/cluster_recommender.h"
+#include "core/cluster_publisher.h"
 #include "dp/audit.h"
 #include "similarity/common_neighbors.h"
 #include "similarity/workload.h"
@@ -56,12 +56,10 @@ int main(int argc, char** argv) {
   // The released value the target edge can influence: cluster 0's average
   // for item 0 (row-major [cluster][item], 2 items per row).
   auto run_audit = [&](double mechanism_epsilon) {
-    core::ClusterRecommender m1(ctx1, clusters,
-                                {.epsilon = mechanism_epsilon,
-                                 .seed = 101});
-    core::ClusterRecommender m2(ctx2, clusters,
-                                {.epsilon = mechanism_epsilon,
-                                 .seed = 202});
+    core::ClusterPublisher m1(ctx1, clusters,
+                              {.epsilon = mechanism_epsilon, .seed = 101});
+    core::ClusterPublisher m2(ctx2, clusters,
+                              {.epsilon = mechanism_epsilon, .seed = 202});
     return dp::AuditDpRatio(
         [&] { return m1.ComputeNoisyClusterAverages()[0]; },
         [&] { return m2.ComputeNoisyClusterAverages()[0]; }, epsilon, opt);

@@ -10,7 +10,7 @@
 //      recommendation b receives is one of the victim's private items.
 //
 // Against the non-private recommender the attack extracts the victim's
-// items verbatim. Against the ClusterRecommender the signal is smoothed
+// items verbatim. Against the Cluster mechanism the signal is smoothed
 // into a community average plus Laplace noise, and the same inference
 // fails. The example quantifies both.
 //
@@ -23,8 +23,8 @@
 #include "common/parallel.h"
 #include "common/stats.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "core/exact_recommender.h"
+#include "core/recommender_factory.h"
 #include "core/sybil_attack.h"
 #include "data/synthetic.h"
 #include "similarity/common_neighbors.h"
@@ -71,13 +71,21 @@ int main(int argc, char** argv) {
   // --- Attack on the DP framework ---------------------------------------
   community::LouvainResult louvain =
       community::RunLouvain(gadget.social, {.restarts = 5, .seed = 1});
-  core::ClusterRecommender private_rec(context, louvain.partition,
-                                       {.epsilon = epsilon, .seed = 2});
+  core::RecommenderSpec spec;
+  spec.mechanism = "Cluster";
+  spec.epsilon = epsilon;
+  spec.seed = 2;
+  spec.partition = &louvain.partition;
+  auto private_rec = core::MakeRecommender(context, spec);
+  if (!private_rec.ok()) {
+    std::fprintf(stderr, "%s\n", private_rec.status().ToString().c_str());
+    return 1;
+  }
   RunningStats precision;
   RunningStats recall;
   for (int t = 0; t < trials; ++t) {
     core::AttackScore s = core::ScoreSybilInference(
-        private_rec.RecommendOne(gadget.observer, top_n),
+        (*private_rec)->RecommendOne(gadget.observer, top_n),
         gadget.preferences, victim);
     precision.Add(s.precision);
     recall.Add(s.recall);

@@ -83,15 +83,14 @@ Result<serving::ArtifactModel> ModelArtifactBuilder::Build(
   context.workload = &workload;
 
   // The A_w publication — the one ε-spending step. The publisher is
-  // reused across builds with the same (epsilon, seed) so its invocation
-  // counter mirrors an in-memory recommender's repeated Recommend calls.
+  // reused across builds with the same (epsilon, seed), so its invocation
+  // counter advances once per build.
   if (publisher_ == nullptr || publisher_epsilon_ != options.epsilon ||
       publisher_seed_ != options.seed) {
-    core::ClusterRecommenderOptions cluster_options;
-    cluster_options.epsilon = options.epsilon;
-    cluster_options.seed = options.seed;
-    publisher_ = std::make_unique<core::ClusterRecommender>(
-        context, partition, cluster_options);
+    publisher_ = std::make_unique<core::ClusterPublisher>(
+        context, partition,
+        core::ClusterPublisherOptions{.epsilon = options.epsilon,
+                                      .seed = options.seed});
     publisher_epsilon_ = options.epsilon;
     publisher_seed_ = options.seed;
   }
@@ -162,12 +161,11 @@ Result<serving::ArtifactModel> ModelArtifactBuilder::Build(
   if (options.include_lowrank) {
     if (lowrank_ == nullptr || lowrank_rank_ != options.lrm_target_rank ||
         lowrank_seed_ != options.lrm_seed) {
-      core::LowRankRecommenderOptions lrm_options;
-      lrm_options.epsilon = options.epsilon;
-      lrm_options.target_rank = options.lrm_target_rank;
-      lrm_options.seed = options.lrm_seed;
-      lowrank_ = std::make_unique<core::LowRankRecommender>(context,
-                                                            lrm_options);
+      lowrank_ = std::make_unique<core::LowRankFactorization>(
+          context,
+          core::LowRankFactorizationOptions{
+              .target_rank = options.lrm_target_rank,
+              .seed = options.lrm_seed});
       lowrank_rank_ = options.lrm_target_rank;
       lowrank_seed_ = options.lrm_seed;
     }

@@ -9,9 +9,13 @@
 // private PreferenceGraph; everything downstream of the returned model is
 // post-processing. Repeated Build() calls with the same (epsilon, seed)
 // reuse one internal publisher whose invocation counter advances per call,
-// so the k-th build releases exactly the noise the k-th in-memory
-// Recommend would have drawn — the property the round-trip bit-identity
-// tests (and repeated-trial benches) rely on.
+// so the k-th build releases the k-th table of that (epsilon, seed) —
+// which is how core::MakeRecommender's "Cluster" draws fresh noise on
+// every Recommend call, and what the round-trip bit-identity tests and
+// the repeated-trial benches rely on.
+//
+// The builder sits in privrec_core (its header keeps this path): the
+// factory builds with it, and it builds with core's publication code.
 
 #ifndef PRIVREC_ARTIFACT_BUILDER_H_
 #define PRIVREC_ARTIFACT_BUILDER_H_
@@ -25,8 +29,8 @@
 #include "common/status.h"
 #include "community/louvain.h"
 #include "community/partition.h"
-#include "core/cluster_recommender.h"
-#include "core/low_rank_recommender.h"
+#include "core/cluster_publisher.h"
+#include "core/low_rank_factorization.h"
 #include "graph/preference_graph.h"
 #include "graph/social_graph.h"
 #include "similarity/similarity_measure.h"
@@ -94,11 +98,11 @@ class ModelArtifactBuilder {
   std::optional<similarity::SimilarityWorkload> owned_workload_;
   std::optional<uint64_t> graph_hash_;
   // Cached A_w publisher, keyed on the options that shape its noise.
-  std::unique_ptr<core::ClusterRecommender> publisher_;
+  std::unique_ptr<core::ClusterPublisher> publisher_;
   double publisher_epsilon_ = 0.0;
   uint64_t publisher_seed_ = 0;
   // Cached LRM factorization (the SVD is the expensive part).
-  std::unique_ptr<core::LowRankRecommender> lowrank_;
+  std::unique_ptr<core::LowRankFactorization> lowrank_;
   int64_t lowrank_rank_ = 0;
   uint64_t lowrank_seed_ = 0;
 };

@@ -1,10 +1,9 @@
-// The A_R reconstruction step of Algorithm 1 (lines 8-20), shared between
-// the in-memory ClusterRecommender and the artifact-backed ServingEngine.
-//
-// Both paths call the same template over the same chunked parallel layer,
-// so build→save→load→serve is bit-identical to in-memory by construction:
-// there is exactly one FP accumulation order, one fallback rule, and one
-// degradation policy, not two copies that could drift.
+// The A_R reconstruction step of Algorithm 1 (lines 8-20): the Cluster
+// mechanism's one implementation, run by the ServingEngine's ClusterServe
+// whether the model was adopted in memory (core::MakeRecommender,
+// ServingEngine::FromModel) or loaded from a .pvram. There is exactly one
+// FP accumulation order, one fallback rule, and one degradation policy,
+// so every route to a release serves the same lists.
 //
 // The math itself lives one layer lower, in src/kernels/: the
 // similarity-weighted row sum is kernels::AccumulateRows (cache-blocked,
@@ -37,8 +36,7 @@
 namespace privrec::serving {
 
 // A non-owning view of one A_w release: everything reconstruction needs,
-// whether the backing storage is a live ClusterRecommender or a loaded
-// artifact.
+// whether the backing storage is an owned model or a mapped artifact.
 struct ReleaseView {
   const double* values = nullptr;        // row-major [cluster][item]
   // Optional per-cluster row table for releases whose rows are not one
@@ -102,15 +100,14 @@ inline constexpr int64_t kReconstructGroupUsers = 40;
 
 // Per-user reconstruction, parallel over fixed chunks of the request batch.
 // `row_of(u)` yields u's sparse similarity row as a range of entries with
-// `.user` / `.score` members (similarity::SimilarityEntry in-memory, the
-// artifact's own record type when serving). `global_fn()` returns the
-// GlobalAverageUtilities row for the same view; it is only invoked for
-// isolated users, so callers that cache the row lazily (the serving
-// engine, which skips the O(C·I) pass across swap storms) never pay for
-// it on the personalized path. It must be safe to call from concurrent
-// chunks. Lists and diagnostics are written to their slots in `lists` /
-// `degradation` (resized here); the return value is the number of
-// degraded users, folded in chunk order.
+// `.user` / `.score` members (the artifact's WorkloadEntry when serving).
+// `global_fn()` returns the GlobalAverageUtilities row for the same view;
+// it is only invoked for isolated users, so callers that cache the row
+// lazily (the serving engine, which skips the O(C·I) pass across swap
+// storms) never pay for it on the personalized path. It must be safe to
+// call from concurrent chunks. Lists and diagnostics are written to their
+// slots in `lists` / `degradation` (resized here); the return value is
+// the number of degraded users, folded in chunk order.
 //
 // Each user's utilities are summed over its touched rows in its own
 // first-touch order, one block at a time, and each block is offered to

@@ -178,7 +178,8 @@ class DenseAccumulator {
 };
 
 // mu_u = sum_{v in sim(u)} sim(u, v) * w(v, ·) over the artifact's
-// preference CSR — the serve twin of ExactRecommender::ComputeUtilityRow.
+// preference CSR — the same sums as core::ExactRecommender, the
+// independent reference the tests compare against.
 std::vector<std::pair<int64_t, double>> ExactUtilityRow(
     const ServingEngine& engine, graph::NodeId u, DenseAccumulator* scratch) {
   scratch->Resize(engine.num_items());
@@ -259,6 +260,10 @@ class ExactServe final : public ServeRecommender {
   const ServingEngine* engine_;
 };
 
+// "Noise on Utility", the strawman of Section 5.1.1: Laplace noise on the
+// exact utilities, μ̂_u^i = μ_u^i + Lap(Δ_A / ε) with Δ_A = w_max ·
+// max_v Σ_u sim(u, v) — one preference edge (v, i) shifts the utility of
+// item i for every user similar to v, by sim(u, v) each.
 class NouServe final : public ServeRecommender {
  public:
   NouServe(const ServingEngine* engine, const ServeSpec& spec)
@@ -302,6 +307,11 @@ class NouServe final : public ServeRecommender {
   uint64_t invocation_ = 0;
 };
 
+// "Noise on Edges", the strawman of Section 5.1.1: Lap(w_max/ε) on the
+// weight of every potential preference edge, then the exact utility
+// computation on the sanitized weights. Each sanitized weight is released
+// once and read by every query, so the |U| × |I| noise matrix (float) is
+// materialized per call rather than re-sampled per query.
 class NoeServe final : public ServeRecommender {
  public:
   NoeServe(const ServingEngine* engine, const ServeSpec& spec)
@@ -364,6 +374,21 @@ class NoeServe final : public ServeRecommender {
   uint64_t invocation_ = 0;
 };
 
+// The paper's adaptation (Section 6.4) of Group-and-Smooth (Kellaris &
+// Papadopoulos, PVLDB'13), splitting ε in two halves:
+//   - ε/2 buys "rough" estimates: each preference edge (v, i) contributes
+//     to one estimate μ̃_u^i, u drawn uniformly from sim(v), plus Laplace
+//     noise at sensitivity w_max · max_{u,v} sim(u, v);
+//   - the true utilities of item i are sorted by the rough keys and cut
+//     into groups of m, and each group is released as its mean plus
+//     Lap(Δ / (ε/2)) with Δ = w_max · max_v Σ_u sim(u, v) / m.
+// Every user of a group receives the group's noisy mean. The workload must
+// hold every user's row and the measure must be symmetric.
+//
+// Degradation: a non-finite group mean is sanitized to 0 and its
+// requested users are flagged kNonFiniteSanitized; a requested user with
+// an empty similarity row is flagged kIsolatedUser; one all-user group is
+// counted as degenerate. Fault point: gs.group_mean.
 class GroupSmoothServe final : public ServeRecommender {
  public:
   GroupSmoothServe(const ServingEngine* engine, const ServeSpec& spec)
@@ -390,19 +415,22 @@ class GroupSmoothServe final : public ServeRecommender {
         std::max(engine_->model().workload.max_column_sum * w_max, 1e-12) /
         static_cast<double>(m);
 
+    // One accumulator per distinct requested user; a user named in several
+    // slots of the batch gets its list copied into each of them.
     std::vector<int64_t> accumulator_of(static_cast<size_t>(num_users), -1);
+    std::vector<size_t> accumulator_of_slot;
+    accumulator_of_slot.reserve(users.size());
     std::vector<core::TopNAccumulator> accumulators;
-    accumulators.reserve(users.size());
-    for (size_t k = 0; k < users.size(); ++k) {
-      PRIVREC_CHECK_MSG(
-          accumulator_of[static_cast<size_t>(users[k])] == -1,
-          "duplicate user in Recommend batch");
-      accumulator_of[static_cast<size_t>(users[k])] =
-          static_cast<int64_t>(k);
-      accumulators.emplace_back(top_n);
+    for (graph::NodeId u : users) {
+      int64_t& a = accumulator_of[static_cast<size_t>(u)];
+      if (a < 0) {
+        a = static_cast<int64_t>(accumulators.size());
+        accumulators.emplace_back(top_n);
+      }
+      accumulator_of_slot.push_back(static_cast<size_t>(a));
     }
 
-    std::vector<uint8_t> saw_sanitized(users.size(), 0);
+    std::vector<uint8_t> saw_sanitized(accumulators.size(), 0);
     std::vector<double> true_utilities(static_cast<size_t>(num_users));
     std::vector<double> rough(static_cast<size_t>(num_users));
     std::vector<graph::NodeId> order(static_cast<size_t>(num_users));
@@ -459,23 +487,29 @@ class GroupSmoothServe final : public ServeRecommender {
         }
         for (int64_t k = start; k < end; ++k) {
           graph::NodeId u = order[static_cast<size_t>(k)];
-          int64_t slot = accumulator_of[static_cast<size_t>(u)];
-          if (slot >= 0) {
-            accumulators[static_cast<size_t>(slot)].Offer(i, released);
-            if (sanitized) saw_sanitized[static_cast<size_t>(slot)] = 1;
+          const int64_t a = accumulator_of[static_cast<size_t>(u)];
+          if (a >= 0) {
+            accumulators[static_cast<size_t>(a)].Offer(i, released);
+            if (sanitized) saw_sanitized[static_cast<size_t>(a)] = 1;
           }
         }
       }
     }
 
+    std::vector<core::RecommendationList> taken;
+    taken.reserve(accumulators.size());
+    for (core::TopNAccumulator& acc : accumulators) {
+      taken.push_back(acc.Take());
+    }
     batch.lists.reserve(users.size());
     batch.degradation.reserve(users.size());
     for (size_t k = 0; k < users.size(); ++k) {
-      batch.lists.push_back(accumulators[k].Take());
+      const size_t a = accumulator_of_slot[k];
+      batch.lists.push_back(taken[a]);
       core::DegradationInfo info;
       if (engine_->WorkloadRow(users[k]).empty()) {
         info.reason = core::DegradationReason::kIsolatedUser;
-      } else if (saw_sanitized[k]) {
+      } else if (saw_sanitized[a]) {
         info.reason = core::DegradationReason::kNonFiniteSanitized;
       }
       if (info.degraded()) ++batch.report.users_degraded;
@@ -490,6 +524,8 @@ class GroupSmoothServe final : public ServeRecommender {
   uint64_t invocation_ = 0;
 };
 
+// The Low-Rank Mechanism over the artifact's factors W ≈ B L (see
+// core/low_rank_factorization.h): per item, ŷ_i = B (L D_i + Lap(Δ_L/ε)^r).
 class LowRankServe final : public ServeRecommender {
  public:
   LowRankServe(const ServingEngine* engine, const ServeSpec& spec)

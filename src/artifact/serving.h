@@ -13,9 +13,9 @@
 //
 // Both storage modes expose identical accessors through per-row pointer
 // tables built once at construction, so every serve mechanism is
-// storage-oblivious: for a fixed seed the k-th serve call is bit-identical
-// to the k-th Recommend of a fresh in-memory recommender at any thread
-// count, whether the bytes live in owned vectors, an mmap, or the
+// storage-oblivious: for a fixed model and seed the k-th serve call is
+// bit-identical at any thread count, whether the bytes live in owned
+// vectors (core::MakeRecommender's FromModel route), an mmap, or the
 // read-into-buffer fallback. sharded_artifact_test pins the full matrix.
 
 #ifndef PRIVREC_ARTIFACT_SERVING_H_
@@ -47,7 +47,8 @@ class ServingEngine {
   // Passing a shard file directly is kInvalidArgument: load the manifest.
   static Result<ServingEngine> Load(const std::string& path);
 
-  // Adopt an in-memory model (the no-I/O serve path used by the benches).
+  // Adopt an in-memory model (the no-I/O serve path of
+  // core::MakeRecommender, DynamicRecommenderSession and the benches).
   // Validates internal consistency before anything is served.
   static Result<ServingEngine> FromModel(ArtifactModel model);
 

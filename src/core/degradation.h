@@ -2,10 +2,10 @@
 //
 // Operational faults (degenerate clusterings, isolated users, poisoned
 // noise values, exhausted budgets) should degrade a response and say so,
-// not kill the request with kInternal. Recommenders expose a
-// RecommendWithReport variant returning, alongside the lists, a per-user
-// DegradationInfo and a batch-level ServingReport; the plain Recommend()
-// interface keeps its signature and simply drops the diagnostics.
+// not kill the request with kInternal. Every serve mechanism
+// (serving::ServeRecommender) returns, alongside the lists, a per-user
+// DegradationInfo and a batch-level ServingReport; core::Recommender's
+// Recommend() keeps its signature and simply drops the diagnostics.
 
 #ifndef PRIVREC_CORE_DEGRADATION_H_
 #define PRIVREC_CORE_DEGRADATION_H_

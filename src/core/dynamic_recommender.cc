@@ -11,7 +11,6 @@
 #include "artifact/shard_layout.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
-#include "core/cluster_recommender.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -148,29 +147,29 @@ Result<SnapshotRelease> DynamicRecommenderSession::ProcessSnapshot(
         community::RunLouvain(*context.social, louvain_options).partition;
   }
 
+  // Every snapshot builds its release in RAM and serves it through the one
+  // serve implementation. With artifact_dir set the model goes through the
+  // two-phase pipeline instead — build → save → load → serve — and the
+  // saved file becomes the snapshot's audit trail; the lists are the same
+  // either way.
   const uint64_t noise_seed =
       SplitMix64(options_.seed + 0x9e37 + static_cast<uint64_t>(t));
-  RecommendedBatch batch;
+  artifact::ModelArtifactBuilder builder(context.social, context.preferences);
+  builder.SetPartition(&clustering);
+  builder.SetWorkload(context.workload);
+  std::string path;
+  std::optional<serving::ServingEngine> engine;
   if (!options_.artifact_dir.empty()) {
-    // Two-phase route: build → save → load → serve. The artifact's
-    // publication uses the same (partition, workload, ε_t, seed) as the
-    // in-process route and serving runs the same reconstruction template,
-    // so the released lists are bit-identical either way.
     std::error_code ec;
     std::filesystem::create_directories(options_.artifact_dir, ec);
     if (ec) {
       return Status::IoError("cannot create artifact dir '" +
                              options_.artifact_dir + "': " + ec.message());
     }
-    const std::string path = SnapshotArtifactPath(options_.artifact_dir, t);
+    path = SnapshotArtifactPath(options_.artifact_dir, t);
     // A crash mid-save leaves temp files next to the destination; they are
     // garbage from a torn write, never a resumable artifact.
     serving::RemoveSaveDebris(path);
-
-    artifact::ModelArtifactBuilder builder(context.social,
-                                           context.preferences);
-    builder.SetPartition(&clustering);
-    builder.SetWorkload(context.workload);
 
     // Crash recovery may find snapshot t's artifact already on disk (the
     // previous run died after the rename committed but before the ledger
@@ -179,7 +178,6 @@ Result<SnapshotRelease> DynamicRecommenderSession::ProcessSnapshot(
     // the noise inside is exactly the deterministic draw a rebuild would
     // reproduce. Any mismatch or load failure (torn file, wrong epoch)
     // falls through to skip-and-rebuild, overwriting the bad file.
-    std::optional<serving::ServingEngine> engine;
     if (resumed_intent && std::filesystem::exists(path)) {
       Result<serving::ServingEngine> reloaded =
           serving::ServingEngine::Load(path);
@@ -192,37 +190,37 @@ Result<SnapshotRelease> DynamicRecommenderSession::ProcessSnapshot(
         engine.emplace(std::move(reloaded).value());
       }
     }
-    if (!engine) {
-      artifact::BuildOptions build_options;
-      build_options.epsilon = epsilon;
-      build_options.seed = noise_seed;
-      build_options.include_reference_sections = false;
-      build_options.ledger_id =
-          options_.ledger_path.empty()
-              ? "snapshot_" + std::to_string(t)
-              : options_.ledger_path + "#" + std::to_string(t);
-      Result<serving::ArtifactModel> model = builder.Build(build_options);
-      if (!model.ok()) return model.status();
+  }
+  if (!engine) {
+    artifact::BuildOptions build_options;
+    build_options.epsilon = epsilon;
+    build_options.seed = noise_seed;
+    build_options.include_reference_sections = false;
+    build_options.ledger_id =
+        options_.ledger_path.empty()
+            ? "snapshot_" + std::to_string(t)
+            : options_.ledger_path + "#" + std::to_string(t);
+    Result<serving::ArtifactModel> model = builder.Build(build_options);
+    if (!model.ok()) return model.status();
+    if (!path.empty()) {
       Status saved = serving::SaveShardedArtifact(*model, path);
       if (!saved.ok()) return saved;
-      Result<serving::ServingEngine> loaded =
-          serving::ServingEngine::Load(path);
-      if (!loaded.ok()) return loaded.status();
-      engine.emplace(std::move(loaded).value());
     }
-    serving::ServeSpec spec;
-    spec.mechanism = "Cluster";
-    spec.epsilon = epsilon;
-    spec.expected_graph_hash = builder.graph_hash();
-    Result<std::unique_ptr<serving::ServeRecommender>> server =
-        serving::MakeServeRecommender(&*engine, spec);
-    if (!server.ok()) return server.status();
-    batch = (*server)->Recommend(users, top_n);
-  } else {
-    ClusterRecommender recommender(context, clustering,
-                                   {.epsilon = epsilon, .seed = noise_seed});
-    batch = recommender.RecommendWithReport(users, top_n);
+    Result<serving::ServingEngine> built =
+        path.empty()
+            ? serving::ServingEngine::FromModel(std::move(model).value())
+            : serving::ServingEngine::Load(path);
+    if (!built.ok()) return built.status();
+    engine.emplace(std::move(built).value());
   }
+  serving::ServeSpec spec;
+  spec.mechanism = "Cluster";
+  spec.epsilon = epsilon;
+  spec.expected_graph_hash = builder.graph_hash();
+  Result<std::unique_ptr<serving::ServeRecommender>> server =
+      serving::MakeServeRecommender(&*engine, spec);
+  if (!server.ok()) return server.status();
+  RecommendedBatch batch = (*server)->Recommend(users, top_n);
 
   SnapshotRelease release;
   release.lists = std::move(batch.lists);

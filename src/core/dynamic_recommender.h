@@ -69,11 +69,12 @@ struct DynamicRecommenderOptions {
   // On budget exhaustion, replay the last paid release (flagged
   // kStaleReplay) instead of failing with RESOURCE_EXHAUSTED.
   bool serve_stale_on_exhaustion = false;
-  // Non-empty: route each snapshot through the two-phase pipeline — build
-  // a model artifact, save it as SnapshotArtifactPath(artifact_dir, t),
-  // load it back, and serve the release from the artifact (bit-identical
-  // to the in-process path). The saved artifacts are the session's audit
-  // trail: each records its ε_t, seed, and ledger id in its provenance.
+  // Each snapshot builds a model and serves its release. Empty: the model
+  // stays in RAM (ServingEngine::FromModel). Non-empty: it goes through
+  // the two-phase pipeline — saved as SnapshotArtifactPath(artifact_dir,
+  // t), loaded back and served from the artifact, with bit-identical
+  // lists. The saved artifacts are the session's audit trail: each
+  // records its ε_t, seed, and ledger id in its provenance.
   std::string artifact_dir;
 };
 

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/recommender_factory.h"
 #include "dp/mechanisms.h"
 
 namespace privrec::core {
@@ -12,12 +13,18 @@ HybridRecommender::HybridRecommender(const RecommenderContext& context,
                                      community::Partition partition,
                                      const HybridRecommenderOptions& options)
     : options_(options),
-      social_(context, std::move(partition),
-              {.epsilon = options.epsilon_social,
-               .seed = SplitMix64(options.seed ^ 0x50C1A1)}),
       cf_(context, {.epsilon = options.epsilon_cf,
                     .tau = options.cf_tau,
                     .seed = SplitMix64(options.seed ^ 0xCF00)}) {
+  RecommenderSpec social;
+  social.mechanism = "Cluster";
+  social.epsilon = options.epsilon_social;
+  social.seed = SplitMix64(options.seed ^ 0x50C1A1);
+  social.partition = &partition;
+  Result<std::unique_ptr<Recommender>> made =
+      MakeRecommender(context, social);
+  PRIVREC_CHECK_MSG(made.ok(), made.status().message().c_str());
+  social_ = std::move(made).value();
   PRIVREC_CHECK(options_.alpha >= 0.0 && options_.alpha <= 1.0);
   PRIVREC_CHECK(options_.rrf_k > 0.0);
   PRIVREC_CHECK(options_.candidate_multiple >= 1);
@@ -41,7 +48,7 @@ std::vector<RecommendationList> HybridRecommender::Recommend(
   const int64_t candidates =
       std::max<int64_t>(top_n * options_.candidate_multiple, 100);
   std::vector<RecommendationList> social_lists =
-      social_.Recommend(users, candidates);
+      social_->Recommend(users, candidates);
   std::vector<RecommendationList> cf_lists =
       cf_.Recommend(users, candidates);
 

@@ -3,7 +3,7 @@
 // non-social data ... we plan to study such hybrid recommenders in a
 // future work"), built from the two DP components this library already
 // provides:
-//   - the social ClusterRecommender (Algorithm 1) at ε_social, and
+//   - the social "Cluster" mechanism (Algorithm 1) at ε_social, and
 //   - the non-social ItemCfRecommender (McSherry-Mironov style) at ε_cf.
 //
 // Both components read the SAME preference edges, so by sequential
@@ -20,9 +20,9 @@
 #define PRIVREC_CORE_HYBRID_RECOMMENDER_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "community/partition.h"
-#include "core/cluster_recommender.h"
 #include "core/item_cf_recommender.h"
 #include "core/recommender.h"
 #include "dp/budget.h"
@@ -59,7 +59,7 @@ class HybridRecommender final : public Recommender {
 
  private:
   HybridRecommenderOptions options_;
-  ClusterRecommender social_;
+  std::unique_ptr<Recommender> social_;
   ItemCfRecommender cf_;
 };
 

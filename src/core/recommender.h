@@ -1,6 +1,6 @@
 // The top-N social recommender interface (Definition 4) shared by the
-// non-private reference, the paper's framework (ClusterRecommender) and
-// every baseline mechanism.
+// non-private reference, the paper's framework ("Cluster" from
+// core::MakeRecommender) and every baseline mechanism.
 //
 // A RecommenderContext bundles the inputs: the public social graph, the
 // private preference graph, and the precomputed similarity workload

@@ -3,9 +3,9 @@
 //
 //     out[i] += scales[k] * rows[k][i]    for k in row order, all items i
 //
-// factored out of artifact/reconstruct.h so the in-memory recommender,
-// the artifact serving engine, and the LRM/item-based engines share one
-// kernel instead of re-welding the loop per caller.
+// factored out of artifact/reconstruct.h so the reconstruction loop
+// (serving::ReconstructTopN, the one implementation of the Cluster
+// mechanism) and the kernel benchmarks share one kernel.
 //
 // Determinism contract: for each item i the terms are added in row order
 // k = 0..num_rows-1, exactly one rounding per multiply and one per add —

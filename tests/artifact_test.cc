@@ -1,6 +1,7 @@
 // Tests for the two-phase build/serve split: build→save→load→serve
-// round-trip bit-identity against the in-memory core path for every
-// mechanism at every thread count, the compatibility gates (graph /
+// round-trip bit-identity against the in-memory route of
+// core::MakeRecommender (build → ServingEngine::FromModel → serve) for
+// every mechanism at every thread count, the compatibility gates (graph /
 // ε-provenance / missing sections, each with its own status code), and the
 // privacy isolation of the serving layer. File-level robustness of the
 // saved .pvram artifact lives in sharded_artifact_test.
@@ -33,6 +34,7 @@
 #include "core/dynamic_recommender.h"
 #include "core/recommender_factory.h"
 #include "data/synthetic.h"
+#include "mechanisms.h"
 #include "similarity/common_neighbors.h"
 
 namespace privrec {
@@ -46,7 +48,7 @@ class ArtifactTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
-           ("privrec_artifact_" +
+           ("artifact_test_" +
             std::string(::testing::UnitTest::GetInstance()
                             ->current_test_info()
                             ->name()));
@@ -111,17 +113,18 @@ class ArtifactTest : public ::testing::Test {
 // ------------------------------------------------------------ bit-identity
 
 // The paper's mechanism: the A_w release is frozen at build time, so the
-// k-th Build+serve must reproduce the k-th Recommend of a fresh in-memory
-// recommender — at every thread count, through an actual file.
+// k-th Build+save+load+serve must reproduce the k-th Recommend of a fresh
+// MakeRecommender("Cluster"), whose model never leaves RAM — at every
+// thread count, owned storage against an actual file.
 TEST_F(ArtifactTest, ClusterRoundTripBitIdentityAcrossThreadCounts) {
   // Reference: two successive in-memory releases at one thread.
   std::vector<std::vector<RecommendationList>> reference;
   {
     ScopedThreadCount baseline(1);
-    core::ClusterRecommender rec(context_, louvain_.partition,
-                                 {.epsilon = kEps, .seed = kSeed});
-    reference.push_back(rec.Recommend(users_, kTopN));
-    reference.push_back(rec.Recommend(users_, kTopN));
+    auto rec = test_mechanisms::MakeCluster(context_, louvain_.partition,
+                                            kEps, kSeed);
+    reference.push_back(rec->Recommend(users_, kTopN));
+    reference.push_back(rec->Recommend(users_, kTopN));
   }
 
   serving::ServeSpec spec;
@@ -130,10 +133,10 @@ TEST_F(ArtifactTest, ClusterRoundTripBitIdentityAcrossThreadCounts) {
   for (int64_t threads : {int64_t{1}, int64_t{2}, HardwareThreads()}) {
     ScopedThreadCount scoped(threads);
     // In-memory stays thread-invariant...
-    core::ClusterRecommender rec(context_, louvain_.partition,
-                                 {.epsilon = kEps, .seed = kSeed});
-    EXPECT_EQ(rec.Recommend(users_, kTopN), reference[0]) << threads;
-    EXPECT_EQ(rec.Recommend(users_, kTopN), reference[1]) << threads;
+    auto rec = test_mechanisms::MakeCluster(context_, louvain_.partition,
+                                            kEps, kSeed);
+    EXPECT_EQ(rec->Recommend(users_, kTopN), reference[0]) << threads;
+    EXPECT_EQ(rec->Recommend(users_, kTopN), reference[1]) << threads;
     // ...and so does the build→save→load→serve route, invocation by
     // invocation.
     artifact::ModelArtifactBuilder builder = MakeBuilder();
@@ -150,8 +153,8 @@ TEST_F(ArtifactTest, ClusterRoundTripBitIdentityAcrossThreadCounts) {
 }
 
 // The reference baselines draw fresh noise at serve time: the k-th call of
-// a served artifact must equal the k-th call of a fresh in-memory
-// recommender with the same seed.
+// a served artifact must equal the k-th call of a fresh MakeRecommender
+// with the same seed, whose model stays in RAM.
 TEST_F(ArtifactTest, BaselinesRoundTripBitIdentityAcrossThreadCounts) {
   artifact::ModelArtifactBuilder builder = MakeBuilder();
   artifact::BuildOptions build_options;
@@ -280,40 +283,36 @@ TEST_F(ArtifactTest, FactoryServesFromAnEngineBehindTheSameInterface) {
   auto model = builder.Build({.epsilon = kEps, .seed = kSeed});
   ASSERT_TRUE(model.ok());
 
-  std::vector<RecommendationList> reference;
-  {
-    core::ClusterRecommender rec(context_, louvain_.partition,
-                                 {.epsilon = kEps, .seed = kSeed});
-    reference = rec.Recommend(users_, kTopN);
-  }
+  core::RecommenderSpec spec;
+  spec.mechanism = "Cluster";
+  spec.epsilon = kEps;
+  spec.seed = kSeed;
+  spec.partition = &louvain_.partition;
+  const std::vector<RecommendationList> reference =
+      test_mechanisms::Make(context_, spec)->Recommend(users_, kTopN);
 
   auto engine = serving::ServingEngine::FromModel(std::move(*model));
   ASSERT_TRUE(engine.ok());
   auto shared =
       std::make_shared<const serving::ServingEngine>(std::move(*engine));
 
-  core::RecommenderSpec spec;
-  spec.mechanism = "Cluster";
-  spec.epsilon = kEps;
-  spec.seed = kSeed;
+  // The engine-owning recommender serves the same first release...
   spec.expected_graph_hash = builder.graph_hash();
-
-  // Non-owning path through MakeRecommender (context ignored)...
-  spec.engine = shared.get();
-  auto rec = core::MakeRecommender(context_, spec);
-  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-  EXPECT_EQ((*rec)->Name(), "Cluster");
-  EXPECT_EQ((*rec)->Recommend(users_, kTopN), reference);
-
-  // ...and the engine-owning variant.
-  spec.engine = nullptr;
   auto owning = core::MakeArtifactRecommender(shared, spec);
   ASSERT_TRUE(owning.ok()) << owning.status().ToString();
+  EXPECT_EQ((*owning)->Name(), "Cluster");
   EXPECT_EQ((*owning)->Recommend(users_, kTopN), reference);
+
+  // ...and passes the engine through the graph gate.
+  spec.expected_graph_hash = builder.graph_hash() ^ 1;
+  EXPECT_EQ(core::MakeArtifactRecommender(shared, spec).status().code(),
+            StatusCode::kGraphMismatch);
 }
 
 // ---------------------------------------------------------------- dynamic
 
+// A session without artifact_dir serves each snapshot's model from RAM
+// (FromModel); with it, from the saved and reloaded file.
 TEST_F(ArtifactTest, DynamicSessionArtifactRouteMatchesInMemory) {
   core::DynamicRecommenderOptions options;
   options.total_epsilon = 2.0;

@@ -9,10 +9,10 @@
 
 #include "common/stats.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "core/exact_recommender.h"
 #include "core/sybil_attack.h"
 #include "data/synthetic.h"
+#include "mechanisms.h"
 #include "similarity/adamic_adar.h"
 #include "similarity/common_neighbors.h"
 #include "similarity/graph_distance.h"
@@ -115,8 +115,8 @@ TEST_F(SybilAttackTest, FrameworkBluntsTheAttack) {
   RecommenderContext ctx{&gadget.social, &gadget.preferences, &workload};
   community::LouvainResult louvain =
       community::RunLouvain(gadget.social, {.restarts = 3, .seed = 32});
-  ClusterRecommender private_rec(ctx, louvain.partition,
-                                 {.epsilon = 0.1, .seed = 33});
+  auto private_rec =
+      test_mechanisms::MakeCluster(ctx, louvain.partition, 0.1, 33);
   ExactRecommender exact(ctx);
 
   const int64_t n = 10;
@@ -125,7 +125,7 @@ TEST_F(SybilAttackTest, FrameworkBluntsTheAttack) {
   RunningStats private_precision;
   for (int t = 0; t < 10; ++t) {
     AttackScore s = ScoreSybilInference(
-        private_rec.RecommendOne(gadget.observer, n), gadget.preferences,
+        private_rec->RecommendOne(gadget.observer, n), gadget.preferences,
         victim_);
     private_precision.Add(s.precision);
   }

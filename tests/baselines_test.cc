@@ -1,17 +1,18 @@
-// Tests for the baseline mechanisms: NOU, NOE, GS and LRM.
+// Tests for the baseline mechanisms NOU, NOE, GS and LRM, as
+// core::MakeRecommender serves them, and for the LRM factorization.
 
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "artifact/builder.h"
+#include "community/partition.h"
 #include "core/exact_recommender.h"
-#include "core/group_smooth_recommender.h"
-#include "core/low_rank_recommender.h"
-#include "core/noe_recommender.h"
-#include "core/nou_recommender.h"
+#include "core/low_rank_factorization.h"
 #include "data/synthetic.h"
 #include "dp/mechanisms.h"
 #include "eval/exact_reference.h"
+#include "mechanisms.h"
 #include "similarity/common_neighbors.h"
 
 namespace privrec::core {
@@ -48,6 +49,10 @@ class BaselinesTest : public ::testing::Test {
     }
   }
 
+  std::unique_ptr<Recommender> Make(const RecommenderSpec& spec) {
+    return test_mechanisms::Make(context_, spec);
+  }
+
   data::Dataset dataset_;
   similarity::SimilarityWorkload workload_;
   RecommenderContext context_;
@@ -57,15 +62,29 @@ class BaselinesTest : public ::testing::Test {
 // -------------------------------------------------------------------- NOU
 
 TEST_F(BaselinesTest, NouWithoutNoiseEqualsExact) {
-  NouRecommender rec(context_,
-                     {.epsilon = dp::kEpsilonInfinity, .seed = 1});
-  ExpectMatchesExactPrefix(rec.Recommend(all_users_, 10));
+  auto rec = Make(
+      {.mechanism = "NOU", .epsilon = dp::kEpsilonInfinity, .seed = 1});
+  ExpectMatchesExactPrefix(rec->Recommend(all_users_, 10));
 }
 
 TEST_F(BaselinesTest, NouSensitivityIsWorkloadColumnSum) {
-  NouRecommender rec(context_, {.epsilon = 1.0, .seed = 2});
-  EXPECT_DOUBLE_EQ(rec.sensitivity(), workload_.MaxColumnSum());
-  EXPECT_GT(rec.sensitivity(), 1.0);  // far above the per-edge scale
+  // NOU serves at Δ_A = workload.max_column_sum × meta.max_weight of the
+  // model it was built into.
+  artifact::ModelArtifactBuilder builder(&dataset_.social,
+                                         &dataset_.preferences);
+  const community::Partition whole =
+      community::Partition::Whole(dataset_.social.num_nodes());
+  builder.SetPartition(&whole);
+  builder.SetWorkload(&workload_);
+  artifact::BuildOptions options;
+  options.epsilon = 1.0;
+  options.seed = 2;
+  auto model = builder.Build(options);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const double sensitivity =
+      model->workload.max_column_sum * model->meta.max_weight;
+  EXPECT_DOUBLE_EQ(sensitivity, workload_.MaxColumnSum());
+  EXPECT_GT(sensitivity, 1.0);  // far above the per-edge scale
 }
 
 TEST_F(BaselinesTest, NouAtModerateEpsilonIsNearRandom) {
@@ -76,8 +95,8 @@ TEST_F(BaselinesTest, NouAtModerateEpsilonIsNearRandom) {
   // be wrong).
   eval::ExactReference ref =
       eval::ExactReference::Compute(context_, all_users_, 10);
-  NouRecommender rec(context_, {.epsilon = 1.0, .seed = 3});
-  double nou_ndcg = ref.MeanNdcg(rec.Recommend(all_users_, 10));
+  auto rec = Make({.mechanism = "NOU", .epsilon = 1.0, .seed = 3});
+  double nou_ndcg = ref.MeanNdcg(rec->Recommend(all_users_, 10));
 
   Rng rng(4);
   std::vector<RecommendationList> random_lists;
@@ -99,35 +118,36 @@ TEST_F(BaselinesTest, NouAtModerateEpsilonIsNearRandom) {
 // -------------------------------------------------------------------- NOE
 
 TEST_F(BaselinesTest, NoeWithoutNoiseEqualsExact) {
-  NoeRecommender rec(context_,
-                     {.epsilon = dp::kEpsilonInfinity, .seed = 4});
-  ExpectMatchesExactPrefix(rec.Recommend(all_users_, 10));
+  auto rec = Make(
+      {.mechanism = "NOE", .epsilon = dp::kEpsilonInfinity, .seed = 4});
+  ExpectMatchesExactPrefix(rec->Recommend(all_users_, 10));
 }
 
 TEST_F(BaselinesTest, NoeDeterministicForSeed) {
-  NoeRecommenderOptions opt{.epsilon = 1.0, .seed = 5};
-  NoeRecommender a(context_, opt);
-  NoeRecommender b(context_, opt);
-  EXPECT_EQ(a.Recommend({0, 1}, 5), b.Recommend({0, 1}, 5));
+  const RecommenderSpec spec{.mechanism = "NOE", .epsilon = 1.0, .seed = 5};
+  EXPECT_EQ(Make(spec)->Recommend({0, 1}, 5),
+            Make(spec)->Recommend({0, 1}, 5));
 }
 
 TEST_F(BaselinesTest, NoeBeatsNouAtWeakPrivacy) {
   // Matches Figure 4(a): NOE performs much better than NOU at eps = 1.0.
   eval::ExactReference ref =
       eval::ExactReference::Compute(context_, all_users_, 10);
-  NoeRecommender noe(context_, {.epsilon = 1.0, .seed = 6});
-  NouRecommender nou(context_, {.epsilon = 1.0, .seed = 6});
-  double noe_ndcg = ref.MeanNdcg(noe.Recommend(all_users_, 10));
-  double nou_ndcg = ref.MeanNdcg(nou.Recommend(all_users_, 10));
+  auto noe = Make({.mechanism = "NOE", .epsilon = 1.0, .seed = 6});
+  auto nou = Make({.mechanism = "NOU", .epsilon = 1.0, .seed = 6});
+  double noe_ndcg = ref.MeanNdcg(noe->Recommend(all_users_, 10));
+  double nou_ndcg = ref.MeanNdcg(nou->Recommend(all_users_, 10));
   EXPECT_GT(noe_ndcg, nou_ndcg);
 }
 
 // --------------------------------------------------------------------- GS
 
 TEST_F(BaselinesTest, GsProducesFullLengthRankings) {
-  GroupSmoothRecommender rec(
-      context_, {.epsilon = 1.0, .group_size = 32, .seed = 7});
-  auto lists = rec.Recommend({0, 5, 9}, 10);
+  auto rec = Make({.mechanism = "GS",
+                   .epsilon = 1.0,
+                   .seed = 7,
+                   .gs_group_size = 32});
+  auto lists = rec->Recommend({0, 5, 9}, 10);
   ASSERT_EQ(lists.size(), 3u);
   for (const auto& list : lists) {
     EXPECT_EQ(list.size(), 10u);
@@ -139,20 +159,20 @@ TEST_F(BaselinesTest, GsProducesFullLengthRankings) {
 }
 
 TEST_F(BaselinesTest, GsDeterministicForSeed) {
-  GroupSmoothRecommenderOptions opt{
-      .epsilon = 0.5, .group_size = 16, .seed = 8};
-  GroupSmoothRecommender a(context_, opt);
-  GroupSmoothRecommender b(context_, opt);
-  EXPECT_EQ(a.Recommend({0, 1, 2}, 5), b.Recommend({0, 1, 2}, 5));
+  const RecommenderSpec spec{
+      .mechanism = "GS", .epsilon = 0.5, .seed = 8, .gs_group_size = 16};
+  EXPECT_EQ(Make(spec)->Recommend({0, 1, 2}, 5),
+            Make(spec)->Recommend({0, 1, 2}, 5));
 }
 
 TEST_F(BaselinesTest, GsGroupSizeOneWithoutNoiseEqualsExact) {
   // m = 1 means every query is its own group: the group mean IS the true
   // utility, so eps = inf reproduces exact rankings.
-  GroupSmoothRecommender rec(
-      context_,
-      {.epsilon = dp::kEpsilonInfinity, .group_size = 1, .seed = 9});
-  ExpectMatchesExactPrefix(rec.Recommend(all_users_, 10));
+  auto rec = Make({.mechanism = "GS",
+                   .epsilon = dp::kEpsilonInfinity,
+                   .seed = 9,
+                   .gs_group_size = 1});
+  ExpectMatchesExactPrefix(rec->Recommend(all_users_, 10));
 }
 
 TEST_F(BaselinesTest, GsSmoothingDegradesWithGiantGroups) {
@@ -160,22 +180,22 @@ TEST_F(BaselinesTest, GsSmoothingDegradesWithGiantGroups) {
   // lose all personalization and NDCG drops well below the exact prefix.
   eval::ExactReference ref =
       eval::ExactReference::Compute(context_, all_users_, 10);
-  GroupSmoothRecommender rec(
-      context_,
-      {.epsilon = dp::kEpsilonInfinity, .group_size = 100000, .seed = 10});
-  double ndcg = ref.MeanNdcg(rec.Recommend(all_users_, 10));
+  auto rec = Make({.mechanism = "GS",
+                   .epsilon = dp::kEpsilonInfinity,
+                   .seed = 10,
+                   .gs_group_size = 100000});
+  double ndcg = ref.MeanNdcg(rec->Recommend(all_users_, 10));
   EXPECT_LT(ndcg, 0.9);
 }
 
 // -------------------------------------------------------------------- LRM
 
 TEST_F(BaselinesTest, LrmFactorizationReportsQuality) {
-  LowRankRecommender rec(context_,
-                         {.epsilon = 1.0, .target_rank = 40, .seed = 11});
-  EXPECT_EQ(rec.rank(), 40);
-  EXPECT_GT(rec.noise_sensitivity(), 0.0);
-  EXPECT_GE(rec.factorization_error(), 0.0);
-  EXPECT_LT(rec.factorization_error(), 1.0);
+  LowRankFactorization lrm(context_, {.target_rank = 40, .seed = 11});
+  EXPECT_EQ(lrm.rank(), 40);
+  EXPECT_GT(lrm.noise_sensitivity(), 0.0);
+  EXPECT_GE(lrm.factorization_error(), 0.0);
+  EXPECT_LT(lrm.factorization_error(), 1.0);
 }
 
 TEST_F(BaselinesTest, LrmFullRankWithoutNoiseScoresPerfectNdcg) {
@@ -183,40 +203,42 @@ TEST_F(BaselinesTest, LrmFullRankWithoutNoiseScoresPerfectNdcg) {
   // reproduces the exact utilities. The ~1e-10 reconstruction residue can
   // flip exact ties, so compare by NDCG (tie swaps carry no penalty)
   // rather than item-by-item.
-  LowRankRecommender rec(
-      context_,
-      {.epsilon = dp::kEpsilonInfinity, .target_rank = 150, .seed = 12});
-  EXPECT_LT(rec.factorization_error(), 1e-6);
+  EXPECT_LT(LowRankFactorization(context_, {.target_rank = 150, .seed = 12})
+                .factorization_error(),
+            1e-6);
+  auto rec = Make({.mechanism = "LRM",
+                   .epsilon = dp::kEpsilonInfinity,
+                   .seed = 12,
+                   .lrm_target_rank = 150});
   eval::ExactReference ref =
       eval::ExactReference::Compute(context_, all_users_, 10);
-  EXPECT_NEAR(ref.MeanNdcg(rec.Recommend(all_users_, 10)), 1.0, 1e-6);
+  EXPECT_NEAR(ref.MeanNdcg(rec->Recommend(all_users_, 10)), 1.0, 1e-6);
 }
 
 TEST_F(BaselinesTest, LrmHigherRankReducesFactorizationError) {
-  LowRankRecommender low(context_,
-                         {.epsilon = 1.0, .target_rank = 10, .seed = 13});
-  LowRankRecommender high(context_,
-                          {.epsilon = 1.0, .target_rank = 80, .seed = 13});
+  LowRankFactorization low(context_, {.target_rank = 10, .seed = 13});
+  LowRankFactorization high(context_, {.target_rank = 80, .seed = 13});
   EXPECT_LT(high.factorization_error(), low.factorization_error() + 1e-12);
 }
 
 TEST_F(BaselinesTest, LrmDeterministicForSeed) {
-  LowRankRecommenderOptions opt{
-      .epsilon = 0.5, .target_rank = 30, .seed = 14};
-  LowRankRecommender a(context_, opt);
-  LowRankRecommender b(context_, opt);
-  EXPECT_EQ(a.Recommend({0, 3}, 5), b.Recommend({0, 3}, 5));
+  const RecommenderSpec spec{.mechanism = "LRM",
+                             .epsilon = 0.5,
+                             .seed = 14,
+                             .lrm_target_rank = 30};
+  EXPECT_EQ(Make(spec)->Recommend({0, 3}, 5),
+            Make(spec)->Recommend({0, 3}, 5));
 }
 
 // ------------------------------------------------- Cross-mechanism shape
 
 TEST_F(BaselinesTest, AllMechanismNamesAreDistinct) {
-  NouRecommender nou(context_, {});
-  NoeRecommender noe(context_, {});
-  GroupSmoothRecommender gs(context_, {});
-  LowRankRecommender lrm(context_, {.target_rank = 10});
-  std::set<std::string> names = {nou.Name(), noe.Name(), gs.Name(),
-                                 lrm.Name()};
+  std::set<std::string> names;
+  for (const char* mechanism : {"NOU", "NOE", "GS", "LRM"}) {
+    auto rec = Make({.mechanism = mechanism, .lrm_target_rank = 10});
+    EXPECT_EQ(rec->Name(), mechanism);
+    names.insert(rec->Name());
+  }
   EXPECT_EQ(names.size(), 4u);
 }
 

@@ -1,6 +1,8 @@
-// Tests for ClusterRecommender (Algorithm 1): degenerate-partition
-// equivalences, approximation-error behaviour, the empirical ε-DP check at
-// the privacy boundary (module A_w), and determinism.
+// Tests for the Cluster mechanism (Algorithm 1) as core::MakeRecommender
+// serves it: degenerate-partition equivalences, approximation-error
+// behaviour, the empirical ε-DP check at the privacy boundary (module A_w,
+// core::ClusterPublisher), determinism, and the degradation diagnostics
+// of the serve path.
 
 #include <cmath>
 #include <set>
@@ -11,11 +13,11 @@
 #include "common/stats.h"
 #include "community/louvain.h"
 #include "community/simple_clusterings.h"
-#include "core/cluster_recommender.h"
+#include "core/cluster_publisher.h"
 #include "core/exact_recommender.h"
-#include "core/group_smooth_recommender.h"
 #include "data/synthetic.h"
 #include "dp/mechanisms.h"
+#include "mechanisms.h"
 #include "similarity/common_neighbors.h"
 
 namespace privrec::core {
@@ -26,6 +28,9 @@ using graph::ItemId;
 using graph::NodeId;
 using graph::PreferenceGraph;
 using graph::SocialGraph;
+using test_mechanisms::BuildEngine;
+using test_mechanisms::MakeCluster;
+using test_mechanisms::Serve;
 
 class ClusterRecommenderTest : public ::testing::Test {
  protected:
@@ -51,11 +56,11 @@ TEST_F(ClusterRecommenderTest,
   // With |c| = 1 every cluster average IS the edge weight, so epsilon = inf
   // must reproduce the exact recommender's rankings (Algorithm 1
   // degenerates to plain Equation 1).
-  ClusterRecommender cluster(
-      context_, Partition::Singletons(dataset_.social.num_nodes()),
-      {.epsilon = dp::kEpsilonInfinity, .seed = 1});
+  const Partition singletons =
+      Partition::Singletons(dataset_.social.num_nodes());
+  auto cluster = MakeCluster(context_, singletons, dp::kEpsilonInfinity, 1);
   ExactRecommender exact(context_);
-  auto noisy = cluster.Recommend(all_users_, 10);
+  auto noisy = cluster->Recommend(all_users_, 10);
   auto truth = exact.Recommend(all_users_, 10);
   for (size_t k = 0; k < all_users_.size(); ++k) {
     // The exact list may be shorter (it only ranks nonzero utilities);
@@ -71,10 +76,10 @@ TEST_F(ClusterRecommenderTest,
 TEST_F(ClusterRecommenderTest, NoisyAveragesHaveCorrectShapeAndMeans) {
   community::LouvainResult louvain =
       community::RunLouvain(dataset_.social, {.restarts = 2, .seed = 2});
-  ClusterRecommender rec(context_, louvain.partition,
-                         {.epsilon = dp::kEpsilonInfinity, .seed = 3});
-  std::vector<double> averages = rec.ComputeNoisyClusterAverages();
-  const Partition& phi = rec.partition();
+  ClusterPublisher publisher(context_, louvain.partition,
+                             {.epsilon = dp::kEpsilonInfinity, .seed = 3});
+  std::vector<double> averages = publisher.ComputeNoisyClusterAverages();
+  const Partition& phi = publisher.partition();
   ASSERT_EQ(averages.size(),
             static_cast<size_t>(phi.num_clusters() *
                                 dataset_.preferences.num_items()));
@@ -97,12 +102,11 @@ TEST_F(ClusterRecommenderTest, NoisyAveragesHaveCorrectShapeAndMeans) {
 
 TEST_F(ClusterRecommenderTest, DeterministicForSeedFreshNoisePerCall) {
   Partition phi = community::RandomClusters(200, 10, 4);
-  ClusterRecommenderOptions opt{.epsilon = 1.0, .seed = 9};
-  ClusterRecommender a(context_, phi, opt);
-  ClusterRecommender b(context_, phi, opt);
-  auto la1 = a.Recommend({0, 1, 2}, 5);
-  auto la2 = a.Recommend({0, 1, 2}, 5);  // second call: fresh noise
-  auto lb1 = b.Recommend({0, 1, 2}, 5);
+  auto a = MakeCluster(context_, phi, 1.0, 9);
+  auto b = MakeCluster(context_, phi, 1.0, 9);
+  auto la1 = a->Recommend({0, 1, 2}, 5);
+  auto la2 = a->Recommend({0, 1, 2}, 5);  // second call: fresh noise
+  auto lb1 = b->Recommend({0, 1, 2}, 5);
   EXPECT_EQ(la1, lb1);   // same seed, same invocation index
   EXPECT_NE(la1, la2);   // new invocation draws new noise
 }
@@ -141,13 +145,11 @@ TEST_F(ClusterRecommenderTest, LouvainClustersBeatRandomClustersAtLowEps) {
   double louvain_score = 0.0;
   double random_score = 0.0;
   const int kTrials = 3;
-  ClusterRecommender with_louvain(context_, louvain.partition,
-                                  {.epsilon = 0.5, .seed = 7});
-  ClusterRecommender with_random(context_, random,
-                                 {.epsilon = 0.5, .seed = 7});
+  auto with_louvain = MakeCluster(context_, louvain.partition, 0.5, 7);
+  auto with_random = MakeCluster(context_, random, 0.5, 7);
   for (int t = 0; t < kTrials; ++t) {
-    louvain_score += overlap_score(with_louvain.Recommend(all_users_, 10));
-    random_score += overlap_score(with_random.Recommend(all_users_, 10));
+    louvain_score += overlap_score(with_louvain->Recommend(all_users_, 10));
+    random_score += overlap_score(with_random->Recommend(all_users_, 10));
   }
   EXPECT_GT(louvain_score, random_score);
 }
@@ -158,12 +160,11 @@ TEST_F(ClusterRecommenderTest, AccuracyDegradesAsEpsilonShrinks) {
   ExactRecommender exact(context_);
   auto truth = exact.Recommend(all_users_, 10);
   auto hits_at_eps = [&](double eps) {
-    ClusterRecommender rec(context_, louvain.partition,
-                           {.epsilon = eps, .seed = 11});
+    auto rec = MakeCluster(context_, louvain.partition, eps, 11);
     int64_t hits = 0;
     // Average over trials for stability.
     for (int t = 0; t < 3; ++t) {
-      auto lists = rec.Recommend(all_users_, 10);
+      auto lists = rec->Recommend(all_users_, 10);
       for (size_t k = 0; k < lists.size(); ++k) {
         std::set<ItemId> truth_set;
         for (const auto& r : truth[k]) truth_set.insert(r.item);
@@ -202,8 +203,8 @@ TEST(ClusterRecommenderPrivacyTest, EmpiricalDpAtTheBoundary) {
 
   RecommenderContext ctx_base{&social, &base, &workload};
   RecommenderContext ctx_nbr{&social, &neighbor, &workload};
-  ClusterRecommender rec_base(ctx_base, phi, {.epsilon = eps, .seed = 21});
-  ClusterRecommender rec_nbr(ctx_nbr, phi, {.epsilon = eps, .seed = 22});
+  ClusterPublisher rec_base(ctx_base, phi, {.epsilon = eps, .seed = 21});
+  ClusterPublisher rec_nbr(ctx_nbr, phi, {.epsilon = eps, .seed = 22});
   const int64_t num_items = 2;
   for (int s = 0; s < kSamples; ++s) {
     h_base.Add(rec_base.ComputeNoisyClusterAverages()[0 * num_items + 0]);
@@ -235,10 +236,10 @@ TEST(ClusterRecommenderPrivacyTest, UnaffectedClustersHaveIdenticalData) {
   Partition phi({0, 0, 0, 1, 1, 1});
   RecommenderContext ctx_base{&social, &base, &workload};
   RecommenderContext ctx_nbr{&social, &neighbor, &workload};
-  ClusterRecommender a(ctx_base, phi,
-                       {.epsilon = dp::kEpsilonInfinity, .seed = 1});
-  ClusterRecommender b(ctx_nbr, phi,
-                       {.epsilon = dp::kEpsilonInfinity, .seed = 1});
+  ClusterPublisher a(ctx_base, phi,
+                     {.epsilon = dp::kEpsilonInfinity, .seed = 1});
+  ClusterPublisher b(ctx_nbr, phi,
+                     {.epsilon = dp::kEpsilonInfinity, .seed = 1});
   auto avg_a = a.ComputeNoisyClusterAverages();
   auto avg_b = b.ComputeNoisyClusterAverages();
   const int64_t num_items = 3;
@@ -252,6 +253,10 @@ TEST(ClusterRecommenderPrivacyTest, UnaffectedClustersHaveIdenticalData) {
 }
 
 // ------------------------------------------------- serving degradation
+//
+// The diagnostics come with every serve batch: these tests serve an
+// in-memory engine (what MakeRecommender serves) through
+// serving::MakeServeRecommender and read them.
 
 TEST(ClusterRecommenderDegradationTest, IsolatedUserFallsBackToGlobalAverage) {
   // Node 4 has no social edges, so its similarity row is empty: the
@@ -264,10 +269,14 @@ TEST(ClusterRecommenderDegradationTest, IsolatedUserFallsBackToGlobalAverage) {
   auto workload = similarity::SimilarityWorkload::Compute(
       social, similarity::CommonNeighbors());
   RecommenderContext ctx{&social, &prefs, &workload};
-  ClusterRecommender rec(ctx, Partition({0, 0, 0, 1, 1}),
-                         {.epsilon = dp::kEpsilonInfinity, .seed = 3});
+  const Partition phi({0, 0, 0, 1, 1});
+  serving::ServingEngine engine =
+      BuildEngine(ctx, phi, dp::kEpsilonInfinity, 3,
+                  /*include_reference_sections=*/false);
 
-  RecommendedBatch batch = rec.RecommendWithReport({0, 4}, 3);
+  RecommendedBatch batch =
+      Serve(engine, {.mechanism = "Cluster", .epsilon = dp::kEpsilonInfinity})
+          ->Recommend({0, 4}, 3);
   ASSERT_EQ(batch.lists.size(), 2u);
   ASSERT_EQ(batch.degradation.size(), 2u);
   EXPECT_EQ(batch.degradation[0].reason, DegradationReason::kNone);
@@ -278,9 +287,8 @@ TEST(ClusterRecommenderDegradationTest, IsolatedUserFallsBackToGlobalAverage) {
   ASSERT_FALSE(batch.lists[1].empty());
   EXPECT_EQ(batch.lists[1][0].item, 0);
   // Recommend() returns exactly the same lists, minus the diagnostics.
-  ClusterRecommender rec2(ctx, Partition({0, 0, 0, 1, 1}),
-                          {.epsilon = dp::kEpsilonInfinity, .seed = 3});
-  EXPECT_EQ(rec2.Recommend({0, 4}, 3), batch.lists);
+  auto rec = MakeCluster(ctx, phi, dp::kEpsilonInfinity, 3);
+  EXPECT_EQ(rec->Recommend({0, 4}, 3), batch.lists);
 }
 
 TEST(ClusterRecommenderDegradationTest, SingletonClustersAreCounted) {
@@ -288,9 +296,12 @@ TEST(ClusterRecommenderDegradationTest, SingletonClustersAreCounted) {
   auto workload = similarity::SimilarityWorkload::Compute(
       ds.social, similarity::CommonNeighbors());
   RecommenderContext ctx{&ds.social, &ds.preferences, &workload};
-  ClusterRecommender rec(ctx, Partition::Singletons(40),
-                         {.epsilon = 1.0, .seed = 4});
-  RecommendedBatch batch = rec.RecommendWithReport({0, 1}, 5);
+  serving::ServingEngine engine =
+      BuildEngine(ctx, Partition::Singletons(40), 1.0, 4,
+                  /*include_reference_sections=*/false);
+  RecommendedBatch batch =
+      Serve(engine, {.mechanism = "Cluster", .epsilon = 1.0})
+          ->Recommend({0, 1}, 5);
   EXPECT_EQ(batch.report.singleton_clusters, 40);
   EXPECT_EQ(batch.report.empty_clusters, 0);
 }
@@ -302,15 +313,18 @@ TEST(ClusterRecommenderDegradationTest,
   auto workload = similarity::SimilarityWorkload::Compute(
       ds.social, similarity::CommonNeighbors());
   RecommenderContext ctx{&ds.social, &ds.preferences, &workload};
-  ClusterRecommender rec(ctx, Partition::Whole(60),
-                         {.epsilon = 1.0, .seed = 5});
-
+  // The poison lands in the publication, so it must be armed for the build.
   fault::ScopedFaultInjection scope(
       "cluster.noisy_averages",
       fault::FaultSpec{.kind = fault::FaultKind::kNaN});
+  serving::ServingEngine engine =
+      BuildEngine(ctx, Partition::Whole(60), 1.0, 5,
+                  /*include_reference_sections=*/false);
   std::vector<NodeId> users;
   for (NodeId u = 0; u < 60; ++u) users.push_back(u);
-  RecommendedBatch batch = rec.RecommendWithReport(users, 5);
+  RecommendedBatch batch =
+      Serve(engine, {.mechanism = "Cluster", .epsilon = 1.0})
+          ->Recommend(users, 5);
   // One cluster, so its poisoned release touches every non-isolated user.
   EXPECT_EQ(batch.report.nonfinite_sanitized, 1);
   int64_t flagged = 0;
@@ -334,13 +348,18 @@ TEST(GroupSmoothDegradationTest, PoisonedGroupMeanIsSanitizedAndFlagged) {
   auto workload = similarity::SimilarityWorkload::Compute(
       ds.social, similarity::CommonNeighbors());
   RecommenderContext ctx{&ds.social, &ds.preferences, &workload};
-  GroupSmoothRecommender rec(ctx,
-                             {.epsilon = 1.0, .group_size = 8, .seed = 6});
+  serving::ServingEngine engine =
+      BuildEngine(ctx, Partition::Whole(50), 1.0, 6,
+                  /*include_reference_sections=*/true);
+  auto gs = Serve(engine, {.mechanism = "GS",
+                           .epsilon = 1.0,
+                           .seed = 6,
+                           .gs_group_size = 8});
 
   fault::ScopedFaultInjection scope(
       "gs.group_mean", fault::FaultSpec{.kind = fault::FaultKind::kInf});
   std::vector<NodeId> users = {0, 1, 2, 3, 4};
-  RecommendedBatch batch = rec.RecommendWithReport(users, 5);
+  RecommendedBatch batch = gs->Recommend(users, 5);
   EXPECT_GT(batch.report.nonfinite_sanitized, 0);
   for (size_t k = 0; k < users.size(); ++k) {
     for (const Recommendation& r : batch.lists[k]) {
@@ -364,9 +383,14 @@ TEST(GroupSmoothDegradationTest, SingleGroupIsCountedDegenerate) {
       ds.social, similarity::CommonNeighbors());
   RecommenderContext ctx{&ds.social, &ds.preferences, &workload};
   // group_size beyond |U| clamps to one group per item.
-  GroupSmoothRecommender rec(
-      ctx, {.epsilon = 1.0, .group_size = 500, .seed = 7});
-  RecommendedBatch batch = rec.RecommendWithReport({0, 1}, 5);
+  serving::ServingEngine engine =
+      BuildEngine(ctx, Partition::Whole(40), 1.0, 7,
+                  /*include_reference_sections=*/true);
+  RecommendedBatch batch = Serve(engine, {.mechanism = "GS",
+                                          .epsilon = 1.0,
+                                          .seed = 7,
+                                          .gs_group_size = 500})
+                               ->Recommend({0, 1}, 5);
   EXPECT_EQ(batch.report.degenerate_groups, 15);  // one per item
 }
 

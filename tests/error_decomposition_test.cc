@@ -7,7 +7,7 @@
 #include "common/stats.h"
 #include "community/louvain.h"
 #include "community/partition.h"
-#include "core/cluster_recommender.h"
+#include "core/cluster_publisher.h"
 #include "core/exact_recommender.h"
 #include "data/synthetic.h"
 #include "dp/mechanisms.h"
@@ -129,12 +129,12 @@ TEST_F(ErrorDecompositionTest,
   const graph::ItemId item = top[0].item;
 
   // Empirical std of the reconstructed utility.
-  core::ClusterRecommender rec(context_, louvain.partition,
-                               {.epsilon = eps, .seed = 45});
+  core::ClusterPublisher publisher(context_, louvain.partition,
+                                   {.epsilon = eps, .seed = 45});
   const int64_t num_items = dataset_.preferences.num_items();
   RunningStats stats;
   for (int t = 0; t < 3000; ++t) {
-    auto averages = rec.ComputeNoisyClusterAverages();
+    auto averages = publisher.ComputeNoisyClusterAverages();
     double estimate = 0.0;
     for (const similarity::SimilarityEntry& e : workload_.Row(u)) {
       int64_t c = louvain.partition.ClusterOf(e.user);

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cluster_recommender.h"
 #include "core/exact_recommender.h"
 #include "community/simple_clusterings.h"
 #include "data/synthetic.h"
@@ -17,6 +16,7 @@
 #include "eval/experiment.h"
 #include "eval/ndcg.h"
 #include "eval/table.h"
+#include "mechanisms.h"
 #include "similarity/common_neighbors.h"
 
 namespace privrec::eval {
@@ -199,9 +199,7 @@ TEST_F(ExactReferenceTest, SweepShapesAndDeterminism) {
   ExactReference ref = ExactReference::Compute(context_, users_, 10);
   community::Partition phi = community::RandomClusters(120, 8, 3);
   RecommenderFactory factory = [&](double eps, uint64_t seed) {
-    return std::make_unique<core::ClusterRecommender>(
-        context_, phi,
-        core::ClusterRecommenderOptions{.epsilon = eps, .seed = seed});
+    return test_mechanisms::MakeCluster(context_, phi, eps, seed);
   };
   SweepOptions opt;
   opt.epsilons = {dp::kEpsilonInfinity, 0.1};

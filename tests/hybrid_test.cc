@@ -16,6 +16,7 @@
 #include "dp/audit.h"
 #include "dp/mechanisms.h"
 #include "eval/holdout.h"
+#include "mechanisms.h"
 #include "similarity/common_neighbors.h"
 
 namespace privrec::core {
@@ -227,10 +228,10 @@ TEST_F(HybridTest, AlphaOneMatchesSocialRanking) {
   opt.alpha = 1.0;
   opt.seed = 63;
   HybridRecommender hybrid(context_, louvain_.partition, opt);
-  ClusterRecommender social(context_, louvain_.partition,
-                            {.epsilon = dp::kEpsilonInfinity, .seed = 1});
+  auto social = test_mechanisms::MakeCluster(context_, louvain_.partition,
+                                             dp::kEpsilonInfinity, 1);
   auto h = hybrid.Recommend(users_, 10);
-  auto s = social.Recommend(users_, 10);
+  auto s = social->Recommend(users_, 10);
   for (size_t k = 0; k < users_.size(); ++k) {
     for (size_t p = 0; p < 10 && p < s[k].size(); ++p) {
       EXPECT_EQ(h[k][p].item, s[k][p].item)

@@ -9,15 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "core/exact_recommender.h"
-#include "core/group_smooth_recommender.h"
-#include "core/low_rank_recommender.h"
-#include "core/noe_recommender.h"
-#include "core/nou_recommender.h"
 #include "data/synthetic.h"
 #include "dp/mechanisms.h"
 #include "eval/exact_reference.h"
+#include "mechanisms.h"
 #include "similarity/adamic_adar.h"
 #include "similarity/common_neighbors.h"
 #include "similarity/graph_distance.h"
@@ -27,6 +23,8 @@ namespace privrec {
 namespace {
 
 using core::RecommenderContext;
+using test_mechanisms::Make;
+using test_mechanisms::MakeCluster;
 using graph::NodeId;
 
 std::unique_ptr<similarity::SimilarityMeasure> MakeMeasure(
@@ -65,19 +63,14 @@ TEST_P(PipelineTest, EveryMechanismProducesValidBoundedNdcg) {
       eval::ExactReference::Compute(context_, users_, 10);
 
   std::vector<std::unique_ptr<core::Recommender>> mechanisms;
-  mechanisms.push_back(std::make_unique<core::ClusterRecommender>(
-      context_, louvain_.partition,
-      core::ClusterRecommenderOptions{.epsilon = 0.5, .seed = 14}));
-  mechanisms.push_back(std::make_unique<core::NouRecommender>(
-      context_, core::NouRecommenderOptions{.epsilon = 0.5, .seed = 14}));
-  mechanisms.push_back(std::make_unique<core::NoeRecommender>(
-      context_, core::NoeRecommenderOptions{.epsilon = 0.5, .seed = 14}));
-  mechanisms.push_back(std::make_unique<core::GroupSmoothRecommender>(
-      context_, core::GroupSmoothRecommenderOptions{
-                    .epsilon = 0.5, .group_size = 32, .seed = 14}));
-  mechanisms.push_back(std::make_unique<core::LowRankRecommender>(
-      context_, core::LowRankRecommenderOptions{
-                    .epsilon = 0.5, .target_rank = 60, .seed = 14}));
+  for (const char* mechanism : {"Cluster", "NOU", "NOE", "GS", "LRM"}) {
+    mechanisms.push_back(Make(context_, {.mechanism = mechanism,
+                                         .epsilon = 0.5,
+                                         .seed = 14,
+                                         .partition = &louvain_.partition,
+                                         .gs_group_size = 32,
+                                         .lrm_target_rank = 60}));
+  }
 
   for (auto& mech : mechanisms) {
     auto lists = mech->Recommend(users_, 10);
@@ -97,10 +90,9 @@ TEST_P(PipelineTest, ClusterFrameworkApproximationErrorIsModest) {
   // non-trivial score.
   eval::ExactReference ref =
       eval::ExactReference::Compute(context_, users_, 10);
-  core::ClusterRecommender rec(
-      context_, louvain_.partition,
-      {.epsilon = dp::kEpsilonInfinity, .seed = 15});
-  double ndcg = ref.MeanNdcg(rec.Recommend(users_, 10));
+  auto rec =
+      MakeCluster(context_, louvain_.partition, dp::kEpsilonInfinity, 15);
+  double ndcg = ref.MeanNdcg(rec->Recommend(users_, 10));
   EXPECT_GT(ndcg, 0.55) << "approximation error too high for "
                         << GetParam();
 }
@@ -119,14 +111,10 @@ TEST_P(PipelineTest, ClusterBeatsNouAndNoeAtModeratePrivacy) {
     return acc / 3.0;
   };
   double cluster = mean_over_trials([&](uint64_t t) {
-    return std::make_unique<core::ClusterRecommender>(
-        context_, louvain_.partition,
-        core::ClusterRecommenderOptions{.epsilon = eps, .seed = 16 + t});
+    return MakeCluster(context_, louvain_.partition, eps, 16 + t);
   });
   double nou = mean_over_trials([&](uint64_t t) {
-    return std::make_unique<core::NouRecommender>(
-        context_, core::NouRecommenderOptions{.epsilon = eps,
-                                              .seed = 16 + t});
+    return Make(context_, {.mechanism = "NOU", .epsilon = eps, .seed = 16 + t});
   });
   EXPECT_GT(cluster, nou + 0.1) << GetParam();
 }
@@ -134,13 +122,13 @@ TEST_P(PipelineTest, ClusterBeatsNouAndNoeAtModeratePrivacy) {
 TEST_P(PipelineTest, SingletonClustersWithoutNoiseMatchExactForEveryMeasure) {
   // The Algorithm-1 degeneracy must hold for every similarity measure:
   // singleton clusters at eps = inf reproduce the exact rankings.
-  core::ClusterRecommender degenerate(
-      context_,
-      community::Partition::Singletons(dataset_.social.num_nodes()),
-      {.epsilon = dp::kEpsilonInfinity, .seed = 30});
+  const community::Partition singletons =
+      community::Partition::Singletons(dataset_.social.num_nodes());
+  auto degenerate =
+      MakeCluster(context_, singletons, dp::kEpsilonInfinity, 30);
   core::ExactRecommender exact(context_);
   std::vector<NodeId> sample = {0, 25, 50, 75, 100};
-  auto noisy = degenerate.Recommend(sample, 10);
+  auto noisy = degenerate->Recommend(sample, 10);
   auto truth = exact.Recommend(sample, 10);
   for (size_t k = 0; k < sample.size(); ++k) {
     for (size_t p = 0; p < truth[k].size(); ++p) {
@@ -165,10 +153,8 @@ TEST(IntegrationTest, FullPipelineIsDeterministicEndToEnd) {
     RecommenderContext ctx{&d.social, &d.preferences, &workload};
     auto louvain = community::RunLouvain(d.social, {.restarts = 2,
                                                     .seed = 20});
-    core::ClusterRecommender rec(ctx, louvain.partition,
-                                 {.epsilon = 0.3, .seed = 21});
     std::vector<NodeId> users = {0, 10, 20, 30};
-    return rec.Recommend(users, 8);
+    return MakeCluster(ctx, louvain.partition, 0.3, 21)->Recommend(users, 8);
   };
   EXPECT_EQ(run_once(), run_once());
 }
@@ -189,9 +175,8 @@ TEST(IntegrationTest, FlixsterLikePipelineWithSubsetWorkload) {
                                                   .seed = 23});
   eval::ExactReference ref =
       eval::ExactReference::Compute(ctx, eval_users, 10);
-  core::ClusterRecommender rec(ctx, louvain.partition,
-                               {.epsilon = 0.1, .seed = 24});
-  double ndcg = ref.MeanNdcg(rec.Recommend(eval_users, 10));
+  auto rec = MakeCluster(ctx, louvain.partition, 0.1, 24);
+  double ndcg = ref.MeanNdcg(rec->Recommend(eval_users, 10));
   EXPECT_GT(ndcg, 0.2);
   EXPECT_LE(ndcg, 1.0 + 1e-9);
 }
@@ -208,10 +193,8 @@ TEST(IntegrationTest, LowDegreeUsersSufferMoreApproximationError) {
   std::vector<NodeId> users;
   for (NodeId u = 0; u < d.social.num_nodes(); ++u) users.push_back(u);
   eval::ExactReference ref = eval::ExactReference::Compute(ctx, users, 10);
-  core::ClusterRecommender rec(ctx, louvain.partition,
-                               {.epsilon = dp::kEpsilonInfinity,
-                                .seed = 27});
-  auto lists = rec.Recommend(users, 10);
+  auto lists = MakeCluster(ctx, louvain.partition, dp::kEpsilonInfinity, 27)
+                   ->Recommend(users, 10);
   double low_sum = 0.0;
   double high_sum = 0.0;
   int64_t low_count = 0;

@@ -16,16 +16,12 @@
 
 #include "common/parallel.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
 #include "core/exact_recommender.h"
-#include "core/group_smooth_recommender.h"
-#include "core/low_rank_recommender.h"
-#include "core/noe_recommender.h"
-#include "core/nou_recommender.h"
 #include "core/recommender_factory.h"
 #include "data/synthetic.h"
 #include "dp/mechanisms.h"
 #include "eval/exact_reference.h"
+#include "mechanisms.h"
 #include "similarity/common_neighbors.h"
 
 namespace privrec::core {
@@ -63,27 +59,13 @@ Shared& GetShared() {
 std::unique_ptr<Recommender> MakeMechanism(const std::string& name,
                                            double epsilon, uint64_t seed) {
   Shared& s = GetShared();
-  if (name == "Cluster") {
-    return std::make_unique<ClusterRecommender>(
-        s.context, s.louvain.partition,
-        ClusterRecommenderOptions{.epsilon = epsilon, .seed = seed});
-  }
-  if (name == "NOU") {
-    return std::make_unique<NouRecommender>(
-        s.context, NouRecommenderOptions{.epsilon = epsilon, .seed = seed});
-  }
-  if (name == "NOE") {
-    return std::make_unique<NoeRecommender>(
-        s.context, NoeRecommenderOptions{.epsilon = epsilon, .seed = seed});
-  }
-  if (name == "GS") {
-    return std::make_unique<GroupSmoothRecommender>(
-        s.context, GroupSmoothRecommenderOptions{
-                       .epsilon = epsilon, .group_size = 16, .seed = seed});
-  }
-  return std::make_unique<LowRankRecommender>(
-      s.context, LowRankRecommenderOptions{
-                     .epsilon = epsilon, .target_rank = 30, .seed = seed});
+  return test_mechanisms::Make(s.context,
+                               {.mechanism = name,
+                                .epsilon = epsilon,
+                                .seed = seed,
+                                .partition = &s.louvain.partition,
+                                .gs_group_size = 16,
+                                .lrm_target_rank = 30});
 }
 
 using Param = std::tuple<std::string, double>;
@@ -225,21 +207,6 @@ TEST(RecommenderFactoryTest, BuildsEveryMechanism) {
   }
 }
 
-TEST(RecommenderFactoryTest, FactoryMatchesDirectConstruction) {
-  Shared& s = GetShared();
-  RecommenderSpec spec;
-  spec.mechanism = "Cluster";
-  spec.epsilon = 0.3;
-  spec.seed = 9;
-  spec.partition = &s.louvain.partition;
-  auto from_factory = MakeRecommender(s.context, spec);
-  ASSERT_TRUE(from_factory.ok());
-  ClusterRecommender direct(s.context, s.louvain.partition,
-                            {.epsilon = 0.3, .seed = 9});
-  EXPECT_EQ((*from_factory)->Recommend(s.users, 5),
-            direct.Recommend(s.users, 5));
-}
-
 TEST(RecommenderFactoryTest, UnknownMechanismFails) {
   Shared& s = GetShared();
   RecommenderSpec spec;
@@ -259,6 +226,33 @@ TEST(RecommenderFactoryTest, ClusterWithoutPartitionFails) {
   EXPECT_EQ(rec.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(RecommenderFactoryTest, BadParametersFailBeforeAnyBuild) {
+  Shared& s = GetShared();
+  for (const char* name : {"Cluster", "NOU", "NOE", "GS", "LRM"}) {
+    for (double epsilon : {0.0, -1.0}) {
+      RecommenderSpec spec;
+      spec.mechanism = name;
+      spec.epsilon = epsilon;
+      spec.partition = &s.louvain.partition;
+      auto rec = MakeRecommender(s.context, spec);
+      ASSERT_FALSE(rec.ok()) << name << " at " << epsilon;
+      EXPECT_EQ(rec.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  RecommenderSpec lrm;
+  lrm.mechanism = "LRM";
+  lrm.lrm_target_rank = 0;
+  EXPECT_EQ(MakeRecommender(s.context, lrm).status().code(),
+            StatusCode::kInvalidArgument);
+  const community::Partition short_partition =
+      community::Partition::Whole(s.dataset.social.num_nodes() - 1);
+  RecommenderSpec cluster;
+  cluster.mechanism = "Cluster";
+  cluster.partition = &short_partition;
+  EXPECT_EQ(MakeRecommender(s.context, cluster).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ------------------------------- degenerate inputs (not parameterized)
 
 TEST(MechanismEdgeCaseTest, EmptyPreferenceGraph) {
@@ -270,9 +264,8 @@ TEST(MechanismEdgeCaseTest, EmptyPreferenceGraph) {
   RecommenderContext ctx{&d.social, &empty, &workload};
   community::LouvainResult louvain =
       community::RunLouvain(d.social, {.restarts = 1, .seed = 81});
-  ClusterRecommender rec(ctx, louvain.partition,
-                         {.epsilon = 0.5, .seed = 82});
-  auto lists = rec.Recommend({0, 1, 2}, 5);
+  auto rec = test_mechanisms::MakeCluster(ctx, louvain.partition, 0.5, 82);
+  auto lists = rec->Recommend({0, 1, 2}, 5);
   // Pure noise, but still well-formed output.
   for (const auto& list : lists) EXPECT_EQ(list.size(), 5u);
 }
@@ -288,8 +281,9 @@ TEST(MechanismEdgeCaseTest, EdgelessSocialGraph) {
   ExactRecommender exact(ctx);
   EXPECT_TRUE(exact.RecommendOne(0, 5).empty());
   // NOU falls back to its degenerate sensitivity without crashing.
-  NouRecommender nou(ctx, {.epsilon = 1.0, .seed = 83});
-  EXPECT_EQ(nou.RecommendOne(0, 5).size(), 5u);
+  auto nou = test_mechanisms::Make(
+      ctx, {.mechanism = "NOU", .epsilon = 1.0, .seed = 83});
+  EXPECT_EQ(nou->RecommendOne(0, 5).size(), 5u);
 }
 
 TEST(MechanismEdgeCaseTest, TopNLargerThanCatalog) {
@@ -299,9 +293,8 @@ TEST(MechanismEdgeCaseTest, TopNLargerThanCatalog) {
   RecommenderContext ctx{&d.social, &d.preferences, &workload};
   community::LouvainResult louvain =
       community::RunLouvain(d.social, {.restarts = 1, .seed = 85});
-  ClusterRecommender rec(ctx, louvain.partition,
-                         {.epsilon = 0.5, .seed = 86});
-  auto list = rec.RecommendOne(0, 500);
+  auto rec = test_mechanisms::MakeCluster(ctx, louvain.partition, 0.5, 86);
+  auto list = rec->RecommendOne(0, 500);
   EXPECT_EQ(list.size(), 12u);  // the whole catalog, ranked
 }
 
@@ -322,7 +315,7 @@ class SplitRngLaplaceStreamTest : public ::testing::Test {
   static constexpr int kDraws = 40000;
 
   // The noise draws of chunk `chunk` of invocation `invocation`, exactly
-  // as ClusterRecommender derives them.
+  // as ClusterPublisher derives them.
   static std::vector<double> ChunkNoise(uint64_t seed, uint64_t invocation,
                                         uint64_t chunk, int draws = kDraws) {
     SplitRng split(seed, invocation);

@@ -24,7 +24,7 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
+#include "mechanisms.h"
 #include "data/synthetic.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -704,13 +704,13 @@ std::vector<core::RecommendationList> RunPipelineOnce(int64_t threads) {
                                    &workload};
   community::LouvainResult louvain =
       community::RunLouvain(dataset.social, {.restarts = 2, .seed = 11});
-  core::ClusterRecommender rec(context, louvain.partition,
-                               {.epsilon = 0.5, .seed = 12});
+  auto rec =
+      test_mechanisms::MakeCluster(context, louvain.partition, 0.5, 12);
   std::vector<graph::NodeId> users;
   for (graph::NodeId u = 0; u < dataset.social.num_nodes(); ++u) {
     users.push_back(u);
   }
-  return rec.Recommend(users, 10);
+  return rec->Recommend(users, 10);
 }
 
 TEST(ObsDeterminismTest, TracingAndMetricsNeverPerturbOutput) {

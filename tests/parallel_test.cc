@@ -14,12 +14,13 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "community/louvain.h"
-#include "core/cluster_recommender.h"
+#include "core/cluster_publisher.h"
 #include "core/exact_recommender.h"
 #include "data/synthetic.h"
 #include "dp/mechanisms.h"
 #include "eval/exact_reference.h"
 #include "eval/experiment.h"
+#include "mechanisms.h"
 #include "similarity/common_neighbors.h"
 #include "similarity/katz.h"
 #include "similarity/workload.h"
@@ -333,11 +334,11 @@ TEST(ThreadInvarianceTest, NoisyClusterAveragesAreBitIdentical) {
                                    &workload};
   auto averages_at = [&](int64_t threads, int invocations) {
     ScopedThreadCount scoped(threads);
-    core::ClusterRecommender rec(context, f.louvain.partition,
-                                 {.epsilon = 0.5, .seed = 77});
+    core::ClusterPublisher publisher(context, f.louvain.partition,
+                                     {.epsilon = 0.5, .seed = 77});
     std::vector<double> last;
     for (int k = 0; k < invocations; ++k) {
-      last = rec.ComputeNoisyClusterAverages();
+      last = publisher.ComputeNoisyClusterAverages();
     }
     return last;
   };
@@ -363,11 +364,15 @@ TEST(ThreadInvarianceTest, ClusterRecommendationsAndReportsAreIdentical) {
   for (graph::NodeId u = 0; u < f.dataset.social.num_nodes(); ++u) {
     users.push_back(u);
   }
+  // Publication and reconstruction both run at `threads`.
   auto batch_at = [&](int64_t threads) {
     ScopedThreadCount scoped(threads);
-    core::ClusterRecommender rec(context, f.louvain.partition,
-                                 {.epsilon = 0.3, .seed = 99});
-    return rec.RecommendWithReport(users, 10);
+    serving::ServingEngine engine = test_mechanisms::BuildEngine(
+        context, f.louvain.partition, 0.3, 99,
+        /*include_reference_sections=*/false);
+    return test_mechanisms::Serve(engine,
+                                  {.mechanism = "Cluster", .epsilon = 0.3})
+        ->Recommend(users, 10);
   };
   core::RecommendedBatch reference = batch_at(1);
   for (int64_t threads : ThreadCounts()) {
@@ -427,9 +432,8 @@ TEST(ThreadInvarianceTest, FullNdcgSweepIsBitIdentical) {
   options.trials = 3;
   options.seed = 500;
   auto factory = [&](double epsilon, uint64_t seed) {
-    return std::make_unique<core::ClusterRecommender>(
-        context, f.louvain.partition,
-        core::ClusterRecommenderOptions{.epsilon = epsilon, .seed = seed});
+    return test_mechanisms::MakeCluster(context, f.louvain.partition,
+                                        epsilon, seed);
   };
 
   auto sweep_at = [&](int64_t threads) {

@@ -2,13 +2,13 @@
 // against a reference that does not go through it: per user, the
 // similarity row folded to one weight per touched cluster in first-touch
 // order, the scalar AccumulateRows over the full rows in that order, and
-// SelectTopNInPlace on materialized (item, utility) pairs. The in-memory
-// ClusterRecommender and the serving engine share ReconstructTopN, so
-// comparing the two paths with each other cannot catch a tiling bug;
-// this test can. Lists, utilities and degradation reasons must match
-// exactly across batch sizes around the tile group, item counts around
-// the tile block, every top-N edge, f64 and f32 rows, and a tie-heavy
-// table, with isolated users and a sanitized cluster in every release.
+// SelectTopNInPlace on materialized (item, utility) pairs. Every route to
+// the Cluster mechanism runs ReconstructTopN, so comparing the routes with
+// each other cannot catch a tiling bug; this test can. Lists, utilities
+// and degradation reasons must match exactly across batch sizes around
+// the tile group, item counts around the tile block, every top-N edge,
+// f64 and f32 rows, and a tie-heavy table, with isolated users and a
+// sanitized cluster in every release.
 
 #include <cmath>
 #include <cstdint>

@@ -1176,7 +1176,9 @@ TEST_P(ServeEntryPointTest, TelemetryRecordsWideEventsPerOutcomeClass) {
 
 // An out-of-range user id is a caller bug caught at validation: it must
 // never reach reconstruction (where it would index past the artifact),
-// take an admission slot, or get a fallback list.
+// take an admission slot, or get a fallback list. In-range ids pass,
+// repeated or not: a batch that names one user twice gets that user's
+// list in both slots, under the fresh-noise GS as under Cluster.
 TEST_P(ServeEntryPointTest, OutOfRangeUserIsInvalidArgument) {
   const std::string path = BuildArtifact("a.pvram", 21, kEps);
   const graph::NodeId num_users = dataset_.social.num_nodes();
@@ -1226,6 +1228,22 @@ TEST_P(ServeEntryPointTest, OutOfRangeUserIsInvalidArgument) {
                                             : StatusCode::kResourceExhausted);
     EXPECT_EQ(good.batch.lists.size(), 3u);
     EXPECT_EQ(runtime.admission().in_flight(), 0);
+  }
+
+  for (const char* mechanism : {"Cluster", "GS"}) {
+    ManualClock clock;
+    ServeRuntimeOptions options;
+    options.swap = ClusterPolicy(kEps);
+    options.swap.spec.mechanism = mechanism;
+    options.clock = &clock;
+    ServeRuntime runtime(options);
+    ASSERT_TRUE(runtime.Activate(path).ok()) << mechanism;
+    ServeResponse repeated = Serve(GetParam(), runtime, {{3, 3}, 5, 1000});
+    ASSERT_TRUE(repeated.status.ok())
+        << mechanism << ": " << repeated.status.ToString();
+    ASSERT_EQ(repeated.batch.lists.size(), 2u) << mechanism;
+    EXPECT_EQ(repeated.batch.lists[0].size(), 5u) << mechanism;
+    EXPECT_EQ(repeated.batch.lists[0], repeated.batch.lists[1]) << mechanism;
   }
 }
 

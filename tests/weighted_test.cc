@@ -10,10 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "common/stats.h"
+#include "artifact/builder.h"
 #include "community/partition.h"
-#include "core/cluster_recommender.h"
+#include "core/cluster_publisher.h"
 #include "core/exact_recommender.h"
-#include "core/nou_recommender.h"
 #include "data/flixster.h"
 #include "dp/mechanisms.h"
 #include "graph/generators/preference_generator.h"
@@ -125,10 +125,9 @@ TEST_F(WeightedUtilityTest, ExactRecommenderUsesWeights) {
 
 TEST_F(WeightedUtilityTest, ClusterAveragesAreWeightedMeans) {
   community::Partition phi({0, 0, 0, 1, 1});
-  core::ClusterRecommender rec(context_, phi,
-                               {.epsilon = dp::kEpsilonInfinity,
-                                .seed = 1});
-  auto averages = rec.ComputeNoisyClusterAverages();
+  core::ClusterPublisher publisher(
+      context_, phi, {.epsilon = dp::kEpsilonInfinity, .seed = 1});
+  auto averages = publisher.ComputeNoisyClusterAverages();
   // Cluster 0 = {0,1,2}, item 1: (0 + 1 + 3)/3.
   EXPECT_NEAR(averages[0 * 3 + 1], 4.0 / 3.0, 1e-12);
   // Cluster 1 = {3,4}, item 2: 5/2.
@@ -136,25 +135,37 @@ TEST_F(WeightedUtilityTest, ClusterAveragesAreWeightedMeans) {
 }
 
 TEST_F(WeightedUtilityTest, NouSensitivityScalesWithMaxWeight) {
-  core::NouRecommender weighted(context_, {.epsilon = 1.0, .seed = 2});
+  // NOU serves at Δ_A = workload.max_column_sum × meta.max_weight of the
+  // model it was built into.
+  const community::Partition whole = community::Partition::Whole(5);
+  auto nou_sensitivity = [&](const PreferenceGraph& preferences) {
+    artifact::ModelArtifactBuilder builder(&social_, &preferences);
+    builder.SetPartition(&whole);
+    builder.SetWorkload(&workload_);
+    artifact::BuildOptions options;
+    options.epsilon = 1.0;
+    options.seed = 2;
+    auto model = builder.Build(options);
+    EXPECT_TRUE(model.ok()) << model.status().ToString();
+    return model->workload.max_column_sum * model->meta.max_weight;
+  };
   // Same workload with a binarized copy of the preferences.
   PreferenceGraph binary = PreferenceGraph::FromEdges(
       5, 3, {{1, 0}, {1, 1}, {2, 1}, {3, 2}});
-  core::RecommenderContext binary_ctx{&social_, &binary, &workload_};
-  core::NouRecommender unweighted(binary_ctx, {.epsilon = 1.0, .seed = 2});
-  EXPECT_DOUBLE_EQ(weighted.sensitivity(),
-                   5.0 * unweighted.sensitivity());
+  EXPECT_DOUBLE_EQ(nou_sensitivity(prefs_),
+                   5.0 * nou_sensitivity(binary));
 }
 
 TEST_F(WeightedUtilityTest, ClusterNoiseScalesWithMaxWeight) {
   // With a weighted graph (w_max = 5) the noise on a cluster average must
   // be 5x the unweighted noise: verify via the released value's variance.
   community::Partition phi({0, 0, 0, 0, 0});
-  core::ClusterRecommender rec(context_, phi, {.epsilon = 1.0, .seed = 3});
+  core::ClusterPublisher publisher(context_, phi,
+                                   {.epsilon = 1.0, .seed = 3});
   RunningStats stats;
   const double true_mean = 2.0 / 5.0;  // item 0: weight 2 over 5 users
   for (int t = 0; t < 4000; ++t) {
-    stats.Add(rec.ComputeNoisyClusterAverages()[0]);
+    stats.Add(publisher.ComputeNoisyClusterAverages()[0]);
   }
   // Lap(w_max/(|c| eps)) = Lap(1.0): variance 2.
   EXPECT_NEAR(stats.mean(), true_mean, 0.1);
@@ -170,8 +181,8 @@ TEST_F(WeightedUtilityTest, EmpiricalDpWithWeightedEdge) {
   // via user 3's edge).
   core::RecommenderContext ctx_nbr{&social_, &neighbor, &workload_};
   const double eps = 1.0;
-  core::ClusterRecommender m1(context_, phi, {.epsilon = eps, .seed = 4});
-  core::ClusterRecommender m2(ctx_nbr, phi, {.epsilon = eps, .seed = 5});
+  core::ClusterPublisher m1(context_, phi, {.epsilon = eps, .seed = 4});
+  core::ClusterPublisher m2(ctx_nbr, phi, {.epsilon = eps, .seed = 5});
   Histogram h1(-8.0, 10.0, 18);
   Histogram h2(-8.0, 10.0, 18);
   for (int s = 0; s < 60000; ++s) {
