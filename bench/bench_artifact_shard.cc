@@ -14,6 +14,11 @@
 // full copy again. A probe batch is served from every engine and
 // compared byte-for-byte across the routes.
 //
+// The "scale" block is one rung of the scale ladder: synthesis seconds,
+// the offline build's peak RSS (VmHWM after the build), and the per-user
+// p50 of Cluster Recommend({u}, N) at N = 10 and 50, timed on one thread
+// over 1,000 evenly spaced users of an mmap-opened engine.
+//
 //   ./bench_artifact_shard [--users=137372] [--items=48756] [--shards=6]
 //                          [--epsilon=0.5] [--top_n=10]
 //                          [--scratch-dir=artifact-shard-scratch]
@@ -22,6 +27,7 @@
 // Exit status: 0 when every probe is bit-identical; 2 otherwise; 1 on
 // setup errors.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -35,6 +41,7 @@
 #include "artifact/shard_layout.h"
 #include "common/driver_flags.h"
 #include "common/flags.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 #include "community/louvain.h"
 #include "data/synthetic.h"
@@ -46,12 +53,13 @@ namespace {
 namespace fs = std::filesystem;
 using namespace privrec;
 
-// VmRSS in kB from /proc/self/status; 0 when unavailable (non-Linux).
-int64_t CurrentRssKb() {
+// A /proc/self/status field in kB ("VmRSS:", "VmHWM:"); 0 when
+// unavailable (non-Linux).
+int64_t StatusKb(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string token;
   while (status >> token) {
-    if (token == "VmRSS:") {
+    if (token == field) {
       int64_t kb = 0;
       status >> kb;
       return kb;
@@ -132,6 +140,10 @@ int main(int argc, char** argv) {
   }
   serving::ArtifactModel model = std::move(*built);
   const double build_ms = timer.ElapsedMillis();
+  const int64_t build_peak_rss_kb = StatusKb("VmHWM:");
+  // The model holds its own copy of the CSR; dropping the builder's keeps
+  // the open routes below from stacking on top of it.
+  workload = similarity::SimilarityWorkload{};
 
   const std::string manifest =
       (fs::path(scratch) / "table1.pvram").string();
@@ -176,7 +188,7 @@ int main(int argc, char** argv) {
 
   uint64_t artifact_bytes = 0;  // manifest + every shard the table names
   auto mapped_route = [&](bool use_mmap, LoadSample* sample) -> int {
-    const int64_t rss0 = CurrentRssKb();
+    const int64_t rss0 = StatusKb("VmRSS:");
     timer.Reset();
     serving::MapOptions map_options;
     map_options.use_mmap = use_mmap;
@@ -192,18 +204,18 @@ int main(int argc, char** argv) {
     sample->total_ms = timer.ElapsedMillis();
     std::fprintf(stderr, "  mapped(use_mmap=%d): open %.1f ms, engine %.1f ms\n",
                  use_mmap ? 1 : 0, open_ms, sample->total_ms - open_ms);
-    sample->rss_delta_kb = CurrentRssKb() - rss0;
+    sample->rss_delta_kb = StatusKb("VmRSS:") - rss0;
     if (!engine.ok()) {
       std::fprintf(stderr, "FromMapped failed: %s\n",
                    engine.status().ToString().c_str());
       return 1;
     }
     probe(&*engine);
-    const int64_t rss1 = CurrentRssKb();
+    const int64_t rss1 = StatusKb("VmRSS:");
     auto again = serving::MappedArtifact::Open(manifest, map_options);
     if (!again.ok()) return 1;
     auto second = serving::ServingEngine::FromMapped(*again);
-    sample->second_rss_delta_kb = CurrentRssKb() - rss1;
+    sample->second_rss_delta_kb = StatusKb("VmRSS:") - rss1;
     if (!second.ok()) return 1;
     return 0;
   };
@@ -212,9 +224,39 @@ int main(int argc, char** argv) {
   if (mapped_route(true, &mmap_sample) != 0) return 1;
   if (mapped_route(false, &read_sample) != 0) return 1;
 
+  // ---- Per-user serve latency on one thread over the mmap route.
+  constexpr int64_t kSampledUsers = 1000;
+  constexpr int64_t kLadderTopN[] = {10, 50};
+  double recommend_p50_us[2] = {};
+  {
+    auto mapped = serving::MappedArtifact::Open(manifest, {});
+    if (!mapped.ok()) return 1;
+    auto engine = serving::ServingEngine::FromMapped(*mapped);
+    if (!engine.ok()) return 1;
+    auto server = serving::MakeServeRecommender(&*engine, spec);
+    if (!server.ok()) return 1;
+    ScopedThreadCount one_thread(1);
+    std::vector<double> us(static_cast<size_t>(kSampledUsers));
+    for (size_t n = 0; n < std::size(kLadderTopN); ++n) {
+      for (int64_t k = 0; k < kSampledUsers; ++k) {
+        const graph::NodeId u = k * users / kSampledUsers;
+        timer.Reset();
+        (*server)->Recommend({u}, kLadderTopN[n]);
+        us[static_cast<size_t>(k)] = timer.ElapsedSeconds() * 1e6;
+      }
+      std::nth_element(us.begin(), us.begin() + kSampledUsers / 2, us.end());
+      recommend_p50_us[n] = us[kSampledUsers / 2];
+    }
+  }
+  std::fprintf(stderr,
+               "scale: synthesis %.2f s, build peak RSS %.0f MB, "
+               "Recommend p50 %.1f us (top-10), %.1f us (top-50)\n",
+               dataset_ms / 1e3, static_cast<double>(build_peak_rss_kb) / 1024,
+               recommend_p50_us[0], recommend_p50_us[1]);
+
   const bool pass = bit_identical;
 
-  char buffer[2560];
+  char buffer[3072];
   std::snprintf(
       buffer, sizeof(buffer),
       "{\n"
@@ -232,6 +274,9 @@ int main(int argc, char** argv) {
       "    \"mapped_read\": {\"total_ms\": %.2f, \"rss_delta_kb\": %lld, "
       "\"second_engine_rss_delta_kb\": %lld}\n"
       "  },\n"
+      "  \"scale\": {\"synthesis_s\": %.2f, \"build_peak_rss_mb\": %.0f, "
+      "\"sampled_users\": %lld, \"recommend_us_p50\": {\"top10\": %.1f, "
+      "\"top50\": %.1f}},\n"
       "  \"results\": {\"bit_identical_probes\": %s, \"pass\": %s}\n"
       "}\n",
       static_cast<long long>(users), static_cast<long long>(items),
@@ -246,7 +291,10 @@ int main(int argc, char** argv) {
       read_sample.total_ms,
       static_cast<long long>(read_sample.rss_delta_kb),
       static_cast<long long>(read_sample.second_rss_delta_kb),
-      bit_identical ? "true" : "false", pass ? "true" : "false");
+      dataset_ms / 1e3, static_cast<double>(build_peak_rss_kb) / 1024,
+      static_cast<long long>(kSampledUsers), recommend_p50_us[0],
+      recommend_p50_us[1], bit_identical ? "true" : "false",
+      pass ? "true" : "false");
 
   if (!report.empty()) {
     std::string error;

@@ -49,9 +49,9 @@ struct BuildOptions {
   // createClusters configuration when no partition was injected.
   community::LouvainOptions louvain;
   // Persist the raw preference CSR so the reference baselines
-  // (Exact/NOU/NOE/GS) can serve from the artifact. A production-shaped
-  // artifact should turn this off: the sanitized sections alone serve the
-  // paper's mechanism.
+  // (Exact/NOU/NOE/GS) and LRM can serve from the artifact. A
+  // production-shaped artifact should turn this off: the sanitized sections
+  // alone serve the paper's mechanism.
   bool include_reference_sections = true;
   // Also emit the f32-quantized kNoisyTableF32 mirror of the release.
   // Pure post-processing of the sanitized table (no extra privacy cost);

@@ -949,6 +949,13 @@ Result<std::unique_ptr<ServeRecommender>> MakeServeRecommender(
       return Status::FailedPrecondition(
           "artifact has no low_rank section; rebuild with LRM factors");
     }
+    // LRM noises L·D_i, which reads the item-major preference CSR; without
+    // it every strategy row is zero and the lists are pure Laplace noise.
+    if (!engine->has_preferences()) {
+      return Status::FailedPrecondition(
+          "artifact has no preferences section (LRM needs one; rebuild with "
+          "include_reference_sections)");
+    }
     return std::unique_ptr<ServeRecommender>(
         std::make_unique<LowRankServe>(engine, spec));
   }

@@ -5,6 +5,7 @@
 #include "common/random.h"
 #include "graph/generators/planted_partition.h"
 #include "graph/generators/preference_generator.h"
+#include "obs/trace.h"
 
 namespace privrec::data {
 
@@ -12,6 +13,7 @@ namespace {
 
 Dataset Build(const std::string& name, graph::PlantedPartitionOptions social,
               graph::PreferenceGeneratorOptions prefs) {
+  PRIVREC_SPAN("data.synthesize");
   graph::PlantedPartitionResult planted =
       graph::GeneratePlantedPartition(social);
   Dataset out;

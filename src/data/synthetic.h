@@ -43,8 +43,10 @@ struct SyntheticLastFmOptions {
 struct SyntheticFlixsterOptions {
   // The paper's real Table-1 scale: 137,372 users, ~1.27M social edges at
   // mean degree 18.5, ~7.5M preference edges at 54.8 per user. Generating
-  // this takes seconds and the artifact bench serves it whole; tests and
-  // benches that want the old small substitute pass explicit sizes.
+  // this takes 16-21 s on one thread of a 4-CPU x86 host (g++ 12,
+  // RelWithDebInfo; BENCH_scale.json) and the artifact bench serves it
+  // whole; tests and benches that want a small substitute pass explicit
+  // sizes.
   int64_t num_users = 137372;
   int64_t num_items = 48756;
   double mean_degree = 18.5;       // Table 1: 18.5 (std 31.1)

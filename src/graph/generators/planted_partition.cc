@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/random.h"
+#include "obs/trace.h"
 
 namespace privrec::graph {
 
@@ -84,6 +85,7 @@ void MatchStubs(std::vector<NodeId> stubs, Rng& rng,
 
 PlantedPartitionResult GeneratePlantedPartition(
     const PlantedPartitionOptions& options) {
+  PRIVREC_SPAN("graph.planted_partition");
   PRIVREC_CHECK(options.num_nodes > 0);
   PRIVREC_CHECK(options.mixing >= 0.0 && options.mixing <= 1.0);
   PRIVREC_CHECK(options.mean_degree >= 1.0);

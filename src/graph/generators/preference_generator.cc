@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "common/random.h"
+#include "obs/trace.h"
 
 namespace privrec::graph {
 
@@ -15,41 +17,37 @@ namespace {
 
 // A lazily materialized random permutation of [0, n): community popularity
 // orderings only ever touch the head of the permutation (Zipf mass is
-// concentrated), so we generate prefix elements on demand via Fisher-Yates.
+// concentrated), so Fisher-Yates runs in place over a dense slot array only
+// as far as the deepest rank asked for. Step k swaps slot k with slot
+// k + UniformInt(n - k); a slot holding -1 still holds its own index, so the
+// array starts as one fill rather than an iota.
 class LazyPermutation {
  public:
-  LazyPermutation(int64_t n, Rng rng) : n_(n), rng_(rng) {}
+  LazyPermutation(int64_t n, Rng rng)
+      : slots_(static_cast<size_t>(n), -1), rng_(rng) {}
 
   int64_t Get(int64_t rank) {
-    PRIVREC_DCHECK(rank >= 0 && rank < n_);
-    while (static_cast<int64_t>(materialized_.size()) <= rank) {
-      int64_t k = static_cast<int64_t>(materialized_.size());
-      // Choose the k-th element uniformly from the not-yet-used values.
-      int64_t pick = static_cast<int64_t>(
-          rng_.UniformInt(static_cast<uint64_t>(n_ - k)));
-      materialized_.push_back(ValueAt(k, pick));
+    const int64_t n = static_cast<int64_t>(slots_.size());
+    PRIVREC_DCHECK(rank >= 0 && rank < n);
+    for (; drawn_ <= rank; ++drawn_) {
+      const int64_t pick = drawn_ + static_cast<int64_t>(rng_.UniformInt(
+                                        static_cast<uint64_t>(n - drawn_)));
+      const int32_t head = ValueAt(drawn_);
+      slots_[static_cast<size_t>(drawn_)] = ValueAt(pick);
+      slots_[static_cast<size_t>(pick)] = head;
     }
-    return materialized_[static_cast<size_t>(rank)];
+    return slots_[static_cast<size_t>(rank)];
   }
 
  private:
-  // Virtual Fisher-Yates: position k holds swaps_[k] if swapped, else k.
-  int64_t ValueAt(int64_t k, int64_t pick) {
-    int64_t idx = k + pick;
-    int64_t value = Lookup(idx);
-    // Move the value at position k into slot idx (classic swap).
-    swaps_[idx] = Lookup(k);
-    return value;
-  }
-  int64_t Lookup(int64_t idx) {
-    auto it = swaps_.find(idx);
-    return it == swaps_.end() ? idx : it->second;
+  int32_t ValueAt(int64_t slot) const {
+    const int32_t value = slots_[static_cast<size_t>(slot)];
+    return value < 0 ? static_cast<int32_t>(slot) : value;
   }
 
-  int64_t n_;
+  std::vector<int32_t> slots_;
+  int64_t drawn_ = 0;
   Rng rng_;
-  std::vector<int64_t> materialized_;
-  std::unordered_map<int64_t, int64_t> swaps_;
 };
 
 }  // namespace
@@ -57,7 +55,10 @@ class LazyPermutation {
 PreferenceGraph GeneratePreferences(
     const std::vector<int64_t>& community_of,
     const PreferenceGeneratorOptions& options) {
+  PRIVREC_SPAN("graph.preferences");
   PRIVREC_CHECK(options.num_items > 0);
+  // LazyPermutation stores item ids in int32_t slots.
+  PRIVREC_CHECK(options.num_items <= std::numeric_limits<int32_t>::max());
   PRIVREC_CHECK(options.homophily >= 0.0 && options.homophily <= 1.0);
   PRIVREC_CHECK(options.personal_taste >= 0.0 &&
                 options.personal_taste <= 1.0);

@@ -270,6 +270,22 @@ TEST_F(ArtifactTest, MissingSectionsAreFailedPreconditions) {
   ASSERT_FALSE(server.ok());
   EXPECT_EQ(server.status().code(), StatusCode::kFailedPrecondition);
 
+  // LRM factors without the preferences section they are applied to: the
+  // factors alone would serve pure noise, so this is refused too.
+  artifact::BuildOptions lrm_only = build_options;
+  lrm_only.include_lowrank = true;
+  lrm_only.lrm_target_rank = 16;
+  lrm_only.lrm_seed = kSeed;
+  auto lrm_model = builder.Build(lrm_only);
+  ASSERT_TRUE(lrm_model.ok()) << lrm_model.status().ToString();
+  auto lrm_engine = serving::ServingEngine::FromModel(std::move(*lrm_model));
+  ASSERT_TRUE(lrm_engine.ok());
+  ASSERT_TRUE(lrm_engine->has_lowrank());
+  ASSERT_FALSE(lrm_engine->has_preferences());
+  auto lrm_server = serving::MakeServeRecommender(&*lrm_engine, lrm);
+  ASSERT_FALSE(lrm_server.ok());
+  EXPECT_EQ(lrm_server.status().code(), StatusCode::kFailedPrecondition);
+
   serving::ServeSpec unknown;
   unknown.mechanism = "Oracle";
   EXPECT_EQ(serving::MakeServeRecommender(&*engine, unknown).status().code(),

@@ -2,8 +2,11 @@
 // requested targets), and the HetRec Last.fm / Flixster parsers on small
 // fixture files that exercise the paper's preprocessing rules.
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include "data/hetrec_lastfm.h"
 #include "data/synthetic.h"
 #include "graph/components.h"
+#include "graph/generators/preference_generator.h"
 
 namespace privrec::data {
 namespace {
@@ -80,6 +84,77 @@ TEST(SyntheticTest, SummaryMatchesManualComputation) {
   EXPECT_DOUBLE_EQ(
       s.avg_prefs_per_user,
       static_cast<double>(d.preferences.num_edges()) / 80.0);
+}
+
+// FNV-1a over the little-endian bytes of each value.
+uint64_t FnvMix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFFu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+// Digest of the user-major preference CSR: every (user, item, weight bits).
+uint64_t PreferenceDigest(const graph::PreferenceGraph& p) {
+  uint64_t h = FnvMix(kFnvBasis, static_cast<uint64_t>(p.num_users()));
+  h = FnvMix(h, static_cast<uint64_t>(p.num_items()));
+  for (graph::NodeId u = 0; u < p.num_users(); ++u) {
+    auto items = p.ItemsOf(u);
+    auto weights = p.WeightsOf(u);
+    for (size_t k = 0; k < items.size(); ++k) {
+      h = FnvMix(h, static_cast<uint64_t>(u));
+      h = FnvMix(h, static_cast<uint64_t>(items[k]));
+      h = FnvMix(h, std::bit_cast<uint64_t>(weights[k]));
+    }
+  }
+  return h;
+}
+
+uint64_t SocialDigest(const graph::SocialGraph& g) {
+  uint64_t h = FnvMix(kFnvBasis, static_cast<uint64_t>(g.num_nodes()));
+  for (auto [u, v] : g.Edges()) {
+    h = FnvMix(h, static_cast<uint64_t>(u));
+    h = FnvMix(h, static_cast<uint64_t>(v));
+  }
+  return h;
+}
+
+// Pins the generators' exact output as constants, so it holds across
+// rewrites and not just across two runs of one binary: any change to the
+// RNG call order, the lazy permutations or the rating assignment fails here.
+TEST(SyntheticTest, GoldenFingerprints) {
+  SyntheticFlixsterOptions flixster;
+  flixster.num_users = 3000;
+  flixster.seed = 7;
+  Dataset f = MakeSyntheticFlixster(flixster);
+  EXPECT_EQ(PreferenceDigest(f.preferences), 0xff86dbb798d573e1ULL);
+  EXPECT_EQ(SocialDigest(f.social), 0x530af0bff0c8b837ULL);
+
+  Dataset tiny = MakeTinyDataset();
+  EXPECT_EQ(PreferenceDigest(tiny.preferences), 0xf5162929cc67345eULL);
+  EXPECT_EQ(SocialDigest(tiny.social), 0xb81a92d22290df4aULL);
+
+  Dataset lastfm = MakeSyntheticLastFm();
+  EXPECT_EQ(PreferenceDigest(lastfm.preferences), 0x9a01ccd565731f52ULL);
+  EXPECT_EQ(SocialDigest(lastfm.social), 0xe1044563ea7d99acULL);
+
+  // The weighted variant assigns ratings in the chosen set's iteration
+  // order, so this case also pins that order.
+  std::vector<int64_t> community_of(600);
+  for (size_t u = 0; u < community_of.size(); ++u) {
+    community_of[u] = static_cast<int64_t>(u % 8);
+  }
+  graph::PreferenceGeneratorOptions weighted;
+  weighted.num_items = 2000;
+  weighted.max_rating = 5;
+  weighted.personal_taste = 0.2;
+  weighted.community_catalog_size = 300;
+  weighted.seed = 11;
+  graph::PreferenceGraph w = graph::GeneratePreferences(community_of, weighted);
+  ASSERT_TRUE(w.is_weighted());
+  EXPECT_EQ(PreferenceDigest(w), 0x4aaca75fddf52fe3ULL);
 }
 
 // ------------------------------------------------------- Dataset export

@@ -226,6 +226,41 @@ TEST(TracerTest, SpansFromParallelChunksCarryChunkIds) {
   obs::Tracer::Instance().Clear();
 }
 
+TEST(TracerTest, SynthesisSpansNestUnderDataSynthesize) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::Tracer::Instance().Clear();
+  obs::Tracer::Instance().SetEnabled(true);
+  data::Dataset d = data::MakeTinyDataset();
+  obs::Tracer::Instance().SetEnabled(false);
+  std::vector<obs::SpanRecord> spans = obs::Tracer::Instance().Snapshot();
+  obs::Tracer::Instance().Clear();
+  auto find = [&](const std::string& name) -> const obs::SpanRecord* {
+    const obs::SpanRecord* found = nullptr;
+    for (const obs::SpanRecord& s : spans) {
+      if (s.name != name) continue;
+      EXPECT_EQ(found, nullptr) << name << " recorded twice";
+      found = &s;
+    }
+    return found;
+  };
+  const obs::SpanRecord* outer = find("data.synthesize");
+  const obs::SpanRecord* social = find("graph.planted_partition");
+  const obs::SpanRecord* prefs = find("graph.preferences");
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(social, nullptr);
+  ASSERT_NE(prefs, nullptr);
+  for (const obs::SpanRecord* child : {social, prefs}) {
+    EXPECT_EQ(child->thread_id, outer->thread_id) << child->name;
+    EXPECT_EQ(child->depth, outer->depth + 1) << child->name;
+    EXPECT_GE(child->start_ns, outer->start_ns) << child->name;
+    EXPECT_LE(child->start_ns + child->duration_ns,
+              outer->start_ns + outer->duration_ns)
+        << child->name;
+  }
+  // The social graph is planted first; preferences follow its partition.
+  EXPECT_LE(social->start_ns + social->duration_ns, prefs->start_ns);
+}
+
 // -------------------------------------------------------------- Exporters
 
 obs::MetricsSnapshot GoldenSnapshot() {
