@@ -15,9 +15,12 @@
 // compared byte-for-byte across the routes.
 //
 // The "scale" block is one rung of the scale ladder: synthesis seconds,
-// the offline build's peak RSS (VmHWM after the build), and the per-user
-// p50 of Cluster Recommend({u}, N) at N = 10 and 50, timed on one thread
-// over 1,000 evenly spaced users of an mmap-opened engine.
+// the offline build's peak RSS (VmHWM after the build), the per-user p50
+// of Cluster Recommend({u}, N) at N = 10 and 50, timed on one thread over
+// 1,000 evenly spaced users of an mmap-opened engine, with the mean item
+// blocks those calls summed per user (of the release's blocks per user,
+// ServingReport::bound_blocks_*), and the rate of a 10,000-user top-50
+// bulk Recommend on all threads (median of three passes).
 //
 //   ./bench_artifact_shard [--users=137372] [--items=48756] [--shards=6]
 //                          [--epsilon=0.5] [--top_n=10]
@@ -227,7 +230,12 @@ int main(int argc, char** argv) {
   // ---- Per-user serve latency on one thread over the mmap route.
   constexpr int64_t kSampledUsers = 1000;
   constexpr int64_t kLadderTopN[] = {10, 50};
+  constexpr int64_t kBulkUsers = 10'000;
+  constexpr int64_t kBulkTopN = 50;
   double recommend_p50_us[2] = {};
+  double blocks_visited_per_user[2] = {};
+  double blocks_per_user = 0.0;
+  double bulk_users_per_s = 0.0;
   {
     auto mapped = serving::MappedArtifact::Open(manifest, {});
     if (!mapped.ok()) return 1;
@@ -235,24 +243,60 @@ int main(int argc, char** argv) {
     if (!engine.ok()) return 1;
     auto server = serving::MakeServeRecommender(&*engine, spec);
     if (!server.ok()) return 1;
-    ScopedThreadCount one_thread(1);
-    std::vector<double> us(static_cast<size_t>(kSampledUsers));
-    for (size_t n = 0; n < std::size(kLadderTopN); ++n) {
-      for (int64_t k = 0; k < kSampledUsers; ++k) {
-        const graph::NodeId u = k * users / kSampledUsers;
-        timer.Reset();
-        (*server)->Recommend({u}, kLadderTopN[n]);
-        us[static_cast<size_t>(k)] = timer.ElapsedSeconds() * 1e6;
+    {
+      ScopedThreadCount one_thread(1);
+      std::vector<double> us(static_cast<size_t>(kSampledUsers));
+      for (size_t n = 0; n < std::size(kLadderTopN); ++n) {
+        int64_t visited = 0;
+        int64_t total = 0;
+        int64_t personalized = 0;
+        for (int64_t k = 0; k < kSampledUsers; ++k) {
+          const graph::NodeId u = k * users / kSampledUsers;
+          timer.Reset();
+          const core::RecommendedBatch batch =
+              (*server)->Recommend({u}, kLadderTopN[n]);
+          us[static_cast<size_t>(k)] = timer.ElapsedSeconds() * 1e6;
+          visited += batch.report.bound_blocks_visited;
+          total += batch.report.bound_blocks_total;
+          if (batch.degradation[0].reason !=
+              core::DegradationReason::kIsolatedUser) {
+            ++personalized;
+          }
+        }
+        std::nth_element(us.begin(), us.begin() + kSampledUsers / 2,
+                         us.end());
+        recommend_p50_us[n] = us[kSampledUsers / 2];
+        if (personalized > 0) {
+          blocks_visited_per_user[n] = static_cast<double>(visited) /
+                                       static_cast<double>(personalized);
+          blocks_per_user = static_cast<double>(total) /
+                            static_cast<double>(personalized);
+        }
       }
-      std::nth_element(us.begin(), us.begin() + kSampledUsers / 2, us.end());
-      recommend_p50_us[n] = us[kSampledUsers / 2];
     }
+    std::vector<graph::NodeId> bulk;
+    for (int64_t k = 0; k < kBulkUsers; ++k) {
+      bulk.push_back(static_cast<graph::NodeId>(k * users / kBulkUsers));
+    }
+    std::vector<double> rates;
+    for (int pass = 0; pass < 3; ++pass) {
+      timer.Reset();
+      (*server)->Recommend(bulk, kBulkTopN);
+      rates.push_back(static_cast<double>(kBulkUsers) /
+                      timer.ElapsedSeconds());
+    }
+    std::sort(rates.begin(), rates.end());
+    bulk_users_per_s = rates[1];
   }
   std::fprintf(stderr,
                "scale: synthesis %.2f s, build peak RSS %.0f MB, "
-               "Recommend p50 %.1f us (top-10), %.1f us (top-50)\n",
+               "Recommend p50 %.1f us (top-10), %.1f us (top-50), "
+               "blocks visited %.1f / %.1f of %.0f per user, "
+               "bulk top-50 %.0f users/s\n",
                dataset_ms / 1e3, static_cast<double>(build_peak_rss_kb) / 1024,
-               recommend_p50_us[0], recommend_p50_us[1]);
+               recommend_p50_us[0], recommend_p50_us[1],
+               blocks_visited_per_user[0], blocks_visited_per_user[1],
+               blocks_per_user, bulk_users_per_s);
 
   const bool pass = bit_identical;
 
@@ -276,7 +320,9 @@ int main(int argc, char** argv) {
       "  },\n"
       "  \"scale\": {\"synthesis_s\": %.2f, \"build_peak_rss_mb\": %.0f, "
       "\"sampled_users\": %lld, \"recommend_us_p50\": {\"top10\": %.1f, "
-      "\"top50\": %.1f}},\n"
+      "\"top50\": %.1f}, \"blocks_visited_per_user\": {\"top10\": %.1f, "
+      "\"top50\": %.1f}, \"blocks_per_user\": %.0f, "
+      "\"bulk_top50_users_per_s\": %.0f},\n"
       "  \"results\": {\"bit_identical_probes\": %s, \"pass\": %s}\n"
       "}\n",
       static_cast<long long>(users), static_cast<long long>(items),
@@ -293,7 +339,9 @@ int main(int argc, char** argv) {
       static_cast<long long>(read_sample.second_rss_delta_kb),
       dataset_ms / 1e3, static_cast<double>(build_peak_rss_kb) / 1024,
       static_cast<long long>(kSampledUsers), recommend_p50_us[0],
-      recommend_p50_us[1], bit_identical ? "true" : "false",
+      recommend_p50_us[1], blocks_visited_per_user[0],
+      blocks_visited_per_user[1], blocks_per_user, bulk_users_per_s,
+      bit_identical ? "true" : "false",
       pass ? "true" : "false");
 
   if (!report.empty()) {

@@ -15,9 +15,11 @@
 #   3. PRIVREC_NO_SIMD=1 must pin dispatch to scalar (checked via the
 #      benchmark context) and kernels_test must stay green under it.
 #   4. The hot reconstruction templates stay pinned: in bench_perf_micro,
-#      kernels::DenseTopNOffer<core::Recommendation> and ClusterServe's
-#      ReconstructTopN chunk body (its _M_invoke; .cold clones aside)
-#      start at an address that is 0 mod 64, and no library under
+#      kernels::DenseTopNOffer<core::Recommendation>, ClusterServe's
+#      ReconstructTopN chunk body (its _M_invoke, which holds best-first)
+#      and its block-sum lambda (the one kernel call site of best-first
+#      and the walk; .cold clones aside) start at an address that is
+#      0 mod 64, and no library under
 #      build/src other than libprivrec_serving.a defines that
 #      DenseTopNOffer instantiation. serving.cc compiles with
 #      -falign-functions=64, but the linker keeps the copy from whichever
@@ -63,6 +65,9 @@ def label_of(name):
     if ("ClusterServe" in name and "ReconstructTopN" in name
             and "::_M_invoke(" in name):
         return "ClusterServe chunk body"
+    if ("ClusterServe" in name and "ReconstructTopN" in name
+            and "{lambda(unsigned long, long, long)#1}::operator()" in name):
+        return "ClusterServe block sum"
     return None
 
 fail = False
@@ -76,7 +81,8 @@ for addr, name in symbols(binary):
     print(f"[align] {label} at {addr:#x} (mod 64 = {addr % 64}) "
           f"{'OK' if ok else 'FAIL'}")
     fail |= not ok
-for label in ("DenseTopNOffer<Recommendation>", "ClusterServe chunk body"):
+for label in ("DenseTopNOffer<Recommendation>", "ClusterServe chunk body",
+              "ClusterServe block sum"):
     if label not in found:
         print(f"FAIL: {label} not found in {binary}")
         fail = True

@@ -25,6 +25,20 @@ Status Invalid(const char* section, const std::string& what) {
                             "' invalid: " + what);
 }
 
+// One workload entry's rules, for both validators' entry loops: the
+// neighbour is a user, and its score is finite and >= 0. The fold sums
+// scores into cluster weights, and reconstruction's block bounds hold
+// only for weights >= 0. Returns what is wrong, or nullptr: the loops run
+// over every entry (225M at the Table-1 shape), so no Status is built
+// for a valid one.
+const char* WorkloadEntryDefect(const WorkloadEntry& e, int64_t num_users) {
+  if (e.user < 0 || e.user >= num_users) return "entry user out of range";
+  if (!std::isfinite(e.score) || e.score < 0.0) {
+    return "entry score is negative or not finite";
+  }
+  return nullptr;
+}
+
 Status ValidateModel(const ArtifactModel& m) {
   const int64_t num_users = m.meta.num_users;
   const int64_t num_items = m.meta.num_items;
@@ -55,8 +69,8 @@ Status ValidateModel(const ArtifactModel& m) {
     }
   }
   for (const WorkloadEntry& e : w.entries) {
-    if (e.user < 0 || e.user >= num_users) {
-      return Invalid("workload", "entry user out of range");
+    if (const char* defect = WorkloadEntryDefect(e, num_users)) {
+      return Invalid("workload", defect);
     }
   }
 
@@ -211,15 +225,17 @@ class ClusterServe final : public ServeRecommender {
     batch.report.empty_clusters = noisy.empty_clusters;
     batch.report.singleton_clusters = noisy.singleton_clusters;
     batch.report.nonfinite_sanitized = noisy.nonfinite_sanitized;
-    Result<int64_t> degraded = ReconstructTopN(
+    Result<ReconstructCounts> counts = ReconstructTopN(
         engine_->release_view(),
         [this](graph::NodeId u) { return engine_->WorkloadRow(u); },
         [this]() -> const std::vector<double>& {
           return engine_->global_average();
         },
         users, top_n, &batch.lists, &batch.degradation);
-    PRIVREC_CHECK_MSG(degraded.ok(), degraded.status().message().c_str());
-    batch.report.users_degraded = *degraded;
+    PRIVREC_CHECK_MSG(counts.ok(), counts.status().message().c_str());
+    batch.report.users_degraded = counts->degraded;
+    batch.report.bound_blocks_visited = counts->blocks_visited;
+    batch.report.bound_blocks_total = counts->blocks_total;
     core::RecordServingMetrics(batch);
     return batch;
   }
@@ -609,6 +625,7 @@ ReleaseView ServingEngine::release_view() const {
         mapped_ ? nullptr : model_.noisy_f32.values.data();
     view.rows_f32 = cluster_rows_f32_.data();
   }
+  view.block_max = block_max_.data();
   view.sanitized = sanitized_;
   view.cluster_of = cluster_of_;
   view.cluster_sizes = cluster_sizes_;
@@ -724,9 +741,9 @@ Status ServingEngine::InitFromMapped() {
   for (size_t s = 0; s < table.size(); ++s) {
     const MappedArtifact::Shard& sh = mapped_->shards()[s];
     for (uint64_t k = 0; k < table[s].workload_entries; ++k) {
-      const int64_t v = sh.workload_entries[k].user;
-      if (v < 0 || v >= num_users) {
-        return Invalid("workload", "entry user out of range");
+      if (const char* defect =
+              WorkloadEntryDefect(sh.workload_entries[k], num_users)) {
+        return Invalid("workload", defect);
       }
     }
     if (model_.has_preferences) {
@@ -793,7 +810,14 @@ Status ServingEngine::InitFromMapped() {
   return Status::Ok();
 }
 
-void ServingEngine::BuildDerived() {
+Status ServingEngine::BuildDerived() {
+  // The bound table, which also checks every released value is finite.
+  // It reads the rows through release_view(), so both storage modes run
+  // the one check; the f64 table was CRC'd at open (mapped) or is in
+  // memory (owned), so the pass touches no page the engine would not.
+  Status bounds = BuildBlockBounds(release_view(), &block_max_);
+  if (!bounds.ok()) return bounds;
+
   // Derive the item-major preference CSR by a stable counting pass over
   // the user-major rows: per item, users come out ascending — identical to
   // PreferenceGraph::UsersOf ordering, which the GS/LRM serve loops need
@@ -831,6 +855,7 @@ void ServingEngine::BuildDerived() {
   // The global-average fallback row is NOT computed here: it is lazy (see
   // global_average()), so constructing an epoch during a swap storm costs
   // no O(C·I) pass unless an isolated user actually arrives.
+  return Status::Ok();
 }
 
 const std::vector<double>& ServingEngine::global_average() const {
@@ -848,7 +873,8 @@ Result<ServingEngine> ServingEngine::FromModel(ArtifactModel model) {
   ServingEngine engine;
   engine.model_ = std::move(model);
   engine.BuildOwnedViews();
-  engine.BuildDerived();
+  Status derived = engine.BuildDerived();
+  if (!derived.ok()) return derived;
   return engine;
 }
 
@@ -879,7 +905,8 @@ Result<ServingEngine> ServingEngine::FromMapped(
 
   Status init = engine.InitFromMapped();
   if (!init.ok()) return init;
-  engine.BuildDerived();
+  Status derived = engine.BuildDerived();
+  if (!derived.ok()) return derived;
   return engine;
 }
 

@@ -146,12 +146,12 @@ class ServingEngine {
   // View construction. Owned mode points the tables into model_'s
   // vectors; mapped mode points them into the mapped files and runs the
   // semantic validation ValidateModel would have run on an owned model
-  // (same error messages for the same defects). BuildDerived then computes
-  // the item-major CSR and the global fallback row through the accessors,
-  // identically in both modes.
+  // (same error messages for the same defects). BuildDerived then checks
+  // the released values and computes the bound table and the item-major
+  // CSR through the accessors, identically in both modes.
   void BuildOwnedViews();
   Status InitFromMapped();
-  void BuildDerived();
+  Status BuildDerived();
 
   ArtifactModel model_;
   std::shared_ptr<const MappedArtifact> mapped_;
@@ -173,9 +173,11 @@ class ServingEngine {
   uint32_t shard_count_ = 1;
   std::vector<int32_t> shard_of_cluster_;  // per cluster
 
-  // Derived (not persisted): item-major preference CSR and the lazy
+  // Derived (not persisted): reconstruction's bound table
+  // (ReleaseView::block_max), the item-major preference CSR and the lazy
   // global fallback row. The row lives behind a shared_ptr because the
   // engine is move-only while std::once_flag is not movable at all.
+  std::vector<double> block_max_;
   std::vector<uint64_t> item_offsets_;
   std::vector<int64_t> item_users_;
   std::vector<double> item_weights_;

@@ -42,8 +42,14 @@ void RecordServingMetrics(const RecommendedBatch& batch) {
       obs::GetCounter("privrec.serving.users_served");
   static obs::Counter& degraded =
       obs::GetCounter("privrec.serving.users_degraded");
+  static obs::Counter& blocks_visited =
+      obs::GetCounter("privrec.serving.bound_blocks_visited_total");
+  static obs::Counter& blocks_total =
+      obs::GetCounter("privrec.serving.bound_blocks_total");
   served.Add(static_cast<int64_t>(batch.lists.size()));
   degraded.Add(batch.report.users_degraded);
+  blocks_visited.Add(batch.report.bound_blocks_visited);
+  blocks_total.Add(batch.report.bound_blocks_total);
   for (const DegradationInfo& info : batch.degradation) {
     if (!info.degraded()) continue;
     // One counter per reason; the name set is small and fixed, so the

@@ -56,6 +56,10 @@ struct ServingReport {
   int64_t degenerate_groups = 0;
   // Non-finite noisy values replaced with 0 before ranking.
   int64_t nonfinite_sanitized = 0;
+  // Cluster reconstruction's pruning, summed over the personalized
+  // users: item blocks summed, against the blocks the release has.
+  int64_t bound_blocks_visited = 0;
+  int64_t bound_blocks_total = 0;
 
   bool Clean() const {
     return users_degraded == 0 && empty_clusters == 0 &&
@@ -74,8 +78,9 @@ struct RecommendedBatch {
 };
 
 // Folds a served batch into the process-wide metrics registry:
-// privrec.serving.users_served, privrec.serving.users_degraded, and one
-// privrec.serving.degraded.<reason> counter per DegradationReason.
+// privrec.serving.users_served, privrec.serving.users_degraded,
+// privrec.serving.bound_blocks_visited_total / bound_blocks_total, and
+// one privrec.serving.degraded.<reason> counter per DegradationReason.
 void RecordServingMetrics(const RecommendedBatch& batch);
 
 }  // namespace privrec::core

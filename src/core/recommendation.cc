@@ -33,25 +33,6 @@ RecommendationList TopNFromSparse(
   return all;
 }
 
-void TopNAccumulator::Offer(graph::ItemId item, double utility) {
-  Recommendation candidate{item, utility};
-  auto worse_on_heap = [this](const Recommendation& a,
-                              const Recommendation& b) {
-    // std::push_heap builds a max-heap; invert to keep the *worst* on top.
-    return Better(a, b);
-  };
-  if (static_cast<int64_t>(heap_.size()) < n_) {
-    heap_.push_back(candidate);
-    std::push_heap(heap_.begin(), heap_.end(), worse_on_heap);
-    return;
-  }
-  if (Better(candidate, heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), worse_on_heap);
-    heap_.back() = candidate;
-    std::push_heap(heap_.begin(), heap_.end(), worse_on_heap);
-  }
-}
-
 RecommendationList TopNAccumulator::Take() {
   RecommendationList out = std::move(heap_);
   heap_.clear();

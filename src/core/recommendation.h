@@ -4,7 +4,9 @@
 #ifndef PRIVREC_CORE_RECOMMENDATION_H_
 #define PRIVREC_CORE_RECOMMENDATION_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -42,7 +44,25 @@ class TopNAccumulator {
  public:
   explicit TopNAccumulator(int64_t n) : n_(n) { PRIVREC_CHECK(n >= 1); }
 
-  void Offer(graph::ItemId item, double utility);
+  void Offer(graph::ItemId item, double utility) {
+    const Recommendation candidate{item, utility};
+    if (static_cast<int64_t>(heap_.size()) < n_) {
+      heap_.push_back(candidate);
+      std::push_heap(heap_.begin(), heap_.end(), Better);
+      return;
+    }
+    if (Better(candidate, heap_.front())) {
+      kernels::ReplaceWorst(heap_.data(), heap_.size(), candidate);
+    }
+  }
+
+  // The worst kept utility once N entries are kept, -infinity before:
+  // an offer below it cannot enter.
+  double WorstKept() const {
+    return static_cast<int64_t>(heap_.size()) < n_
+               ? -std::numeric_limits<double>::infinity()
+               : heap_.front().utility;
+  }
 
   // Extracts the ranked list (descending utility, item id tie-break) and
   // resets the accumulator.
@@ -55,7 +75,7 @@ class TopNAccumulator {
   }
 
   int64_t n_;
-  // Min-heap on ranking order: heap_[0] is the current worst kept entry.
+  // Heap with Better as its "less": heap_[0] is the worst kept entry.
   std::vector<Recommendation> heap_;
 };
 

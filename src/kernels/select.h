@@ -72,6 +72,27 @@ void SelectTopNInPlace(List& list, int64_t n) {
   list.resize(static_cast<typename List::size_type>(keep));
 }
 
+// Replaces the worst entry of a full heap ordered with RankOrderBetter as
+// its "less" (so heap[0] is the worst kept entry) by `entry`, which must
+// rank better than it: the newcomer sifts down below every child it
+// beats, one root-to-leaf pass instead of pop + push. Always inlined, so
+// the hot selectors keep it in their own (pinned) code.
+template <typename Entry>
+[[gnu::always_inline]] inline void ReplaceWorst(Entry* heap, size_t size,
+                                                const Entry& entry) {
+  const RankOrderBetter better;
+  size_t hole = 0;
+  for (size_t child = 1; child < size; child = 2 * hole + 1) {
+    if (child + 1 < size && better(heap[child], heap[child + 1])) {
+      ++child;  // the worse of the two children
+    }
+    if (better(heap[child], entry)) break;  // worse than both: stay
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = entry;
+}
+
 // The dense selector. `heap` holds the running top-n of a scan, worst
 // entry on top (`RankOrderBetter` as the heap's "less"); entries are
 // anything with `.item` and `.utility` members. Each call offers
@@ -98,19 +119,7 @@ void DenseTopNOffer(const double* values, int64_t first_item, int64_t count,
   double worst = top[0].utility;
   auto offer = [&](int64_t j) {
     if (!(values[j] > worst)) return;
-    // Replace the worst entry and sift the newcomer down below every
-    // child it beats: one root-to-leaf pass instead of pop + push.
-    const Entry entry{first_item + j, values[j]};
-    size_t hole = 0;
-    for (size_t child = 1; child < size; child = 2 * hole + 1) {
-      if (child + 1 < size && better(top[child], top[child + 1])) {
-        ++child;  // the worse of the two children
-      }
-      if (better(top[child], entry)) break;  // worse than both: stay
-      top[hole] = top[child];
-      hole = child;
-    }
-    top[hole] = entry;
+    ReplaceWorst(top, size, Entry{first_item + j, values[j]});
     worst = top[0].utility;
   };
   // Four values per branch: when none of them beats the worst kept

@@ -87,7 +87,9 @@ void FinalizeRequestTelemetry(obs::RequestTelemetry& event,
 
 ServeTelemetry::ServeTelemetry(ServeTelemetryOptions options)
     : options_(options),
-      windows_(options.window_ms, options.budget, options.max_windows) {}
+      windows_(options.window_ms, options.budget, options.max_windows) {
+  events_.reserve(options_.max_events);
+}
 
 void ServeTelemetry::DrainWindowSignalsLocked() {
   const obs::WindowSeries& series = windows_.series();
@@ -99,8 +101,7 @@ void ServeTelemetry::DrainWindowSignalsLocked() {
   windows_seen_ = series.windows.size();
   for (; alerts_seen_ < series.alerts.size(); ++alerts_seen_) {
     AlertCounter().Increment();
-    jsonl_ += obs::WindowAlertToJson(series.alerts[alerts_seen_]);
-    jsonl_ += '\n';
+    alert_at_.push_back(events_.size());
   }
   BurnGauge().Set(windows_.burn_rate());
 }
@@ -123,8 +124,6 @@ void ServeTelemetry::Record(const obs::RequestTelemetry& event) {
     return;
   }
   events_.push_back(event);
-  jsonl_ += obs::RequestTelemetryToJson(event);
-  jsonl_ += '\n';
 }
 
 void ServeTelemetry::AdvanceTo(int64_t now_ms) {
@@ -153,7 +152,19 @@ std::vector<obs::RequestTelemetry> ServeTelemetry::sampled_events()
 
 std::string ServeTelemetry::EventsJsonl() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return jsonl_;
+  const std::vector<obs::WindowAlert>& alerts = windows_.series().alerts;
+  std::string out;
+  size_t a = 0;
+  for (size_t e = 0; e <= events_.size(); ++e) {
+    for (; a < alert_at_.size() && alert_at_[a] == e; ++a) {
+      out += obs::WindowAlertToJson(alerts[a]);
+      out += '\n';
+    }
+    if (e == events_.size()) break;
+    out += obs::RequestTelemetryToJson(events_[e]);
+    out += '\n';
+  }
+  return out;
 }
 
 int64_t ServeTelemetry::recorded() const {

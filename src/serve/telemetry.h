@@ -8,8 +8,8 @@
 //     SLO burn-rate tracker;
 //   - keeps the deterministically sampled subset (every non-OK /
 //     degraded / slow request plus 1-in-K of OK, keyed off the request
-//     id) and renders the JSONL stream interleaving request lines with
-//     the alert lines the windows emit;
+//     id), one copy per event, and renders the JSONL stream on demand,
+//     interleaving request lines with the alert lines the windows emit;
 //   - mirrors the aggregate signals into the metrics registry:
 //     privrec.serve.telemetry_events_total / telemetry_sampled_total,
 //     privrec.serve.slo_window_breaches_total / slo_burn_alerts_total,
@@ -48,7 +48,9 @@ struct ServeTelemetryOptions {
   // Per-window SLO budget + burn-rate alerting (see WindowBudget).
   obs::WindowBudget budget;
   // Cap on retained sampled events (the JSONL stream stops growing once
-  // reached; drops are counted, never silent).
+  // reached; drops are counted, never silent). The sink reserves room for
+  // all of them up front, so retaining never copies the events already
+  // kept; pages are only touched as events arrive.
   size_t max_events = 65536;
   // Cap on retained closed windows (oldest evicted first).
   size_t max_windows = 4096;
@@ -77,7 +79,9 @@ class ServeTelemetry {
   obs::WindowSeries series() const;
   std::vector<obs::RequestTelemetry> sampled_events() const;
   // The JSONL stream: one line per sampled request plus one line per
-  // burn-rate alert, in emission order.
+  // burn-rate alert, in emission order (an alert precedes the request
+  // lines recorded after it fired; alerts after the event cap come
+  // last). Rendered from the retained events on each call.
   std::string EventsJsonl() const;
 
   int64_t recorded() const;
@@ -90,15 +94,17 @@ class ServeTelemetry {
   const ServeTelemetryOptions& options() const { return options_; }
 
  private:
-  // Mirrors newly closed windows / alerts into metrics and the JSONL
-  // stream. Caller holds mu_.
+  // Mirrors newly closed windows / alerts into metrics and notes where
+  // each new alert falls in the JSONL stream. Caller holds mu_.
   void DrainWindowSignalsLocked();
 
   const ServeTelemetryOptions options_;
   mutable std::mutex mu_;
   obs::RollingWindows windows_;
   std::vector<obs::RequestTelemetry> events_;
-  std::string jsonl_;
+  // Per alert of windows_.series().alerts (which are never evicted): how
+  // many events were retained when it fired, i.e. its JSONL position.
+  std::vector<size_t> alert_at_;
   size_t alerts_seen_ = 0;
   size_t windows_seen_ = 0;
   int64_t recorded_ = 0;

@@ -21,6 +21,7 @@
 #error "serving headers must not include the private graph containers"
 #endif
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -290,6 +291,71 @@ TEST_F(ArtifactTest, MissingSectionsAreFailedPreconditions) {
   unknown.mechanism = "Oracle";
   EXPECT_EQ(serving::MakeServeRecommender(&*engine, unknown).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Released values and similarity scores are checked when an engine opens:
+// one NaN cell of the released table, one NaN in its f32 mirror, or one
+// negated workload score is kParseError naming the section, through
+// FromModel and through a save and Load alike. Unchecked, the NaN would
+// be served as a utility and the negated score would break the fold's
+// first-touch test and the block bounds.
+TEST_F(ArtifactTest, NonFiniteValuesAndNegativeScoresFailAtOpen) {
+  artifact::ModelArtifactBuilder builder = MakeBuilder();
+  artifact::BuildOptions options;
+  options.epsilon = kEps;
+  options.seed = kSeed;
+  options.table_f32 = true;
+  auto built = builder.Build(options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const serving::ArtifactModel& base = *built;
+  ASSERT_FALSE(base.workload.entries.empty());
+
+  struct Damage {
+    const char* section;
+    void (*apply)(serving::ArtifactModel&);
+  };
+  const Damage damages[] = {
+      {"noisy_table",
+       [](serving::ArtifactModel& m) {
+         // Without the mirror, whose source CRC would catch the edit first.
+         m.has_noisy_f32 = false;
+         m.noisy.values[m.noisy.values.size() / 2] = NAN;
+       }},
+      {"noisy_table_f32",
+       [](serving::ArtifactModel& m) {
+         m.noisy_f32.values[m.noisy_f32.values.size() / 3] = NAN;
+       }},
+      {"workload",
+       [](serving::ArtifactModel& m) {
+         serving::WorkloadEntry& e = m.workload.entries.back();
+         e.score = -e.score;
+       }},
+  };
+  for (const Damage& damage : damages) {
+    const std::string quoted = "'" + std::string(damage.section) + "'";
+    serving::ArtifactModel model = base;
+    damage.apply(model);
+
+    const std::string path = Path(std::string(damage.section) + ".pvram");
+    ASSERT_TRUE(serving::SaveShardedArtifact(model, path).ok())
+        << damage.section;
+    auto owned = serving::ServingEngine::FromModel(std::move(model));
+    ASSERT_FALSE(owned.ok()) << damage.section;
+    EXPECT_EQ(owned.status().code(), StatusCode::kParseError)
+        << owned.status().ToString();
+    EXPECT_NE(owned.status().message().find(quoted), std::string::npos)
+        << owned.status().ToString();
+
+    auto loaded = serving::ServingEngine::Load(path);
+    ASSERT_FALSE(loaded.ok()) << damage.section;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << loaded.status().ToString();
+    EXPECT_EQ(loaded.status().message(), owned.status().message());
+  }
+  // The undamaged release opens on both routes.
+  ASSERT_TRUE(serving::SaveShardedArtifact(base, Path("clean.pvram")).ok());
+  EXPECT_TRUE(serving::ServingEngine::Load(Path("clean.pvram")).ok());
+  EXPECT_TRUE(serving::ServingEngine::FromModel(base).ok());
 }
 
 // ---------------------------------------------------------------- factory

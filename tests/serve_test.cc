@@ -1334,6 +1334,52 @@ TEST(ServeTelemetryTest, WindowsBreachAndAlertsFlowIntoJsonl) {
   }
 }
 
+// The JSONL stream, line for line: an alert line sits right before the
+// request line recorded after it fired, and alerts that fire once the
+// event cap is reached go at the end, after the last retained request.
+TEST(ServeTelemetryTest, JsonlInterleavesAlertsInEmissionOrder) {
+  serve::ServeTelemetryOptions opts;
+  opts.sample_every = 1;
+  opts.window_ms = 100;
+  opts.budget.p99_ms = 5.0;
+  opts.budget.lookback = 4;
+  opts.budget.burn_threshold = 0.2;
+  opts.max_events = 4;
+  serve::ServeTelemetry telemetry(opts);
+
+  std::vector<obs::RequestTelemetry> events;
+  for (int64_t i = 0; i < 5; ++i) {
+    obs::RequestTelemetry event;
+    event.outcome = obs::RequestOutcome::kOk;
+    event.request_id = static_cast<uint64_t>(i) + 1;
+    event.arrival_ms = i * 100 + 10;
+    event.resolve_ms = event.arrival_ms;
+    event.latency_ms = i < 2 ? 1.0 : 80.0;  // windows 2, 3, 4 breach
+    telemetry.Record(event);
+    events.push_back(event);
+  }
+  telemetry.Flush(500);
+  EXPECT_EQ(telemetry.dropped_events(), 1);
+
+  // Window 2 closes when event 4 arrives and fires the first alert;
+  // window 3 closes when the capped event 5 arrives, and the flush closes
+  // window 4.
+  const std::vector<obs::WindowAlert> alerts = telemetry.series().alerts;
+  ASSERT_GE(alerts.size(), 3u);
+  EXPECT_EQ(alerts[0].at_ms, 300);
+  auto line = [](const std::string& json) { return json + "\n"; };
+  std::string expected;
+  for (size_t k = 0; k < 3; ++k) {
+    expected += line(obs::RequestTelemetryToJson(events[k]));
+  }
+  expected += line(obs::WindowAlertToJson(alerts[0]));
+  expected += line(obs::RequestTelemetryToJson(events[3]));
+  for (size_t a = 1; a < alerts.size(); ++a) {
+    expected += line(obs::WindowAlertToJson(alerts[a]));
+  }
+  EXPECT_EQ(telemetry.EventsJsonl(), expected);
+}
+
 TEST(ServeTelemetryTest, EventCapDropsAreCountedNeverSilent) {
   serve::ServeTelemetryOptions opts;
   opts.sample_every = 1;
