@@ -16,10 +16,11 @@
 #      out.
 #
 # Instrumentation sits at record/release granularity — per chunk, per
-# cluster, per trial, per request — never inside per-element loops. The
-# median of several repetitions keeps the check stable on noisy
-# single-core CI hosts; widen the threshold with OBS_OVERHEAD_PCT if a
-# box is too jittery to resolve 3%.
+# cluster, per trial, per request — never inside per-element loops. Each
+# gate compares the minimum over several runs per side, with the two
+# sides interleaved run by run, which keeps the check stable on noisy
+# hosts; widen the threshold with OBS_OVERHEAD_PCT if a box is too
+# jittery to resolve 3%.
 #
 # Usage: ci/obs_overhead.sh [repetitions]
 set -euo pipefail
@@ -33,20 +34,18 @@ cmake --build --preset default -j"$(nproc)" --target bench_perf_micro
 cmake --preset no-obs >/dev/null
 cmake --build --preset no-obs -j"$(nproc)" --target bench_perf_micro bench_serve_load
 
-run_median() {  # run_median <binary> <benchmark name>
+run_once() {  # run_once <binary> <benchmark name>  -> ns/iter of one run
   "$1" --threads=1 \
     "--benchmark_filter=^$2\$" \
-    "--benchmark_repetitions=${REPS}" \
-    --benchmark_report_aggregates_only=true \
     --benchmark_format=json 2>/dev/null |
     python3 -c '
 import json, sys
-doc = json.load(sys.stdin)
-for b in doc["benchmarks"]:
-    if b.get("aggregate_name") == "median":
-        print(b["real_time"])
-        break
+print(json.load(sys.stdin)["benchmarks"][0]["real_time"])
 '
+}
+
+min_of() {  # min_of <value>...
+  printf '%s\n' "$@" | sort -g | head -n 1
 }
 
 compare() {  # compare <label> <on_ns> <off_ns>
@@ -64,10 +63,21 @@ print("OK")
 EOF
 }
 
-# Gate 1: obs layer vs compiled-out, reconstruction hot loop.
-ON_NS="$(run_median build/bench/bench_perf_micro BM_ClusterRecommendPerUser)"
-OFF_NS="$(run_median build-noobs/bench/bench_perf_micro BM_ClusterRecommendPerUser)"
-compare "obs layer" "$ON_NS" "$OFF_NS"
+# Gate 1: obs layer vs compiled-out, reconstruction hot loop. The two
+# sides are two binaries, so they cannot interleave inside one process as
+# gate 2's do. The script alternates the binaries run by run instead
+# (on, off, on, off, ...), so drift over the minutes of the gate lands on
+# both sides alike, and compares each side's minimum, as gate 2 does.
+HOT=BM_ClusterRecommendPerUser
+ON_RUNS=()
+OFF_RUNS=()
+for _ in $(seq "$REPS"); do
+  ON_RUNS+=("$(run_once build/bench/bench_perf_micro "$HOT")")
+  OFF_RUNS+=("$(run_once build-noobs/bench/bench_perf_micro "$HOT")")
+done
+echo "[obs layer] on runs (ns/iter):  ${ON_RUNS[*]}"
+echo "[obs layer] off runs (ns/iter): ${OFF_RUNS[*]}"
+compare "obs layer" "$(min_of "${ON_RUNS[@]}")" "$(min_of "${OFF_RUNS[@]}")"
 
 # Gate 2: telemetry sink attached vs detached, serve hot path. Both
 # variants live in the same binary, so one process runs them with

@@ -53,7 +53,8 @@ struct BuildOptions {
   // production-shaped artifact should turn this off: the sanitized sections
   // alone serve the paper's mechanism.
   bool include_reference_sections = true;
-  // Also emit the f32-quantized kNoisyTableF32 mirror of the release.
+  // Also emit the f32-quantized mirror of the release (the kNoisyRowsF32
+  // shard sections once saved).
   // Pure post-processing of the sanitized table (no extra privacy cost);
   // the serve path prefers it for row accumulation when present.
   bool table_f32 = false;

@@ -1,9 +1,11 @@
 // The A_R reconstruction step of Algorithm 1 (lines 8-20): the Cluster
 // mechanism's one implementation, run by the ServingEngine's ClusterServe
 // whether the model was adopted in memory (core::MakeRecommender,
-// ServingEngine::FromModel) or loaded from a .pvram. There is exactly one
-// FP accumulation order, one fallback rule, and one degradation policy,
-// so every route to a release serves the same lists.
+// ServingEngine::FromModel) or loaded from a .pvram. Either way the
+// engine opens the release on one path and hands it over as the same
+// ReleaseView: one row pointer per cluster. There is exactly one FP
+// accumulation order, one fallback rule, and one degradation policy, so
+// every route to a release serves the same lists.
 //
 // The math itself lives one layer lower, in src/kernels/: the
 // similarity-weighted row sum is kernels::AccumulateRows (cache-blocked,
@@ -62,18 +64,15 @@ inline constexpr int64_t kBoundBlockItems = 32;
 // A non-owning view of one A_w release: everything reconstruction needs,
 // whether the backing storage is an owned model or a mapped artifact.
 struct ReleaseView {
-  const double* values = nullptr;        // row-major [cluster][item]
-  // Optional per-cluster row table for releases whose rows are not one
-  // contiguous block (sharded artifacts). When set it takes precedence
-  // over `values`; when the storage IS contiguous the two describe the
-  // same addresses, so reconstruction is bit-identical either way.
+  // The released rows, one pointer per cluster (num_items values each).
+  // The rows need not be one contiguous block: a sharded artifact keeps
+  // each cluster range in its own file.
   const double* const* rows = nullptr;
   // Optional f32-quantized mirror of the same table (the artifact's
-  // kNoisyTableF32 / kNoisyRowsF32 sections). When present it is
-  // preferred for the per-user accumulation — halving row traffic — and
-  // the fig2 sweep gates its NDCG cost. The f64 table is still required
-  // (global average and fallback stay full-width).
-  const float* values_f32 = nullptr;
+  // kNoisyRowsF32 sections), one row per cluster like `rows`. When
+  // present it is preferred for the per-user accumulation — halving row
+  // traffic — and the fig2 sweep gates its NDCG cost. The f64 rows are
+  // still required (global average and fallback stay full-width).
   const float* const* rows_f32 = nullptr;
   // The bound table, row-major [cluster][block] over NumBlocks() blocks:
   // the largest value reconstruction reads from the cluster's row in the
@@ -87,15 +86,9 @@ struct ReleaseView {
   int64_t num_items = 0;
   int64_t num_users = 0;  // |U|, the social graph's node count
 
-  const double* Row(int64_t c) const {
-    return rows != nullptr ? rows[c] : values + c * num_items;
-  }
-  bool HasF32() const {
-    return rows_f32 != nullptr || values_f32 != nullptr;
-  }
-  const float* RowF32(int64_t c) const {
-    return rows_f32 != nullptr ? rows_f32[c] : values_f32 + c * num_items;
-  }
+  const double* Row(int64_t c) const { return rows[c]; }
+  bool HasF32() const { return rows_f32 != nullptr; }
+  const float* RowF32(int64_t c) const { return rows_f32[c]; }
   int64_t NumBlocks() const {
     return (num_items + kBoundBlockItems - 1) / kBoundBlockItems;
   }
@@ -213,9 +206,10 @@ struct ReconstructCounts {
 // selector (kernels::DenseTopNOffer), skipping each block whose bound is
 // below the larger of best-first's worst kept utility (when that list
 // was full) and the walk's own; its one-compare admission stays exact
-// because walk ids still ascend. Per element the add order is the unpruned one, so the
-// lists do not depend on the pruning, the tiling, the chunking, the
-// thread count or the dispatch level. A one-user chunk is a group of one.
+// because walk ids still ascend. Per element the add order is the
+// unpruned one, so the lists do not depend on the pruning, the tiling,
+// the chunking, the thread count or the dispatch level. A one-user chunk
+// is a group of one.
 // Per-thread scratch is one tile of utilities, the group's touched rows
 // and weights (group × num_clusters at most) and the group's bound rows
 // (group × I / kBoundBlockItems): bounded by the constants and the

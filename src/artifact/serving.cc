@@ -25,130 +25,6 @@ Status Invalid(const char* section, const std::string& what) {
                             "' invalid: " + what);
 }
 
-// One workload entry's rules, for both validators' entry loops: the
-// neighbour is a user, and its score is finite and >= 0. The fold sums
-// scores into cluster weights, and reconstruction's block bounds hold
-// only for weights >= 0. Returns what is wrong, or nullptr: the loops run
-// over every entry (225M at the Table-1 shape), so no Status is built
-// for a valid one.
-const char* WorkloadEntryDefect(const WorkloadEntry& e, int64_t num_users) {
-  if (e.user < 0 || e.user >= num_users) return "entry user out of range";
-  if (!std::isfinite(e.score) || e.score < 0.0) {
-    return "entry score is negative or not finite";
-  }
-  return nullptr;
-}
-
-Status ValidateModel(const ArtifactModel& m) {
-  const int64_t num_users = m.meta.num_users;
-  const int64_t num_items = m.meta.num_items;
-  if (num_users < 0 || num_items < 0) {
-    return Invalid("graph_meta", "negative dimensions");
-  }
-  const size_t nu = static_cast<size_t>(num_users);
-
-  if (m.partition.cluster_of.size() != nu) {
-    return Invalid("partition", "cluster_of size != num_users");
-  }
-  const int64_t num_clusters =
-      static_cast<int64_t>(m.partition.sizes.size());
-  for (int64_t c : m.partition.cluster_of) {
-    if (c < 0 || c >= num_clusters) {
-      return Invalid("partition", "cluster id out of range");
-    }
-  }
-
-  const auto& w = m.workload;
-  if (w.offsets.size() != nu + 1 || w.offsets.front() != 0 ||
-      w.offsets.back() != w.entries.size()) {
-    return Invalid("workload", "offsets do not index the entries");
-  }
-  for (size_t k = 0; k + 1 < w.offsets.size(); ++k) {
-    if (w.offsets[k] > w.offsets[k + 1]) {
-      return Invalid("workload", "offsets not monotone");
-    }
-  }
-  for (const WorkloadEntry& e : w.entries) {
-    if (const char* defect = WorkloadEntryDefect(e, num_users)) {
-      return Invalid("workload", defect);
-    }
-  }
-
-  if (m.noisy.num_clusters != num_clusters) {
-    return Invalid("noisy_table",
-                   "cluster count disagrees with the partition");
-  }
-  // Checked by division, not by comparing against nc * ni: the counts come
-  // from untrusted section headers, and a product in size_t can wrap back
-  // to a plausible value (e.g. items = 2^62, clusters = 4) — the classic
-  // path to sizing a vector smaller than the loop that fills it.
-  const size_t ni = static_cast<size_t>(num_items);
-  const bool noisy_sized =
-      ni == 0 ? m.noisy.values.empty()
-              : m.noisy.values.size() % ni == 0 &&
-                    m.noisy.values.size() / ni ==
-                        static_cast<size_t>(num_clusters);
-  if (!noisy_sized) {
-    return Invalid("noisy_table",
-                   "value table is not num_clusters x num_items");
-  }
-  if (m.noisy.sanitized.size() != static_cast<size_t>(num_clusters)) {
-    return Invalid("noisy_table", "sanitized flags size mismatch");
-  }
-
-  if (m.has_noisy_f32) {
-    if (m.noisy_f32.values.size() != m.noisy.values.size()) {
-      return Invalid("noisy_table_f32",
-                     "f32 table size disagrees with the f64 table");
-    }
-    // The mirror must bind to THIS release: a stale f32 section quantized
-    // from an older f64 table would silently change rankings.
-    const uint32_t source = Crc32(m.noisy.values.data(),
-                                  m.noisy.values.size() * sizeof(double));
-    if (m.noisy_f32.source_crc32 != source) {
-      return Invalid("noisy_table_f32",
-                     "source_crc32 does not match the f64 table it mirrors");
-    }
-  }
-
-  if (m.has_preferences) {
-    const auto& p = m.preferences;
-    if (p.offsets.size() != nu + 1 || p.offsets.front() != 0 ||
-        p.offsets.back() != p.items.size() ||
-        p.items.size() != p.weights.size()) {
-      return Invalid("preferences",
-                     "offsets do not index the edges");
-    }
-    for (size_t k = 0; k + 1 < p.offsets.size(); ++k) {
-      if (p.offsets[k] > p.offsets[k + 1]) {
-        return Invalid("preferences", "offsets not monotone");
-      }
-    }
-    for (int64_t i : p.items) {
-      if (i < 0 || i >= num_items) {
-        return Invalid("preferences", "item id out of range");
-      }
-    }
-  }
-
-  if (m.has_lowrank) {
-    const auto& lr = m.lowrank;
-    // Same overflow discipline as the noisy table: a huge untrusted rank
-    // must not wrap nu * rank into the size the vectors happen to have.
-    const size_t rank = static_cast<size_t>(std::max<int64_t>(lr.rank, 0));
-    const bool b_sized = rank == 0 ? lr.b.empty()
-                                   : lr.b.size() % rank == 0 &&
-                                         lr.b.size() / rank == nu;
-    const bool l_sized = rank == 0 ? lr.l.empty()
-                                   : lr.l.size() % rank == 0 &&
-                                         lr.l.size() / rank == nu;
-    if (lr.rank < 0 || !b_sized || !l_sized) {
-      return Invalid("low_rank", "factor dimensions inconsistent");
-    }
-  }
-  return Status::Ok();
-}
-
 // ---- Serve-side dense accumulator ----
 //
 // A byte-for-byte replica of similarity::DenseScratch's accumulation
@@ -618,13 +494,8 @@ class LowRankServe final : public ServeRecommender {
 
 ReleaseView ServingEngine::release_view() const {
   ReleaseView view;
-  view.values = mapped_ ? nullptr : model_.noisy.values.data();
   view.rows = cluster_rows_.data();
-  if (!cluster_rows_f32_.empty()) {
-    view.values_f32 =
-        mapped_ ? nullptr : model_.noisy_f32.values.data();
-    view.rows_f32 = cluster_rows_f32_.data();
-  }
+  if (!cluster_rows_f32_.empty()) view.rows_f32 = cluster_rows_f32_.data();
   view.block_max = block_max_.data();
   view.sanitized = sanitized_;
   view.cluster_of = cluster_of_;
@@ -635,51 +506,10 @@ ReleaseView ServingEngine::release_view() const {
   return view;
 }
 
-void ServingEngine::BuildOwnedViews() {
-  const size_t nu = static_cast<size_t>(model_.meta.num_users);
-  const size_t ni = static_cast<size_t>(model_.meta.num_items);
-  num_clusters_ = model_.noisy.num_clusters;
-  const size_t nc = static_cast<size_t>(num_clusters_);
-
-  cluster_of_ = model_.partition.cluster_of.data();
-  cluster_sizes_ = model_.partition.sizes.data();
-  sanitized_ = model_.noisy.sanitized.data();
-  workload_offsets_ = model_.workload.offsets.data();
-  shard_count_ = 1;
-  shard_of_cluster_.assign(nc, 0);
-
-  cluster_rows_.resize(nc);
-  for (size_t c = 0; c < nc; ++c) {
-    cluster_rows_[c] = model_.noisy.values.data() + c * ni;
-  }
-  if (model_.has_noisy_f32) {
-    cluster_rows_f32_.resize(nc);
-    for (size_t c = 0; c < nc; ++c) {
-      cluster_rows_f32_[c] = model_.noisy_f32.values.data() + c * ni;
-    }
-  }
-  workload_row_.resize(nu);
-  for (size_t u = 0; u < nu; ++u) {
-    workload_row_[u] =
-        model_.workload.entries.data() + model_.workload.offsets[u];
-  }
-  if (model_.has_preferences) {
-    const PreferenceSection& p = model_.preferences;
-    pref_offsets_ = p.offsets.data();
-    pref_items_row_.resize(nu);
-    pref_weights_row_.resize(nu);
-    for (size_t u = 0; u < nu; ++u) {
-      pref_items_row_[u] = p.items.data() + p.offsets[u];
-      pref_weights_row_[u] = p.weights.data() + p.offsets[u];
-    }
-  }
-  if (model_.has_lowrank) {
-    lowrank_b_ = model_.lowrank.b.data();
-    lowrank_l_ = model_.lowrank.l.data();
-  }
-}
-
-Status ServingEngine::InitFromMapped() {
+Status ServingEngine::InitViews(
+    std::span<const ShardTableEntry> table,
+    std::span<const MappedArtifact::Shard> shards) {
+  PRIVREC_SPAN("artifact.engine");
   const int64_t num_users = model_.meta.num_users;
   const int64_t num_items = model_.meta.num_items;
   if (num_users < 0 || num_items < 0) {
@@ -689,29 +519,19 @@ Status ServingEngine::InitFromMapped() {
   const size_t ni = static_cast<size_t>(num_items);
   num_clusters_ = model_.noisy.num_clusters;
   const size_t nc = static_cast<size_t>(num_clusters_);
+  const bool prefs = model_.has_preferences;
+  const bool f32 = model_.has_noisy_f32;
+  shard_count_ = static_cast<uint32_t>(table.size());
 
-  cluster_of_ = mapped_->cluster_of();
-  cluster_sizes_ = mapped_->cluster_sizes();
-  sanitized_ = mapped_->sanitized();
-  workload_offsets_ = mapped_->workload_offsets();
-  pref_offsets_ = mapped_->pref_offsets();
-  lowrank_b_ = mapped_->lowrank_b();
-  lowrank_l_ = mapped_->lowrank_l();
-  shard_count_ = mapped_->shard_count();
-
-  // Semantic validation — the same checks (and messages) ValidateModel
-  // runs on an owned model, rephrased over the mapped views. Everything
-  // here must pass BEFORE any pointer table is trusted.
+  // Content rules. Every one passes before a pointer table is built.
   for (size_t u = 0; u < nu; ++u) {
-    const int64_t c = cluster_of_[u];
-    if (c < 0 || c >= num_clusters_) {
+    if (cluster_of_[u] < 0 || cluster_of_[u] >= num_clusters_) {
       return Invalid("partition", "cluster id out of range");
     }
   }
-  const std::vector<ShardTableEntry>& table = mapped_->shard_table();
+  shard_of_cluster_.assign(nc, 0);
   uint64_t total_workload = 0;
   uint64_t total_pref = 0;
-  shard_of_cluster_.assign(nc, 0);
   for (size_t s = 0; s < table.size(); ++s) {
     for (int64_t c = table[s].cluster_begin; c < table[s].cluster_end; ++c) {
       shard_of_cluster_[static_cast<size_t>(c)] = static_cast<int32_t>(s);
@@ -719,95 +539,115 @@ Status ServingEngine::InitFromMapped() {
     total_workload += table[s].workload_entries;
     total_pref += table[s].pref_edges;
   }
-  if (workload_offsets_[0] != 0 || workload_offsets_[nu] != total_workload) {
+  const uint64_t* wo = workload_offsets_;
+  if (wo[0] != 0 || wo[nu] != total_workload) {
     return Invalid("workload", "offsets do not index the entries");
   }
-  for (size_t u = 0; u < nu; ++u) {
-    if (workload_offsets_[u] > workload_offsets_[u + 1]) {
-      return Invalid("workload", "offsets not monotone");
+  if (!std::is_sorted(wo, wo + nu + 1)) {
+    return Invalid("workload", "offsets not monotone");
+  }
+  const uint64_t* po = pref_offsets_;
+  if (prefs) {
+    if (po[0] != 0 || po[nu] != total_pref) {
+      return Invalid("preferences", "offsets do not index the edges");
+    }
+    if (!std::is_sorted(po, po + nu + 1)) {
+      return Invalid("preferences", "offsets not monotone");
     }
   }
-  if (model_.has_preferences) {
-    if (pref_offsets_[0] != 0 || pref_offsets_[nu] != total_pref) {
-      return Invalid("preferences",
-                     "offsets do not index the edges");
-    }
-    for (size_t u = 0; u < nu; ++u) {
-      if (pref_offsets_[u] > pref_offsets_[u + 1]) {
-        return Invalid("preferences", "offsets not monotone");
-      }
-    }
-  }
-  for (size_t s = 0; s < table.size(); ++s) {
-    const MappedArtifact::Shard& sh = mapped_->shards()[s];
-    for (uint64_t k = 0; k < table[s].workload_entries; ++k) {
-      if (const char* defect =
-              WorkloadEntryDefect(sh.workload_entries[k], num_users)) {
-        return Invalid("workload", defect);
-      }
-    }
-    if (model_.has_preferences) {
-      for (uint64_t k = 0; k < table[s].pref_edges; ++k) {
-        const int64_t i = sh.pref_items[k];
-        if (i < 0 || i >= num_items) {
-          return Invalid("preferences", "item id out of range");
-        }
-      }
-    }
-  }
-
-  // Per-cluster noisy rows, addressed inside their shard's block.
-  cluster_rows_.resize(nc);
-  if (model_.has_noisy_f32) cluster_rows_f32_.resize(nc);
-  for (size_t s = 0; s < table.size(); ++s) {
-    const MappedArtifact::Shard& sh = mapped_->shards()[s];
-    for (int64_t c = table[s].cluster_begin; c < table[s].cluster_end; ++c) {
-      const auto local =
-          static_cast<size_t>(c - table[s].cluster_begin) * ni;
-      cluster_rows_[static_cast<size_t>(c)] = sh.noisy_rows + local;
-      if (model_.has_noisy_f32) {
-        cluster_rows_f32_[static_cast<size_t>(c)] =
-            sh.noisy_rows_f32 + local;
-      }
-    }
-  }
-
-  // Per-user rows: walk users ascending, advancing one cursor per shard —
-  // exactly the order SaveShardedArtifact concatenated them in. If the
-  // cursors do not land exactly on the per-shard totals the manifest
-  // promised, the shard set is internally inconsistent and nothing built
-  // so far may be served.
-  workload_row_.resize(nu);
+  // A user's rows sit in the shard owning its cluster, concatenated in
+  // ascending user order (SaveShardedArtifact's order), so walking the
+  // users with one cursor per shard must land on the shard's totals.
   std::vector<uint64_t> wcursor(table.size(), 0);
   std::vector<uint64_t> pcursor(table.size(), 0);
-  if (model_.has_preferences) {
-    pref_items_row_.resize(nu);
-    pref_weights_row_.resize(nu);
-  }
   for (size_t u = 0; u < nu; ++u) {
     const auto s = static_cast<size_t>(
         shard_of_cluster_[static_cast<size_t>(cluster_of_[u])]);
-    const MappedArtifact::Shard& sh = mapped_->shards()[s];
-    workload_row_[u] = sh.workload_entries + wcursor[s];
-    wcursor[s] += workload_offsets_[u + 1] - workload_offsets_[u];
-    if (model_.has_preferences) {
-      pref_items_row_[u] = sh.pref_items + pcursor[s];
-      pref_weights_row_[u] = sh.pref_weights + pcursor[s];
-      pcursor[s] += pref_offsets_[u + 1] - pref_offsets_[u];
-    }
+    wcursor[s] += wo[u + 1] - wo[u];
+    if (prefs) pcursor[s] += po[u + 1] - po[u];
   }
   for (size_t s = 0; s < table.size(); ++s) {
     if (wcursor[s] != table[s].workload_entries) {
       return Invalid("workload",
                      "shard workload rows disagree with the manifest totals");
     }
-    if (model_.has_preferences && pcursor[s] != table[s].pref_edges) {
+    if (prefs && pcursor[s] != table[s].pref_edges) {
       return Invalid(
           "preferences",
           "shard preference rows disagree with the manifest totals");
     }
   }
-  return Status::Ok();
+  // An entry's neighbour is a user, and its score is finite and >= 0: the
+  // fold sums scores into cluster weights, and reconstruction's block
+  // bounds hold only for weights >= 0.
+  for (size_t s = 0; s < table.size(); ++s) {
+    for (uint64_t k = 0; k < table[s].workload_entries; ++k) {
+      const WorkloadEntry& e = shards[s].workload_entries[k];
+      if (e.user < 0 || e.user >= num_users) {
+        return Invalid("workload", "entry user out of range");
+      }
+      if (!std::isfinite(e.score) || e.score < 0.0) {
+        return Invalid("workload", "entry score is negative or not finite");
+      }
+    }
+    if (!prefs) continue;
+    for (uint64_t k = 0; k < table[s].pref_edges; ++k) {
+      const int64_t i = shards[s].pref_items[k];
+      if (i < 0 || i >= num_items) {
+        return Invalid("preferences", "item id out of range");
+      }
+    }
+  }
+  if (f32) {
+    // The mirror must bind to THIS release: a stale f32 section quantized
+    // from an older f64 table would silently change rankings. The CRC
+    // runs over the cluster rows in order, whichever shards hold them.
+    uint32_t source = 0;
+    for (size_t s = 0; s < table.size(); ++s) {
+      const auto rows =
+          static_cast<size_t>(table[s].cluster_end - table[s].cluster_begin);
+      source = Crc32(shards[s].noisy_rows, rows * ni * sizeof(double), source);
+    }
+    if (source != model_.noisy_f32.source_crc32) {
+      return Invalid("noisy_table_f32",
+                     "source_crc32 does not match the f64 table it mirrors");
+    }
+  }
+
+  // Per-cluster noisy rows, addressed inside their shard's block.
+  cluster_rows_.resize(nc);
+  if (f32) cluster_rows_f32_.resize(nc);
+  for (size_t s = 0; s < table.size(); ++s) {
+    for (int64_t c = table[s].cluster_begin; c < table[s].cluster_end; ++c) {
+      const auto local =
+          static_cast<size_t>(c - table[s].cluster_begin) * ni;
+      cluster_rows_[static_cast<size_t>(c)] = shards[s].noisy_rows + local;
+      if (f32) {
+        cluster_rows_f32_[static_cast<size_t>(c)] =
+            shards[s].noisy_rows_f32 + local;
+      }
+    }
+  }
+  // Per-user rows, by the same cursor walk.
+  workload_row_.resize(nu);
+  if (prefs) {
+    pref_items_row_.resize(nu);
+    pref_weights_row_.resize(nu);
+  }
+  std::fill(wcursor.begin(), wcursor.end(), 0);
+  std::fill(pcursor.begin(), pcursor.end(), 0);
+  for (size_t u = 0; u < nu; ++u) {
+    const auto s = static_cast<size_t>(
+        shard_of_cluster_[static_cast<size_t>(cluster_of_[u])]);
+    workload_row_[u] = shards[s].workload_entries + wcursor[s];
+    wcursor[s] += wo[u + 1] - wo[u];
+    if (prefs) {
+      pref_items_row_[u] = shards[s].pref_items + pcursor[s];
+      pref_weights_row_[u] = shards[s].pref_weights + pcursor[s];
+      pcursor[s] += po[u + 1] - po[u];
+    }
+  }
+  return BuildDerived();
 }
 
 Status ServingEngine::BuildDerived() {
@@ -867,14 +707,92 @@ const std::vector<double>& ServingEngine::global_average() const {
 }
 
 Result<ServingEngine> ServingEngine::FromModel(ArtifactModel model) {
-  Status valid = ValidateModel(model);
-  if (!valid.ok()) return valid;
+  // Vector sizes only, the in-memory counterpart of MappedArtifact::Open's
+  // byte-range checks; every content rule runs in InitViews. Negative
+  // dimensions are rejected there: cast to size_t here they are huge, so
+  // they cannot make a short vector pass for a long one.
+  const size_t nu = static_cast<size_t>(model.meta.num_users);
+  const size_t ni = static_cast<size_t>(model.meta.num_items);
+  const int64_t num_clusters = model.noisy.num_clusters;
+  if (model.partition.cluster_of.size() != nu) {
+    return Invalid("partition", "cluster_of size != num_users");
+  }
+  if (model.workload.offsets.size() != nu + 1) {
+    return Invalid("workload", "offsets do not index the entries");
+  }
+  if (model.partition.sizes.size() != static_cast<size_t>(num_clusters)) {
+    return Invalid("noisy_table",
+                   "cluster count disagrees with the partition");
+  }
+  // Checked by division, not by comparing against nc * ni: the counts come
+  // from untrusted section headers, and a product in size_t can wrap back
+  // to a plausible value (e.g. items = 2^62, clusters = 4) — the classic
+  // path to sizing a vector smaller than the loop that fills it.
+  const std::vector<double>& values = model.noisy.values;
+  const bool noisy_sized =
+      ni == 0 ? values.empty()
+              : values.size() % ni == 0 &&
+                    values.size() / ni == static_cast<size_t>(num_clusters);
+  if (!noisy_sized) {
+    return Invalid("noisy_table",
+                   "value table is not num_clusters x num_items");
+  }
+  if (model.noisy.sanitized.size() != static_cast<size_t>(num_clusters)) {
+    return Invalid("noisy_table", "sanitized flags size mismatch");
+  }
+  if (model.has_noisy_f32 && model.noisy_f32.values.size() != values.size()) {
+    return Invalid("noisy_table_f32",
+                   "f32 table size disagrees with the f64 table");
+  }
+  const PreferenceSection& p = model.preferences;
+  if (model.has_preferences &&
+      (p.offsets.size() != nu + 1 || p.items.size() != p.weights.size())) {
+    return Invalid("preferences", "offsets do not index the edges");
+  }
+  if (model.has_lowrank) {
+    const LowRankSection& lr = model.lowrank;
+    // Same overflow discipline as the noisy table: a huge untrusted rank
+    // must not wrap nu * rank into the size the vectors happen to have.
+    const size_t rank = static_cast<size_t>(std::max<int64_t>(lr.rank, 0));
+    const bool b_sized = rank == 0 ? lr.b.empty()
+                                   : lr.b.size() % rank == 0 &&
+                                         lr.b.size() / rank == nu;
+    const bool l_sized = rank == 0 ? lr.l.empty()
+                                   : lr.l.size() % rank == 0 &&
+                                         lr.l.size() / rank == nu;
+    if (lr.rank < 0 || !b_sized || !l_sized) {
+      return Invalid("low_rank", "factor dimensions inconsistent");
+    }
+  }
 
   ServingEngine engine;
   engine.model_ = std::move(model);
-  engine.BuildOwnedViews();
-  Status derived = engine.BuildDerived();
-  if (!derived.ok()) return derived;
+  const ArtifactModel& m = engine.model_;
+  engine.cluster_of_ = m.partition.cluster_of.data();
+  engine.cluster_sizes_ = m.partition.sizes.data();
+  engine.sanitized_ = m.noisy.sanitized.data();
+  engine.workload_offsets_ = m.workload.offsets.data();
+  if (m.has_preferences) engine.pref_offsets_ = m.preferences.offsets.data();
+  if (m.has_lowrank) {
+    engine.lowrank_b_ = m.lowrank.b.data();
+    engine.lowrank_l_ = m.lowrank.l.data();
+  }
+  // The vectors as the one shard of a K = 1 layout: what InitViews reads
+  // of a shard table entry and of a mapped shard.
+  ShardTableEntry entry;
+  entry.cluster_end = num_clusters;
+  entry.workload_entries = m.workload.entries.size();
+  MappedArtifact::Shard shard;
+  shard.noisy_rows = m.noisy.values.data();
+  shard.workload_entries = m.workload.entries.data();
+  if (m.has_noisy_f32) shard.noisy_rows_f32 = m.noisy_f32.values.data();
+  if (m.has_preferences) {
+    entry.pref_edges = m.preferences.items.size();
+    shard.pref_items = m.preferences.items.data();
+    shard.pref_weights = m.preferences.weights.data();
+  }
+  Status init = engine.InitViews({&entry, 1}, {&shard, 1});
+  if (!init.ok()) return init;
   return engine;
 }
 
@@ -883,10 +801,11 @@ Result<ServingEngine> ServingEngine::FromMapped(
   PRIVREC_CHECK(mapped != nullptr);
   ServingEngine engine;
   engine.mapped_ = std::move(mapped);
+  const MappedArtifact& a = *engine.mapped_;
 
   // Scalars live in the manifest's metadata blob; the arrays stay in the
   // mapped files and are reached through the views.
-  const ManifestMeta& mm = engine.mapped_->meta();
+  const ManifestMeta& mm = a.meta();
   engine.model_.meta = mm.meta;
   engine.model_.provenance = mm.provenance;
   engine.model_.workload.max_column_sum = mm.max_column_sum;
@@ -903,10 +822,15 @@ Result<ServingEngine> ServingEngine::FromMapped(
   engine.model_.lowrank.noise_sensitivity = mm.lowrank_noise_sensitivity;
   engine.model_.lowrank.factorization_error = mm.lowrank_factorization_error;
 
-  Status init = engine.InitFromMapped();
+  engine.cluster_of_ = a.cluster_of();
+  engine.cluster_sizes_ = a.cluster_sizes();
+  engine.sanitized_ = a.sanitized();
+  engine.workload_offsets_ = a.workload_offsets();
+  engine.pref_offsets_ = a.pref_offsets();
+  engine.lowrank_b_ = a.lowrank_b();
+  engine.lowrank_l_ = a.lowrank_l();
+  Status init = engine.InitViews(a.shard_table(), a.shards());
   if (!init.ok()) return init;
-  Status derived = engine.BuildDerived();
-  if (!derived.ok()) return derived;
   return engine;
 }
 

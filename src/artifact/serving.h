@@ -11,8 +11,10 @@
 // the ε-DP publication, serving is post-processing and must depend only
 // on the sanitized release.
 //
-// Both storage modes expose identical accessors through per-row pointer
-// tables built once at construction, so every serve mechanism is
+// Both storage modes take one open path. An owned model is described as
+// the one shard of a K = 1 layout, so the validator that checks a saved
+// artifact's content checks it too, and the same per-row pointer tables
+// are built over it. Every serve mechanism is therefore
 // storage-oblivious: for a fixed model and seed the k-th serve call is
 // bit-identical at any thread count, whether the bytes live in owned
 // vectors (core::MakeRecommender's FromModel route), an mmap, or the
@@ -49,7 +51,9 @@ class ServingEngine {
 
   // Adopt an in-memory model (the no-I/O serve path of
   // core::MakeRecommender, DynamicRecommenderSession and the benches).
-  // Validates internal consistency before anything is served.
+  // Checks its vector sizes, then opens it as a one-shard layout: a
+  // content defect is the kParseError, with the same message, that Load
+  // returns for a saved copy of the model.
   static Result<ServingEngine> FromModel(ArtifactModel model);
 
   // Adopt a validated mapped artifact and serve its arrays in place. The
@@ -143,14 +147,16 @@ class ServingEngine {
   const std::vector<double>& global_average() const;
 
  private:
-  // View construction. Owned mode points the tables into model_'s
-  // vectors; mapped mode points them into the mapped files and runs the
-  // semantic validation ValidateModel would have run on an owned model
-  // (same error messages for the same defects). BuildDerived then checks
-  // the released values and computes the bound table and the item-major
-  // CSR through the accessors, identically in both modes.
-  void BuildOwnedViews();
-  Status InitFromMapped();
+  // The one open path, under the span artifact.engine. The caller has set
+  // model_'s scalars and the manifest-level arrays (cluster_of_,
+  // workload_offsets_, ...) and passes the shard table with its shards:
+  // the mapped files, or an owned model's vectors as one shard over
+  // clusters [0, num_clusters). InitViews runs every content rule, then
+  // points the per-cluster and per-user tables into the shards, then
+  // calls BuildDerived, which checks the released values and computes the
+  // bound table and the item-major CSR through the accessors.
+  Status InitViews(std::span<const ShardTableEntry> table,
+                   std::span<const MappedArtifact::Shard> shards);
   Status BuildDerived();
 
   ArtifactModel model_;

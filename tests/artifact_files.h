@@ -2,12 +2,16 @@
 // file names come from the manifest's shard table, the only record of
 // them, and bit flips land inside a CRC-covered payload located through
 // the section table: padding and reserved fields are outside every check,
-// so a flip at a blind offset can leave the file valid.
+// so a flip at a blind offset can leave the file valid. A flip stops at
+// the CRC check (kDataLoss); damage meant for the engine's content
+// validator is written with RewriteManifestSection, which keeps every
+// checksum valid.
 
 #ifndef PRIVREC_TESTS_ARTIFACT_FILES_H_
 #define PRIVREC_TESTS_ARTIFACT_FILES_H_
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -17,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "artifact/shard_layout.h"
+#include "common/crc32.h"
 
 namespace privrec::test_artifacts {
 
@@ -76,6 +81,36 @@ inline void FlipPayloadBit(const std::string& path, uint32_t magic,
     return;
   }
   FAIL() << "section " << section_id << " not found in " << path;
+}
+
+// Replaces the payload of section `id` of `manifest` with `payload`, which
+// must be the same size, and recomputes that section's CRC in the section
+// table. The manifest has no frame CRC, so the file still passes every
+// checksum at open and its new content reaches the engine's validator.
+inline void RewriteManifestSection(const std::string& manifest,
+                                   serving::ManifestSectionId id,
+                                   const std::string& payload) {
+  std::string bytes = FileBytes(manifest);
+  auto view = serving::ParseAlignedContainer(
+      bytes.data(), bytes.size(), serving::kManifestMagic,
+      serving::kShardFormatVersion, manifest);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  for (size_t k = 0; k < view->sections.size(); ++k) {
+    const serving::AlignedSectionView& s = view->sections[k];
+    if (s.id != static_cast<uint32_t>(id)) continue;
+    ASSERT_EQ(payload.size(), s.size) << manifest;
+    bytes.replace(s.offset, s.size, payload);
+    // Table entry k follows the 16-byte frame header; its CRC field sits
+    // at byte 24 of the 32-byte entry (artifact/shard_layout.h).
+    const uint32_t crc = Crc32(payload.data(), payload.size());
+    std::memcpy(&bytes[16 + 32 * k + 24], &crc, sizeof(crc));
+    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good()) << manifest;
+    return;
+  }
+  FAIL() << "section " << static_cast<uint32_t>(id) << " not found in "
+         << manifest;
 }
 
 // Copies `manifest` to `copy` in the same directory, so the copy names the

@@ -2,7 +2,8 @@
 // round-trip bit-identity against the in-memory route of
 // core::MakeRecommender (build → ServingEngine::FromModel → serve) for
 // every mechanism at every thread count, the compatibility gates (graph /
-// ε-provenance / missing sections, each with its own status code), and the
+// ε-provenance / missing sections, each with its own status code), content
+// validation at open (one message per defect on both routes), and the
 // privacy isolation of the serving layer. File-level robustness of the
 // saved .pvram artifact lives in sharded_artifact_test.
 
@@ -21,21 +22,26 @@
 #error "serving headers must not include the private graph containers"
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "artifact/builder.h"
+#include "artifact_files.h"
 #include "common/parallel.h"
 #include "community/louvain.h"
 #include "core/dynamic_recommender.h"
 #include "core/recommender_factory.h"
 #include "data/synthetic.h"
 #include "mechanisms.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "similarity/common_neighbors.h"
 
 namespace privrec {
@@ -293,69 +299,204 @@ TEST_F(ArtifactTest, MissingSectionsAreFailedPreconditions) {
             StatusCode::kInvalidArgument);
 }
 
-// Released values and similarity scores are checked when an engine opens:
-// one NaN cell of the released table, one NaN in its f32 mirror, or one
-// negated workload score is kParseError naming the section, through
-// FromModel and through a save and Load alike. Unchecked, the NaN would
-// be served as a utility and the negated score would break the fold's
-// first-touch test and the block bounds.
-TEST_F(ArtifactTest, NonFiniteValuesAndNegativeScoresFailAtOpen) {
+// Every content defect of a release is kParseError naming its section,
+// with one message whether the model is adopted in memory (FromModel) or
+// saved as two shards and loaded: both routes run the engine's one
+// validator. Unchecked, a NaN would be served as a utility and a negated
+// score would break the fold's first-touch test and the block bounds.
+// SaveShardedArtifact reads through bad cluster ids and offsets, so for
+// those the Load route saves the clean release and rewrites the manifest
+// section with the damaged model's array.
+TEST_F(ArtifactTest, ContentDefectsFailAtOpenWithOneMessageOnBothRoutes) {
   artifact::ModelArtifactBuilder builder = MakeBuilder();
   artifact::BuildOptions options;
   options.epsilon = kEps;
   options.seed = kSeed;
+  options.include_reference_sections = true;
   options.table_f32 = true;
   auto built = builder.Build(options);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const serving::ArtifactModel& base = *built;
   ASSERT_FALSE(base.workload.entries.empty());
+  ASSERT_FALSE(base.preferences.items.empty());
+  const serving::ShardingOptions two_shards{.shards = 2};
 
+  using Id = serving::ManifestSectionId;
+  auto raw = [](const auto& v) {
+    return std::string(reinterpret_cast<const char*>(v.data()),
+                       v.size() * sizeof(v[0]));
+  };
+  // A model's copy of the manifest array `id`.
+  auto manifest_array = [&raw](const serving::ArtifactModel& m, Id id) {
+    if (id == Id::kClusterOf) return raw(m.partition.cluster_of);
+    if (id == Id::kWorkloadOffsets) return raw(m.workload.offsets);
+    return raw(m.preferences.offsets);
+  };
   struct Damage {
     const char* section;
+    const char* what;  // the defect, quoted in the message
     void (*apply)(serving::ArtifactModel&);
+    // Set when SaveShardedArtifact would read through the defect: the
+    // manifest section that carries the damaged array.
+    std::optional<Id> in_manifest = std::nullopt;
   };
   const Damage damages[] = {
-      {"noisy_table",
+      {"noisy_table", "non-finite released value",
        [](serving::ArtifactModel& m) {
          // Without the mirror, whose source CRC would catch the edit first.
          m.has_noisy_f32 = false;
          m.noisy.values[m.noisy.values.size() / 2] = NAN;
        }},
-      {"noisy_table_f32",
+      {"noisy_table_f32", "non-finite released value",
        [](serving::ArtifactModel& m) {
          m.noisy_f32.values[m.noisy_f32.values.size() / 3] = NAN;
        }},
-      {"workload",
+      {"workload", "entry score is negative or not finite",
        [](serving::ArtifactModel& m) {
          serving::WorkloadEntry& e = m.workload.entries.back();
          e.score = -e.score;
        }},
+      {"partition", "cluster id out of range",
+       [](serving::ArtifactModel& m) {
+         m.partition.cluster_of[5] = m.noisy.num_clusters;
+       },
+       Id::kClusterOf},
+      {"workload", "offsets do not index the entries",
+       [](serving::ArtifactModel& m) { ++m.workload.offsets.back(); },
+       Id::kWorkloadOffsets},
+      {"workload", "offsets not monotone",
+       [](serving::ArtifactModel& m) {
+         std::vector<uint64_t>& o = m.workload.offsets;
+         o[o.size() / 2] = o[o.size() / 2 + 1] + 1;
+       },
+       Id::kWorkloadOffsets},
+      {"preferences", "offsets not monotone",
+       [](serving::ArtifactModel& m) {
+         std::vector<uint64_t>& o = m.preferences.offsets;
+         o[o.size() / 2] = o[o.size() / 2 + 1] + 1;
+       },
+       Id::kPrefOffsets},
+      {"workload", "entry user out of range",
+       [](serving::ArtifactModel& m) {
+         m.workload.entries.front().user = m.meta.num_users;
+       }},
+      {"preferences", "item id out of range",
+       [](serving::ArtifactModel& m) {
+         m.preferences.items.back() = m.meta.num_items;
+       }},
+      {"noisy_table_f32", "source_crc32 does not match",
+       [](serving::ArtifactModel& m) {
+         // A finite edit of the f64 table the mirror no longer describes.
+         m.noisy.values[m.noisy.values.size() / 2] += 1.0;
+       }},
   };
   for (const Damage& damage : damages) {
-    const std::string quoted = "'" + std::string(damage.section) + "'";
+    const std::string label =
+        std::string(damage.section) + ": " + damage.what;
     serving::ArtifactModel model = base;
     damage.apply(model);
 
-    const std::string path = Path(std::string(damage.section) + ".pvram");
-    ASSERT_TRUE(serving::SaveShardedArtifact(model, path).ok())
-        << damage.section;
+    const std::string path = Path("damaged.pvram");
+    if (damage.in_manifest) {
+      ASSERT_TRUE(serving::SaveShardedArtifact(base, path, two_shards).ok());
+      test_artifacts::RewriteManifestSection(
+          path, *damage.in_manifest,
+          manifest_array(model, *damage.in_manifest));
+    } else {
+      ASSERT_TRUE(serving::SaveShardedArtifact(model, path, two_shards).ok())
+          << label;
+    }
     auto owned = serving::ServingEngine::FromModel(std::move(model));
-    ASSERT_FALSE(owned.ok()) << damage.section;
+    ASSERT_FALSE(owned.ok()) << label;
     EXPECT_EQ(owned.status().code(), StatusCode::kParseError)
         << owned.status().ToString();
-    EXPECT_NE(owned.status().message().find(quoted), std::string::npos)
-        << owned.status().ToString();
+    for (const std::string& quoted :
+         {"'" + std::string(damage.section) + "'", std::string(damage.what)}) {
+      EXPECT_NE(owned.status().message().find(quoted), std::string::npos)
+          << label << " -> " << owned.status().ToString();
+    }
 
     auto loaded = serving::ServingEngine::Load(path);
-    ASSERT_FALSE(loaded.ok()) << damage.section;
+    ASSERT_FALSE(loaded.ok()) << label;
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
         << loaded.status().ToString();
-    EXPECT_EQ(loaded.status().message(), owned.status().message());
+    EXPECT_EQ(loaded.status().message(), owned.status().message()) << label;
   }
+
   // The undamaged release opens on both routes.
-  ASSERT_TRUE(serving::SaveShardedArtifact(base, Path("clean.pvram")).ok());
-  EXPECT_TRUE(serving::ServingEngine::Load(Path("clean.pvram")).ok());
+  const std::string clean = Path("clean.pvram");
+  ASSERT_TRUE(serving::SaveShardedArtifact(base, clean, two_shards).ok());
+  EXPECT_TRUE(serving::ServingEngine::Load(clean).ok());
   EXPECT_TRUE(serving::ServingEngine::FromModel(base).ok());
+
+  // Load only, as one shard cannot disagree with itself: one workload
+  // entry's count moves from a user of shard 0 to a user of shard 1. The
+  // offsets still index the entries and stay monotone, but each shard's
+  // rows no longer add up to its table total.
+  const std::vector<int64_t> bounds = serving::ShardClusterBounds(base, 2);
+  ASSERT_EQ(bounds.size(), 3u);
+  const std::vector<uint64_t>& offsets = base.workload.offsets;
+  auto shard_of = [&](size_t u) {
+    return base.partition.cluster_of[u] < bounds[1] ? 0 : 1;
+  };
+  size_t from = 0;
+  while (from + 1 < offsets.size() &&
+         (shard_of(from) != 0 || offsets[from + 1] == offsets[from])) {
+    ++from;
+  }
+  size_t to = 0;
+  while (to + 1 < offsets.size() && shard_of(to) != 1) ++to;
+  ASSERT_LT(from + 1, offsets.size());
+  ASSERT_LT(to + 1, offsets.size());
+  std::vector<uint64_t> moved = offsets;
+  for (size_t k = std::min(from, to) + 1; k <= std::max(from, to); ++k) {
+    if (from < to) {
+      --moved[k];
+    } else {
+      ++moved[k];
+    }
+  }
+  test_artifacts::RewriteManifestSection(clean, Id::kWorkloadOffsets,
+                                         raw(moved));
+  auto loaded = serving::ServingEngine::Load(clean);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(loaded.status().message(),
+            "artifact section 'workload' invalid: shard workload rows "
+            "disagree with the manifest totals");
+}
+
+// One open path, one span: FromModel records one artifact.engine span,
+// and Load records artifact.map (the files' checks) and then one
+// artifact.engine, so a trace times the engine's open on both routes.
+TEST_F(ArtifactTest, EveryOpenRecordsOneEngineSpan) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  artifact::ModelArtifactBuilder builder = MakeBuilder();
+  auto model = builder.Build({.epsilon = kEps, .seed = kSeed});
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const std::string path = Path("traced.pvram");
+  ASSERT_TRUE(serving::SaveShardedArtifact(*model, path).ok());
+
+  // The artifact.* spans `open` records, in the order they start.
+  auto traced = [](auto open) {
+    obs::Tracer& tracer = obs::Tracer::Instance();
+    tracer.Clear();
+    tracer.SetEnabled(true);
+    EXPECT_TRUE(open());
+    tracer.SetEnabled(false);
+    std::vector<std::string> names;
+    for (const obs::SpanRecord& s : tracer.Snapshot()) {
+      if (s.name.rfind("artifact.", 0) == 0) names.push_back(s.name);
+    }
+    tracer.Clear();
+    return names;
+  };
+  EXPECT_EQ(traced([&] {
+              return serving::ServingEngine::FromModel(*model).ok();
+            }),
+            std::vector<std::string>{"artifact.engine"});
+  EXPECT_EQ(traced([&] { return serving::ServingEngine::Load(path).ok(); }),
+            (std::vector<std::string>{"artifact.map", "artifact.engine"}));
 }
 
 // ---------------------------------------------------------------- factory

@@ -59,14 +59,17 @@ struct Fixture {
   std::vector<int64_t> cluster_of;
   std::vector<int64_t> cluster_sizes;
   std::vector<std::vector<WorkloadEntry>> workload;  // per social user
+  // Per-cluster row tables into `values` and `values_f32`.
+  std::vector<const double*> rows;
+  std::vector<const float*> rows_f32;
   // Bound tables over the f64 rows and over the f32 mirror.
   std::vector<double> block_max;
   std::vector<double> block_max_f32;
 
   serving::ReleaseView View(bool f32) const {
     serving::ReleaseView view;
-    view.values = values.data();
-    view.values_f32 = f32 ? values_f32.data() : nullptr;
+    view.rows = rows.data();
+    view.rows_f32 = f32 ? rows_f32.data() : nullptr;
     view.block_max = f32 ? block_max_f32.data() : block_max.data();
     view.sanitized = sanitized.data();
     view.cluster_of = cluster_of.data();
@@ -77,11 +80,17 @@ struct Fixture {
     return view;
   }
 
-  // Mirrors the f64 values to f32 and derives both bound tables the way
-  // the engine does at open.
+  // Mirrors the f64 values to f32, points the row tables into both, and
+  // derives both bound tables the way the engine does at open.
   void Finish() {
     values_f32.clear();
     for (double v : values) values_f32.push_back(static_cast<float>(v));
+    rows.clear();
+    rows_f32.clear();
+    for (int64_t c = 0; c < kClusters; ++c) {
+      rows.push_back(values.data() + c * num_items);
+      rows_f32.push_back(values_f32.data() + c * num_items);
+    }
     ASSERT_TRUE(serving::BuildBlockBounds(View(false), &block_max).ok());
     ASSERT_TRUE(serving::BuildBlockBounds(View(true), &block_max_f32).ok());
   }

@@ -600,7 +600,7 @@ TEST_F(ShardedCorruptionTest, ArmedFaultPointsFailClosed) {
 // byte size the file actually has — and size a vector smaller than the
 // loop that fills it. Validation must divide, never multiply.
 
-TEST_F(ShardedArtifactTest, ValidateModelRejectsHugeNoisyGeometry) {
+TEST_F(ShardedArtifactTest, FromModelRejectsHugeNoisyGeometry) {
   serving::ArtifactModel model = BuildFullModel();
   // An item count near 2^62 makes nc * ni wrap in size_t; for cluster
   // counts divisible by 4 the product lands exactly on values.size() and
@@ -613,7 +613,7 @@ TEST_F(ShardedArtifactTest, ValidateModelRejectsHugeNoisyGeometry) {
       << engine.status().ToString();
 }
 
-TEST_F(ShardedArtifactTest, ValidateModelRejectsWrappingLowRankRank) {
+TEST_F(ShardedArtifactTest, FromModelRejectsWrappingLowRankRank) {
   serving::ArtifactModel model = BuildFullModel();
   ASSERT_TRUE(model.has_lowrank);
   const size_t nu = static_cast<size_t>(model.meta.num_users);  // 120
