@@ -34,7 +34,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const int trials = static_cast<int>(flags.GetInt("trials", 5));
   const int64_t eval_count = flags.GetInt("eval_users", 1000);
   if (!flags.Validate()) return 1;

@@ -67,7 +67,7 @@ double Personalization(const std::vector<core::RecommendationList>& lists,
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const int trials = static_cast<int>(flags.GetInt("trials", 3));
   const int64_t num_users = flags.GetInt("users", 1892);
   const int64_t eval_count = flags.GetInt("eval_users", 800);

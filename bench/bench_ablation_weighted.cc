@@ -45,7 +45,7 @@ graph::PreferenceGraph Reweight(const graph::PreferenceGraph& rated,
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const int trials = static_cast<int>(flags.GetInt("trials", 3));
   const int64_t num_users = flags.GetInt("users", 4000);
   const int64_t eval_count = flags.GetInt("eval_users", 600);

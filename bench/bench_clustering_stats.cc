@@ -52,7 +52,7 @@ void Report(const std::string& label, const graph::SocialGraph& g,
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const int64_t flixster_users = flags.GetInt("flixster_users", 12000);
   if (!flags.Validate()) return 1;
 

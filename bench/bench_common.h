@@ -28,21 +28,6 @@
 
 namespace privrec::bench {
 
-// Forwarder kept for source compatibility; the parsing lives in
-// common/driver_flags.h so bench and example binaries share one
-// implementation.
-inline int64_t ApplyThreadsFlag(FlagParser& flags) {
-  return ::privrec::ApplyThreadsFlag(flags);
-}
-
-// The standard bench prologue: --threads plus the observability flags
-// (--metrics-json, --trace-out, --metrics-stderr). Keep the returned
-// session alive for the driver's whole run; its destructor writes the
-// requested exports.
-inline ObsSession ApplyStandardFlags(FlagParser& flags) {
-  return ApplyDriverFlags(flags);
-}
-
 // The paper's four instantiations, in its citation order.
 inline const std::vector<std::string>& MeasureNames() {
   static const std::vector<std::string> kNames = {"CN", "GD", "AA", "KZ"};

@@ -26,7 +26,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const int64_t eval_count = flags.GetInt("eval_users", 600);
   if (!flags.Validate()) return 1;
 

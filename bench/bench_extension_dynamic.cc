@@ -31,7 +31,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const int64_t snapshots = flags.GetInt("snapshots", 6);
   const int64_t num_users = flags.GetInt("users", 1892);
   const int64_t eval_count = flags.GetInt("eval_users", 600);

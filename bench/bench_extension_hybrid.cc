@@ -28,7 +28,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const int64_t num_items = flags.GetInt("items", 4000);
   const int64_t eval_count = flags.GetInt("eval_users", 800);
   const double total_epsilon = flags.GetDouble("total_epsilon", 1.0);

@@ -46,7 +46,7 @@ std::unique_ptr<similarity::SimilarityMeasure> MakeExtended(
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const int trials = static_cast<int>(flags.GetInt("trials", 3));
   const int64_t eval_count = flags.GetInt("eval_users", 800);
   if (!flags.Validate()) return 1;

@@ -26,7 +26,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   // The paper uses 10 trials over all 1892 users; the defaults trade a
   // little averaging for a bench suite that finishes quickly on one core
   // (pass --trials=10 --eval_users=1892 for the full configuration).

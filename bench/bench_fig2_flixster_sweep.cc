@@ -38,7 +38,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const int trials = static_cast<int>(flags.GetInt("trials", 3));
   const int64_t num_users = flags.GetInt("users", 12000);
   const int64_t num_items = flags.GetInt("items", 8000);

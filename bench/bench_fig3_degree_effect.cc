@@ -110,7 +110,7 @@ void RunDataset(const std::string& label, const data::Dataset& dataset,
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const int64_t flixster_users = flags.GetInt("flixster_users", 12000);
   const int64_t flixster_eval = flags.GetInt("flixster_eval", 2000);
   if (!flags.Validate()) return 1;

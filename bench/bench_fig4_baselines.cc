@@ -66,7 +66,7 @@ double MeanNdcgOverTrials(core::Recommender* rec,
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const int trials = static_cast<int>(flags.GetInt("trials", 2));
   const int64_t lrm_rank = flags.GetInt("lrm_rank", 150);
   const bool skip_lrm = flags.GetBool("skip_lrm", false);

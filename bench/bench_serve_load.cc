@@ -84,9 +84,19 @@ void WriteAllBytes(const std::string& path, const std::string& bytes) {
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   ObsSession obs_session = ApplyDriverFlags(flags);
-  const ServeFlagSettings serve_settings = ApplyServeFlags(flags);
-  const LoadFlagSettings load_settings = ApplyLoadFlags(flags);
-  const TelemetryFlagSettings tel_settings = ApplyTelemetryFlags(flags);
+  serve::ServeRuntimeOptions options;
+  ApplyServeFlags(flags, &options);
+  serve::ServeTelemetryOptions tel_options;
+  ApplyTelemetryFlags(flags, &tel_options);
+  loadgen::LoadRunOptions run;
+  loadgen::SloBudget budget;
+  ApplyLoadFlags(flags, &run, &budget);
+  const bool swap_storm = flags.GetBool("load-swap-storm", false);
+  const bool wall = flags.GetBool("load-wall", false);
+  const std::string report_path =
+      flags.GetString("load-report", "BENCH_serve.json");
+  const std::string jsonl_path = flags.GetString("telemetry-jsonl", "");
+  const std::string statusz_path = flags.GetString("statusz-out", "");
   const std::string scratch =
       flags.GetString("scratch-dir", "serve-load-scratch");
   const int64_t load_shards = flags.GetInt("load-shards", 1);
@@ -130,13 +140,10 @@ int main(int argc, char** argv) {
   const std::string good_b = build("good_b", 202);
   if (good_a.empty() || good_b.empty()) return 1;
 
-  loadgen::SwapStormSpec storm;
-  storm.period_ms = load_settings.swap_period_ms;
-  if (load_settings.swap_storm && storm.period_ms <= 0) {
-    storm.period_ms = 250;
-  }
+  loadgen::SwapStormSpec& storm = run.storm;
+  if (swap_storm && storm.period_ms <= 0) storm.period_ms = 250;
   storm.good = {good_a, good_b};
-  if (load_settings.swap_storm) {
+  if (swap_storm) {
     // Manifest copies beside the originals, so they name the same shard
     // files: one with a bit flipped inside the cluster_of payload (located
     // through the section table, never in padding or a reserved field),
@@ -175,24 +182,11 @@ int main(int argc, char** argv) {
 
   // ---- Online side: runtime, telemetry sink, oracle, harness.
   serve::ManualClock virtual_clock;
-  serve::ServeTelemetryOptions tel_options;
-  tel_options.sample_every = tel_settings.sample_every;
-  tel_options.slow_ms = tel_settings.slow_ms;
-  tel_options.window_ms = tel_settings.window_ms;
-  tel_options.budget.p99_ms = tel_settings.window_p99_ms;
-  tel_options.budget.max_shed_rate = tel_settings.window_shed_rate;
-  tel_options.budget.lookback = tel_settings.burn_lookback;
-  tel_options.budget.burn_threshold = tel_settings.burn_threshold;
   serve::ServeTelemetry telemetry(tel_options);
-  serve::ServeRuntimeOptions options;
   options.telemetry = &telemetry;
   options.swap.spec.mechanism = "Cluster";
   options.swap.spec.epsilon = kEpsilon;
-  options.admission.max_concurrency = serve_settings.max_concurrency;
-  options.admission.queue_depth = serve_settings.queue_depth;
-  options.breaker.failure_threshold = serve_settings.breaker_failures;
-  options.breaker.cooldown_ms = serve_settings.breaker_cooldown_ms;
-  if (!load_settings.wall) options.clock = &virtual_clock;
+  if (!wall) options.clock = &virtual_clock;
   serve::ServeRuntime runtime(options);
   Status activated = runtime.Activate(good_a);
   if (!activated.ok()) {
@@ -209,37 +203,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  loadgen::LoadRunOptions run;
-  run.load.rps = load_settings.rps;
-  run.load.duration_ms = load_settings.duration_ms;
-  run.load.seed = static_cast<uint64_t>(load_settings.seed);
   run.load.num_users = kUsers;
-  run.load.zipf_s = load_settings.zipf_s;
-  run.load.users_per_request = load_settings.users_per_request;
-  run.load.burst_factor = load_settings.burst_factor;
-  run.load.burst_period_ms = load_settings.burst_period_ms;
-  run.load.burst_duration_ms = load_settings.burst_duration_ms;
-  run.storm = storm;
-  run.wall_threads = load_settings.threads;
-
   loadgen::LoadHarness harness(&runtime, oracle->get(), run);
-  loadgen::LoadSummary summary = load_settings.wall
-                                     ? harness.RunWall()
-                                     : harness.RunVirtual(&virtual_clock);
+  loadgen::LoadSummary summary =
+      wall ? harness.RunWall() : harness.RunVirtual(&virtual_clock);
 
   // Close the final partial window on the clock the run actually used;
   // in virtual mode this makes the window series a pure function of the
   // schedule.
-  telemetry.Flush(load_settings.wall
-                      ? serve::SteadyClock::Instance()->NowMs()
-                      : virtual_clock.NowMs());
+  telemetry.Flush(wall ? serve::SteadyClock::Instance()->NowMs()
+                       : virtual_clock.NowMs());
 
-  loadgen::SloBudget budget;
-  budget.p50_ms = load_settings.slo_p50_ms;
-  budget.p99_ms = load_settings.slo_p99_ms;
-  budget.p999_ms = load_settings.slo_p999_ms;
-  budget.max_shed_rate = load_settings.slo_shed_rate;
-  budget.max_rollback_rate = load_settings.slo_rollback_rate;
   loadgen::SloVerdict verdict = loadgen::EvaluateSlo(budget, summary);
 
   loadgen::TelemetryReport tel_report;
@@ -251,33 +225,31 @@ int main(int argc, char** argv) {
   tel_report.burn_rate = telemetry.burn_rate();
   tel_report.series = telemetry.series();
 
-  const std::string mode = load_settings.wall ? "wall" : "virtual";
+  const std::string mode = wall ? "wall" : "virtual";
   const std::string json = loadgen::LoadReportJson(
       run.load, storm.period_ms, summary, budget, verdict, mode,
-      load_settings.wall ? load_settings.threads : 1, load_shards,
-      &tel_report);
-  if (!load_settings.report.empty()) {
+      wall ? run.wall_threads : 1, load_shards, &tel_report);
+  if (!report_path.empty()) {
     std::string error;
-    if (!obs::WriteTextFile(load_settings.report, json, &error)) {
+    if (!obs::WriteTextFile(report_path, json, &error)) {
       std::fprintf(stderr, "report write failed: %s\n", error.c_str());
       return 1;
     }
   }
-  if (!tel_settings.jsonl.empty()) {
+  if (!jsonl_path.empty()) {
     std::string error;
-    if (!obs::WriteTextFile(tel_settings.jsonl, telemetry.EventsJsonl(),
-                            &error)) {
+    if (!obs::WriteTextFile(jsonl_path, telemetry.EventsJsonl(), &error)) {
       std::fprintf(stderr, "telemetry jsonl write failed: %s\n",
                    error.c_str());
       return 1;
     }
   }
-  if (!tel_settings.statusz_out.empty()) {
+  if (!statusz_path.empty()) {
     std::string error;
-    const serve::RuntimeIntrospection status = runtime.Introspect(
-        load_settings.wall ? -1 : virtual_clock.NowMs());
-    if (!obs::WriteTextFile(tel_settings.statusz_out,
-                            serve::StatuszText(status), &error)) {
+    const serve::RuntimeIntrospection status =
+        runtime.Introspect(wall ? -1 : virtual_clock.NowMs());
+    if (!obs::WriteTextFile(statusz_path, serve::StatuszText(status),
+                            &error)) {
       std::fprintf(stderr, "statusz write failed: %s\n", error.c_str());
       return 1;
     }

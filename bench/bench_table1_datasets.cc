@@ -39,7 +39,7 @@ std::vector<std::string> SummaryRow(const std::string& label,
 
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  privrec::ObsSession obs_session = bench::ApplyStandardFlags(flags);
+  ObsSession obs_session = ApplyDriverFlags(flags);
   const data::SyntheticFlixsterOptions published;
   const int64_t flixster_users =
       flags.GetInt("flixster_users", published.num_users);

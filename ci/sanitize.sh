@@ -55,18 +55,6 @@ PRIVREC_CHAOS_ITERS=500 \
   ctest --preset tsan -j"$(nproc)" -R "^(stream_test|stream_soak_test)\$" "$@"
 echo "stream soak: 500 churn iterations with crashes and faults, clean under TSan"
 
-# Probes-compiled-out pass for the serving runtime: with
-# PRIVREC_NO_FAULT_INJECTION the fault probes in the artifact I/O and
-# serve paths are constexpr no-ops, and the runtime (plus its tests, which
-# skip or downgrade their armed-fault branches via fault::kCompiledIn)
-# must still build and stay green — real corruption is caught either way.
-cmake --preset no-fault-injection
-cmake --build --preset no-fault-injection -j"$(nproc)" \
-  --target serve_test serve_chaos_test data_robustness_test
-ctest --preset no-fault-injection -j"$(nproc)" \
-  -R "^(serve_test|serve_chaos_test|data_robustness_test)\$" "$@"
-echo "no-fault-injection build: serving runtime compiles and soaks clean"
-
 # PRIVREC_OBS=OFF pass: the no-op shells must keep the whole suite green,
 # and the compile-out must be real — no registry or tracer machinery may
 # survive into the obs library's object code.

@@ -71,8 +71,16 @@ int main(int argc, char** argv) {
   const std::string faults = flags.GetString("faults", "");
   const bool serve_stale = flags.GetBool("serve_stale", false);
   const std::string artifact_dir = flags.GetString("artifact-dir", "");
-  const ServeFlagSettings serve_settings = ApplyServeFlags(flags);
-  const TelemetryFlagSettings tel_settings = ApplyTelemetryFlags(flags);
+  serve::ServeRuntimeOptions serve_options;
+  ApplyServeFlags(flags, &serve_options);
+  serve::ServeTelemetryOptions tel_options;
+  ApplyTelemetryFlags(flags, &tel_options);
+  const int64_t deadline_ms =
+      flags.GetInt("serve-deadline-ms", serve::ServeRequest{}.deadline_ms);
+  const int64_t reload_period = flags.GetInt("serve-reload-period", 0);
+  const int64_t statusz_every = flags.GetInt("statusz-every", 0);
+  const std::string statusz_path = flags.GetString("statusz-out", "");
+  const std::string jsonl_path = flags.GetString("telemetry-jsonl", "");
   if (!flags.Validate()) return 1;
 
   // The live runtime the quarter's snapshots are hot-swapped into. Weekly
@@ -80,39 +88,25 @@ int main(int argc, char** argv) {
   // graph grows every week, so this stream adopts each artifact's
   // provenance ε and does not pin the dataset fingerprint (a static-
   // dataset deployment would leave pin_graph_hash on).
-  serve::ServeTelemetryOptions tel_options;
-  tel_options.sample_every = tel_settings.sample_every;
-  tel_options.slow_ms = tel_settings.slow_ms;
-  tel_options.window_ms = tel_settings.window_ms;
-  tel_options.budget.p99_ms = tel_settings.window_p99_ms;
-  tel_options.budget.max_shed_rate = tel_settings.window_shed_rate;
-  tel_options.budget.lookback = tel_settings.burn_lookback;
-  tel_options.budget.burn_threshold = tel_settings.burn_threshold;
   serve::ServeTelemetry telemetry(tel_options);
-  serve::ServeRuntimeOptions serve_options;
   serve_options.swap.adopt_artifact_epsilon = true;
   serve_options.swap.pin_graph_hash = false;
-  serve_options.admission.queue_depth = serve_settings.queue_depth;
-  serve_options.admission.max_concurrency = serve_settings.max_concurrency;
-  serve_options.breaker.failure_threshold = serve_settings.breaker_failures;
-  serve_options.breaker.cooldown_ms = serve_settings.breaker_cooldown_ms;
   serve_options.telemetry = &telemetry;
   serve::ServeRuntime runtime(serve_options);
   // Dumps the live statusz page: to --statusz-out (overwritten each time,
   // like a real /statusz endpoint) or stderr.
   auto dump_statusz = [&] {
     const std::string page = serve::StatuszText(runtime.Introspect());
-    if (tel_settings.statusz_out.empty()) {
+    if (statusz_path.empty()) {
       std::fprintf(stderr, "%s", page.c_str());
       return;
     }
     std::string error;
-    if (!obs::WriteTextFile(tel_settings.statusz_out, page, &error)) {
+    if (!obs::WriteTextFile(statusz_path, page, &error)) {
       std::fprintf(stderr, "statusz write failed: %s\n", error.c_str());
     }
   };
-  const int64_t reload_every =
-      serve_settings.reload_period > 0 ? serve_settings.reload_period : 1;
+  const int64_t reload_every = reload_period > 0 ? reload_period : 1;
 
   // PRIVREC_FAULTS from the environment composes with --faults; the
   // explicit flag wins for points named in both.
@@ -226,7 +220,7 @@ int main(int argc, char** argv) {
         serve::ServeRequest request;
         request.users = users;
         request.top_n = 20;
-        request.deadline_ms = serve_settings.deadline_ms;
+        request.deadline_ms = deadline_ms;
         serve::ServeResponse response = runtime.Handle(request);
         std::printf("       hot swap -> epoch %lld (seed %llu, eps %.3f): "
                     "served %zu users%s\n",
@@ -238,8 +232,7 @@ int main(int argc, char** argv) {
                                                : "");
       }
     }
-    if (tel_settings.statusz_every > 0 &&
-        week % tel_settings.statusz_every == 0) {
+    if (statusz_every > 0 && week % statusz_every == 0) {
       dump_statusz();
     }
   }
@@ -260,10 +253,9 @@ int main(int argc, char** argv) {
       "exhausts but decays instead, or --serve_stale to replay the last "
       "paid release when the budget runs dry.\n");
   telemetry.Flush(serve::SteadyClock::Instance()->NowMs());
-  if (!tel_settings.jsonl.empty()) {
+  if (!jsonl_path.empty()) {
     std::string error;
-    if (!obs::WriteTextFile(tel_settings.jsonl, telemetry.EventsJsonl(),
-                            &error)) {
+    if (!obs::WriteTextFile(jsonl_path, telemetry.EventsJsonl(), &error)) {
       std::fprintf(stderr, "telemetry jsonl write failed: %s\n",
                    error.c_str());
     }

@@ -107,8 +107,12 @@ int main(int argc, char** argv) {
   const std::string faults = flags.GetString("faults", "");
   const bool audit_only = flags.GetBool("audit-ledger", false);
   const int64_t top_n = flags.GetInt("top_n", 10);
-  const StreamFlagSettings stream_settings = ApplyStreamFlags(flags);
-  const ServeFlagSettings serve_settings = ApplyServeFlags(flags);
+  stream::StreamPipelineOptions options;
+  ApplyStreamFlags(flags, &options);
+  serve::ServeRuntimeOptions serve_options;
+  ApplyServeFlags(flags, &serve_options);
+  const int64_t deadline_ms =
+      flags.GetInt("serve-deadline-ms", serve::ServeRequest{}.deadline_ms);
   if (!flags.Validate()) return 1;
 
   const std::string ledger_path = dir + "/budget.ledger";
@@ -136,18 +140,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  stream::StreamPipelineOptions options;
   options.ingest.num_users = num_users;
   options.ingest.num_items = num_items;
-  options.ingest.wal_path = stream_settings.wal.empty()
-                                ? dir + "/stream.wal"
-                                : stream_settings.wal;
-  options.ingest.fsync_every = stream_settings.fsync_every;
-  options.community.drift_threshold = stream_settings.drift_threshold;
-  options.republish.drift_threshold = stream_settings.republish_drift;
-  options.republish.min_growth = stream_settings.republish_growth;
-  options.republish.every_deltas = stream_settings.republish_every;
-  options.republish.min_deltas_between = stream_settings.min_deltas;
+  if (options.ingest.wal_path.empty()) {
+    options.ingest.wal_path = dir + "/stream.wal";
+  }
   options.session.total_epsilon = total_epsilon;
   options.session.planned_snapshots = planned;
   options.session.allocation = allocation == "geometric"
@@ -170,13 +167,8 @@ int main(int argc, char** argv) {
   // Live rollout target. The stream's ε varies per snapshot and the graph
   // grows continuously, so the runtime adopts each artifact's provenance ε
   // and does not pin the dataset fingerprint.
-  serve::ServeRuntimeOptions serve_options;
   serve_options.swap.adopt_artifact_epsilon = true;
   serve_options.swap.pin_graph_hash = false;
-  serve_options.admission.queue_depth = serve_settings.queue_depth;
-  serve_options.admission.max_concurrency = serve_settings.max_concurrency;
-  serve_options.breaker.failure_threshold = serve_settings.breaker_failures;
-  serve_options.breaker.cooldown_ms = serve_settings.breaker_cooldown_ms;
   serve::ServeRuntime runtime(serve_options);
 
   Result<stream::StreamPipeline> opened =
@@ -237,7 +229,7 @@ int main(int argc, char** argv) {
         serve::ServeRequest request;
         request.users = probe_users;
         request.top_n = top_n;
-        request.deadline_ms = serve_settings.deadline_ms;
+        request.deadline_ms = deadline_ms;
         serve::ServeResponse response = runtime.Handle(request);
         std::printf("  epoch %lld live (seed %llu), probe served %zu "
                     "users\n",

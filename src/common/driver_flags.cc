@@ -4,9 +4,14 @@
 #include <utility>
 
 #include "common/parallel.h"
+#include "loadgen/harness.h"
+#include "loadgen/report.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/runtime.h"
+#include "serve/telemetry.h"
+#include "stream/pipeline.h"
 
 namespace privrec {
 
@@ -16,82 +21,78 @@ int64_t ApplyThreadsFlag(FlagParser& flags) {
   return GlobalThreadCount();
 }
 
-ServeFlagSettings ApplyServeFlags(FlagParser& flags) {
-  ServeFlagSettings s;
-  s.deadline_ms = flags.GetInt("serve-deadline-ms", s.deadline_ms);
-  s.queue_depth = flags.GetInt("serve-queue-depth", s.queue_depth);
-  s.max_concurrency =
-      flags.GetInt("serve-max-concurrency", s.max_concurrency);
-  s.breaker_failures =
-      flags.GetInt("serve-breaker-failures", s.breaker_failures);
-  s.breaker_cooldown_ms =
-      flags.GetInt("serve-breaker-cooldown-ms", s.breaker_cooldown_ms);
-  s.reload_period = flags.GetInt("serve-reload-period", s.reload_period);
-  return s;
+void ApplyServeFlags(FlagParser& flags, serve::ServeRuntimeOptions* options) {
+  serve::AdmissionOptions& admission = options->admission;
+  admission.queue_depth =
+      flags.GetInt("serve-queue-depth", admission.queue_depth);
+  admission.max_concurrency =
+      flags.GetInt("serve-max-concurrency", admission.max_concurrency);
+  serve::CircuitBreakerOptions& breaker = options->breaker;
+  breaker.failure_threshold =
+      flags.GetInt("serve-breaker-failures", breaker.failure_threshold);
+  breaker.cooldown_ms =
+      flags.GetInt("serve-breaker-cooldown-ms", breaker.cooldown_ms);
 }
 
-LoadFlagSettings ApplyLoadFlags(FlagParser& flags) {
-  LoadFlagSettings s;
-  s.rps = flags.GetDouble("load-rps", s.rps);
-  s.duration_ms = flags.GetInt("load-duration-ms", s.duration_ms);
-  s.seed = flags.GetInt("load-seed", s.seed);
-  s.zipf_s = flags.GetDouble("load-zipf-s", s.zipf_s);
-  s.users_per_request =
-      flags.GetInt("load-users-per-request", s.users_per_request);
-  s.burst_factor = flags.GetDouble("load-burst-factor", s.burst_factor);
-  s.burst_period_ms =
-      flags.GetInt("load-burst-period-ms", s.burst_period_ms);
-  s.burst_duration_ms =
-      flags.GetInt("load-burst-duration-ms", s.burst_duration_ms);
-  s.swap_period_ms = flags.GetInt("load-swap-period-ms", s.swap_period_ms);
-  s.swap_storm = flags.GetBool("load-swap-storm", s.swap_storm);
-  s.threads = flags.GetInt("load-threads", s.threads);
-  s.wall = flags.GetBool("load-wall", s.wall);
-  s.slo_p50_ms = flags.GetDouble("load-slo-p50-ms", s.slo_p50_ms);
-  s.slo_p99_ms = flags.GetDouble("load-slo-p99-ms", s.slo_p99_ms);
-  s.slo_p999_ms = flags.GetDouble("load-slo-p999-ms", s.slo_p999_ms);
-  s.slo_shed_rate =
-      flags.GetDouble("load-slo-shed-rate", s.slo_shed_rate);
-  s.slo_rollback_rate =
-      flags.GetDouble("load-slo-rollback-rate", s.slo_rollback_rate);
-  s.report = flags.GetString("load-report", s.report);
-  return s;
+void ApplyTelemetryFlags(FlagParser& flags,
+                         serve::ServeTelemetryOptions* options) {
+  options->sample_every =
+      flags.GetInt("telemetry-sample-every", options->sample_every);
+  options->slow_ms = flags.GetDouble("telemetry-slow-ms", options->slow_ms);
+  options->window_ms =
+      flags.GetInt("telemetry-window-ms", options->window_ms);
+  obs::WindowBudget& budget = options->budget;
+  budget.p99_ms = flags.GetDouble("telemetry-window-p99-ms", budget.p99_ms);
+  budget.max_shed_rate =
+      flags.GetDouble("telemetry-window-shed-rate", budget.max_shed_rate);
+  budget.lookback = flags.GetInt("telemetry-burn-lookback", budget.lookback);
+  budget.burn_threshold =
+      flags.GetDouble("telemetry-burn-threshold", budget.burn_threshold);
 }
 
-TelemetryFlagSettings ApplyTelemetryFlags(FlagParser& flags) {
-  TelemetryFlagSettings s;
-  s.sample_every =
-      flags.GetInt("telemetry-sample-every", s.sample_every);
-  s.slow_ms = flags.GetDouble("telemetry-slow-ms", s.slow_ms);
-  s.window_ms = flags.GetInt("telemetry-window-ms", s.window_ms);
-  s.burn_lookback =
-      flags.GetInt("telemetry-burn-lookback", s.burn_lookback);
-  s.burn_threshold =
-      flags.GetDouble("telemetry-burn-threshold", s.burn_threshold);
-  s.window_p99_ms =
-      flags.GetDouble("telemetry-window-p99-ms", s.window_p99_ms);
-  s.window_shed_rate =
-      flags.GetDouble("telemetry-window-shed-rate", s.window_shed_rate);
-  s.jsonl = flags.GetString("telemetry-jsonl", s.jsonl);
-  s.statusz_every = flags.GetInt("statusz-every", s.statusz_every);
-  s.statusz_out = flags.GetString("statusz-out", s.statusz_out);
-  return s;
+void ApplyLoadFlags(FlagParser& flags, loadgen::LoadRunOptions* run,
+                    loadgen::SloBudget* budget) {
+  loadgen::LoadSpec& load = run->load;
+  load.rps = flags.GetDouble("load-rps", load.rps);
+  load.duration_ms = flags.GetInt("load-duration-ms", load.duration_ms);
+  load.seed = static_cast<uint64_t>(
+      flags.GetInt("load-seed", static_cast<int64_t>(load.seed)));
+  load.zipf_s = flags.GetDouble("load-zipf-s", load.zipf_s);
+  load.users_per_request =
+      flags.GetInt("load-users-per-request", load.users_per_request);
+  load.burst_factor = flags.GetDouble("load-burst-factor", load.burst_factor);
+  load.burst_period_ms =
+      flags.GetInt("load-burst-period-ms", load.burst_period_ms);
+  load.burst_duration_ms =
+      flags.GetInt("load-burst-duration-ms", load.burst_duration_ms);
+  run->storm.period_ms =
+      flags.GetInt("load-swap-period-ms", run->storm.period_ms);
+  run->wall_threads = flags.GetInt("load-threads", run->wall_threads);
+  budget->p50_ms = flags.GetDouble("load-slo-p50-ms", budget->p50_ms);
+  budget->p99_ms = flags.GetDouble("load-slo-p99-ms", budget->p99_ms);
+  budget->p999_ms = flags.GetDouble("load-slo-p999-ms", budget->p999_ms);
+  budget->max_shed_rate =
+      flags.GetDouble("load-slo-shed-rate", budget->max_shed_rate);
+  budget->max_rollback_rate =
+      flags.GetDouble("load-slo-rollback-rate", budget->max_rollback_rate);
 }
 
-StreamFlagSettings ApplyStreamFlags(FlagParser& flags) {
-  StreamFlagSettings s;
-  s.wal = flags.GetString("stream-wal", s.wal);
-  s.fsync_every = flags.GetInt("stream-fsync-every", s.fsync_every);
-  s.drift_threshold =
-      flags.GetDouble("stream-drift-threshold", s.drift_threshold);
-  s.republish_drift =
-      flags.GetDouble("stream-republish-drift", s.republish_drift);
-  s.republish_growth =
-      flags.GetDouble("stream-republish-growth", s.republish_growth);
-  s.republish_every =
-      flags.GetInt("stream-republish-every", s.republish_every);
-  s.min_deltas = flags.GetInt("stream-min-deltas", s.min_deltas);
-  return s;
+void ApplyStreamFlags(FlagParser& flags,
+                      stream::StreamPipelineOptions* options) {
+  stream::EdgeStreamOptions& ingest = options->ingest;
+  ingest.wal_path = flags.GetString("stream-wal", ingest.wal_path);
+  ingest.fsync_every = flags.GetInt("stream-fsync-every", ingest.fsync_every);
+  options->community.drift_threshold = flags.GetDouble(
+      "stream-drift-threshold", options->community.drift_threshold);
+  stream::RepublishPolicy& republish = options->republish;
+  republish.drift_threshold =
+      flags.GetDouble("stream-republish-drift", republish.drift_threshold);
+  republish.min_growth =
+      flags.GetDouble("stream-republish-growth", republish.min_growth);
+  republish.every_deltas =
+      flags.GetInt("stream-republish-every", republish.every_deltas);
+  republish.min_deltas_between =
+      flags.GetInt("stream-min-deltas", republish.min_deltas_between);
 }
 
 ObsSession ObsSession::FromFlags(FlagParser& flags) {

@@ -55,15 +55,6 @@ Result<data::Dataset> LoadFileDataset(
   return dataset;
 }
 
-data::Dataset MakeSyntheticDataset(const ExperimentInputsOptions& options) {
-  if (options.synthetic == "lastfm") return data::MakeSyntheticLastFm();
-  if (options.synthetic == "flixster") return data::MakeSyntheticFlixster();
-  PRIVREC_CHECK_MSG(options.synthetic == "tiny",
-                    "synthetic must be tiny/lastfm/flixster");
-  return data::MakeTinyDataset(options.tiny_users, options.tiny_items,
-                               static_cast<int64_t>(options.tiny_seed));
-}
-
 }  // namespace
 
 std::vector<graph::NodeId> ExperimentInputs::AllUsers() const {
@@ -76,16 +67,16 @@ std::vector<graph::NodeId> ExperimentInputs::AllUsers() const {
 }
 
 core::RecommenderContext ExperimentInputs::Context() const {
-  return {&dataset.social,
-          holdout.has_value() ? &holdout->train : &dataset.preferences,
-          &workload};
+  return {&dataset.social, &dataset.preferences, &workload};
 }
 
 Result<ExperimentInputs> LoadExperimentInputs(
     const ExperimentInputsOptions& options) {
   ExperimentInputs inputs;
   if (options.social_path.empty() && options.prefs_path.empty()) {
-    inputs.dataset = MakeSyntheticDataset(options);
+    inputs.dataset =
+        data::MakeTinyDataset(options.tiny_users, options.tiny_items,
+                              static_cast<int64_t>(options.tiny_seed));
     // Synthetic ids are already dense: the mapping is the identity.
     for (int64_t u = 0; u < inputs.dataset.social.num_nodes(); ++u) {
       inputs.original_user_id.push_back(u);
@@ -111,9 +102,6 @@ Result<ExperimentInputs> LoadExperimentInputs(
 
   // Similarity workload: cache file first, computed (and cached back)
   // otherwise.
-  const similarity::CommonNeighbors default_measure;
-  const similarity::SimilarityMeasure& measure =
-      options.measure != nullptr ? *options.measure : default_measure;
   bool workload_cached = false;
   if (!options.workload_path.empty() &&
       std::filesystem::exists(options.workload_path)) {
@@ -130,7 +118,7 @@ Result<ExperimentInputs> LoadExperimentInputs(
   }
   if (!workload_cached) {
     inputs.workload = similarity::SimilarityWorkload::Compute(
-        inputs.dataset.social, measure);
+        inputs.dataset.social, similarity::CommonNeighbors());
     if (!options.workload_path.empty()) {
       Status s =
           similarity::SaveWorkload(inputs.workload, options.workload_path);
@@ -172,12 +160,6 @@ Result<ExperimentInputs> LoadExperimentInputs(
         }
       }
     }
-  }
-
-  if (options.holdout_fraction > 0.0) {
-    inputs.holdout = eval::SplitHoldout(
-        inputs.dataset.preferences,
-        {.fraction = options.holdout_fraction, .seed = options.holdout_seed});
   }
   return inputs;
 }

@@ -1,20 +1,16 @@
-// LoadExperimentInputs: the one shared dataset prologue for bench and
-// example drivers — previously copy-pasted per binary (load-or-bootstrap
-// the TSV inputs, reuse the on-disk workload/partition caches, compute
-// similarity rows and Louvain clusters, optionally carve a held-out
-// split). The two-phase build/serve drivers call this instead of growing a
-// third copy.
+// LoadExperimentInputs: the one shared dataset prologue for the example
+// drivers (load-or-bootstrap the TSV inputs, reuse the on-disk
+// workload/partition caches, compute common-neighbours similarity rows
+// and Louvain clusters).
 //
-// Declared under common/ next to driver_flags (it is a driver-prologue
-// helper) but compiled into the separate `privrec_driver` target: unlike
-// the flag helpers it legitimately depends on the data/similarity/
-// community/eval layers, which privrec_common must not.
+// Declared under common/ next to driver_flags and, like it, compiled into
+// the top-layer `privrec_driver` target: it depends on the data/
+// similarity/community/core layers, which privrec_common must not.
 
 #ifndef PRIVREC_COMMON_EXPERIMENT_INPUTS_H_
 #define PRIVREC_COMMON_EXPERIMENT_INPUTS_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,8 +18,6 @@
 #include "community/louvain.h"
 #include "core/recommender.h"
 #include "data/dataset.h"
-#include "eval/holdout.h"
-#include "similarity/similarity_measure.h"
 #include "similarity/workload.h"
 
 namespace privrec {
@@ -31,7 +25,7 @@ namespace privrec {
 struct ExperimentInputsOptions {
   // File-backed mode: load these TSV paths; when either file is missing, a
   // demo dataset is written there first so drivers run out of the box.
-  // Both empty: build the synthetic dataset named by `synthetic` instead.
+  // Both empty: build the tiny synthetic dataset below instead.
   std::string social_path;
   std::string prefs_path;
   // Optional caches for the public precomputations (clustering and
@@ -39,23 +33,14 @@ struct ExperimentInputsOptions {
   // once and reuse them across releases).
   std::string workload_path;
   std::string partition_path;
-  // Synthetic mode: "tiny", "lastfm" (Table 1 Last.fm shape) or
-  // "flixster". tiny_* apply to "tiny" only.
-  std::string synthetic = "tiny";
+  // Synthetic mode: data::MakeTinyDataset at this shape and seed.
   int64_t tiny_users = 300;
   int64_t tiny_items = 400;
   uint64_t tiny_seed = 42;
-  // Similarity measure for the workload (null: common neighbors).
-  const similarity::SimilarityMeasure* measure = nullptr;
   // createClusters configuration; set run_louvain = false for drivers that
   // cluster per-snapshot themselves (e.g. dynamic sessions).
   community::LouvainOptions louvain;
   bool run_louvain = true;
-  // > 0: hide this fraction of each user's preference edges; Context()
-  // then serves from the train split and `holdout` carries the hidden
-  // items for recall scoring.
-  double holdout_fraction = 0.0;
-  uint64_t holdout_seed = 11;
   // Print load/bootstrap progress to stdout (examples do, benches don't).
   bool verbose = false;
 };
@@ -68,12 +53,10 @@ struct ExperimentInputs {
   similarity::SimilarityWorkload workload;
   // Default-constructed when run_louvain was false.
   community::LouvainResult louvain;
-  std::optional<eval::HoldoutSplit> holdout;
 
   std::vector<graph::NodeId> AllUsers() const;
-  // The recommender inputs: the holdout's train split when one was
-  // requested, the full preference graph otherwise. The returned context
-  // points into this struct — keep it alive.
+  // The recommender inputs. The returned context points into this
+  // struct — keep it alive.
   core::RecommenderContext Context() const;
 };
 

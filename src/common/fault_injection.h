@@ -11,10 +11,8 @@
 // or by a seeded splitmix64 coin per hit. No wall clock, no global entropy;
 // a test that arms the same spec twice sees the same failures twice.
 //
-// Cost: when the library is built with PRIVREC_NO_FAULT_INJECTION the probe
-// functions are constexpr no-ops and every call site compiles away. In the
-// default build an unarmed harness costs one relaxed atomic load per probe
-// (probes sit at record/release granularity, never in per-element loops).
+// Cost: an unarmed harness costs one relaxed atomic load per probe (probes
+// sit at record/release granularity, never in per-element loops).
 //
 // Spec string grammar (';'-separated):
 //   point=kind            fire on every hit
@@ -119,20 +117,6 @@ class FaultInjector {
   std::atomic<bool> any_armed_{false};
 };
 
-#ifdef PRIVREC_NO_FAULT_INJECTION
-
-// Lets tests (and diagnostics) detect a build with the probes compiled
-// out: armed points exist but never fire.
-inline constexpr bool kCompiledIn = false;
-
-inline constexpr FaultKind Hit(const char* /*point*/) {
-  return FaultKind::kNone;
-}
-
-#else
-
-inline constexpr bool kCompiledIn = true;
-
 // The probe placed at fault points: returns the fault to inject at this
 // hit, kNone when nothing is armed.
 inline FaultKind Hit(const char* point) {
@@ -140,8 +124,6 @@ inline FaultKind Hit(const char* point) {
   if (!injector.AnyArmed()) return FaultKind::kNone;
   return injector.HitSlow(point);
 }
-
-#endif  // PRIVREC_NO_FAULT_INJECTION
 
 // Applies a kNaN/kInf fault at `point` to `value`; other kinds (and unarmed
 // points) leave it unchanged.

@@ -1,9 +1,14 @@
 #include "dp/ledger.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <utility>
@@ -68,17 +73,15 @@ Result<BudgetLedger> BudgetLedger::Open(const std::string& path,
   std::error_code ec;
   const bool exists = std::filesystem::exists(path, ec);
   if (!exists) {
-    ledger.out_.open(path, std::ios::out | std::ios::trunc);
+    ledger.out_.reset(std::fopen(path.c_str(), "w"));
     if (!ledger.out_) {
       return Status::IoError("cannot create ledger " + path);
     }
-    ledger.out_ << kHeader << '\n';
-    std::string total_body = "total " + HexDouble(total_epsilon);
-    ledger.out_ << total_body << ' ' << HexU64(Fnv1a(total_body)) << '\n';
-    ledger.out_.flush();
-    if (!ledger.out_) {
-      return Status::IoError("cannot write ledger header to " + path);
-    }
+    const std::string total_body = "total " + HexDouble(total_epsilon);
+    Status written = ledger.WriteDurably(std::string(kHeader) + '\n' +
+                                         total_body + ' ' +
+                                         HexU64(Fnv1a(total_body)) + '\n');
+    if (!written.ok()) return written;
     return ledger;
   }
 
@@ -182,7 +185,7 @@ Result<BudgetLedger> BudgetLedger::Open(const std::string& path,
     ledger.recovered_torn_tail_ = true;
   }
 
-  ledger.out_.open(path, std::ios::out | std::ios::app);
+  ledger.out_.reset(std::fopen(path.c_str(), "a"));
   if (!ledger.out_) {
     return Status::IoError("cannot reopen ledger " + path +
                            " for appending");
@@ -198,30 +201,43 @@ Result<BudgetLedger> BudgetLedger::Open(const std::string& path,
   return ledger;
 }
 
+Status BudgetLedger::WriteDurably(std::string_view bytes) {
+  std::FILE* file = out_.get();
+  std::string error;
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file) != bytes.size() ||
+      std::fflush(file) != 0) {
+    error = "ledger write to " + path_ + " failed: " + std::strerror(errno);
+  } else if (fault::Hit("ledger.sync") == fault::FaultKind::kIoError) {
+    error = "ledger fsync failed (injected fault)";
+  } else if (::fsync(::fileno(file)) != 0) {
+    error = "ledger fsync of " + path_ + " failed: " + std::strerror(errno);
+  } else {
+    return Status::Ok();
+  }
+  // Bytes may have reached the file: a retried append would journal a
+  // second record behind (or glued onto) this one.
+  out_.reset();
+  return Status::IoError(error);
+}
+
 Status BudgetLedger::AppendLine(const std::string& body) {
-  if (!out_.is_open()) {
+  if (!out_) {
     return Status::FailedPrecondition("ledger is not open");
   }
+  const std::string record = body + ' ' + HexU64(Fnv1a(body));
   switch (fault::Hit("ledger.append")) {
     case fault::FaultKind::kIoError:
       return Status::IoError("ledger append failed (injected fault)");
-    case fault::FaultKind::kShortRead: {
+    case fault::FaultKind::kShortRead:
       // Simulate a crash mid-write: half the record reaches the file and
       // no newline does. Open() must recover from this.
-      std::string full = body + ' ' + HexU64(Fnv1a(body));
-      out_ << full.substr(0, full.size() / 2);
-      out_.flush();
+      (void)WriteDurably(std::string_view(record).substr(0, record.size() / 2));
+      out_.reset();
       return Status::IoError("ledger append torn (injected fault)");
-    }
     default:
       break;
   }
-  out_ << body << ' ' << HexU64(Fnv1a(body)) << '\n';
-  out_.flush();
-  if (!out_) {
-    return Status::IoError("ledger append failed for " + path_);
-  }
-  return Status::Ok();
+  return WriteDurably(record + '\n');
 }
 
 Status BudgetLedger::AppendIntent(int64_t seq, const std::string& group,

@@ -20,16 +20,26 @@
 // A torn final line (partial write at crash) is detected by checksum and
 // truncated away on open; corruption anywhere else is an error.
 //
+// Durability: the header and every record are fsynced before Open or the
+// append returns, so a journaled intent survives a host crash, not just a
+// process kill. A write or fsync that fails after bytes may have reached
+// the file closes the ledger: later appends fail with
+// kFailedPrecondition, so a retry can never journal a second intent
+// behind the first. Reopening replays whatever reached the disk.
+//
 // Fault points: ledger.open (kIoError), ledger.append (kIoError: the
 // append fails cleanly; kShortRead: half the record is written, simulating
-// a crash mid-write).
+// a crash mid-write), ledger.sync (kIoError: the record is written but
+// the fsync fails).
 
 #ifndef PRIVREC_DP_LEDGER_H_
 #define PRIVREC_DP_LEDGER_H_
 
 #include <cstdint>
-#include <fstream>
+#include <cstdio>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -62,7 +72,7 @@ class BudgetLedger {
                                    double total_epsilon);
 
   // Journals a charge intent (write-ahead: call BEFORE sampling noise).
-  // The group name must contain no whitespace. Flushes before returning.
+  // The group name must contain no whitespace. Fsyncs before returning.
   Status AppendIntent(int64_t seq, const std::string& group, double epsilon);
 
   // Marks `seq` released. Requires a prior intent for `seq`.
@@ -84,13 +94,19 @@ class BudgetLedger {
   void ReplayInto(PrivacyBudget* budget) const;
 
  private:
+  struct FileCloser {
+    void operator()(std::FILE* file) const { std::fclose(file); }
+  };
+
   Status AppendLine(const std::string& body);
+  // Writes `bytes` and fsyncs them; closes the ledger on any failure.
+  Status WriteDurably(std::string_view bytes);
 
   std::string path_;
   double total_epsilon_ = 0.0;
   bool recovered_torn_tail_ = false;
   std::vector<Entry> entries_;
-  std::ofstream out_;
+  std::unique_ptr<std::FILE, FileCloser> out_;  // null: closed
 };
 
 // The result of an independent ledger replay audit (AuditLedgerReplay).

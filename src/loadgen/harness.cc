@@ -110,7 +110,7 @@ void LoadHarness::StormTick(int64_t k, LoadSummary& summary) {
       break;
     case 4:
       path = good(k);
-      if (storm.arm_faults && fault::kCompiledIn) {
+      if (storm.arm_faults) {
         fault::FaultInjector::Instance().Arm(
             "artifact.read", {fault::FaultKind::kIoError, 1, 1});
         armed = true;
@@ -118,7 +118,7 @@ void LoadHarness::StormTick(int64_t k, LoadSummary& summary) {
       break;
     case 5:
       path = good(k + 1);
-      if (storm.arm_faults && fault::kCompiledIn) {
+      if (storm.arm_faults) {
         fault::FaultInjector::Instance().Arm(
             "artifact.read", {fault::FaultKind::kLatency, 1, 2});
         armed = true;

@@ -47,9 +47,8 @@ namespace privrec::loadgen {
 
 // Hot-swap storm driven alongside the load: every period the harness
 // activates the next artifact of a fixed rotation mixing good
-// generations, corrupt files (expected to be rejected + rolled back) and
-// — in fault-injection builds, when armed — I/O errors and latency on
-// the artifact read path.
+// generations, corrupt files (expected to be rejected + rolled back) and,
+// when armed, I/O errors and latency on the artifact read path.
 struct SwapStormSpec {
   // <= 0 disables the storm.
   int64_t period_ms = 0;
@@ -58,7 +57,7 @@ struct SwapStormSpec {
   // Corrupt artifacts (bit flips, truncations); may be empty.
   std::vector<std::string> corrupt;
   // Arm fault::FaultInjector on "artifact.read" for two of every six
-  // phases (no-op in builds without fault injection).
+  // phases.
   bool arm_faults = false;
 };
 

@@ -19,8 +19,7 @@
 //
 // Compile-out: configuring with -DPRIVREC_OBS=OFF defines PRIVREC_NO_OBS,
 // which replaces every type in this header with a constexpr no-op shell —
-// call sites compile away entirely, mirroring the fault-injection pattern
-// (common/fault_injection.h). Snapshot/export types live in
+// call sites compile away entirely. Snapshot/export types live in
 // obs/snapshot.h and survive the compile-out so exporters and drivers
 // still link (they just see empty data).
 

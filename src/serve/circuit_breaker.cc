@@ -68,18 +68,12 @@ void CircuitBreaker::RecordLocked(bool ok, int64_t now_ms) {
       obs::GetCounter("privrec.serve.breaker_closed_total");
   const BreakerState state = StateLocked(now_ms);
   if (ok) {
+    failures_ = 0;
     if (state == BreakerState::kHalfOpen) {
-      if (++probe_successes_ >= options_.half_open_successes) {
-        tripped_ = false;
-        failures_ = 0;
-        probe_successes_ = 0;
-        closed.Increment();
-      }
-    } else {
-      failures_ = 0;
+      tripped_ = false;
+      closed.Increment();
     }
   } else {
-    probe_successes_ = 0;
     if (state == BreakerState::kHalfOpen) {
       // A failed probe re-opens and restarts the cooldown.
       opened_at_ms_ = now_ms;
@@ -87,7 +81,6 @@ void CircuitBreaker::RecordLocked(bool ok, int64_t now_ms) {
     } else if (++failures_ >= options_.failure_threshold && !tripped_) {
       tripped_ = true;
       opened_at_ms_ = now_ms;
-      probe_successes_ = 0;
       opened.Increment();
     }
   }

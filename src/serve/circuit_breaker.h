@@ -15,9 +15,9 @@
 //   half-open  ONE caller at a time may probe. The probe runs under
 //              RetryWithBackoff (common/retry.h) with `probe_retry`, so a
 //              transient I/O blip during recovery does not immediately
-//              re-trip the breaker. `half_open_successes` consecutive
-//              successful probes close the breaker; any final failure
-//              re-opens it and restarts the cooldown.
+//              re-trip the breaker. A successful probe closes the
+//              breaker; a final failure re-opens it and restarts the
+//              cooldown.
 //
 // State is observable: privrec.serve.breaker_state gauge (0 closed,
 // 1 open, 2 half-open) plus transition counters
@@ -46,8 +46,6 @@ struct CircuitBreakerOptions {
   int64_t failure_threshold = 3;
   // Open -> half-open after this much injected-clock time.
   int64_t cooldown_ms = 1000;
-  // Consecutive half-open successes required to close again.
-  int64_t half_open_successes = 1;
   // Retry policy for half-open probes (transient-only by default; a
   // permanent error like kParseError fails the probe on first attempt).
   RetryOptions probe_retry;
@@ -96,8 +94,7 @@ class CircuitBreaker {
   mutable bool tripped_ = false;
   mutable bool probe_in_flight_ = false;
   int64_t opened_at_ms_ = 0;
-  int64_t failures_ = 0;        // consecutive, resets on success
-  int64_t probe_successes_ = 0;  // consecutive half-open successes
+  int64_t failures_ = 0;  // consecutive, resets on success
 };
 
 }  // namespace privrec::serve

@@ -308,7 +308,6 @@ TEST(ClusterRecommenderDegradationTest, SingletonClustersAreCounted) {
 
 TEST(ClusterRecommenderDegradationTest,
      PoisonedNoisyAveragesAreSanitizedAndFlagged) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   data::Dataset ds = data::MakeTinyDataset(60, 40, 13);
   auto workload = similarity::SimilarityWorkload::Compute(
       ds.social, similarity::CommonNeighbors());
@@ -343,7 +342,6 @@ TEST(ClusterRecommenderDegradationTest,
 }
 
 TEST(GroupSmoothDegradationTest, PoisonedGroupMeanIsSanitizedAndFlagged) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   data::Dataset ds = data::MakeTinyDataset(50, 30, 14);
   auto workload = similarity::SimilarityWorkload::Compute(
       ds.social, similarity::CommonNeighbors());

@@ -146,7 +146,6 @@ TEST_F(DataRobustnessTest, LenientPreferenceLoadCountsWeightAndDuplicates) {
 // --------------------------------------------------- faults and retrying
 
 TEST_F(DataRobustnessTest, TransientOpenFaultIsRetriedAway) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   const std::string path = WriteFile("social.txt", "0 1\n1 2\n");
   fault::ScopedFaultInjection scope;
   // Fails on the first open only; attempt 2 succeeds.
@@ -159,7 +158,6 @@ TEST_F(DataRobustnessTest, TransientOpenFaultIsRetriedAway) {
 }
 
 TEST_F(DataRobustnessTest, PersistentOpenFaultExhaustsAttempts) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   const std::string path = WriteFile("social.txt", "0 1\n");
   fault::ScopedFaultInjection scope(
       "graph_io.open", fault::FaultSpec{.kind = fault::FaultKind::kIoError});
@@ -170,7 +168,6 @@ TEST_F(DataRobustnessTest, PersistentOpenFaultExhaustsAttempts) {
 }
 
 TEST_F(DataRobustnessTest, InjectedShortReadMarksTruncation) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   const std::string path = WriteFile("social.txt", "0 1\n1 2\n2 3\n");
   fault::ScopedFaultInjection scope;
   fault::FaultInjector::Instance().ArmNth("graph_io.read",
@@ -188,7 +185,6 @@ TEST_F(DataRobustnessTest, InjectedShortReadMarksTruncation) {
 }
 
 TEST_F(DataRobustnessTest, InjectedAllocFailureIsResourceExhausted) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   const std::string path = WriteFile("social.txt", "0 1\n");
   fault::ScopedFaultInjection scope(
       "graph_io.alloc",
@@ -369,7 +365,6 @@ TEST_F(CacheFileRobustnessTest, WorkloadBitFlipIsParseErrorNotACrash) {
 }
 
 TEST_F(CacheFileRobustnessTest, WorkloadShortReadFaultIsTruncation) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   const std::string path = WriteWorkloadFile();
   fault::ScopedFaultInjection scope;
   fault::FaultInjector::Instance().ArmNth("workload_io.read",
@@ -381,7 +376,6 @@ TEST_F(CacheFileRobustnessTest, WorkloadShortReadFaultIsTruncation) {
 }
 
 TEST_F(CacheFileRobustnessTest, WorkloadOpenAndReadFaultsAreIoErrors) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   const std::string path = WriteWorkloadFile();
   {
     fault::ScopedFaultInjection scope(
@@ -435,7 +429,6 @@ TEST_F(CacheFileRobustnessTest, PartitionBitFlipIsParseErrorNotACrash) {
 }
 
 TEST_F(CacheFileRobustnessTest, PartitionShortReadAndIoFaultsSurface) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   const std::string path = WritePartitionFile();
   {
     fault::ScopedFaultInjection scope;
@@ -461,7 +454,6 @@ TEST_F(CacheFileRobustnessTest, PartitionShortReadAndIoFaultsSurface) {
 }
 
 TEST_F(LastFmRobustnessTest, TransientReadFaultIsRetriedAway) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   WriteFile("user_friends.dat", "userID\tfriendID\n1\t2\n2\t3\n");
   WriteFile("user_artists.dat", "userID\tartistID\tweight\n1\t10\t5\n");
   fault::ScopedFaultInjection scope;
@@ -552,7 +544,6 @@ TEST_F(ArtifactSaveRobustnessTest, SuccessfulSaveLeavesNoTempFile) {
 }
 
 TEST_F(ArtifactSaveRobustnessTest, CrashBeforeRenameKeepsOldArtifact) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   ASSERT_TRUE(Save(5).ok());
 
   // The overwrite "crashes" after the new shards are in place and the
@@ -573,7 +564,6 @@ TEST_F(ArtifactSaveRobustnessTest, CrashBeforeRenameKeepsOldArtifact) {
 }
 
 TEST_F(ArtifactSaveRobustnessTest, WriteFaultNeverTouchesDestination) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   ASSERT_TRUE(Save(5).ok());
 
   fault::ScopedFaultInjection scope(

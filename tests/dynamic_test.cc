@@ -137,7 +137,6 @@ TEST_F(DynamicTest, ReleasesAreRankedLists) {
 // the resumed intent is reused instead of rebuilt, and both paths
 // re-derive bit-identical lists.
 TEST_F(DynamicTest, ArtifactResumeSkipsTornFilesAndReusesIntactOnes) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault injection compiled out";
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() / "privrec_dynamic_resume";

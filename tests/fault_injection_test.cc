@@ -12,15 +12,6 @@
 namespace privrec::fault {
 namespace {
 
-// Under -DPRIVREC_DISABLE_FAULT_INJECTION=ON the probes are constexpr
-// no-ops, so tests that expect a fault to actually fire must skip.
-#define PRIVREC_REQUIRE_FAULT_PROBES()                       \
-  do {                                                       \
-    if (!kCompiledIn) {                                      \
-      GTEST_SKIP() << "fault probes compiled out";           \
-    }                                                        \
-  } while (false)
-
 TEST(FaultInjectionTest, UnarmedPointNeverFiresAndCountsNoHits) {
   ScopedFaultInjection scope;
   for (int i = 0; i < 10; ++i) {
@@ -30,7 +21,6 @@ TEST(FaultInjectionTest, UnarmedPointNeverFiresAndCountsNoHits) {
 }
 
 TEST(FaultInjectionTest, EveryHitFiresWhenArmedWithDefaults) {
-  PRIVREC_REQUIRE_FAULT_PROBES();
   ScopedFaultInjection scope("p", FaultSpec{.kind = FaultKind::kIoError});
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(Hit("p"), FaultKind::kIoError);
@@ -40,7 +30,6 @@ TEST(FaultInjectionTest, EveryHitFiresWhenArmedWithDefaults) {
 }
 
 TEST(FaultInjectionTest, ArmNthFiresExactlyOnce) {
-  PRIVREC_REQUIRE_FAULT_PROBES();
   ScopedFaultInjection scope;
   FaultInjector::Instance().ArmNth("p", FaultKind::kShortRead, 3);
   EXPECT_EQ(Hit("p"), FaultKind::kNone);
@@ -50,7 +39,6 @@ TEST(FaultInjectionTest, ArmNthFiresExactlyOnce) {
 }
 
 TEST(FaultInjectionTest, HitWindowFiresInRange) {
-  PRIVREC_REQUIRE_FAULT_PROBES();
   ScopedFaultInjection scope(
       "p", FaultSpec{.kind = FaultKind::kNaN, .first_hit = 2, .count = 2});
   std::vector<FaultKind> observed;
@@ -61,7 +49,6 @@ TEST(FaultInjectionTest, HitWindowFiresInRange) {
 }
 
 TEST(FaultInjectionTest, SeededCoinIsDeterministic) {
-  PRIVREC_REQUIRE_FAULT_PROBES();
   const FaultSpec spec{.kind = FaultKind::kIoError,
                        .probability = 0.5,
                        .seed = 42};
@@ -92,7 +79,6 @@ TEST(FaultInjectionTest, ZeroProbabilityNeverFires) {
 }
 
 TEST(FaultInjectionTest, LatencyKindArmsFromSpecString) {
-  PRIVREC_REQUIRE_FAULT_PROBES();
   ScopedFaultInjection scope;
   Status s = FaultInjector::Instance().ArmFromSpec("slow.read=latency@2");
   ASSERT_TRUE(s.ok()) << s.ToString();
@@ -102,7 +88,6 @@ TEST(FaultInjectionTest, LatencyKindArmsFromSpecString) {
 }
 
 TEST(FaultInjectionTest, SpecStringArmsMultiplePoints) {
-  PRIVREC_REQUIRE_FAULT_PROBES();
   ScopedFaultInjection scope;
   Status s = FaultInjector::Instance().ArmFromSpec(
       "a=io_error@2;b=nan;c=short_read@1+2");
@@ -118,7 +103,6 @@ TEST(FaultInjectionTest, SpecStringArmsMultiplePoints) {
 }
 
 TEST(FaultInjectionTest, SpecStringOpenEndedTailAndProbability) {
-  PRIVREC_REQUIRE_FAULT_PROBES();
   ScopedFaultInjection scope;
   ASSERT_TRUE(FaultInjector::Instance()
                   .ArmFromSpec("tail=bad_alloc@3+;coin=inf%1.0:9")
@@ -141,7 +125,6 @@ TEST(FaultInjectionTest, MalformedSpecIsRejected) {
 }
 
 TEST(FaultInjectionTest, MaybePoisonInjectsNaNAndInf) {
-  PRIVREC_REQUIRE_FAULT_PROBES();
   {
     ScopedFaultInjection scope("v", FaultSpec{.kind = FaultKind::kNaN});
     EXPECT_TRUE(std::isnan(MaybePoison("v", 1.5)));
@@ -159,7 +142,6 @@ TEST(FaultInjectionTest, MaybePoisonInjectsNaNAndInf) {
 }
 
 TEST(FaultInjectionTest, ScopedInjectionDisarmsOnExit) {
-  PRIVREC_REQUIRE_FAULT_PROBES();
   {
     ScopedFaultInjection scope("p", FaultSpec{.kind = FaultKind::kIoError});
     EXPECT_EQ(Hit("p"), FaultKind::kIoError);
@@ -169,7 +151,6 @@ TEST(FaultInjectionTest, ScopedInjectionDisarmsOnExit) {
 }
 
 TEST(FaultInjectionTest, RearmingResetsTheHitCounter) {
-  PRIVREC_REQUIRE_FAULT_PROBES();
   ScopedFaultInjection scope;
   FaultInjector& inj = FaultInjector::Instance();
   inj.ArmNth("p", FaultKind::kIoError, 2);

@@ -1,5 +1,5 @@
-// Unit tests for src/la: dense matrices, CSR matrices, Householder QR and
-// the randomized/Jacobi SVDs used by the LRM baseline.
+// Unit tests for src/la: dense matrices, Householder QR and the
+// randomized/Jacobi SVDs used by the LRM baseline.
 
 #include <cmath>
 #include <vector>
@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "la/csr_matrix.h"
 #include "la/dense_matrix.h"
 #include "la/svd.h"
 
@@ -100,57 +99,6 @@ TEST(HouseholderQTest, SpansTheInputRange) {
       EXPECT_NEAR(proj(i, j), a(i, j), 1e-10);
     }
   }
-}
-
-// ------------------------------------------------------------ CsrMatrix
-
-TEST(CsrMatrixTest, FromTripletsSumsDuplicates) {
-  CsrMatrix m = CsrMatrix::FromTriplets(
-      3, 3, {{0, 1, 2.0}, {0, 1, 3.0}, {2, 0, 1.0}});
-  EXPECT_EQ(m.nnz(), 2);
-  EXPECT_DOUBLE_EQ(m.At(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(m.At(2, 0), 1.0);
-  EXPECT_DOUBLE_EQ(m.At(1, 1), 0.0);
-}
-
-TEST(CsrMatrixTest, EmptyRowsHandled) {
-  CsrMatrix m = CsrMatrix::FromTriplets(4, 4, {{3, 3, 1.0}});
-  EXPECT_EQ(m.RowNnz(0), 0);
-  EXPECT_EQ(m.RowNnz(3), 1);
-}
-
-TEST(CsrMatrixTest, MultiplyVector) {
-  CsrMatrix m =
-      CsrMatrix::FromTriplets(2, 3, {{0, 0, 1.0}, {0, 2, 2.0}, {1, 1, 3.0}});
-  std::vector<double> y = m.MultiplyVector({1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(y[0], 7.0);
-  EXPECT_DOUBLE_EQ(y[1], 6.0);
-}
-
-TEST(CsrMatrixTest, TransposeMultiplyVectorMatchesTranspose) {
-  Rng rng(4);
-  std::vector<Triplet> triplets;
-  for (int k = 0; k < 40; ++k) {
-    triplets.push_back({static_cast<int64_t>(rng.UniformInt(6)),
-                        static_cast<int64_t>(rng.UniformInt(8)),
-                        rng.Normal()});
-  }
-  CsrMatrix m = CsrMatrix::FromTriplets(6, 8, triplets);
-  std::vector<double> x(6);
-  for (double& v : x) v = rng.Normal();
-  std::vector<double> direct = m.TransposeMultiplyVector(x);
-  std::vector<double> via_t = m.Transpose().MultiplyVector(x);
-  ASSERT_EQ(direct.size(), via_t.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_NEAR(direct[i], via_t[i], 1e-12);
-  }
-}
-
-TEST(CsrMatrixTest, RowIndicesSorted) {
-  CsrMatrix m = CsrMatrix::FromTriplets(
-      1, 5, {{0, 4, 1.0}, {0, 1, 1.0}, {0, 3, 1.0}});
-  auto idx = m.RowIndices(0);
-  EXPECT_TRUE(std::is_sorted(idx.begin(), idx.end()));
 }
 
 // ------------------------------------------------------------------ SVD
@@ -304,34 +252,6 @@ TEST(HouseholderQTest, RankDeficientInputStaysOrthonormal) {
   EXPECT_TRUE(std::fabs(qtq(1, 1) - 1.0) < 1e-10 ||
               std::fabs(qtq(1, 1)) < 1e-10);
   EXPECT_NEAR(qtq(0, 1), 0.0, 1e-10);
-}
-
-TEST(CsrMatrixTest, EmptyMatrix) {
-  CsrMatrix m = CsrMatrix::FromTriplets(3, 4, {});
-  EXPECT_EQ(m.nnz(), 0);
-  auto y = m.MultiplyVector({1, 2, 3, 4});
-  for (double v : y) EXPECT_DOUBLE_EQ(v, 0.0);
-  CsrMatrix t = m.Transpose();
-  EXPECT_EQ(t.rows(), 4);
-  EXPECT_EQ(t.cols(), 3);
-}
-
-TEST(CsrMatrixTest, DoubleTransposeIsIdentity) {
-  Rng rng(31);
-  std::vector<Triplet> triplets;
-  for (int k = 0; k < 25; ++k) {
-    triplets.push_back({static_cast<int64_t>(rng.UniformInt(5)),
-                        static_cast<int64_t>(rng.UniformInt(7)),
-                        rng.Normal()});
-  }
-  CsrMatrix m = CsrMatrix::FromTriplets(5, 7, triplets);
-  CsrMatrix mtt = m.Transpose().Transpose();
-  EXPECT_EQ(mtt.nnz(), m.nnz());
-  for (int64_t r = 0; r < 5; ++r) {
-    for (int64_t c = 0; c < 7; ++c) {
-      EXPECT_DOUBLE_EQ(mtt.At(r, c), m.At(r, c));
-    }
-  }
 }
 
 TEST(NumericalRankTest, CountsAboveTolerance) {

@@ -91,7 +91,6 @@ TEST_F(LedgerTest, RejectsTotalMismatch) {
 }
 
 TEST_F(LedgerTest, RecoversFromTornFinalRecord) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   const std::string path = Path("budget.ledger");
   {
     auto ledger = BudgetLedger::Open(path, 1.0);
@@ -138,7 +137,6 @@ TEST_F(LedgerTest, MidFileCorruptionIsAnError) {
 }
 
 TEST_F(LedgerTest, AppendFaultFailsCleanly) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   const std::string path = Path("budget.ledger");
   auto ledger = BudgetLedger::Open(path, 1.0);
   ASSERT_TRUE(ledger.ok());
@@ -267,7 +265,6 @@ TEST_F(LedgerTest, AuditFlagsOrphanAndDuplicateCommits) {
 }
 
 TEST_F(LedgerTest, AuditReportsTornTailWithoutRepairingIt) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   const std::string path = Path("budget.ledger");
   {
     auto ledger = BudgetLedger::Open(path, 1.0);
@@ -342,7 +339,6 @@ bool SameLists(const std::vector<core::RecommendationList>& a,
 }
 
 TEST_F(CrashResumeTest, ResumedSessionMatchesUninterruptedRunExactly) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
   // Reference: an uninterrupted 4-snapshot run.
   std::vector<std::vector<core::RecommendationList>> reference;
   double reference_cumulative = 0.0;
@@ -406,6 +402,62 @@ TEST_F(CrashResumeTest, ResumedSessionMatchesUninterruptedRunExactly) {
   auto fifth = resumed->ProcessSnapshot(context_, users_, 5);
   ASSERT_FALSE(fifth.ok());
   EXPECT_EQ(fifth.status().code(), StatusCode::kResourceExhausted);
+}
+
+// A failed fsync leaves the intent in the file without proof that it is
+// durable. The session reports the error without charging ε, and the
+// ledger closes, so a retry on the same session cannot journal a second
+// intent for the snapshot. A reopened session replays the one intent and
+// re-derives the release from it.
+TEST_F(CrashResumeTest, FailedIntentSyncClosesLedgerAndResumesOnce) {
+  std::vector<core::RecommendationList> reference;
+  {
+    auto session = core::DynamicRecommenderSession::Open(
+        Options(Path("reference.ledger")));
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto release = session->ProcessSnapshot(context_, users_, 5);
+    ASSERT_TRUE(release.ok()) << release.status().ToString();
+    reference = release->lists;
+  }
+
+  const std::string ledger = Path("sync.ledger");
+  {
+    auto session = core::DynamicRecommenderSession::Open(Options(ledger));
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    {
+      fault::ScopedFaultInjection scope(
+          "ledger.sync", fault::FaultSpec{.kind = fault::FaultKind::kIoError});
+      auto failed = session->ProcessSnapshot(context_, users_, 5);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+      EXPECT_EQ(fault::FaultInjector::Instance().HitCount("ledger.sync"), 1);
+    }
+    EXPECT_EQ(session->epsilon_spent(), 0.0);
+    EXPECT_FALSE(session->ledger()->HasIntent(0));
+
+    auto retry = session->ProcessSnapshot(context_, users_, 5);
+    ASSERT_FALSE(retry.ok());
+    EXPECT_EQ(retry.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(session->epsilon_spent(), 0.0);
+  }
+
+  auto resumed = core::DynamicRecommenderSession::Open(Options(ledger));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->snapshots_processed(), 0);
+  EXPECT_NEAR(resumed->epsilon_spent(), 0.2, 1e-12);  // the intent is paid
+  auto redo = resumed->ProcessSnapshot(context_, users_, 5);
+  ASSERT_TRUE(redo.ok()) << redo.status().ToString();
+  EXPECT_TRUE(redo->resumed_from_intent);
+  EXPECT_DOUBLE_EQ(redo->epsilon_spent, 0.0);
+  EXPECT_TRUE(SameLists(redo->lists, reference));
+  EXPECT_NEAR(resumed->epsilon_spent(), 0.2, 1e-12);
+
+  auto audit = AuditLedgerReplay(ledger);
+  ASSERT_TRUE(audit.ok()) << audit.status().ToString();
+  EXPECT_TRUE(audit->ok()) << audit->ToString();
+  EXPECT_EQ(audit->intents, 1);
+  EXPECT_EQ(audit->commits, 1);
+  EXPECT_EQ(audit->uncommitted, 0);
 }
 
 TEST_F(CrashResumeTest, RestartWithoutCrashResumesAfterLastCommit) {

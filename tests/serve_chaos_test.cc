@@ -240,27 +240,19 @@ TEST(ServeChaosSoak, HotSwapsUnderFaultsAndConcurrentRequests) {
         ++rejected_corrupt;
         break;
       case 4:
-        if (fault::kCompiledIn) {
-          fault::FaultInjector::Instance().Arm(
-              "artifact.read", {fault::FaultKind::kIoError, 1, 1});
-          swapped = runtime.Activate(good_a);
-          fault::FaultInjector::Instance().Reset();
-          if (swapped.ok()) fail("armed io_error did not fail the reload");
-        } else {
-          swapped = runtime.Activate(good_a);
-        }
+        fault::FaultInjector::Instance().Arm(
+            "artifact.read", {fault::FaultKind::kIoError, 1, 1});
+        swapped = runtime.Activate(good_a);
+        fault::FaultInjector::Instance().Reset();
+        if (swapped.ok()) fail("armed io_error did not fail the reload");
         break;
       case 5:
-        if (fault::kCompiledIn) {
-          // Latency faults stall the read but the artifact is intact: the
-          // swap must still succeed (or be breaker-rejected, never corrupt).
-          fault::FaultInjector::Instance().Arm(
-              "artifact.read", {fault::FaultKind::kLatency, 1, 2});
-          swapped = runtime.Activate(good_b);
-          fault::FaultInjector::Instance().Reset();
-        } else {
-          swapped = runtime.Activate(good_b);
-        }
+        // Latency faults stall the read but the artifact is intact: the
+        // swap must still succeed (or be breaker-rejected, never corrupt).
+        fault::FaultInjector::Instance().Arm(
+            "artifact.read", {fault::FaultKind::kLatency, 1, 2});
+        swapped = runtime.Activate(good_b);
+        fault::FaultInjector::Instance().Reset();
         break;
     }
     if (!swapped.ok() && swapped.code() == StatusCode::kOk) {
@@ -445,25 +437,17 @@ TEST(ServeChaosSoak, ShardedHotSwapsWithCorruptShards) {
         ++rejected_corrupt;
         break;
       case 4:
-        if (fault::kCompiledIn) {
-          fault::FaultInjector::Instance().Arm(
-              "shard.read", {fault::FaultKind::kIoError, 1, 1});
-          swapped = runtime.Activate(good_a);
-          fault::FaultInjector::Instance().Reset();
-          if (swapped.ok()) fail("armed shard io_error did not fail reload");
-        } else {
-          swapped = runtime.Activate(good_a);
-        }
+        fault::FaultInjector::Instance().Arm(
+            "shard.read", {fault::FaultKind::kIoError, 1, 1});
+        swapped = runtime.Activate(good_a);
+        fault::FaultInjector::Instance().Reset();
+        if (swapped.ok()) fail("armed shard io_error did not fail reload");
         break;
       case 5:
-        if (fault::kCompiledIn) {
-          fault::FaultInjector::Instance().Arm(
-              "shard.read", {fault::FaultKind::kLatency, 1, 2});
-          swapped = runtime.Activate(good_b);
-          fault::FaultInjector::Instance().Reset();
-        } else {
-          swapped = runtime.Activate(good_b);
-        }
+        fault::FaultInjector::Instance().Arm(
+            "shard.read", {fault::FaultKind::kLatency, 1, 2});
+        swapped = runtime.Activate(good_b);
+        fault::FaultInjector::Instance().Reset();
         break;
     }
   }

@@ -43,10 +43,13 @@
 #include "data/synthetic.h"
 #include "graph/preference_graph.h"
 #include "graph/social_graph.h"
+#include "loadgen/harness.h"
+#include "loadgen/report.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/wide_event.h"
 #include "similarity/common_neighbors.h"
+#include "stream/pipeline.h"
 
 namespace privrec {
 namespace {
@@ -911,34 +914,50 @@ TEST(ServeIsolatedUserTest, FallbackRankingStableAcrossHotSwap) {
   fsn::remove_all(dir);
 }
 
-// Satellite: the --serve-* flags are consumed by ApplyServeFlags, so the
-// typo suggester knows the vocabulary.
+// The --serve-* flags land in ServeRuntimeOptions; absent flags keep the
+// struct's own defaults, and the typo suggester knows the vocabulary.
 TEST(ServeFlagsTest, ValuesParsedAndTyposSuggested) {
   const char* argv[] = {"driver",
-                        "--serve-deadline-ms=250",
                         "--serve-queue-depth=16",
                         "--serve-max-concurrency=2",
                         "--serve-breaker-failures=5",
-                        "--serve-breaker-cooldown-ms=750",
-                        "--serve-reload-period=4"};
-  FlagParser flags(7, const_cast<char**>(argv));
-  ServeFlagSettings settings = ApplyServeFlags(flags);
+                        "--serve-breaker-cooldown-ms=750"};
+  FlagParser flags(5, const_cast<char**>(argv));
+  serve::ServeRuntimeOptions options;
+  ApplyServeFlags(flags, &options);
   EXPECT_TRUE(flags.Validate());
-  EXPECT_EQ(settings.deadline_ms, 250);
-  EXPECT_EQ(settings.queue_depth, 16);
-  EXPECT_EQ(settings.max_concurrency, 2);
-  EXPECT_EQ(settings.breaker_failures, 5);
-  EXPECT_EQ(settings.breaker_cooldown_ms, 750);
-  EXPECT_EQ(settings.reload_period, 4);
+  EXPECT_EQ(options.admission.queue_depth, 16);
+  EXPECT_EQ(options.admission.max_concurrency, 2);
+  EXPECT_EQ(options.breaker.failure_threshold, 5);
+  EXPECT_EQ(options.breaker.cooldown_ms, 750);
+
+  const char* none_argv[] = {"driver"};
+  FlagParser none(1, const_cast<char**>(none_argv));
+  serve::ServeRuntimeOptions defaults;
+  defaults.admission.queue_depth = 3;
+  ApplyServeFlags(none, &defaults);
+  EXPECT_EQ(defaults.admission.queue_depth, 3);
+  EXPECT_EQ(defaults.admission.max_concurrency,
+            AdmissionOptions{}.max_concurrency);
+  EXPECT_EQ(defaults.breaker.cooldown_ms, CircuitBreakerOptions{}.cooldown_ms);
 
   const char* typo_argv[] = {"driver", "--serve-quue-depth=9"};
   FlagParser typo(2, const_cast<char**>(typo_argv));
-  (void)ApplyServeFlags(typo);
+  ApplyServeFlags(typo, &options);
   EXPECT_FALSE(typo.Validate());
   EXPECT_EQ(typo.SuggestionFor("serve-quue-depth"), "serve-queue-depth");
-  EXPECT_EQ(typo.SuggestionFor("serve-deadlin-ms"), "serve-deadline-ms");
   EXPECT_EQ(typo.SuggestionFor("serve-max-concurency"),
             "serve-max-concurrency");
+  EXPECT_EQ(typo.SuggestionFor("serve-breaker-failure"),
+            "serve-breaker-failures");
+
+  // Driver-only values are not part of the family: a driver that does not
+  // read them rejects them.
+  const char* driver_argv[] = {"driver", "--serve-deadline-ms=5",
+                               "--serve-reload-period=2"};
+  FlagParser driver_only(3, const_cast<char**>(driver_argv));
+  ApplyServeFlags(driver_only, &options);
+  EXPECT_FALSE(driver_only.Validate());
 }
 
 // ------------------------------------- one request path, two entry points
@@ -1472,8 +1491,8 @@ TEST_F(ServeSwapTest, StatuszSurfacesRuntimeAndTelemetryState) {
   }
 }
 
-// Satellite: the --telemetry-*/--statusz-* vocabulary, same contract as
-// the other driver-flag families.
+// The --telemetry-* flags land in ServeTelemetryOptions and its window
+// budget, same contract as the other flag families.
 TEST(TelemetryFlagsTest, ValuesParsedAndTyposSuggested) {
   const char* argv[] = {"driver",
                         "--telemetry-sample-every=8",
@@ -1482,34 +1501,46 @@ TEST(TelemetryFlagsTest, ValuesParsedAndTyposSuggested) {
                         "--telemetry-burn-lookback=12",
                         "--telemetry-burn-threshold=0.5",
                         "--telemetry-window-p99-ms=30",
-                        "--telemetry-window-shed-rate=0.4",
-                        "--telemetry-jsonl=events.jsonl",
-                        "--statusz-every=2",
-                        "--statusz-out=statusz.txt"};
-  FlagParser flags(11, const_cast<char**>(argv));
-  TelemetryFlagSettings settings = ApplyTelemetryFlags(flags);
+                        "--telemetry-window-shed-rate=0.4"};
+  FlagParser flags(8, const_cast<char**>(argv));
+  serve::ServeTelemetryOptions options;
+  ApplyTelemetryFlags(flags, &options);
   EXPECT_TRUE(flags.Validate());
-  EXPECT_EQ(settings.sample_every, 8);
-  EXPECT_DOUBLE_EQ(settings.slow_ms, 25.0);
-  EXPECT_EQ(settings.window_ms, 500);
-  EXPECT_EQ(settings.burn_lookback, 12);
-  EXPECT_DOUBLE_EQ(settings.burn_threshold, 0.5);
-  EXPECT_DOUBLE_EQ(settings.window_p99_ms, 30.0);
-  EXPECT_DOUBLE_EQ(settings.window_shed_rate, 0.4);
-  EXPECT_EQ(settings.jsonl, "events.jsonl");
-  EXPECT_EQ(settings.statusz_every, 2);
-  EXPECT_EQ(settings.statusz_out, "statusz.txt");
+  EXPECT_EQ(options.sample_every, 8);
+  EXPECT_DOUBLE_EQ(options.slow_ms, 25.0);
+  EXPECT_EQ(options.window_ms, 500);
+  EXPECT_EQ(options.budget.lookback, 12);
+  EXPECT_DOUBLE_EQ(options.budget.burn_threshold, 0.5);
+  EXPECT_DOUBLE_EQ(options.budget.p99_ms, 30.0);
+  EXPECT_DOUBLE_EQ(options.budget.max_shed_rate, 0.4);
+
+  const char* none_argv[] = {"driver"};
+  FlagParser none(1, const_cast<char**>(none_argv));
+  serve::ServeTelemetryOptions defaults;
+  defaults.window_ms = 99;
+  ApplyTelemetryFlags(none, &defaults);
+  EXPECT_EQ(defaults.window_ms, 99);
+  EXPECT_EQ(defaults.sample_every, serve::ServeTelemetryOptions{}.sample_every);
+  EXPECT_DOUBLE_EQ(defaults.budget.p99_ms, obs::WindowBudget{}.p99_ms);
 
   const char* typo_argv[] = {"driver", "--telemetry-sampel-every=4"};
   FlagParser typo(2, const_cast<char**>(typo_argv));
-  (void)ApplyTelemetryFlags(typo);
+  ApplyTelemetryFlags(typo, &options);
   EXPECT_FALSE(typo.Validate());
   EXPECT_EQ(typo.SuggestionFor("telemetry-sampel-every"),
             "telemetry-sample-every");
-  EXPECT_EQ(typo.SuggestionFor("statuz-every"), "statusz-every");
+  EXPECT_EQ(typo.SuggestionFor("telemetry-burn-treshold"),
+            "telemetry-burn-threshold");
+
+  const char* driver_argv[] = {"driver", "--telemetry-jsonl=events.jsonl",
+                               "--statusz-every=2", "--statusz-out=s.txt"};
+  FlagParser driver_only(4, const_cast<char**>(driver_argv));
+  ApplyTelemetryFlags(driver_only, &options);
+  EXPECT_FALSE(driver_only.Validate());
 }
 
-// Satellite: the --load-* vocabulary for bench_serve_load, same contract.
+// The --load-* flags land in LoadRunOptions (schedule, storm period, wall
+// threads) and SloBudget, same contract.
 TEST(LoadFlagsTest, ValuesParsedAndTyposSuggested) {
   const char* argv[] = {"driver",
                         "--load-rps=5000",
@@ -1521,44 +1552,103 @@ TEST(LoadFlagsTest, ValuesParsedAndTyposSuggested) {
                         "--load-burst-period-ms=400",
                         "--load-burst-duration-ms=80",
                         "--load-swap-period-ms=125",
-                        "--load-swap-storm",
                         "--load-threads=2",
-                        "--load-wall",
                         "--load-slo-p50-ms=2",
                         "--load-slo-p99-ms=20",
                         "--load-slo-p999-ms=80",
                         "--load-slo-shed-rate=0.2",
-                        "--load-slo-rollback-rate=0.5",
-                        "--load-report=out.json"};
-  FlagParser flags(19, const_cast<char**>(argv));
-  LoadFlagSettings settings = ApplyLoadFlags(flags);
+                        "--load-slo-rollback-rate=0.5"};
+  FlagParser flags(16, const_cast<char**>(argv));
+  loadgen::LoadRunOptions run;
+  loadgen::SloBudget budget;
+  ApplyLoadFlags(flags, &run, &budget);
   EXPECT_TRUE(flags.Validate());
-  EXPECT_DOUBLE_EQ(settings.rps, 5000.0);
-  EXPECT_EQ(settings.duration_ms, 1500);
-  EXPECT_EQ(settings.seed, 9);
-  EXPECT_DOUBLE_EQ(settings.zipf_s, 1.3);
-  EXPECT_EQ(settings.users_per_request, 6);
-  EXPECT_DOUBLE_EQ(settings.burst_factor, 8.0);
-  EXPECT_EQ(settings.burst_period_ms, 400);
-  EXPECT_EQ(settings.burst_duration_ms, 80);
-  EXPECT_EQ(settings.swap_period_ms, 125);
-  EXPECT_TRUE(settings.swap_storm);
-  EXPECT_EQ(settings.threads, 2);
-  EXPECT_TRUE(settings.wall);
-  EXPECT_DOUBLE_EQ(settings.slo_p50_ms, 2.0);
-  EXPECT_DOUBLE_EQ(settings.slo_p99_ms, 20.0);
-  EXPECT_DOUBLE_EQ(settings.slo_p999_ms, 80.0);
-  EXPECT_DOUBLE_EQ(settings.slo_shed_rate, 0.2);
-  EXPECT_DOUBLE_EQ(settings.slo_rollback_rate, 0.5);
-  EXPECT_EQ(settings.report, "out.json");
+  EXPECT_DOUBLE_EQ(run.load.rps, 5000.0);
+  EXPECT_EQ(run.load.duration_ms, 1500);
+  EXPECT_EQ(run.load.seed, 9u);
+  EXPECT_DOUBLE_EQ(run.load.zipf_s, 1.3);
+  EXPECT_EQ(run.load.users_per_request, 6);
+  EXPECT_DOUBLE_EQ(run.load.burst_factor, 8.0);
+  EXPECT_EQ(run.load.burst_period_ms, 400);
+  EXPECT_EQ(run.load.burst_duration_ms, 80);
+  EXPECT_EQ(run.storm.period_ms, 125);
+  EXPECT_EQ(run.wall_threads, 2);
+  EXPECT_DOUBLE_EQ(budget.p50_ms, 2.0);
+  EXPECT_DOUBLE_EQ(budget.p99_ms, 20.0);
+  EXPECT_DOUBLE_EQ(budget.p999_ms, 80.0);
+  EXPECT_DOUBLE_EQ(budget.max_shed_rate, 0.2);
+  EXPECT_DOUBLE_EQ(budget.max_rollback_rate, 0.5);
 
-  const char* typo_argv[] = {"driver", "--load-swap-strom"};
+  const char* none_argv[] = {"driver"};
+  FlagParser none(1, const_cast<char**>(none_argv));
+  loadgen::LoadRunOptions default_run;
+  default_run.load.num_users = 7;
+  loadgen::SloBudget default_budget;
+  ApplyLoadFlags(none, &default_run, &default_budget);
+  EXPECT_EQ(default_run.load.num_users, 7);
+  EXPECT_DOUBLE_EQ(default_run.load.rps, loadgen::LoadSpec{}.rps);
+  EXPECT_EQ(default_run.storm.period_ms, 0);
+  EXPECT_EQ(default_run.wall_threads, loadgen::LoadRunOptions{}.wall_threads);
+  EXPECT_DOUBLE_EQ(default_budget.p99_ms, loadgen::SloBudget{}.p99_ms);
+
+  const char* typo_argv[] = {"driver", "--load-swap-perod-ms=5"};
   FlagParser typo(2, const_cast<char**>(typo_argv));
-  (void)ApplyLoadFlags(typo);
+  ApplyLoadFlags(typo, &run, &budget);
   EXPECT_FALSE(typo.Validate());
-  EXPECT_EQ(typo.SuggestionFor("load-swap-strom"), "load-swap-storm");
+  EXPECT_EQ(typo.SuggestionFor("load-swap-perod-ms"), "load-swap-period-ms");
   EXPECT_EQ(typo.SuggestionFor("load-slo-p9-ms"), "load-slo-p99-ms");
   EXPECT_EQ(typo.SuggestionFor("load-durration-ms"), "load-duration-ms");
+
+  const char* driver_argv[] = {"driver", "--load-swap-storm", "--load-wall",
+                               "--load-report=out.json"};
+  FlagParser driver_only(4, const_cast<char**>(driver_argv));
+  ApplyLoadFlags(driver_only, &run, &budget);
+  EXPECT_FALSE(driver_only.Validate());
+}
+
+// The --stream-* flags land in StreamPipelineOptions (journal, clustering
+// drift, republish policy), same contract.
+TEST(StreamFlagsTest, ValuesParsedAndTyposSuggested) {
+  const char* argv[] = {"driver",
+                        "--stream-wal=deltas.wal",
+                        "--stream-fsync-every=4",
+                        "--stream-drift-threshold=0.2",
+                        "--stream-republish-drift=0.1",
+                        "--stream-republish-growth=0.5",
+                        "--stream-republish-every=32",
+                        "--stream-min-deltas=3"};
+  FlagParser flags(8, const_cast<char**>(argv));
+  stream::StreamPipelineOptions options;
+  ApplyStreamFlags(flags, &options);
+  EXPECT_TRUE(flags.Validate());
+  EXPECT_EQ(options.ingest.wal_path, "deltas.wal");
+  EXPECT_EQ(options.ingest.fsync_every, 4);
+  EXPECT_DOUBLE_EQ(options.community.drift_threshold, 0.2);
+  EXPECT_DOUBLE_EQ(options.republish.drift_threshold, 0.1);
+  EXPECT_DOUBLE_EQ(options.republish.min_growth, 0.5);
+  EXPECT_EQ(options.republish.every_deltas, 32);
+  EXPECT_EQ(options.republish.min_deltas_between, 3);
+
+  const char* none_argv[] = {"driver"};
+  FlagParser none(1, const_cast<char**>(none_argv));
+  stream::StreamPipelineOptions defaults;
+  defaults.ingest.wal_path = "kept.wal";
+  ApplyStreamFlags(none, &defaults);
+  EXPECT_EQ(defaults.ingest.wal_path, "kept.wal");
+  EXPECT_EQ(defaults.ingest.fsync_every, stream::EdgeStreamOptions{}.fsync_every);
+  EXPECT_DOUBLE_EQ(defaults.community.drift_threshold,
+                   community::IncrementalCommunityOptions{}.drift_threshold);
+  EXPECT_EQ(defaults.republish.min_deltas_between,
+            stream::RepublishPolicy{}.min_deltas_between);
+
+  const char* typo_argv[] = {"driver", "--stream-republish-evry=4"};
+  FlagParser typo(2, const_cast<char**>(typo_argv));
+  ApplyStreamFlags(typo, &options);
+  EXPECT_FALSE(typo.Validate());
+  EXPECT_EQ(typo.SuggestionFor("stream-republish-evry"),
+            "stream-republish-every");
+  EXPECT_EQ(typo.SuggestionFor("stream-fsync-evry"), "stream-fsync-every");
+  EXPECT_EQ(typo.SuggestionFor("stream-min-delta"), "stream-min-deltas");
 }
 
 // ------------------------------------------- lazy global-average row

@@ -336,9 +336,6 @@ TEST_F(ShardedArtifactTest, EnvVarSelectsReadFallback) {
 // short reads from a cold or networked filesystem) instead of failing the
 // swap, and the recovered bytes serve bit-identically to the mmap route.
 TEST_F(ShardedArtifactTest, FallbackReadRetriesTransientFaultsBitIdentically) {
-  if (!fault::kCompiledIn) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   serving::ArtifactModel model = BuildFullModel();
   const std::string manifest = Path("retry.pvram");
   ASSERT_TRUE(
@@ -396,9 +393,6 @@ TEST_F(ShardedArtifactTest, FallbackReadRetriesTransientFaultsBitIdentically) {
 // A filesystem that fails EVERY read must exhaust the bounded budget and
 // fail the open closed — never spin forever, never serve a partial buffer.
 TEST_F(ShardedArtifactTest, FallbackReadRetryBudgetIsBounded) {
-  if (!fault::kCompiledIn) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   serving::ArtifactModel model = BuildFullModel();
   const std::string manifest = Path("exhaust.pvram");
   ASSERT_TRUE(
@@ -548,9 +542,6 @@ TEST_F(ShardedCorruptionTest, ShardIndexMixupFailsClosed) {
 }
 
 TEST_F(ShardedCorruptionTest, ArmedFaultPointsFailClosed) {
-  if (!fault::kCompiledIn) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   const std::string manifest = SaveSharded("faults.pvram");
   auto& injector = fault::FaultInjector::Instance();
 

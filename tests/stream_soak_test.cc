@@ -106,7 +106,6 @@ struct Expectation {
 };
 
 TEST(StreamSoak, ChurnCrashRepublishSwapUnderConcurrentRequests) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault injection compiled out";
   const fs::path dir = fs::temp_directory_path() / "privrec_stream_soak";
   fs::remove_all(dir);
   fs::create_directories(dir);

@@ -175,7 +175,6 @@ TEST(StreamWal, MidFileCorruptionIsDataLossNotRecovery) {
 }
 
 TEST(StreamWal, InjectedAppendFaultsLeaveARecoverableJournal) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault injection compiled out";
   const fs::path dir = FreshDir("privrec_wal_fault");
   const std::string path = (dir / "fault.wal").string();
   {
@@ -549,7 +548,6 @@ TEST(StreamPipeline, ReplayDeterministicAcrossThreadCounts) {
 // A crash between ledger intent and commit: the restarted pipeline reports
 // the pending release and re-derives it bit-identically, charging nothing.
 TEST(StreamPipeline, ResumesPendingReleaseBitIdentically) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault injection compiled out";
   // Reference: the same schedule with no crash.
   auto reference = DrivePipeline(FreshDir("privrec_pipeline_ref"));
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
@@ -623,7 +621,6 @@ TEST(StreamPipeline, ResumesPendingReleaseBitIdentically) {
 // and the next publish is a FRESH accounted charge — at-least-once
 // publication, never a double-spend.
 TEST(StreamPipeline, CrashBeforePublishMarkReArmsTheTrigger) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault injection compiled out";
   const fs::path dir = FreshDir("privrec_pipeline_mark");
   stream::StreamPipelineOptions options = SmallPipelineOptions(dir);
   const std::vector<stream::WalRecord> schedule = PipelineSchedule();
