@@ -16,19 +16,20 @@
 #      out.
 #
 # Instrumentation sits at record/release granularity — per chunk, per
-# cluster, per trial, per request — never inside per-element loops. Each
-# gate compares minima of interleaved runs, which keeps the check stable
-# on noisy hosts: gate 1 the minimum over several runs per side, gate 2
-# the median over processes of each process's ratio of minima. Widen the
-# threshold with OBS_OVERHEAD_PCT if a box is too jittery to resolve 3%.
+# cluster, per trial, per request — never inside per-element loops. Both
+# timing gates sample many processes, each reporting its minimum over
+# short repetitions, and compare central values over processes, which
+# keeps the check stable on noisy hosts. Widen the threshold with
+# OBS_OVERHEAD_PCT if a box is too jittery to resolve 3%.
 #
-# Usage: ci/obs_overhead.sh [repetitions]
-#   repetitions: gate 1's alternating runs per side (default 7). Gate 2
-#   always samples SERVE_PROCS processes of SERVE_REPS repetitions each.
+# Usage: ci/obs_overhead.sh [processes]
+#   processes: gate 1's alternating processes per binary (default 201),
+#   each running HOT_REPS repetitions. Gate 2 always samples SERVE_PROCS
+#   processes of SERVE_REPS repetitions each.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REPS="${1:-7}"
+HOT_PROCS="${1:-201}"
 THRESHOLD="${OBS_OVERHEAD_PCT:-3}"
 
 cmake --preset default >/dev/null
@@ -36,18 +37,30 @@ cmake --build --preset default -j"$(nproc)" --target bench_perf_micro
 cmake --preset no-obs >/dev/null
 cmake --build --preset no-obs -j"$(nproc)" --target bench_perf_micro bench_serve_load
 
-run_once() {  # run_once <binary> <benchmark name>  -> ns/iter of one run
+hot_min() {  # hot_min <binary> -> min ns/iter over one process's repetitions
   "$1" --threads=1 \
-    "--benchmark_filter=^$2\$" \
+    "--benchmark_filter=^${HOT}\$" \
+    "--benchmark_repetitions=${HOT_REPS}" \
+    "--benchmark_min_time=${HOT_MIN_TIME}" \
     --benchmark_format=json 2>/dev/null |
     python3 -c '
 import json, sys
-print(json.load(sys.stdin)["benchmarks"][0]["real_time"])
+print(min(b["real_time"] for b in json.load(sys.stdin)["benchmarks"]
+          if b.get("run_type") == "iteration"))
 '
 }
 
-min_of() {  # min_of <value>...
-  printf '%s\n' "$@" | sort -g | head -n 1
+trimmed_mean() {  # trimmed_mean <value>... -> mean of the middle 80%
+  printf '%s\n' "$@" | sort -g | awk '{ v[NR] = $1 } END {
+    lo = int(NR / 10)
+    for (k = lo + 1; k <= NR - lo; ++k) sum += v[k]
+    printf "%.0f", sum / (NR - 2 * lo) }'
+}
+
+quartiles() {  # quartiles <value>... -> "p25 / median / p75"
+  printf '%s\n' "$@" | sort -g | awk '{ v[NR] = $1 } END {
+    printf "%.0f / %.0f / %.0f", v[int((NR + 3) / 4)], v[int((NR + 1) / 2)],
+      v[int((3 * NR + 1) / 4)] }'
 }
 
 compare() {  # compare <label> <on_ns> <off_ns>
@@ -67,19 +80,32 @@ EOF
 
 # Gate 1: obs layer vs compiled-out, reconstruction hot loop. The two
 # sides are two binaries, so they cannot interleave inside one process as
-# gate 2's do. The script alternates the binaries run by run instead
-# (on, off, on, off, ...), so drift over the minutes of the gate lands on
-# both sides alike, and compares each side's minimum, as gate 2 does.
+# gate 2's do. One iteration takes 5-8 ms, and a process keeps the speed
+# it starts with: repetitions inside a process agree to a few percent,
+# while the processes of one binary fall into a fast and a slow mode
+# ~20% apart (with or without ASLR, pinned to one CPU or not), so the
+# minima of 7 single-run processes per side read -8.5% to +8.9% on an
+# unchanged tree. The gate therefore alternates HOT_PROCS processes per
+# binary (on, off, on, off, ...), so drift over the minutes of the gate
+# lands on both sides alike. Each process runs HOT_REPS short repetitions
+# and reports its minimum. The gate compares the sides' means of the
+# middle 80% of those minima: with two modes the median sits between
+# them and jumps with their mix (the median of 201 processes per side
+# read +3.76% on an unchanged tree), while the mean moves only by the
+# mix times the gap, and the trim drops processes a neighbour stalled.
 HOT=BM_ClusterRecommendPerUser
+HOT_REPS=3
+HOT_MIN_TIME=0.02
 ON_RUNS=()
 OFF_RUNS=()
-for _ in $(seq "$REPS"); do
-  ON_RUNS+=("$(run_once build/bench/bench_perf_micro "$HOT")")
-  OFF_RUNS+=("$(run_once build-noobs/bench/bench_perf_micro "$HOT")")
+for _ in $(seq "$HOT_PROCS"); do
+  ON_RUNS+=("$(hot_min build/bench/bench_perf_micro)")
+  OFF_RUNS+=("$(hot_min build-noobs/bench/bench_perf_micro)")
 done
-echo "[obs layer] on runs (ns/iter):  ${ON_RUNS[*]}"
-echo "[obs layer] off runs (ns/iter): ${OFF_RUNS[*]}"
-compare "obs layer" "$(min_of "${ON_RUNS[@]}")" "$(min_of "${OFF_RUNS[@]}")"
+echo "[obs layer] on process minima p25 / median / p75 (ns/iter):  $(quartiles "${ON_RUNS[@]}")"
+echo "[obs layer] off process minima p25 / median / p75 (ns/iter): $(quartiles "${OFF_RUNS[@]}")"
+compare "obs layer (trimmed mean)" "$(trimmed_mean "${ON_RUNS[@]}")" \
+  "$(trimmed_mean "${OFF_RUNS[@]}")"
 
 # Gate 2: telemetry sink attached vs detached, serve hot path. Both
 # variants live in the same binary. One Handle() takes 30-60 us, and on a

@@ -1,18 +1,22 @@
 #include "artifact/shard_layout.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <bit>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string_view>
 #include <utility>
 
 #include "artifact/format.h"
 #include "common/crc32.h"
 #include "common/fault_injection.h"
+#include "common/fsync.h"
 #include "common/macros.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -56,29 +60,41 @@ void PutU64(std::string* out, uint64_t v) {
   }
 }
 
-// Atomic publication of one file: temp file in the destination
-// directory, flush, rename. A failure before the rename removes the temp
-// file and leaves `path` as it was.
+// Atomic, durable publication of one file: temp file in the destination
+// directory, write, fsync, rename. A failure before the rename removes
+// the temp file and leaves `path` as it was. The rename is durable once
+// the caller fsyncs the directory.
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   if (fault::Hit("artifact.open") == fault::FaultKind::kIoError) {
     return Status::IoError("injected open failure for '" + path + "'");
   }
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IoError("cannot open '" + tmp + "' for writing");
-    }
-    if (fault::Hit("artifact.write") == fault::FaultKind::kIoError) {
-      std::remove(tmp.c_str());
-      return Status::IoError("injected write failure for '" + path + "'");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return Status::IoError("write to '" + tmp + "' failed");
-    }
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Status::IoError("cannot open '" + tmp + "' for writing");
+  }
+  auto fail = [&](std::string message) {
+    ::close(fd);
+    std::remove(tmp.c_str());
+    return Status::IoError(std::move(message));
+  };
+  if (fault::Hit("artifact.write") == fault::FaultKind::kIoError) {
+    return fail("injected write failure for '" + path + "'");
+  }
+  for (size_t done = 0; done < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return fail("write to '" + tmp + "' failed");
+    done += static_cast<size_t>(n);
+  }
+  if (fault::Hit("artifact.sync") == fault::FaultKind::kIoError) {
+    return fail("injected fsync failure for '" + path + "'");
+  }
+  if (::fsync(fd) != 0) return fail("fsync of '" + tmp + "' failed");
+  if (::close(fd) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IoError("close of '" + tmp + "' failed");
   }
   if (fault::Hit("artifact.rename") == fault::FaultKind::kIoError) {
     std::remove(tmp.c_str());
@@ -622,8 +638,16 @@ Status SaveShardedArtifact(const ArtifactModel& model,
 
   const std::string bytes =
       EncodeAlignedContainer(kManifestMagic, kShardFormatVersion, sections);
+  // The shards' renames reach the disk before the manifest that names
+  // them; the manifest's rename is the commit point.
+  if (Status synced = SyncDirectoryOf(manifest_path); !synced.ok()) {
+    return synced;
+  }
   Status committed = WriteFileAtomic(manifest_path, bytes);
   if (!committed.ok()) return committed;
+  if (Status synced = SyncDirectoryOf(manifest_path); !synced.ok()) {
+    return synced;
+  }
   RemoveShardFiles(manifest_path, [&](const std::string& name) {
     return std::none_of(
         table.begin(), table.end(),

@@ -202,8 +202,9 @@ std::vector<int64_t> ShardClusterBounds(const ArtifactModel& model,
 // Writes `manifest_path` plus one shard file per cluster range in the same
 // directory, named by content: `<manifest name>.shard<k>.<frame crc32>`
 // (8 lowercase hex digits; the frame CRC covers every payload CRC). Each
-// file is written to a sibling `.tmp` and renamed into place, and the
-// manifest's rename is the one commit point. A save therefore never
+// file is written to a sibling `.tmp`, fsynced and renamed into place;
+// the directory is fsynced after the shards' renames and again after the
+// manifest's, and the manifest's rename is the one commit point. A save therefore never
 // renames over a shard the live manifest names unless the bytes are the
 // same, so a failure at any step leaves the previous artifact loadable
 // as it was. After the commit, the shard and temp files of the same
@@ -211,8 +212,8 @@ std::vector<int64_t> ShardClusterBounds(const ArtifactModel& model,
 //
 // Instrumented (span artifact.save, histogram privrec.artifact.save_ms,
 // gauge privrec.artifact.bytes = manifest + shard bytes) and faultable:
-// artifact.open / artifact.write / artifact.rename are hit once per file,
-// shards first, so the manifest is hit K + 1.
+// artifact.open / artifact.write / artifact.sync / artifact.rename are hit
+// once per file, shards first, so the manifest is hit K + 1.
 Status SaveShardedArtifact(const ArtifactModel& model,
                            const std::string& manifest_path,
                            const ShardingOptions& options = {});

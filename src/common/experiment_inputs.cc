@@ -105,9 +105,9 @@ Result<ExperimentInputs> LoadExperimentInputs(
   bool workload_cached = false;
   if (!options.workload_path.empty() &&
       std::filesystem::exists(options.workload_path)) {
-    auto cached = similarity::LoadWorkload(options.workload_path);
-    if (cached.ok() &&
-        cached->num_users() == inputs.dataset.social.num_nodes()) {
+    auto cached = similarity::LoadWorkload(
+        options.workload_path, inputs.dataset.social.num_nodes());
+    if (cached.ok()) {
       inputs.workload = std::move(*cached);
       workload_cached = true;
       if (options.verbose) {
@@ -134,9 +134,9 @@ Result<ExperimentInputs> LoadExperimentInputs(
     bool partition_cached = false;
     if (!options.partition_path.empty() &&
         std::filesystem::exists(options.partition_path)) {
-      auto cached = community::LoadPartition(options.partition_path);
-      if (cached.ok() &&
-          cached->num_nodes() == inputs.dataset.social.num_nodes()) {
+      auto cached = community::LoadPartition(
+          options.partition_path, inputs.dataset.social.num_nodes());
+      if (cached.ok()) {
         inputs.louvain.partition = std::move(*cached);
         partition_cached = true;
         if (options.verbose) {

@@ -1,47 +1,8 @@
 #include "common/load_report.h"
 
-#include <vector>
-
-#include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace privrec {
-
-void LoadReport::Merge(const LoadReport& other) {
-  lines_scanned += other.lines_scanned;
-  records_loaded += other.records_loaded;
-  skipped_malformed += other.skipped_malformed;
-  skipped_out_of_range += other.skipped_out_of_range;
-  skipped_duplicates += other.skipped_duplicates;
-  skipped_self_loops += other.skipped_self_loops;
-  skipped_bad_weight += other.skipped_bad_weight;
-  truncated = truncated || other.truncated;
-  bom_stripped = bom_stripped || other.bom_stripped;
-  empty_input = empty_input && other.empty_input;
-  io_retries += other.io_retries;
-}
-
-std::string LoadReport::ToString() const {
-  std::string out = "scanned " + std::to_string(lines_scanned) +
-                    ", loaded " + std::to_string(records_loaded);
-  std::vector<std::string> skips;
-  auto note = [&skips](int64_t n, const char* what) {
-    if (n > 0) skips.push_back(std::to_string(n) + " " + what);
-  };
-  note(skipped_malformed, "malformed");
-  note(skipped_out_of_range, "out-of-range");
-  note(skipped_duplicates, "duplicate");
-  note(skipped_self_loops, "self-loop");
-  note(skipped_bad_weight, "bad-weight");
-  if (!skips.empty()) out += " (skipped: " + Join(skips, ", ") + ")";
-  if (truncated) out += " [truncated]";
-  if (bom_stripped) out += " [bom]";
-  if (empty_input) out += " [empty]";
-  if (io_retries > 0) {
-    out += " [" + std::to_string(io_retries) + " retries]";
-  }
-  return out;
-}
 
 void RecordLoadMetrics(const LoadReport& report) {
   static obs::Counter& loads = obs::GetCounter("privrec.data.loads");
@@ -49,33 +10,12 @@ void RecordLoadMetrics(const LoadReport& report) {
       obs::GetCounter("privrec.data.lines_scanned");
   static obs::Counter& loaded =
       obs::GetCounter("privrec.data.records_loaded");
-  static obs::Counter& malformed =
-      obs::GetCounter("privrec.data.skipped_malformed");
-  static obs::Counter& out_of_range =
-      obs::GetCounter("privrec.data.skipped_out_of_range");
-  static obs::Counter& duplicates =
-      obs::GetCounter("privrec.data.skipped_duplicates");
   static obs::Counter& self_loops =
       obs::GetCounter("privrec.data.skipped_self_loops");
-  static obs::Counter& bad_weight =
-      obs::GetCounter("privrec.data.skipped_bad_weight");
-  static obs::Counter& truncated_loads =
-      obs::GetCounter("privrec.data.truncated_loads");
-  static obs::Counter& empty_inputs =
-      obs::GetCounter("privrec.data.empty_inputs");
-  static obs::Counter& io_retry_count =
-      obs::GetCounter("privrec.data.io_retries");
   loads.Increment();
   lines.Add(report.lines_scanned);
   loaded.Add(report.records_loaded);
-  malformed.Add(report.skipped_malformed);
-  out_of_range.Add(report.skipped_out_of_range);
-  duplicates.Add(report.skipped_duplicates);
   self_loops.Add(report.skipped_self_loops);
-  bad_weight.Add(report.skipped_bad_weight);
-  if (report.truncated) truncated_loads.Increment();
-  if (report.empty_input) empty_inputs.Increment();
-  io_retry_count.Add(report.io_retries);
 }
 
 }  // namespace privrec

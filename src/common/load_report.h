@@ -1,68 +1,31 @@
-// LoadReport: per-defect-class diagnostics for hardened ingestion.
+// LoadReport: what a successful load read.
 //
-// Loaders run in one of two modes:
-//   kStrict   any malformed record aborts the load with a ParseError
-//             (the historical behaviour; right for curated inputs where a
-//             defect means the file is not what the caller thinks it is).
-//   kLenient  malformed records are counted per defect class and skipped;
-//             the valid subset loads and the caller inspects the report
-//             (right for operational ingestion of external dumps).
-//
-// Every loader fills a LoadReport in both modes, so even a strict success
-// reports what it scanned.
+// Loading is strict: the first defect ends a load with kParseError naming
+// the file and line (common/record_reader.h). A report therefore describes
+// a clean load: the record lines read, the records that reached the loaded
+// structure, and the self loops that the dataset preprocessing drops
+// (the HetRec and Flixster loaders drop them; the edge-list loaders reject
+// them).
 
 #ifndef PRIVREC_COMMON_LOAD_REPORT_H_
 #define PRIVREC_COMMON_LOAD_REPORT_H_
 
 #include <cstdint>
-#include <string>
 
 namespace privrec {
 
-enum class ParseMode {
-  kStrict,
-  kLenient,
-};
-
 struct LoadReport {
-  // Non-blank, non-comment record lines seen (across all files of a
+  // Non-blank, non-comment record lines read (across all files of a
   // multi-file load).
   int64_t lines_scanned = 0;
   // Records that made it into the loaded structure.
   int64_t records_loaded = 0;
-
-  // Defect classes (lenient mode counts-and-skips; strict mode aborts on
-  // the first instance, so at most one class is nonzero after a failure).
-  int64_t skipped_malformed = 0;     // wrong field count / non-numeric
-  int64_t skipped_out_of_range = 0;  // negative or otherwise invalid ids
-  int64_t skipped_duplicates = 0;    // repeated edge
-  int64_t skipped_self_loops = 0;    // a == b in an undirected edge list
-  int64_t skipped_bad_weight = 0;    // non-numeric / non-positive weight
-
-  // File-shape diagnostics.
-  bool truncated = false;      // stream ended mid-file (short read / I/O)
-  bool bom_stripped = false;   // UTF-8 byte-order mark removed from head
-  bool empty_input = false;    // no record lines at all
-  int64_t io_retries = 0;      // transient I/O failures retried away
-
-  int64_t TotalSkipped() const {
-    return skipped_malformed + skipped_out_of_range + skipped_duplicates +
-           skipped_self_loops + skipped_bad_weight;
-  }
-
-  bool Clean() const { return TotalSkipped() == 0 && !truncated; }
-
-  // Accumulates counts from a per-file report into a whole-load report.
-  void Merge(const LoadReport& other);
-
-  // One line, e.g.
-  // "scanned 10, loaded 7 (skipped: 1 malformed, 2 duplicate; truncated)".
-  std::string ToString() const;
+  // Self loops the preprocessing dropped.
+  int64_t skipped_self_loops = 0;
 };
 
-// Records a completed load into the metrics registry: rows read/loaded
-// plus one counter per defect class under privrec.data.* (loaders call
-// this once per finished load, success or failure).
+// Records a successful load into the metrics registry under
+// privrec.data.*: one load, its lines, records and dropped self loops.
 void RecordLoadMetrics(const LoadReport& report);
 
 }  // namespace privrec

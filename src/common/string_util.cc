@@ -33,14 +33,19 @@ bool IsSpace(char c) {
 
 std::vector<std::string_view> SplitWhitespace(std::string_view s) {
   std::vector<std::string_view> out;
+  SplitWhitespace(s, &out);
+  return out;
+}
+
+void SplitWhitespace(std::string_view s, std::vector<std::string_view>* out) {
+  out->clear();
   size_t i = 0;
   while (i < s.size()) {
     while (i < s.size() && IsSpace(s[i])) ++i;
     size_t start = i;
     while (i < s.size() && !IsSpace(s[i])) ++i;
-    if (i > start) out.push_back(s.substr(start, i - start));
+    if (i > start) out->push_back(s.substr(start, i - start));
   }
-  return out;
 }
 
 std::string_view Trim(std::string_view s) {

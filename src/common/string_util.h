@@ -16,6 +16,9 @@ std::vector<std::string_view> Split(std::string_view s, char delim);
 
 // Splits on any run of whitespace; empty fields are dropped.
 std::vector<std::string_view> SplitWhitespace(std::string_view s);
+// Same, into `*out` (cleared first), so a caller splitting line after
+// line reuses one vector.
+void SplitWhitespace(std::string_view s, std::vector<std::string_view>* out);
 
 // Strips leading/trailing whitespace (space, tab, CR, LF).
 std::string_view Trim(std::string_view s);

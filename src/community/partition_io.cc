@@ -1,9 +1,10 @@
 #include "community/partition_io.h"
 
+#include <algorithm>
 #include <fstream>
 #include <vector>
 
-#include "common/fault_injection.h"
+#include "common/record_reader.h"
 #include "common/string_util.h"
 
 namespace privrec::community {
@@ -20,83 +21,51 @@ Status SavePartition(const Partition& partition, const std::string& path) {
   return Status::Ok();
 }
 
-Result<Partition> LoadPartition(const std::string& path) {
-  if (fault::Hit("partition_io.open") == fault::FaultKind::kIoError) {
-    return Status::IoError("cannot open " + path + " (injected fault)");
+Result<Partition> LoadPartition(const std::string& path,
+                                graph::NodeId num_nodes) {
+  auto reader = RecordReader::Open(path, "partition_io");
+  if (!reader.ok()) return reader.status();
+  if (StartsWith(reader->header(), "# privrec partition:")) {
+    // "# privrec partition: <N> nodes, <K> clusters".
+    int64_t header_nodes = 0;
+    if (!reader->HeaderCount("nodes", &header_nodes)) {
+      return Status::ParseError(path + ":1: bad partition header");
+    }
+    if (header_nodes != num_nodes) {
+      return Status::ParseError(path + ": partition has " +
+                                std::to_string(header_nodes) +
+                                " nodes, expected " +
+                                std::to_string(num_nodes));
+    }
   }
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::vector<int64_t> labels;
-  std::vector<bool> seen;
-  std::string line;
-  int64_t line_no = 0;
-  int64_t expected_nodes = -1;  // from the "# privrec partition:" header
-  bool short_read = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const fault::FaultKind k = fault::Hit("partition_io.read");
-    if (k == fault::FaultKind::kIoError) {
-      return Status::IoError("read failed for " + path + " (injected fault)");
-    }
-    if (k == fault::FaultKind::kShortRead) {
-      short_read = true;
-      break;
-    }
-    std::string_view sv = Trim(line);
-    if (StartsWith(sv, "# privrec partition:")) {
-      // "# privrec partition: <N> nodes, <K> clusters" — N guards against
-      // files truncated at a line boundary, which lose trailing nodes
-      // without tripping any per-line check.
-      auto fields = SplitWhitespace(sv);
-      if (fields.size() < 4 || !ParseInt64(fields[3], &expected_nodes) ||
-          expected_nodes < 0) {
-        return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                  ": bad partition header");
-      }
-      continue;
-    }
-    if (sv.empty() || sv[0] == '#') continue;
-    auto fields = SplitWhitespace(sv);
-    if (fields.size() < 2) {
-      return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                ": expected node and cluster");
-    }
+  std::vector<int64_t> labels(static_cast<size_t>(num_nodes), -1);
+  int64_t assigned = 0;
+  while (reader->Next(2)) {
     int64_t node = 0;
     int64_t cluster = 0;
-    if (!ParseInt64(fields[0], &node) || !ParseInt64(fields[1], &cluster)) {
-      return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                ": non-integer field");
+    if (!ParseId(reader->field(0), &node) ||
+        !ParseId(reader->field(1), &cluster)) {
+      return reader->Error("expected non-negative integer node and cluster");
     }
-    if (node < 0 || cluster < 0) {
-      return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                ": negative id");
+    if (node >= num_nodes) {
+      return reader->Error("node " + std::to_string(node) + " outside 0.." +
+                           std::to_string(num_nodes - 1));
     }
-    if (node >= static_cast<int64_t>(labels.size())) {
-      labels.resize(static_cast<size_t>(node) + 1, -1);
-      seen.resize(static_cast<size_t>(node) + 1, false);
+    if (labels[static_cast<size_t>(node)] >= 0) {
+      return reader->Error("duplicate node " + std::to_string(node));
     }
-    if (seen[static_cast<size_t>(node)]) {
-      return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                ": duplicate node " + std::to_string(node));
-    }
-    seen[static_cast<size_t>(node)] = true;
     labels[static_cast<size_t>(node)] = cluster;
+    ++assigned;
   }
-  if (short_read) {
-    return Status::ParseError(path + ": truncated partition (short read)");
-  }
-  if (expected_nodes >= 0 &&
-      expected_nodes != static_cast<int64_t>(labels.size())) {
+  if (!reader->status().ok()) return reader->status();
+  // Every node appears exactly once, so a file cut at a line boundary (or
+  // missing any line) comes up short.
+  if (assigned != num_nodes) {
+    const auto missing = std::find(labels.begin(), labels.end(), -1);
     return Status::ParseError(
-        path + ": truncated partition (header promises " +
-        std::to_string(expected_nodes) + " nodes, got " +
-        std::to_string(labels.size()) + ")");
-  }
-  for (size_t u = 0; u < labels.size(); ++u) {
-    if (!seen[u]) {
-      return Status::ParseError(path + ": missing assignment for node " +
-                                std::to_string(u));
-    }
+        path + ": truncated partition (" + std::to_string(assigned) +
+        " of " + std::to_string(num_nodes) + " nodes assigned, node " +
+        std::to_string(missing - labels.begin()) + " missing)");
   }
   return Partition(labels);
 }

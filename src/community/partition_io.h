@@ -16,9 +16,12 @@ namespace privrec::community {
 
 Status SavePartition(const Partition& partition, const std::string& path);
 
-// Node ids must be exactly 0..n-1, each appearing once; cluster labels
-// are compacted on load.
-Result<Partition> LoadPartition(const std::string& path);
+// Loads a partition of a graph of `num_nodes` nodes: node ids must be
+// exactly 0..num_nodes-1, each appearing once, and a header count must
+// agree; anything else is a ParseError, checked before any id sizes
+// anything. Cluster labels are compacted on load.
+Result<Partition> LoadPartition(const std::string& path,
+                                graph::NodeId num_nodes);
 
 }  // namespace privrec::community
 

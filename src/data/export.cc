@@ -2,8 +2,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <string_view>
+#include <utility>
+#include <vector>
 
-#include "common/string_util.h"
+#include "common/record_reader.h"
 #include "graph/graph_io.h"
 
 namespace privrec::data {
@@ -30,119 +34,146 @@ Status SaveDataset(const Dataset& dataset, const std::string& dir) {
   return Status::Ok();
 }
 
-Result<Dataset> LoadDataset(const std::string& dir) {
-  // Meta first: it fixes the node/item universe.
-  std::ifstream meta(dir + "/meta.txt");
-  if (!meta) return Status::IoError("cannot open " + dir + "/meta.txt");
-  std::string name;
-  int64_t num_users = -1;
-  int64_t num_items = -1;
-  std::string line;
-  while (std::getline(meta, line)) {
-    auto fields = SplitWhitespace(line);
-    if (fields.size() < 2) continue;
-    if (fields[0] == "name") {
-      name = std::string(fields[1]);
-    } else if (fields[0] == "num_users") {
-      if (!ParseInt64(fields[1], &num_users)) {
-        return Status::ParseError(dir + "/meta.txt: bad num_users");
-      }
-    } else if (fields[0] == "num_items") {
-      if (!ParseInt64(fields[1], &num_items)) {
-        return Status::ParseError(dir + "/meta.txt: bad num_items");
+namespace {
+
+// Reads meta.txt: the dataset's name and the sizes that fix its node and
+// item universe.
+Status ReadMeta(const std::string& path, std::string* name,
+                int64_t* num_users, int64_t* num_items) {
+  auto reader = RecordReader::Open(path, "data.export");
+  if (!reader.ok()) return reader.status();
+  *num_users = -1;
+  *num_items = -1;
+  while (reader->Next()) {
+    const std::string_view key = reader->field(0);
+    if (key == "name") {
+      *name = reader->num_fields() > 1 ? std::string(reader->field(1)) : "";
+    } else if (key == "num_users" || key == "num_items") {
+      int64_t* size = key == "num_users" ? num_users : num_items;
+      if (reader->num_fields() < 2 || !ParseId(reader->field(1), size)) {
+        return reader->Error("bad " + std::string(key));
       }
     }
   }
-  if (num_users < 0 || num_items < 0) {
-    return Status::ParseError(dir + "/meta.txt: missing sizes");
+  if (!reader->status().ok()) return reader->status();
+  if (*num_users < 0 || *num_items < 0) {
+    return Status::ParseError(path + ": missing sizes");
   }
+  return Status::Ok();
+}
+
+// Opens one of the edge files and checks its header against meta.txt:
+// each `unit` the header counts must equal its meta.txt size. Returns the
+// header's edge count through `edges`.
+Result<RecordReader> OpenEdgeFile(
+    const std::string& path,
+    std::initializer_list<std::pair<std::string_view, int64_t>> sizes,
+    int64_t* edges) {
+  auto reader = RecordReader::Open(path, "data.export");
+  if (!reader.ok()) return reader.status();
+  if (!reader->HeaderCount("edges", edges)) {
+    return Status::ParseError(path + ": missing or bad header");
+  }
+  for (auto [unit, expected] : sizes) {
+    int64_t count = 0;
+    if (!reader->HeaderCount(unit, &count) || count != expected) {
+      return Status::ParseError(path + ": header does not match meta.txt (" +
+                                std::to_string(expected) + " " +
+                                std::string(unit) + ")");
+    }
+  }
+  return reader;
+}
+
+// The header's edge count against the records read: a file cut at a line
+// boundary, or with a line dropped or repeated, disagrees.
+Status CheckEdgeCount(const RecordReader& reader, int64_t promised,
+                      size_t read) {
+  if (static_cast<int64_t>(read) == promised) return Status::Ok();
+  return Status::ParseError(reader.path() + ": header promises " +
+                            std::to_string(promised) + " edges, read " +
+                            std::to_string(read));
+}
+
+}  // namespace
+
+Result<Dataset> LoadDataset(const std::string& dir) {
+  // Meta first: it fixes the node/item universe, which each edge file's
+  // header must repeat before anything is sized from it.
+  std::string name;
+  int64_t num_users = 0;
+  int64_t num_items = 0;
+  Status meta = ReadMeta(dir + "/meta.txt", &name, &num_users, &num_items);
+  if (!meta.ok()) return meta;
 
   // Social edges: ids in the saved format are already dense in
   // [0, num_users).
-  auto read_social = [&]() -> Result<graph::SocialGraph> {
-    std::ifstream in(dir + "/social.tsv");
-    if (!in) return Status::IoError("cannot open " + dir + "/social.tsv");
-    std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
-    std::string edge_line;
-    int64_t line_no = 0;
-    while (std::getline(in, edge_line)) {
-      ++line_no;
-      std::string_view sv = Trim(edge_line);
-      if (sv.empty() || sv[0] == '#') continue;
-      auto fields = SplitWhitespace(sv);
-      int64_t a = 0;
-      int64_t b = 0;
-      if (fields.size() < 2 || !ParseInt64(fields[0], &a) ||
-          !ParseInt64(fields[1], &b)) {
-        return Status::ParseError(dir + "/social.tsv:" +
-                                  std::to_string(line_no) + ": bad edge");
-      }
-      if (a < 0 || a >= num_users || b < 0 || b >= num_users) {
-        return Status::ParseError(dir + "/social.tsv:" +
-                                  std::to_string(line_no) +
-                                  ": node outside meta range");
-      }
-      edges.emplace_back(a, b);
-    }
-    return graph::SocialGraph::FromEdges(num_users, edges);
-  };
-
-  auto read_prefs = [&]() -> Result<graph::PreferenceGraph> {
-    std::ifstream in(dir + "/preferences.tsv");
-    if (!in) {
-      return Status::IoError("cannot open " + dir + "/preferences.tsv");
-    }
-    std::vector<graph::PreferenceEdge> edges;
-    bool weighted = false;
-    std::string edge_line;
-    int64_t line_no = 0;
-    while (std::getline(in, edge_line)) {
-      ++line_no;
-      std::string_view sv = Trim(edge_line);
-      if (sv.empty() || sv[0] == '#') continue;
-      auto fields = SplitWhitespace(sv);
-      int64_t u = 0;
-      int64_t i = 0;
-      double w = 1.0;
-      if (fields.size() < 2 || !ParseInt64(fields[0], &u) ||
-          !ParseInt64(fields[1], &i)) {
-        return Status::ParseError(dir + "/preferences.tsv:" +
-                                  std::to_string(line_no) + ": bad edge");
-      }
-      if (fields.size() >= 3) {
-        if (!ParseDouble(fields[2], &w) || w <= 0.0) {
-          return Status::ParseError(dir + "/preferences.tsv:" +
-                                    std::to_string(line_no) +
-                                    ": bad weight");
-        }
-        weighted = true;
-      }
-      if (u < 0 || u >= num_users || i < 0 || i >= num_items) {
-        return Status::ParseError(dir + "/preferences.tsv:" +
-                                  std::to_string(line_no) +
-                                  ": id outside meta range");
-      }
-      edges.push_back({u, i, w});
-    }
-    if (weighted) {
-      return graph::PreferenceGraph::FromWeightedEdges(num_users,
-                                                       num_items, edges);
-    }
-    std::vector<std::pair<graph::NodeId, graph::ItemId>> plain;
-    plain.reserve(edges.size());
-    for (const auto& e : edges) plain.emplace_back(e.user, e.item);
-    return graph::PreferenceGraph::FromEdges(num_users, num_items, plain);
-  };
-
-  auto social = read_social();
+  int64_t promised = 0;
+  auto social = OpenEdgeFile(dir + "/social.tsv", {{"nodes", num_users}},
+                             &promised);
   if (!social.ok()) return social.status();
-  auto prefs = read_prefs();
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> social_edges;
+  while (social->Next(2)) {
+    int64_t a = 0;
+    int64_t b = 0;
+    if (!ParseId(social->field(0), &a) || !ParseId(social->field(1), &b)) {
+      return social->Error("bad edge");
+    }
+    if (a >= num_users || b >= num_users) {
+      return social->Error("node outside meta range");
+    }
+    if (a == b) return social->Error("self loop on node " + std::to_string(a));
+    social_edges.emplace_back(a, b);
+  }
+  if (!social->status().ok()) return social->status();
+  if (Status s = CheckEdgeCount(*social, promised, social_edges.size());
+      !s.ok()) {
+    return s;
+  }
+
+  auto prefs = OpenEdgeFile(dir + "/preferences.tsv",
+                            {{"users", num_users}, {"items", num_items}},
+                            &promised);
   if (!prefs.ok()) return prefs.status();
+  std::vector<graph::PreferenceEdge> pref_edges;
+  bool weighted = false;
+  while (prefs->Next(2)) {
+    int64_t u = 0;
+    int64_t i = 0;
+    double w = 1.0;
+    if (!ParseId(prefs->field(0), &u) || !ParseId(prefs->field(1), &i)) {
+      return prefs->Error("bad edge");
+    }
+    if (prefs->num_fields() >= 3) {
+      if (!ParseFinite(prefs->field(2), &w) || w <= 0.0) {
+        return prefs->Error("bad weight");
+      }
+      weighted = true;
+    }
+    if (u >= num_users || i >= num_items) {
+      return prefs->Error("id outside meta range");
+    }
+    pref_edges.push_back({u, i, w});
+  }
+  if (!prefs->status().ok()) return prefs->status();
+  if (Status s = CheckEdgeCount(*prefs, promised, pref_edges.size());
+      !s.ok()) {
+    return s;
+  }
 
   Dataset out;
   out.name = name;
-  out.social = std::move(*social);
-  out.preferences = std::move(*prefs);
+  out.social = graph::SocialGraph::FromEdges(num_users, social_edges);
+  if (weighted) {
+    out.preferences = graph::PreferenceGraph::FromWeightedEdges(
+        num_users, num_items, pref_edges);
+  } else {
+    std::vector<std::pair<graph::NodeId, graph::ItemId>> plain;
+    plain.reserve(pref_edges.size());
+    for (const auto& e : pref_edges) plain.emplace_back(e.user, e.item);
+    out.preferences =
+        graph::PreferenceGraph::FromEdges(num_users, num_items, plain);
+  }
   return out;
 }
 

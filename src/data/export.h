@@ -19,7 +19,10 @@ namespace privrec::data {
 // preferences.tsv (user item [weight]) and meta.txt (name + sizes).
 Status SaveDataset(const Dataset& dataset, const std::string& dir);
 
-// Loads a directory written by SaveDataset.
+// Loads a directory written by SaveDataset. The edge files' header
+// comments must repeat meta.txt's sizes and count the records that follow
+// them; any disagreement (a file cut at a line boundary, a dropped or
+// repeated line) is a ParseError naming the file.
 Result<Dataset> LoadDataset(const std::string& dir);
 
 }  // namespace privrec::data

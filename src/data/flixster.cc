@@ -1,13 +1,11 @@
 #include "data/flixster.h"
 
-#include <fstream>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/fault_injection.h"
-#include "common/string_util.h"
+#include "common/record_reader.h"
 #include "graph/components.h"
 #include "obs/trace.h"
 
@@ -15,9 +13,14 @@ namespace privrec::data {
 
 namespace {
 
-Result<Dataset> LoadOnce(const std::string& dir,
-                         const FlixsterOptions& options) {
-  const bool lenient = options.parse_mode == ParseMode::kLenient;
+// The paper's threshold: ratings below 2 are dropped.
+constexpr double kMinRating = 2.0;
+
+}  // namespace
+
+Result<Dataset> LoadFlixster(const std::string& dir,
+                             const FlixsterOptions& options) {
+  PRIVREC_SPAN("data.load_flixster");
   Dataset out;
 
   // Pass 1: ratings — collect users with >= 1 kept rating and raw edges.
@@ -28,131 +31,51 @@ Result<Dataset> LoadOnce(const std::string& dir,
   };
   std::vector<RawRating> kept_ratings;
   std::unordered_set<int64_t> rated_users;
-  {
-    const std::string path = dir + "/ratings.txt";
-    if (fault::Hit("data.flixster.open") == fault::FaultKind::kIoError) {
-      return Status::IoError("cannot open " + path + " (injected fault)");
+  auto ratings = RecordReader::Open(dir + "/ratings.txt", "data.flixster");
+  if (!ratings.ok()) return ratings.status();
+  while (ratings->Next(3)) {
+    int64_t user = 0;
+    int64_t movie = 0;
+    double rating = 0.0;
+    if (!ParseId(ratings->field(0), &user) ||
+        !ParseId(ratings->field(1), &movie) ||
+        !ParseFinite(ratings->field(2), &rating)) {
+      return ratings->Error(
+          "expected non-negative integer user and movie ids and a finite "
+          "rating");
     }
-    std::ifstream in(path);
-    if (!in) return Status::IoError("cannot open " + path);
-    std::string line;
-    int64_t line_no = 0;
-    while (std::getline(in, line)) {
-      ++line_no;
-      if (fault::Hit("data.flixster.read") ==
-          fault::FaultKind::kShortRead) {
-        out.report.truncated = true;
-        break;
-      }
-      std::string_view sv = Trim(line);
-      if (sv.empty() || sv[0] == '#') continue;
-      ++out.report.lines_scanned;
-      auto fields = SplitWhitespace(sv);
-      if (fields.size() < 3) {
-        if (lenient) {
-          ++out.report.skipped_malformed;
-          continue;
-        }
-        return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                  ": expected user movie rating");
-      }
-      int64_t user = 0;
-      int64_t movie = 0;
-      double rating = 0.0;
-      if (!ParseInt64(fields[0], &user) || !ParseInt64(fields[1], &movie) ||
-          !ParseDouble(fields[2], &rating)) {
-        if (lenient) {
-          ++out.report.skipped_malformed;
-          continue;
-        }
-        return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                  ": bad fields");
-      }
-      if (user < 0 || movie < 0) {
-        if (lenient) {
-          ++out.report.skipped_out_of_range;
-          continue;
-        }
-        return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                  ": negative id");
-      }
-      if (rating < options.min_rating) continue;
-      kept_ratings.push_back({user, movie, rating});
-      rated_users.insert(user);
-      ++out.report.records_loaded;
-    }
-    if (in.bad()) out.report.truncated = true;
+    if (rating < kMinRating) continue;
+    kept_ratings.push_back({user, movie, rating});
+    rated_users.insert(user);
   }
+  if (!ratings->status().ok()) return ratings->status();
 
   // Pass 2: social links among rated users.
   std::vector<std::pair<int64_t, int64_t>> raw_links;
-  {
-    const std::string path = dir + "/links.txt";
-    if (fault::Hit("data.flixster.open") == fault::FaultKind::kIoError) {
-      return Status::IoError("cannot open " + path + " (injected fault)");
+  auto links = RecordReader::Open(dir + "/links.txt", "data.flixster");
+  if (!links.ok()) return links.status();
+  while (links->Next(2)) {
+    int64_t a = 0;
+    int64_t b = 0;
+    if (!ParseId(links->field(0), &a) || !ParseId(links->field(1), &b)) {
+      return links->Error("expected two non-negative integer user ids");
     }
-    std::ifstream in(path);
-    if (!in) return Status::IoError("cannot open " + path);
-    std::string line;
-    int64_t line_no = 0;
-    while (std::getline(in, line)) {
-      ++line_no;
-      if (fault::Hit("data.flixster.read") ==
-          fault::FaultKind::kShortRead) {
-        out.report.truncated = true;
-        break;
-      }
-      std::string_view sv = Trim(line);
-      if (sv.empty() || sv[0] == '#') continue;
-      ++out.report.lines_scanned;
-      auto fields = SplitWhitespace(sv);
-      if (fields.size() < 2) {
-        if (lenient) {
-          ++out.report.skipped_malformed;
-          continue;
-        }
-        return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                  ": expected two user ids");
-      }
-      int64_t a = 0;
-      int64_t b = 0;
-      if (!ParseInt64(fields[0], &a) || !ParseInt64(fields[1], &b)) {
-        if (lenient) {
-          ++out.report.skipped_malformed;
-          continue;
-        }
-        return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                  ": bad fields");
-      }
-      if (a < 0 || b < 0) {
-        if (lenient) {
-          ++out.report.skipped_out_of_range;
-          continue;
-        }
-        return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                  ": negative id");
-      }
-      if (a == b) {
-        ++out.report.skipped_self_loops;
-        continue;
-      }
-      if (rated_users.count(a) && rated_users.count(b)) {
-        raw_links.emplace_back(a, b);
-        ++out.report.records_loaded;
-      }
+    if (a == b) {
+      ++out.report.skipped_self_loops;
+      continue;
     }
-    if (in.bad()) out.report.truncated = true;
+    if (rated_users.count(a) && rated_users.count(b)) {
+      raw_links.emplace_back(a, b);
+    }
   }
-
-  if (out.report.truncated && !lenient) {
-    return Status::IoError("short read under " + dir);
-  }
-  out.report.empty_input = out.report.lines_scanned == 0;
+  if (!links->status().ok()) return links->status();
+  out.report.lines_scanned = ratings->records() + links->records();
+  out.report.records_loaded =
+      static_cast<int64_t>(kept_ratings.size() + raw_links.size());
 
   // Densify the induced user set and build the full induced social graph.
   std::unordered_map<int64_t, graph::NodeId> user_index;
   std::vector<std::pair<graph::NodeId, graph::NodeId>> social_edges;
-  std::unordered_set<uint64_t> seen_links;
   auto user_id = [&](int64_t raw) {
     auto [it, inserted] =
         user_index.try_emplace(raw, static_cast<graph::NodeId>(
@@ -162,14 +85,6 @@ Result<Dataset> LoadOnce(const std::string& dir,
   for (auto [a, b] : raw_links) {
     graph::NodeId ua = user_id(a);
     graph::NodeId ub = user_id(b);
-    if (lenient) {
-      uint64_t lo = static_cast<uint64_t>(ua < ub ? ua : ub);
-      uint64_t hi = static_cast<uint64_t>(ua < ub ? ub : ua);
-      if (!seen_links.insert((lo << 32) | hi).second) {
-        ++out.report.skipped_duplicates;
-        continue;
-      }
-    }
     social_edges.emplace_back(ua, ub);
   }
   graph::SocialGraph induced = graph::SocialGraph::FromEdges(
@@ -199,20 +114,11 @@ Result<Dataset> LoadOnce(const std::string& dir,
 
   std::unordered_map<int64_t, graph::ItemId> item_index;
   std::vector<graph::PreferenceEdge> pref_edges;
-  std::unordered_set<uint64_t> seen_ratings;
   for (const RawRating& r : kept_ratings) {
     auto uit = final_user.find(r.user);
     if (uit == final_user.end()) continue;
     auto [iit, inserted] = item_index.try_emplace(
         r.movie, static_cast<graph::ItemId>(item_index.size()));
-    if (lenient) {
-      uint64_t key = (static_cast<uint64_t>(uit->second) << 32) |
-                     static_cast<uint64_t>(iit->second);
-      if (!seen_ratings.insert(key).second) {
-        ++out.report.skipped_duplicates;
-        continue;
-      }
-    }
     pref_edges.push_back(
         {uit->second, iit->second, options.binarize ? 1.0 : r.rating});
   }
@@ -235,24 +141,8 @@ Result<Dataset> LoadOnce(const std::string& dir,
           : graph::PreferenceGraph::FromWeightedEdges(
                 out.social.num_nodes(),
                 static_cast<graph::ItemId>(item_index.size()), pref_edges);
+  RecordLoadMetrics(out.report);
   return out;
-}
-
-}  // namespace
-
-Result<Dataset> LoadFlixster(const std::string& dir,
-                             const FlixsterOptions& options) {
-  PRIVREC_SPAN("data.load_flixster");
-  RetryOptions retry = options.retry;
-  retry.max_attempts = options.max_attempts;
-  RetryStats stats;
-  auto result = RetryWithBackoff([&] { return LoadOnce(dir, options); },
-                                 retry, &stats);
-  if (result.ok()) {
-    result->report.io_retries = stats.attempts - 1;
-    RecordLoadMetrics(result->report);
-  }
-  return result;
 }
 
 }  // namespace privrec::data

@@ -9,6 +9,11 @@
 //   links.txt     "userID\tfriendID" per line (undirected)
 //   ratings.txt   "userID\tmovieID\trating" per line (rating may be x.5)
 //
+// Loading is strict (common/record_reader.h): the first malformed record
+// — including a non-finite rating — is a ParseError naming the file and
+// line. Self loops in the links are dropped and counted in
+// Dataset::report.
+//
 // `MakeSyntheticFlixster` in data/synthetic.h provides a statistically
 // matched substitute when the raw dump is unavailable.
 
@@ -17,26 +22,16 @@
 
 #include <string>
 
-#include "common/load_report.h"
-#include "common/retry.h"
 #include "common/status.h"
 #include "data/dataset.h"
 
 namespace privrec::data {
 
 struct FlixsterOptions {
-  // Ratings below this value are discarded (paper uses 2.0).
-  double min_rating = 2.0;
   // The paper binarizes surviving ratings to weight 1. Setting false keeps
   // the raw rating as the edge weight (the weighted-edge extension); the
   // recommenders then calibrate noise to max_weight().
   bool binarize = true;
-  // kStrict aborts on the first malformed record; kLenient counts-and-skips
-  // defects into Dataset::report and loads the valid subset.
-  ParseMode parse_mode = ParseMode::kStrict;
-  // Total attempts for transient I/O failures (1 = no retrying).
-  int max_attempts = 1;
-  RetryOptions retry{};  // max_attempts above overrides retry.max_attempts
 };
 
 Result<Dataset> LoadFlixster(const std::string& dir,

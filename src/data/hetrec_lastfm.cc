@@ -1,197 +1,98 @@
 #include "data/hetrec_lastfm.h"
 
-#include <fstream>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/fault_injection.h"
-#include "common/retry.h"
-#include "common/string_util.h"
+#include "common/record_reader.h"
 #include "obs/trace.h"
 
 namespace privrec::data {
 
 namespace {
 
-// Strips a UTF-8 byte-order mark (Windows exports of the HetRec files
-// sometimes carry one).
-bool StripBom(std::string_view* sv) {
-  constexpr std::string_view kBom = "\xEF\xBB\xBF";
-  if (StartsWith(*sv, kBom)) {
-    sv->remove_prefix(kBom.size());
-    return true;
+// The paper's threshold: listen counts below 2 are dropped.
+constexpr int64_t kMinListens = 2;
+
+// Opens a HetRec .dat file and skips its column-name header, the first
+// record.
+Result<RecordReader> OpenDat(const std::string& path) {
+  auto reader = RecordReader::Open(path, "data.lastfm");
+  if (reader.ok() && !reader->Next() && !reader->status().ok()) {
+    return reader->status();
   }
-  return false;
+  return reader;
 }
 
-// Reads a HetRec .dat file: a header line followed by tab-separated integer
-// columns. Returns rows of `width` integers. In lenient mode malformed rows
-// are counted into `*report` and skipped; strict mode errors on the first.
-Result<std::vector<std::vector<int64_t>>> ReadDat(const std::string& path,
-                                                  size_t width,
-                                                  ParseMode mode,
-                                                  LoadReport* report) {
-  if (fault::Hit("data.lastfm.open") == fault::FaultKind::kIoError) {
-    return Status::IoError("cannot open " + path + " (injected fault)");
-  }
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::vector<std::vector<int64_t>> rows;
-  std::string line;
-  bool first = true;
-  bool at_eof = false;
-  int64_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (fault::Hit("data.lastfm.read") == fault::FaultKind::kShortRead) {
-      report->truncated = true;
-      break;
-    }
-    at_eof = in.eof();
-    std::string_view sv = Trim(line);
-    if (line_no == 1 && StripBom(&sv)) report->bom_stripped = true;
-    if (sv.empty()) continue;
-    if (first) {
-      first = false;  // header
-      continue;
-    }
-    ++report->lines_scanned;
-    auto fields = SplitWhitespace(sv);
-    std::vector<int64_t> row(width);
-    bool parsed = fields.size() >= width;
-    for (size_t k = 0; parsed && k < width; ++k) {
-      parsed = ParseInt64(fields[k], &row[k]);
-    }
-    if (!parsed) {
-      // A short final line with no trailing newline reads as truncation,
-      // not malformation.
-      if (at_eof && fields.size() < width) {
-        report->truncated = true;
-        if (mode == ParseMode::kLenient) continue;
-        return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                  ": short record (file appears truncated)");
-      }
-      if (mode == ParseMode::kLenient) {
-        ++report->skipped_malformed;
-        continue;
-      }
-      return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                ": expected " + std::to_string(width) +
-                                " integer fields");
-    }
-    bool negative = false;
-    for (size_t k = 0; k < width; ++k) negative = negative || row[k] < 0;
-    if (negative) {
-      if (mode == ParseMode::kLenient) {
-        ++report->skipped_out_of_range;
-        continue;
-      }
-      return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                ": negative id");
-    }
-    rows.push_back(std::move(row));
-  }
-  if (in.bad()) report->truncated = true;
-  if (report->truncated && mode == ParseMode::kStrict) {
-    return Status::IoError("short read on " + path);
-  }
-  report->empty_input = report->lines_scanned == 0;
-  return rows;
-}
+}  // namespace
 
-Result<Dataset> LoadOnce(const std::string& dir,
-                         const LastFmOptions& options) {
-  LoadReport friends_report;
-  auto friends = ReadDat(dir + "/user_friends.dat", 2, options.parse_mode,
-                         &friends_report);
-  if (!friends.ok()) return friends.status();
-  LoadReport artists_report;
-  auto artists = ReadDat(dir + "/user_artists.dat", 3, options.parse_mode,
-                         &artists_report);
-  if (!artists.ok()) return artists.status();
-
+Result<Dataset> LoadHetRecLastFm(const std::string& dir) {
+  PRIVREC_SPAN("data.load_hetrec_lastfm");
   Dataset out;
-  out.report = friends_report;
-  out.report.Merge(artists_report);
 
   // Users are the union of ids in the friendship file (the paper keeps the
   // full social graph, including its 19 tiny components).
+  auto friends = OpenDat(dir + "/user_friends.dat");
+  if (!friends.ok()) return friends.status();
   std::unordered_map<int64_t, graph::NodeId> user_index;
   std::vector<std::pair<graph::NodeId, graph::NodeId>> social_edges;
-  std::unordered_set<uint64_t> seen_social;
   auto user_id = [&](int64_t raw) {
     auto [it, inserted] =
         user_index.try_emplace(raw, static_cast<graph::NodeId>(
                                         user_index.size()));
     return it->second;
   };
-  for (const auto& row : *friends) {
-    if (row[0] == row[1]) {
-      // Historically dropped silently; now accounted for.
+  while (friends->Next(2)) {
+    int64_t raw_a = 0;
+    int64_t raw_b = 0;
+    if (!ParseId(friends->field(0), &raw_a) ||
+        !ParseId(friends->field(1), &raw_b)) {
+      return friends->Error("expected two non-negative integer user ids");
+    }
+    ++out.report.lines_scanned;
+    if (raw_a == raw_b) {
       ++out.report.skipped_self_loops;
       continue;
     }
-    graph::NodeId a = user_id(row[0]);
-    graph::NodeId b = user_id(row[1]);
-    if (options.parse_mode == ParseMode::kLenient) {
-      uint64_t lo = static_cast<uint64_t>(a < b ? a : b);
-      uint64_t hi = static_cast<uint64_t>(a < b ? b : a);
-      if (!seen_social.insert((lo << 32) | hi).second) {
-        ++out.report.skipped_duplicates;
-        continue;
-      }
-    }
+    graph::NodeId a = user_id(raw_a);
+    graph::NodeId b = user_id(raw_b);
     social_edges.emplace_back(a, b);
-    ++out.report.records_loaded;
   }
+  if (!friends->status().ok()) return friends->status();
 
+  auto artists = OpenDat(dir + "/user_artists.dat");
+  if (!artists.ok()) return artists.status();
   std::unordered_map<int64_t, graph::ItemId> item_index;
   std::vector<std::pair<graph::NodeId, graph::ItemId>> pref_edges;
-  std::unordered_set<uint64_t> seen_pref;
-  for (const auto& row : *artists) {
-    if (row[2] < options.min_weight) continue;
-    auto uit = user_index.find(row[0]);
+  while (artists->Next(3)) {
+    int64_t user = 0;
+    int64_t artist = 0;
+    int64_t listens = 0;
+    if (!ParseId(artists->field(0), &user) ||
+        !ParseId(artists->field(1), &artist) ||
+        !ParseId(artists->field(2), &listens)) {
+      return artists->Error("expected three non-negative integer fields");
+    }
+    ++out.report.lines_scanned;
+    if (listens < kMinListens) continue;
+    auto uit = user_index.find(user);
     if (uit == user_index.end()) continue;  // user with no social presence
     auto [iit, inserted] = item_index.try_emplace(
-        row[1], static_cast<graph::ItemId>(item_index.size()));
-    if (options.parse_mode == ParseMode::kLenient) {
-      uint64_t key = (static_cast<uint64_t>(uit->second) << 32) |
-                     static_cast<uint64_t>(iit->second);
-      if (!seen_pref.insert(key).second) {
-        ++out.report.skipped_duplicates;
-        continue;
-      }
-    }
+        artist, static_cast<graph::ItemId>(item_index.size()));
     pref_edges.emplace_back(uit->second, iit->second);
-    ++out.report.records_loaded;
   }
+  if (!artists->status().ok()) return artists->status();
 
+  out.report.records_loaded =
+      static_cast<int64_t>(social_edges.size() + pref_edges.size());
   out.name = "lastfm";
   out.social = graph::SocialGraph::FromEdges(
       static_cast<graph::NodeId>(user_index.size()), social_edges);
   out.preferences = graph::PreferenceGraph::FromEdges(
       static_cast<graph::NodeId>(user_index.size()),
       static_cast<graph::ItemId>(item_index.size()), pref_edges);
+  RecordLoadMetrics(out.report);
   return out;
-}
-
-}  // namespace
-
-Result<Dataset> LoadHetRecLastFm(const std::string& dir,
-                                 const LastFmOptions& options) {
-  PRIVREC_SPAN("data.load_hetrec_lastfm");
-  RetryOptions retry = options.retry;
-  retry.max_attempts = options.max_attempts;
-  RetryStats stats;
-  auto result = RetryWithBackoff([&] { return LoadOnce(dir, options); },
-                                 retry, &stats);
-  if (result.ok()) {
-    result->report.io_retries = stats.attempts - 1;
-    RecordLoadMetrics(result->report);
-  }
-  return result;
 }
 
 }  // namespace privrec::data

@@ -1,10 +1,15 @@
 // Loader for the HetRec 2011 Last.fm dataset (Cantador et al.), applying
 // the preprocessing of Section 6.1: listened-to edges with weight < 2 are
-// discarded and the rest binarized to w = 1.
+// discarded ("listening to an artist only once is unlikely to indicate a
+// positive preference") and the rest binarized to w = 1.
 //
 // Expected files inside `dir`:
 //   user_friends.dat   header line, then "userID\tfriendID"
 //   user_artists.dat   header line, then "userID\tartistID\tweight"
+//
+// Loading is strict (common/record_reader.h): the first malformed record
+// is a ParseError naming the file and line. Self loops in the friendships
+// are dropped and counted in Dataset::report.
 //
 // The dataset itself is not redistributed with this repository; see
 // http://ir.ii.uam.es/hetrec2011/. `MakeSyntheticLastFm` in
@@ -15,29 +20,12 @@
 
 #include <string>
 
-#include "common/load_report.h"
-#include "common/retry.h"
 #include "common/status.h"
 #include "data/dataset.h"
 
 namespace privrec::data {
 
-struct LastFmOptions {
-  // Preference edges with listen count below this are discarded (the paper
-  // uses 2: "listening to an artist only once is unlikely to indicate a
-  // positive preference").
-  int64_t min_weight = 2;
-  // kStrict aborts on the first malformed record; kLenient counts-and-skips
-  // defects (non-numeric fields, negative ids, duplicate edges, truncated
-  // tails) into Dataset::report and loads the valid subset.
-  ParseMode parse_mode = ParseMode::kStrict;
-  // Total attempts for transient I/O failures (1 = no retrying).
-  int max_attempts = 1;
-  RetryOptions retry{};  // max_attempts above overrides retry.max_attempts
-};
-
-Result<Dataset> LoadHetRecLastFm(const std::string& dir,
-                                 const LastFmOptions& options = {});
+Result<Dataset> LoadHetRecLastFm(const std::string& dir);
 
 }  // namespace privrec::data
 

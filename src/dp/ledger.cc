@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "common/fault_injection.h"
+#include "common/fsync.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -82,6 +83,8 @@ Result<BudgetLedger> BudgetLedger::Open(const std::string& path,
                                          total_body + ' ' +
                                          HexU64(Fnv1a(total_body)) + '\n');
     if (!written.ok()) return written;
+    // The new file's directory entry must survive a crash too.
+    if (Status synced = SyncDirectoryOf(path); !synced.ok()) return synced;
     return ledger;
   }
 

@@ -1,30 +1,17 @@
 #include "graph/graph_io.h"
 
-#include <cstdio>
 #include <fstream>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/fault_injection.h"
-#include "common/string_util.h"
+#include "common/record_reader.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace privrec::graph {
 
 namespace {
-
-// Strips a UTF-8 byte-order mark from the head of the first line (files
-// exported from Windows tooling often carry one).
-bool StripBom(std::string_view* sv) {
-  constexpr std::string_view kBom = "\xEF\xBB\xBF";
-  if (StartsWith(*sv, kBom)) {
-    sv->remove_prefix(kBom.size());
-    return true;
-  }
-  return false;
-}
 
 // Densifies raw ids in first-appearance order.
 class IdMap {
@@ -46,238 +33,73 @@ class IdMap {
   int64_t next_ = 0;
 };
 
-// Shared scanning state for both loaders: iterates record lines, applies
-// BOM stripping, fault injection and truncation bookkeeping, and resolves
-// defects per the parse mode (strict: first defect is an error; lenient:
-// count and skip).
-class RecordScanner {
- public:
-  RecordScanner(const std::string& path, ParseMode mode, LoadReport* report)
-      : path_(path), mode_(mode), report_(report) {}
-
-  Status OpenFile(std::ifstream* in) {
-    if (fault::Hit("graph_io.open") == fault::FaultKind::kIoError) {
-      return Status::IoError("cannot open " + path_ + " (injected fault)");
-    }
-    in->open(path_);
-    if (!*in) return Status::IoError("cannot open " + path_);
-    return Status::Ok();
-  }
-
-  // Fetches the next record line (skipping blanks/comments) into `*fields`.
-  // Returns false at end of input. Truncation (a short read, injected or
-  // real) sets report->truncated and ends the input.
-  bool NextRecord(std::ifstream& in,
-                  std::vector<std::string_view>* fields) {
-    while (std::getline(in, line_)) {
-      if (fault::Hit("graph_io.read") == fault::FaultKind::kShortRead) {
-        report_->truncated = true;
-        return false;
-      }
-      std::string_view sv = Trim(line_);
-      if (first_line_) {
-        first_line_ = false;
-        if (StripBom(&sv)) report_->bom_stripped = true;
-      }
-      if (sv.empty() || sv[0] == '#') continue;
-      ++line_no_;
-      ++report_->lines_scanned;
-      *fields = SplitWhitespace(sv);
-      at_eof_after_record_ = in.eof();
-      return true;
-    }
-    if (in.bad()) report_->truncated = true;
-    return false;
-  }
-
-  // Resolves one defective record: strict mode returns the error, lenient
-  // mode bumps `*counter` and returns Ok (caller skips the record). A
-  // too-short record on the file's final, newline-less line is classified
-  // as truncation, not malformation.
-  Status Defect(int64_t* counter, const std::string& what) {
-    if (counter == &report_->skipped_malformed && at_eof_after_record_) {
-      report_->truncated = true;
-      if (mode_ == ParseMode::kLenient) return Status::Ok();
-      return Status::ParseError(Where() + ": " + what +
-                                " (file appears truncated)");
-    }
-    if (mode_ == ParseMode::kLenient) {
-      ++*counter;
-      return Status::Ok();
-    }
-    return Status::ParseError(Where() + ": " + what);
-  }
-
-  std::string Where() const {
-    return path_ + ":" + std::to_string(line_no_);
-  }
-
- private:
-  const std::string& path_;
-  ParseMode mode_;
-  LoadReport* report_;
-  std::string line_;
-  int64_t line_no_ = 0;  // counts record lines only
-  bool first_line_ = true;
-  bool at_eof_after_record_ = false;
-};
-
-// Packs a dense id pair for duplicate detection.
-uint64_t PackPair(int64_t a, int64_t b) {
-  return (static_cast<uint64_t>(a) << 32) | static_cast<uint64_t>(b);
-}
-
-Result<LoadedSocialGraph> LoadSocialGraphOnce(const std::string& path,
-                                              ParseMode mode) {
-  LoadedSocialGraph out;
-  RecordScanner scanner(path, mode, &out.report);
-  std::ifstream in;
-  if (Status s = scanner.OpenFile(&in); !s.ok()) return s;
-
-  if (fault::Hit("graph_io.alloc") == fault::FaultKind::kBadAlloc) {
+// Opens `path` for an edge-list load, with the loaders' allocation fault.
+Result<RecordReader> OpenEdgeList(const std::string& path) {
+  auto reader = RecordReader::Open(path, "graph_io");
+  if (reader.ok() &&
+      fault::Hit("graph_io.alloc") == fault::FaultKind::kBadAlloc) {
     return Status::ResourceExhausted("edge buffer allocation failed for " +
                                      path + " (injected fault)");
   }
+  return reader;
+}
 
+Result<LoadedSocialGraph> ReadSocialGraph(const std::string& path) {
+  auto reader = OpenEdgeList(path);
+  if (!reader.ok()) return reader.status();
   IdMap ids;
   std::vector<std::pair<NodeId, NodeId>> edges;
-  std::unordered_set<uint64_t> seen;
-  std::vector<std::string_view> fields;
-  while (scanner.NextRecord(in, &fields)) {
+  while (reader->Next(2)) {
     int64_t a = 0;
     int64_t b = 0;
-    if (fields.size() < 2) {
-      if (Status s = scanner.Defect(&out.report.skipped_malformed,
-                                    "expected two fields");
-          !s.ok()) {
-        return s;
-      }
-      continue;
+    if (!ParseId(reader->field(0), &a) || !ParseId(reader->field(1), &b)) {
+      return reader->Error("expected two non-negative integer node ids");
     }
-    if (!ParseInt64(fields[0], &a) || !ParseInt64(fields[1], &b)) {
-      if (Status s = scanner.Defect(&out.report.skipped_malformed,
-                                    "non-integer endpoint");
-          !s.ok()) {
-        return s;
-      }
-      continue;
-    }
-    if (a < 0 || b < 0) {
-      if (Status s = scanner.Defect(&out.report.skipped_out_of_range,
-                                    "negative node id");
-          !s.ok()) {
-        return s;
-      }
-      continue;
-    }
-    if (a == b) {
-      if (Status s = scanner.Defect(&out.report.skipped_self_loops,
-                                    "self loop on node " +
-                                        std::to_string(a));
-          !s.ok()) {
-        return s;
-      }
-      continue;
-    }
+    if (a == b) return reader->Error("self loop on node " + std::to_string(a));
     // Sequence the id assignments explicitly (argument evaluation order is
     // unspecified) so ids follow first appearance in the file.
     NodeId ua = ids.Map(a);
     NodeId ub = ids.Map(b);
-    if (mode == ParseMode::kLenient) {
-      // Duplicate edges are only a defect class in lenient mode; strict
-      // mode preserves the historical pass-through.
-      uint64_t key = ua < ub ? PackPair(ua, ub) : PackPair(ub, ua);
-      if (!seen.insert(key).second) {
-        ++out.report.skipped_duplicates;
-        continue;
-      }
-    }
     edges.emplace_back(ua, ub);
-    ++out.report.records_loaded;
   }
-  if (out.report.truncated && mode == ParseMode::kStrict) {
-    return Status::IoError("short read on " + path);
-  }
-  out.report.empty_input = out.report.lines_scanned == 0;
+  if (!reader->status().ok()) return reader->status();
+  LoadedSocialGraph out;
+  out.report.lines_scanned = reader->records();
+  out.report.records_loaded = static_cast<int64_t>(edges.size());
   out.graph = SocialGraph::FromEdges(ids.size(), edges);
   out.original_id = ids.TakeOriginals();
   return out;
 }
 
-Result<LoadedPreferenceGraph> LoadPreferenceGraphOnce(
-    const std::string& path, ParseMode mode) {
-  LoadedPreferenceGraph out;
-  RecordScanner scanner(path, mode, &out.report);
-  std::ifstream in;
-  if (Status s = scanner.OpenFile(&in); !s.ok()) return s;
-
-  if (fault::Hit("graph_io.alloc") == fault::FaultKind::kBadAlloc) {
-    return Status::ResourceExhausted("edge buffer allocation failed for " +
-                                     path + " (injected fault)");
-  }
-
+Result<LoadedPreferenceGraph> ReadPreferenceGraph(const std::string& path) {
+  auto reader = OpenEdgeList(path);
+  if (!reader.ok()) return reader.status();
   IdMap users;
   IdMap items;
   std::vector<PreferenceEdge> edges;
-  std::unordered_set<uint64_t> seen;
   bool any_weighted = false;
-  std::vector<std::string_view> fields;
-  while (scanner.NextRecord(in, &fields)) {
+  while (reader->Next(2)) {
     int64_t raw_user = 0;
     int64_t raw_item = 0;
-    if (fields.size() < 2) {
-      if (Status s = scanner.Defect(&out.report.skipped_malformed,
-                                    "expected user and item");
-          !s.ok()) {
-        return s;
-      }
-      continue;
-    }
-    if (!ParseInt64(fields[0], &raw_user) ||
-        !ParseInt64(fields[1], &raw_item)) {
-      if (Status s = scanner.Defect(&out.report.skipped_malformed,
-                                    "non-integer endpoint");
-          !s.ok()) {
-        return s;
-      }
-      continue;
-    }
-    if (raw_user < 0 || raw_item < 0) {
-      if (Status s = scanner.Defect(&out.report.skipped_out_of_range,
-                                    "negative id");
-          !s.ok()) {
-        return s;
-      }
-      continue;
+    if (!ParseId(reader->field(0), &raw_user) ||
+        !ParseId(reader->field(1), &raw_item)) {
+      return reader->Error("expected non-negative integer user and item ids");
     }
     double weight = 1.0;
-    bool weighted_line = fields.size() >= 3;
-    if (weighted_line) {
-      if (!ParseDouble(fields[2], &weight) || weight <= 0.0) {
-        if (Status s = scanner.Defect(&out.report.skipped_bad_weight,
-                                      "bad weight");
-            !s.ok()) {
-          return s;
-        }
-        continue;
+    if (reader->num_fields() >= 3) {
+      if (!ParseFinite(reader->field(2), &weight) || weight <= 0.0) {
+        return reader->Error("bad weight (want a positive finite number)");
       }
+      any_weighted = true;
     }
     NodeId user = users.Map(raw_user);
     ItemId item = items.Map(raw_item);
-    if (mode == ParseMode::kLenient) {
-      if (!seen.insert(PackPair(user, item)).second) {
-        ++out.report.skipped_duplicates;
-        continue;
-      }
-    }
-    if (weighted_line) any_weighted = true;
     edges.push_back({user, item, weight});
-    ++out.report.records_loaded;
   }
-  if (out.report.truncated && mode == ParseMode::kStrict) {
-    return Status::IoError("short read on " + path);
-  }
-  out.report.empty_input = out.report.lines_scanned == 0;
+  if (!reader->status().ok()) return reader->status();
+  LoadedPreferenceGraph out;
+  out.report.lines_scanned = reader->records();
+  out.report.records_loaded = static_cast<int64_t>(edges.size());
   if (any_weighted) {
     out.graph =
         PreferenceGraph::FromWeightedEdges(users.size(), items.size(), edges);
@@ -295,48 +117,29 @@ Result<LoadedPreferenceGraph> LoadPreferenceGraphOnce(
   return out;
 }
 
-RetryOptions EffectiveRetry(const GraphIoOptions& options) {
-  RetryOptions retry = options.retry;
-  retry.max_attempts = options.max_attempts;
-  return retry;
+// Counts a finished load into privrec.data.*.
+template <typename Loaded>
+Result<Loaded> Recorded(Result<Loaded> result) {
+  if (result.ok()) {
+    RecordLoadMetrics(result->report);
+  } else {
+    static obs::Counter& failed =
+        obs::GetCounter("privrec.data.failed_loads");
+    failed.Increment();
+  }
+  return result;
 }
 
 }  // namespace
 
-Result<LoadedSocialGraph> LoadSocialGraph(const std::string& path,
-                                          const GraphIoOptions& options) {
+Result<LoadedSocialGraph> LoadSocialGraph(const std::string& path) {
   PRIVREC_SPAN("graph.load_social");
-  RetryStats stats;
-  auto result = RetryWithBackoff(
-      [&] { return LoadSocialGraphOnce(path, options.mode); },
-      EffectiveRetry(options), &stats);
-  if (result.ok()) {
-    result->report.io_retries = stats.attempts - 1;
-    RecordLoadMetrics(result->report);
-  } else {
-    static obs::Counter& failed =
-        obs::GetCounter("privrec.data.failed_loads");
-    failed.Increment();
-  }
-  return result;
+  return Recorded(ReadSocialGraph(path));
 }
 
-Result<LoadedPreferenceGraph> LoadPreferenceGraph(
-    const std::string& path, const GraphIoOptions& options) {
+Result<LoadedPreferenceGraph> LoadPreferenceGraph(const std::string& path) {
   PRIVREC_SPAN("graph.load_preferences");
-  RetryStats stats;
-  auto result = RetryWithBackoff(
-      [&] { return LoadPreferenceGraphOnce(path, options.mode); },
-      EffectiveRetry(options), &stats);
-  if (result.ok()) {
-    result->report.io_retries = stats.attempts - 1;
-    RecordLoadMetrics(result->report);
-  } else {
-    static obs::Counter& failed =
-        obs::GetCounter("privrec.data.failed_loads");
-    failed.Increment();
-  }
-  return result;
+  return Recorded(ReadPreferenceGraph(path));
 }
 
 Status SaveSocialGraph(const SocialGraph& g, const std::string& path) {

@@ -4,15 +4,13 @@
 // '#'-prefixed lines and blank lines are ignored. Node/item ids need not be
 // contiguous — they are remapped densely on load and the mapping returned.
 //
-// Robustness: loads run in strict mode (any malformed record is a
-// ParseError, the historical behaviour) or lenient mode (malformed records
-// are counted per defect class into the returned LoadReport and skipped;
-// the valid subset loads). Transient I/O failures can be retried with
-// bounded exponential backoff via GraphIoOptions::max_attempts.
+// Loads are strict (common/record_reader.h): the first malformed record is
+// a ParseError naming the file and line.
 //
 // Fault points (see common/fault_injection.h):
 //   graph_io.open   kIoError  — the open fails
 //   graph_io.read   kShortRead — the stream ends after the current line
+//                   (ParseError); kIoError — the read fails
 //   graph_io.alloc  kBadAlloc — edge-buffer allocation fails
 //                               (ResourceExhausted)
 
@@ -23,20 +21,11 @@
 #include <vector>
 
 #include "common/load_report.h"
-#include "common/retry.h"
 #include "common/status.h"
 #include "graph/preference_graph.h"
 #include "graph/social_graph.h"
 
 namespace privrec::graph {
-
-struct GraphIoOptions {
-  ParseMode mode = ParseMode::kStrict;
-  // Total attempts for transient I/O failures (1 = no retrying). Backoff is
-  // deterministic and never sleeps unless a sleeper is supplied.
-  int max_attempts = 1;
-  RetryOptions retry{};  // max_attempts above overrides retry.max_attempts
-};
 
 struct LoadedSocialGraph {
   SocialGraph graph;
@@ -52,19 +41,16 @@ struct LoadedPreferenceGraph {
   LoadReport report;
 };
 
-// Reads an undirected social edge list. Node ids must be non-negative;
-// self loops and duplicate edges are defects (error in strict mode,
-// counted-and-skipped in lenient mode).
-Result<LoadedSocialGraph> LoadSocialGraph(const std::string& path,
-                                          const GraphIoOptions& options = {});
+// Reads an undirected social edge list. Node ids must be non-negative and
+// self loops are defects; a repeated edge loads once.
+Result<LoadedSocialGraph> LoadSocialGraph(const std::string& path);
 
 // Reads a bipartite user-item edge list. User ids and item ids live in
 // separate namespaces (a raw id may appear as both a user and an item).
-// Lines may carry an optional third column with a positive edge weight;
-// if any line does, the loaded graph is weighted (absent weights read as
-// 1).
-Result<LoadedPreferenceGraph> LoadPreferenceGraph(
-    const std::string& path, const GraphIoOptions& options = {});
+// Lines may carry an optional third column with a positive, finite edge
+// weight; if any line does, the loaded graph is weighted (absent weights
+// read as 1).
+Result<LoadedPreferenceGraph> LoadPreferenceGraph(const std::string& path);
 
 // Writers (one edge per line); used by tests and for exporting synthetic
 // datasets.

@@ -109,13 +109,15 @@ Status CircuitBreaker::Run(const std::function<Status()>& op) {
     if (entry_state == BreakerState::kHalfOpen) probe_in_flight_ = true;
   }
 
-  Status result;
+  Status result = op();
   if (entry_state == BreakerState::kHalfOpen) {
     // Half-open probe: give the recovering backing store the benefit of
-    // bounded retries for transient errors before judging it.
-    result = RetryWithBackoff(op, options_.probe_retry);
-  } else {
-    result = op();
+    // immediate retries for transient errors before judging it.
+    for (int attempt = 1; attempt < kProbeAttempts &&
+                          result.code() == StatusCode::kIoError;
+         ++attempt) {
+      result = op();
+    }
   }
 
   {

@@ -12,12 +12,13 @@
 //              block behind a reload that cannot succeed. After
 //              `cooldown_ms` on the injected clock the breaker becomes
 //              half-open.
-//   half-open  ONE caller at a time may probe. The probe runs under
-//              RetryWithBackoff (common/retry.h) with `probe_retry`, so a
-//              transient I/O blip during recovery does not immediately
-//              re-trip the breaker. A successful probe closes the
-//              breaker; a final failure re-opens it and restarts the
-//              cooldown.
+//   half-open  ONE caller at a time may probe. The probe runs the
+//              operation up to kProbeAttempts times back to back while it
+//              fails with kIoError, so a transient I/O blip during
+//              recovery does not immediately re-trip the breaker; any
+//              other failure ends the probe at once. A successful probe
+//              closes the breaker; a final failure re-opens it and
+//              restarts the cooldown.
 //
 // State is observable: privrec.serve.breaker_state gauge (0 closed,
 // 1 open, 2 half-open) plus transition counters
@@ -31,7 +32,6 @@
 #include <mutex>
 #include <string>
 
-#include "common/retry.h"
 #include "common/status.h"
 #include "serve/clock.h"
 
@@ -46,13 +46,13 @@ struct CircuitBreakerOptions {
   int64_t failure_threshold = 3;
   // Open -> half-open after this much injected-clock time.
   int64_t cooldown_ms = 1000;
-  // Retry policy for half-open probes (transient-only by default; a
-  // permanent error like kParseError fails the probe on first attempt).
-  RetryOptions probe_retry;
 };
 
 class CircuitBreaker {
  public:
+  // Runs of the operation one half-open probe may make.
+  static constexpr int kProbeAttempts = 3;
+
   // `name` scopes the metrics ("privrec.serve.breaker_state" is shared;
   // the name appears in rejection messages). Null clock = SteadyClock.
   CircuitBreaker(std::string name, CircuitBreakerOptions options,
@@ -65,9 +65,10 @@ class CircuitBreaker {
   // Runs `op` through the breaker:
   //   open       -> kResourceExhausted immediately (op not invoked), with
   //                 the remaining cooldown in the message;
-  //   half-open  -> op under RetryWithBackoff(probe_retry); only one
-  //                 probe admitted per transition window, concurrent
-  //                 callers are rejected like open;
+  //   half-open  -> op, run again while it returns kIoError, at most
+  //                 kProbeAttempts runs; only one probe admitted per
+  //                 transition window, concurrent callers are rejected
+  //                 like open;
   //   closed     -> op once.
   // The result feeds the state machine and is returned unchanged.
   Status Run(const std::function<Status()>& op);

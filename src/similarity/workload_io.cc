@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "common/fault_injection.h"
+#include "common/record_reader.h"
 #include "common/string_util.h"
 
 namespace privrec::similarity {
@@ -37,23 +37,19 @@ Status SaveWorkload(const SimilarityWorkload& workload,
   return Status::Ok();
 }
 
-Result<SimilarityWorkload> LoadWorkload(const std::string& path) {
-  if (fault::Hit("workload_io.open") == fault::FaultKind::kIoError) {
-    return Status::IoError("cannot open " + path + " (injected fault)");
-  }
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-
-  std::string line;
-  if (!std::getline(in, line) || !StartsWith(line, "# privrec workload")) {
+Result<SimilarityWorkload> LoadWorkload(const std::string& path,
+                                        graph::NodeId num_users) {
+  auto reader = RecordReader::Open(path, "workload_io");
+  if (!reader.ok()) return reader.status();
+  if (!StartsWith(reader->header(), "# privrec workload")) {
     return Status::ParseError(path + ": missing workload header");
   }
   std::string measure_name;
-  graph::NodeId num_users = -1;
+  int64_t header_users = -1;
   int64_t num_entries = -1;  // absent in files written before the field
   double max_column_sum = -1.0;
   double max_entry = -1.0;
-  for (std::string_view field : SplitWhitespace(line)) {
+  for (std::string_view field : SplitWhitespace(reader->header())) {
     size_t eq = field.find('=');
     if (eq == std::string_view::npos) continue;
     std::string_view key = field.substr(0, eq);
@@ -61,62 +57,50 @@ Result<SimilarityWorkload> LoadWorkload(const std::string& path) {
     if (key == "measure") {
       measure_name = std::string(value);
     } else if (key == "users") {
-      if (!ParseInt64(value, &num_users)) {
+      if (!ParseId(value, &header_users)) {
         return Status::ParseError(path + ": bad users field");
       }
     } else if (key == "entries") {
-      if (!ParseInt64(value, &num_entries) || num_entries < 0) {
+      if (!ParseId(value, &num_entries)) {
         return Status::ParseError(path + ": bad entries field");
       }
     } else if (key == "max_column_sum") {
-      if (!ParseDouble(value, &max_column_sum)) {
+      if (!ParseFinite(value, &max_column_sum)) {
         return Status::ParseError(path + ": bad max_column_sum");
       }
     } else if (key == "max_entry") {
-      if (!ParseDouble(value, &max_entry)) {
+      if (!ParseFinite(value, &max_entry)) {
         return Status::ParseError(path + ": bad max_entry");
       }
     }
   }
-  if (num_users < 0 || max_column_sum < 0.0 || max_entry < 0.0 ||
+  if (header_users < 0 || max_column_sum < 0.0 || max_entry < 0.0 ||
       measure_name.empty()) {
     return Status::ParseError(path + ": incomplete workload header");
+  }
+  // Checked before the row offsets are sized from it.
+  if (header_users != num_users) {
+    return Status::ParseError(path + ": workload has " +
+                              std::to_string(header_users) +
+                              " users, expected " +
+                              std::to_string(num_users));
   }
 
   std::vector<size_t> offsets = {0};
   offsets.reserve(static_cast<size_t>(num_users) + 1);
   std::vector<SimilarityEntry> entries;
   graph::NodeId current = 0;
-  int64_t line_no = 1;
-  bool short_read = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const fault::FaultKind k = fault::Hit("workload_io.read");
-    if (k == fault::FaultKind::kIoError) {
-      return Status::IoError("read failed for " + path + " (injected fault)");
-    }
-    if (k == fault::FaultKind::kShortRead) {
-      short_read = true;
-      break;
-    }
-    std::string_view sv = Trim(line);
-    if (sv.empty() || sv[0] == '#') continue;
-    auto fields = SplitWhitespace(sv);
+  while (reader->Next(3)) {
     int64_t u = 0;
     int64_t v = 0;
     double score = 0.0;
-    if (fields.size() < 3 || !ParseInt64(fields[0], &u) ||
-        !ParseInt64(fields[1], &v) || !ParseDouble(fields[2], &score)) {
-      return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                ": bad entry");
+    if (!ParseId(reader->field(0), &u) || !ParseId(reader->field(1), &v) ||
+        !ParseFinite(reader->field(2), &score)) {
+      return reader->Error("bad entry");
     }
-    if (u < current) {
-      return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                ": rows out of order");
-    }
-    if (u >= num_users || v < 0 || v >= num_users) {
-      return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                ": id outside header range");
+    if (u < current) return reader->Error("rows out of order");
+    if (u >= num_users || v >= num_users) {
+      return reader->Error("id outside header range");
     }
     while (current < u) {
       offsets.push_back(entries.size());
@@ -124,12 +108,10 @@ Result<SimilarityWorkload> LoadWorkload(const std::string& path) {
     }
     entries.push_back({v, score});
   }
+  if (!reader->status().ok()) return reader->status();
   while (current < num_users) {
     offsets.push_back(entries.size());
     ++current;
-  }
-  if (short_read) {
-    return Status::ParseError(path + ": truncated workload (short read)");
   }
   if (num_entries >= 0 &&
       num_entries != static_cast<int64_t>(entries.size())) {

@@ -19,7 +19,12 @@ namespace privrec::similarity {
 Status SaveWorkload(const SimilarityWorkload& workload,
                     const std::string& path);
 
-Result<SimilarityWorkload> LoadWorkload(const std::string& path);
+// Loads a workload saved for a graph of `num_users` users; a file saved
+// for another size is a ParseError, checked before anything is sized from
+// it. Non-finite scores and statistics are malformed, and the header's
+// entry count must match the entries read.
+Result<SimilarityWorkload> LoadWorkload(const std::string& path,
+                                        graph::NodeId num_users);
 
 }  // namespace privrec::similarity
 

@@ -11,6 +11,7 @@
 
 #include "common/crc32.h"
 #include "common/fault_injection.h"
+#include "common/fsync.h"
 #include "common/macros.h"
 #include "obs/metrics.h"
 
@@ -275,6 +276,8 @@ Result<StreamWal> StreamWal::Open(const std::string& path,
     if (::fsync(wal.fd_) != 0) {
       return Status::IoError("cannot sync wal header to '" + path + "'");
     }
+    // The new file's directory entry must survive a crash too.
+    if (Status synced = SyncDirectoryOf(path); !synced.ok()) return synced;
   }
 
   static obs::Counter& opens = obs::GetCounter("privrec.stream.wal_opens");

@@ -1,8 +1,10 @@
-// Unit tests for src/common: Status/Result, Rng distributions, statistics
-// helpers, string utilities and the flag parser.
+// Unit tests for src/common: the record reader, Status/Result, Rng
+// distributions, statistics helpers, string utilities and the flag parser.
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -10,9 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
+#include "common/fault_injection.h"
 #include "common/flags.h"
 #include "common/random.h"
-#include "common/retry.h"
+#include "common/record_reader.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -21,57 +24,135 @@
 namespace privrec {
 namespace {
 
-// ----------------------------------------------------------- retry jitter
+// ---------------------------------------------------------- RecordReader
 
-TEST(RetryJitterTest, DisabledJitterKeepsExactExponentialSchedule) {
-  RetryOptions options;
-  options.max_attempts = 4;
-  options.initial_backoff_ms = 10.0;
-  options.backoff_multiplier = 2.0;
-  RetryStats stats;
-  Status result = RetryWithBackoff(
-      [] { return Status::IoError("transient"); }, options, &stats);
-  EXPECT_EQ(result.code(), StatusCode::kIoError);
-  EXPECT_EQ(stats.attempts, 4);
-  ASSERT_EQ(stats.backoff_schedule_ms.size(), 3u);
-  EXPECT_EQ(stats.backoff_schedule_ms[0], 10.0);
-  EXPECT_EQ(stats.backoff_schedule_ms[1], 20.0);
-  EXPECT_EQ(stats.backoff_schedule_ms[2], 40.0);
+class RecordReaderTest : public ::testing::Test {
+ protected:
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  // Writes `bytes` verbatim (no newline appended).
+  const std::string& Write(const std::string& bytes) {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << bytes;
+    return path_;
+  }
+
+  std::string path_ =
+      (std::filesystem::temp_directory_path() / "privrec_record_reader.txt")
+          .string();
+};
+
+TEST_F(RecordReaderTest, StripsBomAndCrAndSkipsBlanksAndComments) {
+  auto reader = RecordReader::Open(
+      Write("\xEF\xBB\xBF# graph: 3 nodes, 2 edges\r\n\r\n0 1\r\n"
+            "# note\n  1\t2  \n"),
+      "test_reader");
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader->header(), "# graph: 3 nodes, 2 edges");
+  int64_t count = 0;
+  ASSERT_TRUE(reader->HeaderCount("nodes", &count));
+  EXPECT_EQ(count, 3);
+  ASSERT_TRUE(reader->HeaderCount("edges", &count));
+  EXPECT_EQ(count, 2);
+  EXPECT_FALSE(reader->HeaderCount("items", &count));
+
+  ASSERT_TRUE(reader->Next(2));
+  EXPECT_EQ(reader->field(0), "0");
+  EXPECT_EQ(reader->field(1), "1");
+  ASSERT_TRUE(reader->Next(2));
+  ASSERT_EQ(reader->num_fields(), 2u);
+  EXPECT_EQ(reader->field(0), "1");
+  EXPECT_EQ(reader->field(1), "2");
+  EXPECT_FALSE(reader->Next(2));
+  EXPECT_TRUE(reader->status().ok()) << reader->status().ToString();
+  EXPECT_EQ(reader->records(), 2);
 }
 
-TEST(RetryJitterTest, SeededJitterIsBitIdenticalAndBounded) {
-  RetryOptions options;
-  options.max_attempts = 5;
-  options.initial_backoff_ms = 10.0;
-  options.backoff_multiplier = 2.0;
-  options.jitter = 0.25;
-  options.jitter_seed = 42;
+TEST_F(RecordReaderTest, FirstLineRecordIsNotAHeader) {
+  auto reader = RecordReader::Open(Write("0 1\n1 2\n"), "test_reader");
+  ASSERT_TRUE(reader.ok());
+  EXPECT_TRUE(reader->header().empty());
+  EXPECT_TRUE(reader->Next(2));
+  EXPECT_EQ(reader->field(0), "0");
+  EXPECT_TRUE(reader->Next(2));
+  EXPECT_FALSE(reader->Next(2));
+  EXPECT_TRUE(reader->status().ok());
+}
 
-  auto schedule = [&] {
-    RetryStats stats;
-    (void)RetryWithBackoff([] { return Status::IoError("transient"); },
-                           options, &stats);
-    return stats.backoff_schedule_ms;
-  };
-  const std::vector<double> first = schedule();
-  // Deterministic: the same seed reproduces the same schedule, bit for
-  // bit — no global entropy, no wall clock.
-  EXPECT_EQ(schedule(), first);
+TEST_F(RecordReaderTest, ErrorsNameTheFileAndPhysicalLine) {
+  auto reader =
+      RecordReader::Open(Write("# header\n0 1\n\n# note\n5\n"), "test_reader");
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(reader->Next(2));
+  EXPECT_EQ(reader->Error("bad id").message(), path_ + ":2: bad id");
+  EXPECT_FALSE(reader->Next(2));
+  EXPECT_EQ(reader->status().code(), StatusCode::kParseError);
+  EXPECT_EQ(reader->status().message(),
+            path_ + ":5: expected 2 fields, found 1");
+}
 
-  ASSERT_EQ(first.size(), 4u);
-  double nominal = 10.0;
-  bool any_jittered = false;
-  for (double applied : first) {
-    EXPECT_GE(applied, nominal * 0.75);
-    EXPECT_LE(applied, nominal * 1.25);
-    if (applied != nominal) any_jittered = true;
-    nominal *= 2.0;
+TEST_F(RecordReaderTest, DefectOnAnUnterminatedFinalLineReadsAsTruncation) {
+  auto reader = RecordReader::Open(Write("0 1\n2"), "test_reader");
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(reader->Next(2));
+  EXPECT_EQ(reader->Error("x").message().find("truncated"),
+            std::string::npos);
+  EXPECT_FALSE(reader->Next(2));
+  EXPECT_EQ(reader->status().code(), StatusCode::kParseError);
+  EXPECT_NE(reader->status().message().find("(file appears truncated)"),
+            std::string::npos);
+}
+
+TEST_F(RecordReaderTest, FaultsAtOpenAndReadAreTyped) {
+  Write("0 1\n1 2\n2 3\n");
+  {
+    fault::ScopedFaultInjection scope(
+        "test_reader.open",
+        fault::FaultSpec{.kind = fault::FaultKind::kIoError});
+    EXPECT_EQ(RecordReader::Open(path_, "test_reader").status().code(),
+              StatusCode::kIoError);
   }
-  EXPECT_TRUE(any_jittered);
+  {
+    fault::ScopedFaultInjection scope(
+        "test_reader.read",
+        fault::FaultSpec{.kind = fault::FaultKind::kShortRead,
+                         .first_hit = 2});
+    auto reader = RecordReader::Open(path_, "test_reader");
+    ASSERT_TRUE(reader.ok());
+    EXPECT_TRUE(reader->Next(2));
+    EXPECT_FALSE(reader->Next(2));
+    EXPECT_EQ(reader->status().code(), StatusCode::kParseError);
+    EXPECT_EQ(reader->status().message(),
+              path_ + ":2: file truncated (short read)");
+  }
+  {
+    fault::ScopedFaultInjection scope(
+        "test_reader.read",
+        fault::FaultSpec{.kind = fault::FaultKind::kIoError});
+    EXPECT_EQ(RecordReader::Open(path_, "test_reader").status().code(),
+              StatusCode::kIoError);
+  }
+  EXPECT_EQ(RecordReader::Open(path_ + ".missing", "test_reader")
+                .status()
+                .code(),
+            StatusCode::kIoError);
+}
 
-  // A different seed de-synchronizes the schedule (the herd fix).
-  options.jitter_seed = 43;
-  EXPECT_NE(schedule(), first);
+TEST(RecordReaderParseTest, IdsAreNonNegativeAndValuesFinite) {
+  int64_t id = 0;
+  EXPECT_TRUE(ParseId("7", &id));
+  EXPECT_EQ(id, 7);
+  EXPECT_TRUE(ParseId("99999999999999", &id));
+  EXPECT_FALSE(ParseId("-1", &id));
+  EXPECT_FALSE(ParseId("1.5", &id));
+  double value = 0.0;
+  EXPECT_TRUE(ParseFinite("2.5", &value));
+  EXPECT_EQ(value, 2.5);
+  EXPECT_TRUE(ParseFinite("-1", &value));
+  EXPECT_FALSE(ParseFinite("nan", &value));
+  EXPECT_FALSE(ParseFinite("inf", &value));
+  EXPECT_FALSE(ParseFinite("-inf", &value));
+  EXPECT_FALSE(ParseFinite("1e999", &value));
 }
 
 // ---------------------------------------------------------------- Status

@@ -254,7 +254,7 @@ TEST(PartitionIoTest, RoundTrip) {
   fs::path path = fs::temp_directory_path() / "privrec_partition.tsv";
   Partition original({0, 1, 0, 2, 1, 0});
   ASSERT_TRUE(SavePartition(original, path.string()).ok());
-  auto loaded = LoadPartition(path.string());
+  auto loaded = LoadPartition(path.string(), original.num_nodes());
   fs::remove(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->SamePartitionAs(original));
@@ -266,7 +266,7 @@ TEST(PartitionIoTest, LouvainResultRoundTrip) {
   SocialGraph g = graph::GenerateErdosRenyi(200, 600, 99);
   LouvainResult r = RunLouvain(g, {.restarts = 2, .seed = 100});
   ASSERT_TRUE(SavePartition(r.partition, path.string()).ok());
-  auto loaded = LoadPartition(path.string());
+  auto loaded = LoadPartition(path.string(), g.num_nodes());
   fs::remove(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->SamePartitionAs(r.partition));
@@ -280,7 +280,7 @@ TEST(PartitionIoTest, RejectsMissingNode) {
     std::ofstream out(path);
     out << "0\t0\n2\t1\n";  // node 1 missing
   }
-  auto loaded = LoadPartition(path.string());
+  auto loaded = LoadPartition(path.string(), 3);
   fs::remove(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
@@ -293,7 +293,7 @@ TEST(PartitionIoTest, RejectsDuplicateNode) {
     std::ofstream out(path);
     out << "0\t0\n0\t1\n";
   }
-  auto loaded = LoadPartition(path.string());
+  auto loaded = LoadPartition(path.string(), 2);
   fs::remove(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);

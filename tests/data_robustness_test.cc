@@ -1,6 +1,7 @@
-// Robustness tests for the ingestion layer: strict vs lenient parse modes,
-// per-defect-class LoadReport accounting, truncated/empty/BOM/CRLF inputs,
-// injected I/O faults and bounded retry.
+// Robustness tests for the ingestion layer: strict loads that reject every
+// defect class, truncated/empty/BOM/CRLF inputs, counts and sizes checked
+// before they size anything, non-finite numbers, injected I/O faults, and
+// atomic, durable artifact saves.
 
 #include <algorithm>
 #include <filesystem>
@@ -16,7 +17,10 @@
 #include "common/fault_injection.h"
 #include "community/louvain.h"
 #include "community/partition_io.h"
+#include "data/export.h"
+#include "data/flixster.h"
 #include "data/hetrec_lastfm.h"
+#include "data/synthetic.h"
 #include "graph/graph_io.h"
 #include "similarity/common_neighbors.h"
 #include "similarity/workload_io.h"
@@ -52,30 +56,31 @@ class DataRobustnessTest : public ::testing::Test {
 
 // ------------------------------------------------------------- graph I/O
 
-TEST_F(DataRobustnessTest, LenientSocialLoadCountsEveryDefectClass) {
-  const std::string path = WriteFile("social.txt",
-                                     "# comment\n"
-                                     "0 1\n"
-                                     "1 0\n"       // duplicate (undirected)
-                                     "2 2\n"       // self loop
-                                     "3 -4\n"      // out of range
-                                     "5 six\n"     // malformed
-                                     "0 2\n"
-                                     "\n"
-                                     "1 2\n");
-  auto loaded = graph::LoadSocialGraph(path, {.mode = ParseMode::kLenient});
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const LoadReport& r = loaded->report;
-  EXPECT_EQ(r.lines_scanned, 7);
-  EXPECT_EQ(r.records_loaded, 3);
-  EXPECT_EQ(r.skipped_duplicates, 1);
-  EXPECT_EQ(r.skipped_self_loops, 1);
-  EXPECT_EQ(r.skipped_out_of_range, 1);
-  EXPECT_EQ(r.skipped_malformed, 1);
-  EXPECT_EQ(r.TotalSkipped(), 4);
-  EXPECT_FALSE(r.truncated);
-  EXPECT_EQ(loaded->graph.num_nodes(), 3);  // ids 0, 1, 2
-  EXPECT_EQ(loaded->graph.num_edges(), 3);
+TEST_F(DataRobustnessTest, StrictSocialLoadRejectsEveryDefectClass) {
+  // One file per defect class, each after a valid record; every one is a
+  // ParseError naming the file and the defect's physical line.
+  const std::vector<std::string> defects = {
+      "2 2\n",      // self loop
+      "3 -4\n",     // negative id
+      "5 six\n",    // non-numeric
+      "7\n",        // one field
+  };
+  for (const std::string& defect : defects) {
+    const std::string path =
+        WriteFile("social.txt", "# comment\n0 1\n\n" + defect + "1 2\n");
+    auto loaded = graph::LoadSocialGraph(path);
+    ASSERT_FALSE(loaded.ok()) << defect;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << defect;
+    EXPECT_NE(loaded.status().message().find(path + ":4: "),
+              std::string::npos)
+        << loaded.status().message();
+  }
+  // A repeated edge is no defect: it loads once.
+  auto repeated = graph::LoadSocialGraph(
+      WriteFile("social.txt", "0 1\n1 0\n0 1\n1 2\n"));
+  ASSERT_TRUE(repeated.ok()) << repeated.status().ToString();
+  EXPECT_EQ(repeated->graph.num_edges(), 2);
+  EXPECT_EQ(repeated->report.lines_scanned, 4);
 }
 
 TEST_F(DataRobustnessTest, StrictSocialLoadFailsOnFirstDefect) {
@@ -96,75 +101,57 @@ TEST_F(DataRobustnessTest, TruncatedFinalRecordIsTruncationNotMalformation) {
   // The file ends mid-record with no trailing newline — a short copy, not
   // a malformed source.
   const std::string path = WriteFile("social.txt", "0 1\n1 2\n3");
-  auto lenient = graph::LoadSocialGraph(path, {.mode = ParseMode::kLenient});
-  ASSERT_TRUE(lenient.ok());
-  EXPECT_TRUE(lenient->report.truncated);
-  EXPECT_EQ(lenient->report.skipped_malformed, 0);
-  EXPECT_EQ(lenient->report.records_loaded, 2);
-
   auto strict = graph::LoadSocialGraph(path);
   ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kParseError);
+  EXPECT_NE(strict.status().message().find("truncated"), std::string::npos);
 }
 
 TEST_F(DataRobustnessTest, CrlfAndBomInputsLoadCleanly) {
   const std::string path = WriteFile(
       "social.txt", "\xEF\xBB\xBF# exported from Windows\r\n0 1\r\n1 2\r\n");
-  auto loaded = graph::LoadSocialGraph(path, {.mode = ParseMode::kLenient});
+  auto loaded = graph::LoadSocialGraph(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->report.bom_stripped);
   EXPECT_EQ(loaded->report.records_loaded, 2);
-  EXPECT_EQ(loaded->report.TotalSkipped(), 0);
   EXPECT_EQ(loaded->graph.num_edges(), 2);
 }
 
 TEST_F(DataRobustnessTest, EmptyFileLoadsAsEmptyGraph) {
-  for (ParseMode mode : {ParseMode::kStrict, ParseMode::kLenient}) {
-    const std::string path = WriteFile("empty.txt", "");
-    auto loaded = graph::LoadSocialGraph(path, {.mode = mode});
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_TRUE(loaded->report.empty_input);
-    EXPECT_EQ(loaded->graph.num_nodes(), 0);
+  const std::string path = WriteFile("empty.txt", "");
+  auto loaded = graph::LoadSocialGraph(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->report.lines_scanned, 0);
+  EXPECT_EQ(loaded->graph.num_nodes(), 0);
+}
+
+TEST_F(DataRobustnessTest, StrictPreferenceLoadRejectsBadWeights) {
+  for (const char* weight : {"-3.0", "0", "x", "nan", "inf", "-inf"}) {
+    const std::string path = WriteFile(
+        "prefs.txt", std::string("0 10 2.0\n1 11 ") + weight + "\n");
+    auto loaded = graph::LoadPreferenceGraph(path);
+    ASSERT_FALSE(loaded.ok()) << weight;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << weight;
   }
-}
-
-TEST_F(DataRobustnessTest, LenientPreferenceLoadCountsWeightAndDuplicates) {
-  const std::string path = WriteFile("prefs.txt",
-                                     "0 10 2.0\n"
-                                     "0 10 5.0\n"   // duplicate pair
-                                     "1 11 -3.0\n"  // bad weight
-                                     "1 12 x\n"     // bad weight
-                                     "2 10\n");     // unweighted line is fine
-  auto loaded =
-      graph::LoadPreferenceGraph(path, {.mode = ParseMode::kLenient});
+  // A repeated pair loads once, with its larger weight; an unweighted
+  // line reads as weight 1.
+  auto loaded = graph::LoadPreferenceGraph(
+      WriteFile("prefs.txt", "0 10 2.0\n0 10 5.0\n2 10\n"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->report.records_loaded, 2);
-  EXPECT_EQ(loaded->report.skipped_duplicates, 1);
-  EXPECT_EQ(loaded->report.skipped_bad_weight, 2);
-  EXPECT_TRUE(loaded->graph.is_weighted());
-}
-
-// --------------------------------------------------- faults and retrying
-
-TEST_F(DataRobustnessTest, TransientOpenFaultIsRetriedAway) {
-  const std::string path = WriteFile("social.txt", "0 1\n1 2\n");
-  fault::ScopedFaultInjection scope;
-  // Fails on the first open only; attempt 2 succeeds.
-  fault::FaultInjector::Instance().ArmNth("graph_io.open",
-                                          fault::FaultKind::kIoError, 1);
-  auto loaded = graph::LoadSocialGraph(path, {.max_attempts = 3});
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->report.io_retries, 1);
   EXPECT_EQ(loaded->graph.num_edges(), 2);
+  EXPECT_TRUE(loaded->graph.is_weighted());
+  EXPECT_DOUBLE_EQ(loaded->graph.max_weight(), 5.0);
 }
 
-TEST_F(DataRobustnessTest, PersistentOpenFaultExhaustsAttempts) {
+// ------------------------------------------------------------- faults
+
+TEST_F(DataRobustnessTest, OpenFaultFailsTheLoadWithoutRetrying) {
   const std::string path = WriteFile("social.txt", "0 1\n");
   fault::ScopedFaultInjection scope(
       "graph_io.open", fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-  auto loaded = graph::LoadSocialGraph(path, {.max_attempts = 3});
+  auto loaded = graph::LoadSocialGraph(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-  EXPECT_EQ(fault::FaultInjector::Instance().HitCount("graph_io.open"), 3);
+  EXPECT_EQ(fault::FaultInjector::Instance().HitCount("graph_io.open"), 1);
 }
 
 TEST_F(DataRobustnessTest, InjectedShortReadMarksTruncation) {
@@ -172,16 +159,10 @@ TEST_F(DataRobustnessTest, InjectedShortReadMarksTruncation) {
   fault::ScopedFaultInjection scope;
   fault::FaultInjector::Instance().ArmNth("graph_io.read",
                                           fault::FaultKind::kShortRead, 3);
-  auto lenient = graph::LoadSocialGraph(path, {.mode = ParseMode::kLenient});
-  ASSERT_TRUE(lenient.ok());
-  EXPECT_TRUE(lenient->report.truncated);
-  EXPECT_EQ(lenient->report.records_loaded, 2);
-
-  fault::FaultInjector::Instance().ArmNth("graph_io.read",
-                                          fault::FaultKind::kShortRead, 3);
   auto strict = graph::LoadSocialGraph(path);
   ASSERT_FALSE(strict.ok());
-  EXPECT_EQ(strict.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(strict.status().code(), StatusCode::kParseError);
+  EXPECT_NE(strict.status().message().find("short read"), std::string::npos);
 }
 
 TEST_F(DataRobustnessTest, InjectedAllocFailureIsResourceExhausted) {
@@ -198,13 +179,7 @@ TEST_F(DataRobustnessTest, InjectedAllocFailureIsResourceExhausted) {
 
 class LastFmRobustnessTest : public DataRobustnessTest {
  protected:
-  // A Last.fm-format directory with one defect of every class. Expected
-  // lenient accounting, exactly:
-  //   friends: 6 records scanned — 2 valid, 1 duplicate (1-2 twice),
-  //            1 self loop, 1 malformed, 1 out-of-range
-  //   artists: 6 records scanned — 2 valid, 1 duplicate (1-10 twice),
-  //            1 malformed, 1 below min_weight (filtered, not a defect),
-  //            1 for an unknown user (filtered, not a defect)
+  // A Last.fm-format directory with one defect of every class.
   void WriteCorruptedDataset() {
     WriteFile("user_friends.dat",
               "userID\tfriendID\n"
@@ -225,24 +200,25 @@ class LastFmRobustnessTest : public DataRobustnessTest {
   }
 };
 
-TEST_F(LastFmRobustnessTest, LenientLoadRecoversValidSubsetWithExactCounts) {
-  WriteCorruptedDataset();
-  auto ds = data::LoadHetRecLastFm(dir_.string(),
-                                   {.parse_mode = ParseMode::kLenient});
+TEST_F(LastFmRobustnessTest, StrictLoadReportsWhatThePreprocessingDrops) {
+  // friends: 5 rows — 4 edges (1-2 twice loads once) and 1 self loop,
+  //          dropped and counted; a '#' line is a comment.
+  // artists: 5 rows — 1 below the listen threshold and 1 for a user with
+  //          no friendships are filtered, not defects.
+  WriteFile("user_friends.dat",
+            "userID\tfriendID\n1\t2\n2\t1\n# note\n3\t3\n1\t3\n2\t3\n");
+  WriteFile("user_artists.dat",
+            "userID\tartistID\tweight\n"
+            "1\t10\t5\n1\t10\t7\n2\t11\t1\n3\t12\t2\n9\t13\t4\n");
+  auto ds = data::LoadHetRecLastFm(dir_.string());
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   const LoadReport& r = ds->report;
-  EXPECT_EQ(r.lines_scanned, 12);
-  EXPECT_EQ(r.records_loaded, 4);  // 2 social + 2 preference edges
-  EXPECT_EQ(r.skipped_duplicates, 2);
-  EXPECT_EQ(r.skipped_malformed, 2);
-  EXPECT_EQ(r.skipped_out_of_range, 1);
+  EXPECT_EQ(r.lines_scanned, 10);
+  EXPECT_EQ(r.records_loaded, 7);  // 4 social rows + 3 preference rows
   EXPECT_EQ(r.skipped_self_loops, 1);
-  EXPECT_EQ(r.skipped_bad_weight, 0);
-  EXPECT_FALSE(r.truncated);
-
-  EXPECT_EQ(ds->social.num_nodes(), 3);        // users 1, 2, 3
-  EXPECT_EQ(ds->social.num_edges(), 2);        // 1-2, 1-3
-  EXPECT_EQ(ds->preferences.num_items(), 2);   // artists 10, 12
+  EXPECT_EQ(ds->social.num_nodes(), 3);       // users 1, 2, 3
+  EXPECT_EQ(ds->social.num_edges(), 3);       // 1-2, 1-3, 2-3
+  EXPECT_EQ(ds->preferences.num_items(), 2);  // artists 10, 12
   EXPECT_EQ(ds->preferences.num_edges(), 2);
 }
 
@@ -257,23 +233,31 @@ TEST_F(LastFmRobustnessTest, TruncatedArtistsFileIsDetected) {
   WriteFile("user_friends.dat", "userID\tfriendID\n1\t2\n");
   // Final record cut mid-row, no trailing newline.
   WriteFile("user_artists.dat", "userID\tartistID\tweight\n1\t10\t5\n1\t11");
-  auto lenient = data::LoadHetRecLastFm(
-      dir_.string(), {.parse_mode = ParseMode::kLenient});
-  ASSERT_TRUE(lenient.ok()) << lenient.status().ToString();
-  EXPECT_TRUE(lenient->report.truncated);
-  EXPECT_EQ(lenient->preferences.num_edges(), 1);
-
   auto strict = data::LoadHetRecLastFm(dir_.string());
   ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kParseError);
+  EXPECT_NE(strict.status().message().find("truncated"), std::string::npos);
 }
 
 TEST_F(LastFmRobustnessTest, BomHeaderIsStripped) {
   WriteFile("user_friends.dat", "\xEF\xBB\xBFuserID\tfriendID\n1\t2\n");
   WriteFile("user_artists.dat", "userID\tartistID\tweight\n1\t10\t5\n");
-  auto ds = data::LoadHetRecLastFm(dir_.string(),
-                                   {.parse_mode = ParseMode::kLenient});
+  auto ds = data::LoadHetRecLastFm(dir_.string());
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  EXPECT_TRUE(ds->report.bom_stripped);
+  EXPECT_EQ(ds->social.num_edges(), 1);
+  EXPECT_EQ(ds->preferences.num_edges(), 1);
+}
+
+TEST_F(LastFmRobustnessTest, OpenFaultFailsTheLoadWithoutRetrying) {
+  WriteFile("user_friends.dat", "userID\tfriendID\n1\t2\n2\t3\n");
+  WriteFile("user_artists.dat", "userID\tartistID\tweight\n1\t10\t5\n");
+  fault::ScopedFaultInjection scope;
+  fault::FaultInjector::Instance().ArmNth("data.lastfm.open",
+                                          fault::FaultKind::kIoError, 1);
+  auto ds = data::LoadHetRecLastFm(dir_.string());
+  ASSERT_FALSE(ds.ok());
+  EXPECT_EQ(ds.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(fault::FaultInjector::Instance().HitCount("data.lastfm.open"), 1);
 }
 
 // -------------------------------------- workload / partition cache files
@@ -307,14 +291,14 @@ class CacheFileRobustnessTest : public DataRobustnessTest {
 };
 
 TEST_F(CacheFileRobustnessTest, WorkloadSaveLoadRoundTripsEntryCount) {
-  auto loaded = similarity::LoadWorkload(WriteWorkloadFile());
+  auto loaded = similarity::LoadWorkload(WriteWorkloadFile(), 3);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->num_users(), 3);
   EXPECT_EQ(loaded->TotalEntries(), 4);
 
   const std::string resaved = (dir_ / "resaved.tsv").string();
   ASSERT_TRUE(similarity::SaveWorkload(*loaded, resaved).ok());
-  auto again = similarity::LoadWorkload(resaved);
+  auto again = similarity::LoadWorkload(resaved, 3);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->TotalEntries(), 4);
 }
@@ -329,7 +313,7 @@ TEST_F(CacheFileRobustnessTest, WorkloadTruncatedAtLineBoundaryIsDetected) {
                 "0\t1\t2\n"
                 "0\t2\t1\n"
                 "1\t0\t2\n");
-  auto loaded = similarity::LoadWorkload(path);
+  auto loaded = similarity::LoadWorkload(path, 3);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   EXPECT_NE(loaded.status().message().find("truncated workload"),
@@ -343,7 +327,7 @@ TEST_F(CacheFileRobustnessTest, WorkloadTruncatedMidRecordIsParseError) {
                 "max_column_sum=3 max_entry=2\n"
                 "0\t1\t2\n"
                 "0\t2\t1.");  // cut mid-double, no trailing newline
-  auto loaded = similarity::LoadWorkload(path);
+  auto loaded = similarity::LoadWorkload(path, 3);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
 }
@@ -358,7 +342,7 @@ TEST_F(CacheFileRobustnessTest, WorkloadBitFlipIsParseErrorNotACrash) {
     std::string bad = good;
     bad[flip] = static_cast<char>(bad[flip] ^ 0x40);
     auto loaded = similarity::LoadWorkload(
-        WriteFile("flip_" + std::to_string(flip) + ".tsv", bad));
+        WriteFile("flip_" + std::to_string(flip) + ".tsv", bad), 3);
     ASSERT_FALSE(loaded.ok()) << "flip at byte " << flip;
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   }
@@ -369,7 +353,7 @@ TEST_F(CacheFileRobustnessTest, WorkloadShortReadFaultIsTruncation) {
   fault::ScopedFaultInjection scope;
   fault::FaultInjector::Instance().ArmNth("workload_io.read",
                                           fault::FaultKind::kShortRead, 2);
-  auto loaded = similarity::LoadWorkload(path);
+  auto loaded = similarity::LoadWorkload(path, 3);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   EXPECT_NE(loaded.status().message().find("short read"), std::string::npos);
@@ -381,7 +365,7 @@ TEST_F(CacheFileRobustnessTest, WorkloadOpenAndReadFaultsAreIoErrors) {
     fault::ScopedFaultInjection scope(
         "workload_io.open",
         fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-    auto loaded = similarity::LoadWorkload(path);
+    auto loaded = similarity::LoadWorkload(path, 3);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   }
@@ -389,12 +373,12 @@ TEST_F(CacheFileRobustnessTest, WorkloadOpenAndReadFaultsAreIoErrors) {
     fault::ScopedFaultInjection scope(
         "workload_io.read",
         fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-    auto loaded = similarity::LoadWorkload(path);
+    auto loaded = similarity::LoadWorkload(path, 3);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   }
   // Disarmed again: the same file loads cleanly.
-  auto loaded = similarity::LoadWorkload(path);
+  auto loaded = similarity::LoadWorkload(path, 3);
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
 }
 
@@ -405,7 +389,7 @@ TEST_F(CacheFileRobustnessTest, PartitionTruncatedAtLineBoundaryIsDetected) {
                 "0\t0\n"
                 "1\t0\n"
                 "2\t1\n");  // node 3 lost to truncation
-  auto loaded = community::LoadPartition(path);
+  auto loaded = community::LoadPartition(path, 4);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   EXPECT_NE(loaded.status().message().find("truncated partition"),
@@ -421,7 +405,7 @@ TEST_F(CacheFileRobustnessTest, PartitionBitFlipIsParseErrorNotACrash) {
     std::string bad = good;
     bad[flip] = static_cast<char>(bad[flip] ^ 0x40);
     auto loaded = community::LoadPartition(
-        WriteFile("flip_" + std::to_string(flip) + ".tsv", bad));
+        WriteFile("flip_" + std::to_string(flip) + ".tsv", bad), 4);
     ASSERT_FALSE(loaded.ok()) << "flip at byte " << flip;
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
         << "flip at byte " << flip;
@@ -434,7 +418,7 @@ TEST_F(CacheFileRobustnessTest, PartitionShortReadAndIoFaultsSurface) {
     fault::ScopedFaultInjection scope;
     fault::FaultInjector::Instance().ArmNth("partition_io.read",
                                             fault::FaultKind::kShortRead, 3);
-    auto loaded = community::LoadPartition(path);
+    auto loaded = community::LoadPartition(path, 4);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
     EXPECT_NE(loaded.status().message().find("short read"),
@@ -444,25 +428,116 @@ TEST_F(CacheFileRobustnessTest, PartitionShortReadAndIoFaultsSurface) {
     fault::ScopedFaultInjection scope(
         "partition_io.open",
         fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-    auto loaded = community::LoadPartition(path);
+    auto loaded = community::LoadPartition(path, 4);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   }
-  auto loaded = community::LoadPartition(path);
+  auto loaded = community::LoadPartition(path, 4);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->num_nodes(), 4);
 }
 
-TEST_F(LastFmRobustnessTest, TransientReadFaultIsRetriedAway) {
-  WriteFile("user_friends.dat", "userID\tfriendID\n1\t2\n2\t3\n");
-  WriteFile("user_artists.dat", "userID\tartistID\tweight\n1\t10\t5\n");
-  fault::ScopedFaultInjection scope;
-  fault::FaultInjector::Instance().ArmNth("data.lastfm.open",
-                                          fault::FaultKind::kIoError, 1);
-  auto ds = data::LoadHetRecLastFm(dir_.string(), {.max_attempts = 2});
-  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  EXPECT_EQ(ds->report.io_retries, 1);
-  EXPECT_EQ(ds->social.num_edges(), 2);
+// ------------------------------------ counts and numbers a loader trusts
+
+// Lines of `path`, without their newlines.
+std::vector<std::string> ReadLines(const fs::path& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+void WriteLines(const fs::path& path, const std::vector<std::string>& lines) {
+  std::ofstream out(path, std::ios::trunc);
+  for (const std::string& line : lines) out << line << '\n';
+}
+
+TEST_F(DataRobustnessTest, TruncatedExportIsParseErrorNamingTheFile) {
+  // Each edge file cut to the first half of its lines still parses line
+  // by line; only the counts in its header can tell.
+  for (const char* name : {"social.tsv", "preferences.tsv"}) {
+    const fs::path dir = dir_ / "export";
+    ASSERT_TRUE(data::SaveDataset(data::MakeTinyDataset(), dir.string()).ok());
+    std::vector<std::string> lines = ReadLines(dir / name);
+    lines.resize(lines.size() / 2);
+    WriteLines(dir / name, lines);
+    auto loaded = data::LoadDataset(dir.string());
+    ASSERT_FALSE(loaded.ok()) << name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find(name), std::string::npos)
+        << loaded.status().message();
+  }
+}
+
+TEST_F(DataRobustnessTest, OversizedIdsAndCountsAreParseErrors) {
+  // Each number would size an allocation if it were trusted.
+  auto partition = community::LoadPartition(
+      WriteFile("partition.tsv", "0\t0\n99999999999999\t0\n"), 2);
+  ASSERT_FALSE(partition.ok());
+  EXPECT_EQ(partition.status().code(), StatusCode::kParseError);
+
+  auto workload = similarity::LoadWorkload(
+      WriteFile("workload.tsv",
+                "# privrec workload measure=cn users=99999999999999 "
+                "entries=0 max_column_sum=0 max_entry=0\n"),
+      3);
+  ASSERT_FALSE(workload.ok());
+  EXPECT_EQ(workload.status().code(), StatusCode::kParseError);
+
+  const fs::path dir = dir_ / "export";
+  ASSERT_TRUE(data::SaveDataset(data::MakeTinyDataset(), dir.string()).ok());
+  std::vector<std::string> meta = ReadLines(dir / "meta.txt");
+  for (std::string& line : meta) {
+    if (line.starts_with("num_users")) line = "num_users\t99999999999999";
+  }
+  WriteLines(dir / "meta.txt", meta);
+  auto dataset = data::LoadDataset(dir.string());
+  ASSERT_FALSE(dataset.ok());
+  EXPECT_EQ(dataset.status().code(), StatusCode::kParseError);
+  EXPECT_NE(dataset.status().message().find("social.tsv"), std::string::npos)
+      << dataset.status().message();
+}
+
+TEST_F(DataRobustnessTest, NonFiniteNumbersAreParseErrors) {
+  for (const std::string bad : {"nan", "inf"}) {
+    auto prefs = graph::LoadPreferenceGraph(
+        WriteFile("prefs.txt", "0 1 2\n1 2 " + bad + "\n"));
+    ASSERT_FALSE(prefs.ok()) << bad;
+    EXPECT_EQ(prefs.status().code(), StatusCode::kParseError);
+
+    data::Dataset rated;
+    rated.name = "rated";
+    rated.social = graph::SocialGraph::FromEdges(2, {{0, 1}});
+    rated.preferences = graph::PreferenceGraph::FromWeightedEdges(
+        2, 2, {{0, 0, 3.5}, {1, 1, 2.0}});
+    const fs::path dir = dir_ / "export";
+    ASSERT_TRUE(data::SaveDataset(rated, dir.string()).ok());
+    std::vector<std::string> lines = ReadLines(dir / "preferences.tsv");
+    ASSERT_EQ(lines[1], "0\t0\t3.5");
+    lines[1] = "0\t0\t" + bad;
+    WriteLines(dir / "preferences.tsv", lines);
+    auto dataset = data::LoadDataset(dir.string());
+    ASSERT_FALSE(dataset.ok()) << bad;
+    EXPECT_EQ(dataset.status().code(), StatusCode::kParseError);
+
+    WriteFile("links.txt", "1\t2\n");
+    WriteFile("ratings.txt", "1\t10\t4\n2\t10\t" + bad + "\n");
+    for (bool binarize : {true, false}) {
+      data::FlixsterOptions options;
+      options.binarize = binarize;
+      auto flixster = data::LoadFlixster(dir_.string(), options);
+      ASSERT_FALSE(flixster.ok()) << bad;
+      EXPECT_EQ(flixster.status().code(), StatusCode::kParseError);
+    }
+
+    auto workload = similarity::LoadWorkload(
+        WriteFile("workload.tsv",
+                  "# privrec workload measure=cn users=2 entries=1 "
+                  "max_column_sum=1 max_entry=1\n0\t1\t" + bad + "\n"),
+        2);
+    ASSERT_FALSE(workload.ok()) << bad;
+    EXPECT_EQ(workload.status().code(), StatusCode::kParseError);
+  }
 }
 
 // ------------------------------------------------- atomic artifact saves
@@ -498,6 +573,19 @@ class ArtifactSaveRobustnessTest : public DataRobustnessTest {
     auto engine = serving::ServingEngine::Load(Manifest());
     if (!engine.ok()) return engine.status();
     return engine->model().provenance.seed;
+  }
+
+  // The top-3 lists the artifact on disk serves to every user.
+  std::vector<core::RecommendationList> ServedLists() const {
+    auto engine = serving::ServingEngine::Load(Manifest());
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    if (!engine.ok()) return {};
+    serving::ServeSpec spec;
+    spec.epsilon = 0.9;
+    auto server = serving::MakeServeRecommender(&*engine, spec);
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    if (!server.ok()) return {};
+    return (*server)->Recommend({0, 1, 2, 3, 4}, 3).lists;
   }
 
   // Every file in the directory besides the manifest is a shard the
@@ -561,6 +649,30 @@ TEST_F(ArtifactSaveRobustnessTest, CrashBeforeRenameKeepsOldArtifact) {
   Result<uint64_t> survivor = LoadedSeed();
   ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
   EXPECT_EQ(*survivor, 5u);
+}
+
+TEST_F(ArtifactSaveRobustnessTest, SyncFaultKeepsOldArtifactServing) {
+  ASSERT_TRUE(Save(5).ok());
+  const std::vector<core::RecommendationList> before = ServedLists();
+  ASSERT_FALSE(before.empty());
+
+  // The manifest's fsync fails after every new shard is durable: the save
+  // reports it, and the previous artifact loads and serves as before.
+  fault::ScopedFaultInjection scope(
+      "artifact.sync",
+      fault::FaultSpec{.kind = fault::FaultKind::kIoError,
+                       .first_hit = kManifestHit});
+  Status failed = Save(6);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), StatusCode::kIoError);
+  EXPECT_FALSE(fs::exists(Manifest() + ".tmp"));
+  EXPECT_EQ(fault::FaultInjector::Instance().HitCount("artifact.sync"),
+            kManifestHit);
+
+  Result<uint64_t> survivor = LoadedSeed();
+  ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
+  EXPECT_EQ(*survivor, 5u);
+  EXPECT_EQ(ServedLists(), before);
 }
 
 TEST_F(ArtifactSaveRobustnessTest, WriteFaultNeverTouchesDestination) {

@@ -148,7 +148,6 @@ TEST(ServeChaosSoak, HotSwapsUnderFaultsAndConcurrentRequests) {
   // recovers within the soak instead of latching every reload out.
   options.breaker.failure_threshold = 3;
   options.breaker.cooldown_ms = 1;
-  options.breaker.probe_retry.max_attempts = 1;
   serve::ServeRuntime runtime(options);
   ASSERT_TRUE(runtime.Activate(good_a).ok());
 
@@ -361,7 +360,6 @@ TEST(ServeChaosSoak, ShardedHotSwapsWithCorruptShards) {
   options.admission.retry_after_ms = 1;
   options.breaker.failure_threshold = 3;
   options.breaker.cooldown_ms = 1;
-  options.breaker.probe_retry.max_attempts = 1;
   serve::ServeRuntime runtime(options);
   ASSERT_TRUE(runtime.Activate(good_a).ok());
 

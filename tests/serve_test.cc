@@ -113,7 +113,6 @@ TEST(CircuitBreakerTest, HalfOpenProbeGetsBoundedRetries) {
   CircuitBreakerOptions options;
   options.failure_threshold = 1;
   options.cooldown_ms = 50;
-  options.probe_retry.max_attempts = 3;
   CircuitBreaker breaker("probe", options, &clock);
 
   ASSERT_EQ(breaker.Run([] { return Status::IoError("x"); }).code(),
@@ -121,8 +120,9 @@ TEST(CircuitBreakerTest, HalfOpenProbeGetsBoundedRetries) {
   ASSERT_EQ(breaker.state(), BreakerState::kOpen);
   clock.Advance(50);
 
-  // The half-open probe wraps the op in RetryWithBackoff: two transient
-  // failures then success all inside ONE probe, and the breaker closes.
+  // The half-open probe reruns the op while it fails with kIoError: two
+  // transient failures then success all inside ONE probe, and the breaker
+  // closes.
   int calls = 0;
   Status probed = breaker.Run([&] {
     return ++calls < 3 ? Status::IoError("flaky") : Status::Ok();
@@ -137,7 +137,6 @@ TEST(CircuitBreakerTest, FailedProbeRestartsCooldown) {
   CircuitBreakerOptions options;
   options.failure_threshold = 1;
   options.cooldown_ms = 100;
-  options.probe_retry.max_attempts = 1;
   CircuitBreaker breaker("restart", options, &clock);
 
   ASSERT_EQ(breaker.Run([] { return Status::IoError("x"); }).code(),
@@ -715,7 +714,6 @@ TEST_F(ServeSwapTest, ReloadBreakerOpensOnRepeatedBadArtifacts) {
   options.clock = &clock;
   options.breaker.failure_threshold = 2;
   options.breaker.cooldown_ms = 500;
-  options.breaker.probe_retry.max_attempts = 1;
   ServeRuntime runtime(options);
   ASSERT_TRUE(runtime.Activate(good).ok());
 

@@ -303,7 +303,7 @@ TEST(WorkloadIoTest, RoundTripPreservesRowsAndStats) {
   SimilarityWorkload original =
       SimilarityWorkload::Compute(g, AdamicAdar());
   ASSERT_TRUE(SaveWorkload(original, path.string()).ok());
-  auto loaded = LoadWorkload(path.string());
+  auto loaded = LoadWorkload(path.string(), g.num_nodes());
   fs::remove(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->num_users(), original.num_users());
@@ -326,7 +326,7 @@ TEST(WorkloadIoTest, HandlesEmptyRowsAtBothEnds) {
   SimilarityWorkload original =
       SimilarityWorkload::Compute(g, CommonNeighbors());
   ASSERT_TRUE(SaveWorkload(original, path.string()).ok());
-  auto loaded = LoadWorkload(path.string());
+  auto loaded = LoadWorkload(path.string(), g.num_nodes());
   fs::remove(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->num_users(), 4);
@@ -341,7 +341,7 @@ TEST(WorkloadIoTest, MalformedHeaderFails) {
     std::ofstream out(path);
     out << "0\t1\t0.5\n";  // no header
   }
-  auto loaded = LoadWorkload(path.string());
+  auto loaded = LoadWorkload(path.string(), 2);
   fs::remove(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);

@@ -140,7 +140,6 @@ TEST(StreamSoak, ChurnCrashRepublishSwapUnderConcurrentRequests) {
   runtime_options.admission.retry_after_ms = 1;
   runtime_options.breaker.failure_threshold = 3;
   runtime_options.breaker.cooldown_ms = 1;
-  runtime_options.breaker.probe_retry.max_attempts = 1;
   serve::ServeRuntime runtime(runtime_options);
 
   // The per-generation oracle, keyed by provenance seed and grown as the

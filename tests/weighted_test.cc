@@ -252,7 +252,7 @@ TEST(FlixsterWeightedTest, BinarizeFalseKeepsRatings) {
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   EXPECT_TRUE(d->preferences.is_weighted());
   EXPECT_DOUBLE_EQ(d->preferences.max_weight(), 4.5);
-  EXPECT_EQ(d->preferences.num_edges(), 2);  // the 1.0 is below min_rating
+  EXPECT_EQ(d->preferences.num_edges(), 2);  // the 1.0 is below 2
 }
 
 }  // namespace
