@@ -673,8 +673,6 @@ int main(int argc, char** argv) {
       "chunking", "fixed; target " +
                       std::to_string(privrec::kDefaultTargetChunks) +
                       " chunks (DefaultChunkSize = ceil(n/target))");
-  benchmark::AddCustomContext(
-      "obs_compiled_in", privrec::obs::kCompiledIn ? "true" : "false");
   // Resolved SIMD level for the BM_Kernel* group; ci/perf_gate.sh only
   // asserts the Simd/Scalar speedup ratio when this says "avx2".
   benchmark::AddCustomContext(
@@ -691,24 +689,22 @@ int main(int argc, char** argv) {
   // BENCH_*.json record carries the workload-shape counters (similarity
   // entries, Laplace draws, cluster counts) its timings were measured
   // against.
-  if (privrec::obs::kCompiledIn) {
-    privrec::RecommenderFixture& f = privrec::SharedFixture();
-    privrec::core::ClusterPublisher warm(
-        f.context, f.louvain.partition, {.epsilon = 0.1, .seed = 7});
-    auto averages = warm.ComputeNoisyClusterAverages();
-    benchmark::DoNotOptimize(averages.data());
-    privrec::obs::MetricsSnapshot snapshot =
-        privrec::obs::MetricsRegistry::Instance().Snapshot();
-    for (const auto& counter : snapshot.counters) {
-      benchmark::AddCustomContext("metrics." + counter.name,
-                                  std::to_string(counter.value));
-    }
-    // Benchmarks re-run these paths thousands of times; the warmup
-    // snapshot above is the meaningful workload shape, so drop the warmup
-    // counts from the registry rather than letting them skew any
-    // post-run exports.
-    privrec::obs::MetricsRegistry::Instance().ResetValues();
+  privrec::RecommenderFixture& f = privrec::SharedFixture();
+  privrec::core::ClusterPublisher warm(
+      f.context, f.louvain.partition, {.epsilon = 0.1, .seed = 7});
+  auto averages = warm.ComputeNoisyClusterAverages();
+  benchmark::DoNotOptimize(averages.data());
+  privrec::obs::MetricsSnapshot snapshot =
+      privrec::obs::MetricsRegistry::Instance().Snapshot();
+  for (const auto& counter : snapshot.counters) {
+    benchmark::AddCustomContext("metrics." + counter.name,
+                                std::to_string(counter.value));
   }
+  // Benchmarks re-run these paths thousands of times; the warmup
+  // snapshot above is the meaningful workload shape, so drop the warmup
+  // counts from the registry rather than letting them skew any
+  // post-run exports.
+  privrec::obs::MetricsRegistry::Instance().ResetValues();
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -24,9 +24,21 @@
 #      DenseTopNOffer instantiation. serving.cc compiles with
 #      -falign-functions=64, but the linker keeps the copy from whichever
 #      object it links first, so a second instantiation site could hand
-#      it an unaligned one. Runs right after the build.
+#      it an unaligned one. The same gate keeps instrumentation out of
+#      the reconstruction loop: it disassembles each hot function (start
+#      and size from nm -S, .cold clones aside) and fails on any
+#      lock-prefixed instruction or any call into privrec::obs. The hot
+#      functions are the three above, ReconstructTopN<ClusterServe>
+#      itself (GCC inlines it into ClusterServe::Recommend, so there it
+#      is the instructions addr2line -i attributes to it),
+#      core::TopNAccumulator::Offer,
+#      kernels::DenseTopNFinish<core::Recommendation>, and
+#      kernels::AccumulateRows with its scalar and AVX2 bodies. A counter
+#      increment is a lock-prefixed add and a span is a call to
+#      obs::SpanScope, so either one in the per-user, per-block loop
+#      fails here whatever it costs in time. Runs right after the build.
 #
-# Methodology matches ci/obs_overhead.sh gate 2: both sides of every
+# Methodology matches ci/obs_overhead.sh: both sides of every
 # ratio live in the same binary, run in one process with randomly
 # interleaved repetitions, and the min over repetitions is compared —
 # scheduler noise is strictly additive, so the minimum is the cleanest
@@ -44,20 +56,25 @@ SELECT_MIN="${KERNEL_SELECT_MIN_RATIO:-1.0}"
 cmake --preset default >/dev/null
 cmake --build --preset default -j"$(nproc)" --target bench_perf_micro kernels_test
 
-# Gate 4 (first: it needs no timing): the alignment pin.
+# Gate 4 (first: it needs no timing): the alignment pin and the
+# instruction check.
 python3 - build/bench/bench_perf_micro build/src <<'EOF'
-import glob, os, re, subprocess, sys
+import glob, os, platform, re, subprocess, sys
 binary, lib_root = sys.argv[1], sys.argv[2]
 OFFER = "privrec::kernels::DenseTopNOffer<privrec::core::Recommendation>("
-LINE = re.compile(r"^([0-9a-f]+) (\S) (.*)$")
+RECOMMEND = "privrec::serving::(anonymous namespace)::ClusterServe::Recommend("
+LINE = re.compile(r"^([0-9a-f]+) (?:([0-9a-f]{8,}) )?(\S) (.*)$")
+INSN = re.compile(r"^\s*([0-9a-f]+):\s+(.*)$")
+CALL = re.compile(r"^(?:call|jmp)\S*\s+[0-9a-f]+ <(.*)>$")
 
-def symbols(path, *flags):
-    out = subprocess.run(["nm", "-C", *flags, path], check=True,
+def symbols(path, *flags):  # -> (address, size, nm type, demangled name)
+    out = subprocess.run(["nm", "-C", "-S", *flags, path], check=True,
                          capture_output=True, text=True).stdout
     for line in out.splitlines():
         m = LINE.match(line)
-        if m and not m.group(3).endswith("[clone .cold]"):
-            yield int(m.group(1), 16), m.group(3)
+        if m and not m.group(4).endswith("[clone .cold]"):
+            yield (int(m.group(1), 16), int(m.group(2) or "0", 16),
+                   m.group(3), m.group(4))
 
 def label_of(name):
     if OFFER in name:
@@ -70,27 +87,108 @@ def label_of(name):
         return "ClusterServe block sum"
     return None
 
+PINNED = ("DenseTopNOffer<Recommendation>", "ClusterServe chunk body",
+          "ClusterServe block sum")
+
+def hot_label(name):
+    label = label_of(name)
+    if label is not None:
+        return label
+    if (name.startswith("privrec::serving::ReconstructTopN<")
+            and "ClusterServe" in name):
+        return "ReconstructTopN<ClusterServe>"
+    for label, prefix in (
+            ("TopNAccumulator::Offer", "privrec::core::TopNAccumulator::Offer("),
+            ("DenseTopNFinish<Recommendation>",
+             "void privrec::kernels::DenseTopNFinish<privrec::core::Recommendation>("),
+            ("AccumulateRows", "privrec::kernels::AccumulateRows("),
+            ("AccumulateRows scalar body",
+             "privrec::kernels::(anonymous namespace)::ScalarBody("),
+            ("AccumulateRows AVX2 body",
+             "privrec::kernels::(anonymous namespace)::Avx2Body(")):
+        if name.startswith(prefix):
+            return label
+    return None
+
+HOT = PINNED + ("ReconstructTopN<ClusterServe>", "TopNAccumulator::Offer",
+                "DenseTopNFinish<Recommendation>", "AccumulateRows",
+                "AccumulateRows scalar body")
+if platform.machine() == "x86_64":
+    HOT += ("AccumulateRows AVX2 body",)
+
+def disassemble(address, size):  # -> [(address, instruction text)]
+    out = subprocess.run(
+        ["objdump", "-d", "-C", "--no-show-raw-insn",
+         f"--start-address={address:#x}", f"--stop-address={address + size:#x}",
+         binary], check=True, capture_output=True, text=True).stdout
+    return [(int(m.group(1), 16), m.group(2))
+            for m in map(INSN.match, out.splitlines()) if m]
+
+def inlined_from(insns, marker):  # the instructions whose inline chain
+    # (the line table, via addr2line -i) passes through a frame `marker`
+    query = "\n".join(f"{a:#x}" for a, _ in insns)
+    out = subprocess.run(["addr2line", "-i", "-f", "-C", "-a", "-e", binary],
+                         input=query, check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    keep, address, k = set(), None, 0
+    while k < len(out):
+        if out[k].startswith("0x"):
+            address, k = int(out[k], 16), k + 1
+            continue
+        if re.match(marker, out[k]):
+            keep.add(address)
+        k += 2  # function line, then its file:line
+    return [(a, t) for a, t in insns if a in keep]
+
 fail = False
 found = set()
-for addr, name in symbols(binary):
-    label = label_of(name)
-    if label is None:
+checked = {}  # hot label -> instructions checked
+pieces = []   # (label, address, size, inline marker or None)
+for addr, size, kind, name in symbols(binary):
+    if kind not in "tTwW":
         continue
-    found.add(label)
-    ok = addr % 64 == 0
-    print(f"[align] {label} at {addr:#x} (mod 64 = {addr % 64}) "
-          f"{'OK' if ok else 'FAIL'}")
-    fail |= not ok
-for label in ("DenseTopNOffer<Recommendation>", "ClusterServe chunk body",
-              "ClusterServe block sum"):
+    label = label_of(name)
+    if label is not None:
+        found.add(label)
+        ok = addr % 64 == 0
+        print(f"[align] {label} at {addr:#x} (mod 64 = {addr % 64}) "
+              f"{'OK' if ok else 'FAIL'}")
+        fail |= not ok
+    label = hot_label(name)
+    if label is not None:
+        pieces.append((label, addr, size, None))
+    elif name.startswith(RECOMMEND):
+        # GCC inlines ReconstructTopN into its one caller: check the
+        # instructions the line table attributes to it there (the caller's
+        # own per-batch span and counters are not the hot loop).
+        pieces.append(("ReconstructTopN<ClusterServe>", addr, size,
+                       r"(privrec::serving::)?ReconstructTopN<"))
+for label in PINNED:
     if label not in found:
         print(f"FAIL: {label} not found in {binary}")
         fail = True
+for label, addr, size, marker in pieces:
+    insns = disassemble(addr, size)
+    if marker is not None:
+        insns = inlined_from(insns, marker)
+    checked[label] = checked.get(label, 0) + len(insns)
+    for a, text in insns:
+        call = CALL.match(text)
+        if text.startswith("lock") or (call and "privrec::obs::" in call.group(1)):
+            print(f"FAIL: {label} at {a:#x}: {text}")
+            fail = True
+for label in HOT:
+    if checked.get(label, 0) == 0:
+        print(f"FAIL: {label} not found in {binary}")
+        fail = True
+    else:
+        print(f"[hot] {label}: {checked[label]} instructions checked for "
+              "lock prefixes and privrec::obs calls")
 for lib in sorted(glob.glob(os.path.join(lib_root, "**", "lib*.a"),
                             recursive=True)):
     if os.path.basename(lib) == "libprivrec_serving.a":
         continue
-    if any(OFFER in name for _, name in symbols(lib, "--defined-only")):
+    if any(OFFER in name for _, _, _, name in symbols(lib, "--defined-only")):
         print(f"FAIL: {lib} also instantiates {OFFER.rstrip('(')}")
         fail = True
 sys.exit(1 if fail else 0)
@@ -165,4 +263,5 @@ PRIVREC_NO_SIMD=1 build/tests/kernels_test > "$SCRATCH/kernels_test.log" 2>&1 \
 echo "PRIVREC_NO_SIMD=1: kernels_test green on the forced-scalar path"
 
 rm -rf "$SCRATCH"
-echo "kernel perf gate: alignment pinned, dispatch verified, SIMD floors met"
+echo "kernel perf gate: alignment pinned, hot loop free of atomics and obs" \
+     "calls, dispatch verified, SIMD floors met"

@@ -55,19 +55,6 @@ PRIVREC_CHAOS_ITERS=500 \
   ctest --preset tsan -j"$(nproc)" -R "^(stream_test|stream_soak_test)\$" "$@"
 echo "stream soak: 500 churn iterations with crashes and faults, clean under TSan"
 
-# PRIVREC_OBS=OFF pass: the no-op shells must keep the whole suite green,
-# and the compile-out must be real — no registry or tracer machinery may
-# survive into the obs library's object code.
-cmake --preset no-obs
-cmake --build --preset no-obs -j"$(nproc)"
-ctest --preset no-obs -j"$(nproc)" "$@"
-if nm --defined-only build-noobs/src/obs/libprivrec_obs.a 2>/dev/null \
-    | grep -E "MetricsRegistry|Tracer|SpanScope" ; then
-  echo "FAIL: PRIVREC_OBS=OFF build still defines obs runtime symbols" >&2
-  exit 1
-fi
-echo "no-obs symbol check: clean (metrics registry and tracer compiled out)"
-
 # Two-phase pipeline determinism pass: build→save→load→serve must be
 # byte-stable. At K = 1 and K = 3 the manifest and every shard file its
 # table names must be byte-identical across runs and thread counts, and

@@ -87,6 +87,16 @@ bool RecordReader::HeaderCount(std::string_view unit, int64_t* count) const {
   return false;
 }
 
+Status RecordReader::CheckHeaderCount(std::string_view unit,
+                                      int64_t read) const {
+  int64_t promised = 0;
+  if (!HeaderCount(unit, &promised) || read == promised) return Status::Ok();
+  return Status::ParseError(path_ + ": header promises " +
+                            std::to_string(promised) + " " +
+                            std::string(unit) + ", read " +
+                            std::to_string(read));
+}
+
 Status RecordReader::Error(std::string_view what) const {
   std::string message =
       path_ + ":" + std::to_string(line_no_) + ": " + std::string(what);

@@ -56,6 +56,11 @@ class RecordReader {
   // "145 edges"). False when the header has none or it is negative.
   bool HeaderCount(std::string_view unit, int64_t* count) const;
 
+  // When the header counts `unit`, kParseError naming the file unless
+  // `read` records match that count: a file cut at a line boundary, or
+  // with a line dropped or repeated, disagrees. Ok when it has no count.
+  Status CheckHeaderCount(std::string_view unit, int64_t read) const;
+
   // Advances to the next record. A record with fewer than `min_fields`
   // fields is a defect. Returns false at the end of the input and at the
   // first defect or read failure; status() then tells which.

@@ -1,5 +1,6 @@
 #include "core/degradation.h"
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -50,13 +51,18 @@ void RecordServingMetrics(const RecommendedBatch& batch) {
   degraded.Add(batch.report.users_degraded);
   blocks_visited.Add(batch.report.bound_blocks_visited);
   blocks_total.Add(batch.report.bound_blocks_total);
+  // One counter per reason, tallied over the batch and then resolved
+  // once per reason that occurs: the registry lookup (with its mutex)
+  // runs per batch, not per user, and a reason no user had is never
+  // registered.
+  std::map<DegradationReason, int64_t> by_reason;
   for (const DegradationInfo& info : batch.degradation) {
-    if (!info.degraded()) continue;
-    // One counter per reason; the name set is small and fixed, so the
-    // registry lookup (with its mutex) only ever sees a handful of keys.
+    if (info.degraded()) ++by_reason[info.reason];
+  }
+  for (const auto& [reason, users] : by_reason) {
     obs::GetCounter(std::string("privrec.serving.degraded.") +
-                    DegradationReasonName(info.reason))
-        .Increment();
+                    DegradationReasonName(reason))
+        .Add(users);
   }
 }
 

@@ -63,15 +63,15 @@ Status ReadMeta(const std::string& path, std::string* name,
 }
 
 // Opens one of the edge files and checks its header against meta.txt:
-// each `unit` the header counts must equal its meta.txt size. Returns the
-// header's edge count through `edges`.
+// each `unit` the header counts must equal its meta.txt size, and it must
+// count its edges (CheckHeaderCount holds the records to that count).
 Result<RecordReader> OpenEdgeFile(
     const std::string& path,
-    std::initializer_list<std::pair<std::string_view, int64_t>> sizes,
-    int64_t* edges) {
+    std::initializer_list<std::pair<std::string_view, int64_t>> sizes) {
   auto reader = RecordReader::Open(path, "data.export");
   if (!reader.ok()) return reader.status();
-  if (!reader->HeaderCount("edges", edges)) {
+  int64_t edges = 0;
+  if (!reader->HeaderCount("edges", &edges)) {
     return Status::ParseError(path + ": missing or bad header");
   }
   for (auto [unit, expected] : sizes) {
@@ -83,16 +83,6 @@ Result<RecordReader> OpenEdgeFile(
     }
   }
   return reader;
-}
-
-// The header's edge count against the records read: a file cut at a line
-// boundary, or with a line dropped or repeated, disagrees.
-Status CheckEdgeCount(const RecordReader& reader, int64_t promised,
-                      size_t read) {
-  if (static_cast<int64_t>(read) == promised) return Status::Ok();
-  return Status::ParseError(reader.path() + ": header promises " +
-                            std::to_string(promised) + " edges, read " +
-                            std::to_string(read));
 }
 
 }  // namespace
@@ -108,9 +98,7 @@ Result<Dataset> LoadDataset(const std::string& dir) {
 
   // Social edges: ids in the saved format are already dense in
   // [0, num_users).
-  int64_t promised = 0;
-  auto social = OpenEdgeFile(dir + "/social.tsv", {{"nodes", num_users}},
-                             &promised);
+  auto social = OpenEdgeFile(dir + "/social.tsv", {{"nodes", num_users}});
   if (!social.ok()) return social.status();
   std::vector<std::pair<graph::NodeId, graph::NodeId>> social_edges;
   while (social->Next(2)) {
@@ -126,14 +114,14 @@ Result<Dataset> LoadDataset(const std::string& dir) {
     social_edges.emplace_back(a, b);
   }
   if (!social->status().ok()) return social->status();
-  if (Status s = CheckEdgeCount(*social, promised, social_edges.size());
+  if (Status s = social->CheckHeaderCount(
+          "edges", static_cast<int64_t>(social_edges.size()));
       !s.ok()) {
     return s;
   }
 
   auto prefs = OpenEdgeFile(dir + "/preferences.tsv",
-                            {{"users", num_users}, {"items", num_items}},
-                            &promised);
+                            {{"users", num_users}, {"items", num_items}});
   if (!prefs.ok()) return prefs.status();
   std::vector<graph::PreferenceEdge> pref_edges;
   bool weighted = false;
@@ -156,7 +144,8 @@ Result<Dataset> LoadDataset(const std::string& dir) {
     pref_edges.push_back({u, i, w});
   }
   if (!prefs->status().ok()) return prefs->status();
-  if (Status s = CheckEdgeCount(*prefs, promised, pref_edges.size());
+  if (Status s = prefs->CheckHeaderCount(
+          "edges", static_cast<int64_t>(pref_edges.size()));
       !s.ok()) {
     return s;
   }

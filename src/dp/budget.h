@@ -44,7 +44,8 @@ class PrivacyBudget {
 
   // Restores a replayed ledger balance: overwrites the spend recorded for
   // `group` (no limit check beyond the slack — the ledger is the source of
-  // truth for what was already paid).
+  // truth for what was already paid; BudgetLedger::Open refuses a ledger
+  // whose replay would pass limit()).
   void RestoreGroupSpent(const std::string& group, double epsilon);
 
   // Sequential total within one group.
@@ -65,9 +66,11 @@ class PrivacyBudget {
     return per_group_;
   }
 
- private:
+  // The most ε one group may hold: the total plus kRelativeSlack. Charge
+  // never passes it, and RestoreGroupSpent requires a replay within it.
   double limit() const;
 
+ private:
   double total_epsilon_;
   std::map<std::string, double> per_group_;
 };

@@ -98,6 +98,11 @@ Result<BudgetLedger> BudgetLedger::Open(const std::string& path,
   // truncation.
   uint64_t valid_bytes = 0;
   bool torn = false;
+  // What ReplayInto will restore per group, summed in the same order and
+  // held to the limit PrivacyBudget charges against, so that replay only
+  // ever restores a spend the budget accepts.
+  const double limit = PrivacyBudget(total_epsilon).limit();
+  std::map<std::string, double> group_spent;
   while (std::getline(in, line)) {
     ++line_no;
     if (in.eof() && !line.empty()) {
@@ -145,12 +150,20 @@ Result<BudgetLedger> BudgetLedger::Open(const std::string& path,
       int64_t seq = 0;
       double eps = 0.0;
       if (fields.size() != 4 || !ParseInt64(fields[1], &seq) ||
-          !ParseDouble(fields[3], &eps) || eps < 0.0) {
+          !ParseDouble(fields[3], &eps) || eps < 0.0 ||
+          !std::isfinite(eps)) {
         return Status::ParseError(path + ":" + std::to_string(line_no) +
                                   ": bad intent record");
       }
-      ledger.entries_.push_back(
-          {seq, std::string(fields[2]), eps, false});
+      const std::string group(fields[2]);
+      const double spent = group_spent[group] += eps;
+      if (spent > limit) {
+        return Status::ParseError(
+            path + ":" + std::to_string(line_no) + ": intents of group " +
+            group + " spend ε " + FormatDouble(spent, 6) +
+            ", past the ledger total ε " + FormatDouble(total_epsilon, 6));
+      }
+      ledger.entries_.push_back({seq, group, eps, false});
     } else if (fields[0] == "commit") {
       int64_t seq = 0;
       if (fields.size() != 2 || !ParseInt64(fields[1], &seq)) {
@@ -246,6 +259,10 @@ Status BudgetLedger::AppendLine(const std::string& body) {
 Status BudgetLedger::AppendIntent(int64_t seq, const std::string& group,
                                   double epsilon) {
   PRIVREC_CHECK(epsilon >= 0.0);
+  if (!std::isfinite(epsilon)) {
+    // Open would refuse the record on replay.
+    return Status::InvalidArgument("ledger intents need a finite ε");
+  }
   PRIVREC_CHECK_MSG(group.find_first_of(" \t\r\n") == std::string::npos,
                     "ledger group names must contain no whitespace");
   Status s = AppendLine("intent " + std::to_string(seq) + " " + group +

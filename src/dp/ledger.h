@@ -66,13 +66,16 @@ class BudgetLedger {
 
   // Opens `path`, creating it (with the given total) if absent. An
   // existing ledger is replayed: its recorded total must equal
-  // `total_epsilon` exactly, its checksums must verify, and a torn final
-  // line is truncated away.
+  // `total_epsilon` exactly (else kFailedPrecondition), its checksums
+  // must verify, every intent ε must be finite and ≥ 0, and no group's
+  // intents may sum past PrivacyBudget::limit() (else kParseError with
+  // path:line); a torn final line is truncated away.
   static Result<BudgetLedger> Open(const std::string& path,
                                    double total_epsilon);
 
   // Journals a charge intent (write-ahead: call BEFORE sampling noise).
-  // The group name must contain no whitespace. Fsyncs before returning.
+  // The group name must contain no whitespace; a non-finite ε is
+  // kInvalidArgument. Fsyncs before returning.
   Status AppendIntent(int64_t seq, const std::string& group, double epsilon);
 
   // Marks `seq` released. Requires a prior intent for `seq`.

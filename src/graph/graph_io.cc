@@ -63,6 +63,11 @@ Result<LoadedSocialGraph> ReadSocialGraph(const std::string& path) {
     edges.emplace_back(ua, ub);
   }
   if (!reader->status().ok()) return reader->status();
+  if (Status s = reader->CheckHeaderCount(
+          "edges", static_cast<int64_t>(edges.size()));
+      !s.ok()) {
+    return s;
+  }
   LoadedSocialGraph out;
   out.report.lines_scanned = reader->records();
   out.report.records_loaded = static_cast<int64_t>(edges.size());
@@ -97,6 +102,11 @@ Result<LoadedPreferenceGraph> ReadPreferenceGraph(const std::string& path) {
     edges.push_back({user, item, weight});
   }
   if (!reader->status().ok()) return reader->status();
+  if (Status s = reader->CheckHeaderCount(
+          "edges", static_cast<int64_t>(edges.size()));
+      !s.ok()) {
+    return s;
+  }
   LoadedPreferenceGraph out;
   out.report.lines_scanned = reader->records();
   out.report.records_loaded = static_cast<int64_t>(edges.size());

@@ -5,7 +5,10 @@
 // contiguous — they are remapped densely on load and the mapping returned.
 //
 // Loads are strict (common/record_reader.h): the first malformed record is
-// a ParseError naming the file and line.
+// a ParseError naming the file and line. A leading '#' header that counts
+// "E edges", as the writers below emit, holds the file to E records: a
+// file cut at a line boundary, or with a line dropped or repeated, is a
+// ParseError naming the file. A file without that count loads as is.
 //
 // Fault points (see common/fault_injection.h):
 //   graph_io.open   kIoError  — the open fails

@@ -1,10 +1,7 @@
 #include "loadgen/report.h"
 
-#include <algorithm>
-
 #include "common/version.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
 
 namespace privrec::loadgen {
 
@@ -16,7 +13,7 @@ namespace {
 std::string Num(double x) { return obs::JsonNumber(x); }
 std::string Escape(const std::string& s) { return obs::JsonEscape(s); }
 
-std::string LatencyBlock(const LatencyRecorder& r) {
+std::string LatencyBlock(const obs::LatencyRecorder& r) {
   return "{\"count\": " + std::to_string(r.count()) +
          ", \"mean\": " + Num(r.mean()) +
          ", \"p50\": " + Num(r.Quantile(0.50)) +
@@ -27,39 +24,6 @@ std::string LatencyBlock(const LatencyRecorder& r) {
 std::string BudgetLine(double v) { return v < 0 ? "null" : Num(v); }
 
 }  // namespace
-
-LatencyRecorder::LatencyRecorder()
-    : bounds_(obs::LatencyBucketsMs()), counts_(bounds_.size() + 1, 0) {}
-
-void LatencyRecorder::Observe(double ms) {
-  const size_t b = static_cast<size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), ms) -
-      bounds_.begin());
-  ++counts_[b];
-  ++count_;
-  sum_ += ms;
-}
-
-void LatencyRecorder::Merge(const LatencyRecorder& other) {
-  for (size_t b = 0; b < counts_.size(); ++b) counts_[b] += other.counts_[b];
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-double LatencyRecorder::Quantile(double q) const {
-  return obs::HistogramQuantile(Sample(""), q);
-}
-
-obs::HistogramSample LatencyRecorder::Sample(
-    const std::string& name) const {
-  obs::HistogramSample s;
-  s.name = name;
-  s.bounds = bounds_;
-  s.counts = counts_;
-  s.count = count_;
-  s.sum = sum_;
-  return s;
-}
 
 void LoadSummary::Finalize() {
   shed_rate = scheduled > 0

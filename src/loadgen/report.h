@@ -1,10 +1,5 @@
-// Load-run accounting and the BENCH_serve.json emitter.
-//
-// LatencyRecorder is a plain (non-atomic) histogram over the shared
-// obs::LatencyBucketsMs() grid. The harness records into it directly so
-// that results are identical whether or not the obs layer is compiled in
-// (obs histograms become no-ops under PRIVREC_NO_OBS; the bench report
-// must not).
+// Load-run accounting and the BENCH_serve.json emitter. Latencies are
+// recorded into obs::LatencyRecorder.
 //
 // The JSON layout follows the BENCH_parallel.json / BENCH_artifact.json
 // convention: a context block (git revision, library version, mode) so a
@@ -19,35 +14,11 @@
 #include <vector>
 
 #include "loadgen/schedule.h"
+#include "obs/latency_recorder.h"
 #include "obs/rolling_window.h"
 #include "obs/snapshot.h"
 
 namespace privrec::loadgen {
-
-class LatencyRecorder {
- public:
-  LatencyRecorder();
-
-  void Observe(double ms);
-  void Merge(const LatencyRecorder& other);
-
-  int64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const {
-    return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
-  }
-  // Quantile via obs::HistogramQuantile (linear interpolation within the
-  // log-spaced bucket holding the target rank).
-  double Quantile(double q) const;
-
-  obs::HistogramSample Sample(const std::string& name) const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<int64_t> counts_;
-  int64_t count_ = 0;
-  double sum_ = 0.0;
-};
 
 struct LoadSummary {
   // Request accounting. scheduled = ok + shed + expired + other_errors.
@@ -65,8 +36,8 @@ struct LoadSummary {
 
   // Scheduled-send -> resolution, for every request (0 for a request shed
   // in the same millisecond it was sent). ok_latency covers kOk only.
-  LatencyRecorder latency;
-  LatencyRecorder ok_latency;
+  obs::LatencyRecorder latency;
+  obs::LatencyRecorder ok_latency;
 
   // Swap storm accounting. Pauses are wall-clock per Activate() call —
   // the one intentionally non-deterministic section of the report.
@@ -74,7 +45,7 @@ struct LoadSummary {
   int64_t swap_ok = 0;
   int64_t swap_rejected = 0;
   int64_t rollbacks = 0;
-  LatencyRecorder swap_pause_ms;
+  obs::LatencyRecorder swap_pause_ms;
 
   // Largest load-aware retry hint observed on a shed response.
   int64_t max_retry_after_ms = 0;

@@ -10,9 +10,7 @@
 //                      microsecond timestamps), loadable in
 //                      chrome://tracing and https://ui.perfetto.dev
 //
-// These operate on the plain value types of obs/snapshot.h and are always
-// compiled, even under PRIVREC_OBS=OFF (a disabled build exports empty
-// documents).
+// These operate on the plain value types of obs/snapshot.h.
 
 #ifndef PRIVREC_OBS_EXPORT_H_
 #define PRIVREC_OBS_EXPORT_H_

@@ -39,8 +39,6 @@ std::vector<double> LatencyBucketsMs() {
   return bounds;
 }
 
-#ifndef PRIVREC_NO_OBS
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {}
 
@@ -130,7 +128,5 @@ void MetricsRegistry::ResetValues() {
   for (auto& [name, gauge] : gauges_) gauge->ResetValue();
   for (auto& [name, histogram] : histograms_) histogram->ResetValue();
 }
-
-#endif  // PRIVREC_NO_OBS
 
 }  // namespace privrec::obs

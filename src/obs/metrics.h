@@ -16,12 +16,7 @@
 // Determinism contract: the registry never reads the wall clock and never
 // draws randomness; collecting metrics cannot perturb RNG streams,
 // FP reduction order, or any recommendation output (obs_test pins this).
-//
-// Compile-out: configuring with -DPRIVREC_OBS=OFF defines PRIVREC_NO_OBS,
-// which replaces every type in this header with a constexpr no-op shell —
-// call sites compile away entirely. Snapshot/export types live in
-// obs/snapshot.h and survive the compile-out so exporters and drivers
-// still link (they just see empty data).
+// Snapshot/export value types live in obs/snapshot.h.
 
 #ifndef PRIVREC_OBS_METRICS_H_
 #define PRIVREC_OBS_METRICS_H_
@@ -51,10 +46,6 @@ std::vector<double> ExponentialBuckets(double start, double factor,
 // quantiles are computed over identical bucket grids and stay comparable
 // across BENCH_*.json records.
 std::vector<double> LatencyBucketsMs();
-
-#ifndef PRIVREC_NO_OBS
-
-inline constexpr bool kCompiledIn = true;
 
 class Counter {
  public:
@@ -153,80 +144,6 @@ inline Histogram& GetHistogram(const std::string& name,
                                std::vector<double> bounds) {
   return MetricsRegistry::Instance().GetHistogram(name, std::move(bounds));
 }
-
-#else  // PRIVREC_NO_OBS
-
-inline constexpr bool kCompiledIn = false;
-
-// Constexpr no-op shells with the exact API of the real types; every call
-// site optimizes to nothing.
-class Counter {
- public:
-  constexpr void Increment() const {}
-  constexpr void Add(int64_t) const {}
-  constexpr int64_t value() const { return 0; }
-  constexpr void ResetValue() const {}
-};
-
-class Gauge {
- public:
-  constexpr void Set(double) const {}
-  constexpr void Add(double) const {}
-  constexpr double value() const { return 0.0; }
-  constexpr void ResetValue() const {}
-};
-
-class Histogram {
- public:
-  constexpr void Observe(double) const {}
-  const std::vector<double>& bounds() const {
-    static const std::vector<double> kEmpty;
-    return kEmpty;
-  }
-  constexpr int64_t count() const { return 0; }
-  constexpr double sum() const { return 0.0; }
-  constexpr int64_t bucket_count(size_t) const { return 0; }
-  constexpr size_t num_buckets() const { return 0; }
-  constexpr void ResetValue() const {}
-  HistogramSample Sample(const std::string& name) const {
-    HistogramSample sample;
-    sample.name = name;
-    return sample;
-  }
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Instance() {
-    static MetricsRegistry registry;
-    return registry;
-  }
-  Counter& GetCounter(const std::string&) { return counter_; }
-  Gauge& GetGauge(const std::string&) { return gauge_; }
-  Histogram& GetHistogram(const std::string&, std::vector<double>) {
-    return histogram_;
-  }
-  MetricsSnapshot Snapshot() const { return MetricsSnapshot{}; }
-  void ResetValues() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-inline Counter& GetCounter(const std::string& name) {
-  return MetricsRegistry::Instance().GetCounter(name);
-}
-inline Gauge& GetGauge(const std::string& name) {
-  return MetricsRegistry::Instance().GetGauge(name);
-}
-inline Histogram& GetHistogram(const std::string& name,
-                               std::vector<double> bounds) {
-  return MetricsRegistry::Instance().GetHistogram(name, std::move(bounds));
-}
-
-#endif  // PRIVREC_NO_OBS
 
 }  // namespace privrec::obs
 

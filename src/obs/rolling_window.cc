@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/export.h"
-#include "obs/metrics.h"
 
 namespace privrec::obs {
 
@@ -11,8 +10,7 @@ RollingWindows::RollingWindows(int64_t width_ms, WindowBudget budget,
                                size_t max_windows)
     : width_ms_(std::max<int64_t>(1, width_ms)),
       max_windows_(std::max<size_t>(1, max_windows)),
-      budget_(budget),
-      bounds_(LatencyBucketsMs()) {
+      budget_(budget) {
   series_.width_ms = width_ms_;
 }
 
@@ -27,7 +25,7 @@ void RollingWindows::Observe(int64_t now_ms, RequestOutcome outcome,
     current_.index = 0;
     current_.start_ms = (now_ms / width_ms_) * width_ms_;
     current_.width_ms = width_ms_;
-    current_.latency_counts.assign(bounds_.size() + 1, 0);
+    current_latency_ = LatencyRecorder();
     open_ = true;
   }
   ++observed_;
@@ -47,11 +45,7 @@ void RollingWindows::Observe(int64_t now_ms, RequestOutcome outcome,
       break;
   }
   if (degraded) ++current_.degraded;
-  current_.latency_sum_ms += latency_ms;
-  const size_t b = static_cast<size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), latency_ms) -
-      bounds_.begin());
-  ++current_.latency_counts[b];
+  current_latency_.Observe(latency_ms);
 }
 
 int64_t RollingWindows::AdvanceTo(int64_t now_ms) {
@@ -66,7 +60,7 @@ int64_t RollingWindows::AdvanceTo(int64_t now_ms) {
     current_.index = next_index;
     current_.start_ms = next_start;
     current_.width_ms = width_ms_;
-    current_.latency_counts.assign(bounds_.size() + 1, 0);
+    current_latency_ = LatencyRecorder();
   }
   return closed;
 }
@@ -92,14 +86,10 @@ void RollingWindows::CloseCurrent() {
   w.shed_rate = w.requests > 0 ? static_cast<double>(w.shed) /
                                      static_cast<double>(w.requests)
                                : 0.0;
-  HistogramSample sample;
-  sample.bounds = bounds_;
-  sample.counts = w.latency_counts;
-  sample.count = w.requests;
-  sample.sum = w.latency_sum_ms;
-  w.p50_ms = HistogramQuantile(sample, 0.50);
-  w.p99_ms = HistogramQuantile(sample, 0.99);
-  w.p999_ms = HistogramQuantile(sample, 0.999);
+  const HistogramSample latency = current_latency_.Sample("");
+  w.p50_ms = HistogramQuantile(latency, 0.50);
+  w.p99_ms = HistogramQuantile(latency, 0.99);
+  w.p999_ms = HistogramQuantile(latency, 0.999);
 
   if (budget_.p99_ms >= 0.0 && w.p99_ms > budget_.p99_ms) {
     w.breach = true;

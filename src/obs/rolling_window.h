@@ -9,9 +9,8 @@
 // the SLO burn rate, and closing a window while the burn rate exceeds the
 // threshold emits a WindowAlert.
 //
-// Like the other value types in this directory, everything here is always
-// compiled (PRIVREC_OBS=OFF included) and never touches the metrics
-// registry, the tracer, a clock, or an RNG: time enters exclusively
+// Like the other value types in this directory, nothing here touches the
+// metrics registry, the tracer, a clock, or an RNG: time enters exclusively
 // through the now_ms arguments, so one deterministic event stream yields
 // one byte-identical window series. Counter/gauge wiring lives in the
 // serve layer (serve/telemetry.h).
@@ -24,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/latency_recorder.h"
 #include "obs/wide_event.h"
 
 namespace privrec::obs {
@@ -52,12 +52,7 @@ struct WindowStats {
   int64_t errors = 0;  // invalid / no-epoch / other
   int64_t degraded = 0;
 
-  double latency_sum_ms = 0.0;
-  // LatencyBucketsMs() counts (+1 overflow bucket), same grid as
-  // privrec.serve.request_ms.
-  std::vector<int64_t> latency_counts;
-
-  // Derived on close.
+  // Derived on close, from the window's LatencyRecorder.
   double rps = 0.0;
   double shed_rate = 0.0;
   double p50_ms = 0.0;
@@ -118,18 +113,17 @@ class RollingWindows {
   const int64_t width_ms_;
   const size_t max_windows_;
   const WindowBudget budget_;
-  const std::vector<double> bounds_;
 
   bool open_ = false;
   WindowStats current_;
+  LatencyRecorder current_latency_;
   std::deque<char> breach_ring_;  // 1 = breach, newest at back
   int64_t breaches_ = 0;
   int64_t observed_ = 0;
   WindowSeries series_;
 };
 
-// Compact JSON renderers (no latency_counts — the quantiles carry the
-// shape) shared by the load report, the telemetry JSONL stream, and
+// Compact JSON renderers shared by the load report, the telemetry JSONL stream, and
 // statusz.
 std::string WindowStatsToJson(const WindowStats& window);
 std::string WindowAlertToJson(const WindowAlert& alert);

@@ -1,7 +1,5 @@
 // Plain value types shared by the metrics registry, the span tracer and
-// the exporters. These survive the PRIVREC_OBS=OFF compile-out (they carry
-// no runtime cost), so drivers that export snapshots build in every
-// configuration — a disabled build just exports empty data.
+// the exporters.
 
 #ifndef PRIVREC_OBS_SNAPSHOT_H_
 #define PRIVREC_OBS_SNAPSHOT_H_

@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#ifndef PRIVREC_NO_OBS
-
 #include <algorithm>
 
 namespace privrec::obs {
@@ -101,5 +99,3 @@ SpanScope::~SpanScope() {
 }
 
 }  // namespace privrec::obs
-
-#endif  // PRIVREC_NO_OBS

@@ -11,8 +11,7 @@
 // Cost: tracing is off by default; a span constructor then costs one
 // relaxed atomic load. Enabled spans cost two steady_clock reads and one
 // short critical section on the owning thread's buffer mutex (uncontended
-// except against a concurrent snapshot). With PRIVREC_OBS=OFF the macros
-// expand to nothing.
+// except against a concurrent snapshot).
 //
 // Determinism: the tracer reads the steady clock but never feeds anything
 // back into computation — enabling tracing cannot change results.
@@ -32,8 +31,6 @@
 #include "obs/snapshot.h"
 
 namespace privrec::obs {
-
-#ifndef PRIVREC_NO_OBS
 
 namespace internal {
 struct ThreadSpanBuffer;
@@ -101,36 +98,6 @@ class SpanScope {
 #define PRIVREC_SPAN_CHUNK(name, chunk)                           \
   ::privrec::obs::SpanScope PRIVREC_OBS_CONCAT_(privrec_span_,    \
                                                 __LINE__)(name, chunk)
-
-#else  // PRIVREC_NO_OBS
-
-// No-op tracer shell: drivers can enable/snapshot unconditionally.
-class Tracer {
- public:
-  static Tracer& Instance() {
-    static Tracer tracer;
-    return tracer;
-  }
-  void SetEnabled(bool) {}
-  bool enabled() const { return false; }
-  void Clear() {}
-  std::vector<SpanRecord> Snapshot() const { return {}; }
-};
-
-// No-op span shell so runtime code can hold a named SpanScope (and call
-// Arg on it) unconditionally; everything folds to nothing.
-class SpanScope {
- public:
-  explicit SpanScope(const char*, int64_t = -1) {}
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-  void Arg(const char*, const std::string&) {}
-};
-
-#define PRIVREC_SPAN(name) ((void)0)
-#define PRIVREC_SPAN_CHUNK(name, chunk) ((void)sizeof(chunk))
-
-#endif  // PRIVREC_NO_OBS
 
 }  // namespace privrec::obs
 

@@ -7,9 +7,8 @@
 // count, the degradation tier, and a queue/reconstruct latency
 // breakdown. The serve runtime fills one per request and hands it to a
 // sink (serve/telemetry.h); this header owns only the plain value type,
-// the deterministic sampling rule, and the JSONL rendering, so it is
-// always compiled (PRIVREC_OBS=OFF included) and never touches the
-// metrics registry or the tracer.
+// the deterministic sampling rule, and the JSONL rendering, and never
+// touches the metrics registry or the tracer.
 //
 // Determinism contract: nothing here reads a clock or draws randomness.
 // Sampling is a pure function of the record (keyed off a mixed request

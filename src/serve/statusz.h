@@ -13,9 +13,8 @@
 //
 // Reading the snapshot takes the same short locks as any other request
 // (epoch pin, admission counters, telemetry mutex) — it never stops the
-// serving path. Under PRIVREC_OBS=OFF the registry sections render empty
-// but the page still builds and serves: the epoch/admission/breaker state
-// lives in the runtime, not in the obs layer.
+// serving path. The epoch/admission/breaker state lives in the runtime,
+// not in the obs layer.
 
 #ifndef PRIVREC_SERVE_STATUSZ_H_
 #define PRIVREC_SERVE_STATUSZ_H_
@@ -66,7 +65,7 @@ struct RuntimeIntrospection {
   int64_t admission_retry_hint_ms = 0;
 
   // ---- Registry slices: the privacy-budget gauges (privrec.dp.*) and
-  // the serve counters (privrec.serve.*). Empty under PRIVREC_OBS=OFF.
+  // the serve counters (privrec.serve.*).
   std::vector<obs::GaugeSample> epsilon_gauges;
   std::vector<obs::CounterSample> serve_counters;
 

@@ -19,10 +19,7 @@
 // threads contend only for the short fold; the recommender work stays
 // outside). Determinism: the sink never reads a clock — time enters only
 // through the events — so a virtual-time run produces a byte-identical
-// JSONL stream and window series on every run and thread count. Under
-// PRIVREC_OBS=OFF the registry mirroring folds to no-ops but events,
-// windows, and JSONL keep working: the load report must not change shape
-// with observability compiled out.
+// JSONL stream and window series on every run and thread count.
 
 #ifndef PRIVREC_SERVE_TELEMETRY_H_
 #define PRIVREC_SERVE_TELEMETRY_H_

@@ -470,7 +470,6 @@ TEST_F(ArtifactTest, ContentDefectsFailAtOpenWithOneMessageOnBothRoutes) {
 // and Load records artifact.map (the files' checks) and then one
 // artifact.engine, so a trace times the engine's open on both routes.
 TEST_F(ArtifactTest, EveryOpenRecordsOneEngineSpan) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   artifact::ModelArtifactBuilder builder = MakeBuilder();
   auto model = builder.Build({.epsilon = kEps, .seed = kSeed});
   ASSERT_TRUE(model.ok()) << model.status().ToString();

@@ -18,6 +18,7 @@
 #include "data/synthetic.h"
 #include "dp/mechanisms.h"
 #include "mechanisms.h"
+#include "obs/metrics.h"
 #include "similarity/common_neighbors.h"
 
 namespace privrec::core {
@@ -289,6 +290,34 @@ TEST(ClusterRecommenderDegradationTest, IsolatedUserFallsBackToGlobalAverage) {
   // Recommend() returns exactly the same lists, minus the diagnostics.
   auto rec = MakeCluster(ctx, phi, dp::kEpsilonInfinity, 3);
   EXPECT_EQ(rec->Recommend({0, 4}, 3), batch.lists);
+}
+
+// Each degraded user of a batch counts once under its reason's counter.
+TEST(ClusterRecommenderDegradationTest, IsolatedUsersRaiseTheirReasonCounter) {
+  // Nodes 4, 5 and 6 have no social edges.
+  SocialGraph social =
+      SocialGraph::FromEdges(7, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
+  PreferenceGraph prefs = PreferenceGraph::FromEdges(
+      7, 3, {{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 1}, {5, 2}, {6, 0}});
+  auto workload = similarity::SimilarityWorkload::Compute(
+      social, similarity::CommonNeighbors());
+  RecommenderContext ctx{&social, &prefs, &workload};
+  const Partition phi({0, 0, 0, 1, 1, 1, 1});
+  serving::ServingEngine engine =
+      BuildEngine(ctx, phi, dp::kEpsilonInfinity, 3,
+                  /*include_reference_sections=*/false);
+  obs::Counter& isolated =
+      obs::GetCounter("privrec.serving.degraded.isolated_user");
+  obs::Counter& degraded = obs::GetCounter("privrec.serving.users_degraded");
+  const int64_t isolated_before = isolated.value();
+  const int64_t degraded_before = degraded.value();
+
+  RecommendedBatch batch =
+      Serve(engine, {.mechanism = "Cluster", .epsilon = dp::kEpsilonInfinity})
+          ->Recommend({0, 4, 5, 1, 6}, 3);
+  EXPECT_EQ(batch.report.users_degraded, 3);
+  EXPECT_EQ(isolated.value() - isolated_before, 3);
+  EXPECT_EQ(degraded.value() - degraded_before, 3);
 }
 
 TEST(ClusterRecommenderDegradationTest, SingletonClustersAreCounted) {

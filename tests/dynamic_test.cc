@@ -230,10 +230,8 @@ TEST_F(DynamicTest, ArtifactResumeSkipsTornFilesAndReusesIntactOnes) {
     EXPECT_TRUE(release->resumed_from_intent);
     EXPECT_EQ(release->lists, ref1->lists);
     // The counter is the only witness of reuse (both paths give the same
-    // bits), and it reads 0 when obs is compiled out.
-    if (obs::kCompiledIn) {
-      EXPECT_EQ(reused.value(), reused_before + 1);
-    }
+    // bits).
+    EXPECT_EQ(reused.value(), reused_before + 1);
     EXPECT_NEAR(session->epsilon_spent(), 0.5, 1e-9);
     EXPECT_FALSE(fs::exists(reused_tmp));
   }

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,20 @@ TEST_F(LedgerTest, EpsilonRoundTripsExactly) {
   ASSERT_TRUE(reopened.ok());
   ASSERT_EQ(reopened->entries().size(), 1u);
   EXPECT_EQ(reopened->entries()[0].epsilon, eps);  // exact, not NEAR
+}
+
+// Open refuses a non-finite intent, so the ledger never journals one.
+TEST_F(LedgerTest, NonFiniteIntentIsNotJournaled) {
+  const std::string path = Path("budget.ledger");
+  auto ledger = BudgetLedger::Open(path, 1.0);
+  ASSERT_TRUE(ledger.ok());
+  Status appended =
+      ledger->AppendIntent(0, "g", std::numeric_limits<double>::infinity());
+  EXPECT_EQ(appended.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ledger->entries().empty());
+  auto reopened = BudgetLedger::Open(path, 1.0);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE(reopened->entries().empty());
 }
 
 TEST_F(LedgerTest, RejectsTotalMismatch) {

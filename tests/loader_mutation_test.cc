@@ -10,9 +10,15 @@
 // duplicated lines, out-of-range and non-finite numbers, BOMs and CRs):
 // each mutant must either load or fail with kParseError, and nothing may
 // throw or trip a PRIVREC_CHECK. Where a format counts its records (the
-// dataset export, the workload and the partition), a dropped or
-// duplicated record line must be rejected.
+// dataset export, the edge lists, the workload and the partition), a
+// dropped or duplicated record line must be rejected.
+//
+// The privacy-budget ledger gets its own sweep with the same mutations:
+// its records carry checksums, which the sweep recomputes so that mutants
+// reach the record parsers, and every mutant must either open and replay
+// a spend within the budget's limit or fail with a typed status.
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cstdint>
@@ -32,15 +38,20 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "community/louvain.h"
 #include "community/partition_io.h"
+#include "core/dynamic_recommender.h"
 #include "data/export.h"
 #include "data/flixster.h"
 #include "data/hetrec_lastfm.h"
 #include "data/synthetic.h"
 #include "graph/graph_io.h"
 #include "graph/metrics.h"
+#include "dp/budget.h"
+#include "dp/ledger.h"
 #include "similarity/adamic_adar.h"
+#include "similarity/common_neighbors.h"
 #include "similarity/workload.h"
 #include "similarity/workload_io.h"
 
@@ -198,7 +209,7 @@ std::vector<Format> WriteFixtures(const fs::path& root) {
   formats.push_back(
       {"graph_io",
        {"social.tsv", "prefs.tsv"},
-       {},
+       {"social.tsv", "prefs.tsv"},
        [](const fs::path& dir) -> Result<uint64_t> {
          auto social = graph::LoadSocialGraph((dir / "social.tsv").string());
          if (!social.ok()) return social.status();
@@ -507,6 +518,188 @@ TEST_F(LoaderMutationTest, EveryMutantLoadsOrFailsWithParseError) {
   }
   // The sweep exercises both outcomes.
   EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// ------------------------------------------------------------ ledger
+
+constexpr double kLedgerTotal = 0.8;
+
+// The ledger's per-line checksum: FNV-1a 64 over the record body, as 16
+// hex digits. Its offset basis is 1469598103934665603, the FNV basis
+// with its last decimal digit dropped; ledgers on disk carry it.
+std::string LedgerChecksum(std::string_view body) {
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : body) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(h));
+  return hex;
+}
+
+// Rewrites the checksum of every record line ("body checksum", read
+// trimmed as the ledger reads it) to match its body. The header and the
+// whitespace around each record stay as they are.
+std::string Reseal(const std::string& bytes) {
+  std::string out;
+  for (const auto& [begin, end] : LineSpans(bytes)) {
+    const std::string line = bytes.substr(begin, end - begin);
+    const std::string_view record = Trim(line);
+    const size_t space = record.rfind(' ');
+    if (record.empty() || record[0] == '#' ||
+        space == std::string_view::npos) {
+      out += line;
+      continue;
+    }
+    const size_t at = static_cast<size_t>(record.data() - line.data());
+    out += line.substr(0, at + space + 1) +
+           LedgerChecksum(record.substr(0, space)) +
+           line.substr(at + record.size());
+  }
+  return out;
+}
+
+// A header, a total of 1, and one intent of `eps` as written, each record
+// with a valid checksum.
+std::string LedgerWithIntent(const std::string& eps) {
+  std::string bytes = "# privrec budget ledger v1\n";
+  for (const std::string& body :
+       {std::string("total 0x1p+0"), "intent 0 snapshots " + eps}) {
+    bytes += body + " " + LedgerChecksum(body) + "\n";
+  }
+  return bytes;
+}
+
+// The ledger a session writes for three releases: the total, then an
+// intent and a commit per release.
+void WriteSessionLedger(const fs::path& path) {
+  const data::Dataset tiny = data::MakeTinyDataset(40, 30, 7);
+  const auto workload = similarity::SimilarityWorkload::Compute(
+      tiny.social, similarity::CommonNeighbors());
+  const core::RecommenderContext context{&tiny.social, &tiny.preferences,
+                                         &workload};
+  core::DynamicRecommenderOptions options;
+  options.total_epsilon = kLedgerTotal;
+  options.planned_snapshots = 4;
+  options.louvain.restarts = 1;
+  options.ledger_path = path.string();
+  auto session = core::DynamicRecommenderSession::Open(options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (int t = 0; t < 3; ++t) {
+    auto release = session->ProcessSnapshot(context, {0, 5, 9}, 5);
+    ASSERT_TRUE(release.ok()) << release.status().ToString();
+  }
+}
+
+// Each intent ε the ledger's open once took and its replay then aborted
+// on: non-finite ones fail as the auditor's "bad intent record", one past
+// the total as a spend past the limit, and one within it replays.
+TEST_F(LoaderMutationTest, LedgerIntentsOutsideTheBudgetFailOpen) {
+  const fs::path path = root_ / "probe.ledger";
+  for (const char* eps : {"nan", "-nan", "inf", "0x1p+10"}) {
+    WriteBytes(path, LedgerWithIntent(eps));
+    auto audit = dp::AuditLedgerReplay(path.string());
+    auto ledger = dp::BudgetLedger::Open(path.string(), 1.0);
+    EXPECT_FALSE(ledger.ok()) << eps << " opened";
+    if (ledger.ok()) continue;
+    EXPECT_EQ(ledger.status().code(), StatusCode::kParseError) << eps;
+    const std::string message = ledger.status().message();
+    EXPECT_EQ(message.rfind(path.string() + ":3: ", 0), 0u) << message;
+    if (std::string(eps) == "0x1p+10") {
+      EXPECT_NE(message.find("past the ledger total"), std::string::npos)
+          << message;
+      EXPECT_TRUE(audit.ok() && !audit->ok()) << eps;
+    } else {
+      EXPECT_NE(message.find("bad intent record"), std::string::npos)
+          << message;
+      EXPECT_EQ(audit.status().message(), message) << eps;
+    }
+  }
+  WriteBytes(path, LedgerWithIntent("0x1p-3"));
+  auto ledger = dp::BudgetLedger::Open(path.string(), 1.0);
+  ASSERT_TRUE(ledger.ok()) << ledger.status().ToString();
+  dp::PrivacyBudget budget(1.0);
+  ledger->ReplayInto(&budget);
+  EXPECT_EQ(budget.Spent(), 0.125);
+}
+
+// Every field of every record but its checksum, replaced by each hostile
+// value in turn: the byte-level mutations seldom produce a whole ε.
+std::vector<Mutant> LedgerFieldMutants(const std::string& original) {
+  static const char* const kValues[] = {"nan",  "-nan", "inf",
+                                        "-1",   "0x1p+10", "99999999999999"};
+  std::vector<Mutant> mutants;
+  for (const auto& [begin, end] : LineSpans(original)) {
+    const std::string line = original.substr(begin, end - begin);
+    if (!IsRecordLine(line)) continue;
+    std::vector<std::pair<size_t, size_t>> fields;  // [at, length)
+    for (size_t at = line.find_first_not_of(" \n"); at != std::string::npos;) {
+      const size_t stop = std::min(line.find_first_of(" \n", at), line.size());
+      fields.emplace_back(at, stop - at);
+      at = line.find_first_not_of(" \n", stop);
+    }
+    for (size_t f = 1; f + 1 < fields.size(); ++f) {
+      for (const char* value : kValues) {
+        std::string mutated = line;
+        mutated.replace(fields[f].first, fields[f].second, value);
+        mutants.push_back({original.substr(0, begin) + mutated +
+                               original.substr(end),
+                           "field " + std::to_string(f) + " of '" + line +
+                               "' set to " + value});
+      }
+    }
+  }
+  return mutants;
+}
+
+TEST_F(LoaderMutationTest, EveryLedgerMutantReplaysWithinTheLimitOrFailsTyped) {
+  const fs::path path = root_ / "budget.ledger";
+  WriteSessionLedger(path);
+  const std::string original = ReadBytes(path);
+  ASSERT_EQ(Reseal(original), original);
+  std::vector<Mutant> mutants = LedgerFieldMutants(original);
+  Rng rng(MixString(kBasis, "ledger"));
+  for (Mutation kind : kMutations) {
+    for (int k = 0; k < kMutantsPerKind; ++k) {
+      mutants.push_back(Mutate(original, kind, rng));
+    }
+  }
+  const double limit = dp::PrivacyBudget(kLedgerTotal).limit();
+  int64_t opened = 0;
+  int64_t rejected = 0;
+  for (const Mutant& mutant : mutants) {
+    WriteBytes(path, Reseal(mutant.bytes));
+    const std::string where = "ledger: " + mutant.what;
+    try {
+      // The auditor first: it never repairs the file, while Open cuts a
+      // torn tail away.
+      auto audit = dp::AuditLedgerReplay(path.string());
+      if (!audit.ok()) {
+        EXPECT_EQ(audit.status().code(), StatusCode::kParseError)
+            << where << ": " << audit.status().ToString();
+      }
+      auto ledger = dp::BudgetLedger::Open(path.string(), kLedgerTotal);
+      if (!ledger.ok()) {
+        ++rejected;
+        const StatusCode code = ledger.status().code();
+        // A total other than the session's is kFailedPrecondition.
+        EXPECT_TRUE(code == StatusCode::kParseError ||
+                    code == StatusCode::kFailedPrecondition)
+            << where << ": " << ledger.status().ToString();
+        continue;
+      }
+      ++opened;
+      dp::PrivacyBudget budget(kLedgerTotal);
+      ledger->ReplayInto(&budget);
+      EXPECT_LE(budget.Spent(), limit) << where;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << where << ": threw " << e.what();
+    }
+  }
+  EXPECT_GT(opened, 0);
   EXPECT_GT(rejected, 0);
 }
 

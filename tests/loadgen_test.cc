@@ -38,7 +38,6 @@ namespace fs = std::filesystem;
 
 using loadgen::BuildSchedule;
 using loadgen::EvaluateSlo;
-using loadgen::LatencyRecorder;
 using loadgen::LoadHarness;
 using loadgen::LoadOracle;
 using loadgen::LoadRunOptions;
@@ -136,44 +135,6 @@ TEST(LoadScheduleTest, DegenerateSpecsYieldEmptySchedules) {
   LoadSpec zero_window = SmallSpec();
   zero_window.duration_ms = 0;
   EXPECT_TRUE(BuildSchedule(zero_window).empty());
-}
-
-// ------------------------------------------------------------ recorder
-
-TEST(LatencyRecorderTest, QuantilesTrackObservations) {
-  LatencyRecorder recorder;
-  for (int i = 1; i <= 100; ++i) recorder.Observe(static_cast<double>(i));
-  EXPECT_EQ(recorder.count(), 100);
-  EXPECT_DOUBLE_EQ(recorder.mean(), 50.5);
-
-  // Log-spaced buckets: quantiles are interpolations, so allow the bucket
-  // width as tolerance rather than expecting exact order statistics.
-  const double p50 = recorder.Quantile(0.50);
-  const double p99 = recorder.Quantile(0.99);
-  EXPECT_GT(p50, 30.0);
-  EXPECT_LT(p50, 70.0);
-  EXPECT_GT(p99, 80.0);
-  EXPECT_LE(p99, 160.0);
-  EXPECT_LE(p50, p99);
-}
-
-TEST(LatencyRecorderTest, MergeIsExactOverCounts) {
-  LatencyRecorder a;
-  LatencyRecorder b;
-  LatencyRecorder whole;
-  for (int i = 0; i < 50; ++i) {
-    a.Observe(1.0 + i);
-    whole.Observe(1.0 + i);
-  }
-  for (int i = 0; i < 50; ++i) {
-    b.Observe(200.0 + i);
-    whole.Observe(200.0 + i);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_DOUBLE_EQ(a.sum(), whole.sum());
-  EXPECT_DOUBLE_EQ(a.Quantile(0.5), whole.Quantile(0.5));
-  EXPECT_DOUBLE_EQ(a.Quantile(0.999), whole.Quantile(0.999));
 }
 
 // ------------------------------------------------------------ slo

@@ -2,10 +2,6 @@
 // concurrency, span nesting, exporter goldens, driver flag plumbing, and
 // the determinism guard (metrics + tracing must never perturb
 // recommendation output).
-//
-// Live-registry assertions are gated on obs::kCompiledIn so this suite
-// stays green in a PRIVREC_OBS=OFF build (where the no-op shells always
-// report zero and exporters emit empty documents).
 
 #include <algorithm>
 #include <cmath>
@@ -27,6 +23,7 @@
 #include "mechanisms.h"
 #include "data/synthetic.h"
 #include "obs/export.h"
+#include "obs/latency_recorder.h"
 #include "obs/metrics.h"
 #include "obs/rolling_window.h"
 #include "obs/trace.h"
@@ -60,7 +57,6 @@ TEST(BucketsTest, ExponentialBuckets) {
 // --------------------------------------------------------------- Registry
 
 TEST(MetricsRegistryTest, CounterIsExactUnderConcurrency) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::Counter& counter = obs::GetCounter("privrec.test.concurrent");
   counter.ResetValue();
   constexpr int kThreads = 8;
@@ -76,7 +72,6 @@ TEST(MetricsRegistryTest, CounterIsExactUnderConcurrency) {
 }
 
 TEST(MetricsRegistryTest, GaugeSetAndAdd) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::Gauge& gauge = obs::GetGauge("privrec.test.gauge");
   gauge.Set(1.5);
   EXPECT_DOUBLE_EQ(gauge.value(), 1.5);
@@ -87,7 +82,6 @@ TEST(MetricsRegistryTest, GaugeSetAndAdd) {
 }
 
 TEST(MetricsRegistryTest, HistogramBucketing) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::Histogram& hist = obs::GetHistogram(
       "privrec.test.hist", std::vector<double>{1.0, 10.0, 100.0});
   hist.ResetValue();
@@ -106,7 +100,6 @@ TEST(MetricsRegistryTest, HistogramBucketing) {
 }
 
 TEST(MetricsRegistryTest, HistogramTotalsExactUnderConcurrency) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::Histogram& hist = obs::GetHistogram(
       "privrec.test.hist_concurrent", std::vector<double>{0.5});
   hist.ResetValue();
@@ -126,7 +119,6 @@ TEST(MetricsRegistryTest, HistogramTotalsExactUnderConcurrency) {
 }
 
 TEST(MetricsRegistryTest, SameNameReturnsSameObject) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::Counter& a = obs::GetCounter("privrec.test.same");
   obs::Counter& b = obs::GetCounter("privrec.test.same");
   EXPECT_EQ(&a, &b);
@@ -140,7 +132,6 @@ TEST(MetricsRegistryTest, SameNameReturnsSameObject) {
 }
 
 TEST(MetricsRegistryTest, ResetValuesKeepsRegistrations) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::Counter& counter = obs::GetCounter("privrec.test.reset");
   counter.Add(41);
   obs::MetricsRegistry::Instance().ResetValues();
@@ -160,7 +151,6 @@ TEST(MetricsRegistryTest, ResetValuesKeepsRegistrations) {
 }
 
 TEST(MetricsRegistryTest, SnapshotIsSortedByName) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::GetCounter("privrec.test.zz");
   obs::GetCounter("privrec.test.aa");
   obs::MetricsSnapshot snapshot =
@@ -180,7 +170,6 @@ TEST(TracerTest, DisabledRecordsNothing) {
 }
 
 TEST(TracerTest, RecordsNestedSpansWithDepthAndChunk) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::Tracer::Instance().Clear();
   obs::Tracer::Instance().SetEnabled(true);
   {
@@ -207,7 +196,6 @@ TEST(TracerTest, RecordsNestedSpansWithDepthAndChunk) {
 }
 
 TEST(TracerTest, SpansFromParallelChunksCarryChunkIds) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::Tracer::Instance().Clear();
   obs::Tracer::Instance().SetEnabled(true);
   ScopedThreadCount scoped(4);
@@ -227,7 +215,6 @@ TEST(TracerTest, SpansFromParallelChunksCarryChunkIds) {
 }
 
 TEST(TracerTest, SynthesisSpansNestUnderDataSynthesize) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::Tracer::Instance().Clear();
   obs::Tracer::Instance().SetEnabled(true);
   data::Dataset d = data::MakeTinyDataset();
@@ -450,7 +437,6 @@ TEST(ExportTest, JsonEscapeControlCharactersAreUnicodeEscaped) {
 }
 
 TEST(TracerTest, SpanScopeArgsReachTheSnapshot) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::Tracer::Instance().Clear();
   obs::Tracer::Instance().SetEnabled(true);
   {
@@ -654,10 +640,47 @@ TEST(RollingWindowsTest, SeriesJsonIsDeterministic) {
   EXPECT_NE(first.find("\"windows\": ["), std::string::npos);
 }
 
+// ------------------------------------------------------- LatencyRecorder
+
+TEST(LatencyRecorderTest, QuantilesTrackObservations) {
+  obs::LatencyRecorder recorder;
+  for (int i = 1; i <= 100; ++i) recorder.Observe(static_cast<double>(i));
+  EXPECT_EQ(recorder.count(), 100);
+  EXPECT_DOUBLE_EQ(recorder.mean(), 50.5);
+
+  // Log-spaced buckets: quantiles are interpolations, so allow the bucket
+  // width as tolerance rather than expecting exact order statistics.
+  const double p50 = recorder.Quantile(0.50);
+  const double p99 = recorder.Quantile(0.99);
+  EXPECT_GT(p50, 30.0);
+  EXPECT_LT(p50, 70.0);
+  EXPECT_GT(p99, 80.0);
+  EXPECT_LE(p99, 160.0);
+  EXPECT_LE(p50, p99);
+}
+
+TEST(LatencyRecorderTest, MergeIsExactOverCounts) {
+  obs::LatencyRecorder a;
+  obs::LatencyRecorder b;
+  obs::LatencyRecorder whole;
+  for (int i = 0; i < 50; ++i) {
+    a.Observe(1.0 + i);
+    whole.Observe(1.0 + i);
+  }
+  for (int i = 0; i < 50; ++i) {
+    b.Observe(200.0 + i);
+    whole.Observe(200.0 + i);
+  }
+  a.Merge(b);
+  EXPECT_EQ(a.count(), whole.count());
+  EXPECT_DOUBLE_EQ(a.sum(), whole.sum());
+  EXPECT_DOUBLE_EQ(a.Quantile(0.5), whole.Quantile(0.5));
+  EXPECT_DOUBLE_EQ(a.Quantile(0.999), whole.Quantile(0.999));
+}
+
 // ------------------------------------------------------------ ScopedTimer
 
 TEST(ScopedTimerTest, AccumulatesIntoHistogram) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::Histogram& hist = obs::GetHistogram(
       "privrec.test.timer_ms", obs::ExponentialBuckets(1.0, 10.0, 4));
   hist.ResetValue();
@@ -706,12 +729,10 @@ TEST(ObsSessionTest, WritesRequestedExports) {
   std::stringstream trace_text;
   trace_text << trace_in.rdbuf();
   EXPECT_NE(trace_text.str().find("traceEvents"), std::string::npos);
-  if (obs::kCompiledIn) {
-    EXPECT_NE(metrics_text.str().find("privrec.test.session"),
-              std::string::npos);
-    EXPECT_NE(trace_text.str().find("test.session_span"),
-              std::string::npos);
-  }
+  EXPECT_NE(metrics_text.str().find("privrec.test.session"),
+            std::string::npos);
+  EXPECT_NE(trace_text.str().find("test.session_span"),
+            std::string::npos);
   obs::Tracer::Instance().Clear();
   std::remove(metrics_path.c_str());
   std::remove(trace_path.c_str());

@@ -541,9 +541,7 @@ TEST_F(ServeSwapTest, CorruptArtifactRollsBackAndKeepsServing) {
   EXPECT_EQ(swapper.current_epoch(), 1);
   EXPECT_EQ(swapper.rollbacks(), 1);
   EXPECT_FALSE(swapper.last_error().empty());
-  if (obs::kCompiledIn) {
-    EXPECT_EQ(rollback_metric.value(), rollbacks_before + 1);
-  }
+  EXPECT_EQ(rollback_metric.value(), rollbacks_before + 1);
 
   // The published epoch is untouched and still serves identically.
   auto after = swapper.AcquireMutable();
@@ -559,7 +557,7 @@ TEST_F(ServeSwapTest, CorruptArtifactRollsBackAndKeepsServing) {
   for (const obs::SpanRecord& span : spans) {
     if (span.name == "serve.swap") ++swap_spans;
   }
-  if (obs::kCompiledIn) EXPECT_GE(swap_spans, 2);
+  EXPECT_GE(swap_spans, 2);
 }
 
 TEST_F(ServeSwapTest, ProvenanceGateRollsBack) {
@@ -1340,13 +1338,11 @@ TEST(ServeTelemetryTest, WindowsBreachAndAlertsFlowIntoJsonl) {
   EXPECT_NE(jsonl.find("\"type\": \"alert\""), std::string::npos);
   EXPECT_NE(jsonl.find("p99"), std::string::npos);
 
-  if (obs::kCompiledIn) {
-    obs::MetricsSnapshot snapshot =
-        obs::MetricsRegistry::Instance().Snapshot();
-    for (const obs::GaugeSample& g : snapshot.gauges) {
-      if (g.name == "privrec.serve.slo_burn_rate") {
-        EXPECT_DOUBLE_EQ(g.value, 0.5);
-      }
+  obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Instance().Snapshot();
+  for (const obs::GaugeSample& g : snapshot.gauges) {
+    if (g.name == "privrec.serve.slo_burn_rate") {
+      EXPECT_DOUBLE_EQ(g.value, 0.5);
     }
   }
 }
@@ -1481,11 +1477,9 @@ TEST_F(ServeSwapTest, StatuszSurfacesRuntimeAndTelemetryState) {
             std::string::npos);
   EXPECT_NE(json.find("\"telemetry\": {\"recorded\": 1"),
             std::string::npos);
-  if (obs::kCompiledIn) {
-    EXPECT_FALSE(status.serve_counters.empty());
-    for (const obs::CounterSample& c : status.serve_counters) {
-      EXPECT_EQ(c.name.rfind("privrec.serve.", 0), 0u) << c.name;
-    }
+  EXPECT_FALSE(status.serve_counters.empty());
+  for (const obs::CounterSample& c : status.serve_counters) {
+    EXPECT_EQ(c.name.rfind("privrec.serve.", 0), 0u) << c.name;
   }
 }
 
@@ -1679,7 +1673,7 @@ TEST_F(ServeSwapTest, SwapSkipsGlobalAverageUntilFallbackNeedsIt) {
   // A two-epoch swap storm: neither activation computes the row.
   ASSERT_TRUE(runtime.Activate(a).ok());
   ASSERT_TRUE(runtime.Activate(b).ok());
-  if (obs::kCompiledIn) EXPECT_EQ(global_spans(), 0);
+  EXPECT_EQ(global_spans(), 0);
 
   // First fallback-tier answer (deadline 0 expires at admission) pays
   // the pass exactly once...
@@ -1687,7 +1681,7 @@ TEST_F(ServeSwapTest, SwapSkipsGlobalAverageUntilFallbackNeedsIt) {
   EXPECT_EQ(first.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(first.degraded_fallback);
   const int64_t after_first = global_spans();
-  if (obs::kCompiledIn) EXPECT_EQ(after_first, 1);
+  EXPECT_EQ(after_first, 1);
 
   // ...and the cached row serves every later fallback on this epoch.
   ServeResponse second = runtime.Handle({users_, 10, 0});

@@ -365,9 +365,7 @@ TEST_F(ShardedArtifactTest, FallbackReadRetriesTransientFaultsBitIdentically) {
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     EXPECT_FALSE((*mapped)->mmap_backed());
     EXPECT_GE(injector.HitCount("artifact.fallback_read"), 3);
-    if (obs::kCompiledIn) {
-      EXPECT_GE(retries.value() - retries_before, 3);
-    }
+    EXPECT_GE(retries.value() - retries_before, 3);
     auto engine = serving::ServingEngine::FromMapped(*mapped);
     ASSERT_TRUE(engine.ok());
     EXPECT_EQ(ServeTwice(&*engine, "Cluster"), reference);
