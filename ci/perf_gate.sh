@@ -14,27 +14,27 @@
 #      replaced (KERNEL_SELECT_MIN_RATIO, default 1.0).
 #   3. PRIVREC_NO_SIMD=1 must pin dispatch to scalar (checked via the
 #      benchmark context) and kernels_test must stay green under it.
-#   4. The hot reconstruction templates stay pinned: in bench_perf_micro,
-#      kernels::DenseTopNOffer<core::Recommendation>, ClusterServe's
-#      ReconstructTopN chunk body (its _M_invoke, which holds best-first)
-#      and its block-sum lambda (the one kernel call site of best-first
-#      and the walk; .cold clones aside) start at an address that is
-#      0 mod 64, and no library under
-#      build/src other than libprivrec_serving.a defines that
-#      DenseTopNOffer instantiation. serving.cc compiles with
-#      -falign-functions=64, but the linker keeps the copy from whichever
-#      object it links first, so a second instantiation site could hand
-#      it an unaligned one. The same gate keeps instrumentation out of
-#      the reconstruction loop: it disassembles each hot function (start
-#      and size from nm -S, .cold clones aside) and fails on any
+#   4. The hot reconstruction code stays pinned: in bench_perf_micro,
+#      ClusterServe's ReconstructTopN chunk body (its _M_invoke, which
+#      holds best-first and the walk), its block-sum lambda (the one
+#      kernel call site of best-first and the walk), its block-offer
+#      lambda (it holds TopNAccumulator::Offer, which is always inlined;
+#      .cold clones aside) and the scalar and AVX2 bodies of
+#      kernels::FirstArgMax (best-first's block order) start at an
+#      address that is 0 mod 64,
+#      and no library under build/src other than libprivrec_serving.a
+#      instantiates ReconstructTopN. serving.cc compiles with
+#      -falign-functions=64, as does privrec_kernels, but a second
+#      instantiation site in another library would run the loop from
+#      code the flag does not reach. The same gate keeps instrumentation
+#      out of the reconstruction loop: it disassembles each hot function
+#      (start and size from nm -S, .cold clones aside) and fails on any
 #      lock-prefixed instruction or any call into privrec::obs. The hot
-#      functions are the three above, ReconstructTopN<ClusterServe>
-#      itself (GCC inlines it into ClusterServe::Recommend, so there it
-#      is the instructions addr2line -i attributes to it),
-#      core::TopNAccumulator::Offer,
-#      kernels::DenseTopNFinish<core::Recommendation>, and
-#      kernels::AccumulateRows with its scalar and AVX2 bodies. A counter
-#      increment is a lock-prefixed add and a span is a call to
+#      functions are the five above, ReconstructTopN<ClusterServe> itself
+#      (GCC inlines it into ClusterServe::Recommend, so there it is the
+#      instructions addr2line -i attributes to it), kernels::FirstArgMax,
+#      and kernels::AccumulateRows with its scalar and AVX2 bodies. A
+#      counter increment is a lock-prefixed add and a span is a call to
 #      obs::SpanScope, so either one in the per-user, per-block loop
 #      fails here whatever it costs in time. Runs right after the build.
 #
@@ -61,11 +61,16 @@ cmake --build --preset default -j"$(nproc)" --target bench_perf_micro kernels_te
 python3 - build/bench/bench_perf_micro build/src <<'EOF'
 import glob, os, platform, re, subprocess, sys
 binary, lib_root = sys.argv[1], sys.argv[2]
-OFFER = "privrec::kernels::DenseTopNOffer<privrec::core::Recommendation>("
+RECONSTRUCT = "privrec::serving::ReconstructTopN<"
 RECOMMEND = "privrec::serving::(anonymous namespace)::ClusterServe::Recommend("
 LINE = re.compile(r"^([0-9a-f]+) (?:([0-9a-f]{8,}) )?(\S) (.*)$")
 INSN = re.compile(r"^\s*([0-9a-f]+):\s+(.*)$")
 CALL = re.compile(r"^(?:call|jmp)\S*\s+[0-9a-f]+ <(.*)>$")
+OFFER_LAMBDA = re.compile(  # the lambda itself (GCC may clone it), not one
+    # nested in it
+    r"\{lambda\(privrec::core::TopNAccumulator&, long, long\)#\d+\}"
+    r"::operator\(\)\(privrec::core::TopNAccumulator&, long, long\) const"
+    r"( \[clone [^\]]*\])?$")
 
 def symbols(path, *flags):  # -> (address, size, nm type, demangled name)
     out = subprocess.run(["nm", "-C", "-S", *flags, path], check=True,
@@ -77,30 +82,37 @@ def symbols(path, *flags):  # -> (address, size, nm type, demangled name)
                    m.group(3), m.group(4))
 
 def label_of(name):
-    if OFFER in name:
-        return "DenseTopNOffer<Recommendation>"
     if ("ClusterServe" in name and "ReconstructTopN" in name
             and "::_M_invoke(" in name):
         return "ClusterServe chunk body"
     if ("ClusterServe" in name and "ReconstructTopN" in name
             and "{lambda(unsigned long, long, long)#1}::operator()" in name):
         return "ClusterServe block sum"
+    if ("ClusterServe" in name and "ReconstructTopN" in name
+            and OFFER_LAMBDA.search(name)):
+        return "ClusterServe block offer"
+    for label, prefix in (
+            ("FirstArgMax scalar body",
+             "privrec::kernels::(anonymous namespace)::FirstArgMaxScalarBody("),
+            ("FirstArgMax AVX2 body",
+             "privrec::kernels::(anonymous namespace)::FirstArgMaxAvx2Body(")):
+        if name.startswith(prefix):
+            return label
     return None
 
-PINNED = ("DenseTopNOffer<Recommendation>", "ClusterServe chunk body",
-          "ClusterServe block sum")
+PINNED = ("ClusterServe chunk body", "ClusterServe block sum",
+          "ClusterServe block offer", "FirstArgMax scalar body")
+if platform.machine() == "x86_64":
+    PINNED += ("FirstArgMax AVX2 body",)
 
 def hot_label(name):
     label = label_of(name)
     if label is not None:
         return label
-    if (name.startswith("privrec::serving::ReconstructTopN<")
-            and "ClusterServe" in name):
+    if name.startswith(RECONSTRUCT) and "ClusterServe" in name:
         return "ReconstructTopN<ClusterServe>"
     for label, prefix in (
-            ("TopNAccumulator::Offer", "privrec::core::TopNAccumulator::Offer("),
-            ("DenseTopNFinish<Recommendation>",
-             "void privrec::kernels::DenseTopNFinish<privrec::core::Recommendation>("),
+            ("FirstArgMax", "privrec::kernels::FirstArgMax("),
             ("AccumulateRows", "privrec::kernels::AccumulateRows("),
             ("AccumulateRows scalar body",
              "privrec::kernels::(anonymous namespace)::ScalarBody("),
@@ -110,9 +122,8 @@ def hot_label(name):
             return label
     return None
 
-HOT = PINNED + ("ReconstructTopN<ClusterServe>", "TopNAccumulator::Offer",
-                "DenseTopNFinish<Recommendation>", "AccumulateRows",
-                "AccumulateRows scalar body")
+HOT = PINNED + ("ReconstructTopN<ClusterServe>", "FirstArgMax",
+                "AccumulateRows", "AccumulateRows scalar body")
 if platform.machine() == "x86_64":
     HOT += ("AccumulateRows AVX2 body",)
 
@@ -188,8 +199,9 @@ for lib in sorted(glob.glob(os.path.join(lib_root, "**", "lib*.a"),
                             recursive=True)):
     if os.path.basename(lib) == "libprivrec_serving.a":
         continue
-    if any(OFFER in name for _, _, _, name in symbols(lib, "--defined-only")):
-        print(f"FAIL: {lib} also instantiates {OFFER.rstrip('(')}")
+    if any(RECONSTRUCT in name
+           for _, _, _, name in symbols(lib, "--defined-only")):
+        print(f"FAIL: {lib} also instantiates {RECONSTRUCT.rstrip('<')}")
         fail = True
 sys.exit(1 if fail else 0)
 EOF

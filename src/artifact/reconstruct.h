@@ -9,11 +9,12 @@
 //
 // The math itself lives one layer lower, in src/kernels/: the
 // similarity-weighted row sum is kernels::AccumulateRows (cache-blocked,
-// runtime-dispatched SIMD, bit-identical to its scalar reference) and the
-// top-N cut is the dense selector kernels::DenseTopNOffer. This header
+// runtime-dispatched SIMD, bit-identical to its scalar reference), and
+// best-first's block order comes from kernels::FirstArgMax. This header
 // only orchestrates: gather the touched rows and their weights per user,
 // decide which item blocks can still reach the user's list, hand those
-// blocks to the kernels, apply the fallback/degradation policy.
+// blocks to the kernels, keep each user's top-N in a
+// core::TopNAccumulator, apply the fallback/degradation policy.
 //
 // Most blocks cannot reach a top-10 or top-50 list, and a per-block upper
 // bound proves it without summing them. The bound table (the largest
@@ -25,11 +26,13 @@
 // utility in the block, bit for bit. Each user first visits blocks in
 // descending bound ("best-first") and stops as soon as no unvisited block
 // can beat its list. A user still unfinished after a budget of blocks
-// joins the group's ascending walk over the items, which skips every
-// block whose bound falls below the list it already holds. Every visited
-// block runs the unpruned kernel, so every kept utility has the unpruned
-// bits, and both selectors are exact under (utility desc, item asc):
-// lists, utilities and degradation are identical to the dense walk's.
+// joins the group's ascending walk over the items with the list it
+// holds, and the walk skips every block best-first summed and every
+// block whose bound falls below that list. Every visited block runs the
+// unpruned kernel, so every kept utility has the unpruned bits, and the
+// accumulator is exact under (utility desc, item asc) whatever order
+// the items come in: lists, utilities and degradation are identical to
+// the dense walk's.
 //
 // Reconstruction is pure post-processing of the released noisy table — it
 // never reads the preference graph — which is why this header lives in the
@@ -43,6 +46,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -169,15 +173,15 @@ inline constexpr int64_t kReconstructGroupUsers = 40;
 
 // Best-first's budget, in percent of the release's bound blocks (at least
 // one block). A user whose list is not provably complete after this many
-// blocks joins the walk, and at most this share of its blocks is summed
-// twice. DESIGN.md §5i records the sweep that chose 5%.
+// blocks joins the walk, which resumes from best-first's list and skips
+// the blocks it summed. DESIGN.md §5i records the sweeps that chose 5%.
 inline constexpr int64_t kBestFirstBudgetPercent = 5;
 
 // What one ReconstructTopN call did, folded over its chunks in order:
 // the degraded users, and the bound blocks summed against the blocks
-// there were, over the personalized (non-isolated) users. A walker's
-// best-first blocks count as visited, so `blocks_visited` is the work
-// done and can exceed `blocks_total` by the budget in the worst case.
+// there were, over the personalized (non-isolated) users. No block is
+// summed twice for one user, so `blocks_visited` is at most
+// `blocks_total`.
 struct ReconstructCounts {
   int64_t degraded = 0;
   int64_t blocks_visited = 0;
@@ -195,6 +199,13 @@ struct ReconstructCounts {
 // call from concurrent chunks. Lists and diagnostics are written to their
 // slots in `lists` / `degradation` (resized here).
 //
+// A batch of several users is served in stable ascending order of each
+// user's own cluster: users of one cluster fold to similar weights, so
+// the users of a group tend to win in the same blocks and read the same
+// row slices. The chunks cut that order, and every list and diagnostic
+// goes back to its user's slot; a user's list depends on nothing but the
+// user, so the order moves no result.
+//
 // Per user, one AccumulateRows pass over its bound-table rows gives the
 // bound of every block. Best-first then offers whole blocks, highest
 // bound first, to a core::TopNAccumulator (the full comparator: ids
@@ -202,18 +213,17 @@ struct ReconstructCounts {
 // bound is strictly below the worst kept utility, because a lower-id
 // item in an unseen block may still win a tie. Users it leaves
 // unfinished, and every user when top_n exceeds its budget, are walkers.
-// A walker drops its best-first list and walks ascending with the dense
-// selector (kernels::DenseTopNOffer), skipping each block whose bound is
-// below the larger of best-first's worst kept utility (when that list
-// was full) and the walk's own; its one-compare admission stays exact
-// because walk ids still ascend. Per element the add order is the
-// unpruned one, so the lists do not depend on the pruning, the tiling,
-// the chunking, the thread count or the dispatch level. A one-user chunk
-// is a group of one.
-// Per-thread scratch is one tile of utilities, the group's touched rows
-// and weights (group × num_clusters at most) and the group's bound rows
-// (group × I / kBoundBlockItems): bounded by the constants and the
-// release shape, not by the batch size or top_n.
+// A walker keeps best-first's accumulator and walks the items ascending,
+// skipping each block best-first summed (recorded in a byte per block)
+// and each block whose bound is below its worst kept utility. Per
+// element the add order is the unpruned one, so the lists do not depend
+// on the order, the pruning, the tiling, the chunking, the thread count
+// or the dispatch level. A one-user chunk is a group of one.
+// Scratch is one permutation of the batch per call and, per thread, one
+// tile of utilities, the group's touched rows and weights (group ×
+// num_clusters at most) and the group's bound rows (group × I /
+// kBoundBlockItems, as doubles and as bytes): bounded by the constants,
+// the release shape and the batch size, not by top_n.
 template <typename RowOf, typename GlobalFn>
 Result<ReconstructCounts> ReconstructTopN(
     const ReleaseView& release, RowOf&& row_of, GlobalFn&& global_fn,
@@ -233,13 +243,18 @@ Result<ReconstructCounts> ReconstructTopN(
       kernels::kAccumulateBlockItems / kBoundBlockItems;
   const int64_t num_tiles = (num_blocks + kTileBlocks - 1) / kTileBlocks;
   // Best-first runs only when its budget has a block for every item of
-  // the list: the top-N may sit in N different blocks, and with fewer
-  // it seldom finishes and its blocks are summed twice (DESIGN.md §5i).
+  // the list: the top-N may sit in N different blocks (DESIGN.md §5i).
   // Otherwise the user goes straight to the walk.
   const bool best_first = keep > 0 && keep <= budget;
-  constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
+  constexpr double kVisited = -std::numeric_limits<double>::infinity();
   lists->resize(users.size());
   degradation->resize(users.size());
+  // Position k of the serving order is batch slot order[k].
+  std::vector<size_t> order(users.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return release.cluster_of[users[a]] < release.cluster_of[users[b]];
+  });
   return ParallelReduce(
       static_cast<int64_t>(users.size()), ReconstructCounts{},
       [&](int64_t, int64_t begin, int64_t end) {
@@ -257,16 +272,18 @@ Result<ReconstructCounts> ReconstructTopN(
         thread_local std::vector<const double*> bound_rows;
         thread_local std::vector<size_t> row_begin;
         thread_local std::vector<double> bounds;
-        // Best-first's unvisited bounds (-inf once visited), and their
-        // maximum per tile of blocks.
-        thread_local std::vector<double> unvisited;
+        // 1 for each block best-first summed, laid out as `bounds`. A
+        // bound cannot say it: a summed block's bound reads kVisited, and
+        // utilities that overflow to -inf give -inf bounds and worst kept
+        // utilities as well.
+        thread_local std::vector<uint8_t> summed;
+        // Best-first's largest unvisited bound per tile of blocks.
         thread_local std::vector<double> tile_max;
-        // The group's walkers: slot j, batch index, and the worst utility
-        // best-first kept (kNoFloor if its list was not full).
+        // The group's walkers: slot j, batch slot, and the list so far.
         struct Walker {
           size_t slot;
-          int64_t index;
-          double floor;
+          size_t index;
+          core::TopNAccumulator acc;
         };
         thread_local std::vector<Walker> walkers;
         thread_local std::vector<const double*> slice;
@@ -298,6 +315,16 @@ Result<ReconstructCounts> ReconstructTopN(
                                     num_rows, count, block.data());
           }
         };
+        // Offers block[0, count) as items first .. first + count - 1,
+        // skipping those below the worst kept utility (an equal one may
+        // still enter on a lower id).
+        auto offer_items = [&](core::TopNAccumulator& acc, int64_t first,
+                               int64_t count) {
+          for (int64_t i = 0; i < count; ++i) {
+            const double v = block[static_cast<size_t>(i)];
+            if (!(v < acc.WorstKept())) acc.Offer(first + i, v);
+          }
+        };
         for (int64_t g = begin; g < end; g += kReconstructGroupUsers) {
           const int64_t group_end = std::min(end, g + kReconstructGroupUsers);
           // Fold every user of the group: its similarity row down to one
@@ -309,8 +336,10 @@ Result<ReconstructCounts> ReconstructTopN(
           row_begin.assign(1, 0);
           walkers.clear();
           bounds.resize(static_cast<size_t>((group_end - g) * num_blocks));
+          summed.resize(bounds.size());
           for (int64_t k = g; k < group_end; ++k) {
-            graph::NodeId u = users[static_cast<size_t>(k)];
+            const size_t index = order[static_cast<size_t>(k)];
+            graph::NodeId u = users[index];
             touched.clear();
             for (const auto& e : row_of(u)) {
               int64_t c = release.cluster_of[e.user];
@@ -318,7 +347,7 @@ Result<ReconstructCounts> ReconstructTopN(
               sim_sum[static_cast<size_t>(c)] += e.score;
             }
             core::DegradationInfo info;
-            core::RecommendationList& list = (*lists)[static_cast<size_t>(k)];
+            core::RecommendationList& list = (*lists)[index];
             list.clear();
             if (touched.empty()) {
               // No similarity support: the reconstruction formula would
@@ -344,46 +373,36 @@ Result<ReconstructCounts> ReconstructTopN(
               counts.blocks_total += num_blocks;
             }
             if (info.degraded()) ++counts.degraded;
-            (*degradation)[static_cast<size_t>(k)] = info;
+            (*degradation)[index] = info;
             if (touched.empty() || keep == 0) continue;
 
             // Every block's bound, then best-first over the highest.
             const size_t j = row_begin.size() - 2;
             double* ub = bounds.data() + j * static_cast<size_t>(num_blocks);
+            uint8_t* done = summed.data() + j * static_cast<size_t>(num_blocks);
             const size_t row0 = row_begin[j];
             std::fill(ub, ub + num_blocks, 0.0);
+            std::fill(done, done + num_blocks, uint8_t{0});
             kernels::AccumulateRows(
                 bound_rows.data() + row0, scales.data() + row0,
                 static_cast<int64_t>(row_begin[j + 1] - row0), num_blocks,
                 ub);
-            double floor = kNoFloor;
+            core::TopNAccumulator acc(keep);
             if (best_first) {
-              // Blocks come out in descending bound, lower id first on
-              // ties, extracted lazily because most lists finish within
-              // a few: each extraction scans the tile maxima and one tile.
-              unvisited.assign(ub, ub + num_blocks);
+              // Blocks come out of ub itself in descending bound, lower
+              // id first on ties, extracted lazily because most lists
+              // finish within a few: a taken block's bound becomes
+              // kVisited, and each extraction scans the tile maxima and
+              // one tile.
+              auto tile_top = [&](int64_t t) {
+                const int64_t lo = t * kTileBlocks;
+                const int64_t len = std::min(kTileBlocks, num_blocks - lo);
+                return lo + kernels::FirstArgMax(ub + lo, len);
+              };
               tile_max.resize(static_cast<size_t>(num_tiles));
-              auto tile_range = [&](int64_t t) {
-                return std::pair(
-                    unvisited.begin() + t * kTileBlocks,
-                    unvisited.begin() +
-                        std::min(num_blocks, (t + 1) * kTileBlocks));
-              };
               for (int64_t t = 0; t < num_tiles; ++t) {
-                auto [lo, hi] = tile_range(t);
-                tile_max[static_cast<size_t>(t)] = *std::max_element(lo, hi);
+                tile_max[static_cast<size_t>(t)] = ub[tile_top(t)];
               }
-              auto next_block = [&] {
-                const auto t = std::max_element(tile_max.begin(),
-                                                tile_max.end()) -
-                               tile_max.begin();
-                auto [lo, hi] = tile_range(t);
-                const auto top = std::max_element(lo, hi);
-                *top = kNoFloor;
-                tile_max[static_cast<size_t>(t)] = *std::max_element(lo, hi);
-                return top - unvisited.begin();
-              };
-              core::TopNAccumulator acc(keep);
               int64_t visited = 0;
               bool finished = false;
               for (;;) {
@@ -391,20 +410,30 @@ Result<ReconstructCounts> ReconstructTopN(
                   finished = true;
                   break;
                 }
-                const int64_t b = next_block();
-                if (ub[b] < acc.WorstKept()) {
+                const int64_t t =
+                    kernels::FirstArgMax(tile_max.data(), num_tiles);
+                const int64_t b = tile_top(t);
+                const double bound = ub[b];
+                ub[b] = kVisited;
+                tile_max[static_cast<size_t>(t)] = ub[tile_top(t)];
+                if (bound < acc.WorstKept()) {
                   finished = true;
                   break;
                 }
-                if (visited == budget) break;
+                // Out of budget, or the scan handed back a summed block
+                // (every unvisited bound is -inf, and so is the worst
+                // kept utility): the walk takes over, and the block taken
+                // here gets its bound back.
+                if (visited == budget || done[b]) {
+                  ub[b] = bound;
+                  break;
+                }
                 const int64_t first = b * kBoundBlockItems;
                 const int64_t len =
                     std::min(kBoundBlockItems, num_items - first);
                 sum_items(j, first, len);
-                for (int64_t i = 0; i < len; ++i) {
-                  const double v = block[static_cast<size_t>(i)];
-                  if (!(v < acc.WorstKept())) acc.Offer(first + i, v);
-                }
+                offer_items(acc, first, len);
+                done[b] = 1;
                 ++visited;
               }
               counts.blocks_visited += visited;
@@ -412,10 +441,8 @@ Result<ReconstructCounts> ReconstructTopN(
                 list = acc.Take();
                 continue;
               }
-              floor = acc.WorstKept();
             }
-            walkers.push_back({j, k, floor});
-            list.reserve(static_cast<size_t>(keep));
+            walkers.push_back({j, index, std::move(acc)});
           }
           if (walkers.empty()) continue;
           // Walk the items once for the group's walkers.
@@ -423,19 +450,15 @@ Result<ReconstructCounts> ReconstructTopN(
                t += kernels::kAccumulateBlockItems) {
             const int64_t tile_end =
                 std::min(num_items, t + kernels::kAccumulateBlockItems);
-            for (const Walker& w : walkers) {
-              const double* ub =
-                  bounds.data() + w.slot * static_cast<size_t>(num_blocks);
-              core::RecommendationList& list =
-                  (*lists)[static_cast<size_t>(w.index)];
+            for (Walker& w : walkers) {
+              const size_t row = w.slot * static_cast<size_t>(num_blocks);
+              const double* ub = bounds.data() + row;
+              const uint8_t* done = summed.data() + row;
               for (int64_t first = t; first < tile_end;) {
-                const double floor =
-                    static_cast<int64_t>(list.size()) == keep
-                        ? std::max(w.floor, list.front().utility)
-                        : w.floor;
+                const double floor = w.acc.WorstKept();
                 // Tiles are whole bound blocks, so `first` starts one.
                 int64_t last = first;
-                while (last < tile_end &&
+                while (last < tile_end && !done[last / kBoundBlockItems] &&
                        !(ub[last / kBoundBlockItems] < floor)) {
                   last = std::min(tile_end, last + kBoundBlockItems);
                 }
@@ -444,17 +467,14 @@ Result<ReconstructCounts> ReconstructTopN(
                   continue;
                 }
                 sum_items(w.slot, first, last - first);
-                kernels::DenseTopNOffer(block.data(), first, last - first,
-                                        keep, &list);
+                offer_items(w.acc, first, last - first);
                 counts.blocks_visited +=
                     (last - first + kBoundBlockItems - 1) / kBoundBlockItems;
                 first = last;
               }
             }
           }
-          for (const Walker& w : walkers) {
-            kernels::DenseTopNFinish(&(*lists)[static_cast<size_t>(w.index)]);
-          }
+          for (Walker& w : walkers) (*lists)[w.index] = w.acc.Take();
         }
         return counts;
       },

@@ -39,12 +39,15 @@ RecommendationList TopNFromSparse(
     std::vector<std::pair<graph::ItemId, double>> entries, int64_t n);
 
 // Streaming top-N accumulator for mechanisms that produce utilities
-// item-by-item (GS, LRM): keeps the best N of everything offered.
+// item-by-item (GS, LRM, and both phases of the Cluster reconstruction):
+// keeps the best N of everything offered, in any item order, as long as
+// no item is offered twice.
 class TopNAccumulator {
  public:
   explicit TopNAccumulator(int64_t n) : n_(n) { PRIVREC_CHECK(n >= 1); }
 
-  void Offer(graph::ItemId item, double utility) {
+  // Always inlined, so the reconstruction's (pinned) offer loop holds it.
+  [[gnu::always_inline]] void Offer(graph::ItemId item, double utility) {
     const Recommendation candidate{item, utility};
     if (static_cast<int64_t>(heap_.size()) < n_) {
       heap_.push_back(candidate);

@@ -3,21 +3,7 @@
 #include <algorithm>
 
 #include "kernels/dispatch.h"
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define PRIVREC_KERNELS_HAVE_AVX2 1
-#endif
-
-#if defined(__GNUC__) && !defined(__clang__)
-// Keep the reference genuinely scalar (see accumulate.h): without this,
-// -O3 auto-vectorizes the same loop and "scalar vs SIMD" stops naming
-// two distinct code paths.
-#define PRIVREC_KERNEL_SCALAR \
-  __attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize")))
-#else
-#define PRIVREC_KERNEL_SCALAR
-#endif
+#include "kernels/simd_target.h"
 
 namespace privrec::kernels {
 

@@ -1,26 +1,26 @@
-// SelectTopN: partial top-N selection under the library's one ranking
-// order — utility descending, item id ascending on ties. Replaces the
-// full `std::partial_sort` blocks that were duplicated across
-// core::TopNFromDense / TopNFromSparse.
+// Selection under the library's one ranking order — utility descending,
+// item id ascending on ties — and the first-maximum scan that orders
+// best-first's blocks in the reconstruction.
 //
-// Two shapes of input, two selectors:
+// Two shapes of top-N input, two selectors:
 //  - A materialized list (`SelectTopNInPlace`) picks its algorithm by the
 //    keep/size ratio: partial_sort's bounded heap while keep is a small
 //    fraction of size, nth_element + sort of the prefix once the heap
 //    would churn.
-//  - A dense scan (`DenseTopNOffer` / `DenseTopNFinish`) is the one dense
-//    selector: a bounded worst-on-top heap fed values whose item ids only
-//    increase, so an arriving item loses every utility tie to the items
-//    already kept and is admitted by a single `value > worst` compare. It
-//    needs no index array and no materialized pairs, and it can be fed
-//    block by block while each block is still in L1 (the tiled
-//    reconstruction in artifact/reconstruct.h does exactly that).
-//    `SelectTopNIndicesDense` runs it as one pass over a whole vector,
-//    keeping nth_element only for near-full selections.
+//  - A dense vector (`SelectTopNIndicesDense`) is one pass of a bounded
+//    worst-on-top heap fed values whose item ids only increase, so an
+//    arriving item loses every utility tie to the items already kept and
+//    is admitted by a single `value > worst` compare, with no index array
+//    and no materialized pairs; nth_element only for near-full
+//    selections.
 // Because the comparator is a strict total order (the item id breaks
 // every utility tie), the top-`keep` set and its sorted order are unique,
 // so every algorithm produces element-for-element identical output;
 // BM_KernelSelectTopN* pins the crossover choice.
+//
+// `FirstArgMax` is a dispatched kernel (kernels/dispatch.h) like
+// AccumulateRows: its AVX2 path returns the scalar reference's index on
+// every input.
 
 #ifndef PRIVREC_KERNELS_SELECT_H_
 #define PRIVREC_KERNELS_SELECT_H_
@@ -76,7 +76,8 @@ void SelectTopNInPlace(List& list, int64_t n) {
 // its "less" (so heap[0] is the worst kept entry) by `entry`, which must
 // rank better than it: the newcomer sifts down below every child it
 // beats, one root-to-leaf pass instead of pop + push. Always inlined, so
-// the hot selectors keep it in their own (pinned) code.
+// each selector (core::TopNAccumulator, the dense selector) keeps it in
+// its own code.
 template <typename Entry>
 [[gnu::always_inline]] inline void ReplaceWorst(Entry* heap, size_t size,
                                                 const Entry& entry) {
@@ -93,61 +94,25 @@ template <typename Entry>
   heap[hole] = entry;
 }
 
-// The dense selector. `heap` holds the running top-n of a scan, worst
-// entry on top (`RankOrderBetter` as the heap's "less"); entries are
-// anything with `.item` and `.utility` members. Each call offers
-// values[0, count) as items first_item .. first_item + count - 1, and
-// across calls on one heap the item ids must strictly increase. An
-// offered item therefore loses every utility tie to each kept entry, so
-// once the heap is full it is admitted iff `value > worst` — one compare
-// per element, exact under (utility desc, item asc). n <= 0 keeps
-// nothing. Values must not be NaN.
-template <typename Entry>
-void DenseTopNOffer(const double* values, int64_t first_item, int64_t count,
-                    int64_t n, std::vector<Entry>* heap) {
-  if (n <= 0) return;
-  // RankOrderBetter as the heap's "less" puts the worst entry on top.
-  const RankOrderBetter better;
-  int64_t i = 0;
-  for (; i < count && static_cast<int64_t>(heap->size()) < n; ++i) {
-    heap->push_back(Entry{first_item + i, values[i]});
-    std::push_heap(heap->begin(), heap->end(), better);
-  }
-  if (i == count) return;
-  Entry* top = heap->data();
-  const size_t size = heap->size();
-  double worst = top[0].utility;
-  auto offer = [&](int64_t j) {
-    if (!(values[j] > worst)) return;
-    ReplaceWorst(top, size, Entry{first_item + j, values[j]});
-    worst = top[0].utility;
-  };
-  // Four values per branch: when none of them beats the worst kept
-  // value (the common case once the heap has warmed up), one compare of
-  // their maximum skips all four.
-  for (; i + 4 <= count; i += 4) {
-    const double m = std::max(std::max(values[i], values[i + 1]),
-                              std::max(values[i + 2], values[i + 3]));
-    if (m > worst) {
-      for (int64_t j = i; j < i + 4; ++j) offer(j);
-    }
-  }
-  for (; i < count; ++i) offer(i);
-}
-
-// Ends a DenseTopNOffer scan: `heap` becomes the ranked list, best first.
-template <typename Entry>
-void DenseTopNFinish(std::vector<Entry>* heap) {
-  std::sort_heap(heap->begin(), heap->end(), RankOrderBetter{});
-}
-
 // Selects the top min(n, num_values) indices of `values` under the same
 // order (value desc, index asc) into `out`, in rank order. The usual
 // reconstruction shape (n in the tens, values in the thousands) is one
-// DenseTopNOffer pass; a near-full selection (past kHeapSelectRatio)
-// partitions an index array with nth_element instead.
+// dense heap pass; a near-full selection (past kHeapSelectRatio)
+// partitions an index array with nth_element instead. Values must not be
+// NaN.
 void SelectTopNIndicesDense(const double* values, int64_t num_values,
                             int64_t n, std::vector<int64_t>* out);
+
+// The index of the first largest of values[0, count), the element
+// std::max_element returns: ties go to the lower index, and a run of
+// -inf returns 0. `count` must be at least 1 and the values must not be
+// NaN. Dispatched (ActiveDispatchLevel): the AVX2 path takes the maximum
+// four lanes at a time, then the first index equal to it.
+int64_t FirstArgMax(const double* values, int64_t count);
+
+// The scalar reference of FirstArgMax, exposed so kernels_test can hold
+// the dispatched entry point to it.
+int64_t FirstArgMaxScalar(const double* values, int64_t count);
 
 }  // namespace privrec::kernels
 

@@ -1,13 +1,17 @@
 // Tests for the reconstruction kernels (src/kernels/): bit-identity of
 // the dispatched AccumulateRows paths against their scalar references at
-// every SIMD tail length, f32 widening exactness, and SelectTopN
-// equivalence with the historical partial_sort under the shared ranking
-// order. These are the pins behind the layer's determinism contract: the
-// dispatch level may only change wall-clock, never a single bit.
+// every SIMD tail length, f32 widening exactness, SelectTopN equivalence
+// with the historical partial_sort under the shared ranking order, and
+// FirstArgMax's dispatched path against its scalar reference and
+// std::max_element. These are the pins behind the layer's determinism
+// contract: the dispatch level may only change wall-clock, never a single
+// bit.
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -218,6 +222,75 @@ TEST(SelectTopNTest, AllTiedValuesRankByItemAscending) {
   kernels::SelectTopNIndicesDense(values.data(), 64, 10, &indices);
   ASSERT_EQ(indices.size(), 10u);
   for (int64_t i = 0; i < 10; ++i) EXPECT_EQ(indices[static_cast<size_t>(i)], i);
+}
+
+// FirstArgMax on both paths returns std::max_element's index.
+void ExpectFirstArgMax(const std::vector<double>& values,
+                       const std::string& label) {
+  const auto count = static_cast<int64_t>(values.size());
+  const int64_t expected =
+      std::max_element(values.begin(), values.end()) - values.begin();
+  EXPECT_EQ(kernels::FirstArgMaxScalar(values.data(), count), expected)
+      << label << " count=" << count;
+  EXPECT_EQ(kernels::FirstArgMax(values.data(), count), expected)
+      << label << " count=" << count;
+}
+
+// Every length mod 4, below, at and past one and several lanes, with the
+// maximum anywhere: in a full lane, in the tail, first and last.
+TEST(FirstArgMaxTest, DispatchedMatchesScalarAtEveryLength) {
+  for (int64_t count = 1; count <= 41; ++count) {
+    for (uint64_t seed = 0; seed < 8; ++seed) {
+      const uint64_t row_seed = seed * 100 + static_cast<uint64_t>(count);
+      ExpectFirstArgMax(RandomRow(count, row_seed), "random");
+    }
+    for (int64_t at = 0; at < count; ++at) {
+      std::vector<double> values(static_cast<size_t>(count), -1.0);
+      values[static_cast<size_t>(at)] = 2.0;
+      ExpectFirstArgMax(values, "single max at " + std::to_string(at));
+    }
+  }
+}
+
+// Equal maxima go to the lower index, whichever lanes hold them; a -0.0
+// and a +0.0 are equal, so the first zero wins either way round.
+TEST(FirstArgMaxTest, TiesGoToTheFirstIndex) {
+  for (int64_t count = 2; count <= 19; ++count) {
+    for (int64_t first = 0; first < count; ++first) {
+      for (int64_t second = first + 1; second < count; ++second) {
+        std::vector<double> values(static_cast<size_t>(count), 0.5);
+        values[static_cast<size_t>(first)] = 3.0;
+        values[static_cast<size_t>(second)] = 3.0;
+        ExpectFirstArgMax(values, "tie " + std::to_string(first) + "," +
+                                      std::to_string(second));
+        EXPECT_EQ(kernels::FirstArgMax(values.data(), count), first);
+      }
+    }
+    std::vector<double> zeros(static_cast<size_t>(count), -1.0);
+    zeros[static_cast<size_t>(count / 2)] = -0.0;
+    zeros[static_cast<size_t>(count - 1)] = 0.0;
+    ExpectFirstArgMax(zeros, "-0.0 then +0.0");
+    std::swap(zeros[static_cast<size_t>(count / 2)],
+              zeros[static_cast<size_t>(count - 1)]);
+    ExpectFirstArgMax(zeros, "+0.0 then -0.0");
+  }
+}
+
+// Best-first marks taken blocks -inf: such entries never win over a
+// finite value, and a run of nothing else returns its first index.
+TEST(FirstArgMaxTest, MinusInfinityEntriesAndAllMinusInfinity) {
+  constexpr double kMinusInf = -std::numeric_limits<double>::infinity();
+  for (int64_t count = 1; count <= 21; ++count) {
+    std::vector<double> values =
+        RandomRow(count, 900 + static_cast<uint64_t>(count));
+    for (size_t i = 0; i < values.size(); i += 2) values[i] = kMinusInf;
+    ExpectFirstArgMax(values, "every other -inf");
+    std::vector<double> all(static_cast<size_t>(count), kMinusInf);
+    ExpectFirstArgMax(all, "all -inf");
+    EXPECT_EQ(kernels::FirstArgMax(all.data(), count), 0);
+    all.back() = -1e300;
+    ExpectFirstArgMax(all, "all -inf but the last");
+  }
 }
 
 }  // namespace

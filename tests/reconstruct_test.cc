@@ -282,11 +282,14 @@ Served Reconstruct(const Fixture& f, bool f32,
   return out;
 }
 
-// Runs ReconstructTopN on `batch` at every top-N edge and compares each
-// user's list, utilities and degradation with the reference.
+// Runs ReconstructTopN on `batch` at every top-N edge (or at `top_ns`
+// when given) and compares each user's list, utilities and degradation
+// with the reference.
 void ExpectMatchesReference(const Fixture& f, bool f32,
                             const std::vector<graph::NodeId>& batch,
-                            const std::string& label) {
+                            const std::string& label,
+                            std::vector<int64_t> top_ns = {}) {
+  if (top_ns.empty()) top_ns = TopNs(f.num_items);
   const std::vector<double> global =
       serving::GlobalAverageUtilities(f.View(f32));
   std::vector<ReferenceUser> reference(kSocialUsers);
@@ -296,7 +299,7 @@ void ExpectMatchesReference(const Fixture& f, bool f32,
     reference[static_cast<size_t>(u)] = ReferenceUtilities(f, f32, u);
     computed[static_cast<size_t>(u)] = true;
   }
-  for (int64_t top_n : TopNs(f.num_items)) {
+  for (int64_t top_n : top_ns) {
     const Served served = Reconstruct(f, f32, batch, top_n);
     const std::vector<core::RecommendationList>& lists = served.lists;
     const std::vector<core::DegradationInfo>& degradation =
@@ -494,17 +497,104 @@ TEST(ReconstructPruningTest, MostBlocksAreSkippedAndBothPhasesFinishUsers) {
   }
 }
 
-// One user, 1, whose two neighbours sit in clusters 0 and 1 with weight
-// 1 each, over a release of `num_blocks` blocks. Cluster 0's row is -1
-// and cluster 1's is 0 except at the items set in `cells0` / `cells1`, so
-// the user's utility is exactly cluster 0's value plus cluster 1's.
+// A batch is served cluster by cluster, in chunks of that order, and its
+// lists go back to their slots: a shuffled batch over every cluster, with
+// repeated and isolated users, gets slot by slot the list and degradation
+// of the one-user call, and its counts are the sums of theirs, at every
+// thread count, f64 and f32, in both phases (top-10 finishes users
+// best-first, top-50 walks them all).
+TEST(ReconstructPruningTest, ShuffledBatchMatchesOneUserCallsSlotBySlot) {
+  const Fixture f = MakeStructuredFixture(kStructuredItems, 43);
+  std::vector<graph::NodeId> batch;
+  for (graph::NodeId u = 0; u < kSocialUsers; ++u) {
+    batch.push_back(u);
+    if (u % 3 == 0) batch.push_back(u);
+  }
+  std::mt19937_64 rng(17);
+  std::shuffle(batch.begin(), batch.end(), rng);
+  int64_t isolated = 0;
+  int64_t descents = 0;  // neighbours in the batch that are out of order
+  for (size_t k = 0; k < batch.size(); ++k) {
+    if (f.workload[static_cast<size_t>(batch[k])].empty()) ++isolated;
+    if (k > 0 && f.cluster_of[static_cast<size_t>(batch[k])] <
+                     f.cluster_of[static_cast<size_t>(batch[k - 1])]) {
+      ++descents;
+    }
+  }
+  ASSERT_GT(isolated, 0);
+  ASSERT_GT(descents, 0);
+  for (int64_t top_n : {int64_t{10}, int64_t{50}}) {
+    for (bool f32 : {false, true}) {
+      const std::string label =
+          "top_n=" + std::to_string(top_n) + (f32 ? " f32" : " f64");
+      std::vector<Served> one(kSocialUsers);
+      for (graph::NodeId u = 0; u < kSocialUsers; ++u) {
+        one[static_cast<size_t>(u)] = Reconstruct(f, f32, {u}, top_n);
+      }
+      serving::ReconstructCounts sum;
+      for (graph::NodeId u : batch) {
+        const serving::ReconstructCounts& c =
+            one[static_cast<size_t>(u)].counts;
+        sum.degraded += c.degraded;
+        sum.blocks_visited += c.blocks_visited;
+        sum.blocks_total += c.blocks_total;
+      }
+      for (int64_t threads : {1, 2, 4}) {
+        ScopedThreadCount scoped(threads);
+        const Served all = Reconstruct(f, f32, batch, top_n);
+        ASSERT_EQ(all.lists.size(), batch.size()) << label;
+        ASSERT_EQ(all.degradation.size(), batch.size()) << label;
+        for (size_t k = 0; k < batch.size(); ++k) {
+          const Served& alone = one[static_cast<size_t>(batch[k])];
+          ASSERT_EQ(all.lists[k], alone.lists[0])
+              << label << " threads=" << threads << " slot " << k;
+          ASSERT_EQ(all.degradation[k].reason, alone.degradation[0].reason)
+              << label << " threads=" << threads << " slot " << k;
+        }
+        EXPECT_EQ(all.counts.degraded, sum.degraded) << label;
+        EXPECT_EQ(all.counts.blocks_visited, sum.blocks_visited) << label;
+        EXPECT_EQ(all.counts.blocks_total, sum.blocks_total) << label;
+      }
+    }
+  }
+}
+
+// No block is summed twice for one user: a walker resumes best-first's
+// list and skips the blocks it summed, so a user's visited blocks never
+// exceed its blocks, even where the bounds prune almost nothing (the
+// unstructured release) and every user spends best-first's budget.
+TEST(ReconstructPruningTest, VisitedBlocksNeverExceedTheUsersBlocks) {
+  for (bool structured : {false, true}) {
+    const Fixture f = structured
+                          ? MakeStructuredFixture(kStructuredItems, 41)
+                          : MakeFixture(kStructuredItems, false, 47);
+    for (int64_t top_n : {1, 10, 50}) {
+      for (bool f32 : {false, true}) {
+        for (graph::NodeId u = 0; u < kSocialUsers; ++u) {
+          const Served one = Reconstruct(f, f32, {u}, top_n);
+          EXPECT_LE(one.counts.blocks_visited, one.counts.blocks_total)
+              << (structured ? "structured" : "unstructured")
+              << " top_n=" << top_n << (f32 ? " f32" : " f64") << " user "
+              << u;
+        }
+      }
+    }
+  }
+}
+
+// One user, 1, whose two neighbours sit in clusters 0 and 1 with weights
+// `weight0` and 1, over a release of `num_blocks` blocks. Cluster 0's row
+// is `fill0` and cluster 1's is 0 except at the items set in `cells0` /
+// `cells1`, so with the defaults the user's utility is exactly cluster
+// 0's value plus cluster 1's.
 Fixture MakeOneUserFixture(
     int64_t num_blocks, const std::vector<std::pair<int64_t, double>>& cells0,
-    const std::vector<std::pair<int64_t, double>>& cells1 = {}) {
+    const std::vector<std::pair<int64_t, double>>& cells1 = {},
+    double fill0 = -1.0, double weight0 = 1.0) {
   Fixture f;
   f.num_items = num_blocks * kBoundBlockItems;
   f.values.assign(static_cast<size_t>(kClusters * f.num_items), 0.0);
-  std::fill(f.values.begin(), f.values.begin() + f.num_items, -1.0);
+  std::fill(f.values.begin(), f.values.begin() + f.num_items, fill0);
   for (auto [item, value] : cells0) f.values[static_cast<size_t>(item)] = value;
   for (auto [item, value] : cells1) {
     f.values[static_cast<size_t>(f.num_items + item)] = value;
@@ -516,7 +606,7 @@ Fixture MakeOneUserFixture(
     ++f.cluster_sizes[static_cast<size_t>(v % kClusters)];
   }
   f.workload.resize(kSocialUsers);
-  f.workload[1] = {{kClusters, 1.0}, {kClusters + 1, 1.0}};  // clusters 0, 1
+  f.workload[1] = {{kClusters, weight0}, {kClusters + 1, 1.0}};  // clusters 0, 1
   f.Finish();
   return f;
 }
@@ -547,8 +637,9 @@ TEST(ReconstructPruningTest, EqualUtilitiesAcrossBlocksGoToTheLowerId) {
   // blocks 59 {z, x}, 58 {q} and 57, a decoy whose bound (2.0) no item
   // reaches because its cluster maxima sit on different items. It holds
   // {z, q, x} with block 0's bound still equal to x's utility, so the
-  // walk starts from that floor, visits block 0 and keeps y over x:
-  // 3 best-first blocks, then 0 and the run 57-59 in the walk.
+  // walk resumes from that list, visits block 0 and keeps y over x:
+  // 3 best-first blocks, then block 0 alone in the walk, which skips the
+  // three best-first summed.
   ASSERT_EQ(Budget(60 * kBoundBlockItems), 3);
   {
     const int64_t z = item(59, 5), x = item(59, 7), q = item(58, 1);
@@ -559,9 +650,50 @@ TEST(ReconstructPruningTest, EqualUtilitiesAcrossBlocksGoToTheLowerId) {
     const Served three = Reconstruct(f, false, {1}, 3);
     EXPECT_EQ(three.lists[0],
               (core::RecommendationList{{z, 3.0}, {q, 2.5}, {y, 1.0}}));
-    EXPECT_EQ(three.counts.blocks_visited, 3 + 4);
+    EXPECT_EQ(three.counts.blocks_visited, 3 + 1);
     for (bool f32 : {false, true}) {
       ExpectMatchesReference(f, f32, {1}, f32 ? "walk f32" : "walk");
+    }
+  }
+}
+
+// Utilities that overflow to -inf, which the open-time checks let
+// through (finite scores >= 0, finite released values): a weight of
+// 1e300 on cluster 0's row of -1e10. Then bounds and the worst kept
+// utility read -inf as well, and a bound no longer tells a block
+// best-first summed from one it did not. Each list must still hold every
+// item once and match the reference, in best-first (top-1 and top-2 at
+// 40 blocks, budget 2; up to top-10 at 200 blocks) and in the walk that
+// resumes it. In the second release cluster 0 is 0 at z and y, so z
+// (3.0, in the last block) and y (0.5, in the middle one) are finite.
+TEST(ReconstructPruningTest, UtilitiesThatOverflowToMinusInfinityAreKeptOnce) {
+  for (int64_t num_blocks : {40, 200}) {
+    const int64_t z = (num_blocks - 1) * kBoundBlockItems + 5;
+    const int64_t y = num_blocks / 2 * kBoundBlockItems + 2;
+    for (bool finite_cells : {false, true}) {
+      const Fixture f =
+          finite_cells
+              ? MakeOneUserFixture(num_blocks, {{z, 0.0}, {y, 0.0}},
+                                   {{z, 3.0}, {y, 0.5}}, -1e10, 1e300)
+              : MakeOneUserFixture(num_blocks, {}, {}, -1e10, 1e300);
+      for (bool f32 : {false, true}) {
+        const std::string label =
+            std::to_string(num_blocks) + " blocks" +
+            (finite_cells ? " z, y finite" : " all -inf") +
+            (f32 ? " f32" : " f64");
+        const std::vector<double> utilities =
+            ReferenceUtilities(f, f32, 1).utilities;
+        ASSERT_EQ(utilities[0], -INFINITY) << label;
+        ASSERT_EQ(utilities[static_cast<size_t>(z)],
+                  finite_cells ? 3.0 : -INFINITY)
+            << label;
+        ExpectMatchesReference(f, f32, {1}, label, {1, 2, 3, 10, 50});
+        for (int64_t top_n : {1, 2, 3, 10, 50}) {
+          const Served one = Reconstruct(f, f32, {1}, top_n);
+          EXPECT_LE(one.counts.blocks_visited, one.counts.blocks_total)
+              << label << " top_n=" << top_n;
+        }
+      }
     }
   }
 }
