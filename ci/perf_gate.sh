@@ -5,6 +5,7 @@
 #
 #   1. BM_KernelAccumulateSimd    >= KERNEL_SIMD_MIN_SPEEDUP x scalar
 #      BM_KernelAccumulateF32Simd >= KERNEL_SIMD_MIN_SPEEDUP x scalar
+#      BM_KernelSumBlockSimd      >= KERNEL_SIMD_MIN_SPEEDUP x scalar
 #      (default 2.0) — asserted only when the binary reports
 #      kernel_dispatch=avx2 in its benchmark context; on a host that
 #      resolves to scalar there is no SIMD path to gate and the ratio
@@ -16,12 +17,13 @@
 #      benchmark context) and kernels_test must stay green under it.
 #   4. The hot reconstruction code stays pinned: in bench_perf_micro,
 #      ClusterServe's ReconstructTopN chunk body (its _M_invoke, which
-#      holds best-first and the walk), its block-sum lambda (the one
-#      kernel call site of best-first and the walk), its block-offer
-#      lambda (it holds TopNAccumulator::Offer, which is always inlined;
-#      .cold clones aside) and the scalar and AVX2 bodies of
-#      kernels::FirstArgMax (best-first's block order) start at an
-#      address that is 0 mod 64,
+#      holds best-first and the walk), its block-offer lambda (it holds
+#      TopNAccumulator::Offer, which is always inlined; .cold clones
+#      aside), the scalar and AVX2 bodies of kernels::SumBlock (every
+#      block sum and tile expansion of best-first and the walk; one
+#      AVX2 body per lane count and tail, each checked) and the scalar
+#      and AVX2 bodies of kernels::FirstArgMax (best-first's block
+#      order) start at an address that is 0 mod 64,
 #      and no library under build/src other than libprivrec_serving.a
 #      instantiates ReconstructTopN. serving.cc compiles with
 #      -falign-functions=64, as does privrec_kernels, but a second
@@ -30,10 +32,12 @@
 #      out of the reconstruction loop: it disassembles each hot function
 #      (start and size from nm -S, .cold clones aside) and fails on any
 #      lock-prefixed instruction or any call into privrec::obs. The hot
-#      functions are the five above, ReconstructTopN<ClusterServe> itself
+#      functions are the ones above, ReconstructTopN<ClusterServe> itself
 #      (GCC inlines it into ClusterServe::Recommend, so there it is the
-#      instructions addr2line -i attributes to it), kernels::FirstArgMax,
-#      and kernels::AccumulateRows with its scalar and AVX2 bodies. A
+#      instructions addr2line -i attributes to it) with any lambda of it
+#      GCC keeps out of line, the kernels::SumBlock and
+#      kernels::FirstArgMax entry points, and kernels::AccumulateRows
+#      (each user's tile bounds) with its scalar and AVX2 bodies. A
 #      counter increment is a lock-prefixed add and a span is a call to
 #      obs::SpanScope, so either one in the per-user, per-block loop
 #      fails here whatever it costs in time. Runs right after the build.
@@ -86,9 +90,6 @@ def label_of(name):
             and "::_M_invoke(" in name):
         return "ClusterServe chunk body"
     if ("ClusterServe" in name and "ReconstructTopN" in name
-            and "{lambda(unsigned long, long, long)#1}::operator()" in name):
-        return "ClusterServe block sum"
-    if ("ClusterServe" in name and "ReconstructTopN" in name
             and OFFER_LAMBDA.search(name)):
         return "ClusterServe block offer"
     for label, prefix in (
@@ -98,20 +99,32 @@ def label_of(name):
              "privrec::kernels::(anonymous namespace)::FirstArgMaxAvx2Body(")):
         if name.startswith(prefix):
             return label
+    # Templates: nm prints the return type first.
+    for label, prefix in (
+            ("SumBlock scalar body",
+             "void privrec::kernels::(anonymous namespace)::SumBlockScalarBody<"),
+            ("SumBlock AVX2 body",
+             "void privrec::kernels::(anonymous namespace)::SumBlockAvx2Body<")):
+        if name.startswith(prefix):
+            return label
     return None
 
-PINNED = ("ClusterServe chunk body", "ClusterServe block sum",
-          "ClusterServe block offer", "FirstArgMax scalar body")
+PINNED = ("ClusterServe chunk body", "ClusterServe block offer",
+          "SumBlock scalar body", "FirstArgMax scalar body")
 if platform.machine() == "x86_64":
-    PINNED += ("FirstArgMax AVX2 body",)
+    PINNED += ("SumBlock AVX2 body", "FirstArgMax AVX2 body")
 
 def hot_label(name):
     label = label_of(name)
     if label is not None:
         return label
-    if name.startswith(RECONSTRUCT) and "ClusterServe" in name:
+    if "ClusterServe" in name and (
+            name.startswith(RECONSTRUCT)
+            or (RECONSTRUCT in name and "{lambda(" in name)):
         return "ReconstructTopN<ClusterServe>"
     for label, prefix in (
+            ("SumBlock", "privrec::kernels::SumBlock("),
+            ("SumBlock", "privrec::kernels::SumBlockF32("),
             ("FirstArgMax", "privrec::kernels::FirstArgMax("),
             ("AccumulateRows", "privrec::kernels::AccumulateRows("),
             ("AccumulateRows scalar body",
@@ -122,7 +135,7 @@ def hot_label(name):
             return label
     return None
 
-HOT = PINNED + ("ReconstructTopN<ClusterServe>", "FirstArgMax",
+HOT = PINNED + ("ReconstructTopN<ClusterServe>", "SumBlock", "FirstArgMax",
                 "AccumulateRows", "AccumulateRows scalar body")
 if platform.machine() == "x86_64":
     HOT += ("AccumulateRows AVX2 body",)
@@ -240,6 +253,8 @@ if dispatch == "avx2":
           "BM_KernelAccumulateSimd", simd_min)
     ratio("accumulate f32", "BM_KernelAccumulateF32Scalar",
           "BM_KernelAccumulateF32Simd", simd_min)
+    ratio("sum block f64", "BM_KernelSumBlockScalar",
+          "BM_KernelSumBlockSimd", simd_min)
 else:
     print("skip: SIMD speedup floors need kernel_dispatch=avx2 "
           f"(host resolved {dispatch})")

@@ -154,7 +154,7 @@ class ServingEngine {
   // clusters [0, num_clusters). InitViews runs every content rule, then
   // points the per-cluster and per-user tables into the shards, then
   // calls BuildDerived, which checks the released values and computes the
-  // bound table and the item-major CSR through the accessors.
+  // bound and tile tables and the item-major CSR through the accessors.
   Status InitViews(std::span<const ShardTableEntry> table,
                    std::span<const MappedArtifact::Shard> shards);
   Status BuildDerived();
@@ -179,11 +179,13 @@ class ServingEngine {
   uint32_t shard_count_ = 1;
   std::vector<int32_t> shard_of_cluster_;  // per cluster
 
-  // Derived (not persisted): reconstruction's bound table
-  // (ReleaseView::block_max), the item-major preference CSR and the lazy
-  // global fallback row. The row lives behind a shared_ptr because the
-  // engine is move-only while std::once_flag is not movable at all.
+  // Derived (not persisted): reconstruction's bound and tile tables
+  // (ReleaseView::block_max, ReleaseView::tile_max), the item-major
+  // preference CSR and the lazy global fallback row. The row lives behind
+  // a shared_ptr because the engine is move-only while std::once_flag is
+  // not movable at all.
   std::vector<double> block_max_;
+  std::vector<double> tile_max_;
   std::vector<uint64_t> item_offsets_;
   std::vector<int64_t> item_users_;
   std::vector<double> item_weights_;

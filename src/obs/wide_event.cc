@@ -82,6 +82,10 @@ std::string RequestTelemetryToJson(const RequestTelemetry& event) {
          (event.degraded ? "true" : "false");
   out += ", \"users_degraded\": " + std::to_string(event.users_degraded);
   out += ", \"retry_after_ms\": " + std::to_string(event.retry_after_ms);
+  out += ", \"bound_blocks_visited\": " +
+         std::to_string(event.bound_blocks_visited);
+  out += ", \"bound_blocks_total\": " +
+         std::to_string(event.bound_blocks_total);
   out += "}";
   return out;
 }

@@ -90,6 +90,11 @@ struct RequestTelemetry {
   bool degraded = false;
   int64_t users_degraded = 0;
   int64_t retry_after_ms = 0;
+
+  // Reconstruction's pruning, from the batch's ServingReport: the item
+  // blocks it summed against the blocks its personalized users had.
+  int64_t bound_blocks_visited = 0;
+  int64_t bound_blocks_total = 0;
 };
 
 // Deterministic sampling policy: every non-OK, degraded, or slow request

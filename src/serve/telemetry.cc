@@ -79,6 +79,8 @@ void FinalizeRequestTelemetry(obs::RequestTelemetry& event,
   event.artifact_seed = response.artifact_seed;
   event.degraded = response.degraded_fallback;
   event.users_degraded = response.batch.report.users_degraded;
+  event.bound_blocks_visited = response.batch.report.bound_blocks_visited;
+  event.bound_blocks_total = response.batch.report.bound_blocks_total;
   event.retry_after_ms = response.retry_after_ms;
   event.resolve_ms = resolve_ms;
   event.latency_ms = static_cast<double>(resolve_ms - event.arrival_ms);

@@ -111,8 +111,8 @@ class ServeTelemetry {
 };
 
 // Completes a wide event from a finished response — outcome/admission
-// classification, epoch identity, degradation tier, latency — at
-// `resolve_ms` on the caller's clock.
+// classification, epoch identity, degradation tier, bound blocks visited,
+// latency — at `resolve_ms` on the caller's clock.
 void FinalizeRequestTelemetry(obs::RequestTelemetry& event,
                               const ServeResponse& response,
                               int64_t resolve_ms);

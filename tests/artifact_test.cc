@@ -302,8 +302,10 @@ TEST_F(ArtifactTest, MissingSectionsAreFailedPreconditions) {
 // Every content defect of a release is kParseError naming its section,
 // with one message whether the model is adopted in memory (FromModel) or
 // saved as two shards and loaded: both routes run the engine's one
-// validator. Unchecked, a NaN would be served as a utility and a negated
-// score would break the fold's first-touch test and the block bounds.
+// validator. Unchecked, a NaN would be served as a utility, a negated
+// score would break the fold's first-touch test and the block bounds,
+// and a finite but huge value could overflow a served sum to ±inf, or to
+// a NaN whose rank depends on the dispatch level.
 // SaveShardedArtifact reads through bad cluster ids and offsets, so for
 // those the Load route saves the clean release and rewrites the manifest
 // section with the damaged model's array.
@@ -388,6 +390,27 @@ TEST_F(ArtifactTest, ContentDefectsFailAtOpenWithOneMessageOnBothRoutes) {
        [](serving::ArtifactModel& m) {
          // A finite edit of the f64 table the mirror no longer describes.
          m.noisy.values[m.noisy.values.size() / 2] += 1.0;
+       }},
+      {"workload", "a user's served sums can overflow",
+       [](serving::ArtifactModel& m) {
+         // A finite but huge value in the cluster of a user's neighbour:
+         // its score (>= 1) times 1e308 passes DBL_MAX / 4.
+         m.has_noisy_f32 = false;
+         const int64_t c = m.partition.cluster_of[static_cast<size_t>(
+             m.workload.entries.front().user)];
+         m.noisy.values[static_cast<size_t>(c * m.meta.num_items)] = 1e308;
+       }},
+      {"noisy_table", "the global-average sums can overflow",
+       [](serving::ArtifactModel& m) {
+         // The same value with every score 1e-300, so each user's sums
+         // stay small, while the fallback row weighs it by its cluster's
+         // size.
+         m.has_noisy_f32 = false;
+         for (serving::WorkloadEntry& e : m.workload.entries) e.score = 1e-300;
+         const auto c = std::max_element(m.partition.sizes.begin(),
+                                         m.partition.sizes.end()) -
+                        m.partition.sizes.begin();
+         m.noisy.values[static_cast<size_t>(c * m.meta.num_items)] = 1e308;
        }},
   };
   for (const Damage& damage : damages) {

@@ -476,6 +476,8 @@ obs::RequestTelemetry GoldenEvent() {
   event.degraded = false;
   event.users_degraded = 0;
   event.retry_after_ms = 0;
+  event.bound_blocks_visited = 38;
+  event.bound_blocks_total = 6096;
   return event;
 }
 
@@ -487,7 +489,8 @@ TEST(WideEventTest, JsonGolden) {
             "\"queue_ms\": 1, \"reconstruct_ms\": 4, \"epoch\": 3, "
             "\"artifact_seed\": 42, \"shard_count\": 2, \"users\": 4, "
             "\"top_n\": 10, \"deadline_ms\": 400, \"degraded\": false, "
-            "\"users_degraded\": 0, \"retry_after_ms\": 0}");
+            "\"users_degraded\": 0, \"retry_after_ms\": 0, "
+            "\"bound_blocks_visited\": 38, \"bound_blocks_total\": 6096}");
 }
 
 TEST(WideEventTest, SamplingKeepsEveryInterestingRequest) {

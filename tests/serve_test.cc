@@ -1301,6 +1301,50 @@ TEST_F(ServeSwapTest, TelemetryClassifiesShedWithRetryHint) {
             static_cast<int64_t>(users_.size()));
 }
 
+// A one-user request's wide event carries the batch's bound-block
+// counts, in the record and in its JSONL line: the blocks the user's
+// reconstruction summed, of the release's blocks.
+TEST_F(ServeSwapTest, TelemetryCarriesTheBoundBlocksOfAOneUserRequest) {
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
+  ManualClock clock;
+  serve::ServeTelemetryOptions tel_options;
+  tel_options.sample_every = 1;  // keep every event
+  serve::ServeTelemetry telemetry(tel_options);
+  ServeRuntimeOptions options;
+  options.swap = ClusterPolicy(kEps);
+  options.clock = &clock;
+  options.telemetry = &telemetry;
+  ServeRuntime runtime(options);
+  ASSERT_TRUE(runtime.Activate(path).ok());
+
+  graph::NodeId user = 0;  // the first user with similarity support
+  while (user < dataset_.social.num_nodes() && workload_.RowSize(user) == 0) {
+    ++user;
+  }
+  ASSERT_LT(user, dataset_.social.num_nodes());
+  const ServeResponse response = runtime.Handle({{user}, 1, 1000});
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  const int64_t num_blocks =
+      (dataset_.preferences.num_items() + serving::kBoundBlockItems - 1) /
+      serving::kBoundBlockItems;
+  const core::ServingReport& report = response.batch.report;
+  EXPECT_EQ(report.bound_blocks_total, num_blocks);
+  EXPECT_GE(report.bound_blocks_visited, 1);
+  EXPECT_LE(report.bound_blocks_visited, num_blocks);
+
+  const std::vector<obs::RequestTelemetry> events = telemetry.sampled_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].bound_blocks_visited, report.bound_blocks_visited);
+  EXPECT_EQ(events[0].bound_blocks_total, num_blocks);
+  const std::string jsonl = telemetry.EventsJsonl();
+  EXPECT_NE(jsonl.find("\"bound_blocks_visited\": " +
+                       std::to_string(report.bound_blocks_visited) +
+                       ", \"bound_blocks_total\": " +
+                       std::to_string(num_blocks) + "}"),
+            std::string::npos)
+      << jsonl;
+}
+
 TEST(ServeTelemetryTest, WindowsBreachAndAlertsFlowIntoJsonl) {
   serve::ServeTelemetryOptions opts;
   opts.sample_every = 1;
