@@ -636,23 +636,6 @@ void BM_KernelSumBlockSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSumBlockSimd);
 
-// The same block summed by the dispatched AccumulateRows, the way a block
-// sum runs without SumBlock: zero the block, point a slice at each row's
-// offset, accumulate.
-void BM_KernelAccumulateBlockSimd(benchmark::State& state) {
-  std::vector<const double*> slice(kSumBlockRows);
-  RunSumBlock(state, [&slice](const double* const* rows, int64_t offset,
-                              const double* scales, int64_t num_rows,
-                              int64_t count, double* out) {
-    for (int64_t k = 0; k < num_rows; ++k) {
-      slice[static_cast<size_t>(k)] = rows[k] + offset;
-    }
-    std::fill(out, out + count, 0.0);
-    kernels::AccumulateRows(slice.data(), scales, num_rows, count, out);
-  });
-}
-BENCHMARK(BM_KernelAccumulateBlockSimd);
-
 // Top-N selection: the nth_element kernel against the historical
 // materialize-pairs-and-partial_sort block it replaced.
 

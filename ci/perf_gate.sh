@@ -19,11 +19,12 @@
 #      ClusterServe's ReconstructTopN chunk body (its _M_invoke, which
 #      holds best-first and the walk), its block-offer lambda (it holds
 #      TopNAccumulator::Offer, which is always inlined; .cold clones
-#      aside), the scalar and AVX2 bodies of kernels::SumBlock (every
-#      block sum and tile expansion of best-first and the walk; one
-#      AVX2 body per lane count and tail, each checked) and the scalar
-#      and AVX2 bodies of kernels::FirstArgMax (best-first's block
-#      order) start at an address that is 0 mod 64,
+#      aside), the scalar and AVX2 sum bodies that kernels::SumBlock and
+#      kernels::AccumulateRows share (every block sum, tile expansion and
+#      tile bound of best-first and the walk; one scalar body per row
+#      type and one AVX2 body per row type, lane count and tail, each
+#      checked) and the scalar and AVX2 bodies of kernels::FirstArgMax
+#      (best-first's block order) start at an address that is 0 mod 64,
 #      and no library under build/src other than libprivrec_serving.a
 #      instantiates ReconstructTopN. serving.cc compiles with
 #      -falign-functions=64, as does privrec_kernels, but a second
@@ -35,9 +36,9 @@
 #      functions are the ones above, ReconstructTopN<ClusterServe> itself
 #      (GCC inlines it into ClusterServe::Recommend, so there it is the
 #      instructions addr2line -i attributes to it) with any lambda of it
-#      GCC keeps out of line, the kernels::SumBlock and
-#      kernels::FirstArgMax entry points, and kernels::AccumulateRows
-#      (each user's tile bounds) with its scalar and AVX2 bodies. A
+#      GCC keeps out of line, and the kernels::SumBlock,
+#      kernels::AccumulateRows (each user's tile bounds) and
+#      kernels::FirstArgMax entry points. A
 #      counter increment is a lock-prefixed add and a span is a call to
 #      obs::SpanScope, so either one in the per-user, per-block loop
 #      fails here whatever it costs in time. Runs right after the build.
@@ -101,18 +102,18 @@ def label_of(name):
             return label
     # Templates: nm prints the return type first.
     for label, prefix in (
-            ("SumBlock scalar body",
-             "void privrec::kernels::(anonymous namespace)::SumBlockScalarBody<"),
-            ("SumBlock AVX2 body",
-             "void privrec::kernels::(anonymous namespace)::SumBlockAvx2Body<")):
+            ("sum scalar body",
+             "void privrec::kernels::(anonymous namespace)::SumScalarBody<"),
+            ("sum AVX2 body",
+             "void privrec::kernels::(anonymous namespace)::SumAvx2Body<")):
         if name.startswith(prefix):
             return label
     return None
 
 PINNED = ("ClusterServe chunk body", "ClusterServe block offer",
-          "SumBlock scalar body", "FirstArgMax scalar body")
+          "sum scalar body", "FirstArgMax scalar body")
 if platform.machine() == "x86_64":
-    PINNED += ("SumBlock AVX2 body", "FirstArgMax AVX2 body")
+    PINNED += ("sum AVX2 body", "FirstArgMax AVX2 body")
 
 def hot_label(name):
     label = label_of(name)
@@ -126,19 +127,13 @@ def hot_label(name):
             ("SumBlock", "privrec::kernels::SumBlock("),
             ("SumBlock", "privrec::kernels::SumBlockF32("),
             ("FirstArgMax", "privrec::kernels::FirstArgMax("),
-            ("AccumulateRows", "privrec::kernels::AccumulateRows("),
-            ("AccumulateRows scalar body",
-             "privrec::kernels::(anonymous namespace)::ScalarBody("),
-            ("AccumulateRows AVX2 body",
-             "privrec::kernels::(anonymous namespace)::Avx2Body(")):
+            ("AccumulateRows", "privrec::kernels::AccumulateRows(")):
         if name.startswith(prefix):
             return label
     return None
 
 HOT = PINNED + ("ReconstructTopN<ClusterServe>", "SumBlock", "FirstArgMax",
-                "AccumulateRows", "AccumulateRows scalar body")
-if platform.machine() == "x86_64":
-    HOT += ("AccumulateRows AVX2 body",)
+                "AccumulateRows")
 
 def disassemble(address, size):  # -> [(address, instruction text)]
     out = subprocess.run(

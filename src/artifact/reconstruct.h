@@ -70,13 +70,15 @@ namespace privrec::serving {
 // the user's rows); DESIGN.md §5i records the sweep that chose 32.
 inline constexpr int64_t kBoundBlockItems = 32;
 
-// Bound blocks per tile of the tile table: one walk tile
-// (kernels::kAccumulateBlockItems items), so the walk can skip a tile
-// whole. A block and a tile of block bounds are each one SumBlock call.
-inline constexpr int64_t kBoundTileBlocks =
-    kernels::kAccumulateBlockItems / kBoundBlockItems;
-static_assert(kBoundBlockItems <= kernels::kSumBlockMaxItems &&
-              kBoundTileBlocks <= kernels::kSumBlockMaxItems);
+// Items per walk tile (512 doubles, 4 KiB): the unit the walk shares
+// across a group's walkers (the tiling below) and the unit of the tile
+// table.
+inline constexpr int64_t kWalkTileItems = 512;
+
+// Bound blocks per tile of the tile table: one walk tile, so the walk can
+// skip a tile whole. A block and a tile of block bounds are each one
+// SumBlock call.
+inline constexpr int64_t kBoundTileBlocks = kWalkTileItems / kBoundBlockItems;
 
 // A non-owning view of one A_w release: everything reconstruction needs,
 // whether the backing storage is an owned model or a mapped artifact.
@@ -217,13 +219,12 @@ inline std::vector<double> GlobalAverageUtilities(const ReleaseView& r) {
 
 // Tiling of the walk. A chunk's users are cut into groups of
 // kReconstructGroupUsers; the group's walkers (the users best-first left
-// unfinished) walk the items in tiles of kernels::kAccumulateBlockItems
-// (the kernel's own cache block), and every walker takes its turn on the
-// tile before the group moves on. The walkers thus share the tile's
-// slices of the released rows (at most num_clusters × tile), which can
-// stay cache-resident across them instead of streaming from memory for
-// each one. Group and tile size come from one sweep at the Flixster shape
-// (DESIGN.md §5i).
+// unfinished) walk the items in tiles of kWalkTileItems, and every
+// walker takes its turn on the tile before the group moves on. The
+// walkers thus share the tile's slices of the released rows (at most
+// num_clusters × tile), which can stay cache-resident across them
+// instead of streaming from memory for each one. Group and tile size
+// come from one sweep at the Flixster shape (DESIGN.md §5i).
 inline constexpr int64_t kReconstructGroupUsers = 40;
 
 // Best-first's budget, in percent of the release's bound blocks (at least
@@ -288,7 +289,7 @@ struct ReconstructCounts {
 // tile of utilities, the group's touched rows and weights (group ×
 // num_clusters at most), the group's block bounds (group × I /
 // kBoundBlockItems, as doubles and as bytes) and its tile bounds (group
-// × I / kAccumulateBlockItems, as doubles and as bytes): bounded by the
+// × I / kWalkTileItems, as doubles and as bytes): bounded by the
 // constants, the release shape and the batch size, not by top_n.
 template <typename RowOf, typename GlobalFn>
 Result<ReconstructCounts> ReconstructTopN(
@@ -360,7 +361,7 @@ Result<ReconstructCounts> ReconstructTopN(
         if (sim_sum.size() < static_cast<size_t>(num_clusters)) {
           sim_sum.assign(static_cast<size_t>(num_clusters), 0.0);
         }
-        block.resize(static_cast<size_t>(kernels::kAccumulateBlockItems));
+        block.resize(static_cast<size_t>(kWalkTileItems));
         ReconstructCounts counts;
         // Offers block[0, count) as items first .. first + count - 1,
         // skipping those below the worst kept utility (an equal one may
@@ -537,11 +538,9 @@ Result<ReconstructCounts> ReconstructTopN(
           }
           if (walkers.empty()) continue;
           // Walk the items once for the group's walkers.
-          for (int64_t t = 0; t < num_items;
-               t += kernels::kAccumulateBlockItems) {
-            const int64_t tile_end =
-                std::min(num_items, t + kernels::kAccumulateBlockItems);
-            const int64_t tile = t / kernels::kAccumulateBlockItems;
+          for (int64_t t = 0; t < num_items; t += kWalkTileItems) {
+            const int64_t tile_end = std::min(num_items, t + kWalkTileItems);
+            const int64_t tile = t / kWalkTileItems;
             for (Walker& w : walkers) {
               const size_t j = w.slot;
               // A tile bound below the floor holds every block bound of

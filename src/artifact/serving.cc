@@ -526,10 +526,17 @@ Status ServingEngine::InitViews(
   shard_count_ = static_cast<uint32_t>(table.size());
 
   // Content rules. Every one passes before a pointer table is built.
+  // A cluster's size is its count of users: the global-average row
+  // weighs each released row by it.
+  std::vector<int64_t> members(nc, 0);
   for (size_t u = 0; u < nu; ++u) {
     if (cluster_of_[u] < 0 || cluster_of_[u] >= num_clusters_) {
       return Invalid("partition", "cluster id out of range");
     }
+    ++members[static_cast<size_t>(cluster_of_[u])];
+  }
+  if (!std::equal(members.begin(), members.end(), cluster_sizes_)) {
+    return Invalid("partition", "cluster sizes disagree with the cluster ids");
   }
   shard_of_cluster_.assign(nc, 0);
   uint64_t total_workload = 0;
@@ -687,8 +694,7 @@ Status ServingEngine::BuildDerived() {
   }
   double global_sum = 0.0;
   for (size_t c = 0; c < value_max.size(); ++c) {
-    global_sum +=
-        std::abs(static_cast<double>(cluster_sizes_[c])) * value_max[c];
+    global_sum += static_cast<double>(cluster_sizes_[c]) * value_max[c];
   }
   if (!(global_sum < kSumLimit)) {
     return Invalid("noisy_table", "the global-average sums can overflow");

@@ -17,16 +17,17 @@
 // genuinely scalar reference: an exact-equality failure bisects to the
 // SIMD lanes, never to the autovectorizer.
 //
-// Both paths walk items in cache-sized blocks (all rows visit a block
-// before moving on), which keeps the out[] block resident across the
-// whole row set; per-element order over k is unchanged by blocking.
+// SumBlock is the short-range form the pruned reconstruction runs: the
+// same sum over a range of items from an offset, onto +0.0 instead of
+// onto `out`. Per element it is the same add sequence, so it leaves the
+// bits AccumulateRows leaves in a zeroed buffer.
 //
-// SumBlock is the short-range form the pruned reconstruction runs: at
-// most kSumBlockMaxItems items of every row, from an item offset, summed
-// onto +0.0. Per element it is the same add sequence, so it leaves the
-// bits AccumulateRows leaves in a zeroed buffer; its AVX2 path keeps
-// every lane accumulator in a register across all rows, so `out` is
-// written once and each row element read once.
+// Both are one sum, with one body per row type and level: the scalar
+// body sums the whole range; the AVX2 body sums a chunk of at most
+// kSumBlockMaxItems items with every lane accumulator in a register
+// across all rows, so each chunk of `out` is read at most once and
+// written once, and each row element read once. AccumulateRows runs it
+// chunk after chunk; per element the order over k is unchanged.
 
 #ifndef PRIVREC_KERNELS_ACCUMULATE_H_
 #define PRIVREC_KERNELS_ACCUMULATE_H_
@@ -35,14 +36,7 @@
 
 namespace privrec::kernels {
 
-// Items per cache block: 512 doubles = 4 KiB, so the out[] block and the
-// four row blocks of one fused pass (20 KiB) fit in L1 while every row
-// streams through. The tiled reconstruction (artifact/reconstruct.h)
-// walks items in the same blocks; the size comes from its sweep at the
-// Flixster shape (DESIGN.md §5i).
-inline constexpr int64_t kAccumulateBlockItems = 512;
-
-// The most items one SumBlock call sums: eight 4-wide f64 lanes, which
+// The most items one AVX2 body call sums: eight 4-wide f64 lanes, which
 // stay in registers with the row operand and the broadcast scale.
 inline constexpr int64_t kSumBlockMaxItems = 32;
 
@@ -68,10 +62,10 @@ void AccumulateRowsF32Scalar(const float* const* rows,
 
 // out[i] = Σ_k scales[k] * rows[k][offset + i] for i in [0, count), the
 // rows added in order onto +0.0: bit for bit what AccumulateRows leaves
-// in a zeroed out[0, count) over the rows advanced by `offset`. A count
-// up to kSumBlockMaxItems runs the dispatched body (ActiveDispatchLevel),
-// a longer one the scalar body; 0 is a no-op and num_rows == 0 writes
-// zeros. `out` is written, not added to.
+// in a zeroed out[0, count) over the rows advanced by `offset`.
+// Dispatched (ActiveDispatchLevel) at any count, one call of the AVX2
+// body per kSumBlockMaxItems items; 0 is a no-op and num_rows == 0
+// writes zeros. `out` is written, not added to.
 void SumBlock(const double* const* rows, int64_t offset,
               const double* scales, int64_t num_rows, int64_t count,
               double* out);

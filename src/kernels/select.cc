@@ -1,5 +1,6 @@
 #include "kernels/select.h"
 
+#include <cmath>
 #include <numeric>
 
 #include "kernels/dispatch.h"
@@ -63,19 +64,22 @@ int64_t FirstArgMaxScalarBody(const double* values, int64_t count) {
 #if defined(PRIVREC_KERNELS_HAVE_AVX2)
 
 // Two passes: the maximum over 4-wide lanes, then the first index whose
-// value equals it. Without NaN the maximum is one of the values, and the
-// scalar loop keeps the first element that no later one exceeds, which
-// is the first equal to the maximum (a -0.0 and a +0.0 compare equal in
-// both). _mm256_max_pd may return either zero; `==` does not tell them
-// apart, so the index is the same.
+// value equals it. The scalar loop never moves to a NaN, so it keeps the
+// first element equal to the largest of values[0] and the non-NaN values
+// (a -0.0 and a +0.0 compare equal there and in `==`, so whichever zero
+// _mm256_max_pd returns gives the same index). Every lane starts from
+// values[0] and takes the loaded vector as the first operand, which
+// _mm256_max_pd drops for the second when either is NaN: a NaN never
+// enters a lane. From a NaN values[0] the scalar loop never moves.
 __attribute__((target("avx2"))) int64_t FirstArgMaxAvx2Body(
     const double* values, int64_t count) {
-  const int64_t vec_end = count & ~int64_t{3};
   double max = values[0];
+  if (std::isnan(max)) return 0;
+  const int64_t vec_end = count & ~int64_t{3};
   if (vec_end > 0) {
-    __m256d m = _mm256_loadu_pd(values);
-    for (int64_t i = 4; i < vec_end; i += 4) {
-      m = _mm256_max_pd(m, _mm256_loadu_pd(values + i));
+    __m256d m = _mm256_set1_pd(max);
+    for (int64_t i = 0; i < vec_end; i += 4) {
+      m = _mm256_max_pd(_mm256_loadu_pd(values + i), m);
     }
     const __m128d half =
         _mm_max_pd(_mm256_castpd256_pd128(m), _mm256_extractf128_pd(m, 1));
@@ -93,7 +97,7 @@ __attribute__((target("avx2"))) int64_t FirstArgMaxAvx2Body(
   for (int64_t i = vec_end; i < count; ++i) {
     if (values[i] == max) return i;
   }
-  return 0;  // only reached on NaN input
+  return 0;  // not reached: `max` is one of the values
 }
 
 #endif  // PRIVREC_KERNELS_HAVE_AVX2

@@ -104,10 +104,11 @@ void SelectTopNIndicesDense(const double* values, int64_t num_values,
                             int64_t n, std::vector<int64_t>* out);
 
 // The index of the first largest of values[0, count), the element
-// std::max_element returns: ties go to the lower index, and a run of
-// -inf returns 0. `count` must be at least 1 and the values must not be
-// NaN. Dispatched (ActiveDispatchLevel): the AVX2 path takes the maximum
-// four lanes at a time, then the first index equal to it.
+// std::max_element returns: ties go to the lower index, a run of -inf
+// returns 0, and a NaN is never moved to (a NaN values[0] returns 0).
+// `count` must be at least 1. Dispatched (ActiveDispatchLevel): the AVX2
+// path takes the maximum four lanes at a time, then the first index
+// equal to it; it returns FirstArgMaxScalar's index on every input.
 int64_t FirstArgMax(const double* values, int64_t count);
 
 // The scalar reference of FirstArgMax, exposed so kernels_test can hold

@@ -331,6 +331,7 @@ TEST_F(ArtifactTest, ContentDefectsFailAtOpenWithOneMessageOnBothRoutes) {
   // A model's copy of the manifest array `id`.
   auto manifest_array = [&raw](const serving::ArtifactModel& m, Id id) {
     if (id == Id::kClusterOf) return raw(m.partition.cluster_of);
+    if (id == Id::kClusterSizes) return raw(m.partition.sizes);
     if (id == Id::kWorkloadOffsets) return raw(m.workload.offsets);
     return raw(m.preferences.offsets);
   };
@@ -363,6 +364,9 @@ TEST_F(ArtifactTest, ContentDefectsFailAtOpenWithOneMessageOnBothRoutes) {
          m.partition.cluster_of[5] = m.noisy.num_clusters;
        },
        Id::kClusterOf},
+      {"partition", "cluster sizes disagree with the cluster ids",
+       [](serving::ArtifactModel& m) { m.partition.sizes[0] = -1000000; },
+       Id::kClusterSizes},
       {"workload", "offsets do not index the entries",
        [](serving::ArtifactModel& m) { ++m.workload.offsets.back(); },
        Id::kWorkloadOffsets},

@@ -45,17 +45,17 @@ struct AccumulateCase {
   int64_t items;
 };
 
-// Tail lengths 0..3 around the 4-wide AVX2 lanes, both below and across
-// the kAccumulateBlockItems cache-block boundary; row counts cover the
-// no-op, the singleton, and a multi-row gather.
+// Tail lengths 0..3 around the 4-wide AVX2 lanes, below, at and across
+// one and two kSumBlockMaxItems chunks and around 512 and 1024 items;
+// row counts cover the no-op, the singleton, and a multi-row gather.
 std::vector<AccumulateCase> AccumulateCases() {
   std::vector<AccumulateCase> cases;
   const std::vector<int64_t> item_counts = {
       0,  1,  2,  3,  4,  5,  6,  7,  8,  15,
-      kernels::kAccumulateBlockItems - 1, kernels::kAccumulateBlockItems,
-      kernels::kAccumulateBlockItems + 1, kernels::kAccumulateBlockItems + 2,
-      kernels::kAccumulateBlockItems + 3,
-      2 * kernels::kAccumulateBlockItems + 5};
+      kernels::kSumBlockMaxItems - 1, kernels::kSumBlockMaxItems,
+      kernels::kSumBlockMaxItems + 1, 2 * kernels::kSumBlockMaxItems - 1,
+      2 * kernels::kSumBlockMaxItems, 2 * kernels::kSumBlockMaxItems + 1,
+      511, 512, 513, 514, 515, 1029};
   for (int64_t rows : {0, 1, 2, 3, 9}) {
     for (int64_t items : item_counts) cases.push_back({rows, items});
   }
@@ -234,8 +234,8 @@ TEST(SumBlockTest, MatchesAccumulateRowsIntoZerosAtEveryCount) {
   ExpectSumBlockMatchesEverywhere(storage_f32, scales, "f32");
 }
 
-// A count past kSumBlockMaxItems has no AVX2 body; it takes the scalar
-// body, which sums it to the same bits.
+// A count past kSumBlockMaxItems runs the AVX2 body chunk by chunk, to
+// the same bits.
 TEST(SumBlockTest, CountsPastTheLimitMatchToo) {
   std::vector<std::vector<double>> storage;
   std::vector<std::vector<float>> storage_f32;
@@ -426,6 +426,35 @@ TEST(FirstArgMaxTest, MinusInfinityEntriesAndAllMinusInfinity) {
     EXPECT_EQ(kernels::FirstArgMax(all.data(), count), 0);
     all.back() = -1e300;
     ExpectFirstArgMax(all, "all -inf but the last");
+  }
+}
+
+// A NaN never wins: the scalar loop's `<` fails on it either way round,
+// so a NaN at index 0 keeps index 0 and a later NaN is never moved to.
+// The dispatched path must agree with a NaN at index 0, in any lane of a
+// middle or the last vector, in the scalar tail, and across a whole
+// vector or tail.
+TEST(FirstArgMaxTest, NaNEntriesMatchTheScalarReference) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ExpectFirstArgMax({9, 0, 0, 0, nan, 0, 0, 0}, "NaN after the maximum");
+  ExpectFirstArgMax({nan, 1, 2, 3, 4, 5, 6, 7}, "NaN first, rising");
+  ExpectFirstArgMax({0, 9, 0, 0, 0, nan, 0, 0, 0, 0, 0, 0},
+                    "NaN in the maximum's lane of a middle vector");
+  for (int64_t count = 1; count <= 21; ++count) {
+    const std::vector<double> base =
+        RandomRow(count, 1300 + static_cast<uint64_t>(count));
+    for (int64_t at = 0; at < count; ++at) {
+      std::vector<double> values = base;
+      values[static_cast<size_t>(at)] = nan;
+      ExpectFirstArgMax(values, "NaN at " + std::to_string(at));
+      if (at == 0) {
+        EXPECT_EQ(kernels::FirstArgMax(values.data(), count), 0);
+      }
+      const int64_t end = std::min(count, (at & ~int64_t{3}) + 4);
+      for (int64_t i = at; i < end; ++i) values[static_cast<size_t>(i)] = nan;
+      ExpectFirstArgMax(values, "NaN from " + std::to_string(at) + " to " +
+                                    std::to_string(end));
+    }
   }
 }
 

@@ -38,11 +38,11 @@
 namespace privrec {
 namespace {
 
-using kernels::kAccumulateBlockItems;
 using serving::kBestFirstBudgetPercent;
 using serving::kBoundBlockItems;
 using serving::kBoundTileBlocks;
 using serving::kReconstructGroupUsers;
+using serving::kWalkTileItems;
 
 constexpr int64_t kClusters = 9;
 constexpr int64_t kSocialUsers = 240;
@@ -361,7 +361,7 @@ void ExpectMatchesReference(
 
 TEST(ReconstructReferenceTest, BatchSizesAroundTheTileGroup) {
   // Two item blocks, the second one item long.
-  const Fixture f = MakeFixture(kAccumulateBlockItems + 1, false, 11);
+  const Fixture f = MakeFixture(kWalkTileItems + 1, false, 11);
   for (int64_t size :
        {int64_t{1}, kReconstructGroupUsers - 1, kReconstructGroupUsers,
         kReconstructGroupUsers + 1, int64_t{10'000}}) {
@@ -377,8 +377,8 @@ TEST(ReconstructReferenceTest, BatchSizesAroundTheTileGroup) {
 
 TEST(ReconstructReferenceTest, ItemCountsAroundTheTileBlock) {
   for (int64_t items :
-       {int64_t{7}, kAccumulateBlockItems - 1, kAccumulateBlockItems,
-        kAccumulateBlockItems + 1, kFlixsterItems}) {
+       {int64_t{7}, kWalkTileItems - 1, kWalkTileItems,
+        kWalkTileItems + 1, kFlixsterItems}) {
     for (bool ties : {false, true}) {
       const Fixture f =
           MakeFixture(items, ties, static_cast<uint64_t>(items) + ties);
@@ -395,7 +395,7 @@ TEST(ReconstructReferenceTest, ItemCountsAroundTheTileBlock) {
 }
 
 TEST(ReconstructReferenceTest, TieHeavyTableAtEveryThreadCount) {
-  const Fixture f = MakeFixture(3 * kAccumulateBlockItems + 5, true, 3);
+  const Fixture f = MakeFixture(3 * kWalkTileItems + 5, true, 3);
   const std::vector<graph::NodeId> batch = MakeBatch(500, 9);
   for (int64_t threads : {1, 2, 4}) {
     ScopedThreadCount scoped(threads);
@@ -405,7 +405,7 @@ TEST(ReconstructReferenceTest, TieHeavyTableAtEveryThreadCount) {
 }
 
 TEST(ReconstructReferenceTest, SingleUsersCoverEveryDegradation) {
-  const Fixture f = MakeFixture(kAccumulateBlockItems + 1, true, 21);
+  const Fixture f = MakeFixture(kWalkTileItems + 1, true, 21);
   graph::NodeId isolated = -1;
   graph::NodeId sanitized = -1;
   graph::NodeId clean = -1;
@@ -433,7 +433,7 @@ TEST(ReconstructReferenceTest, SingleUsersCoverEveryDegradation) {
 // Lists already in the output slots (a reused batch) are replaced, not
 // extended: the running top-N starts from an empty heap per user.
 TEST(ReconstructReferenceTest, ReusedOutputSlotsAreOverwritten) {
-  const Fixture f = MakeFixture(kAccumulateBlockItems + 1, false, 31);
+  const Fixture f = MakeFixture(kWalkTileItems + 1, false, 31);
   const serving::ReleaseView view = f.View(false);
   const std::vector<double> global = serving::GlobalAverageUtilities(view);
   const std::vector<graph::NodeId> batch = MakeBatch(40, 2);
@@ -726,7 +726,7 @@ TEST(ReconstructPruningTest, UtilitiesThatOverflowToMinusInfinityAreKeptOnce) {
 // The two differ wherever quantization rounded a block's maximum, so a
 // bound taken from the wrong width could undercut an f32 utility.
 TEST(ReconstructPruningTest, BlockBoundsReadTheRowsReconstructionReads) {
-  const Fixture f = MakeFixture(kAccumulateBlockItems + 45, false, 51);
+  const Fixture f = MakeFixture(kWalkTileItems + 45, false, 51);
   const int64_t num_blocks = f.View(false).NumBlocks();
   ASSERT_EQ(f.block_max.size(), static_cast<size_t>(kClusters * num_blocks));
   ASSERT_EQ(f.block_max_f32.size(), f.block_max.size());
@@ -754,15 +754,15 @@ TEST(ReconstructPruningTest, BlockBoundsReadTheRowsReconstructionReads) {
 // value over the tile's blocks, the last tile short when the blocks do
 // not fill it.
 TEST(ReconstructPruningTest, TileTableIsTheBlockwiseMaximumOfTheBoundTable) {
-  for (int64_t items : {int64_t{7}, kAccumulateBlockItems,
-                        3 * kAccumulateBlockItems + 45, kFlixsterItems}) {
+  for (int64_t items : {int64_t{7}, kWalkTileItems,
+                        3 * kWalkTileItems + 45, kFlixsterItems}) {
     const Fixture f = MakeFixture(items, false, 53);
     for (bool f32 : {false, true}) {
       const serving::ReleaseView view = f.View(f32);
       const int64_t num_blocks = view.NumBlocks();
       const int64_t num_tiles = view.NumTiles();
-      ASSERT_EQ(num_tiles, (items + kAccumulateBlockItems - 1) /
-                               kAccumulateBlockItems);
+      ASSERT_EQ(num_tiles, (items + kWalkTileItems - 1) /
+                               kWalkTileItems);
       const std::vector<double>& tiles = f32 ? f.tile_max_f32 : f.tile_max;
       ASSERT_EQ(tiles.size(), static_cast<size_t>(kClusters * num_tiles));
       for (int64_t c = 0; c < kClusters; ++c) {
@@ -783,7 +783,7 @@ TEST(ReconstructPruningTest, TileTableIsTheBlockwiseMaximumOfTheBoundTable) {
 
 // A non-finite released value fails the derivation, naming its table.
 TEST(ReconstructPruningTest, NonFiniteValuesFailTheBoundDerivation) {
-  Fixture f = MakeFixture(kAccumulateBlockItems + 1, false, 61);
+  Fixture f = MakeFixture(kWalkTileItems + 1, false, 61);
   std::vector<double> table;
   f.values[123] = NAN;
   Status f64 = serving::BuildBlockBounds(f.View(false), &table);
@@ -863,8 +863,8 @@ std::vector<int64_t> ReferenceVisitedBlocks(
       visited.push_back(b);
     }
   }
-  for (int64_t t = 0; t < f.num_items; t += kAccumulateBlockItems) {
-    const int64_t tile_end = std::min(f.num_items, t + kAccumulateBlockItems);
+  for (int64_t t = 0; t < f.num_items; t += kWalkTileItems) {
+    const int64_t tile_end = std::min(f.num_items, t + kWalkTileItems);
     for (int64_t first = t; first < tile_end;) {
       const double floor = acc.WorstKept();
       int64_t last = first;
@@ -1039,8 +1039,8 @@ TEST(ReconstructTileBoundTest, TileBoundTiesABlockBoundOfAnotherTile) {
 // value is 0 but three finite cells.
 TEST(ReconstructTileBoundTest, NaNTileKeyOverMinusInfinityBlocks) {
   constexpr int64_t kTiles = 16;
-  const int64_t num_items = kTiles * kAccumulateBlockItems;
-  const int64_t nan_tile = (kTiles - 1) * kAccumulateBlockItems;
+  const int64_t num_items = kTiles * kWalkTileItems;
+  const int64_t nan_tile = (kTiles - 1) * kWalkTileItems;
   Fixture f;
   f.num_items = num_items;
   f.values.assign(static_cast<size_t>(kClusters * num_items), 0.0);
@@ -1053,10 +1053,10 @@ TEST(ReconstructTileBoundTest, NaNTileKeyOverMinusInfinityBlocks) {
     cell(1, i) = block == 9 ? 1e10 : -1e10;
     cell(2, i) = -1e10;
   }
-  const int64_t top = 3 * kAccumulateBlockItems + 70;
+  const int64_t top = 3 * kWalkTileItems + 70;
   cell(0, 5) = 1.5;                              // tile 0: 1.5e298
   cell(1, top) = 2.0;                            // tile 3: 2e298
-  cell(2, kAccumulateBlockItems + 33) = 1e-300;  // tile 1: 1.0
+  cell(2, kWalkTileItems + 33) = 1e-300;  // tile 1: 1.0
   f.sanitized.assign(kClusters, 0);
   f.cluster_sizes.assign(kClusters, 0);
   for (int64_t v = 0; v < kSocialUsers; ++v) {
@@ -1095,7 +1095,7 @@ TEST(ReconstructTileBoundTest, NaNTileKeyOverMinusInfinityBlocks) {
   // items reaches into the last tile's -inf items.
   for (bool f32 : {false, true}) {
     const std::string label = f32 ? "f32" : "f64";
-    const int64_t past_finite = (kTiles - 1) * kAccumulateBlockItems + 5;
+    const int64_t past_finite = (kTiles - 1) * kWalkTileItems + 5;
     ExpectMatchesReference(f, f32, {1}, label, {1, 3, 10, past_finite});
     for (int64_t top_n : {int64_t{1}, int64_t{3}, int64_t{10}, past_finite}) {
       const Served one = Reconstruct(f, f32, {1}, top_n);
