@@ -17,8 +17,9 @@
 #      benchmark context) and kernels_test must stay green under it.
 #   4. The hot reconstruction code stays pinned: in bench_perf_micro,
 #      ClusterServe's ReconstructTopN chunk body (its _M_invoke, which
-#      holds best-first and the walk), its block-offer lambda (it holds
-#      TopNAccumulator::Offer, which is always inlined; .cold clones
+#      holds best-first and the walk), its block-visit lambda (one
+#      block's sum and the offer of its items, which both phases call; it
+#      holds TopNAccumulator::Offer, which is always inlined; .cold clones
 #      aside), the scalar and AVX2 sum bodies that kernels::SumBlock and
 #      kernels::AccumulateRows share (every block sum, tile expansion and
 #      tile bound of best-first and the walk; one scalar body per row
@@ -71,11 +72,11 @@ RECOMMEND = "privrec::serving::(anonymous namespace)::ClusterServe::Recommend("
 LINE = re.compile(r"^([0-9a-f]+) (?:([0-9a-f]{8,}) )?(\S) (.*)$")
 INSN = re.compile(r"^\s*([0-9a-f]+):\s+(.*)$")
 CALL = re.compile(r"^(?:call|jmp)\S*\s+[0-9a-f]+ <(.*)>$")
-OFFER_LAMBDA = re.compile(  # the lambda itself (GCC may clone it), not one
+VISIT_LAMBDA = re.compile(  # the lambda itself (GCC may clone it), not one
     # nested in it
-    r"\{lambda\(privrec::core::TopNAccumulator&, long, long\)#\d+\}"
-    r"::operator\(\)\(privrec::core::TopNAccumulator&, long, long\) const"
-    r"( \[clone [^\]]*\])?$")
+    r"\{lambda\(unsigned long, privrec::core::TopNAccumulator&, long\)#\d+\}"
+    r"::operator\(\)\(unsigned long, privrec::core::TopNAccumulator&, long\)"
+    r" const( \[clone [^\]]*\])?$")
 
 def symbols(path, *flags):  # -> (address, size, nm type, demangled name)
     out = subprocess.run(["nm", "-C", "-S", *flags, path], check=True,
@@ -91,8 +92,8 @@ def label_of(name):
             and "::_M_invoke(" in name):
         return "ClusterServe chunk body"
     if ("ClusterServe" in name and "ReconstructTopN" in name
-            and OFFER_LAMBDA.search(name)):
-        return "ClusterServe block offer"
+            and VISIT_LAMBDA.search(name)):
+        return "ClusterServe block visit"
     for label, prefix in (
             ("FirstArgMax scalar body",
              "privrec::kernels::(anonymous namespace)::FirstArgMaxScalarBody("),
@@ -110,7 +111,7 @@ def label_of(name):
             return label
     return None
 
-PINNED = ("ClusterServe chunk body", "ClusterServe block offer",
+PINNED = ("ClusterServe chunk body", "ClusterServe block visit",
           "sum scalar body", "FirstArgMax scalar body")
 if platform.machine() == "x86_64":
     PINNED += ("sum AVX2 body", "FirstArgMax AVX2 body")

@@ -82,6 +82,11 @@ inline constexpr int64_t kBoundTileBlocks = kWalkTileItems / kBoundBlockItems;
 
 // A non-owning view of one A_w release: everything reconstruction needs,
 // whether the backing storage is an owned model or a mapped artifact.
+// The engine's open (ServingEngine::InitViews and BuildDerived) refuses
+// a release with a non-finite value, a workload score that is not > 0,
+// or a user whose served sums could overflow, so in a served view every
+// weight is > 0 and every sum reconstruction forms is finite.
+// ReconstructTopN relies on both and checks neither.
 struct ReleaseView {
   // The released rows, one pointer per cluster (num_items values each).
   // The rows need not be one contiguous block: a sharded artifact keeps
@@ -217,14 +222,15 @@ inline std::vector<double> GlobalAverageUtilities(const ReleaseView& r) {
   return global;
 }
 
-// Tiling of the walk. A chunk's users are cut into groups of
-// kReconstructGroupUsers; the group's walkers (the users best-first left
-// unfinished) walk the items in tiles of kWalkTileItems, and every
-// walker takes its turn on the tile before the group moves on. The
-// walkers thus share the tile's slices of the released rows (at most
-// num_clusters × tile), which can stay cache-resident across them
-// instead of streaming from memory for each one. Group and tile size
-// come from one sweep at the Flixster shape (DESIGN.md §5i).
+// Tiling of the walk. The batch is cut into chunks of at most
+// kReconstructGroupUsers users, and each chunk is one group: its walkers
+// (the users best-first left unfinished) walk the items in tiles of
+// kWalkTileItems, and every walker takes its turn on the tile before the
+// group moves on. The walkers thus share the tile's slices of the
+// released rows (at most num_clusters × tile), which can stay
+// cache-resident across them instead of streaming from memory for each
+// one. Group and tile size come from one sweep at the Flixster shape
+// (DESIGN.md §5i).
 inline constexpr int64_t kReconstructGroupUsers = 40;
 
 // Best-first's budget, in percent of the release's bound blocks (at least
@@ -249,14 +255,18 @@ struct ReconstructCounts {
 
 // Per-user reconstruction, parallel over fixed chunks of the request batch.
 // `row_of(u)` yields u's sparse similarity row as a range of entries with
-// `.user` / `.score` members (the artifact's WorkloadEntry when serving);
-// scores must be finite and ≥ 0, which the engine checks at open.
+// `.user` / `.score` members (the artifact's WorkloadEntry when serving).
 // `global_fn()` returns the GlobalAverageUtilities row for the same view;
 // it is only invoked for isolated users, so callers that cache the row
 // lazily (the serving engine, which skips the O(C·I) pass across swap
 // storms) never pay for it on the personalized path. It must be safe to
 // call from concurrent chunks. Lists and diagnostics are written to their
 // slots in `lists` / `degradation` (resized here).
+//
+// It relies on what the engine's open guarantees of the view
+// (ReleaseView): every score is > 0, so a cluster's weight reads 0 only
+// until its first touch and every bound holds; and every utility and
+// bound it sums is finite, so -inf marks the blocks best-first summed.
 //
 // A batch of several users is served in stable ascending order of each
 // user's own cluster: users of one cluster fold to similar weights, so
@@ -272,25 +282,30 @@ struct ReconstructCounts {
 // expanded and its largest unvisited block bound after: a tile that comes
 // out on top unexpanded is expanded, and a block comes out only from an
 // expanded tile on top, so blocks come out in descending bound, lower id
-// first on ties, exactly as from the full bound row. It offers whole
-// blocks to a core::TopNAccumulator (the full comparator: ids arrive out
-// of order) and stops once the list is full and the top key is strictly
-// below the worst kept utility, because a lower-id item in an unseen
-// block may still win a tie. Users it leaves unfinished, and every user
-// when top_n exceeds its budget, are walkers. A walker keeps best-first's
+// first on ties, exactly as from the full bound row. A block it takes
+// has its bound set to -inf. It offers whole blocks to a
+// core::TopNAccumulator (the full comparator: ids arrive out of order)
+// and stops once the list is full and the top key is strictly below the
+// worst kept utility, because a lower-id item in an unseen block may
+// still win a tie. Users it leaves unfinished, and every user when top_n
+// exceeds its budget, are walkers. A walker keeps best-first's
 // accumulator and walks the items ascending, skipping each tile whose
-// bound is below its worst kept utility (expanding the others), each
-// block best-first summed (recorded in a byte per block) and each block
-// whose bound is below its worst kept utility. Per element the add order
-// is the unpruned one, so the lists do not depend on the order, the
-// pruning, the tiling, the chunking, the thread count or the dispatch
-// level. A one-user chunk is a group of one.
-// Scratch is one permutation of the batch per call and, per thread, one
-// tile of utilities, the group's touched rows and weights (group ×
-// num_clusters at most), the group's block bounds (group × I /
-// kBoundBlockItems, as doubles and as bytes) and its tile bounds (group
-// × I / kWalkTileItems, as doubles and as bytes): bounded by the
-// constants, the release shape and the batch size, not by top_n.
+// bound is below its worst kept utility (expanding the others) and each
+// block whose bound is below it, read afresh before each block; the
+// blocks best-first summed are among those, since the budget's blocks
+// hold at least top_n items, so the list best-first hands over is full
+// and its worst kept utility finite. Best-first and the walk visit a
+// block the same way: one SumBlock over the user's rows, then an offer
+// of its items. Per element the add order is the unpruned one, so the
+// lists do not depend on the order, the pruning, the tiling, the
+// chunking, the thread count or the dispatch level. A one-user chunk is
+// a group of one.
+// Scratch is one permutation of the batch per call and, per thread, the
+// group's touched rows and weights (group × num_clusters at most), the
+// group's block bounds (group × I / kBoundBlockItems doubles) and its
+// tile bounds (group × I / kWalkTileItems, as doubles and as bytes), and
+// one block of utilities on the stack: bounded by the constants, the
+// release shape and the batch size, not by top_n.
 template <typename RowOf, typename GlobalFn>
 Result<ReconstructCounts> ReconstructTopN(
     const ReleaseView& release, RowOf&& row_of, GlobalFn&& global_fn,
@@ -310,6 +325,7 @@ Result<ReconstructCounts> ReconstructTopN(
   // Otherwise the user goes straight to the walk.
   const bool best_first = keep > 0 && keep <= budget;
   constexpr double kVisited = -std::numeric_limits<double>::infinity();
+  const auto num_users = static_cast<int64_t>(users.size());
   lists->resize(users.size());
   degradation->resize(users.size());
   // Position k of the serving order is batch slot order[k].
@@ -318,10 +334,13 @@ Result<ReconstructCounts> ReconstructTopN(
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return release.cluster_of[users[a]] < release.cluster_of[users[b]];
   });
+  ParallelOptions options;
+  options.chunk_size =
+      std::min(kReconstructGroupUsers, DefaultChunkSize(num_users));
   return ParallelReduce(
-      static_cast<int64_t>(users.size()), ReconstructCounts{},
+      num_users, options, ReconstructCounts{},
       [&](int64_t, int64_t begin, int64_t end) {
-        // Worker-local scratch, fully rewritten per group (sim_sum is
+        // Worker-local scratch, fully rewritten per chunk (sim_sum is
         // re-zeroed through the touched list), so results do not depend
         // on which chunks this worker ran before.
         thread_local std::vector<double> sim_sum;
@@ -342,14 +361,9 @@ Result<ReconstructCounts> ReconstructTopN(
         thread_local std::vector<double> bounds;
         thread_local std::vector<double> tile_bounds;
         // 1 for each tile whose block bounds are summed, laid out as
-        // `tile_bounds`; the block bounds and marks of a tile that is not
-        // are never read.
+        // `tile_bounds`; the block bounds of a tile that is not are never
+        // read.
         thread_local std::vector<uint8_t> expanded;
-        // 1 for each block best-first summed, laid out as `bounds`. A
-        // bound cannot say it: a summed block's bound reads kVisited, and
-        // utilities that overflow to -inf give -inf bounds and worst kept
-        // utilities as well.
-        thread_local std::vector<uint8_t> summed;
         // The group's walkers: slot j, batch slot, and the list so far.
         struct Walker {
           size_t slot;
@@ -357,245 +371,172 @@ Result<ReconstructCounts> ReconstructTopN(
           core::TopNAccumulator acc;
         };
         thread_local std::vector<Walker> walkers;
-        thread_local std::vector<double> block;
         if (sim_sum.size() < static_cast<size_t>(num_clusters)) {
           sim_sum.assign(static_cast<size_t>(num_clusters), 0.0);
         }
-        block.resize(static_cast<size_t>(kWalkTileItems));
         ReconstructCounts counts;
-        // Offers block[0, count) as items first .. first + count - 1,
-        // skipping those below the worst kept utility (an equal one may
-        // still enter on a lower id).
-        auto offer_items = [&](core::TopNAccumulator& acc, int64_t first,
-                               int64_t count) {
-          for (int64_t i = 0; i < count; ++i) {
-            const double v = block[static_cast<size_t>(i)];
-            if (!(v < acc.WorstKept())) acc.Offer(first + i, v);
-          }
-        };
-        // Sums the block bounds of tile t for group user j and clears
-        // their summed marks.
+        // Sums the block bounds of tile t for group user j.
         auto expand = [&](size_t j, int64_t t) {
           const size_t row0 = row_begin[j];
           const int64_t first = t * kBoundTileBlocks;
-          const size_t at =
-              j * static_cast<size_t>(num_blocks) + static_cast<size_t>(first);
-          const int64_t len = std::min(kBoundTileBlocks, num_blocks - first);
-          kernels::SumBlock(bound_rows.data() + row0, first,
-                            scales.data() + row0,
-                            static_cast<int64_t>(row_begin[j + 1] - row0), len,
-                            bounds.data() + at);
-          std::fill_n(summed.data() + at, len, uint8_t{0});
+          kernels::SumBlock(
+              bound_rows.data() + row0, first, scales.data() + row0,
+              static_cast<int64_t>(row_begin[j + 1] - row0),
+              std::min(kBoundTileBlocks, num_blocks - first),
+              bounds.data() + j * static_cast<size_t>(num_blocks) +
+                  static_cast<size_t>(first));
           expanded[j * static_cast<size_t>(num_tiles) +
                    static_cast<size_t>(t)] = 1;
           ++counts.tiles_expanded;
         };
-        for (int64_t g = begin; g < end; g += kReconstructGroupUsers) {
-          const int64_t group_end = std::min(end, g + kReconstructGroupUsers);
-          // Fold every user of the group: its similarity row down to one
-          // weight per touched cluster, in first-touch order.
-          scales.clear();
-          rows.clear();
-          rows_f32.clear();
-          bound_rows.clear();
-          tile_rows.clear();
-          row_begin.assign(1, 0);
-          walkers.clear();
-          bounds.resize(static_cast<size_t>((group_end - g) * num_blocks));
-          summed.resize(bounds.size());
-          tile_bounds.resize(static_cast<size_t>((group_end - g) * num_tiles));
-          expanded.resize(tile_bounds.size());
-          for (int64_t k = g; k < group_end; ++k) {
-            const size_t index = order[static_cast<size_t>(k)];
-            graph::NodeId u = users[index];
-            touched.clear();
-            for (const auto& e : row_of(u)) {
-              int64_t c = release.cluster_of[e.user];
-              if (sim_sum[static_cast<size_t>(c)] == 0.0) touched.push_back(c);
-              sim_sum[static_cast<size_t>(c)] += e.score;
-            }
-            core::DegradationInfo info;
-            core::RecommendationList& list = (*lists)[index];
-            list.clear();
-            if (touched.empty()) {
-              // No similarity support: the reconstruction formula would
-              // rank every item 0. Serve the global-average ranking
-              // instead of an arbitrary tie-break.
-              info.reason = core::DegradationReason::kIsolatedUser;
-              list = core::TopNFromDense(global_fn(), top_n);
-            } else {
-              for (int64_t c : touched) {
-                scales.push_back(sim_sum[static_cast<size_t>(c)]);
-                if (release.sanitized[static_cast<size_t>(c)]) {
-                  info.reason = core::DegradationReason::kNonFiniteSanitized;
-                }
-                if (use_f32) {
-                  rows_f32.push_back(release.RowF32(c));
-                } else {
-                  rows.push_back(release.Row(c));
-                }
-                bound_rows.push_back(release.BlockMaxRow(c));
-                tile_rows.push_back(release.TileMaxRow(c));
-                sim_sum[static_cast<size_t>(c)] = 0.0;
+        // Sums block b for group user j on its rows and offers the items
+        // to `acc`, skipping those below the worst kept utility (an equal
+        // one may still enter on a lower id).
+        auto visit = [&](size_t j, core::TopNAccumulator& acc, int64_t b) {
+          const size_t row0 = row_begin[j];
+          const auto num_rows = static_cast<int64_t>(row_begin[j + 1] - row0);
+          const int64_t first = b * kBoundBlockItems;
+          const int64_t len = std::min(kBoundBlockItems, num_items - first);
+          double block[kBoundBlockItems];
+          if (use_f32) {
+            kernels::SumBlockF32(rows_f32.data() + row0, first,
+                                 scales.data() + row0, num_rows, len, block);
+          } else {
+            kernels::SumBlock(rows.data() + row0, first, scales.data() + row0,
+                              num_rows, len, block);
+          }
+          for (int64_t i = 0; i < len; ++i) {
+            if (!(block[i] < acc.WorstKept())) acc.Offer(first + i, block[i]);
+          }
+          ++counts.blocks_visited;
+        };
+        // Fold every user of the group: its similarity row down to one
+        // weight per touched cluster, in first-touch order.
+        scales.clear();
+        rows.clear();
+        rows_f32.clear();
+        bound_rows.clear();
+        tile_rows.clear();
+        row_begin.assign(1, 0);
+        walkers.clear();
+        bounds.resize(static_cast<size_t>((end - begin) * num_blocks));
+        tile_bounds.resize(static_cast<size_t>((end - begin) * num_tiles));
+        expanded.resize(tile_bounds.size());
+        for (int64_t k = begin; k < end; ++k) {
+          const size_t index = order[static_cast<size_t>(k)];
+          graph::NodeId u = users[index];
+          touched.clear();
+          for (const auto& e : row_of(u)) {
+            int64_t c = release.cluster_of[e.user];
+            if (sim_sum[static_cast<size_t>(c)] == 0.0) touched.push_back(c);
+            sim_sum[static_cast<size_t>(c)] += e.score;
+          }
+          core::DegradationInfo info;
+          core::RecommendationList& list = (*lists)[index];
+          list.clear();
+          if (touched.empty()) {
+            // No similarity support: the reconstruction formula would
+            // rank every item 0. Serve the global-average ranking
+            // instead of an arbitrary tie-break.
+            info.reason = core::DegradationReason::kIsolatedUser;
+            list = core::TopNFromDense(global_fn(), top_n);
+          } else {
+            for (int64_t c : touched) {
+              scales.push_back(sim_sum[static_cast<size_t>(c)]);
+              if (release.sanitized[static_cast<size_t>(c)]) {
+                info.reason = core::DegradationReason::kNonFiniteSanitized;
               }
-              row_begin.push_back(scales.size());
-              counts.blocks_total += num_blocks;
+              if (use_f32) {
+                rows_f32.push_back(release.RowF32(c));
+              } else {
+                rows.push_back(release.Row(c));
+              }
+              bound_rows.push_back(release.BlockMaxRow(c));
+              tile_rows.push_back(release.TileMaxRow(c));
+              sim_sum[static_cast<size_t>(c)] = 0.0;
             }
-            if (info.degraded()) ++counts.degraded;
-            (*degradation)[index] = info;
-            if (touched.empty() || keep == 0) continue;
+            row_begin.push_back(scales.size());
+            counts.blocks_total += num_blocks;
+          }
+          if (info.degraded()) ++counts.degraded;
+          (*degradation)[index] = info;
+          if (touched.empty() || keep == 0) continue;
 
-            // Every tile's bound, then best-first over the highest blocks.
-            const size_t j = row_begin.size() - 2;
-            const size_t row0 = row_begin[j];
-            const auto num_rows =
-                static_cast<int64_t>(row_begin[j + 1] - row0);
-            double* ub = bounds.data() + j * static_cast<size_t>(num_blocks);
-            uint8_t* done = summed.data() + j * static_cast<size_t>(num_blocks);
-            double* tb =
-                tile_bounds.data() + j * static_cast<size_t>(num_tiles);
-            uint8_t* open =
-                expanded.data() + j * static_cast<size_t>(num_tiles);
-            std::fill(tb, tb + num_tiles, 0.0);
-            std::fill(open, open + num_tiles, uint8_t{0});
-            kernels::AccumulateRows(tile_rows.data() + row0,
-                                    scales.data() + row0, num_rows,
-                                    num_tiles, tb);
-            // A tile bound of +inf and -inf terms reads NaN, which bounds
-            // nothing: read it as +inf, so the tile is expanded, never
-            // skipped.
-            for (int64_t t = 0; t < num_tiles; ++t) {
-              if (std::isnan(tb[t])) {
-                tb[t] = std::numeric_limits<double>::infinity();
+          // Every tile's bound, then best-first over the highest blocks.
+          const size_t j = row_begin.size() - 2;
+          const size_t row0 = row_begin[j];
+          double* ub = bounds.data() + j * static_cast<size_t>(num_blocks);
+          double* tb = tile_bounds.data() + j * static_cast<size_t>(num_tiles);
+          uint8_t* open = expanded.data() + j * static_cast<size_t>(num_tiles);
+          std::fill(tb, tb + num_tiles, 0.0);
+          std::fill(open, open + num_tiles, uint8_t{0});
+          kernels::AccumulateRows(
+              tile_rows.data() + row0, scales.data() + row0,
+              static_cast<int64_t>(row_begin[j + 1] - row0), num_tiles, tb);
+          core::TopNAccumulator acc(keep);
+          if (best_first) {
+            // The first largest unvisited block bound of an expanded
+            // tile; a taken block's bound reads kVisited.
+            auto tile_top = [&](int64_t t) {
+              const int64_t lo = t * kBoundTileBlocks;
+              const int64_t len = std::min(kBoundTileBlocks, num_blocks - lo);
+              return lo + kernels::FirstArgMax(ub + lo, len);
+            };
+            bool finished = false;
+            for (int64_t visited = 0;;) {
+              const int64_t t = kernels::FirstArgMax(tb, num_tiles);
+              // The top key bounds every unvisited block: below the
+              // worst kept utility, no block can enter the list.
+              if (tb[t] < acc.WorstKept()) {
+                finished = true;
+                break;
               }
-            }
-            core::TopNAccumulator acc(keep);
-            if (best_first) {
-              // The first largest unvisited block bound of an expanded
-              // tile; a taken block's bound reads kVisited.
-              auto tile_top = [&](int64_t t) {
-                const int64_t lo = t * kBoundTileBlocks;
-                const int64_t len = std::min(kBoundTileBlocks, num_blocks - lo);
-                return lo + kernels::FirstArgMax(ub + lo, len);
-              };
-              int64_t visited = 0;
-              bool finished = false;
-              for (;;) {
-                if (visited == num_blocks) {
-                  finished = true;
-                  break;
-                }
-                const int64_t t = kernels::FirstArgMax(tb, num_tiles);
-                // The top key bounds every unvisited block: below the
-                // worst kept utility, no block can enter the list.
-                if (tb[t] < acc.WorstKept()) {
-                  finished = true;
-                  break;
-                }
-                if (!open[t]) {
-                  // The tile bound is at least each block bound of the
-                  // tile, and ties go to the lower tile, so expanding the
-                  // tile on top moves no block ahead of another.
-                  expand(j, t);
-                  tb[t] = ub[tile_top(t)];
-                  continue;
-                }
-                const int64_t b = tile_top(t);
-                const double bound = ub[b];
-                ub[b] = kVisited;
+              if (!open[t]) {
+                // The tile bound is at least each block bound of the
+                // tile, and ties go to the lower tile, so expanding the
+                // tile on top moves no block ahead of another.
+                expand(j, t);
                 tb[t] = ub[tile_top(t)];
-                // Out of budget, or the scan handed back a summed block
-                // (every unvisited bound is -inf, and so is the worst
-                // kept utility): the walk takes over, and the block taken
-                // here gets its bound back.
-                if (visited == budget || done[b]) {
-                  ub[b] = bound;
-                  break;
-                }
-                const int64_t first = b * kBoundBlockItems;
-                const int64_t len =
-                    std::min(kBoundBlockItems, num_items - first);
-                if (use_f32) {
-                  kernels::SumBlockF32(rows_f32.data() + row0, first,
-                                       scales.data() + row0, num_rows, len,
-                                       block.data());
-                } else {
-                  kernels::SumBlock(rows.data() + row0, first,
-                                    scales.data() + row0, num_rows, len,
-                                    block.data());
-                }
-                offer_items(acc, first, len);
-                done[b] = 1;
-                ++visited;
-              }
-              counts.blocks_visited += visited;
-              if (finished) {
-                list = acc.Take();
                 continue;
               }
+              // Out of budget: the walk takes over.
+              if (visited == budget) break;
+              const int64_t b = tile_top(t);
+              ub[b] = kVisited;
+              tb[t] = ub[tile_top(t)];
+              visit(j, acc, b);
+              ++visited;
             }
-            walkers.push_back({j, index, std::move(acc)});
-          }
-          if (walkers.empty()) continue;
-          // Walk the items once for the group's walkers.
-          for (int64_t t = 0; t < num_items; t += kWalkTileItems) {
-            const int64_t tile_end = std::min(num_items, t + kWalkTileItems);
-            const int64_t tile = t / kWalkTileItems;
-            for (Walker& w : walkers) {
-              const size_t j = w.slot;
-              // A tile bound below the floor holds every block bound of
-              // the tile below it: the whole tile is skipped.
-              if (!expanded[j * static_cast<size_t>(num_tiles) +
-                            static_cast<size_t>(tile)]) {
-                if (tile_bounds[j * static_cast<size_t>(num_tiles) +
-                                static_cast<size_t>(tile)] <
-                    w.acc.WorstKept()) {
-                  continue;
-                }
-                expand(j, tile);
-              }
-              const size_t row0 = row_begin[j];
-              const auto num_rows =
-                  static_cast<int64_t>(row_begin[j + 1] - row0);
-              const double* ub =
-                  bounds.data() + j * static_cast<size_t>(num_blocks);
-              const uint8_t* done =
-                  summed.data() + j * static_cast<size_t>(num_blocks);
-              for (int64_t first = t; first < tile_end;) {
-                const double floor = w.acc.WorstKept();
-                // Tiles are whole bound blocks, so `first` starts one.
-                int64_t last = first;
-                while (last < tile_end && !done[last / kBoundBlockItems] &&
-                       !(ub[last / kBoundBlockItems] < floor)) {
-                  last = std::min(tile_end, last + kBoundBlockItems);
-                }
-                if (last == first) {
-                  first += kBoundBlockItems;
-                  continue;
-                }
-                // The run, one block at a time into block[0, last - first).
-                for (int64_t i = first; i < last; i += kBoundBlockItems) {
-                  const int64_t len = std::min(kBoundBlockItems, last - i);
-                  double* out = block.data() + (i - first);
-                  if (use_f32) {
-                    kernels::SumBlockF32(rows_f32.data() + row0, i,
-                                         scales.data() + row0, num_rows, len,
-                                         out);
-                  } else {
-                    kernels::SumBlock(rows.data() + row0, i,
-                                      scales.data() + row0, num_rows, len,
-                                      out);
-                  }
-                }
-                offer_items(w.acc, first, last - first);
-                counts.blocks_visited +=
-                    (last - first + kBoundBlockItems - 1) / kBoundBlockItems;
-                first = last;
-              }
+            if (finished) {
+              list = acc.Take();
+              continue;
             }
           }
-          for (Walker& w : walkers) (*lists)[w.index] = w.acc.Take();
+          walkers.push_back({j, index, std::move(acc)});
         }
+        if (walkers.empty()) return counts;
+        // Walk the items once for the group's walkers.
+        for (int64_t t = 0; t < num_tiles; ++t) {
+          const int64_t first = t * kBoundTileBlocks;
+          const int64_t last = std::min(num_blocks, first + kBoundTileBlocks);
+          for (Walker& w : walkers) {
+            const size_t j = w.slot;
+            const size_t at =
+                j * static_cast<size_t>(num_tiles) + static_cast<size_t>(t);
+            // A tile bound below the floor holds every block bound of
+            // the tile below it: the whole tile is skipped.
+            if (!expanded[at]) {
+              if (tile_bounds[at] < w.acc.WorstKept()) continue;
+              expand(j, t);
+            }
+            const double* ub =
+                bounds.data() + j * static_cast<size_t>(num_blocks);
+            for (int64_t b = first; b < last; ++b) {
+              if (!(ub[b] < w.acc.WorstKept())) visit(j, w.acc, b);
+            }
+          }
+        }
+        for (Walker& w : walkers) (*lists)[w.index] = w.acc.Take();
         return counts;
       },
       [](ReconstructCounts& acc, const ReconstructCounts& part) {

@@ -586,17 +586,18 @@ Status ServingEngine::InitViews(
           "shard preference rows disagree with the manifest totals");
     }
   }
-  // An entry's neighbour is a user, and its score is finite and >= 0: the
-  // fold sums scores into cluster weights, and reconstruction's block
-  // bounds hold only for weights >= 0.
+  // An entry's neighbour is a user, and its score is finite and > 0: the
+  // fold sums scores into cluster weights, reads a weight of 0 as a
+  // cluster not yet touched, and reconstruction's block bounds hold only
+  // for weights >= 0.
   for (size_t s = 0; s < table.size(); ++s) {
     for (uint64_t k = 0; k < table[s].workload_entries; ++k) {
       const WorkloadEntry& e = shards[s].workload_entries[k];
       if (e.user < 0 || e.user >= num_users) {
         return Invalid("workload", "entry user out of range");
       }
-      if (!std::isfinite(e.score) || e.score < 0.0) {
-        return Invalid("workload", "entry score is negative or not finite");
+      if (!std::isfinite(e.score) || e.score <= 0.0) {
+        return Invalid("workload", "entry score is not positive or not finite");
       }
     }
     if (!prefs) continue;

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -302,10 +303,11 @@ TEST_F(ArtifactTest, MissingSectionsAreFailedPreconditions) {
 // Every content defect of a release is kParseError naming its section,
 // with one message whether the model is adopted in memory (FromModel) or
 // saved as two shards and loaded: both routes run the engine's one
-// validator. Unchecked, a NaN would be served as a utility, a negated
-// score would break the fold's first-touch test and the block bounds,
-// and a finite but huge value could overflow a served sum to ±inf, or to
-// a NaN whose rank depends on the dispatch level.
+// validator. Unchecked, a NaN would be served as a utility, a score that
+// is not > 0 would break the fold's first-touch test (a zero) or the
+// block bounds (a negative), and a finite but huge value or score could
+// overflow a served sum to ±inf, or to a NaN whose rank depends on the
+// dispatch level: reconstruction relies on the open for all of them.
 // SaveShardedArtifact reads through bad cluster ids and offsets, so for
 // those the Load route saves the clean release and rewrites the manifest
 // section with the damaged model's array.
@@ -354,10 +356,16 @@ TEST_F(ArtifactTest, ContentDefectsFailAtOpenWithOneMessageOnBothRoutes) {
        [](serving::ArtifactModel& m) {
          m.noisy_f32.values[m.noisy_f32.values.size() / 3] = NAN;
        }},
-      {"workload", "entry score is negative or not finite",
+      {"workload", "entry score is not positive or not finite",
        [](serving::ArtifactModel& m) {
          serving::WorkloadEntry& e = m.workload.entries.back();
          e.score = -e.score;
+       }},
+      {"workload", "entry score is not positive or not finite",
+       [](serving::ArtifactModel& m) {
+         // The fold would read the weight of 0 as a cluster it has not
+         // touched yet, and push the cluster once per such entry.
+         m.workload.entries.back().score = 0.0;
        }},
       {"partition", "cluster id out of range",
        [](serving::ArtifactModel& m) {
@@ -403,6 +411,42 @@ TEST_F(ArtifactTest, ContentDefectsFailAtOpenWithOneMessageOnBothRoutes) {
          const int64_t c = m.partition.cluster_of[static_cast<size_t>(
              m.workload.entries.front().user)];
          m.noisy.values[static_cast<size_t>(c * m.meta.num_items)] = 1e308;
+       }},
+      {"workload", "a user's served sums can overflow",
+       [](serving::ArtifactModel& m) {
+         // A huge score instead: 1e300 on a neighbour whose cluster row
+         // holds -1e10, so its utilities would overflow to -inf.
+         m.has_noisy_f32 = false;
+         serving::WorkloadEntry& e = m.workload.entries.front();
+         e.score = 1e300;
+         const int64_t c =
+             m.partition.cluster_of[static_cast<size_t>(e.user)];
+         m.noisy.values[static_cast<size_t>(c * m.meta.num_items)] = -1e10;
+       }},
+      {"workload", "a user's served sums can overflow",
+       [](serving::ArtifactModel& m) {
+         // Scores of 1e298 on two neighbours of one user in two
+         // clusters, one row holding +1e10 and the other -1e10:
+         // products of ±1e308, each past the rule's DBL_MAX / 4.
+         m.has_noisy_f32 = false;
+         const std::vector<uint64_t>& o = m.workload.offsets;
+         std::vector<serving::WorkloadEntry>& e = m.workload.entries;
+         auto cluster = [&m](const serving::WorkloadEntry& x) {
+           return m.partition.cluster_of[static_cast<size_t>(x.user)];
+         };
+         for (size_t u = 0; u + 1 < o.size(); ++u) {
+           for (uint64_t k = o[u] + 1; k < o[u + 1]; ++k) {
+             const int64_t a = cluster(e[o[u]]);
+             const int64_t b = cluster(e[k]);
+             if (a == b) continue;
+             e[o[u]].score = 1e298;
+             e[k].score = 1e298;
+             m.noisy.values[static_cast<size_t>(a * m.meta.num_items)] = 1e10;
+             m.noisy.values[static_cast<size_t>(b * m.meta.num_items)] =
+                 -1e10;
+             return;
+           }
+         }
        }},
       {"noisy_table", "the global-average sums can overflow",
        [](serving::ArtifactModel& m) {
@@ -491,6 +535,133 @@ TEST_F(ArtifactTest, ContentDefectsFailAtOpenWithOneMessageOnBothRoutes) {
   EXPECT_EQ(loaded.status().message(),
             "artifact section 'workload' invalid: shard workload rows "
             "disagree with the manifest totals");
+}
+
+// Seeded single-cell mutants of a release: a released value (on a copy
+// without the f32 mirror, whose source CRC would refuse every edit of the
+// f64 table first), an f32 value or a workload score replaced by NaN,
+// ±inf, ±1e308, 1e300, -1e10, -1, 0, -0.0 or 5e-324, or a cluster size
+// replaced by its true count -1, +0 or +1 (written into the saved
+// manifest, as the damage table does). Each mutant either fails with
+// kParseError and one message from FromModel and from a two-shard save +
+// Load, or opens on both routes and serves every user at top-1, 10 and
+// 50 a list of min(N, I) items in rank order, with finite utilities and
+// no item twice, the same list on both: what reconstruction takes on
+// trust from the open. Every target has mutants on both sides.
+TEST_F(ArtifactTest, SingleCellMutantsFailAtOpenOrServeRankedFiniteLists) {
+  artifact::ModelArtifactBuilder builder = MakeBuilder();
+  artifact::BuildOptions options;
+  options.epsilon = kEps;
+  options.seed = kSeed;
+  options.table_f32 = true;
+  auto built = builder.Build(options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const serving::ArtifactModel& base = *built;
+  serving::ArtifactModel base_f64 = base;
+  base_f64.has_noisy_f32 = false;
+  const serving::ShardingOptions two_shards{.shards = 2};
+  const std::string path = Path("mutant.pvram");
+
+  enum Target { kValue, kValueF32, kScore, kSize, kTargets };
+  const char* const kTargetNames[kTargets] = {"noisy_table value",
+                                              "noisy_table_f32 value",
+                                              "workload score", "cluster size"};
+  const double kReplacements[] = {NAN,    INFINITY, -INFINITY, 1e308,
+                                  -1e308, 1e300,    -1e10,     -1.0,
+                                  0.0,    -0.0,     5e-324};
+  constexpr int kMutants = 240;
+  int accepted[kTargets] = {};
+  int refused[kTargets] = {};
+  std::mt19937_64 rng(7);
+  for (int k = 0; k < kMutants; ++k) {
+    const auto target = static_cast<Target>(k % kTargets);
+    serving::ArtifactModel model = target == kValue ? base_f64 : base;
+    const double r = kReplacements[rng() % std::size(kReplacements)];
+    std::string label = "mutant " + std::to_string(k) + ": " +
+                        kTargetNames[target] + " ";
+    if (target == kValue) {
+      const size_t at = rng() % model.noisy.values.size();
+      model.noisy.values[at] = r;
+      label += std::to_string(at) + " = " + std::to_string(r);
+    } else if (target == kValueF32) {
+      const size_t at = rng() % model.noisy_f32.values.size();
+      model.noisy_f32.values[at] = static_cast<float>(r);
+      label += std::to_string(at) + " = " + std::to_string(r);
+    } else if (target == kScore) {
+      const size_t at = rng() % model.workload.entries.size();
+      model.workload.entries[at].score = r;
+      label += std::to_string(at) + " = " + std::to_string(r);
+    } else {
+      const size_t c = rng() % model.partition.sizes.size();
+      const auto delta = static_cast<int64_t>(rng() % 3) - 1;
+      model.partition.sizes[c] += delta;
+      label += std::to_string(c) + " += " + std::to_string(delta);
+    }
+    if (target == kSize) {
+      ASSERT_TRUE(serving::SaveShardedArtifact(base, path, two_shards).ok());
+      test_artifacts::RewriteManifestSection(
+          path, serving::ManifestSectionId::kClusterSizes,
+          std::string(
+              reinterpret_cast<const char*>(model.partition.sizes.data()),
+              model.partition.sizes.size() * sizeof(int64_t)));
+    } else {
+      ASSERT_TRUE(serving::SaveShardedArtifact(model, path, two_shards).ok())
+          << label;
+    }
+    auto owned = serving::ServingEngine::FromModel(std::move(model));
+    auto loaded = serving::ServingEngine::Load(path);
+    ASSERT_EQ(owned.ok(), loaded.ok())
+        << label << ": " << owned.status().ToString() << " / "
+        << loaded.status().ToString();
+    if (!owned.ok()) {
+      ++refused[target];
+      EXPECT_EQ(owned.status().code(), StatusCode::kParseError) << label;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << label;
+      EXPECT_EQ(loaded.status().message(), owned.status().message()) << label;
+      continue;
+    }
+    ++accepted[target];
+    serving::ServeSpec spec;
+    spec.epsilon = kEps;
+    auto owned_server = serving::MakeServeRecommender(&*owned, spec);
+    auto loaded_server = serving::MakeServeRecommender(&*loaded, spec);
+    ASSERT_TRUE(owned_server.ok()) << label;
+    ASSERT_TRUE(loaded_server.ok()) << label;
+    for (int64_t top_n : {1, 10, 50}) {
+      const std::vector<RecommendationList> lists =
+          (*owned_server)->Recommend(users_, top_n).lists;
+      ASSERT_EQ(lists, (*loaded_server)->Recommend(users_, top_n).lists)
+          << label << " top_n=" << top_n;
+      ASSERT_EQ(lists.size(), users_.size()) << label;
+      for (size_t u = 0; u < lists.size(); ++u) {
+        const RecommendationList& list = lists[u];
+        const std::string where =
+            label + " top_n=" + std::to_string(top_n) + " user " +
+            std::to_string(u);
+        ASSERT_EQ(static_cast<int64_t>(list.size()),
+                  std::min(top_n, base.meta.num_items))
+            << where;
+        std::vector<graph::ItemId> items;
+        for (size_t i = 0; i < list.size(); ++i) {
+          ASSERT_TRUE(std::isfinite(list[i].utility)) << where;
+          if (i > 0) {
+            ASSERT_TRUE(list[i - 1].utility > list[i].utility ||
+                        (list[i - 1].utility == list[i].utility &&
+                         list[i - 1].item < list[i].item))
+                << where << " rank " << i;
+          }
+          items.push_back(list[i].item);
+        }
+        std::sort(items.begin(), items.end());
+        ASSERT_EQ(std::adjacent_find(items.begin(), items.end()), items.end())
+            << where;
+      }
+    }
+  }
+  for (int t = 0; t < kTargets; ++t) {
+    EXPECT_GT(accepted[t], 0) << kTargetNames[t];
+    EXPECT_GT(refused[t], 0) << kTargetNames[t];
+  }
 }
 
 // One open path, one span: FromModel records one artifact.engine span,

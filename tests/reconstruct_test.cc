@@ -359,12 +359,20 @@ void ExpectMatchesReference(
   }
 }
 
+// A chunk is one group of at most kReconstructGroupUsers users. Batches
+// of up to 256 users run in one-user chunks (DefaultChunkSize), so the
+// batches around the group size never form groups of that size; 10,000
+// users run in 40-user chunks, a full group each, and 10,241 is the
+// first size whose default chunk (41) is longer than the group, the first
+// that the cap on the chunk cuts.
 TEST(ReconstructReferenceTest, BatchSizesAroundTheTileGroup) {
-  // Two item blocks, the second one item long.
+  // Two walk tiles, the second one item long.
   const Fixture f = MakeFixture(kWalkTileItems + 1, false, 11);
+  ASSERT_EQ(DefaultChunkSize(10'000), kReconstructGroupUsers);
+  ASSERT_EQ(DefaultChunkSize(10'241), kReconstructGroupUsers + 1);
   for (int64_t size :
        {int64_t{1}, kReconstructGroupUsers - 1, kReconstructGroupUsers,
-        kReconstructGroupUsers + 1, int64_t{10'000}}) {
+        kReconstructGroupUsers + 1, int64_t{10'000}, int64_t{10'241}}) {
     const std::vector<graph::NodeId> batch =
         MakeBatch(size, static_cast<uint64_t>(size));
     for (bool f32 : {false, true}) {
@@ -605,19 +613,17 @@ TEST(ReconstructPruningTest, VisitedBlocksNeverExceedTheUsersBlocks) {
   }
 }
 
-// One user, 1, whose two neighbours sit in clusters 0 and 1 with weights
-// `weight0` and 1, over a release of `num_blocks` blocks. Cluster 0's row
-// is `fill0` and cluster 1's is 0 except at the items set in `cells0` /
-// `cells1`, so with the defaults the user's utility is exactly cluster
-// 0's value plus cluster 1's.
+// One user, 1, whose two neighbours sit in clusters 0 and 1 with weight
+// 1 each, over a release of `num_blocks` blocks. Cluster 0's row is -1
+// and cluster 1's is 0 except at the items set in `cells0` / `cells1`,
+// so the user's utility is exactly cluster 0's value plus cluster 1's.
 Fixture MakeOneUserFixture(
     int64_t num_blocks, const std::vector<std::pair<int64_t, double>>& cells0,
-    const std::vector<std::pair<int64_t, double>>& cells1 = {},
-    double fill0 = -1.0, double weight0 = 1.0) {
+    const std::vector<std::pair<int64_t, double>>& cells1 = {}) {
   Fixture f;
   f.num_items = num_blocks * kBoundBlockItems;
   f.values.assign(static_cast<size_t>(kClusters * f.num_items), 0.0);
-  std::fill(f.values.begin(), f.values.begin() + f.num_items, fill0);
+  std::fill(f.values.begin(), f.values.begin() + f.num_items, -1.0);
   for (auto [item, value] : cells0) f.values[static_cast<size_t>(item)] = value;
   for (auto [item, value] : cells1) {
     f.values[static_cast<size_t>(f.num_items + item)] = value;
@@ -629,7 +635,7 @@ Fixture MakeOneUserFixture(
     ++f.cluster_sizes[static_cast<size_t>(v % kClusters)];
   }
   f.workload.resize(kSocialUsers);
-  f.workload[1] = {{kClusters, weight0}, {kClusters + 1, 1.0}};  // clusters 0, 1
+  f.workload[1] = {{kClusters, 1.0}, {kClusters + 1, 1.0}};  // clusters 0, 1
   f.Finish();
   return f;
 }
@@ -676,47 +682,6 @@ TEST(ReconstructPruningTest, EqualUtilitiesAcrossBlocksGoToTheLowerId) {
     EXPECT_EQ(three.counts.blocks_visited, 3 + 1);
     for (bool f32 : {false, true}) {
       ExpectMatchesReference(f, f32, {1}, f32 ? "walk f32" : "walk");
-    }
-  }
-}
-
-// Utilities that overflow to -inf, which the open-time checks let
-// through (finite scores >= 0, finite released values): a weight of
-// 1e300 on cluster 0's row of -1e10. Then bounds and the worst kept
-// utility read -inf as well, and a bound no longer tells a block
-// best-first summed from one it did not. Each list must still hold every
-// item once and match the reference, in best-first (top-1 and top-2 at
-// 40 blocks, budget 2; up to top-10 at 200 blocks) and in the walk that
-// resumes it. In the second release cluster 0 is 0 at z and y, so z
-// (3.0, in the last block) and y (0.5, in the middle one) are finite.
-TEST(ReconstructPruningTest, UtilitiesThatOverflowToMinusInfinityAreKeptOnce) {
-  for (int64_t num_blocks : {40, 200}) {
-    const int64_t z = (num_blocks - 1) * kBoundBlockItems + 5;
-    const int64_t y = num_blocks / 2 * kBoundBlockItems + 2;
-    for (bool finite_cells : {false, true}) {
-      const Fixture f =
-          finite_cells
-              ? MakeOneUserFixture(num_blocks, {{z, 0.0}, {y, 0.0}},
-                                   {{z, 3.0}, {y, 0.5}}, -1e10, 1e300)
-              : MakeOneUserFixture(num_blocks, {}, {}, -1e10, 1e300);
-      for (bool f32 : {false, true}) {
-        const std::string label =
-            std::to_string(num_blocks) + " blocks" +
-            (finite_cells ? " z, y finite" : " all -inf") +
-            (f32 ? " f32" : " f64");
-        const std::vector<double> utilities =
-            ReferenceUtilities(f, f32, 1).utilities;
-        ASSERT_EQ(utilities[0], -INFINITY) << label;
-        ASSERT_EQ(utilities[static_cast<size_t>(z)],
-                  finite_cells ? 3.0 : -INFINITY)
-            << label;
-        ExpectMatchesReference(f, f32, {1}, label, {1, 2, 3, 10, 50});
-        for (int64_t top_n : {1, 2, 3, 10, 50}) {
-          const Served one = Reconstruct(f, f32, {1}, top_n);
-          EXPECT_LE(one.counts.blocks_visited, one.counts.blocks_total)
-              << label << " top_n=" << top_n;
-        }
-      }
     }
   }
 }
@@ -803,9 +768,9 @@ TEST(ReconstructPruningTest, NonFiniteValuesFailTheBoundDerivation) {
 // The blocks one user sums, in order, when best-first extracts from the
 // user's full bound row with std::max_element (the order before tile
 // bounds), under ReconstructTopN's budget and stop rules, followed by the
-// walk's runs (each run's floor read at its start), over the dense
-// reference's utilities (`utilities` when given, else computed here).
-// The lazy tile bounds must visit exactly these.
+// walk, block by block with the worst kept utility read before each,
+// over the dense reference's utilities (`utilities` when given, else
+// computed here). The lazy tile bounds must visit exactly these.
 std::vector<int64_t> ReferenceVisitedBlocks(
     const Fixture& f, bool f32, graph::NodeId u, int64_t top_n,
     const std::vector<double>* utilities = nullptr) {
@@ -837,53 +802,28 @@ std::vector<int64_t> ReferenceVisitedBlocks(
   const std::vector<double>& utility =
       utilities == nullptr ? computed : *utilities;
   core::TopNAccumulator acc(keep);
-  std::vector<uint8_t> done(static_cast<size_t>(num_blocks), 0);
-  auto offer = [&](int64_t first, int64_t last) {
-    for (int64_t i = first; i < last; ++i) {
+  auto offer = [&](int64_t b) {
+    for (int64_t i = b * kBoundBlockItems;
+         i < std::min(f.num_items, (b + 1) * kBoundBlockItems); ++i) {
       const double v = utility[static_cast<size_t>(i)];
       if (!(v < acc.WorstKept())) acc.Offer(i, v);
     }
+    visited.push_back(b);
   };
+  // A block best-first sums reads -inf, below the full list it hands
+  // the walk.
   const int64_t budget = Budget(f.num_items);
   if (keep <= budget) {
     for (;;) {
-      if (static_cast<int64_t>(visited.size()) == num_blocks) return visited;
       const int64_t b = std::max_element(ub.begin(), ub.end()) - ub.begin();
-      const double bound = ub[static_cast<size_t>(b)];
+      if (ub[static_cast<size_t>(b)] < acc.WorstKept()) return visited;
+      if (static_cast<int64_t>(visited.size()) == budget) break;
       ub[static_cast<size_t>(b)] = -INFINITY;
-      if (bound < acc.WorstKept()) return visited;
-      if (static_cast<int64_t>(visited.size()) == budget ||
-          done[static_cast<size_t>(b)]) {
-        ub[static_cast<size_t>(b)] = bound;
-        break;
-      }
-      offer(b * kBoundBlockItems,
-            std::min(f.num_items, (b + 1) * kBoundBlockItems));
-      done[static_cast<size_t>(b)] = 1;
-      visited.push_back(b);
+      offer(b);
     }
   }
-  for (int64_t t = 0; t < f.num_items; t += kWalkTileItems) {
-    const int64_t tile_end = std::min(f.num_items, t + kWalkTileItems);
-    for (int64_t first = t; first < tile_end;) {
-      const double floor = acc.WorstKept();
-      int64_t last = first;
-      while (last < tile_end &&
-             !done[static_cast<size_t>(last / kBoundBlockItems)] &&
-             !(ub[static_cast<size_t>(last / kBoundBlockItems)] < floor)) {
-        last = std::min(tile_end, last + kBoundBlockItems);
-      }
-      if (last == first) {
-        first += kBoundBlockItems;
-        continue;
-      }
-      offer(first, last);
-      for (int64_t b = first / kBoundBlockItems;
-           b * kBoundBlockItems < last; ++b) {
-        visited.push_back(b);
-      }
-      first = last;
-    }
+  for (int64_t b = 0; b < num_blocks; ++b) {
+    if (!(ub[static_cast<size_t>(b)] < acc.WorstKept())) offer(b);
   }
   return visited;
 }
@@ -1021,89 +961,6 @@ TEST(ReconstructTileBoundTest, TileBoundTiesABlockBoundOfAnotherTile) {
                       ReferenceVisitedBlocks(f, f32, 1, top_n).size()))
             << label << " top_n=" << top_n;
       }
-    }
-  }
-}
-
-// A tile bound of +inf and -inf terms reads NaN. Three neighbours:
-// weight 1e298 on cluster 0, 1e298 on cluster 1 and 1e300 on cluster 2,
-// over 16 tiles. In the last tile, cluster 0 is +1e10 in block 3 and
-// -1e10 in the others, cluster 1 is +1e10 in block 9 and -1e10 in the
-// others, and cluster 2 is -1e10 throughout, so every block bound of the
-// tile (and every utility in it) is -inf, while its tile bound adds +inf
-// (two maxima of 1e308) to -inf. Read as +inf, the tile is expanded first
-// by best-first, and by the walk rather than skipped, and its -inf blocks
-// then come out as from the full bound row. Left NaN, the last of the
-// keys would make the AVX2 scan's maximum NaN, and the scan hand back
-// tile 0 ahead of tile 3's higher bound. Outside the last tile every
-// value is 0 but three finite cells.
-TEST(ReconstructTileBoundTest, NaNTileKeyOverMinusInfinityBlocks) {
-  constexpr int64_t kTiles = 16;
-  const int64_t num_items = kTiles * kWalkTileItems;
-  const int64_t nan_tile = (kTiles - 1) * kWalkTileItems;
-  Fixture f;
-  f.num_items = num_items;
-  f.values.assign(static_cast<size_t>(kClusters * num_items), 0.0);
-  auto cell = [&](int64_t c, int64_t i) -> double& {
-    return f.values[static_cast<size_t>(c * num_items + i)];
-  };
-  for (int64_t i = nan_tile; i < num_items; ++i) {
-    const int64_t block = (i - nan_tile) / kBoundBlockItems;
-    cell(0, i) = block == 3 ? 1e10 : -1e10;
-    cell(1, i) = block == 9 ? 1e10 : -1e10;
-    cell(2, i) = -1e10;
-  }
-  const int64_t top = 3 * kWalkTileItems + 70;
-  cell(0, 5) = 1.5;                              // tile 0: 1.5e298
-  cell(1, top) = 2.0;                            // tile 3: 2e298
-  cell(2, kWalkTileItems + 33) = 1e-300;  // tile 1: 1.0
-  f.sanitized.assign(kClusters, 0);
-  f.cluster_sizes.assign(kClusters, 0);
-  for (int64_t v = 0; v < kSocialUsers; ++v) {
-    f.cluster_of.push_back(v % kClusters);
-    ++f.cluster_sizes[static_cast<size_t>(v % kClusters)];
-  }
-  f.workload.resize(kSocialUsers);
-  f.workload[1] = {{kClusters, 1e298}, {kClusters + 1, 1e298},
-                   {kClusters + 2, 1e300}};  // clusters 0, 1, 2
-  f.Finish();
-  const serving::ReleaseView view = f.View(false);
-  std::vector<double> tile_bounds(kTiles, 0.0);
-  const double scales[] = {1e298, 1e298, 1e300};
-  const double* tile_rows[] = {view.TileMaxRow(0), view.TileMaxRow(1),
-                               view.TileMaxRow(2)};
-  kernels::AccumulateRowsScalar(tile_rows, scales, 3, kTiles,
-                                tile_bounds.data());
-  ASSERT_TRUE(std::isnan(tile_bounds[kTiles - 1]));
-  for (int64_t b = (kTiles - 1) * kBoundTileBlocks; b < view.NumBlocks();
-       ++b) {
-    const double* bound_rows[] = {view.BlockMaxRow(0) + b,
-                                  view.BlockMaxRow(1) + b,
-                                  view.BlockMaxRow(2) + b};
-    double bound = 0.0;
-    kernels::AccumulateRowsScalar(bound_rows, scales, 3, 1, &bound);
-    ASSERT_EQ(bound, -INFINITY) << "block " << b;
-  }
-  EXPECT_EQ(Reconstruct(f, false, {1}, 1).lists[0],
-            (core::RecommendationList{{top, 2.0 * 1e298}}));
-  const std::vector<double> utilities =
-      ReferenceUtilities(f, false, 1).utilities;
-  ASSERT_EQ(utilities[static_cast<size_t>(nan_tile + 3 * kBoundBlockItems)],
-            -INFINITY);
-  // Top-1 and top-3 finish best-first, top-10 runs out of budget (12
-  // blocks) among the zeros and walks, and a list longer than the finite
-  // items reaches into the last tile's -inf items.
-  for (bool f32 : {false, true}) {
-    const std::string label = f32 ? "f32" : "f64";
-    const int64_t past_finite = (kTiles - 1) * kWalkTileItems + 5;
-    ExpectMatchesReference(f, f32, {1}, label, {1, 3, 10, past_finite});
-    for (int64_t top_n : {int64_t{1}, int64_t{3}, int64_t{10}, past_finite}) {
-      const Served one = Reconstruct(f, f32, {1}, top_n);
-      EXPECT_EQ(one.counts.blocks_visited,
-                static_cast<int64_t>(
-                    ReferenceVisitedBlocks(f, f32, 1, top_n).size()))
-          << label << " top_n=" << top_n;
-      EXPECT_LE(one.counts.blocks_visited, one.counts.blocks_total);
     }
   }
 }
