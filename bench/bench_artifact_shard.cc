@@ -18,9 +18,11 @@
 // the offline build's peak RSS (VmHWM after the build), the per-user p50
 // of Cluster Recommend({u}, N) at N = 10 and 50, timed on one thread over
 // 1,000 evenly spaced users of an mmap-opened engine, with the mean item
-// blocks those calls summed per user (of the release's blocks per user,
-// ServingReport::bound_blocks_*), and the rate of a 10,000-user top-50
-// bulk Recommend on all threads (median of three passes).
+// blocks those calls visited per user (of the release's blocks per user,
+// ServingReport::bound_blocks_*) and the mean 8-item lines whose items
+// they summed (ServingReport::bound_lines_summed), and the rate of a
+// 10,000-user top-50 bulk Recommend on all threads (median of three
+// passes).
 //
 //   ./bench_artifact_shard [--users=137372] [--items=48756] [--shards=6]
 //                          [--epsilon=0.5] [--top_n=10]
@@ -234,6 +236,7 @@ int main(int argc, char** argv) {
   constexpr int64_t kBulkTopN = 50;
   double recommend_p50_us[2] = {};
   double blocks_visited_per_user[2] = {};
+  double lines_summed_per_user[2] = {};
   double blocks_per_user = 0.0;
   double bulk_users_per_s = 0.0;
   {
@@ -248,6 +251,7 @@ int main(int argc, char** argv) {
       std::vector<double> us(static_cast<size_t>(kSampledUsers));
       for (size_t n = 0; n < std::size(kLadderTopN); ++n) {
         int64_t visited = 0;
+        int64_t lines = 0;
         int64_t total = 0;
         int64_t personalized = 0;
         for (int64_t k = 0; k < kSampledUsers; ++k) {
@@ -257,6 +261,7 @@ int main(int argc, char** argv) {
               (*server)->Recommend({u}, kLadderTopN[n]);
           us[static_cast<size_t>(k)] = timer.ElapsedSeconds() * 1e6;
           visited += batch.report.bound_blocks_visited;
+          lines += batch.report.bound_lines_summed;
           total += batch.report.bound_blocks_total;
           if (batch.degradation[0].reason !=
               core::DegradationReason::kIsolatedUser) {
@@ -269,6 +274,8 @@ int main(int argc, char** argv) {
         if (personalized > 0) {
           blocks_visited_per_user[n] = static_cast<double>(visited) /
                                        static_cast<double>(personalized);
+          lines_summed_per_user[n] = static_cast<double>(lines) /
+                                     static_cast<double>(personalized);
           blocks_per_user = static_cast<double>(total) /
                             static_cast<double>(personalized);
         }
@@ -292,11 +299,13 @@ int main(int argc, char** argv) {
                "scale: synthesis %.2f s, build peak RSS %.0f MB, "
                "Recommend p50 %.1f us (top-10), %.1f us (top-50), "
                "blocks visited %.1f / %.1f of %.0f per user, "
+               "lines summed %.1f / %.1f per user, "
                "bulk top-50 %.0f users/s\n",
                dataset_ms / 1e3, static_cast<double>(build_peak_rss_kb) / 1024,
                recommend_p50_us[0], recommend_p50_us[1],
                blocks_visited_per_user[0], blocks_visited_per_user[1],
-               blocks_per_user, bulk_users_per_s);
+               blocks_per_user, lines_summed_per_user[0],
+               lines_summed_per_user[1], bulk_users_per_s);
 
   const bool pass = bit_identical;
 
@@ -322,6 +331,7 @@ int main(int argc, char** argv) {
       "\"sampled_users\": %lld, \"recommend_us_p50\": {\"top10\": %.1f, "
       "\"top50\": %.1f}, \"blocks_visited_per_user\": {\"top10\": %.1f, "
       "\"top50\": %.1f}, \"blocks_per_user\": %.0f, "
+      "\"lines_summed_per_user\": {\"top10\": %.1f, \"top50\": %.1f}, "
       "\"bulk_top50_users_per_s\": %.0f},\n"
       "  \"results\": {\"bit_identical_probes\": %s, \"pass\": %s}\n"
       "}\n",
@@ -340,7 +350,8 @@ int main(int argc, char** argv) {
       dataset_ms / 1e3, static_cast<double>(build_peak_rss_kb) / 1024,
       static_cast<long long>(kSampledUsers), recommend_p50_us[0],
       recommend_p50_us[1], blocks_visited_per_user[0],
-      blocks_visited_per_user[1], blocks_per_user, bulk_users_per_s,
+      blocks_visited_per_user[1], blocks_per_user, lines_summed_per_user[0],
+      lines_summed_per_user[1], bulk_users_per_s,
       bit_identical ? "true" : "false",
       pass ? "true" : "false");
 

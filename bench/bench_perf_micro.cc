@@ -581,8 +581,9 @@ BENCHMARK(BM_KernelAccumulateF32Simd);
 
 // SumBlock at the serving shape: one kSumBlockMaxItems-item block of 33
 // rows (the touched clusters of a perfbench user), the call the pruned
-// reconstruction makes per visited block. Successive iterations step
-// through the rows' blocks.
+// reconstruction makes per visited block, over f64 rows and over f32
+// ones (the f32 mirror's item sums, and every visit's line bounds).
+// Successive iterations step through the rows' blocks.
 
 constexpr int64_t kSumBlockRows = 33;
 
@@ -590,17 +591,23 @@ struct SumBlockFixture {
   SumBlockFixture() {
     Rng rng(23);
     storage.resize(kSumBlockRows);
-    for (auto& row : storage) {
+    storage_f32.resize(kSumBlockRows);
+    for (int64_t k = 0; k < kSumBlockRows; ++k) {
+      std::vector<double>& row = storage[static_cast<size_t>(k)];
       row.resize(kKernelItems);
       for (double& v : row) v = rng.Normal();
+      storage_f32[static_cast<size_t>(k)].assign(row.begin(), row.end());
       rows.push_back(row.data());
+      rows_f32.push_back(storage_f32[static_cast<size_t>(k)].data());
       scales.push_back(std::abs(rng.Normal()));
     }
     out.resize(kernels::kSumBlockMaxItems);
   }
 
   std::vector<std::vector<double>> storage;
+  std::vector<std::vector<float>> storage_f32;
   std::vector<const double*> rows;
+  std::vector<const float*> rows_f32;
   std::vector<double> scales;
   std::vector<double> out;
 };
@@ -610,12 +617,13 @@ SumBlockFixture& SharedSumBlockFixture() {
   return fixture;
 }
 
-template <typename SumFn>
-void RunSumBlock(benchmark::State& state, SumFn sum) {
+template <typename Row, typename SumFn>
+void RunSumBlock(benchmark::State& state,
+                 const std::vector<const Row*>& rows, SumFn sum) {
   SumBlockFixture& f = SharedSumBlockFixture();
   int64_t offset = 0;
   for (auto _ : state) {
-    sum(f.rows.data(), offset, f.scales.data(), kSumBlockRows,
+    sum(rows.data(), offset, f.scales.data(), kSumBlockRows,
         kernels::kSumBlockMaxItems, f.out.data());
     benchmark::DoNotOptimize(f.out.data());
     benchmark::ClobberMemory();
@@ -623,18 +631,29 @@ void RunSumBlock(benchmark::State& state, SumFn sum) {
   }
   state.SetBytesProcessed(state.iterations() * kSumBlockRows *
                           kernels::kSumBlockMaxItems *
-                          static_cast<int64_t>(sizeof(double)));
+                          static_cast<int64_t>(sizeof(Row)));
 }
 
 void BM_KernelSumBlockScalar(benchmark::State& state) {
-  RunSumBlock(state, kernels::SumBlockScalar);
+  RunSumBlock(state, SharedSumBlockFixture().rows, kernels::SumBlockScalar);
 }
 BENCHMARK(BM_KernelSumBlockScalar);
 
 void BM_KernelSumBlockSimd(benchmark::State& state) {
-  RunSumBlock(state, kernels::SumBlock);
+  RunSumBlock(state, SharedSumBlockFixture().rows, kernels::SumBlock);
 }
 BENCHMARK(BM_KernelSumBlockSimd);
+
+void BM_KernelSumBlockF32Scalar(benchmark::State& state) {
+  RunSumBlock(state, SharedSumBlockFixture().rows_f32,
+              kernels::SumBlockF32Scalar);
+}
+BENCHMARK(BM_KernelSumBlockF32Scalar);
+
+void BM_KernelSumBlockF32Simd(benchmark::State& state) {
+  RunSumBlock(state, SharedSumBlockFixture().rows_f32, kernels::SumBlockF32);
+}
+BENCHMARK(BM_KernelSumBlockF32Simd);
 
 // Top-N selection: the nth_element kernel against the historical
 // materialize-pairs-and-partial_sort block it replaced.

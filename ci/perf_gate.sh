@@ -6,7 +6,9 @@
 #   1. BM_KernelAccumulateSimd    >= KERNEL_SIMD_MIN_SPEEDUP x scalar
 #      BM_KernelAccumulateF32Simd >= KERNEL_SIMD_MIN_SPEEDUP x scalar
 #      BM_KernelSumBlockSimd      >= KERNEL_SIMD_MIN_SPEEDUP x scalar
-#      (default 2.0) — asserted only when the binary reports
+#      BM_KernelSumBlockF32Simd   >= KERNEL_SIMD_MIN_SPEEDUP x scalar
+#      (default 2.0; the f32 block sum is every visit's line bounds and
+#      the f32 mirror's item sums) — asserted only when the binary reports
 #      kernel_dispatch=avx2 in its benchmark context; on a host that
 #      resolves to scalar there is no SIMD path to gate and the ratio
 #      checks are skipped (the bit-identity tests still cover it).
@@ -18,8 +20,9 @@
 #   4. The hot reconstruction code stays pinned: in bench_perf_micro,
 #      ClusterServe's ReconstructTopN chunk body (its _M_invoke, which
 #      holds best-first and the walk), its block-visit lambda (one
-#      block's sum and the offer of its items, which both phases call; it
-#      holds TopNAccumulator::Offer, which is always inlined; .cold clones
+#      block's line bounds, the sum of its live lines and the offer of
+#      their items, which both phases call; it holds
+#      TopNAccumulator::Offer, which is always inlined; .cold clones
 #      aside), the scalar and AVX2 sum bodies that kernels::SumBlock and
 #      kernels::AccumulateRows share (every block sum, tile expansion and
 #      tile bound of best-first and the walk; one scalar body per row
@@ -251,6 +254,8 @@ if dispatch == "avx2":
           "BM_KernelAccumulateF32Simd", simd_min)
     ratio("sum block f64", "BM_KernelSumBlockScalar",
           "BM_KernelSumBlockSimd", simd_min)
+    ratio("sum block f32", "BM_KernelSumBlockF32Scalar",
+          "BM_KernelSumBlockF32Simd", simd_min)
 else:
     print("skip: SIMD speedup floors need kernel_dispatch=avx2 "
           f"(host resolved {dispatch})")

@@ -47,7 +47,7 @@ struct BuildOptions {
   // SetWorkload (defaults to common neighbors, the paper's CN).
   const similarity::SimilarityMeasure* measure = nullptr;
   // createClusters configuration when no partition was injected.
-  community::LouvainOptions louvain;
+  community::LouvainOptions louvain{};
   // Persist the raw preference CSR so the reference baselines
   // (Exact/NOU/NOE/GS) and LRM can serve from the artifact. A
   // production-shaped artifact should turn this off: the sanitized sections
@@ -64,7 +64,7 @@ struct BuildOptions {
   uint64_t lrm_seed = 500;
   // BudgetLedger entry id recorded in the provenance section ("" when the
   // release is not ledgered).
-  std::string ledger_id;
+  std::string ledger_id{};
 };
 
 class ModelArtifactBuilder {

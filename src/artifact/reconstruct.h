@@ -28,16 +28,19 @@
 // (the largest bound-table value per cluster and walk tile of
 // kBoundTileBlocks blocks) bounds the block bounds the same way, so a
 // user's block bounds are summed one tile at a time, only for the tiles
-// that can matter. Each user first visits blocks in descending bound
+// that can matter. A finer line table (each kBoundLineItems-item line's
+// largest value, rounded up to a float) bounds each line of a block the
+// same way, so a visited block sums only the lines that can still reach
+// the list. Each user first visits blocks in descending bound
 // ("best-first") and stops as soon as no unvisited block can beat its
 // list. A user still unfinished after a budget of blocks joins the
 // group's ascending walk over the items with the list it holds, and the
 // walk skips every block best-first summed, every block whose bound
 // falls below that list, and every tile whose bound does. Every visited
-// block runs the unpruned sum, so every kept utility has the unpruned
-// bits, and the accumulator is exact under (utility desc, item asc)
-// whatever order the items come in: lists, utilities and degradation
-// are identical to the dense walk's.
+// block runs the unpruned sum over its lines that can still win, so
+// every kept utility has the unpruned bits, and the accumulator is exact
+// under (utility desc, item asc) whatever order the items come in:
+// lists, utilities and degradation are identical to the dense walk's.
 //
 // Reconstruction is pure post-processing of the released noisy table — it
 // never reads the preference graph — which is why this header lives in the
@@ -48,6 +51,7 @@
 #define PRIVREC_ARTIFACT_RECONSTRUCT_H_
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -80,6 +84,26 @@ inline constexpr int64_t kWalkTileItems = 512;
 // SumBlock call.
 inline constexpr int64_t kBoundTileBlocks = kWalkTileItems / kBoundBlockItems;
 
+// Items per line of the line table: 8 doubles, one 64-byte line of a
+// released row. A visited block sums its line bounds, then only the
+// items from its first line that can still win to the end of its last.
+inline constexpr int64_t kBoundLineItems = 8;
+inline constexpr int64_t kBoundBlockLines = kBoundBlockItems / kBoundLineItems;
+
+// The least float ≥ x, for finite x: above FLT_MAX that is +inf, below
+// -FLT_MAX it is -FLT_MAX (a double outside the float range is never
+// cast, which would be undefined). The float widens to a double ≥ x
+// exactly, so a line bound taken from it dominates the line.
+inline float RoundUpToFloat(double x) {
+  if (x > FLT_MAX) return std::numeric_limits<float>::infinity();
+  if (x < -FLT_MAX) return -FLT_MAX;
+  float f = static_cast<float>(x);
+  if (static_cast<double>(f) < x) {
+    f = std::nextafter(f, std::numeric_limits<float>::infinity());
+  }
+  return f;
+}
+
 // A non-owning view of one A_w release: everything reconstruction needs,
 // whether the backing storage is an owned model or a mapped artifact.
 // The engine's open (ServingEngine::InitViews and BuildDerived) refuses
@@ -108,6 +132,11 @@ struct ReleaseView {
   // kBoundTileBlocks blocks. Filled by BuildTileBounds; ReconstructTopN
   // requires it.
   const double* tile_max = nullptr;
+  // The line table, row-major [cluster][line] over NumLines() lines: the
+  // largest value reconstruction reads from the cluster's row in the
+  // line's kBoundLineItems items, rounded up to a float (RoundUpToFloat).
+  // Filled by BuildBlockBounds; ReconstructTopN requires it.
+  const float* line_max = nullptr;
   const uint8_t* sanitized = nullptr;    // per cluster
   const int64_t* cluster_of = nullptr;   // per user node
   const int64_t* cluster_sizes = nullptr;  // per cluster
@@ -130,22 +159,34 @@ struct ReleaseView {
   const double* TileMaxRow(int64_t c) const {
     return tile_max + c * NumTiles();
   }
+  int64_t NumLines() const {
+    return (num_items + kBoundLineItems - 1) / kBoundLineItems;
+  }
+  const float* LineMaxRow(int64_t c) const {
+    return line_max + c * NumLines();
+  }
 };
 
-// Derives the bound table of `release` into `block_max` (the layout of
-// ReleaseView::block_max), checking on the way that every released value
+// Derives the bound table of `release` into `block_max` and the line
+// table into `line_max` (the layouts of ReleaseView::block_max and
+// ReleaseView::line_max), checking on the way that every released value
 // is finite: a non-finite value is kParseError naming its section,
-// 'noisy_table' or 'noisy_table_f32'. Both tables are checked; the bound
-// reads the one reconstruction reads. When `value_max` is given, the same
-// pass leaves in it each cluster's largest |value| over both tables. The
-// engine runs it once per open, over the same unified views whatever the
-// storage mode.
+// 'noisy_table' or 'noisy_table_f32'. Both tables are checked; the
+// bounds read the one reconstruction reads. When `value_max` is given,
+// the same pass leaves in it each cluster's largest |value| over both
+// tables. The engine runs it once per open, over the same unified views
+// whatever the storage mode.
 inline Status BuildBlockBounds(const ReleaseView& release,
                                std::vector<double>* block_max,
+                               std::vector<float>* line_max,
                                std::vector<double>* value_max = nullptr) {
+  constexpr double kNone = -std::numeric_limits<double>::infinity();
   const int64_t num_blocks = release.NumBlocks();
+  const int64_t num_lines = release.NumLines();
   const bool use_f32 = release.HasF32();
-  block_max->resize(static_cast<size_t>(release.num_clusters * num_blocks));
+  block_max->assign(static_cast<size_t>(release.num_clusters * num_blocks),
+                    kNone);
+  line_max->resize(static_cast<size_t>(release.num_clusters * num_lines));
   if (value_max != nullptr) {
     value_max->resize(static_cast<size_t>(release.num_clusters));
   }
@@ -156,19 +197,20 @@ inline Status BuildBlockBounds(const ReleaseView& release,
   for (int64_t c = 0; c < release.num_clusters; ++c) {
     const double* row = release.Row(c);
     const float* row_f32 = use_f32 ? release.RowF32(c) : nullptr;
-    double* out = block_max->data() + c * num_blocks;
+    double* blocks = block_max->data() + c * num_blocks;
+    float* lines = line_max->data() + c * num_lines;
     double abs_max = 0.0;
-    for (int64_t b = 0; b < num_blocks; ++b) {
-      const int64_t begin = b * kBoundBlockItems;
-      const int64_t end = std::min(release.num_items, begin + kBoundBlockItems);
-      double hi = -std::numeric_limits<double>::infinity();
+    for (int64_t l = 0; l < num_lines; ++l) {
+      const int64_t begin = l * kBoundLineItems;
+      const int64_t end = std::min(release.num_items, begin + kBoundLineItems);
+      double hi = kNone;
       for (int64_t i = begin; i < end; ++i) {
         if (!std::isfinite(row[i])) return non_finite("noisy_table");
         hi = std::max(hi, row[i]);
         abs_max = std::max(abs_max, std::abs(row[i]));
       }
       if (use_f32) {
-        hi = -std::numeric_limits<double>::infinity();
+        hi = kNone;
         for (int64_t i = begin; i < end; ++i) {
           if (!std::isfinite(row_f32[i])) return non_finite("noisy_table_f32");
           const auto v = static_cast<double>(row_f32[i]);
@@ -176,7 +218,9 @@ inline Status BuildBlockBounds(const ReleaseView& release,
           abs_max = std::max(abs_max, std::abs(v));
         }
       }
-      out[b] = hi;
+      lines[l] = RoundUpToFloat(hi);
+      double& block = blocks[l / kBoundBlockLines];
+      block = std::max(block, hi);
     }
     if (value_max != nullptr) (*value_max)[static_cast<size_t>(c)] = abs_max;
   }
@@ -245,12 +289,15 @@ inline constexpr int64_t kBestFirstBudgetPercent = 5;
 // summed twice for one user, so `blocks_visited` is at most
 // `blocks_total`.
 // `tiles_expanded` counts the tiles whose block bounds were summed, at
-// most NumTiles() per personalized user.
+// most NumTiles() per personalized user. `lines_summed` counts the lines
+// whose items the visited blocks summed, at most kBoundBlockLines per
+// visited block.
 struct ReconstructCounts {
   int64_t degraded = 0;
   int64_t blocks_visited = 0;
   int64_t blocks_total = 0;
   int64_t tiles_expanded = 0;
+  int64_t lines_summed = 0;
 };
 
 // Per-user reconstruction, parallel over fixed chunks of the request batch.
@@ -295,17 +342,23 @@ struct ReconstructCounts {
 // blocks best-first summed are among those, since the budget's blocks
 // hold at least top_n items, so the list best-first hands over is full
 // and its worst kept utility finite. Best-first and the walk visit a
-// block the same way: one SumBlock over the user's rows, then an offer
-// of its items. Per element the add order is the unpruned one, so the
-// lists do not depend on the order, the pruning, the tiling, the
-// chunking, the thread count or the dispatch level. A one-user chunk is
-// a group of one.
+// block the same way: one SumBlockF32 over the user's line-table rows
+// gives the bound of each of the block's lines, and a line is live
+// unless its bound is strictly below the worst kept utility, read once;
+// then one SumBlock over the user's rows sums the items from the first
+// live line to the end of the last, and offers them. An item of a dead
+// line is strictly below the worst kept utility, which only rises, so
+// the offer would refuse it too: the accumulator after a visit, and so
+// every later decision, is what the whole block's sum leaves. Per
+// element the add order is the unpruned one, so the lists do not depend
+// on the order, the pruning, the tiling, the chunking, the thread count
+// or the dispatch level. A one-user chunk is a group of one.
 // Scratch is one permutation of the batch per call and, per thread, the
 // group's touched rows and weights (group × num_clusters at most), the
 // group's block bounds (group × I / kBoundBlockItems doubles) and its
 // tile bounds (group × I / kWalkTileItems, as doubles and as bytes), and
-// one block of utilities on the stack: bounded by the constants, the
-// release shape and the batch size, not by top_n.
+// one block of utilities and line bounds on the stack: bounded by the
+// constants, the release shape and the batch size, not by top_n.
 template <typename RowOf, typename GlobalFn>
 Result<ReconstructCounts> ReconstructTopN(
     const ReleaseView& release, RowOf&& row_of, GlobalFn&& global_fn,
@@ -357,6 +410,7 @@ Result<ReconstructCounts> ReconstructTopN(
         thread_local std::vector<const float*> rows_f32;
         thread_local std::vector<const double*> bound_rows;
         thread_local std::vector<const double*> tile_rows;
+        thread_local std::vector<const float*> line_rows;
         thread_local std::vector<size_t> row_begin;
         thread_local std::vector<double> bounds;
         thread_local std::vector<double> tile_bounds;
@@ -389,26 +443,44 @@ Result<ReconstructCounts> ReconstructTopN(
                    static_cast<size_t>(t)] = 1;
           ++counts.tiles_expanded;
         };
-        // Sums block b for group user j on its rows and offers the items
-        // to `acc`, skipping those below the worst kept utility (an equal
-        // one may still enter on a lower id).
+        // Visits block b for group user j: sums the block's line bounds,
+        // then the items of its lines from the first that can still win
+        // to the last, and offers them to `acc`, skipping those below the
+        // worst kept utility (an equal one may still enter on a lower
+        // id). A line bound equal to that utility is summed.
         auto visit = [&](size_t j, core::TopNAccumulator& acc, int64_t b) {
+          ++counts.blocks_visited;
           const size_t row0 = row_begin[j];
           const auto num_rows = static_cast<int64_t>(row_begin[j + 1] - row0);
           const int64_t first = b * kBoundBlockItems;
           const int64_t len = std::min(kBoundBlockItems, num_items - first);
+          const int64_t num_lines =
+              (len + kBoundLineItems - 1) / kBoundLineItems;
+          double line[kBoundBlockLines];
+          kernels::SumBlockF32(line_rows.data() + row0, b * kBoundBlockLines,
+                               scales.data() + row0, num_rows, num_lines,
+                               line);
+          const double worst = acc.WorstKept();
+          int64_t lo = 0;
+          while (lo < num_lines && line[lo] < worst) ++lo;
+          if (lo == num_lines) return;
+          int64_t hi = num_lines;
+          while (line[hi - 1] < worst) --hi;
+          counts.lines_summed += hi - lo;
+          const int64_t from = first + lo * kBoundLineItems;
+          const int64_t count =
+              std::min(len, hi * kBoundLineItems) - lo * kBoundLineItems;
           double block[kBoundBlockItems];
           if (use_f32) {
-            kernels::SumBlockF32(rows_f32.data() + row0, first,
-                                 scales.data() + row0, num_rows, len, block);
+            kernels::SumBlockF32(rows_f32.data() + row0, from,
+                                 scales.data() + row0, num_rows, count, block);
           } else {
-            kernels::SumBlock(rows.data() + row0, first, scales.data() + row0,
-                              num_rows, len, block);
+            kernels::SumBlock(rows.data() + row0, from, scales.data() + row0,
+                              num_rows, count, block);
           }
-          for (int64_t i = 0; i < len; ++i) {
-            if (!(block[i] < acc.WorstKept())) acc.Offer(first + i, block[i]);
+          for (int64_t i = 0; i < count; ++i) {
+            if (!(block[i] < acc.WorstKept())) acc.Offer(from + i, block[i]);
           }
-          ++counts.blocks_visited;
         };
         // Fold every user of the group: its similarity row down to one
         // weight per touched cluster, in first-touch order.
@@ -417,6 +489,7 @@ Result<ReconstructCounts> ReconstructTopN(
         rows_f32.clear();
         bound_rows.clear();
         tile_rows.clear();
+        line_rows.clear();
         row_begin.assign(1, 0);
         walkers.clear();
         bounds.resize(static_cast<size_t>((end - begin) * num_blocks));
@@ -453,6 +526,7 @@ Result<ReconstructCounts> ReconstructTopN(
               }
               bound_rows.push_back(release.BlockMaxRow(c));
               tile_rows.push_back(release.TileMaxRow(c));
+              line_rows.push_back(release.LineMaxRow(c));
               sim_sum[static_cast<size_t>(c)] = 0.0;
             }
             row_begin.push_back(scales.size());
@@ -544,6 +618,7 @@ Result<ReconstructCounts> ReconstructTopN(
         acc.blocks_visited += part.blocks_visited;
         acc.blocks_total += part.blocks_total;
         acc.tiles_expanded += part.tiles_expanded;
+        acc.lines_summed += part.lines_summed;
       });
 }
 

@@ -113,6 +113,7 @@ class ClusterServe final : public ServeRecommender {
     batch.report.users_degraded = counts->degraded;
     batch.report.bound_blocks_visited = counts->blocks_visited;
     batch.report.bound_blocks_total = counts->blocks_total;
+    batch.report.bound_lines_summed = counts->lines_summed;
     core::RecordServingMetrics(batch);
     return batch;
   }
@@ -499,6 +500,7 @@ ReleaseView ServingEngine::release_view() const {
   if (!cluster_rows_f32_.empty()) view.rows_f32 = cluster_rows_f32_.data();
   view.block_max = block_max_.data();
   view.tile_max = tile_max_.data();
+  view.line_max = line_max_.data();
   view.sanitized = sanitized_;
   view.cluster_of = cluster_of_;
   view.cluster_sizes = cluster_sizes_;
@@ -661,14 +663,15 @@ Status ServingEngine::InitViews(
 }
 
 Status ServingEngine::BuildDerived() {
-  // The bound table, which also checks every released value is finite.
-  // It reads the rows through release_view(), so both storage modes run
-  // the one check; the f64 table was CRC'd at open (mapped) or is in
-  // memory (owned), so the pass touches no page the engine would not.
-  // The same pass takes each cluster's largest |value| for the overflow
-  // rule below.
+  // The bound and line tables, which also check every released value is
+  // finite. The pass reads the rows through release_view(), so both
+  // storage modes run the one check; the f64 table was CRC'd at open
+  // (mapped) or is in memory (owned), so it touches no page the engine
+  // would not. It also takes each cluster's largest |value| for the
+  // overflow rule below.
   std::vector<double> value_max;
-  Status bounds = BuildBlockBounds(release_view(), &block_max_, &value_max);
+  Status bounds =
+      BuildBlockBounds(release_view(), &block_max_, &line_max_, &value_max);
   if (!bounds.ok()) return bounds;
   BuildTileBounds(release_view(), &tile_max_);
   const size_t num_users = static_cast<size_t>(model_.meta.num_users);

@@ -179,13 +179,14 @@ class ServingEngine {
   uint32_t shard_count_ = 1;
   std::vector<int32_t> shard_of_cluster_;  // per cluster
 
-  // Derived (not persisted): reconstruction's bound and tile tables
-  // (ReleaseView::block_max, ReleaseView::tile_max), the item-major
-  // preference CSR and the lazy global fallback row. The row lives behind
-  // a shared_ptr because the engine is move-only while std::once_flag is
-  // not movable at all.
+  // Derived (not persisted): reconstruction's bound, tile and line tables
+  // (ReleaseView::block_max, ReleaseView::tile_max, ReleaseView::line_max),
+  // the item-major preference CSR and the lazy global fallback row. The
+  // row lives behind a shared_ptr because the engine is move-only while
+  // std::once_flag is not movable at all.
   std::vector<double> block_max_;
   std::vector<double> tile_max_;
+  std::vector<float> line_max_;
   std::vector<uint64_t> item_offsets_;
   std::vector<int64_t> item_users_;
   std::vector<double> item_weights_;

@@ -47,10 +47,13 @@ void RecordServingMetrics(const RecommendedBatch& batch) {
       obs::GetCounter("privrec.serving.bound_blocks_visited_total");
   static obs::Counter& blocks_total =
       obs::GetCounter("privrec.serving.bound_blocks_total");
+  static obs::Counter& lines_summed =
+      obs::GetCounter("privrec.serving.bound_lines_summed_total");
   served.Add(static_cast<int64_t>(batch.lists.size()));
   degraded.Add(batch.report.users_degraded);
   blocks_visited.Add(batch.report.bound_blocks_visited);
   blocks_total.Add(batch.report.bound_blocks_total);
+  lines_summed.Add(batch.report.bound_lines_summed);
   // One counter per reason, tallied over the batch and then resolved
   // once per reason that occurs: the registry lookup (with its mutex)
   // runs per batch, not per user, and a reason no user had is never

@@ -57,9 +57,11 @@ struct ServingReport {
   // Non-finite noisy values replaced with 0 before ranking.
   int64_t nonfinite_sanitized = 0;
   // Cluster reconstruction's pruning, summed over the personalized
-  // users: item blocks summed, against the blocks the release has.
+  // users: item blocks visited, against the blocks the release has, and
+  // the 8-item lines of the visited blocks whose items were summed.
   int64_t bound_blocks_visited = 0;
   int64_t bound_blocks_total = 0;
+  int64_t bound_lines_summed = 0;
 
   bool Clean() const {
     return users_degraded == 0 && empty_clusters == 0 &&
@@ -79,8 +81,9 @@ struct RecommendedBatch {
 
 // Folds a served batch into the process-wide metrics registry:
 // privrec.serving.users_served, privrec.serving.users_degraded,
-// privrec.serving.bound_blocks_visited_total / bound_blocks_total, and
-// one privrec.serving.degraded.<reason> counter per DegradationReason.
+// privrec.serving.bound_blocks_visited_total / bound_blocks_total /
+// bound_lines_summed_total, and one privrec.serving.degraded.<reason>
+// counter per DegradationReason.
 void RecordServingMetrics(const RecommendedBatch& batch);
 
 }  // namespace privrec::core

@@ -98,6 +98,9 @@ Result<SimilarityWorkload> LoadWorkload(const std::string& path,
         !ParseFinite(reader->field(2), &score)) {
       return reader->Error("bad entry");
     }
+    // The engine serves only scores > 0; refuse one here, at its record,
+    // before a build spends noise on it.
+    if (!(score > 0.0)) return reader->Error("score is not > 0");
     if (u < current) return reader->Error("rows out of order");
     if (u >= num_users || v >= num_users) {
       return reader->Error("id outside header range");

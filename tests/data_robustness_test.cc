@@ -348,6 +348,27 @@ TEST_F(CacheFileRobustnessTest, WorkloadBitFlipIsParseErrorNotACrash) {
   }
 }
 
+// A score the engine would refuse (not > 0) is refused at its record,
+// with the file and line, before a build could spend noise on it.
+TEST_F(CacheFileRobustnessTest, WorkloadScoreNotAboveZeroIsParseError) {
+  for (const char* score : {"0", "-1"}) {
+    const std::string path = WriteFile(
+        "workload.tsv", std::string("# privrec workload measure=cn users=3 "
+                                    "entries=4 max_column_sum=3 max_entry=2\n"
+                                    "0\t1\t2\n"
+                                    "0\t2\t") +
+                            score + "\n1\t0\t2\n2\t0\t1\n");
+    auto loaded = similarity::LoadWorkload(path, 3);
+    ASSERT_FALSE(loaded.ok()) << "score " << score;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find(path + ":3"), std::string::npos)
+        << loaded.status().message();
+    EXPECT_NE(loaded.status().message().find("score is not > 0"),
+              std::string::npos)
+        << loaded.status().message();
+  }
+}
+
 TEST_F(CacheFileRobustnessTest, WorkloadShortReadFaultIsTruncation) {
   const std::string path = WriteWorkloadFile();
   fault::ScopedFaultInjection scope;

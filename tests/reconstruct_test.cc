@@ -10,17 +10,21 @@
 // item counts around the tile block, every top-N edge, f64 and f32 rows,
 // a tie-heavy table and a structured one that prunes most blocks, with
 // isolated users and a sanitized cluster in every release. The bound and
-// tile tables come from serving::BuildBlockBounds and
-// serving::BuildTileBounds, the engine's own derivations, and the pruning
-// itself is checked through the counts ReconstructTopN returns: most
-// blocks skipped, users finishing both best-first and in the walk, equal
-// utilities across blocks won by the lower item id, and every user's
-// visited blocks equal to those of best-first over the full bound row
-// (the order the lazy tile bounds must keep).
+// line tables come from serving::BuildBlockBounds and the tile tables
+// from serving::BuildTileBounds, the engine's own derivations, and the
+// pruning itself is checked through the counts ReconstructTopN returns:
+// most blocks skipped, users finishing both best-first and in the walk,
+// equal utilities across blocks and across the lines of a block won by
+// the lower item id, a visited block summing only its one live line, no
+// block summing more lines than it has, and every user's visited blocks
+// equal to those of best-first over the full bound row (the order the
+// lazy tile bounds must keep).
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <random>
 #include <string>
@@ -40,6 +44,8 @@ namespace {
 
 using serving::kBestFirstBudgetPercent;
 using serving::kBoundBlockItems;
+using serving::kBoundBlockLines;
+using serving::kBoundLineItems;
 using serving::kBoundTileBlocks;
 using serving::kReconstructGroupUsers;
 using serving::kWalkTileItems;
@@ -66,11 +72,14 @@ struct Fixture {
   // Per-cluster row tables into `values` and `values_f32`.
   std::vector<const double*> rows;
   std::vector<const float*> rows_f32;
-  // Bound and tile tables over the f64 rows and over the f32 mirror.
+  // Bound, tile and line tables over the f64 rows and over the f32
+  // mirror.
   std::vector<double> block_max;
   std::vector<double> block_max_f32;
   std::vector<double> tile_max;
   std::vector<double> tile_max_f32;
+  std::vector<float> line_max;
+  std::vector<float> line_max_f32;
 
   serving::ReleaseView View(bool f32) const {
     serving::ReleaseView view;
@@ -78,6 +87,7 @@ struct Fixture {
     view.rows_f32 = f32 ? rows_f32.data() : nullptr;
     view.block_max = f32 ? block_max_f32.data() : block_max.data();
     view.tile_max = f32 ? tile_max_f32.data() : tile_max.data();
+    view.line_max = f32 ? line_max_f32.data() : line_max.data();
     view.sanitized = sanitized.data();
     view.cluster_of = cluster_of.data();
     view.cluster_sizes = cluster_sizes.data();
@@ -88,7 +98,8 @@ struct Fixture {
   }
 
   // Mirrors the f64 values to f32, points the row tables into both, and
-  // derives both bound and tile tables the way the engine does at open.
+  // derives both bound, tile and line tables the way the engine does at
+  // open.
   void Finish() {
     values_f32.clear();
     for (double v : values) values_f32.push_back(static_cast<float>(v));
@@ -98,8 +109,11 @@ struct Fixture {
       rows.push_back(values.data() + c * num_items);
       rows_f32.push_back(values_f32.data() + c * num_items);
     }
-    ASSERT_TRUE(serving::BuildBlockBounds(View(false), &block_max).ok());
-    ASSERT_TRUE(serving::BuildBlockBounds(View(true), &block_max_f32).ok());
+    ASSERT_TRUE(
+        serving::BuildBlockBounds(View(false), &block_max, &line_max).ok());
+    ASSERT_TRUE(
+        serving::BuildBlockBounds(View(true), &block_max_f32, &line_max_f32)
+            .ok());
     serving::BuildTileBounds(View(false), &tile_max);
     serving::BuildTileBounds(View(true), &tile_max_f32);
   }
@@ -295,6 +309,9 @@ Served Reconstruct(const Fixture& f, bool f32,
       batch, top_n, &out.lists, &out.degradation);
   EXPECT_TRUE(counts.ok());
   if (counts.ok()) out.counts = *counts;
+  // A visited block sums at most its lines.
+  EXPECT_LE(out.counts.lines_summed,
+            kBoundBlockLines * out.counts.blocks_visited);
   return out;
 }
 
@@ -657,9 +674,31 @@ TEST(ReconstructPruningTest, EqualUtilitiesAcrossBlocksGoToTheLowerId) {
     const Served two = Reconstruct(f, false, {1}, 2);
     EXPECT_EQ(two.lists[0], (core::RecommendationList{{z, 3.0}, {y, 1.0}}));
     EXPECT_EQ(two.counts.blocks_visited, 2);
+    // Block 39 is summed whole (the list is empty), block 0 only its
+    // first line, whose bound equals x's utility.
+    EXPECT_EQ(two.counts.lines_summed, kBoundBlockLines + 1);
     for (bool f32 : {false, true}) {
       ExpectMatchesReference(f, f32, {1},
                              f32 ? "best-first f32" : "best-first");
+    }
+  }
+  // The same within one block: block 0 holds y and w, both equal to x,
+  // in its lines 1 and 2, whose bounds equal x's utility while lines 0
+  // and 3 are below it. Both live lines are summed, y enters on its lower
+  // id and w, equal to y with a higher id, does not.
+  {
+    const int64_t z = item(39, 5), x = item(39, 7);
+    const int64_t y = item(0, kBoundLineItems + 1);
+    const int64_t w = item(0, 2 * kBoundLineItems + 6);
+    const Fixture f =
+        MakeOneUserFixture(40, {{z, 3.0}, {x, 1.0}, {y, 1.0}, {w, 1.0}});
+    const Served two = Reconstruct(f, false, {1}, 2);
+    EXPECT_EQ(two.lists[0], (core::RecommendationList{{z, 3.0}, {y, 1.0}}));
+    EXPECT_EQ(two.counts.blocks_visited, 2);
+    EXPECT_EQ(two.counts.lines_summed, kBoundBlockLines + 2);
+    for (bool f32 : {false, true}) {
+      ExpectMatchesReference(f, f32, {1},
+                             f32 ? "lines of a block f32" : "lines of a block");
     }
   }
   // Walk, 60 blocks (budget 3), top-3: best-first spends its budget on
@@ -680,9 +719,57 @@ TEST(ReconstructPruningTest, EqualUtilitiesAcrossBlocksGoToTheLowerId) {
     EXPECT_EQ(three.lists[0],
               (core::RecommendationList{{z, 3.0}, {q, 2.5}, {y, 1.0}}));
     EXPECT_EQ(three.counts.blocks_visited, 3 + 1);
+    // Blocks 59 and 58 are summed whole (the list is empty, then its
+    // worst kept utility is -1.0, which every line reaches); in the decoy
+    // only a's line can reach x's utility, and in block 0 only y's.
+    EXPECT_EQ(three.counts.lines_summed, 2 * kBoundBlockLines + 1 + 1);
     for (bool f32 : {false, true}) {
       ExpectMatchesReference(f, f32, {1}, f32 ? "walk f32" : "walk");
     }
+  }
+}
+
+// A visited block with exactly one live line, in its middle. One user
+// (MakeOneUserFixture) over 60 blocks (budget 3) at top-3, so best-first
+// runs. Block 20 (bound 3.0) fills the list with a, b and c, each 2.0,
+// and sums all its lines, as the list is empty. Block 7 (bound 2.75)
+// comes next. Its line 0 holds d (1.5 from cluster 0) and its line 2
+// holds e (0.75 from cluster 1), so their bounds, 1.5 and -0.25, and
+// line 3's -1.0 are below 2.0. Its line 1 holds p (2.0 + 0.25) and q
+// (2.0), so its bound is 2.25. Only line 1 is summed: p enters, and q,
+// equal to a and b with a lower id, displaces b.
+TEST(ReconstructLineBoundTest, OneLiveLineInTheMiddleOfAVisitedBlock) {
+  auto item = [](int64_t block, int64_t offset) {
+    return block * kBoundBlockItems + offset;
+  };
+  const int64_t a = item(20, 1), b = item(20, 12), c = item(20, 30);
+  const int64_t d = item(7, 2);                        // line 0
+  const int64_t p = item(7, kBoundLineItems + 3);      // line 1
+  const int64_t q = item(7, kBoundLineItems + 6);      // line 1
+  const int64_t e = item(7, 2 * kBoundLineItems + 4);  // line 2
+  ASSERT_EQ(Budget(60 * kBoundBlockItems), 3);
+  const Fixture f = MakeOneUserFixture(
+      60, {{a, 3.0}, {b, 3.0}, {c, 3.0}, {d, 1.5}, {p, 2.0}, {q, 2.0}},
+      {{a, -1.0}, {b, -1.0}, {c, -1.0}, {p, 0.25}, {e, 0.75}});
+  for (bool f32 : {false, true}) {
+    const std::string label = f32 ? "f32" : "f64";
+    const serving::ReleaseView view = f.View(f32);
+    ASSERT_EQ(view.BlockMaxRow(0)[7] + view.BlockMaxRow(1)[7], 2.75);
+    const double expected[kBoundBlockLines] = {1.5, 2.25, -0.25, -1.0};
+    for (int64_t l = 0; l < kBoundBlockLines; ++l) {
+      const int64_t line = 7 * kBoundBlockLines + l;
+      EXPECT_EQ(static_cast<double>(view.LineMaxRow(0)[line]) +
+                    static_cast<double>(view.LineMaxRow(1)[line]),
+                expected[l])
+          << label << " line " << l;
+    }
+    const Served three = Reconstruct(f, f32, {1}, 3);
+    EXPECT_EQ(three.lists[0],
+              (core::RecommendationList{{p, 2.25}, {q, 2.0}, {a, 2.0}}))
+        << label;
+    EXPECT_EQ(three.counts.blocks_visited, 2) << label;
+    EXPECT_EQ(three.counts.lines_summed, kBoundBlockLines + 1) << label;
+    ExpectMatchesReference(f, f32, {1}, label, {1, 2, 3, 10});
   }
 }
 
@@ -713,6 +800,94 @@ TEST(ReconstructPruningTest, BlockBoundsReadTheRowsReconstructionReads) {
     }
   }
   EXPECT_GT(differ, 0);
+}
+
+// RoundUpToFloat is the least float ≥ x: exact floats stay, anything
+// between two floats goes to the upper one, and past the float range it
+// is +inf above and -FLT_MAX below, never a cast out of range.
+TEST(ReconstructLineBoundTest, RoundUpToFloatIsTheLeastFloatAtOrAbove) {
+  using serving::RoundUpToFloat;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  for (float exact : {0.0f, 1.0f, -1.0f, 0.1f, -0.1f, 1.5e-42f, FLT_MAX,
+                      -FLT_MAX, FLT_MIN, denorm}) {
+    EXPECT_EQ(RoundUpToFloat(static_cast<double>(exact)), exact) << exact;
+  }
+  EXPECT_TRUE(std::signbit(RoundUpToFloat(-0.0)));
+  // 1 + 2^-40 rounds to 1.0f to nearest, but 1.0f is below it.
+  const double tiny = std::ldexp(1.0, -40);
+  EXPECT_EQ(RoundUpToFloat(1.0 + tiny), std::nextafter(1.0f, 2.0f));
+  EXPECT_EQ(RoundUpToFloat(1.0 + std::ldexp(1.0, -24)),
+            std::nextafter(1.0f, 2.0f));
+  EXPECT_EQ(RoundUpToFloat(-1.0 - tiny), -1.0f);
+  EXPECT_EQ(RoundUpToFloat(-1.0 + tiny), std::nextafter(-1.0f, 0.0f));
+  EXPECT_EQ(RoundUpToFloat(0.1), 0.1f);  // 0.1f is above 0.1
+  EXPECT_EQ(RoundUpToFloat(-0.1), std::nextafter(-0.1f, 0.0f));
+  EXPECT_EQ(RoundUpToFloat(1e-50), denorm);
+  const float negative_tiny = RoundUpToFloat(-1e-50);
+  EXPECT_EQ(negative_tiny, 0.0f);
+  EXPECT_TRUE(std::signbit(negative_tiny));
+  // Just past FLT_MAX, where a cast would round back to FLT_MAX.
+  const double past = std::nextafter(static_cast<double>(FLT_MAX), 1e300);
+  EXPECT_EQ(RoundUpToFloat(past), kInf);
+  EXPECT_EQ(RoundUpToFloat(1e300), kInf);
+  EXPECT_EQ(RoundUpToFloat(std::numeric_limits<double>::max()), kInf);
+  EXPECT_EQ(RoundUpToFloat(-past), -FLT_MAX);
+  EXPECT_EQ(RoundUpToFloat(-1e308), -FLT_MAX);
+  // Every result is ≥ x and its float predecessor is < x.
+  std::mt19937_64 rng(71);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (int k = 0; k < 10'000; ++k) {
+    const double x = std::ldexp(unit(rng), static_cast<int>(rng() % 300) - 150);
+    const float up = RoundUpToFloat(x);
+    EXPECT_GE(static_cast<double>(up), x) << x;
+    EXPECT_LT(static_cast<double>(std::nextafter(up, -kInf)), x) << x;
+  }
+}
+
+// The line table holds, per cluster and line, the line's largest value
+// of the table reconstruction reads (f64 rows or the f32 mirror widened),
+// rounded up to a float. At 48,756 items the last line is 4 items long.
+TEST(ReconstructLineBoundTest, LineTableIsTheRoundedUpLineMaximum) {
+  ASSERT_EQ(kBoundBlockLines * kBoundLineItems, kBoundBlockItems);
+  ASSERT_EQ(kFlixsterItems - 6'094 * kBoundLineItems, 4);
+  for (int64_t items : {int64_t{7}, kWalkTileItems + 45, kFlixsterItems}) {
+    const Fixture f = MakeFixture(items, false, 57);
+    for (bool f32 : {false, true}) {
+      const std::string label =
+          "items=" + std::to_string(items) + (f32 ? " f32" : " f64");
+      const serving::ReleaseView view = f.View(f32);
+      const int64_t num_lines = view.NumLines();
+      ASSERT_EQ(num_lines, (items + kBoundLineItems - 1) / kBoundLineItems);
+      const std::vector<float>& lines = f32 ? f.line_max_f32 : f.line_max;
+      ASSERT_EQ(lines.size(), static_cast<size_t>(kClusters * num_lines))
+          << label;
+      int64_t moved = 0;
+      for (int64_t c = 0; c < kClusters; ++c) {
+        for (int64_t l = 0; l < num_lines; ++l) {
+          double hi = -INFINITY;
+          for (int64_t i = l * kBoundLineItems;
+               i < std::min(items, (l + 1) * kBoundLineItems); ++i) {
+            const auto cell = static_cast<size_t>(c * items + i);
+            hi = std::max(hi, f32 ? static_cast<double>(f.values_f32[cell])
+                                  : f.values[cell]);
+          }
+          const float bound = view.LineMaxRow(c)[l];
+          EXPECT_EQ(bound, serving::RoundUpToFloat(hi))
+              << label << " c=" << c << " l=" << l;
+          EXPECT_GE(static_cast<double>(bound), hi);
+          if (static_cast<double>(bound) != hi) ++moved;
+        }
+      }
+      // The f64 maxima are rarely floats, so rounding moves them; the f32
+      // mirror's are floats already.
+      if (f32) {
+        EXPECT_EQ(moved, 0) << label;
+      } else {
+        EXPECT_GT(moved, 0) << label;
+      }
+    }
+  }
 }
 
 // The tile table holds, per cluster and tile, the largest bound-table
@@ -750,14 +925,15 @@ TEST(ReconstructPruningTest, TileTableIsTheBlockwiseMaximumOfTheBoundTable) {
 TEST(ReconstructPruningTest, NonFiniteValuesFailTheBoundDerivation) {
   Fixture f = MakeFixture(kWalkTileItems + 1, false, 61);
   std::vector<double> table;
+  std::vector<float> lines;
   f.values[123] = NAN;
-  Status f64 = serving::BuildBlockBounds(f.View(false), &table);
+  Status f64 = serving::BuildBlockBounds(f.View(false), &table, &lines);
   EXPECT_EQ(f64.code(), StatusCode::kParseError);
   EXPECT_NE(f64.message().find("'noisy_table'"), std::string::npos)
       << f64.message();
   f.values[123] = 0.5;
   f.values_f32[77] = INFINITY;
-  Status f32 = serving::BuildBlockBounds(f.View(true), &table);
+  Status f32 = serving::BuildBlockBounds(f.View(true), &table, &lines);
   EXPECT_EQ(f32.code(), StatusCode::kParseError);
   EXPECT_NE(f32.message().find("'noisy_table_f32'"), std::string::npos)
       << f32.message();

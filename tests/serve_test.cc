@@ -1303,7 +1303,10 @@ TEST_F(ServeSwapTest, TelemetryClassifiesShedWithRetryHint) {
 
 // A one-user request's wide event carries the batch's bound-block
 // counts, in the record and in its JSONL line: the blocks the user's
-// reconstruction summed, of the release's blocks.
+// reconstruction visited, of the release's blocks. The report also
+// carries the lines those visits summed (the first visit sums at least
+// one, and no visit more than a block's), and the serving counters add
+// it up once per batch.
 TEST_F(ServeSwapTest, TelemetryCarriesTheBoundBlocksOfAOneUserRequest) {
   const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
@@ -1322,6 +1325,9 @@ TEST_F(ServeSwapTest, TelemetryCarriesTheBoundBlocksOfAOneUserRequest) {
     ++user;
   }
   ASSERT_LT(user, dataset_.social.num_nodes());
+  obs::Counter& lines_total =
+      obs::GetCounter("privrec.serving.bound_lines_summed_total");
+  const int64_t lines_before = lines_total.value();
   const ServeResponse response = runtime.Handle({{user}, 1, 1000});
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   const int64_t num_blocks =
@@ -1331,6 +1337,10 @@ TEST_F(ServeSwapTest, TelemetryCarriesTheBoundBlocksOfAOneUserRequest) {
   EXPECT_EQ(report.bound_blocks_total, num_blocks);
   EXPECT_GE(report.bound_blocks_visited, 1);
   EXPECT_LE(report.bound_blocks_visited, num_blocks);
+  EXPECT_GE(report.bound_lines_summed, 1);
+  EXPECT_LE(report.bound_lines_summed,
+            serving::kBoundBlockLines * report.bound_blocks_visited);
+  EXPECT_EQ(lines_total.value() - lines_before, report.bound_lines_summed);
 
   const std::vector<obs::RequestTelemetry> events = telemetry.sampled_events();
   ASSERT_EQ(events.size(), 1u);
