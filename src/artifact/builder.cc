@@ -50,15 +50,12 @@ const community::Partition& ModelArtifactBuilder::EnsurePartition(
   return *owned_partition_;
 }
 
-const similarity::SimilarityWorkload& ModelArtifactBuilder::EnsureWorkload(
-    const BuildOptions& options) {
+const similarity::SimilarityWorkload&
+ModelArtifactBuilder::EnsureWorkload() {
   if (workload_ != nullptr) return *workload_;
   if (!owned_workload_) {
-    static const similarity::CommonNeighbors kDefaultMeasure;
-    const similarity::SimilarityMeasure& measure =
-        options.measure != nullptr ? *options.measure : kDefaultMeasure;
-    owned_workload_ =
-        similarity::SimilarityWorkload::Compute(*social_, measure);
+    owned_workload_ = similarity::SimilarityWorkload::Compute(
+        *social_, similarity::CommonNeighbors());
   }
   return *owned_workload_;
 }
@@ -67,7 +64,7 @@ Result<serving::ArtifactModel> ModelArtifactBuilder::Build(
     const BuildOptions& options) {
   PRIVREC_SPAN("artifact.build");
   const community::Partition& partition = EnsurePartition(options);
-  const similarity::SimilarityWorkload& workload = EnsureWorkload(options);
+  const similarity::SimilarityWorkload& workload = EnsureWorkload();
   if (partition.num_nodes() != social_->num_nodes()) {
     return Status::InvalidArgument(
         "partition does not cover the social graph's node set");

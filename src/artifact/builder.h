@@ -33,7 +33,6 @@
 #include "core/low_rank_factorization.h"
 #include "graph/preference_graph.h"
 #include "graph/social_graph.h"
-#include "similarity/similarity_measure.h"
 #include "similarity/workload.h"
 
 namespace privrec::artifact {
@@ -43,9 +42,6 @@ struct BuildOptions {
   // paper's noiseless reference runs) and its RNG seed.
   double epsilon = 1.0;
   uint64_t seed = 100;
-  // Similarity measure for the workload when none was injected via
-  // SetWorkload (defaults to common neighbors, the paper's CN).
-  const similarity::SimilarityMeasure* measure = nullptr;
   // createClusters configuration when no partition was injected.
   community::LouvainOptions louvain{};
   // Persist the raw preference CSR so the reference baselines
@@ -74,7 +70,8 @@ class ModelArtifactBuilder {
                        const graph::PreferenceGraph* preferences);
 
   // Inject a precomputed partition / workload (must outlive the builder);
-  // otherwise Build computes and caches its own.
+  // otherwise Build computes and caches its own (the workload with common
+  // neighbors, the paper's CN).
   void SetPartition(const community::Partition* partition);
   void SetWorkload(const similarity::SimilarityWorkload* workload);
 
@@ -88,8 +85,7 @@ class ModelArtifactBuilder {
 
  private:
   const community::Partition& EnsurePartition(const BuildOptions& options);
-  const similarity::SimilarityWorkload& EnsureWorkload(
-      const BuildOptions& options);
+  const similarity::SimilarityWorkload& EnsureWorkload();
 
   const graph::SocialGraph* social_;
   const graph::PreferenceGraph* preferences_;

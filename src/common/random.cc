@@ -108,19 +108,6 @@ double Rng::Laplace(double scale) {
   return -scale * sign * std::log1p(-2.0 * std::fabs(u));
 }
 
-int64_t Rng::TwoSidedGeometric(double alpha) {
-  PRIVREC_DCHECK(alpha > 0 && alpha < 1);
-  // Difference of two one-sided geometrics (support k >= 0 each) is the
-  // two-sided geometric distribution.
-  auto one_sided = [&]() -> int64_t {
-    // Inverse CDF: k = floor(log(U) / log(alpha)).
-    double u = UniformDouble();
-    if (u <= 0.0) u = 0x1.0p-53;
-    return static_cast<int64_t>(std::floor(std::log(u) / std::log(alpha)));
-  };
-  return one_sided() - one_sided();
-}
-
 uint64_t Rng::Zipf(uint64_t n, double s) {
   PRIVREC_DCHECK(n > 0);
   if (n == 1) return 0;

@@ -6,9 +6,9 @@
 // xoshiro256++ seeded through splitmix64, which is fast, has a 256-bit
 // state, and passes BigCrush.
 //
-// Distribution helpers include the samplers required by the paper's
-// mechanisms: Laplace (Theorem 1), exponential, and two-sided geometric
-// (the discrete analogue of Laplace).
+// Distribution helpers include the sampler the paper's mechanism needs,
+// Laplace (Theorem 1), and the ones the generators and the load harness
+// draw from (normal, exponential, Zipf).
 
 #ifndef PRIVREC_COMMON_RANDOM_H_
 #define PRIVREC_COMMON_RANDOM_H_
@@ -69,11 +69,6 @@ class Rng {
   // Laplace(0, scale): density (1/2b) exp(-|x|/b). This is the noise
   // distribution of Theorem 1; variance is 2*scale^2.
   double Laplace(double scale);
-
-  // Two-sided geometric noise with parameter alpha in (0,1):
-  // Pr[X = k] proportional to alpha^|k|. The discrete analogue of Laplace;
-  // alpha = exp(-eps/sensitivity) yields eps-DP for integer-valued queries.
-  int64_t TwoSidedGeometric(double alpha);
 
   // Zipf-distributed integer in [0, n) with exponent s >= 0 (s = 0 is
   // uniform). Uses rejection-inversion (Hörmann & Derflinger), O(1) per

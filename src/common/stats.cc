@@ -23,23 +23,6 @@ void RunningStats::Add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  int64_t n = count_ + other.count_;
-  double na = static_cast<double>(count_);
-  double nb = static_cast<double>(other.count_);
-  m2_ += other.m2_ + delta * delta * na * nb / static_cast<double>(n);
-  mean_ += delta * nb / static_cast<double>(n);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ = n;
-}
-
 double RunningStats::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_);
@@ -47,20 +30,8 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double Percentile(std::vector<double> values, double p) {
-  PRIVREC_CHECK(!values.empty());
-  PRIVREC_CHECK(p >= 0.0 && p <= 100.0);
-  std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values[0];
-  double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, values.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 Histogram::Histogram(double lo, double hi, int num_bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / num_bins), counts_(num_bins, 0) {
+    : lo_(lo), width_((hi - lo) / num_bins), counts_(num_bins, 0) {
   PRIVREC_CHECK(hi > lo);
   PRIVREC_CHECK(num_bins > 0);
 }
@@ -75,10 +46,6 @@ void Histogram::Add(double x) {
 double Histogram::Fraction(int b) const {
   if (total_ == 0) return 0.0;
   return static_cast<double>(counts_[b]) / static_cast<double>(total_);
-}
-
-double Histogram::BinCenter(int b) const {
-  return lo_ + (static_cast<double>(b) + 0.5) * width_;
 }
 
 }  // namespace privrec

@@ -1,5 +1,5 @@
 // Small statistics helpers used by experiments and tests: streaming
-// mean/variance (Welford), percentiles, and fixed-bin histograms.
+// mean/variance (Welford) and fixed-bin histograms.
 
 #ifndef PRIVREC_COMMON_STATS_H_
 #define PRIVREC_COMMON_STATS_H_
@@ -14,7 +14,6 @@ namespace privrec {
 class RunningStats {
  public:
   void Add(double x);
-  void Merge(const RunningStats& other);
 
   int64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
@@ -33,10 +32,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-// Percentile of a sample by linear interpolation between closest ranks.
-// `p` in [0, 100]. Copies and sorts; intended for analysis, not hot paths.
-double Percentile(std::vector<double> values, double p);
-
 // Fixed-width-bin histogram over [lo, hi); values outside are clamped into
 // the first/last bin. Used by tests that check noise distributions.
 class Histogram {
@@ -49,12 +44,9 @@ class Histogram {
   int64_t total() const { return total_; }
   // Fraction of mass in bin b; 0 if empty.
   double Fraction(int b) const;
-  // Center of bin b.
-  double BinCenter(int b) const;
 
  private:
   double lo_;
-  double hi_;
   double width_;
   std::vector<int64_t> counts_;
   int64_t total_ = 0;

@@ -86,7 +86,7 @@ void IncrementalCommunity::TryLocalMove(graph::NodeId x) {
     candidates.insert(label_[static_cast<size_t>(y)]);
   }
   int64_t best_to = label_[static_cast<size_t>(x)];
-  double best_gain = options_.min_gain;
+  double best_gain = kMinModularityGain;
   for (int64_t c : candidates) {
     const double gain = MoveGain(x, c);
     if (gain > best_gain) {

@@ -48,8 +48,6 @@ struct IncrementalCommunityOptions {
   LouvainOptions louvain;
   // Restart full clustering once baseline − Q exceeds this.
   double drift_threshold = 0.05;
-  // Minimum gain for a local move to be applied.
-  double min_gain = 1e-9;
   // Seed stream for restart r uses SplitMix64(seed ^ r).
   uint64_t seed = 33;
 };
@@ -97,7 +95,8 @@ class IncrementalCommunity {
   // Modularity gain of moving x from its cluster to `to`.
   double MoveGain(graph::NodeId x, int64_t to) const;
   void ApplyMove(graph::NodeId x, int64_t to);
-  // Moves x to its best neighboring cluster if the gain clears min_gain.
+  // Moves x to its best neighboring cluster if the gain clears
+  // kMinModularityGain.
   void TryLocalMove(graph::NodeId x);
   void MaybeRestart();
   void PublishGauges() const;

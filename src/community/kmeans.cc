@@ -151,13 +151,14 @@ la::DenseMatrix SpectralEmbedding(const graph::SocialGraph& g,
   // Block power iteration on M = D^{-1/2} A D^{-1/2} (+ small identity
   // shift so eigenvalues are positive and iteration converges to the top
   // eigenvectors).
+  constexpr int kPowerIterations = 60;
   la::DenseMatrix block(n, d);
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = 0; j < d; ++j) block(i, j) = rng.Normal();
   }
   block = la::HouseholderQ(block);
   la::DenseMatrix next(n, d);
-  for (int iter = 0; iter < options.power_iterations; ++iter) {
+  for (int iter = 0; iter < kPowerIterations; ++iter) {
     // next = (M + 0.5 I) * block.
     for (int64_t i = 0; i < n; ++i) {
       for (int64_t j = 0; j < d; ++j) {

@@ -50,7 +50,6 @@ KMeansResult RunKMeans(const la::DenseMatrix& points,
 
 struct SpectralEmbeddingOptions {
   int64_t dimensions = 8;
-  int power_iterations = 60;
   uint64_t seed = 20;
 };
 

@@ -46,11 +46,13 @@ WeightedGraph FromSocialGraph(const graph::SocialGraph& g) {
   return wg;
 }
 
+// Safety cap on local-moving sweeps per level.
+constexpr int kMaxSweeps = 64;
+
 // One round of local moving. `comm` is the in/out community assignment
 // (labels in [0, n)); returns the total modularity gain achieved.
 double LocalMove(const WeightedGraph& g, std::vector<int64_t>* comm,
-                 Rng* rng, double resolution, double min_gain,
-                 int max_sweeps) {
+                 Rng* rng, double resolution) {
   const int64_t n = g.n;
   if (n == 0 || g.two_m == 0.0) return 0.0;
   const double two_m = g.two_m;
@@ -72,7 +74,7 @@ double LocalMove(const WeightedGraph& g, std::vector<int64_t>* comm,
   std::vector<int64_t> touched;
 
   double total_gain = 0.0;
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool moved = false;
     for (int64_t idx = 0; idx < n; ++idx) {
       int64_t u = order[static_cast<size_t>(idx)];
@@ -99,7 +101,7 @@ double LocalMove(const WeightedGraph& g, std::vector<int64_t>* comm,
         double gain =
             weight_to[static_cast<size_t>(c)] -
             resolution * sigma_tot[static_cast<size_t>(c)] * ku / two_m;
-        if (gain > best_gain + min_gain) {
+        if (gain > best_gain + kMinModularityGain) {
           best_gain = gain;
           best_comm = c;
         }
@@ -202,16 +204,14 @@ SingleRunResult RunOnce(const graph::SocialGraph& g,
     PRIVREC_SPAN_CHUNK("community.louvain.level", result.levels);
     std::vector<int64_t> comm(static_cast<size_t>(level_graph.n));
     std::iota(comm.begin(), comm.end(), 0);
-    double gain =
-        LocalMove(level_graph, &comm, &rng, options.resolution,
-                  options.min_gain, options.max_sweeps);
+    double gain = LocalMove(level_graph, &comm, &rng, options.resolution);
     level_gain_hist.Observe(gain);
     passes.Increment();
     int64_t k = CompactLabels(&comm);
     graphs.push_back(level_graph);
     level_comms.push_back(comm);
     ++result.levels;
-    if (k == level_graph.n || gain <= options.min_gain) break;
+    if (k == level_graph.n || gain <= kMinModularityGain) break;
     level_graph = Contract(level_graph, comm, k);
   }
 
@@ -228,7 +228,7 @@ SingleRunResult RunOnce(const graph::SocialGraph& g,
       }
       CompactLabels(&lower);
       LocalMove(graphs[static_cast<size_t>(l)], &lower, &rng,
-                options.resolution, options.min_gain, options.max_sweeps);
+                options.resolution);
       CompactLabels(&lower);
       // The refined labels at this level already incorporate every level
       // above; truncate so the composition below does not re-apply them.

@@ -23,6 +23,11 @@
 
 namespace privrec::community {
 
+// A local move (Louvain's and IncrementalCommunity's) must improve Q by
+// more than this; a Louvain level whose moves gained no more ends the
+// hierarchy.
+constexpr double kMinModularityGain = 1e-9;
+
 struct LouvainOptions {
   // Independent runs with different random node orders; the run with the
   // highest modularity wins (Section 6.2 uses 10).
@@ -34,11 +39,6 @@ struct LouvainOptions {
   // resolution limit); < 1 favors fewer, larger ones. 1 is the paper's
   // standard modularity.
   double resolution = 1.0;
-  // Local-moving terminates a pass sweep when no move improves Q by more
-  // than this.
-  double min_gain = 1e-9;
-  // Safety cap on local-moving sweeps per level.
-  int max_sweeps = 64;
   uint64_t seed = 17;
 };
 

@@ -13,8 +13,11 @@ Partition MergeSmallClusters(const graph::SocialGraph& g,
   const int64_t min_size =
       std::min<int64_t>(options.min_size, g.num_nodes());
 
+  // Safety bound on merge rounds (a merge can create a new small cluster
+  // only by pooling isolated ones, so a few rounds always suffice).
+  constexpr int kMaxRounds = 16;
   std::vector<int64_t> label = partition.cluster_of();
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     Partition current(label);
     label = current.cluster_of();
     const int64_t k = current.num_clusters();

@@ -24,9 +24,6 @@ namespace privrec::community {
 struct MergeSmallClustersOptions {
   // Clusters strictly smaller than this are merged away. 1 disables.
   int64_t min_size = 8;
-  // Safety bound on merge rounds (a merge can create a new small cluster
-  // only by pooling isolated ones, so a few rounds always suffice).
-  int max_rounds = 16;
 };
 
 // Returns a partition in which every cluster has at least

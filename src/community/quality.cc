@@ -38,18 +38,6 @@ CutVolume ComputeCutVolume(const graph::SocialGraph& g,
 
 }  // namespace
 
-double ClusterConductance(const graph::SocialGraph& g,
-                          const Partition& partition, int64_t cluster) {
-  PRIVREC_CHECK(partition.num_nodes() == g.num_nodes());
-  PRIVREC_CHECK(cluster >= 0 && cluster < partition.num_clusters());
-  CutVolume cv = ComputeCutVolume(g, partition);
-  double vol = cv.volume[static_cast<size_t>(cluster)];
-  double other = cv.total_volume - vol;
-  double denom = std::min(vol, other);
-  if (denom <= 0.0) return 0.0;
-  return cv.cut[static_cast<size_t>(cluster)] / denom;
-}
-
 PartitionQuality EvaluatePartitionQuality(const graph::SocialGraph& g,
                                           const Partition& partition) {
   PRIVREC_CHECK(partition.num_nodes() == g.num_nodes());

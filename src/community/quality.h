@@ -14,16 +14,13 @@
 
 namespace privrec::community {
 
-// Conductance of one cluster: cut(c) / min(vol(c), vol(complement)),
-// where vol is total degree and cut counts edges leaving the cluster.
-// 0 = perfectly separated; clusters with zero volume return 0.
-double ClusterConductance(const graph::SocialGraph& g,
-                          const Partition& partition, int64_t cluster);
-
 struct PartitionQuality {
   // Fraction of all edges that are intra-cluster.
   double coverage = 0.0;
-  // Mean / max conductance over clusters with nonzero volume.
+  // Mean / max conductance over clusters with nonzero volume. A cluster's
+  // conductance is cut(c) / min(vol(c), vol(complement)), where vol is
+  // total degree and cut counts edges leaving the cluster; 0 = perfectly
+  // separated.
   double mean_conductance = 0.0;
   double max_conductance = 0.0;
   // Standard modularity, for convenience.

@@ -4,17 +4,25 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/random.h"
 #include "core/recommender_factory.h"
-#include "dp/mechanisms.h"
 
 namespace privrec::core {
+
+namespace {
+
+// Rank-fusion smoothing constant (the standard RRF k).
+constexpr double kRrfK = 60.0;
+// Candidates taken from each component: max(top_n * multiple, 100).
+constexpr int64_t kCandidateMultiple = 4;
+
+}  // namespace
 
 HybridRecommender::HybridRecommender(const RecommenderContext& context,
                                      community::Partition partition,
                                      const HybridRecommenderOptions& options)
     : options_(options),
       cf_(context, {.epsilon = options.epsilon_cf,
-                    .tau = options.cf_tau,
                     .seed = SplitMix64(options.seed ^ 0xCF00)}) {
   RecommenderSpec social;
   social.mechanism = "Cluster";
@@ -26,27 +34,12 @@ HybridRecommender::HybridRecommender(const RecommenderContext& context,
   PRIVREC_CHECK_MSG(made.ok(), made.status().message().c_str());
   social_ = std::move(made).value();
   PRIVREC_CHECK(options_.alpha >= 0.0 && options_.alpha <= 1.0);
-  PRIVREC_CHECK(options_.rrf_k > 0.0);
-  PRIVREC_CHECK(options_.candidate_multiple >= 1);
-}
-
-double HybridRecommender::TotalEpsilon() const {
-  if (options_.epsilon_social == dp::kEpsilonInfinity ||
-      options_.epsilon_cf == dp::kEpsilonInfinity) {
-    return dp::kEpsilonInfinity;
-  }
-  // Sequential composition over the shared preference edges (Theorem 2);
-  // the accountant view: one group, two charges.
-  dp::PrivacyBudget budget(options_.epsilon_social + options_.epsilon_cf);
-  PRIVREC_CHECK(budget.Charge("preferences", options_.epsilon_social));
-  PRIVREC_CHECK(budget.Charge("preferences", options_.epsilon_cf));
-  return budget.Spent();
 }
 
 std::vector<RecommendationList> HybridRecommender::Recommend(
     const std::vector<graph::NodeId>& users, int64_t top_n) {
   const int64_t candidates =
-      std::max<int64_t>(top_n * options_.candidate_multiple, 100);
+      std::max<int64_t>(top_n * kCandidateMultiple, 100);
   std::vector<RecommendationList> social_lists =
       social_->Recommend(users, candidates);
   std::vector<RecommendationList> cf_lists =
@@ -59,13 +52,11 @@ std::vector<RecommendationList> HybridRecommender::Recommend(
     fused.clear();
     for (size_t p = 0; p < social_lists[k].size(); ++p) {
       fused[social_lists[k][p].item] +=
-          options_.alpha /
-          (options_.rrf_k + static_cast<double>(p) + 1.0);
+          options_.alpha / (kRrfK + static_cast<double>(p) + 1.0);
     }
     for (size_t p = 0; p < cf_lists[k].size(); ++p) {
       fused[cf_lists[k][p].item] +=
-          (1.0 - options_.alpha) /
-          (options_.rrf_k + static_cast<double>(p) + 1.0);
+          (1.0 - options_.alpha) / (kRrfK + static_cast<double>(p) + 1.0);
     }
     std::vector<std::pair<graph::ItemId, double>> entries(fused.begin(),
                                                           fused.end());

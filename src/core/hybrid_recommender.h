@@ -7,14 +7,14 @@
 //   - the non-social ItemCfRecommender (McSherry-Mironov style) at ε_cf.
 //
 // Both components read the SAME preference edges, so by sequential
-// composition (Theorem 2) the hybrid is (ε_social + ε_cf)-DP; the
-// internal PrivacyBudget accountant enforces exactly that.
+// composition (Theorem 2) the hybrid is (ε_social + ε_cf)-DP.
 //
 // Blending uses reciprocal-rank fusion over each component's top
-// candidates:  score(i) = α / (k0 + rank_social(i)) +
-//                         (1-α) / (k0 + rank_cf(i)),
-// which is scale-free (the two components' utilities are not
-// commensurable) and pure post-processing of the two sanitized rankings.
+// max(4·top_n, 100) candidates:
+//   score(i) = α / (k0 + rank_social(i)) + (1-α) / (k0 + rank_cf(i)),
+// with the standard RRF k0 = 60. The fusion is scale-free (the two
+// components' utilities are not commensurable) and pure post-processing
+// of the two sanitized rankings.
 
 #ifndef PRIVREC_CORE_HYBRID_RECOMMENDER_H_
 #define PRIVREC_CORE_HYBRID_RECOMMENDER_H_
@@ -25,7 +25,6 @@
 #include "community/partition.h"
 #include "core/item_cf_recommender.h"
 #include "core/recommender.h"
-#include "dp/budget.h"
 
 namespace privrec::core {
 
@@ -35,11 +34,6 @@ struct HybridRecommenderOptions {
   double epsilon_cf = 0.5;
   // Blend weight on the social component (1 = pure social, 0 = pure CF).
   double alpha = 0.5;
-  // Rank-fusion smoothing constant (the standard RRF k).
-  double rrf_k = 60.0;
-  // Candidates taken from each component: max(top_n * multiple, 100).
-  int64_t candidate_multiple = 4;
-  int64_t cf_tau = 20;
   uint64_t seed = 800;
 };
 
@@ -50,9 +44,6 @@ class HybridRecommender final : public Recommender {
                     const HybridRecommenderOptions& options);
 
   std::string Name() const override { return "Hybrid"; }
-
-  // The total guarantee: ε_social + ε_cf (∞ if either is ∞).
-  double TotalEpsilon() const;
 
   std::vector<RecommendationList> Recommend(
       const std::vector<graph::NodeId>& users, int64_t top_n) override;

@@ -45,7 +45,7 @@ Dataset MakeSyntheticLastFm(const SyntheticLastFmOptions& options) {
 
   graph::PreferenceGeneratorOptions prefs;
   prefs.num_items = options.num_items;
-  prefs.mean_prefs_per_user = options.mean_prefs;
+  prefs.mean_prefs_per_user = 48.7;  // Table 1: 48.7 (std 6.9)
   prefs.stddev_prefs_per_user = 6.9;
   prefs.homophily = options.homophily;
   prefs.personal_taste = options.personal_taste;
@@ -70,7 +70,7 @@ Dataset MakeSyntheticFlixster(const SyntheticFlixsterOptions& options) {
 
   graph::PreferenceGeneratorOptions prefs;
   prefs.num_items = options.num_items;
-  prefs.mean_prefs_per_user = options.mean_prefs;
+  prefs.mean_prefs_per_user = 54.8;  // Table 1: 54.8 per user
   prefs.stddev_prefs_per_user = 20.0;  // Flixster rating counts vary widely
   prefs.homophily = options.homophily;
   prefs.personal_taste = options.personal_taste;

@@ -21,7 +21,6 @@ struct SyntheticLastFmOptions {
   int64_t num_users = 1892;
   int64_t num_items = 17632;
   double mean_degree = 13.4;       // Table 1: 13.4 (std 17.3)
-  double mean_prefs = 48.7;        // Table 1: 48.7 (std 6.9)
   int64_t num_communities = 16;    // Section 6.2: 16 main-component clusters
   int64_t num_small_components = 19;  // Section 6.1: 19 components of 2-7
   double mixing = 0.12;
@@ -50,7 +49,6 @@ struct SyntheticFlixsterOptions {
   int64_t num_users = 137372;
   int64_t num_items = 48756;
   double mean_degree = 18.5;       // Table 1: 18.5 (std 31.1)
-  double mean_prefs = 54.8;        // Table 1: 54.8 per user
   int64_t num_communities = 46;    // Section 6.2: 46 clusters
   double mixing = 0.12;
   // Flixster's approximation error is smaller than Last.fm's (< 0.1 vs

@@ -31,9 +31,8 @@ AuditResult AuditDpRatio(const std::function<double()>& sample_world1,
 
   AuditResult result;
   result.bound = std::exp(epsilon) * options.slack;
-  int first = options.skip_edge_bins ? 1 : 0;
-  int last = options.num_bins - (options.skip_edge_bins ? 1 : 0);
-  for (int b = first; b < last; ++b) {
+  // The first and last bins are clamped tails: never checked.
+  for (int b = 1; b < options.num_bins - 1; ++b) {
     if (h1.bin_count(b) < options.min_bin_count ||
         h2.bin_count(b) < options.min_bin_count) {
       continue;

@@ -8,8 +8,8 @@
 // exceeds the bound on well-populated bins is broken.
 //
 // The clamped edge bins aggregate tail mass whose true ratio sits exactly
-// at e^ε for Laplace-style mechanisms; they are skipped by default
-// because sampling noise there flags false positives.
+// at e^ε for Laplace-style mechanisms; they are never checked, because
+// sampling noise there flags false positives.
 
 #ifndef PRIVREC_DP_AUDIT_H_
 #define PRIVREC_DP_AUDIT_H_
@@ -31,8 +31,6 @@ struct AuditOptions {
   int64_t min_bin_count = 300;
   // Multiplicative slack on e^eps for sampling noise.
   double slack = 1.15;
-  // Skip the first/last (clamped) bins.
-  bool skip_edge_bins = true;
 };
 
 struct AuditResult {

@@ -1,7 +1,6 @@
 #include "dp/mechanisms.h"
 
 #include <cmath>
-#include <limits>
 
 #include "common/macros.h"
 
@@ -20,68 +19,6 @@ double LaplaceMechanism::Release(double value, double sensitivity) {
   if (epsilon_ == kEpsilonInfinity) return value;
   PRIVREC_CHECK(sensitivity > 0.0);
   return value + rng_.Laplace(sensitivity / epsilon_);
-}
-
-std::vector<double> LaplaceMechanism::ReleaseVector(
-    const std::vector<double>& values, double sensitivity) {
-  std::vector<double> out(values.size());
-  for (size_t k = 0; k < values.size(); ++k) {
-    out[k] = Release(values[k], sensitivity);
-  }
-  return out;
-}
-
-double LaplaceMechanism::ExpectedAbsoluteError(double sensitivity) const {
-  if (epsilon_ == kEpsilonInfinity) return 0.0;
-  return sensitivity / epsilon_;
-}
-
-ExponentialMechanism::ExponentialMechanism(double epsilon, Rng rng)
-    : epsilon_(epsilon), rng_(rng) {
-  PRIVREC_CHECK_MSG(IsValidEpsilon(epsilon), "epsilon must be > 0 or inf");
-}
-
-int64_t ExponentialMechanism::Select(const std::vector<double>& qualities,
-                                     double sensitivity) {
-  PRIVREC_CHECK(!qualities.empty());
-  if (epsilon_ == kEpsilonInfinity) {
-    int64_t best = 0;
-    for (size_t k = 1; k < qualities.size(); ++k) {
-      if (qualities[k] > qualities[static_cast<size_t>(best)]) {
-        best = static_cast<int64_t>(k);
-      }
-    }
-    return best;
-  }
-  PRIVREC_CHECK(sensitivity > 0.0);
-  // Gumbel-max trick: argmax of (eps*q/(2Δ) + Gumbel noise) samples the
-  // exponential-mechanism distribution without normalizing.
-  int64_t best = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
-  const double scale = epsilon_ / (2.0 * sensitivity);
-  for (size_t k = 0; k < qualities.size(); ++k) {
-    double u = rng_.UniformDouble();
-    if (u <= 0.0) u = 0x1.0p-53;
-    double gumbel = -std::log(-std::log(u));
-    double score = scale * qualities[k] + gumbel;
-    if (score > best_score) {
-      best_score = score;
-      best = static_cast<int64_t>(k);
-    }
-  }
-  return best;
-}
-
-GeometricMechanism::GeometricMechanism(double epsilon, Rng rng)
-    : epsilon_(epsilon), rng_(rng) {
-  PRIVREC_CHECK_MSG(IsValidEpsilon(epsilon), "epsilon must be > 0 or inf");
-}
-
-int64_t GeometricMechanism::Release(int64_t value, int64_t sensitivity) {
-  if (epsilon_ == kEpsilonInfinity) return value;
-  PRIVREC_CHECK(sensitivity >= 1);
-  double alpha = std::exp(-epsilon_ / static_cast<double>(sensitivity));
-  return value + rng_.TwoSidedGeometric(alpha);
 }
 
 }  // namespace privrec::dp

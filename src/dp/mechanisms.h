@@ -4,16 +4,11 @@
 // coordinate of a Δ-sensitive query makes it ε-differentially private.
 // Epsilon may be infinity, in which case no noise is added (the paper's
 // ε = ∞ configurations, used to isolate approximation error).
-//
-// GeometricMechanism is the integer-valued analogue (two-sided geometric
-// noise with α = exp(-ε/Δ)); provided for completeness and tests.
 
 #ifndef PRIVREC_DP_MECHANISMS_H_
 #define PRIVREC_DP_MECHANISMS_H_
 
-#include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "common/random.h"
 
@@ -37,52 +32,6 @@ class LaplaceMechanism {
   // Releases value + Lap(sensitivity / ε). Requires sensitivity > 0 unless
   // ε = ∞ (where it is ignored).
   double Release(double value, double sensitivity);
-
-  // Releases a vector of values under a shared per-coordinate sensitivity
-  // (independent noise per coordinate).
-  std::vector<double> ReleaseVector(const std::vector<double>& values,
-                                    double sensitivity);
-
-  // The expected absolute error of one release: sensitivity / ε (the mean
-  // of |Lap(b)| is b); 0 when ε = ∞.
-  double ExpectedAbsoluteError(double sensitivity) const;
-
- private:
-  double epsilon_;
-  Rng rng_;
-};
-
-// The exponential mechanism (McSherry & Talwar 2007): selects one of d
-// candidates with probability proportional to exp(eps * q / (2 * Δq)),
-// where q is the candidate's quality score and Δq the quality
-// sensitivity. Provided as a standard primitive (the paper's framework
-// releases numeric averages, but selection tasks built on this library —
-// e.g. picking a single item to promote — need it).
-class ExponentialMechanism {
- public:
-  ExponentialMechanism(double epsilon, Rng rng);
-
-  double epsilon() const { return epsilon_; }
-
-  // Returns the index of the selected candidate. Requires non-empty
-  // qualities and sensitivity > 0 (unless eps = inf, which returns the
-  // argmax with smallest-index tie-break).
-  int64_t Select(const std::vector<double>& qualities, double sensitivity);
-
- private:
-  double epsilon_;
-  Rng rng_;
-};
-
-class GeometricMechanism {
- public:
-  GeometricMechanism(double epsilon, Rng rng);
-
-  double epsilon() const { return epsilon_; }
-
-  // Releases value + two-sided-geometric noise for an integer query with
-  // integer sensitivity >= 1.
-  int64_t Release(int64_t value, int64_t sensitivity);
 
  private:
   double epsilon_;

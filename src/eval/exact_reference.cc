@@ -19,13 +19,12 @@ ExactReference ExactReference::Compute(
   ref.users_ = users;
   ref.max_n_ = max_n;
   ref.rows_.resize(users.size());
-  ref.ideal_lists_.resize(users.size());
   ref.ideal_dcg_prefix_.resize(users.size());
   for (size_t k = 0; k < users.size(); ++k) {
     ref.index_[users[k]] = static_cast<int64_t>(k);
   }
 
-  // Per-user rows/lists/prefix DCGs are independent; each slot is written
+  // Per-user rows and prefix DCGs are independent; each slot is written
   // exactly once by the chunk that owns it.
   Status run = ParallelFor(
       static_cast<int64_t>(users.size()),
@@ -48,7 +47,6 @@ ExactReference ExactReference::Compute(
             prefix[p + 1] = prefix[p];
           }
           ref.rows_[static_cast<size_t>(k)] = std::move(row);
-          ref.ideal_lists_[static_cast<size_t>(k)] = std::move(ideal);
           ref.ideal_dcg_prefix_[static_cast<size_t>(k)] = std::move(prefix);
         }
       });
@@ -71,14 +69,6 @@ double ExactReference::IdealUtility(graph::NodeId u, graph::ItemId i) const {
       });
   if (it == row.end() || it->first != i) return 0.0;
   return it->second;
-}
-
-core::RecommendationList ExactReference::IdealList(graph::NodeId u,
-                                                   int64_t n) const {
-  const core::RecommendationList& full =
-      ideal_lists_[static_cast<size_t>(IndexOf(u))];
-  int64_t keep = std::min<int64_t>(n, static_cast<int64_t>(full.size()));
-  return core::RecommendationList(full.begin(), full.begin() + keep);
 }
 
 double ExactReference::IdealDcg(graph::NodeId u, int64_t n) const {

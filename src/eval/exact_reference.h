@@ -1,7 +1,7 @@
 // ExactReference: the non-private recommender's answers, precomputed once
 // per (dataset, measure) and reused across every ε / trial — the ideal
-// utilities μ_u^i, the ideal top-N lists R_u^N, and the ideal DCG@N
-// denominators of Equation 2.
+// utilities μ_u^i and the ideal DCG@N denominators of Equation 2 (the DCG
+// of the ideal top-N list R_u^N).
 
 #ifndef PRIVREC_EVAL_EXACT_REFERENCE_H_
 #define PRIVREC_EVAL_EXACT_REFERENCE_H_
@@ -18,8 +18,8 @@ namespace privrec::eval {
 
 class ExactReference {
  public:
-  // Precomputes rows / lists / DCGs for `users`, with ideal lists kept up
-  // to length `max_n` (use the largest N of the experiment).
+  // Precomputes rows and ideal DCGs for `users`, up to N = `max_n` (use
+  // the largest N of the experiment).
   static ExactReference Compute(const core::RecommenderContext& context,
                                 const std::vector<graph::NodeId>& users,
                                 int64_t max_n);
@@ -30,9 +30,6 @@ class ExactReference {
   // Ideal utility μ_u^i; 0 for items outside u's utility row. u must be
   // one of the precomputed users.
   double IdealUtility(graph::NodeId u, graph::ItemId i) const;
-
-  // The ideal (non-private) top-min(n, max_n) list of u.
-  core::RecommendationList IdealList(graph::NodeId u, int64_t n) const;
 
   // Ideal DCG@n (denominator of Equation 2).
   double IdealDcg(graph::NodeId u, int64_t n) const;
@@ -53,8 +50,6 @@ class ExactReference {
   int64_t max_n_ = 0;
   // Per user: sparse ideal utility row sorted by item id.
   std::vector<std::vector<std::pair<graph::ItemId, double>>> rows_;
-  // Per user: ideal list (length <= max_n).
-  std::vector<core::RecommendationList> ideal_lists_;
   // Per user: prefix DCGs of the ideal list; ideal_dcg_[u][n] = DCG@n,
   // n in [0, max_n].
   std::vector<std::vector<double>> ideal_dcg_prefix_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace privrec::eval {
 
@@ -24,31 +23,6 @@ double Dcg(const core::RecommendationList& list,
 double NdcgFromDcg(double dcg, double ideal_dcg) {
   if (ideal_dcg <= 0.0) return 1.0;
   return dcg / ideal_dcg;
-}
-
-double PrecisionAtN(const core::RecommendationList& recommended,
-                    const core::RecommendationList& relevant) {
-  if (recommended.empty()) return 0.0;
-  std::unordered_set<graph::ItemId> truth;
-  for (const core::Recommendation& r : relevant) truth.insert(r.item);
-  int64_t hits = 0;
-  for (const core::Recommendation& r : recommended) {
-    if (truth.count(r.item)) ++hits;
-  }
-  return static_cast<double>(hits) /
-         static_cast<double>(recommended.size());
-}
-
-double RecallAtN(const core::RecommendationList& recommended,
-                 const core::RecommendationList& relevant) {
-  if (relevant.empty()) return 0.0;
-  std::unordered_set<graph::ItemId> truth;
-  for (const core::Recommendation& r : relevant) truth.insert(r.item);
-  int64_t hits = 0;
-  for (const core::Recommendation& r : recommended) {
-    if (truth.count(r.item)) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(relevant.size());
 }
 
 }  // namespace privrec::eval

@@ -29,13 +29,6 @@ double Dcg(const core::RecommendationList& list,
 // NDCG = dcg / ideal_dcg with the 0/0 -> 1 convention.
 double NdcgFromDcg(double dcg, double ideal_dcg);
 
-// Precision@N and Recall@N against a ground-truth relevant set — provided
-// to reproduce the paper's Section 2.4 argument for preferring NDCG.
-double PrecisionAtN(const core::RecommendationList& recommended,
-                    const core::RecommendationList& relevant);
-double RecallAtN(const core::RecommendationList& recommended,
-                 const core::RecommendationList& relevant);
-
 }  // namespace privrec::eval
 
 #endif  // PRIVREC_EVAL_NDCG_H_

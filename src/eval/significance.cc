@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/macros.h"
-#include "common/random.h"
 #include "common/stats.h"
 
 namespace privrec::eval {
@@ -103,32 +102,6 @@ WelchResult WelchTTest(const std::vector<double>& a,
   result.p_value = StudentTTwoSidedPValue(result.t_statistic,
                                           result.degrees_of_freedom);
   return result;
-}
-
-BootstrapInterval BootstrapMeanInterval(const std::vector<double>& samples,
-                                        double confidence,
-                                        int64_t resamples, uint64_t seed) {
-  PRIVREC_CHECK(!samples.empty());
-  PRIVREC_CHECK(confidence > 0.0 && confidence < 1.0);
-  PRIVREC_CHECK(resamples >= 10);
-  Rng rng(seed);
-  std::vector<double> means;
-  means.reserve(static_cast<size_t>(resamples));
-  double total = 0.0;
-  for (double x : samples) total += x;
-  for (int64_t r = 0; r < resamples; ++r) {
-    double acc = 0.0;
-    for (size_t k = 0; k < samples.size(); ++k) {
-      acc += samples[rng.UniformInt(samples.size())];
-    }
-    means.push_back(acc / static_cast<double>(samples.size()));
-  }
-  double alpha = (1.0 - confidence) / 2.0;
-  BootstrapInterval interval;
-  interval.mean = total / static_cast<double>(samples.size());
-  interval.lower = Percentile(means, 100.0 * alpha);
-  interval.upper = Percentile(means, 100.0 * (1.0 - alpha));
-  return interval;
 }
 
 }  // namespace privrec::eval

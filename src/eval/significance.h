@@ -1,5 +1,5 @@
-// Statistical significance helpers for mechanism comparisons: Welch's
-// unequal-variance t-test and a seeded bootstrap confidence interval.
+// Statistical significance helper for mechanism comparisons: Welch's
+// unequal-variance t-test.
 // Used by the benches to say "A beats B" with error bars instead of bare
 // means (the paper reports means of 10 trials; these make the trial
 // variance explicit).
@@ -7,7 +7,6 @@
 #ifndef PRIVREC_EVAL_SIGNIFICANCE_H_
 #define PRIVREC_EVAL_SIGNIFICANCE_H_
 
-#include <cstdint>
 #include <vector>
 
 namespace privrec::eval {
@@ -25,18 +24,6 @@ struct WelchResult {
 // Requires at least two samples per side.
 WelchResult WelchTTest(const std::vector<double>& a,
                        const std::vector<double>& b);
-
-struct BootstrapInterval {
-  double lower = 0.0;
-  double upper = 0.0;
-  double mean = 0.0;
-};
-
-// Percentile bootstrap CI for the mean of `samples` at the given
-// confidence (e.g. 0.95). Deterministic given the seed.
-BootstrapInterval BootstrapMeanInterval(const std::vector<double>& samples,
-                                        double confidence,
-                                        int64_t resamples, uint64_t seed);
 
 // Student-t two-sided tail probability P(|T_df| >= |t|). Exposed for
 // tests; exact via the regularized incomplete beta function.

@@ -92,12 +92,14 @@ PlantedPartitionResult GeneratePlantedPartition(
   PRIVREC_CHECK(options.degree_exponent > 1.0);
   Rng rng(options.seed);
 
-  // Carve out the tiny components first.
+  // Carve out the tiny components first, 2-7 nodes each (inclusive).
+  constexpr int64_t kSmallComponentMinSize = 2;
+  constexpr int64_t kSmallComponentMaxSize = 7;
   std::vector<int64_t> small_sizes;
   int64_t small_total = 0;
   for (int64_t k = 0; k < options.num_small_components; ++k) {
-    int64_t size = rng.UniformInt(options.small_component_min_size,
-                                  options.small_component_max_size);
+    int64_t size =
+        rng.UniformInt(kSmallComponentMinSize, kSmallComponentMaxSize);
     small_sizes.push_back(size);
     small_total += size;
   }

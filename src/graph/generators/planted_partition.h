@@ -49,11 +49,9 @@ struct PlantedPartitionOptions {
   // sub-community (only meaningful when sub_communities_per_community
   // > 1; higher = weaker sub-structure).
   double sub_mixing = 0.5;
-  // Number of extra tiny components appended after the main graph.
+  // Number of extra tiny components of 2-7 nodes appended after the main
+  // graph.
   int64_t num_small_components = 0;
-  // Size range for the tiny components (inclusive).
-  int64_t small_component_min_size = 2;
-  int64_t small_component_max_size = 7;
   uint64_t seed = 42;
 };
 

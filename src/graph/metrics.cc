@@ -77,18 +77,6 @@ double GlobalClusteringCoefficient(const SocialGraph& g) {
   return static_cast<double>(closed) / static_cast<double>(triples);
 }
 
-double AverageLocalClusteringCoefficient(const SocialGraph& g) {
-  if (g.num_nodes() == 0) return 0.0;
-  double acc = 0.0;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    int64_t d = g.Degree(u);
-    if (d < 2) continue;
-    double possible = static_cast<double>(d * (d - 1)) / 2.0;
-    acc += static_cast<double>(TrianglesAt(g, u)) / possible;
-  }
-  return acc / static_cast<double>(g.num_nodes());
-}
-
 PathLengthStats SampleShortestPaths(const SocialGraph& g,
                                     int64_t num_sources, uint64_t seed) {
   PathLengthStats stats;

@@ -24,10 +24,6 @@ uint64_t DatasetFingerprint(const SocialGraph& social,
 // 0 on graphs without triples.
 double GlobalClusteringCoefficient(const SocialGraph& g);
 
-// Average local clustering coefficient (Watts-Strogatz definition;
-// degree < 2 nodes contribute 0).
-double AverageLocalClusteringCoefficient(const SocialGraph& g);
-
 struct PathLengthStats {
   // Mean shortest-path distance over sampled connected pairs.
   double average_distance = 0.0;

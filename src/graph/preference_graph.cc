@@ -1,7 +1,6 @@
 #include "graph/preference_graph.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace privrec::graph {
 
@@ -133,22 +132,6 @@ std::vector<std::pair<NodeId, ItemId>> PreferenceGraph::Edges() const {
     for (ItemId i : ItemsOf(u)) out.emplace_back(u, i);
   }
   return out;
-}
-
-double PreferenceGraph::AverageItemDegree() const {
-  if (num_items_ == 0) return 0.0;
-  return static_cast<double>(num_edges()) / static_cast<double>(num_items_);
-}
-
-double PreferenceGraph::ItemDegreeStddev() const {
-  if (num_items_ == 0) return 0.0;
-  double mean = AverageItemDegree();
-  double acc = 0.0;
-  for (ItemId i = 0; i < num_items_; ++i) {
-    double d = static_cast<double>(ItemDegree(i)) - mean;
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(num_items_));
 }
 
 double PreferenceGraph::AverageUserDegree() const {

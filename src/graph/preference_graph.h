@@ -118,8 +118,6 @@ class PreferenceGraph {
   // Unweighted view of the edges.
   std::vector<std::pair<NodeId, ItemId>> Edges() const;
 
-  double AverageItemDegree() const;
-  double ItemDegreeStddev() const;
   double AverageUserDegree() const;
 
   // 1 - |E_p| / (|U| * |I|), as reported in Table 1.

@@ -41,19 +41,6 @@ DenseMatrix DenseMatrix::TransposeMultiply(const DenseMatrix& other) const {
   return out;
 }
 
-std::vector<double> DenseMatrix::MultiplyVector(
-    const std::vector<double>& v) const {
-  PRIVREC_CHECK(static_cast<int64_t>(v.size()) == cols_);
-  std::vector<double> out(static_cast<size_t>(rows_), 0.0);
-  for (int64_t i = 0; i < rows_; ++i) {
-    const double* row = RowPtr(i);
-    double acc = 0.0;
-    for (int64_t j = 0; j < cols_; ++j) acc += row[j] * v[j];
-    out[static_cast<size_t>(i)] = acc;
-  }
-  return out;
-}
-
 DenseMatrix DenseMatrix::Transpose() const {
   DenseMatrix out(cols_, rows_);
   for (int64_t i = 0; i < rows_; ++i) {

@@ -43,9 +43,6 @@ class DenseMatrix {
   // this^T * other. Requires rows() == other.rows().
   DenseMatrix TransposeMultiply(const DenseMatrix& other) const;
 
-  // this * v. Requires v.size() == cols().
-  std::vector<double> MultiplyVector(const std::vector<double>& v) const;
-
   DenseMatrix Transpose() const;
 
   double FrobeniusNorm() const;

@@ -100,11 +100,15 @@ SvdResult JacobiSvd(const DenseMatrix& a) {
 }
 
 SvdResult RandomizedSvd(const DenseMatrix& a, const SvdOptions& options) {
+  // Extra random probes for range accuracy, and subspace iterations
+  // (they sharpen a slowly decaying spectrum).
+  constexpr int64_t kOversampling = 8;
+  constexpr int kPowerIterations = 2;
   PRIVREC_CHECK(options.rank > 0);
   const int64_t m = a.rows();
   const int64_t n = a.cols();
   const int64_t r = std::min({options.rank, m, n});
-  const int64_t p = std::min(r + options.oversampling, std::min(m, n));
+  const int64_t p = std::min(r + kOversampling, std::min(m, n));
 
   // Stage A: find an orthonormal basis Q for the range of A using random
   // Gaussian probes, with power iterations to sharpen the spectrum.
@@ -115,7 +119,7 @@ SvdResult RandomizedSvd(const DenseMatrix& a, const SvdOptions& options) {
   }
   DenseMatrix y = a.Multiply(omega);  // m x p
   DenseMatrix q = HouseholderQ(y);
-  for (int it = 0; it < options.power_iterations; ++it) {
+  for (int it = 0; it < kPowerIterations; ++it) {
     DenseMatrix z = a.TransposeMultiply(q);  // n x p
     DenseMatrix qz = HouseholderQ(z);
     y = a.Multiply(qz);  // m x p
@@ -149,18 +153,6 @@ SvdResult RandomizedSvd(const DenseMatrix& a, const SvdOptions& options) {
     out.singular_values.resize(static_cast<size_t>(r));
   }
   return out;
-}
-
-int64_t NumericalRank(const std::vector<double>& singular_values,
-                      double tol) {
-  if (singular_values.empty()) return 0;
-  double max_sv = *std::max_element(singular_values.begin(),
-                                    singular_values.end());
-  int64_t rank = 0;
-  for (double sv : singular_values) {
-    if (sv > tol * max_sv) ++rank;
-  }
-  return rank;
 }
 
 }  // namespace privrec::la

@@ -23,9 +23,7 @@ struct SvdResult {
 };
 
 struct SvdOptions {
-  int64_t rank = 0;          // target rank r (required, > 0)
-  int64_t oversampling = 8;  // extra random probes for range accuracy
-  int power_iterations = 2;  // subspace iterations (improves spectra decay)
+  int64_t rank = 0;  // target rank r (required, > 0)
   uint64_t seed = 1;
 };
 
@@ -36,9 +34,6 @@ SvdResult RandomizedSvd(const DenseMatrix& a, const SvdOptions& options);
 // Exact one-sided Jacobi SVD for small dense matrices (used internally and
 // directly by tests). O(m n^2) per sweep.
 SvdResult JacobiSvd(const DenseMatrix& a);
-
-// Numerical rank: number of singular values > tol * max singular value.
-int64_t NumericalRank(const std::vector<double>& singular_values, double tol);
 
 }  // namespace privrec::la
 

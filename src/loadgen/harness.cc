@@ -31,6 +31,9 @@ LoadHarness::LoadHarness(serve::ServeRuntime* runtime, LoadOracle* oracle,
 
 int64_t LoadHarness::ServiceMs(size_t index,
                                const serve::ServeRequest& request) const {
+  // The model's per-user cost and jitter width, ms.
+  constexpr double kPerUserMs = 0.5;
+  constexpr double kJitterMs = 1.0;
   // Keyed by (seed, index) so the virtual service time of request i never
   // depends on execution order.
   Rng rng(SplitMix64(options_.load.seed ^
@@ -38,9 +41,8 @@ int64_t LoadHarness::ServiceMs(size_t index,
                      static_cast<uint64_t>(index)));
   const double ms =
       options_.service_base_ms +
-      options_.service_per_user_ms *
-          static_cast<double>(request.users.size()) +
-      rng.UniformDouble() * options_.service_jitter_ms;
+      kPerUserMs * static_cast<double>(request.users.size()) +
+      rng.UniformDouble() * kJitterMs;
   return std::max<int64_t>(1, static_cast<int64_t>(std::llround(ms)));
 }
 

@@ -65,11 +65,9 @@ struct LoadRunOptions {
   LoadSpec load;
   SwapStormSpec storm;
   // Virtual service-time model: a slot is held for
-  //   base + per_user * |users| + U[0, jitter)
+  //   base + 0.5 * |users| + U[0, 1)
   // milliseconds, the uniform draw keyed by (seed, request index).
   double service_base_ms = 2.0;
-  double service_per_user_ms = 0.5;
-  double service_jitter_ms = 1.0;
   // Request threads for RunWall.
   int64_t wall_threads = 4;
 };

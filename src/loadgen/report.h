@@ -68,9 +68,9 @@ struct SloBudget {
   // Ceilings on shed / rollback fractions; < 0 disables.
   double max_shed_rate = -1.0;
   double max_rollback_rate = -1.0;
-  // Zero-tolerance lines, always on unless explicitly relaxed.
+  // Zero-tolerance line, always on unless explicitly relaxed. A run that
+  // served no request ok always fails.
   bool require_no_violations = true;
-  int64_t min_ok = 1;
 };
 
 struct SloVerdict {

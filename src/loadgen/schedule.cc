@@ -53,9 +53,9 @@ std::vector<ScheduledRequest> BuildSchedule(const LoadSpec& spec) {
     r.request.top_n =
         shape.UniformInt(static_cast<int64_t>(1),
                          std::max<int64_t>(1, spec.top_n));
-    r.request.deadline_ms = shape.Bernoulli(spec.short_fraction)
+    r.request.deadline_ms = shape.Bernoulli(kShortDeadlineFraction)
                                 ? spec.deadline_short_ms
-                                : spec.deadline_long_ms;
+                                : kDeadlineLongMs;
     // Wide-event id = 1-based schedule index: a property of the
     // schedule, not of execution order, so the sampled-event set is
     // identical in virtual and wall mode at every thread count.

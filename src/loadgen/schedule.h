@@ -23,6 +23,11 @@
 
 namespace privrec::loadgen {
 
+// Deadline mix: this fraction of traffic runs on LoadSpec's tight budget
+// (`deadline_short_ms`), the rest on kDeadlineLongMs.
+constexpr double kShortDeadlineFraction = 0.25;
+constexpr int64_t kDeadlineLongMs = 400;
+
 struct LoadSpec {
   // Base arrival rate, requests per second (open loop, Poisson).
   double rps = 2000.0;
@@ -41,11 +46,8 @@ struct LoadSpec {
   // top_n is drawn uniformly in [1, top_n].
   int64_t top_n = 5;
 
-  // Deadline mix: a `short_fraction` slice of traffic runs on the tight
-  // budget, the rest on the long one.
-  double short_fraction = 0.25;
+  // The tight deadline of the kShortDeadlineFraction slice.
   int64_t deadline_short_ms = 30;
-  int64_t deadline_long_ms = 400;
 
   // Burst waveform: within every `burst_period_ms` window the first
   // `burst_duration_ms` run at rps * burst_factor. period <= 0 disables

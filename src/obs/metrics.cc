@@ -5,15 +5,6 @@
 
 namespace privrec::obs {
 
-std::vector<double> LinearBuckets(double start, double width, int count) {
-  std::vector<double> bounds;
-  bounds.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    bounds.push_back(start + width * static_cast<double>(i));
-  }
-  return bounds;
-}
-
 std::vector<double> ExponentialBuckets(double start, double factor,
                                        int count) {
   std::vector<double> bounds;

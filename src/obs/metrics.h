@@ -36,7 +36,6 @@ namespace privrec::obs {
 // Upper-bound helpers for histogram registration. The returned vector is
 // strictly increasing; values above the last bound land in an implicit
 // overflow bucket.
-std::vector<double> LinearBuckets(double start, double width, int count);
 std::vector<double> ExponentialBuckets(double start, double factor,
                                        int count);
 

@@ -58,7 +58,7 @@ struct SpanRecord {
   // Key/value annotations attached via SpanScope::Arg (request id, epoch,
   // shard ids, ...), exported verbatim into the Chrome trace "args" block
   // so traces link to the wide-event JSONL stream.
-  std::vector<std::pair<std::string, std::string>> args;
+  std::vector<std::pair<std::string, std::string>> args{};
 };
 
 }  // namespace privrec::obs

@@ -184,97 +184,4 @@ std::string StatuszText(const RuntimeIntrospection& status) {
   return out;
 }
 
-std::string StatuszJson(const RuntimeIntrospection& status) {
-  using obs::JsonEscape;
-  using obs::JsonNumber;
-  std::string out = "{\n";
-  out += "  \"now_ms\": " + std::to_string(status.now_ms) + ",\n";
-
-  out += "  \"epoch\": ";
-  if (status.has_epoch) {
-    out += "{\"epoch\": " + std::to_string(status.epoch) +
-           ", \"artifact_seed\": " +
-           std::to_string(status.artifact_seed) +
-           ", \"epsilon\": " + JsonNumber(status.epsilon) +
-           ", \"ledger_id\": \"" + JsonEscape(status.ledger_id) +
-           "\", \"num_users\": " + std::to_string(status.num_users) +
-           ", \"num_items\": " + std::to_string(status.num_items) +
-           ", \"num_clusters\": " + std::to_string(status.num_clusters) +
-           ", \"mapped\": " + (status.mapped ? "true" : "false") +
-           ", \"shard_count\": " + std::to_string(status.shard_count) +
-           ", \"shard_users\": [";
-    for (size_t s = 0; s < status.shard_users.size(); ++s) {
-      if (s > 0) out += ", ";
-      out += std::to_string(status.shard_users[s]);
-    }
-    out += "]}";
-  } else {
-    out += "null";
-  }
-  out += ",\n";
-
-  out += "  \"swap\": {\"swaps\": " + std::to_string(status.swaps) +
-         ", \"rollbacks\": " + std::to_string(status.rollbacks) +
-         ", \"last_error\": \"" + JsonEscape(status.last_swap_error) +
-         "\"},\n";
-  out += "  \"breaker\": {\"state\": \"" +
-         JsonEscape(status.breaker_state) +
-         "\", \"consecutive_failures\": " +
-         std::to_string(status.breaker_failures) +
-         ", \"retry_after_ms\": " +
-         std::to_string(status.breaker_retry_after_ms) + "},\n";
-  out += "  \"admission\": {\"in_flight\": " +
-         std::to_string(status.admission_in_flight) +
-         ", \"max_concurrency\": " +
-         std::to_string(status.admission_max_concurrency) +
-         ", \"waiting\": " + std::to_string(status.admission_waiting) +
-         ", \"queue_depth\": " +
-         std::to_string(status.admission_queue_depth) +
-         ", \"hold_ms\": " + JsonNumber(status.admission_hold_ms) +
-         ", \"retry_hint_ms\": " +
-         std::to_string(status.admission_retry_hint_ms) + "},\n";
-
-  out += "  \"kernels\": {\"dispatch\": \"" +
-         JsonEscape(status.kernel_dispatch) + "\"},\n";
-
-  out += "  \"epsilon_gauges\": {";
-  for (size_t i = 0; i < status.epsilon_gauges.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\"" + JsonEscape(status.epsilon_gauges[i].name) + "\": " +
-           JsonNumber(status.epsilon_gauges[i].value);
-  }
-  out += "},\n";
-  out += "  \"serve_counters\": {";
-  for (size_t i = 0; i < status.serve_counters.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\"" + JsonEscape(status.serve_counters[i].name) + "\": " +
-           std::to_string(status.serve_counters[i].value);
-  }
-  out += "},\n";
-
-  out += "  \"telemetry\": ";
-  if (status.has_telemetry) {
-    out += "{\"recorded\": " + std::to_string(status.telemetry_recorded) +
-           ", \"sampled\": " + std::to_string(status.telemetry_sampled) +
-           ", \"dropped\": " + std::to_string(status.telemetry_dropped) +
-           ", \"window_breaches\": " +
-           std::to_string(status.window_breaches) +
-           ", \"burn_rate\": " + JsonNumber(status.burn_rate) +
-           ", \"last_window\": ";
-    out += status.has_last_window
-               ? obs::WindowStatsToJson(status.last_window)
-               : "null";
-    out += ", \"recent_alerts\": [";
-    for (size_t i = 0; i < status.recent_alerts.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += obs::WindowAlertToJson(status.recent_alerts[i]);
-    }
-    out += "]}";
-  } else {
-    out += "null";
-  }
-  out += "\n}\n";
-  return out;
-}
-
 }  // namespace privrec::serve

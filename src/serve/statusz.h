@@ -1,6 +1,5 @@
 // The statusz surface: a point-in-time introspection snapshot of a
-// serving runtime, rendered as a human-readable text page or a JSON
-// document.
+// serving runtime, rendered as a human-readable text page.
 //
 // RuntimeIntrospection gathers what an operator needs at a glance —
 // pinned epoch identity (epoch number, provenance seed, ε, ledger id),
@@ -86,10 +85,8 @@ struct RuntimeIntrospection {
   std::vector<obs::WindowAlert> recent_alerts;
 };
 
-// Renderers. Text is the human statusz page; JSON nests the same fields
-// for machine consumption (%.17g doubles, like every privrec exporter).
+// Renders the human statusz page.
 std::string StatuszText(const RuntimeIntrospection& status);
-std::string StatuszJson(const RuntimeIntrospection& status);
 
 }  // namespace privrec::serve
 

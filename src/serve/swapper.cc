@@ -12,6 +12,9 @@ namespace privrec::serve {
 
 namespace {
 
+// The list length the self-check probe requests.
+constexpr int64_t kProbeTopN = 10;
+
 obs::Counter& SwapCounter() {
   static obs::Counter& c = obs::GetCounter("privrec.serve.swap_total");
   return c;
@@ -72,14 +75,14 @@ Status ArtifactSwapper::ProbeCandidate(EpochSnapshot* candidate) const {
   if (probe.empty()) return Status::Ok();
 
   core::RecommendedBatch batch =
-      candidate->recommender->Recommend(probe, policy_.probe_top_n);
+      candidate->recommender->Recommend(probe, kProbeTopN);
   if (batch.lists.size() != probe.size() ||
       batch.degradation.size() != probe.size()) {
     return Status::FailedPrecondition(
         "self-check probe: batch shape does not match the probe request");
   }
   for (const core::RecommendationList& list : batch.lists) {
-    if (static_cast<int64_t>(list.size()) > policy_.probe_top_n) {
+    if (static_cast<int64_t>(list.size()) > kProbeTopN) {
       return Status::FailedPrecondition(
           "self-check probe: list longer than top_n");
     }

@@ -66,10 +66,9 @@ struct SwapPolicy {
   // legitimately varies (the dynamic session's composition schedule).
   bool adopt_artifact_epsilon = false;
   // Self-check probe: the first min(probe_users, num_users) user ids are
-  // served at probe_top_n; non-finite utilities or malformed lists reject
-  // the candidate. 0 disables the probe.
+  // served at top-10; non-finite utilities or malformed lists reject the
+  // candidate. 0 disables the probe.
   int64_t probe_users = 4;
-  int64_t probe_top_n = 10;
 };
 
 class ArtifactSwapper {

@@ -89,7 +89,7 @@ void FinalizeRequestTelemetry(obs::RequestTelemetry& event,
 
 ServeTelemetry::ServeTelemetry(ServeTelemetryOptions options)
     : options_(options),
-      windows_(options.window_ms, options.budget, options.max_windows) {
+      windows_(options.window_ms, options.budget) {
   events_.reserve(options_.max_events);
 }
 
@@ -126,12 +126,6 @@ void ServeTelemetry::Record(const obs::RequestTelemetry& event) {
     return;
   }
   events_.push_back(event);
-}
-
-void ServeTelemetry::AdvanceTo(int64_t now_ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  windows_.AdvanceTo(now_ms);
-  DrainWindowSignalsLocked();
 }
 
 void ServeTelemetry::Flush(int64_t now_ms) {

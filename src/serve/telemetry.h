@@ -49,8 +49,6 @@ struct ServeTelemetryOptions {
   // all of them up front, so retaining never copies the events already
   // kept; pages are only touched as events arrive.
   size_t max_events = 65536;
-  // Cap on retained closed windows (oldest evicted first).
-  size_t max_windows = 4096;
 };
 
 class ServeTelemetry {
@@ -64,10 +62,6 @@ class ServeTelemetry {
   // first, so alert lines precede the request lines they chronologically
   // preceded).
   void Record(const obs::RequestTelemetry& event);
-
-  // Closes windows that ended at or before now_ms without recording an
-  // event (idle periods still burn down the lookback ring).
-  void AdvanceTo(int64_t now_ms);
 
   // End of run: advance to now_ms and close the final partial window.
   void Flush(int64_t now_ms);

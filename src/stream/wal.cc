@@ -188,7 +188,10 @@ Result<WalReplay> StreamWal::Read(const std::string& path) {
     }
     const uint32_t len = GetU32(bytes.data() + off);
     const uint32_t crc = GetU32(bytes.data() + off + 4);
-    const bool is_final_frame = 8 + static_cast<uint64_t>(len) >= remaining;
+    // Finality comes from the fixed frame size, never from the length
+    // field: a corrupted length must not turn a mid-file frame into a
+    // "tail" that the open then truncates away.
+    const bool is_final_frame = off + kWalFrameBytes >= size;
     if (len != kWalPayloadBytes) {
       // Garbage length: torn header bytes if this is the tail, corruption
       // otherwise.
@@ -207,7 +210,7 @@ Result<WalReplay> StreamWal::Read(const std::string& path) {
     WalRecord record;
     if (Crc32(payload, kWalPayloadBytes) != crc ||
         !DecodePayload(payload, &record)) {
-      if (off + kWalFrameBytes >= size) {
+      if (is_final_frame) {
         replay.recovered_torn_tail = true;  // torn final payload bytes
         break;
       }

@@ -15,8 +15,10 @@
 // at any byte offset either lacks header bytes, lacks payload bytes, or
 // fails its CRC — all three are truncated away on open (the record was
 // mid-write at the crash; the writer observed the append as failed, so the
-// delta was never applied). A CRC mismatch on any NON-final frame is real
-// corruption and fails the open with kDataLoss.
+// delta was never applied). A bad length or a CRC mismatch on any
+// NON-final frame is real corruption and fails the open with kDataLoss;
+// whether a frame is final follows from the fixed frame size, never from
+// its length field.
 //
 // Durability: appends go through a POSIX fd; `fsync_every = n` fsyncs
 // every nth append (1 = every record, the default; 0 = never, leaving

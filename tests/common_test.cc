@@ -330,18 +330,6 @@ TEST(RngTest, LaplaceIsSymmetric) {
   EXPECT_NEAR(static_cast<double>(positive) / kTrials, 0.5, 0.01);
 }
 
-TEST(RngTest, TwoSidedGeometricMoments) {
-  // Var = 2a/(1-a)^2 for parameter a.
-  Rng rng(19);
-  const double a = 0.5;
-  RunningStats stats;
-  for (int i = 0; i < 200000; ++i) {
-    stats.Add(static_cast<double>(rng.TwoSidedGeometric(a)));
-  }
-  EXPECT_NEAR(stats.mean(), 0.0, 0.03);
-  EXPECT_NEAR(stats.variance(), 2.0 * a / ((1 - a) * (1 - a)), 0.2);
-}
-
 TEST(RngTest, ZipfFavorsSmallRanks) {
   Rng rng(20);
   int64_t first = 0;
@@ -422,34 +410,6 @@ TEST(RunningStatsTest, KnownSequence) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  Rng rng(26);
-  for (int i = 0; i < 1000; ++i) {
-    double x = rng.Normal();
-    whole.Add(x);
-    (i < 400 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-10);
-}
-
-TEST(PercentileTest, MedianAndExtremes) {
-  std::vector<double> v = {5, 1, 4, 2, 3};
-  EXPECT_DOUBLE_EQ(Percentile(v, 50), 3.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 100), 5.0);
-}
-
-TEST(PercentileTest, InterpolatesBetweenRanks) {
-  std::vector<double> v = {0.0, 10.0};
-  EXPECT_DOUBLE_EQ(Percentile(v, 25), 2.5);
-}
-
 TEST(HistogramTest, BinningAndClamping) {
   Histogram h(0.0, 10.0, 10);
   h.Add(0.5);    // bin 0
@@ -460,7 +420,6 @@ TEST(HistogramTest, BinningAndClamping) {
   EXPECT_EQ(h.bin_count(9), 2);
   EXPECT_EQ(h.total(), 4);
   EXPECT_DOUBLE_EQ(h.Fraction(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.BinCenter(0), 0.5);
 }
 
 // ---------------------------------------------------------- string_util
@@ -598,17 +557,6 @@ TEST(TimerTest, ElapsedIsMonotonicAndResets) {
 
 // ------------------------------------------------------- More statistics
 
-TEST(StatsTest, PercentileInterpolatesBetweenRanks) {
-  std::vector<double> values = {10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(Percentile(values, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(Percentile(values, 100.0), 40.0);
-  // Rank position for p=50 over 4 samples: 1.5 -> midpoint of 20 and 30.
-  EXPECT_DOUBLE_EQ(Percentile(values, 50.0), 25.0);
-  EXPECT_DOUBLE_EQ(Percentile(values, 25.0), 17.5);
-  // Unsorted input is sorted internally.
-  EXPECT_DOUBLE_EQ(Percentile({40.0, 10.0, 30.0, 20.0}, 50.0), 25.0);
-}
-
 TEST(StatsTest, HistogramBinsAndClamps) {
   Histogram hist(0.0, 10.0, 5);  // bins of width 2
   hist.Add(1.0);   // bin 0
@@ -623,43 +571,6 @@ TEST(StatsTest, HistogramBinsAndClamps) {
   EXPECT_EQ(hist.bin_count(2), 0);
   EXPECT_EQ(hist.bin_count(4), 2);
   EXPECT_DOUBLE_EQ(hist.Fraction(0), 0.4);
-  EXPECT_DOUBLE_EQ(hist.BinCenter(0), 1.0);
-  EXPECT_DOUBLE_EQ(hist.BinCenter(4), 9.0);
-}
-
-TEST(StatsTest, RunningStatsMergeMatchesCombinedStream) {
-  Rng rng(77);
-  std::vector<double> values;
-  for (int i = 0; i < 200; ++i) values.push_back(rng.Normal());
-
-  RunningStats all;
-  for (double v : values) all.Add(v);
-
-  RunningStats left;
-  RunningStats right;
-  for (size_t i = 0; i < values.size(); ++i) {
-    (i < 80 ? left : right).Add(values[i]);
-  }
-  left.Merge(right);
-
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(StatsTest, MergeWithEmptySidesIsIdentity) {
-  RunningStats stats;
-  stats.Add(2.0);
-  stats.Add(4.0);
-  RunningStats empty;
-  stats.Merge(empty);
-  EXPECT_EQ(stats.count(), 2);
-  EXPECT_DOUBLE_EQ(stats.mean(), 3.0);
-  empty.Merge(stats);
-  EXPECT_EQ(empty.count(), 2);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
 }
 
 // ----------------------------------------------------------------- crc32

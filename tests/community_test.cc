@@ -309,17 +309,17 @@ TEST(PartitionQualityTest, PerfectSeparationTwoTriangles) {
   EXPECT_DOUBLE_EQ(q.coverage, 1.0);
   EXPECT_DOUBLE_EQ(q.mean_conductance, 0.0);
   EXPECT_DOUBLE_EQ(q.max_conductance, 0.0);
-  EXPECT_DOUBLE_EQ(ClusterConductance(g, truth, 0), 0.0);
 }
 
 TEST(PartitionQualityTest, BridgedTrianglesConductance) {
   SocialGraph g = TwoTriangles();  // bridge 2-3 added
   Partition truth({0, 0, 0, 1, 1, 1});
-  // Each cluster: cut = 1, volume = 7, total volume = 14 -> 1/7.
-  EXPECT_NEAR(ClusterConductance(g, truth, 0), 1.0 / 7.0, 1e-12);
+  // Each cluster: cut = 1, volume = 7, total volume = 14 -> 1/7, so the
+  // mean and the max are both 1/7.
   PartitionQuality q = EvaluatePartitionQuality(g, truth);
   EXPECT_NEAR(q.coverage, 6.0 / 7.0, 1e-12);
   EXPECT_NEAR(q.mean_conductance, 1.0 / 7.0, 1e-12);
+  EXPECT_NEAR(q.max_conductance, 1.0 / 7.0, 1e-12);
   EXPECT_NEAR(q.modularity, Modularity(g, truth), 1e-12);
 }
 

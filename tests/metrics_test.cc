@@ -18,13 +18,11 @@ namespace {
 TEST(ClusteringCoefficientTest, TriangleIsOne) {
   SocialGraph g = SocialGraph::FromEdges(3, {{0, 1}, {1, 2}, {0, 2}});
   EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(g), 1.0);
-  EXPECT_DOUBLE_EQ(AverageLocalClusteringCoefficient(g), 1.0);
 }
 
 TEST(ClusteringCoefficientTest, StarIsZero) {
   SocialGraph g = SocialGraph::FromEdges(4, {{0, 1}, {0, 2}, {0, 3}});
   EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(g), 0.0);
-  EXPECT_DOUBLE_EQ(AverageLocalClusteringCoefficient(g), 0.0);
 }
 
 TEST(ClusteringCoefficientTest, PathHasNoTriples) {
@@ -39,9 +37,6 @@ TEST(ClusteringCoefficientTest, TriangleWithPendant) {
   // Triples: node0 C(3,2)=3, node1 C(2,2)=1, node2 1, node3 0 -> 5.
   // Closed triples: 3 (one triangle seen from 3 corners).
   EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(g), 3.0 / 5.0);
-  // Local: node0 1/3, node1 1, node2 1, node3 0 -> avg = (1/3+2)/4.
-  EXPECT_NEAR(AverageLocalClusteringCoefficient(g), (1.0 / 3.0 + 2.0) / 4.0,
-              1e-12);
 }
 
 TEST(ClusteringCoefficientTest, CommunityGraphsAreClusteredVsRandom) {

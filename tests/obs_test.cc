@@ -36,15 +36,6 @@ namespace {
 
 // ---------------------------------------------------------------- Buckets
 
-TEST(BucketsTest, LinearBuckets) {
-  std::vector<double> b = obs::LinearBuckets(0.0, 10.0, 4);
-  ASSERT_EQ(b.size(), 4u);
-  EXPECT_DOUBLE_EQ(b[0], 0.0);
-  EXPECT_DOUBLE_EQ(b[1], 10.0);
-  EXPECT_DOUBLE_EQ(b[2], 20.0);
-  EXPECT_DOUBLE_EQ(b[3], 30.0);
-}
-
 TEST(BucketsTest, ExponentialBuckets) {
   std::vector<double> b = obs::ExponentialBuckets(1.0, 2.0, 4);
   ASSERT_EQ(b.size(), 4u);

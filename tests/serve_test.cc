@@ -1525,12 +1525,6 @@ TEST_F(ServeSwapTest, StatuszSurfacesRuntimeAndTelemetryState) {
   EXPECT_NE(text.find("kernels:    dispatch " + status.kernel_dispatch),
             std::string::npos);
 
-  const std::string json = serve::StatuszJson(status);
-  EXPECT_NE(json.find("\"artifact_seed\": 21"), std::string::npos);
-  EXPECT_NE(json.find("\"breaker\": {\"state\": \"closed\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"telemetry\": {\"recorded\": 1"),
-            std::string::npos);
   EXPECT_FALSE(status.serve_counters.empty());
   for (const obs::CounterSample& c : status.serve_counters) {
     EXPECT_EQ(c.name.rfind("privrec.serve.", 0), 0u) << c.name;

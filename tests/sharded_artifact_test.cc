@@ -700,8 +700,6 @@ TEST_F(ShardedArtifactTest, RuntimeServesShardedLikeMonolithic) {
   EXPECT_NE(text.find("shard map:  s0=" +
                       std::to_string(status.shard_users[0]) + " s1="),
             std::string::npos);
-  EXPECT_NE(serve::StatuszJson(status).find("\"shard_count\": 3"),
-            std::string::npos);
 }
 
 }  // namespace

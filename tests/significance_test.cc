@@ -79,35 +79,5 @@ TEST(WelchTTest, ConstantSamplesEdgeCase) {
   EXPECT_NEAR(diff.p_value, 0.0, 1e-12);
 }
 
-TEST(BootstrapTest, IntervalCoversTrueMean) {
-  Rng rng(3);
-  std::vector<double> samples;
-  for (int i = 0; i < 200; ++i) samples.push_back(rng.Normal(7.0, 2.0));
-  BootstrapInterval ci =
-      BootstrapMeanInterval(samples, 0.95, 2000, 4);
-  EXPECT_LT(ci.lower, 7.0);
-  EXPECT_GT(ci.upper, 7.0);
-  EXPECT_LT(ci.upper - ci.lower, 1.5);
-  EXPECT_GE(ci.mean, ci.lower);
-  EXPECT_LE(ci.mean, ci.upper);
-}
-
-TEST(BootstrapTest, DeterministicForSeed) {
-  std::vector<double> samples = {1.0, 2.0, 3.0, 4.0, 5.0};
-  BootstrapInterval a = BootstrapMeanInterval(samples, 0.9, 500, 5);
-  BootstrapInterval b = BootstrapMeanInterval(samples, 0.9, 500, 5);
-  EXPECT_DOUBLE_EQ(a.lower, b.lower);
-  EXPECT_DOUBLE_EQ(a.upper, b.upper);
-}
-
-TEST(BootstrapTest, NarrowerWithLowerConfidence) {
-  Rng rng(6);
-  std::vector<double> samples;
-  for (int i = 0; i < 100; ++i) samples.push_back(rng.Normal(0.0, 1.0));
-  BootstrapInterval wide = BootstrapMeanInterval(samples, 0.99, 2000, 7);
-  BootstrapInterval narrow = BootstrapMeanInterval(samples, 0.8, 2000, 7);
-  EXPECT_LT(narrow.upper - narrow.lower, wide.upper - wide.lower);
-}
-
 }  // namespace
 }  // namespace privrec::eval

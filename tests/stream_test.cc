@@ -174,6 +174,39 @@ TEST(StreamWal, MidFileCorruptionIsDataLossNotRecovery) {
   EXPECT_EQ(wal.status().code(), StatusCode::kDataLoss);
 }
 
+TEST(StreamWal, EveryHeaderBitFlipInAMidFileFrameIsDataLoss) {
+  // A corrupted length in a frame that is not the last must not be read
+  // as a torn tail: the open would truncate every later record away.
+  const fs::path dir = FreshDir("privrec_wal_header_flips");
+  const std::string base = (dir / "base.wal").string();
+  {
+    auto wal = stream::StreamWal::Open(base);
+    ASSERT_TRUE(wal.ok());
+    for (int64_t k = 0; k < 7; ++k) {
+      ASSERT_TRUE(wal->Append(stream::WalRecord::AddSocial(k, k + 1)).ok());
+    }
+  }
+  const std::string bytes = ReadAllBytes(base);
+  ASSERT_EQ(bytes.size(),
+            stream::kWalHeaderBytes + 7 * stream::kWalFrameBytes);
+  // The second frame's 8 header bytes: u32 length, then u32 crc.
+  const size_t header = stream::kWalHeaderBytes + stream::kWalFrameBytes;
+  const std::string path = (dir / "flipped.wal").string();
+  for (size_t byte = 0; byte < 8; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutant = bytes;
+      mutant[header + byte] =
+          static_cast<char>(mutant[header + byte] ^ (1 << bit));
+      WriteAllBytes(path, mutant);
+      auto wal = stream::StreamWal::Open(path);
+      EXPECT_EQ(wal.status().code(), StatusCode::kDataLoss)
+          << "byte " << byte << " bit " << bit;
+      EXPECT_EQ(fs::file_size(path), bytes.size())
+          << "byte " << byte << " bit " << bit;
+    }
+  }
+}
+
 TEST(StreamWal, InjectedAppendFaultsLeaveARecoverableJournal) {
   const fs::path dir = FreshDir("privrec_wal_fault");
   const std::string path = (dir / "fault.wal").string();
